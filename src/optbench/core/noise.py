@@ -124,9 +124,10 @@ def _absolute_grad(oracle: OracleSuite, noise: AbsoluteGrad, rng: Rng):
             return base(x) + v
     else:
         def noisy(x):
-            v = delta * rng.sphere(d)
-            assert np.linalg.norm(v) <= delta * (1 + 1e-12)
-            return base(x) + v
+            e = rng.sphere(d)
+            if np.linalg.norm(e) > 1 + 1e-12:
+                raise AssertionError("absolute noise exceeds its bound delta")
+            return base(x) + delta * e
     return noisy
 
 
@@ -144,7 +145,9 @@ def _relative_grad(oracle: OracleSuite, noise: RelativeGrad, rng: Rng):
             g = base(x)
             gn = float(np.linalg.norm(g))
             out = g + alpha * gn * rng.sphere(d)
-            assert np.linalg.norm(out - g) <= alpha * gn * (1 + 1e-12) + 1e-300
+            # Compared relative to ||g||: the squares of a tiny g underflow.
+            if gn > 0 and np.linalg.norm((out - g) / gn) > alpha * (1 + 1e-12):
+                raise AssertionError("relative noise exceeds its bound alpha ||g||")
             return out
     return noisy
 

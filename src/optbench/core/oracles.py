@@ -15,7 +15,6 @@ runs over one suite never interfere.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -178,15 +177,6 @@ class Trace:
     def final(self) -> TraceRow:
         return self.rows[-1]
 
-    def iters(self) -> np.ndarray:
-        return np.array([r.iter for r in self.rows])
-
-    def gaps(self) -> np.ndarray:
-        return np.array([math.nan if r.f_gap is None else r.f_gap for r in self.rows])
-
-    def dists(self) -> np.ndarray:
-        return np.array([math.nan if r.dist_to_opt is None else r.dist_to_opt for r in self.rows])
-
 
 class TraceRecorder:
     """Accumulates trace rows for one run.
@@ -233,3 +223,21 @@ class TraceRecorder:
         return Trace(rows=self.rows, status=status,
                      x_out=np.array(x_out, dtype=float),
                      f_out=None if f_out is None else float(f_out))
+
+    def close(self, it: int, x: np.ndarray, status: RunStatus,
+              x_out: Optional[np.ndarray] = None) -> Trace:
+        """Record the terminal row at iteration ``it`` and return the trace.
+
+        The row is evaluated with ``value_final`` unless row ``it`` is
+        already the last one (a run that stopped on its own test records
+        it there).  The reported point is ``x``, or ``x_out`` (an average,
+        an auxiliary sequence) evaluated after the terminal row.
+        """
+        if self.rows and self.rows[-1].iter == it:
+            f_end = self.rows[-1].f_value
+        else:
+            f_end = self.counter.value_final(x)
+            self.record(it, x, f_end, force=True)
+        if x_out is None:
+            return self.finish(status, x, f_end)
+        return self.finish(status, x_out, self.counter.value_final(x_out))

@@ -54,8 +54,3 @@ class Rng:
             n = float(np.linalg.norm(v))
             if n > 1e-12:
                 return v / n
-
-
-def replica_seed_rng(seed: int, index: int) -> Rng:
-    """Stream for replica ``index`` of a Monte-Carlo run rooted at ``seed``."""
-    return Rng((int(seed), int(index)))

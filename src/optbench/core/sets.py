@@ -56,9 +56,6 @@ class FullSpace:
     def lmo(self, g) -> np.ndarray:
         raise UnboundedSetError("lmo is undefined on an unbounded set")
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        return _as_vector(x, self.d).shape[0] == self.d
-
 
 @dataclass(frozen=True)
 class Box:
@@ -92,10 +89,6 @@ class Box:
         g = _as_vector(g, self.dim)
         # g > 0 -> lower bound, g < 0 -> upper bound, g == 0 -> lower bound.
         return np.where(g < 0, self.hi, self.lo).astype(float)
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        x = _as_vector(x, self.dim)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
 
 
 @dataclass(frozen=True)
@@ -136,10 +129,6 @@ class Ball:
             return self.center.copy()
         return self.center - g * (self.radius / n)
 
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        x = _as_vector(x, self.dim)
-        return float(np.linalg.norm(x - self.center)) <= self.radius + tol
-
 
 @dataclass(frozen=True)
 class Simplex:
@@ -176,10 +165,6 @@ class Simplex:
         out = np.zeros(self.d)
         out[int(np.argmin(g))] = 1.0  # argmin takes the lowest index on ties
         return out
-
-    def contains(self, x, tol: float = 1e-12) -> bool:
-        x = _as_vector(x, self.d)
-        return bool(np.all(x >= -tol) and abs(float(np.sum(x)) - 1.0) <= tol)
 
 
 FeasibleSet = FullSpace | Box | Ball | Simplex

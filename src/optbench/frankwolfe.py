@@ -79,7 +79,6 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     status = RunStatus.BUDGET_EXHAUSTED
-    f_last = None
     k = 1
     try:
         while k <= cfg.N - 1:
@@ -89,8 +88,7 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
             gap = -float(np.dot(g, d))  # FW duality gap at x
             if gap <= cfg.tol:
                 status = RunStatus.CONVERGED
-                f_last = ctr.value_final(x)
-                rec.record(k, x, f_last, grad_norm=float(np.linalg.norm(g)),
+                rec.record(k, x, ctr.value_final(x), grad_norm=float(np.linalg.norm(g)),
                            step_size=0.0, force=True)
                 break
             if isinstance(cfg.step_rule, Classic):
@@ -104,10 +102,7 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
             k += 1
     except OracleBudgetError:
         pass
-    if f_last is None:
-        f_last = ctr.value_final(x)
-        rec.record(k, x, f_last, force=True)
-    return rec.finish(status, x, f_last)
+    return rec.close(k, x, status)
 
 
 def fw_gap(oracle: OracleSuite, fset: FeasibleSet, x) -> float:

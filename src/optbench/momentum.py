@@ -103,7 +103,6 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
     A_k = 0.0
     q = mu / L
     status = RunStatus.BUDGET_EXHAUSTED
-    f_last: Optional[float] = None
     delta_cheb: Optional[float] = None
     k = 0
     try:
@@ -129,9 +128,8 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
                 break
             if gn <= cfg.tol:
                 status = RunStatus.CONVERGED
-                f_last = ctr.value_final(x)
-                rec.record(k, x, f_last, grad_norm=gn, step_size=0.0, force=True)
-                break  # f_out for taylor_drori is recomputed at z below
+                rec.record(k, x, ctr.value_final(x), grad_norm=gn, step_size=0.0, force=True)
+                break
 
             if cfg.variant == "heavy_ball":
                 step, beta_hb = heavy_ball_coefficients(L, mu)
@@ -163,12 +161,7 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
                 break
     except OracleBudgetError:
         pass
-    if f_last is None:
-        f_last = ctr.value_final(x)
-        rec.record(k, x, f_last, force=True)
-    if cfg.variant == "taylor_drori":
-        return rec.finish(status, z, ctr.value_final(z))
-    return rec.finish(status, x, f_last)
+    return rec.close(k, x, status, z if cfg.variant == "taylor_drori" else None)
 
 
 def chebyshev_delta_sequence(L: float, mu: float, n: int) -> np.ndarray:
@@ -209,7 +202,6 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
     x = np.array(x0, dtype=float)
     x_prev = x.copy()
     status = RunStatus.BUDGET_EXHAUSTED
-    f_last: Optional[float] = None
     k = 0
     try:
         while k < N:
@@ -217,8 +209,7 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
             gn = float(np.linalg.norm(g))
             if gn <= tol:
                 status = RunStatus.CONVERGED
-                f_last = ctr.value_final(x)
-                rec.record(k, x, f_last, grad_norm=gn, step_size=0.0, force=True)
+                rec.record(k, x, ctr.value_final(x), grad_norm=gn, step_size=0.0, force=True)
                 break
             d = x - x_prev
             Ag = matvec(g)
@@ -246,7 +237,4 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
             k += 1
     except OracleBudgetError:
         pass
-    if f_last is None:
-        f_last = ctr.value_final(x)
-        rec.record(k, x, f_last, force=True)
-    return rec.finish(status, x, f_last)
+    return rec.close(k, x, status)

@@ -106,39 +106,28 @@ def _fixed_step_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, h: float,
     x = np.array(x0, dtype=float)
     x_start = x.copy()
     status = RunStatus.BUDGET_EXHAUSTED
-    f_last = None
-    gn = None
     k = 0
-    while True:
-        if k >= cfg.N:
-            break
-        try:
+    try:
+        while k < cfg.N:
             g = ctr.grad(x)
-        except OracleBudgetError:
-            break
-        gn = float(np.linalg.norm(g))
-        if not math.isfinite(gn):
-            status = RunStatus.DIVERGED
-            break
-        if gn <= stop_threshold:
-            status = stop_status if stop_threshold > cfg.tol else RunStatus.CONVERGED
-            f_last = ctr.value_final(x)
-            rec.record(k, x, f_last, grad_norm=gn, step_size=0.0, force=True)
-            break
-        if rec.due(k):
-            try:
-                rec.record(k, x, ctr.value(x), grad_norm=gn, step_size=h)
-            except OracleBudgetError:
+            gn = float(np.linalg.norm(g))
+            if not math.isfinite(gn):
+                status = RunStatus.DIVERGED
                 break
-        x = x - h * g
-        k += 1
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x - x_start)) > divergence_radius:
-            status = RunStatus.DIVERGED
-            break
-    if f_last is None:
-        f_last = ctr.value_final(x)
-        rec.record(k, x, f_last, force=True)
-    return rec.finish(status, x, f_last)
+            if gn <= stop_threshold:
+                status = stop_status if stop_threshold > cfg.tol else RunStatus.CONVERGED
+                rec.record(k, x, ctr.value_final(x), grad_norm=gn, step_size=0.0, force=True)
+                break
+            if rec.due(k):
+                rec.record(k, x, ctr.value(x), grad_norm=gn, step_size=h)
+            x = x - h * g
+            k += 1
+            if not np.all(np.isfinite(x)) or float(np.linalg.norm(x - x_start)) > divergence_radius:
+                status = RunStatus.DIVERGED
+                break
+    except OracleBudgetError:
+        pass
+    return rec.close(k, x, status)
 
 
 def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
@@ -256,6 +245,4 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
                 break
     except OracleBudgetError:
         pass
-    f_last = ctr.value_final(x)
-    rec.record(k, x, f_last, force=True)
-    return rec.finish(status, x, f_last)
+    return rec.close(k, x, status)

@@ -1,6 +1,7 @@
 """Projected stochastic gradient descent and Monte-Carlo statistics.
 
-Step schedules:
+Step schedules (``rule.schedule(N)`` returns the step ``gamma(k, g)`` of
+iteration k with applied gradient g):
 
 * ``Const(gamma)``          -- fixed step;
 * ``BudgetConst(R, M)``     -- gamma = R / (M sqrt(N)) for a known run length;
@@ -14,6 +15,10 @@ Averaging modes return the uniform mean of x^0..x^{N-1} or the mean of
 the tail fraction.  Mini-batching averages ``batch`` independent draws;
 ``clip_lambda`` rescales the batched gradient to norm at most lambda
 before the step (heavy-tail robustness).
+
+:func:`run_sgd` and the zeroth-order :func:`optbench.zeroorder.run_zo_sgd`
+are front ends over one projected-SGD loop; each supplies its own
+gradient source.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ class Const:
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
+    def schedule(self, N: int) -> Callable[[int, np.ndarray], float]:
+        gamma = self.gamma
+        return lambda k, g: gamma
+
 
 @dataclass(frozen=True)
 class BudgetConst:
@@ -54,6 +63,10 @@ class BudgetConst:
         if not (self.R > 0 and self.M > 0):
             raise ValueError("R and M must be positive")
 
+    def schedule(self, N: int) -> Callable[[int, np.ndarray], float]:
+        gamma = self.R / (self.M * math.sqrt(max(N, 1)))
+        return lambda k, g: gamma
+
 
 @dataclass(frozen=True)
 class InvK:
@@ -63,6 +76,10 @@ class InvK:
         if not self.mu > 0:
             raise ValueError("mu must be positive")
 
+    def schedule(self, N: int) -> Callable[[int, np.ndarray], float]:
+        mu = self.mu
+        return lambda k, g: 1.0 / (mu * (k + 1))
+
 
 @dataclass(frozen=True)
 class AdaGradNorm:
@@ -71,6 +88,15 @@ class AdaGradNorm:
     def __post_init__(self):
         if not self.R > 0:
             raise ValueError("R must be positive")
+
+    def schedule(self, N: int) -> Callable[[int, np.ndarray], float]:
+        R, sq_accum = self.R, 0.0  # running sum of squared gradient norms
+
+        def gamma(k, g):
+            nonlocal sq_accum
+            sq_accum += float(np.dot(g, g))
+            return R / math.sqrt(sq_accum) if sq_accum > 0 else 0.0
+        return gamma
 
 
 @dataclass(frozen=True)
@@ -83,6 +109,10 @@ class Decay:
             raise ValueError("gamma0 must be positive")
         if not 0.5 < self.eta < 1.0:
             raise ValueError("eta must lie in (1/2, 1)")
+
+    def schedule(self, N: int) -> Callable[[int, np.ndarray], float]:
+        gamma0, eta = self.gamma0, self.eta
+        return lambda k, g: gamma0 * (k + 1) ** (-eta)
 
 
 @dataclass(frozen=True)
@@ -146,58 +176,52 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
     """
     if oracle.stoch_grad is None:
         raise ValueError("run_sgd needs a stochastic gradient oracle (wrap with AdditiveStochGrad)")
+    b, lam = cfg.batch, cfg.clip_lambda
+
+    def gradient(ctr, k, x):
+        g = ctr.stoch_grad(x, rng)
+        if b > 1:
+            for _ in range(b - 1):
+                g = g + ctr.stoch_grad(x, rng)
+            g = g / b
+        return g if lam is None else clip(g, lam)
+
+    return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging, gradient,
+                          record_every, record_x, max_oracle_calls)
+
+
+def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule: StepRule,
+                   averaging: Averaging, gradient: Callable[[CountingOracle, int, np.ndarray], np.ndarray],
+                   record_every: int, record_x: bool, max_oracle_calls: Optional[int]) -> Trace:
+    """The loop behind :func:`run_sgd` and :func:`optbench.zeroorder.run_zo_sgd`.
+
+    ``gradient(ctr, k, x)`` returns iteration k's gradient, drawn through
+    the run's counting oracle.  The reported point is the average of the
+    averaged iterates, or the last iterate without averaging.
+    """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(np.array(x0, dtype=float))
+    step = step_rule.schedule(N)
 
-    rule = cfg.step_rule
-    N, b = cfg.N, cfg.batch
-    if isinstance(rule, BudgetConst) and N >= 1:
-        const_gamma: Optional[float] = rule.R / (rule.M * math.sqrt(N))
-    elif isinstance(rule, Const):
-        const_gamma = rule.gamma
-    else:
-        const_gamma = None
-    sq_accum = 0.0  # AdaGradNorm running sum of squared gradient norms
-
-    avg = cfg.averaging
-    if isinstance(avg, UniformAvg):
+    if isinstance(averaging, UniformAvg):
         avg_start = 0
-    elif isinstance(avg, TailAvg):
-        avg_start = N - math.ceil(avg.fraction * N)
+    elif isinstance(averaging, TailAvg):
+        avg_start = N - math.ceil(averaging.fraction * N)
     else:
         avg_start = None
     avg_sum = np.zeros_like(x)
     avg_n = 0
 
     project_needed = not isinstance(fset, FullSpace)
-    sg = ctr.stoch_grad
-    lam = cfg.clip_lambda
-    status = RunStatus.BUDGET_EXHAUSTED
     k = 0
     try:
         for k in range(N):
             if avg_start is not None and k >= avg_start:
                 avg_sum += x
                 avg_n += 1
-            g = sg(x, rng)
-            if b > 1:
-                for _ in range(b - 1):
-                    g = g + sg(x, rng)
-                g = g / b
-            if lam is not None:
-                gn = float(np.linalg.norm(g))
-                if gn > lam:
-                    g = g * (lam / gn)
-            if isinstance(rule, InvK):
-                gamma = 1.0 / (rule.mu * (k + 1))
-            elif isinstance(rule, AdaGradNorm):
-                sq_accum += float(np.dot(g, g))
-                gamma = rule.R / math.sqrt(sq_accum) if sq_accum > 0 else 0.0
-            elif isinstance(rule, Decay):
-                gamma = rule.gamma0 * (k + 1) ** (-rule.eta)
-            else:
-                gamma = const_gamma
+            g = gradient(ctr, k, x)
+            gamma = step(k, g)
             if rec.due(k):
                 rec.record(k, x, ctr.value(x), grad_norm=float(np.linalg.norm(g)),
                            step_size=gamma)
@@ -207,14 +231,7 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
         k = N
     except OracleBudgetError:
         pass
-    f_last = ctr.value_final(x)
-    rec.record(k, x, f_last, force=True)
-    if avg_start is not None and avg_n > 0:
-        x_out = avg_sum / avg_n
-        f_out = ctr.value_final(x_out)
-    else:
-        x_out, f_out = x, f_last
-    return rec.finish(status, x_out, f_out)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED, avg_sum / avg_n if avg_n else None)
 
 
 @dataclass(frozen=True)

@@ -103,18 +103,14 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
     status = RunStatus.BUDGET_EXHAUSTED
-    f_last: Optional[float] = None
     k = 0
-    while True:
-        if k >= cfg.N:
-            break
-        try:
+    try:
+        while k < cfg.N:
             fx = ctr.value(x)
             gap = fx - fstar
             if gap <= cfg.tol:
                 rec.record(k, x, fx, grad_norm=None, step_size=0.0, force=True)
                 status = RunStatus.CONVERGED
-                f_last = fx
                 break
             g = ctr.subgrad(x)
             gn2 = float(np.dot(g, g))
@@ -125,12 +121,9 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
             rec.record(k, x, fx, grad_norm=math.sqrt(gn2), step_size=h)
             x = fset.project(x - h * g)
             k += 1
-        except OracleBudgetError:
-            break
-    if f_last is None:
-        f_last = ctr.value_final(x)
-        rec.record(k, x, f_last, force=True)
-    return rec.finish(status, x, f_last)
+    except OracleBudgetError:
+        pass
+    return rec.close(k, x, status)
 
 
 def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradConfig,
@@ -170,11 +163,7 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
             x = fset.project(x - h * g)
     except OracleBudgetError:
         pass
-    if not rec.rows or rec.rows[-1].iter != n_seen - 1:
-        rec.record(n_seen - 1, x, ctr.value_final(x), step_size=0.0, force=True)
-    x_out = sum_x / n_seen if cfg.averaging else x
-    f_out = ctr.value_final(x_out)
-    return rec.finish(status, x_out, f_out)
+    return rec.close(n_seen - 1, x, status, sum_x / n_seen if cfg.averaging else None)
 
 
 @dataclass(frozen=True)
@@ -208,7 +197,11 @@ class SwitchingConfig:
 def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                      x: np.ndarray, delta: float, theta: float, Mg: float,
                      cap: int, start_iter: int, stage_tag: str):
-    """One run of the switching scheme; returns (best_x, best_f, x_end, iters, stopped)."""
+    """One run of the switching scheme; returns (best_x, best_f, x_end, iters, stopped).
+
+    An :class:`OracleBudgetError` leaves the stage carrying the number of
+    iterations it completed as ``stage_iters``.
+    """
     threshold = 2.0 * theta * theta / (delta * delta)
     sum_productive = 0.0
     n_nonproductive = 0
@@ -216,48 +209,52 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
     best_x: Optional[np.ndarray] = None
     k = 0
     stopped = False
-    while k < cap:
-        it = start_iter + k
-        gx = ctr.constraint_value(x)
-        if gx <= delta * Mg:
-            fx = ctr.value(x)
-            g = ctr.subgrad(x)
-            gn2 = float(np.dot(g, g))
-            if fx < best_f:
-                best_f, best_x = fx, x.copy()
-            if gn2 == 0.0:
-                # Minimal-norm selection hit an exact minimizer of f on a
-                # productive step: the stop sum is +inf, stop here.
-                rec.record(it, x, fx, grad_norm=0.0, step_size=0.0,
-                           tag=stage_tag + "productive", force=True)
-                k += 1
+    try:
+        while k < cap:
+            it = start_iter + k
+            gx = ctr.constraint_value(x)
+            if gx <= delta * Mg:
+                fx = ctr.value(x)
+                g = ctr.subgrad(x)
+                gn2 = float(np.dot(g, g))
+                if fx < best_f:
+                    best_f, best_x = fx, x.copy()
+                if gn2 == 0.0:
+                    # Minimal-norm selection hit an exact minimizer of f on a
+                    # productive step: the stop sum is +inf, stop here.
+                    rec.record(it, x, fx, grad_norm=0.0, step_size=0.0,
+                               tag=stage_tag + "productive", force=True)
+                    k += 1
+                    stopped = True
+                    break
+                h = delta / gn2
+                rec.record(it, x, fx, grad_norm=math.sqrt(gn2), step_size=h,
+                           tag=stage_tag + "productive")
+                x = fset.project(x - h * g)
+                sum_productive += 1.0 / gn2
+            else:
+                g = ctr.constraint_subgrad(x)
+                gn = float(np.linalg.norm(g))
+                if Mg > 0 and gn > Mg * (1 + 1e-9):
+                    warnings.warn(f"constraint subgradient norm {gn:.3g} exceeds the declared Mg={Mg:.3g}; "
+                                  "the switching guarantee is void", stacklevel=3)
+                if gn == 0.0:
+                    raise ZeroSubgradientError("zero constraint subgradient on a nonproductive step")
+                h = delta / gn
+                if rec.due(it):
+                    fx = ctr.value(x)
+                    rec.record(it, x, fx, grad_norm=gn, step_size=h,
+                               tag=stage_tag + "nonproductive")
+                x = fset.project(x - h * g)
+                n_nonproductive += 1
+            k += 1
+            # 1e-9 relative slack absorbs float dust in theta^2 / delta^2.
+            if sum_productive + n_nonproductive >= threshold * (1.0 - 1e-9):
                 stopped = True
                 break
-            h = delta / gn2
-            rec.record(it, x, fx, grad_norm=math.sqrt(gn2), step_size=h,
-                       tag=stage_tag + "productive")
-            x = fset.project(x - h * g)
-            sum_productive += 1.0 / gn2
-        else:
-            g = ctr.constraint_subgrad(x)
-            gn = float(np.linalg.norm(g))
-            if Mg > 0 and gn > Mg * (1 + 1e-9):
-                warnings.warn(f"constraint subgradient norm {gn:.3g} exceeds the declared Mg={Mg:.3g}; "
-                              "the switching guarantee is void", stacklevel=3)
-            if gn == 0.0:
-                raise ZeroSubgradientError("zero constraint subgradient on a nonproductive step")
-            h = delta / gn
-            if rec.due(it):
-                fx = ctr.value(x)
-                rec.record(it, x, fx, grad_norm=gn, step_size=h,
-                           tag=stage_tag + "nonproductive")
-            x = fset.project(x - h * g)
-            n_nonproductive += 1
-        k += 1
-        # 1e-9 relative slack absorbs float dust in theta^2 / delta^2.
-        if sum_productive + n_nonproductive >= threshold * (1.0 - 1e-9):
-            stopped = True
-            break
+    except OracleBudgetError as exc:
+        exc.stage_iters = k
+        raise
     return best_x, best_f, x, k, stopped
 
 
@@ -272,7 +269,9 @@ def run_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
     ``h = delta / ||grad g||``.  The run stops once
     ``2 theta0^2 / delta^2 <= sum_I ||grad f||^{-2} + #nonproductive``
     and returns the best productive iterate, which then satisfies
-    ``f - f* <= delta`` and ``g <= delta * Mg``.
+    ``f - f* <= delta`` and ``g <= delta * Mg``.  An oracle budget that
+    runs out first raises :class:`OracleBudgetError`: the scheme then has
+    no usable output.
     """
     if cfg.delta <= 0:
         raise ValueError("delta must be positive")
@@ -286,11 +285,8 @@ def run_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
     ctr = CountingOracle(oracle, max_oracle_calls, constraint=constraint)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
-    try:
-        best_x, best_f, x_end, iters, stopped = _switching_stage(
-            ctr, rec, fset, x, cfg.delta, cfg.theta0, Mg, cfg.max_iters, 0, "")
-    except OracleBudgetError:
-        raise  # a budget this tight gives no usable scheme output
+    best_x, best_f, x_end, iters, stopped = _switching_stage(
+        ctr, rec, fset, x, cfg.delta, cfg.theta0, Mg, cfg.max_iters, 0, "")
     if best_x is None:
         raise NoProductiveStepsError("switching scheme stopped without any productive step")
     status = RunStatus.CONVERGED if stopped else RunStatus.BUDGET_EXHAUSTED
@@ -329,9 +325,7 @@ def run_restarted_switching(oracle: OracleSuite, constraint: Optional[Constraint
 
     if cfg.eps_target >= cfg.theta0:
         # Already within the target radius by assumption on theta0.
-        f0 = ctr.value_final(x)
-        rec.record(0, x, f0, force=True)
-        return x.copy(), rec.finish(RunStatus.CONVERGED, x, f0)
+        return x.copy(), rec.close(0, x, RunStatus.CONVERGED)
 
     n_stages = math.ceil(2.0 * math.log2(cfg.theta0 / cfg.eps_target))
     mg_eff = max(1.0, Mg)
@@ -343,7 +337,8 @@ def run_restarted_switching(oracle: OracleSuite, constraint: Optional[Constraint
         try:
             best_x, _, _, iters, stopped = _switching_stage(
                 ctr, rec, fset, x, delta_p, theta_p, Mg, cfg.max_iters, it, f"p{p}:")
-        except OracleBudgetError:
+        except OracleBudgetError as exc:
+            it += exc.stage_iters
             status = RunStatus.BUDGET_EXHAUSTED
             break
         if best_x is None:
@@ -353,6 +348,4 @@ def run_restarted_switching(oracle: OracleSuite, constraint: Optional[Constraint
         if not stopped:
             status = RunStatus.BUDGET_EXHAUSTED
             break
-    f_out = ctr.value_final(x)
-    rec.record(it, x, f_out, force=True)
-    return x.copy(), rec.finish(status, x, f_out)
+    return x.copy(), rec.close(it, x, status)

@@ -17,7 +17,8 @@ Gauss-Legendre quadrature at construction.  Odd kernels meet the even-j
 conditions automatically, so beta = 2, 3 share K(u) = 3u and
 beta = 4, 5 share K(u) = (75u - 105u^3)/4.
 
-:func:`run_zo_sgd` is projected SGD driven by the batched estimator;
+:func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
+by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.
 """
 
@@ -29,10 +30,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core.oracles import CountingOracle, OracleBudgetError, OracleSuite, RunStatus, Trace, TraceRecorder
+from .core.oracles import CountingOracle, OracleSuite, Trace
 from .core.rng import Rng
-from .core.sets import FeasibleSet, FullSpace
-from .stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK, StepRule
+from .core.sets import FeasibleSet
+from .stochastic import NoAveraging, StepRule, _projected_sgd
 
 _SUPPORTED_BETA = (2, 3, 4, 5)
 _QUAD_NODES = 64
@@ -126,6 +127,9 @@ class ConstTau:
         if not self.tau > 0:
             raise ValueError("tau must be positive")
 
+    def at(self, k: int) -> float:
+        return self.tau
+
 
 @dataclass(frozen=True)
 class PowerDecayTau:
@@ -137,6 +141,9 @@ class PowerDecayTau:
             raise ValueError("tau0 must be positive")
         if self.exponent < 0:
             raise ValueError("exponent must be >= 0")
+
+    def at(self, k: int) -> float:
+        return self.tau0 * (k + 1) ** (-self.exponent)
 
 
 TauSchedule = ConstTau | PowerDecayTau
@@ -161,45 +168,10 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
                record_every: int = 1, record_x: bool = False,
                max_oracle_calls: Optional[int] = None) -> Trace:
     """Projected SGD on the kernel gradient estimate (2*batch calls/iter)."""
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    x = fset.project(np.array(x0, dtype=float))
-    rule = cfg.step_rule
-    if isinstance(rule, Const):
-        const_gamma: Optional[float] = rule.gamma
-    elif isinstance(rule, BudgetConst) and cfg.N >= 1:
-        const_gamma = rule.R / (rule.M * math.sqrt(cfg.N))
-    else:
-        const_gamma = None
-    sq_accum = 0.0
-    project_needed = not isinstance(fset, FullSpace)
-    status = RunStatus.BUDGET_EXHAUSTED
-    k = 0
-    try:
-        for k in range(cfg.N):
-            if isinstance(cfg.tau_schedule, ConstTau):
-                tau = cfg.tau_schedule.tau
-            else:
-                tau = cfg.tau_schedule.tau0 * (k + 1) ** (-cfg.tau_schedule.exponent)
-            g = kernel_grad_estimate(ctr, x, tau, cfg.kernel, rng, cfg.batch)
-            if isinstance(rule, InvK):
-                gamma = 1.0 / (rule.mu * (k + 1))
-            elif isinstance(rule, AdaGradNorm):
-                sq_accum += float(np.dot(g, g))
-                gamma = rule.R / math.sqrt(sq_accum) if sq_accum > 0 else 0.0
-            elif isinstance(rule, Decay):
-                gamma = rule.gamma0 * (k + 1) ** (-rule.eta)
-            else:
-                gamma = const_gamma
-            if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=float(np.linalg.norm(g)),
-                           step_size=gamma)
-            x = x - gamma * g
-            if project_needed:
-                x = fset.project(x)
-        k = cfg.N
-    except OracleBudgetError:
-        pass
-    f_last = ctr.value_final(x)
-    rec.record(k, x, f_last, force=True)
-    return rec.finish(status, x, f_last)
+    tau, kernel, batch = cfg.tau_schedule, cfg.kernel, cfg.batch
+
+    def gradient(ctr, k, x):
+        return kernel_grad_estimate(ctr, x, tau.at(k), kernel, rng, batch)
+
+    return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, NoAveraging(), gradient,
+                          record_every, record_x, max_oracle_calls)

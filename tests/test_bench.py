@@ -13,7 +13,8 @@ from optbench.bench import (
     write_trace,
 )
 from optbench.bench.cli import main
-from optbench.core import RunStatus, Trace, TraceRow
+from optbench.bench.registry import METHODS
+from optbench.core import OracleBudgetError, RunStatus, Trace, TraceRow
 
 
 # -- config parsing --------------------------------------------------------------
@@ -252,6 +253,49 @@ def test_trace_row_monotonicity_invariants():
         calls = [r.oracle_calls for r in trace.rows]
         assert all(b > a for a, b in zip(iters, iters[1:]))
         assert all(b >= a for a, b in zip(calls, calls[1:]))
+
+
+# One small config per registered method (problem, noise, params, x0, iterations).
+EVERY_METHOD = {
+    "polyak_subgrad": ({"name": "l1_system", "params": {"d": 5, "m": 8}}, None, {}, None, 300),
+    "const_subgrad": ({"name": "norm2", "params": {"a": [0.5, -0.2, 0.1]}}, None,
+                      {"R": 1.7, "averaging": True}, None, 400),
+    "switching": ("slp", None, {"delta": 0.035, "theta0": 1.0}, [0.1, -0.1], 5000),
+    "restarted_switching": ("slp", None, {"eps": 0.05, "theta0": 1.0, "alpha": 0.5},
+                            [0.1, -0.1], 100_000),
+    "gd": ({"name": "degenerate3", "params": {"l1": 1.0, "l2": 0.1}}, None, {}, None, 2000),
+    "gd_abs": ({"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+               {"kind": "absolute_grad", "delta": 0.1}, {}, None, 500),
+    "gd_rel": ("nesterov_skokov_toy", {"kind": "relative_grad", "alpha": 0.25}, {}, [0.8, 0.5], 2000),
+    "gd_rel_adaptive": ("rosenbrock", {"kind": "relative_grad", "alpha": 0.25, "mode": "random_direction"},
+                        {"L0": 1.0}, [-1.2, 1.0], 1500),
+    **{name: ({"name": "quad_diag", "params": {"lambdas": [50, 1]}}, None, {}, None, 2000)
+       for name in ("heavy_ball", "chebyshev", "nesterov_sc", "nesterov_cvx", "taylor_drori")},
+    "cg_quadratic": ({"name": "quad_diag", "params": {"lambdas": [1, 5, 20]}}, None, {}, None, 5),
+    "frank_wolfe": ("fw_box", None, {}, None, 400),
+    "sgd": ({"name": "quad_diag", "params": {"lambdas": [2, 1]}}, {"kind": "additive_stoch_grad", "sigma": 1.0},
+            {"step_rule": "decay", "gamma0": 0.5, "averaging": "uniform"}, None, 2000),
+    "zo_sgd": ({"name": "quad_diag", "params": {"lambdas": [1, 1]}}, {"kind": "zo_stoch", "delta_tilde": 0.01},
+               {"gamma": 0.005, "tau": 0.01}, None, 500),
+}
+
+
+def test_every_method_trace_iters_strictly_increase():
+    assert set(EVERY_METHOD) == set(METHODS)
+    for name, (problem, noise, params, x0, N) in EVERY_METHOD.items():
+        for every in (1, 7, N + 1):
+            for max_calls in (3, 40, 333):
+                doc = {"problem": problem, "method": {"name": name, "params": params},
+                       "budget": {"iterations": N, "max_oracle_calls": max_calls},
+                       "output": {"record_every": every}}
+                doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
+                try:
+                    trace, _ = run_experiment(parse_config(json.dumps(doc)))
+                except OracleBudgetError:
+                    assert name == "switching"  # a budget-cut switching run has no output
+                    continue
+                iters = [r.iter for r in trace.rows]
+                assert all(b > a for a, b in zip(iters, iters[1:])), (name, every, max_calls, iters[-3:])
 
 
 @pytest.mark.xfail(strict=True, reason="the open-loop 2/(k+1) step decays ~1/N^2 on "

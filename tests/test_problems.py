@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from optbench.bench import parse_config, run_experiment
 from optbench.core import (
     AbsoluteGrad,
     AdditiveStochGrad,
@@ -253,6 +255,29 @@ def test_relative_noise_modes():
         gy = oracle.grad(y)
         assert (np.linalg.norm(rnd.grad(y) - gy)
                 <= 0.4 * np.linalg.norm(gy) * (1 + 1e-12) + 1e-300)
+
+
+def test_relative_noise_tiny_gradient_stays_in_bound():
+    # gd_rel_adaptive at tol 0 drives ||grad f|| to ~1e-156, where the squares
+    # in ||g|| underflow; the bound check must not misfire there.
+    spec = parse_config(json.dumps({
+        "problem": "quad_diag",
+        "noise": {"kind": "relative_grad", "alpha": 0.25, "mode": "random_direction"},
+        "method": {"name": "gd_rel_adaptive", "params": {"tol": 0}},
+        "iterations": 1500,
+    }))
+    _, summary = run_experiment(spec)
+    assert summary["status"] == "converged"
+
+
+@pytest.mark.parametrize("noise", [AbsoluteGrad(0.3), RelativeGrad(0.4, mode="random_direction")],
+                         ids=["absolute", "relative"])
+def test_random_direction_noise_checks_its_bound(noise, monkeypatch):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    noisy = wrap_noise(oracle, noise, Rng(0))
+    monkeypatch.setattr(Rng, "sphere", lambda self, d: np.full(d, 2.0 / math.sqrt(d)))
+    with pytest.raises(AssertionError, match="exceeds its bound"):
+        noisy.grad(np.array([1.0, 1.0]))
 
 
 def test_gradient_noise_requires_grad():

@@ -12,7 +12,7 @@ from optbench.core import (
     make_problem,
     wrap_noise,
 )
-from optbench.stochastic import Const
+from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
     ConstTau,
     PowerDecayTau,
@@ -162,12 +162,29 @@ def test_bounded_noise_plateau_grows_with_level():
     assert plateaus[0] < plateaus[1] < plateaus[2]
 
 
-def test_zo_sgd_deterministic():
+STEP_RULES = {
+    "Const": (Const(0.01), lambda k, sq: 0.01),
+    "BudgetConst": (BudgetConst(R=1.0, M=10.0), lambda k, sq: 1.0 / (10.0 * math.sqrt(100))),
+    "InvK": (InvK(mu=20.0), lambda k, sq: 1.0 / (20.0 * (k + 1))),
+    "AdaGradNorm": (AdaGradNorm(R=0.05), lambda k, sq: 0.05 / math.sqrt(sq)),
+    "Decay": (Decay(gamma0=0.05, eta=0.7), lambda k, sq: 0.05 * (k + 1) ** -0.7),
+}
+
+
+@pytest.mark.parametrize("rule_name", list(STEP_RULES))
+def test_zo_sgd_deterministic(rule_name):
+    rule, gamma = STEP_RULES[rule_name]
     oracle, fset = make_problem("quad_diag", {"lambdas": [1.0, 2.0]})
     noisy = wrap_noise(oracle, ZOStochValue(0.05), Rng(0))
-    cfg = ZoConfig(N=100, step_rule=Const(0.01), kernel=build_kernel(3),
+    cfg = ZoConfig(N=100, step_rule=rule, kernel=build_kernel(3),
                    tau_schedule=PowerDecayTau(0.1, 0.25), batch=2)
     a = run_zo_sgd(noisy, fset, np.ones(2), cfg, Rng(8), record_x=True)
     b = run_zo_sgd(noisy, fset, np.ones(2), cfg, Rng(8), record_x=True)
     for ra, rb in zip(a.rows, b.rows):
         assert np.array_equal(ra.x, rb.x)
+    # every iteration is recorded, so AdaGradNorm's running sum is rebuilt from the rows
+    sq = 0.0
+    for r in a.rows[:-1]:
+        sq += r.grad_norm ** 2
+        assert r.step_size == pytest.approx(gamma(r.iter, sq), rel=1e-12)
+    assert [r.iter for r in a.rows] == list(range(101))
