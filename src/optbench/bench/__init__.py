@@ -2,7 +2,7 @@
 
 from .config import ConfigError, ExperimentSpec, parse_config
 from .rates import InsufficientDataError, RateFit, fit_rate
-from .registry import METHODS, method_names, validate_method
+from .registry import METHODS, build_method, method_names
 from .runner import run_experiment
 from .tracefile import read_trace, write_trace
 
@@ -12,11 +12,11 @@ __all__ = [
     "InsufficientDataError",
     "METHODS",
     "RateFit",
+    "build_method",
     "fit_rate",
     "method_names",
     "parse_config",
     "read_trace",
     "run_experiment",
-    "validate_method",
     "write_trace",
 ]

@@ -13,8 +13,8 @@ A config document is a single JSON object:
 
 ``problem`` and ``method`` may also be bare name strings, and
 ``iterations`` may be given at the top level.  Unknown keys are rejected
-at every level to catch typos; problem and method names and parameters
-are validated at parse time.
+at every level to catch typos.  Parsing builds the problem and, against
+it, the method's config, so bad names and parameters fail at parse time.
 """
 
 from __future__ import annotations
@@ -68,13 +68,13 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-_NOISE_SCHEMAS = {
-    "none": (NoNoise, set()),
-    "absolute_grad": (None, {"delta", "mode", "v"}),
-    "relative_grad": (None, {"alpha", "mode"}),
-    "additive_stoch_grad": (None, {"sigma", "distribution"}),
-    "zo_bounded": (None, {"delta", "mode"}),
-    "zo_stoch": (None, {"delta_tilde"}),
+_NOISE_KEYS = {
+    "none": set(),
+    "absolute_grad": {"delta", "mode", "v"},
+    "relative_grad": {"alpha", "mode"},
+    "additive_stoch_grad": {"sigma", "distribution"},
+    "zo_bounded": {"delta", "mode"},
+    "zo_stoch": {"delta_tilde"},
 }
 
 
@@ -84,10 +84,9 @@ def _parse_noise(obj) -> NoiseSpec:
     if not isinstance(obj, dict):
         raise ConfigError("noise must be an object with a 'kind' key")
     kind = obj.get("kind")
-    if kind not in _NOISE_SCHEMAS:
-        raise ConfigError(f"unknown noise kind {kind!r}; available: {sorted(_NOISE_SCHEMAS)}")
-    _, allowed = _NOISE_SCHEMAS[kind]
-    _require_keys(obj, allowed | {"kind"}, "noise")
+    if kind not in _NOISE_KEYS:
+        raise ConfigError(f"unknown noise kind {kind!r}; available: {sorted(_NOISE_KEYS)}")
+    _require_keys(obj, _NOISE_KEYS[kind] | {"kind"}, "noise")
     try:
         if kind == "none":
             return NoNoise()
@@ -113,7 +112,7 @@ def _parse_noise(obj) -> NoiseSpec:
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate a JSON experiment document."""
-    from .registry import validate_method  # deferred: registry imports method modules
+    from .registry import build_method  # deferred: registry imports method modules
 
     try:
         doc = json.loads(text)
@@ -177,16 +176,16 @@ def parse_config(text: str) -> ExperimentSpec:
         if x0.ndim != 1:
             raise ConfigError("x0 must be a flat list of numbers")
 
-    # Resolve names and validate parameters now so typos fail at parse time.
+    # Resolve names and build the method against the problem now, so typos
+    # and bad parameters fail at parse time.
     try:
-        make_problem(problem["name"], problem_params, seed)
+        oracle, _ = make_problem(problem["name"], problem_params, seed)
     except UnknownProblemError as e:
         raise ConfigError(str(e)) from None
     except ValueError as e:
         raise ConfigError(f"problem {problem['name']!r}: {e}") from None
-    validate_method(method["name"], method_params)
 
-    return ExperimentSpec(
+    spec = ExperimentSpec(
         problem_name=problem["name"],
         problem_params=problem_params,
         seed=seed,
@@ -200,3 +199,5 @@ def parse_config(text: str) -> ExperimentSpec:
         record_x=bool(output.get("record_x", False)),
         x0=x0,
     )
+    build_method(spec, oracle)
+    return spec

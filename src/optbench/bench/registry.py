@@ -1,13 +1,19 @@
-"""Method registry: names, parameter schemas, dispatch.
+"""Method registry: names, allowed parameters, builders.
 
-Each entry knows its allowed parameters, performs the static validation
-used by :func:`optbench.bench.config.parse_config`, and runs the method
-against a prepared (possibly noise-wrapped) oracle.
+Each entry's builder ``build(spec, oracle)`` reads the method's
+parameters, resolves the defaults that come from the problem or the
+noise model, builds the method's config and returns
+``run(fset, x0, rng) -> Trace``.  Building calls no oracle, so
+:func:`optbench.bench.config.parse_config` builds against the bare
+problem to check a config, and the runner builds against the
+noise-wrapped oracle and runs the result.  The closures look the
+method's entry point up as a module attribute at call time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,14 +25,15 @@ from ..core.rng import Rng
 from ..core.sets import FeasibleSet
 from .config import ConfigError, ExperimentSpec
 
+Run = Callable[[FeasibleSet, np.ndarray, Rng], Trace]
+
 
 @dataclass(frozen=True)
 class MethodEntry:
     name: str
     doc: str
     allowed: frozenset
-    validate: Callable[[dict], None]
-    run: Callable[[OracleSuite, FeasibleSet, np.ndarray, ExperimentSpec, Rng], Trace]
+    build: Callable[[ExperimentSpec, OracleSuite], Run]
 
 
 def _common_kwargs(spec: ExperimentSpec) -> dict:
@@ -34,72 +41,60 @@ def _common_kwargs(spec: ExperimentSpec) -> dict:
                 max_oracle_calls=spec.max_oracle_calls)
 
 
-def _need(params: dict, key: str, method: str):
-    if key not in params or params[key] is None:
-        raise ConfigError(f"method {method!r}: missing required parameter {key!r}")
+def _need(params: dict, key: str):
+    if params.get(key) is None:
+        raise ValueError(f"missing required parameter {key!r}")
     return params[key]
-
-
-def _noop_validate(params: dict):
-    pass
 
 
 # -- subgradient methods -----------------------------------------------------
 
-def _run_polyak_subgrad(oracle, fset, x0, spec, rng):
-    p = spec.method_params
+def _build_polyak_subgrad(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(p.get("fstar")),
                                 N=max(spec.iterations, 1), tol=p.get("tol", 0.0))
-    return subgrad.run_polyak_subgrad(oracle, fset, x0, cfg, **_common_kwargs(spec))
+    return lambda fset, x0, rng: subgrad.run_polyak_subgrad(oracle, fset, x0, cfg, **kw)
 
 
-def _run_const_subgrad(oracle, fset, x0, spec, rng):
-    p = spec.method_params
-    if "h" in p and p["h"] is not None:
+def _build_const_subgrad(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
+    if p.get("h") is not None:
         rule = subgrad.FixedStep(float(p["h"]))
+    elif p.get("R") is None:
+        raise ValueError("give either a step 'h' or a radius 'R' (with optional 'M')")
     else:
-        R = _need(p, "R", "const_subgrad")
         M = p.get("M", oracle.M)
         if M is None:
-            raise ConfigError("const_subgrad: M not given and unknown for this problem")
-        rule = subgrad.BudgetStep(M=float(M), R=float(R))
+            raise ValueError("M not given and unknown for this problem")
+        rule = subgrad.BudgetStep(M=float(M), R=float(p["R"]))
     cfg = subgrad.SubgradConfig(step_rule=rule, N=max(spec.iterations, 1),
                                 tol=p.get("tol", 0.0),
                                 averaging=bool(p.get("averaging", False)))
-    return subgrad.run_const_subgrad(oracle, fset, x0, cfg, **_common_kwargs(spec))
+    return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
 
 
-def _validate_const_subgrad(p: dict):
-    if ("h" not in p or p["h"] is None) and ("R" not in p or p["R"] is None):
-        raise ConfigError("const_subgrad: give either a step 'h' or a radius 'R' (with optional 'M')")
-    if p.get("h") is not None:
-        subgrad.FixedStep(float(p["h"]))
-
-
-def _run_switching(oracle, fset, x0, spec, rng):
-    p = spec.method_params
+def _build_switching(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
-        delta=float(_need(p, "delta", "switching")),
-        theta0=float(_need(p, "theta0", "switching")),
+        delta=float(_need(p, "delta")),
+        theta0=float(_need(p, "theta0")),
         Mg=p.get("Mg"),
         max_iters=max(spec.iterations, 1),
     )
-    _, trace = subgrad.run_switching(oracle, None, fset, x0, cfg, **_common_kwargs(spec))
-    return trace
+    return lambda fset, x0, rng: subgrad.run_switching(oracle, None, fset, x0, cfg, **kw)[1]
 
 
-def _run_restarted_switching(oracle, fset, x0, spec, rng):
-    p = spec.method_params
+def _build_restarted_switching(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
         delta=1.0,  # per-stage deltas are derived inside
-        theta0=float(_need(p, "theta0", "restarted_switching")),
+        theta0=float(_need(p, "theta0")),
         Mg=p.get("Mg"),
         max_iters=int(p.get("stage_cap", max(spec.iterations, 1))),
-        eps_target=float(_need(p, "eps", "restarted_switching")),
+        eps_target=float(_need(p, "eps")),
         alpha_sharp=p.get("alpha"),
     )
-    _, trace = subgrad.run_restarted_switching(oracle, None, fset, x0, cfg, **_common_kwargs(spec))
-    return trace
+    return lambda fset, x0, rng: subgrad.run_restarted_switching(oracle, None, fset, x0, cfg, **kw)[1]
 
 
 # -- smooth first-order methods ----------------------------------------------
@@ -110,95 +105,76 @@ def _resolve_noise_level(spec: ExperimentSpec, attr: str, noise_cls) -> Optional
     return None
 
 
-def _run_gd(oracle, fset, x0, spec, rng):
-    p = spec.method_params
-    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"),
-                                 mode=smooth.Exact(), tol=p.get("tol", 1e-10))
-    return smooth.run_gd(oracle, x0, cfg, **_common_kwargs(spec))
+def _relative_alpha(spec: ExperimentSpec) -> float:
+    alpha = spec.method_params.get("alpha", _resolve_noise_level(spec, "alpha", RelativeGrad))
+    if alpha is None:
+        raise ValueError("alpha not given and no relative_grad noise configured")
+    return float(alpha)
 
 
-def _run_gd_abs(oracle, fset, x0, spec, rng):
+def _smooth_config(spec: ExperimentSpec, mode) -> smooth.SmoothRunConfig:
     p = spec.method_params
+    return smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"), mode=mode,
+                                  tol=p.get("tol", 1e-10))
+
+
+def _build_gd(spec, oracle) -> Run:
+    cfg, kw = _smooth_config(spec, smooth.Exact()), _common_kwargs(spec)
+    return lambda fset, x0, rng: smooth.run_gd(oracle, x0, cfg, **kw)
+
+
+def _build_gd_abs(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     delta = p.get("delta", _resolve_noise_level(spec, "delta", AbsoluteGrad))
     if delta is None:
-        raise ConfigError("gd_abs: delta not given and no absolute_grad noise configured")
-    mode = smooth.AbsNoise(delta=float(delta), stop_multiplier=float(p.get("c", 2.0)))
-    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"), mode=mode,
-                                 tol=p.get("tol", 1e-10))
-    return smooth.run_gd_abs(oracle, x0, cfg, **_common_kwargs(spec))
+        raise ValueError("delta not given and no absolute_grad noise configured")
+    cfg = _smooth_config(spec, smooth.AbsNoise(delta=float(delta),
+                                               stop_multiplier=float(p.get("c", 2.0))))
+    return lambda fset, x0, rng: smooth.run_gd_abs(oracle, x0, cfg, **kw)
 
 
-def _run_gd_rel(oracle, fset, x0, spec, rng):
-    p = spec.method_params
-    alpha = p.get("alpha", _resolve_noise_level(spec, "alpha", RelativeGrad))
-    if alpha is None:
-        raise ConfigError("gd_rel: alpha not given and no relative_grad noise configured")
-    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"),
-                                 mode=smooth.RelNoise(alpha=float(alpha)),
-                                 tol=p.get("tol", 1e-10))
-    return smooth.run_gd_rel(oracle, x0, cfg, **_common_kwargs(spec))
+def _build_gd_rel(spec, oracle) -> Run:
+    cfg, kw = _smooth_config(spec, smooth.RelNoise(alpha=_relative_alpha(spec))), _common_kwargs(spec)
+    return lambda fset, x0, rng: smooth.run_gd_rel(oracle, x0, cfg, **kw)
 
 
-def _run_gd_rel_adaptive(oracle, fset, x0, spec, rng):
-    p = spec.method_params
-    alpha = p.get("alpha", _resolve_noise_level(spec, "alpha", RelativeGrad))
-    if alpha is None:
-        raise ConfigError("gd_rel_adaptive: alpha not given and no relative_grad noise configured")
-    L0 = p.get("L0", oracle.L)
+def _build_gd_rel_adaptive(spec, oracle) -> Run:
+    alpha, kw = _relative_alpha(spec), _common_kwargs(spec)
+    L0 = spec.method_params.get("L0", oracle.L)
     if L0 is None:
-        raise ConfigError("gd_rel_adaptive: L0 not given and L unknown for this problem")
-    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"),
-                                 mode=smooth.RelNoiseAdaptive(alpha=float(alpha), L0=float(L0)),
-                                 tol=p.get("tol", 1e-10))
-    return smooth.run_gd_rel_adaptive(oracle, x0, cfg, **_common_kwargs(spec))
-
-
-def _validate_gd_rel_adaptive(p: dict):
-    if "alpha" in p and p["alpha"] is not None:
-        smooth.RelNoiseAdaptive(alpha=float(p["alpha"]), L0=float(p.get("L0") or 1.0))
-
-
-def _validate_gd_rel(p: dict):
-    if "alpha" in p and p["alpha"] is not None:
-        smooth.RelNoise(alpha=float(p["alpha"]))
+        raise ValueError("L0 not given and L unknown for this problem")
+    cfg = _smooth_config(spec, smooth.RelNoiseAdaptive(alpha=alpha, L0=float(L0)))
+    return lambda fset, x0, rng: smooth.run_gd_rel_adaptive(oracle, x0, cfg, **kw)
 
 
 # -- momentum methods ----------------------------------------------------------
 
-def _momentum_runner(variant: str):
-    def run(oracle, fset, x0, spec, rng):
-        p = spec.method_params
-        cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations,
-                                      L=p.get("L"), mu=p.get("mu"),
-                                      tol=p.get("tol", 1e-10))
-        return momentum.run_momentum(oracle, x0, cfg, **_common_kwargs(spec))
-    return run
+def _build_momentum(variant: str, spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
+    cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations,
+                                  L=p.get("L"), mu=p.get("mu"),
+                                  tol=p.get("tol", 1e-10))
+    return lambda fset, x0, rng: momentum.run_momentum(oracle, x0, cfg, **kw)
 
 
-def _run_cg_quadratic(oracle, fset, x0, spec, rng):
-    p = spec.method_params
-    return momentum.run_cg_quadratic(oracle, x0, spec.iterations,
-                                     tol=p.get("tol", 0.0), **_common_kwargs(spec))
+def _build_cg_quadratic(spec, oracle) -> Run:
+    N, tol, kw = spec.iterations, spec.method_params.get("tol", 0.0), _common_kwargs(spec)
+    return lambda fset, x0, rng: momentum.run_cg_quadratic(oracle, x0, N, tol=tol, **kw)
 
 
 # -- frank-wolfe ----------------------------------------------------------------
 
-def _run_frank_wolfe(oracle, fset, x0, spec, rng):
-    p = spec.method_params
+def _build_frank_wolfe(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     rule_name = p.get("step_rule", "classic")
     if rule_name == "classic":
         rule = frankwolfe.Classic()
     elif rule_name == "short":
         rule = frankwolfe.ShortStep(L=p.get("L"))
     else:
-        raise ConfigError(f"frank_wolfe: unknown step_rule {rule_name!r} (classic | short)")
+        raise ValueError(f"unknown step_rule {rule_name!r} (classic | short)")
     cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=rule, tol=p.get("tol", 0.0))
-    return frankwolfe.run_fw(oracle, fset, x0, cfg, **_common_kwargs(spec))
-
-
-def _validate_frank_wolfe(p: dict):
-    if p.get("step_rule", "classic") not in ("classic", "short"):
-        raise ConfigError(f"frank_wolfe: unknown step_rule {p['step_rule']!r} (classic | short)")
+    return lambda fset, x0, rng: frankwolfe.run_fw(oracle, fset, x0, cfg, **kw)
 
 
 # -- stochastic -------------------------------------------------------------------
@@ -206,27 +182,26 @@ def _validate_frank_wolfe(p: dict):
 _SGD_STEP_KEYS = {"step_rule", "gamma", "R", "M", "mu", "gamma0", "eta"}
 
 
-def _sgd_step_rule(p: dict, oracle, method: str, N: int):
+def _sgd_step_rule(p: dict, oracle: OracleSuite) -> stochastic.StepRule:
     rule = p.get("step_rule", "const")
     if rule == "const":
-        return stochastic.Const(float(_need(p, "gamma", method)))
+        return stochastic.Const(float(_need(p, "gamma")))
     if rule == "budget_const":
-        M = p.get("M", oracle.M if oracle is not None else None)
+        M = p.get("M", oracle.M)
         if M is None:
-            raise ConfigError(f"{method}: M not given and unknown for this problem")
-        return stochastic.BudgetConst(R=float(_need(p, "R", method)), M=float(M))
+            raise ValueError("M not given and unknown for this problem")
+        return stochastic.BudgetConst(R=float(_need(p, "R")), M=float(M))
     if rule == "inv_k":
-        mu = p.get("mu", oracle.mu if oracle is not None else None)
+        mu = p.get("mu", oracle.mu)
         if mu is None:
-            raise ConfigError(f"{method}: mu not given and unknown for this problem")
+            raise ValueError("mu not given and unknown for this problem")
         return stochastic.InvK(mu=float(mu))
     if rule == "adagrad_norm":
-        return stochastic.AdaGradNorm(R=float(_need(p, "R", method)))
+        return stochastic.AdaGradNorm(R=float(_need(p, "R")))
     if rule == "decay":
-        return stochastic.Decay(gamma0=float(_need(p, "gamma0", method)),
-                                eta=float(p.get("eta", 0.6)))
-    raise ConfigError(f"{method}: unknown step_rule {rule!r} "
-                      "(const | budget_const | inv_k | adagrad_norm | decay)")
+        return stochastic.Decay(gamma0=float(_need(p, "gamma0")), eta=float(p.get("eta", 0.6)))
+    raise ValueError(f"unknown step_rule {rule!r} "
+                     "(const | budget_const | inv_k | adagrad_norm | decay)")
 
 
 def _sgd_averaging(p: dict) -> stochastic.Averaging:
@@ -237,30 +212,23 @@ def _sgd_averaging(p: dict) -> stochastic.Averaging:
         return stochastic.UniformAvg()
     if mode == "tail":
         return stochastic.TailAvg(fraction=float(p.get("tail_fraction", 0.5)))
-    raise ConfigError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
+    raise ValueError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
 
 
-def _run_sgd(oracle, fset, x0, spec, rng):
-    p = spec.method_params
+def _build_sgd(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     cfg = stochastic.SgdConfig(
         N=spec.iterations,
-        step_rule=_sgd_step_rule(p, oracle, "sgd", spec.iterations),
+        step_rule=_sgd_step_rule(p, oracle),
         batch=int(p.get("batch", 1)),
         clip_lambda=p.get("clip_lambda"),
         averaging=_sgd_averaging(p),
     )
-    return stochastic.run_sgd(oracle, fset, x0, cfg, rng, **_common_kwargs(spec))
+    return lambda fset, x0, rng: stochastic.run_sgd(oracle, fset, x0, cfg, rng, **kw)
 
 
-def _validate_sgd(p: dict):
-    if p.get("step_rule", "const") == "decay" and "eta" in p:
-        stochastic.Decay(gamma0=float(p.get("gamma0") or 1.0), eta=float(p["eta"]))
-    _sgd_averaging(p)
-
-
-def _run_zo_sgd(oracle, fset, x0, spec, rng):
-    p = spec.method_params
-    kernel = zeroorder.build_kernel(int(p.get("beta", 2)))
+def _build_zo_sgd(spec, oracle) -> Run:
+    p, kw = spec.method_params, _common_kwargs(spec)
     if "tau0" in p:
         tau = zeroorder.PowerDecayTau(tau0=float(p["tau0"]),
                                       exponent=float(p.get("tau_exponent", 0.0)))
@@ -268,63 +236,53 @@ def _run_zo_sgd(oracle, fset, x0, spec, rng):
         tau = zeroorder.ConstTau(float(p.get("tau", 1e-3)))
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
-        step_rule=_sgd_step_rule(p, oracle, "zo_sgd", spec.iterations),
-        kernel=kernel,
+        step_rule=_sgd_step_rule(p, oracle),
+        kernel=zeroorder.build_kernel(int(p.get("beta", 2))),
         tau_schedule=tau,
         batch=int(p.get("batch", 1)),
     )
-    return zeroorder.run_zo_sgd(oracle, fset, x0, cfg, rng, **_common_kwargs(spec))
+    return lambda fset, x0, rng: zeroorder.run_zo_sgd(oracle, fset, x0, cfg, rng, **kw)
 
 
-def _validate_zo_sgd(p: dict):
-    beta = int(p.get("beta", 2))
-    if beta not in (2, 3, 4, 5):
-        raise ConfigError(f"zo_sgd: unsupported beta {beta} (2 | 3 | 4 | 5)")
-    _validate_sgd(p)
-
-
-def _entry(name, doc, allowed, run, validate=_noop_validate) -> MethodEntry:
-    return MethodEntry(name=name, doc=doc, allowed=frozenset(allowed),
-                       validate=validate, run=run)
+def _entry(name, doc, allowed, build) -> MethodEntry:
+    return MethodEntry(name=name, doc=doc, allowed=frozenset(allowed), build=build)
 
 
 METHODS: dict[str, MethodEntry] = {e.name: e for e in [
     _entry("polyak_subgrad", "subgradient descent with the Polyak step (needs f*)",
-           {"tol", "fstar"}, _run_polyak_subgrad),
+           {"tol", "fstar"}, _build_polyak_subgrad),
     _entry("const_subgrad", "constant-step subgradient descent, optional averaging",
-           {"h", "R", "M", "tol", "averaging"}, _run_const_subgrad, _validate_const_subgrad),
+           {"h", "R", "M", "tol", "averaging"}, _build_const_subgrad),
     _entry("switching", "adaptive switching scheme for one functional constraint",
-           {"delta", "theta0", "Mg"}, _run_switching),
+           {"delta", "theta0", "Mg"}, _build_switching),
     _entry("restarted_switching", "restarted switching scheme under conditional sharpness",
-           {"eps", "theta0", "Mg", "alpha", "stage_cap"}, _run_restarted_switching),
+           {"eps", "theta0", "Mg", "alpha", "stage_cap"}, _build_restarted_switching),
     _entry("gd", "gradient descent with step 1/L",
-           {"L", "tol"}, _run_gd),
+           {"L", "tol"}, _build_gd),
     _entry("gd_abs", "gradient descent under absolute gradient error, early stopping",
-           {"L", "tol", "delta", "c"}, _run_gd_abs),
+           {"L", "tol", "delta", "c"}, _build_gd_abs),
     _entry("gd_rel", "gradient descent under relative gradient error, fixed step",
-           {"L", "tol", "alpha"}, _run_gd_rel, _validate_gd_rel),
+           {"L", "tol", "alpha"}, _build_gd_rel),
     _entry("gd_rel_adaptive", "adaptive-step descent under relative gradient error (alpha < 0.5)",
-           {"L", "L0", "tol", "alpha"}, _run_gd_rel_adaptive, _validate_gd_rel_adaptive),
+           {"L", "L0", "tol", "alpha"}, _build_gd_rel_adaptive),
     _entry("heavy_ball", "two-term momentum with constant coefficients",
-           {"L", "mu", "tol"}, _momentum_runner("heavy_ball")),
+           {"L", "mu", "tol"}, partial(_build_momentum, "heavy_ball")),
     _entry("chebyshev", "Chebyshev semi-iterative recurrence",
-           {"L", "mu", "tol"}, _momentum_runner("chebyshev")),
+           {"L", "mu", "tol"}, partial(_build_momentum, "chebyshev")),
     _entry("nesterov_sc", "look-ahead momentum, strongly convex tuning",
-           {"L", "mu", "tol"}, _momentum_runner("nesterov_sc")),
+           {"L", "mu", "tol"}, partial(_build_momentum, "nesterov_sc")),
     _entry("nesterov_cvx", "look-ahead momentum with factor (k-1)/(k+2)",
-           {"L", "mu", "tol"}, _momentum_runner("nesterov_cvx")),
+           {"L", "mu", "tol"}, partial(_build_momentum, "nesterov_cvx")),
     _entry("taylor_drori", "worst-case-optimal accelerated recurrence",
-           {"L", "mu", "tol"}, _momentum_runner("taylor_drori")),
+           {"L", "mu", "tol"}, partial(_build_momentum, "taylor_drori")),
     _entry("cg_quadratic", "conjugate gradients (quadratic problems only)",
-           {"tol"}, _run_cg_quadratic),
+           {"tol"}, _build_cg_quadratic),
     _entry("frank_wolfe", "conditional gradient with classic or short step",
-           {"step_rule", "L", "tol"}, _run_frank_wolfe, _validate_frank_wolfe),
+           {"step_rule", "L", "tol"}, _build_frank_wolfe),
     _entry("sgd", "projected stochastic gradient descent",
-           _SGD_STEP_KEYS | {"batch", "clip_lambda", "averaging", "tail_fraction"},
-           _run_sgd, _validate_sgd),
+           _SGD_STEP_KEYS | {"batch", "clip_lambda", "averaging", "tail_fraction"}, _build_sgd),
     _entry("zo_sgd", "zeroth-order projected SGD with a kernel estimator",
-           _SGD_STEP_KEYS | {"batch", "beta", "tau", "tau0", "tau_exponent"},
-           _run_zo_sgd, _validate_zo_sgd),
+           _SGD_STEP_KEYS | {"batch", "beta", "tau", "tau0", "tau_exponent"}, _build_zo_sgd),
 ]}
 
 
@@ -332,18 +290,20 @@ def method_names() -> list[str]:
     return sorted(METHODS)
 
 
-def validate_method(name: str, params: dict):
-    """Name resolution + static parameter validation (used by parse_config)."""
-    if name not in METHODS:
-        raise ConfigError(f"unknown method {name!r}; available: {', '.join(method_names())}")
-    entry = METHODS[name]
-    unknown = set(params) - set(entry.allowed)
+def build_method(spec: ExperimentSpec, oracle: OracleSuite) -> Run:
+    """Check ``spec``'s method name and parameters against ``oracle`` and build its run.
+
+    Returns ``run(fset, x0, rng) -> Trace``; building makes no oracle call.
+    A bad name or parameter raises :class:`ConfigError`.
+    """
+    entry = METHODS.get(spec.method_name)
+    if entry is None:
+        raise ConfigError(f"unknown method {spec.method_name!r}; available: {', '.join(method_names())}")
+    unknown = set(spec.method_params) - entry.allowed
     if unknown:
-        raise ConfigError(f"method {name!r}: unknown params {sorted(unknown)}; "
+        raise ConfigError(f"method {spec.method_name!r}: unknown params {sorted(unknown)}; "
                           f"allowed: {sorted(entry.allowed)}")
     try:
-        entry.validate(params)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"method {name!r}: {e}") from None
+        return entry.build(spec, oracle)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"method {spec.method_name!r}: {e}") from None

@@ -18,7 +18,7 @@ from ..core.oracles import Trace
 from ..core.problems import default_x0, make_problem
 from ..core.rng import Rng
 from .config import ConfigError, ExperimentSpec
-from .registry import METHODS
+from .registry import build_method
 from .tracefile import format_for_path, write_trace
 
 _NOISE_STREAM = 101
@@ -31,20 +31,15 @@ def run_experiment(spec: ExperimentSpec, trace_path: Optional[str] = None) -> tu
     The summary reports the gap and distance at the run's output point,
     the oracle-call total, the terminal status and the wall time.
     """
-    if spec.method_name not in METHODS:
-        raise ConfigError(f"unknown method {spec.method_name!r}")
     t0 = time.perf_counter()
     oracle, fset = make_problem(spec.problem_name, spec.problem_params, spec.seed)
     noisy = wrap_noise(oracle, spec.noise, Rng(spec.seed).spawn(_NOISE_STREAM))
     x0 = spec.x0 if spec.x0 is not None else default_x0(spec.problem_name, spec.problem_params, spec.seed)
     if np.asarray(x0).shape[0] != oracle.dim:
         raise ConfigError(f"x0 has dimension {np.asarray(x0).shape[0]}, problem has {oracle.dim}")
-    method_rng = Rng(spec.seed).spawn(_METHOD_STREAM)
-
+    run = build_method(spec, noisy)
     try:
-        trace = METHODS[spec.method_name].run(noisy, fset, np.asarray(x0, dtype=float), spec, method_rng)
-    except ConfigError:
-        raise
+        trace = run(fset, np.asarray(x0, dtype=float), Rng(spec.seed).spawn(_METHOD_STREAM))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{spec.method_name} on {spec.problem_name}: {e}") from e
     wall = time.perf_counter() - t0

@@ -24,6 +24,7 @@ each iteration consumes exactly ``2 * batch`` zeroth-order calls.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -45,7 +46,7 @@ class Kernel:
     """Odd polynomial kernel K(u) = sum_i c_i u^{2i+1} on [-1, 1]."""
 
     beta: int
-    odd_coeffs: np.ndarray  # coefficients of u, u^3, u^5, ...
+    odd_coeffs: np.ndarray  # coefficients of u, u^3, u^5, ...; read-only from build_kernel
     kappa: float            # int_{-1}^{1} K(u)^2 du
     kappa_beta: float       # int_{-1}^{1} |u|^beta |K(u)| du
 
@@ -63,8 +64,12 @@ class Kernel:
         return 0.5 * float(np.sum(w * t ** j * self(t)))
 
 
+@functools.cache
 def build_kernel(beta: int) -> Kernel:
-    """Minimal-degree odd kernel for smoothness order beta in {2, 3, 4, 5}."""
+    """Minimal-degree odd kernel for smoothness order beta in {2, 3, 4, 5}.
+
+    Cached: every caller shares one read-only kernel per beta.
+    """
     if beta not in _SUPPORTED_BETA:
         raise ValueError(f"unsupported beta {beta}; supported: {_SUPPORTED_BETA}")
     l = beta - 1
@@ -75,6 +80,7 @@ def build_kernel(beta: int) -> Kernel:
     M = np.array([[1.0 / (j + p + 1) for p in powers] for j in odd_orders])
     rhs = np.array([1.0 if j == 1 else 0.0 for j in odd_orders])
     coeffs = np.linalg.solve(M, rhs)
+    coeffs.setflags(write=False)
 
     t, w = np.polynomial.legendre.leggauss(200)
     kern = Kernel(beta=beta, odd_coeffs=coeffs, kappa=0.0, kappa_beta=0.0)

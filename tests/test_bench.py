@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from optbench.bench import (
     ConfigError,
     InsufficientDataError,
+    build_method,
     fit_rate,
     parse_config,
     read_trace,
@@ -14,7 +16,7 @@ from optbench.bench import (
 )
 from optbench.bench.cli import main
 from optbench.bench.registry import METHODS
-from optbench.core import OracleBudgetError, RunStatus, Trace, TraceRow
+from optbench.core import OracleBudgetError, RunStatus, Trace, TraceRow, make_problem
 
 
 # -- config parsing --------------------------------------------------------------
@@ -80,6 +82,30 @@ def test_parse_validates_adaptive_alpha():
             '"iterations": 10}')
     with pytest.raises(ConfigError, match="alpha < 0.5"):
         parse_config(text)
+
+
+QUAD = {"name": "quad_diag", "params": {"lambdas": [2, 1]}}
+STOCH = {"kind": "additive_stoch_grad", "sigma": 1.0}
+ZO = {"kind": "zo_stoch", "delta_tilde": 0.01}
+
+
+@pytest.mark.parametrize("noise, method, params", [
+    (STOCH, "sgd", {"step_rule": "decay", "gamma0": 0}),
+    (STOCH, "sgd", {}),
+    (STOCH, "sgd", {"gamma": 0.1, "batch": 0}),
+    (STOCH, "sgd", {"gamma": 0.1, "clip_lambda": -1}),
+    (ZO, "zo_sgd", {"gamma": 0.01, "tau": -1}),
+    (ZO, "zo_sgd", {"gamma": 0.01, "beta": 7}),
+    (None, "gd_rel", {}),              # neither alpha nor relative_grad noise
+    (None, "const_subgrad", {"R": 1.0}),  # quad_diag has no known M
+], ids=["sgd-decay-gamma0-0", "sgd-no-gamma", "sgd-batch-0", "sgd-clip-negative",
+        "zo_sgd-tau-negative", "zo_sgd-beta-7", "gd_rel-no-alpha", "const_subgrad-no-M"])
+def test_parse_rejects_params_that_fail_to_build(noise, method, params):
+    doc = {"problem": QUAD, "method": {"name": method, "params": params}, "iterations": 10}
+    if noise is not None:
+        doc["noise"] = noise
+    with pytest.raises(ConfigError, match=f"method '{method}': "):
+        parse_config(json.dumps(doc))
 
 
 def test_default_record_every_keeps_traces_small():
@@ -296,6 +322,20 @@ def test_every_method_trace_iters_strictly_increase():
                     continue
                 iters = [r.iter for r in trace.rows]
                 assert all(b > a for a, b in zip(iters, iters[1:])), (name, every, max_calls, iters[-3:])
+
+
+def test_build_makes_no_oracle_call():
+    def boom(*args):
+        raise AssertionError("an oracle was called while building")
+
+    for name, (problem, noise, params, x0, N) in EVERY_METHOD.items():
+        doc = {"problem": problem, "method": {"name": name, "params": params}, "iterations": N}
+        doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
+        spec = parse_config(json.dumps(doc))
+        oracle, _ = make_problem(spec.problem_name, spec.problem_params, spec.seed)
+        oracle = dataclasses.replace(oracle, value=boom, subgrad=boom, grad=boom,
+                                     stoch_grad=boom, zo_value=boom)
+        assert callable(build_method(spec, oracle)), name
 
 
 @pytest.mark.xfail(strict=True, reason="the open-loop 2/(k+1) step decays ~1/N^2 on "

@@ -31,6 +31,9 @@ def test_kernel_moment_conditions(beta):
     for j in range(2, beta):
         assert abs(k.moment(j)) <= 1e-10
     assert math.isfinite(k.kappa_beta) and k.kappa_beta > 0
+    assert build_kernel(beta) is k  # one shared kernel per beta ...
+    with pytest.raises(ValueError):
+        k.odd_coeffs[0] = 0.0       # ... that no caller can change
 
 
 def test_kernel_closed_forms():
