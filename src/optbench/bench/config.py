@@ -13,8 +13,10 @@ A config document is a single JSON object:
 
 ``problem`` and ``method`` may also be bare name strings, and
 ``iterations`` may be given at the top level.  Unknown keys are rejected
-at every level to catch typos.  Parsing builds the problem and, against
-it, the method's config, so bad names and parameters fail at parse time.
+at every level to catch typos.  Parsing builds the problem, wraps it in
+the noise model and, against that, builds the method's config, so bad
+names, noise models the problem cannot carry and bad parameters fail at
+parse time.
 """
 
 from __future__ import annotations
@@ -29,12 +31,15 @@ from ..core.noise import (
     AbsoluteGrad,
     AdditiveStochGrad,
     NoNoise,
+    NoiseCompatibilityError,
     NoiseSpec,
     RelativeGrad,
     ZOBoundedValue,
     ZOStochValue,
+    wrap_noise,
 )
 from ..core.problems import UnknownProblemError, make_problem
+from ..core.rng import Rng
 
 _MAX_TRACE_ROWS = 100_000
 
@@ -176,14 +181,18 @@ def parse_config(text: str) -> ExperimentSpec:
         if x0.ndim != 1:
             raise ConfigError("x0 must be a flat list of numbers")
 
-    # Resolve names and build the method against the problem now, so typos
-    # and bad parameters fail at parse time.
+    # Resolve names, wrap the noise and build the method against the noisy
+    # problem now, as the run will, so typos and bad parameters fail at parse time.
     try:
         oracle, _ = make_problem(problem["name"], problem_params, seed)
     except UnknownProblemError as e:
         raise ConfigError(str(e)) from None
     except ValueError as e:
         raise ConfigError(f"problem {problem['name']!r}: {e}") from None
+    try:
+        oracle = wrap_noise(oracle, noise, Rng(seed))
+    except NoiseCompatibilityError as e:
+        raise ConfigError(f"noise: {e}") from None
 
     spec = ExperimentSpec(
         problem_name=problem["name"],

@@ -88,9 +88,10 @@ class OracleSuite:
 class CountingOracle:
     """Per-run view of a suite that counts oracle calls and enforces a budget.
 
-    ``value_final`` is exempt from the budget: it is used once to record
-    the terminal trace row, so a run's total never exceeds the budget by
-    more than one evaluation.
+    ``value_final`` is exempt from the budget.  Only :class:`TraceRecorder`
+    calls it, to evaluate a run's terminal row and its reported point, so
+    a run's total never exceeds the budget by more than those two
+    evaluations.
     """
 
     def __init__(self, suite: OracleSuite, max_calls: Optional[int] = None,
@@ -179,11 +180,14 @@ class Trace:
 
 
 class TraceRecorder:
-    """Accumulates trace rows for one run.
+    """Accumulates trace rows for one run; the only code that evaluates f for a row.
 
     Rows are kept every ``record_every`` iterations; the first and the
-    terminal row are always kept.  ``f_gap`` is filled from the suite's
-    known optimal value and ``dist_to_opt`` from its minimizer set.
+    terminal row are always kept.  A due row without a given ``f_value``
+    is evaluated through the run's counter and charged to its budget,
+    like any other call.  :meth:`close` writes the terminal row and ends
+    the run.  ``f_gap`` is filled from the suite's known optimal value
+    and ``dist_to_opt`` from its minimizer set.
     """
 
     def __init__(self, suite: OracleSuite, counter: CountingOracle,
@@ -199,13 +203,15 @@ class TraceRecorder:
     def due(self, it: int) -> bool:
         return it % self.record_every == 0
 
-    def record(self, it: int, x: np.ndarray, f_value: float,
+    def record(self, it: int, x: np.ndarray, f_value: Optional[float] = None,
                grad_norm: Optional[float] = None, step_size: float = 0.0,
                tag: Optional[str] = None, force: bool = False):
         if not (force or self.due(it)):
             return
         if self.rows and self.rows[-1].iter == it:
             return
+        if f_value is None:
+            f_value = self.counter.value(x)
         fstar = self.suite.fstar
         self.rows.append(TraceRow(
             iter=it,
@@ -219,25 +225,23 @@ class TraceRecorder:
             tag=tag,
         ))
 
-    def finish(self, status: RunStatus, x_out: np.ndarray, f_out: Optional[float] = None) -> Trace:
-        return Trace(rows=self.rows, status=status,
-                     x_out=np.array(x_out, dtype=float),
-                     f_out=None if f_out is None else float(f_out))
-
     def close(self, it: int, x: np.ndarray, status: RunStatus,
-              x_out: Optional[np.ndarray] = None) -> Trace:
+              x_out: Optional[np.ndarray] = None, *, f_value: Optional[float] = None,
+              grad_norm: Optional[float] = None) -> Trace:
         """Record the terminal row at iteration ``it`` and return the trace.
 
-        The row is evaluated with ``value_final`` unless row ``it`` is
-        already the last one (a run that stopped on its own test records
-        it there).  The reported point is ``x``, or ``x_out`` (an average,
-        an auxiliary sequence) evaluated after the terminal row.
+        An existing row ``it`` is kept.  Otherwise the row carries
+        ``f_value`` and ``grad_norm`` when the run knows them, and ``f(x)``
+        is evaluated with ``value_final`` when it does not.  The reported
+        point is ``x``, or ``x_out`` (an average, an auxiliary sequence, a
+        best iterate) evaluated with ``value_final`` after the terminal row.
         """
         if self.rows and self.rows[-1].iter == it:
             f_end = self.rows[-1].f_value
         else:
-            f_end = self.counter.value_final(x)
-            self.record(it, x, f_end, force=True)
-        if x_out is None:
-            return self.finish(status, x, f_end)
-        return self.finish(status, x_out, self.counter.value_final(x_out))
+            f_end = self.counter.value_final(x) if f_value is None else f_value
+            self.record(it, x, f_end, grad_norm=grad_norm, force=True)
+        if x_out is not None:
+            x, f_end = x_out, self.counter.value_final(x_out)
+        return Trace(rows=self.rows, status=status, x_out=np.array(x, dtype=float),
+                     f_out=float(f_end))

@@ -78,7 +78,6 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
 
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    status = RunStatus.BUDGET_EXHAUSTED
     k = 1
     try:
         while k <= cfg.N - 1:
@@ -87,22 +86,18 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
             d = y - x
             gap = -float(np.dot(g, d))  # FW duality gap at x
             if gap <= cfg.tol:
-                status = RunStatus.CONVERGED
-                rec.record(k, x, ctr.value_final(x), grad_norm=float(np.linalg.norm(g)),
-                           step_size=0.0, force=True)
-                break
+                return rec.close(k, x, RunStatus.CONVERGED, grad_norm=float(np.linalg.norm(g)))
             if isinstance(cfg.step_rule, Classic):
                 gamma = 2.0 / (k + 1)
             else:
                 gamma = min(max(gap / (L * float(np.dot(d, d))), 0.0), 1.0)
             if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=float(np.linalg.norm(g)),
-                           step_size=gamma)
+                rec.record(k, x, grad_norm=float(np.linalg.norm(g)), step_size=gamma)
             x = (1.0 - gamma) * x + gamma * y
             k += 1
     except OracleBudgetError:
         pass
-    return rec.close(k, x, status)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
 
 
 def fw_gap(oracle: OracleSuite, fset: FeasibleSet, x) -> float:

@@ -99,10 +99,10 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
     x = np.array(x0, dtype=float)
     x_start = x.copy()
     x_prev = x.copy()
-    z = x.copy()  # taylor_drori auxiliary sequence
+    # taylor_drori's auxiliary sequence, also its reported point
+    z = x.copy() if cfg.variant == "taylor_drori" else None
     A_k = 0.0
     q = mu / L
-    status = RunStatus.BUDGET_EXHAUSTED
     delta_cheb: Optional[float] = None
     k = 0
     try:
@@ -124,12 +124,9 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
                 g = ctr.grad(y)
             gn = float(np.linalg.norm(g))
             if not math.isfinite(gn):
-                status = RunStatus.DIVERGED
-                break
+                return rec.close(k, x, RunStatus.DIVERGED, z)
             if gn <= cfg.tol:
-                status = RunStatus.CONVERGED
-                rec.record(k, x, ctr.value_final(x), grad_norm=gn, step_size=0.0, force=True)
-                break
+                return rec.close(k, x, RunStatus.CONVERGED, z, grad_norm=gn)
 
             if cfg.variant == "heavy_ball":
                 step, beta_hb = heavy_ball_coefficients(L, mu)
@@ -152,16 +149,14 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
                 z = (1.0 - q * delta) * z + q * delta * y - (delta / L) * g
                 A_k = A_next
 
-            if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=gn, step_size=step)
+            rec.record(k, x, grad_norm=gn, step_size=step)
             x_prev, x = x, x_new
             k += 1
             if not np.all(np.isfinite(x)) or float(np.linalg.norm(x - x_start)) > divergence_radius:
-                status = RunStatus.DIVERGED
-                break
+                return rec.close(k, x, RunStatus.DIVERGED, z)
     except OracleBudgetError:
         pass
-    return rec.close(k, x, status, z if cfg.variant == "taylor_drori" else None)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED, z)
 
 
 def chebyshev_delta_sequence(L: float, mu: float, n: int) -> np.ndarray:
@@ -201,16 +196,13 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
 
     x = np.array(x0, dtype=float)
     x_prev = x.copy()
-    status = RunStatus.BUDGET_EXHAUSTED
     k = 0
     try:
         while k < N:
             g = ctr.grad(x)
             gn = float(np.linalg.norm(g))
             if gn <= tol:
-                status = RunStatus.CONVERGED
-                rec.record(k, x, ctr.value_final(x), grad_norm=gn, step_size=0.0, force=True)
-                break
+                return rec.close(k, x, RunStatus.CONVERGED, grad_norm=gn)
             d = x - x_prev
             Ag = matvec(g)
             gAg = float(np.dot(g, Ag))
@@ -231,10 +223,9 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
                 if gAg <= 0:
                     raise UnsupportedProblemError("quadratic form is not positive along the gradient")
                 a, b = gg / gAg, 0.0
-            if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=gn, step_size=a)
+            rec.record(k, x, grad_norm=gn, step_size=a)
             x_prev, x = x, x - a * g + b * d
             k += 1
     except OracleBudgetError:
         pass
-    return rec.close(k, x, status)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)

@@ -105,29 +105,23 @@ def _fixed_step_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, h: float,
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = np.array(x0, dtype=float)
     x_start = x.copy()
-    status = RunStatus.BUDGET_EXHAUSTED
     k = 0
     try:
         while k < cfg.N:
             g = ctr.grad(x)
             gn = float(np.linalg.norm(g))
             if not math.isfinite(gn):
-                status = RunStatus.DIVERGED
-                break
+                return rec.close(k, x, RunStatus.DIVERGED)
             if gn <= stop_threshold:
-                status = stop_status if stop_threshold > cfg.tol else RunStatus.CONVERGED
-                rec.record(k, x, ctr.value_final(x), grad_norm=gn, step_size=0.0, force=True)
-                break
-            if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=gn, step_size=h)
+                return rec.close(k, x, stop_status, grad_norm=gn)
+            rec.record(k, x, grad_norm=gn, step_size=h)
             x = x - h * g
             k += 1
             if not np.all(np.isfinite(x)) or float(np.linalg.norm(x - x_start)) > divergence_radius:
-                status = RunStatus.DIVERGED
-                break
+                return rec.close(k, x, RunStatus.DIVERGED)
     except OracleBudgetError:
         pass
-    return rec.close(k, x, status)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
 
 
 def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
@@ -156,7 +150,8 @@ def run_gd_abs(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
         raise ValueError("run_gd_abs expects mode AbsNoise")
     L = _resolve_L(oracle, cfg)
     threshold = max(cfg.mode.stop_multiplier * cfg.mode.delta, cfg.tol)
-    return _fixed_step_gd(oracle, x0, cfg, 1.0 / L, threshold, RunStatus.EARLY_STOPPED,
+    status = RunStatus.EARLY_STOPPED if threshold > cfg.tol else RunStatus.CONVERGED
+    return _fixed_step_gd(oracle, x0, cfg, 1.0 / L, threshold, status,
                           record_every, record_x, max_oracle_calls, divergence_radius)
 
 
@@ -204,7 +199,6 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = np.array(x0, dtype=float)
     x_start = x.copy()
-    status = RunStatus.BUDGET_EXHAUSTED
     L_prev: Optional[float] = None
     k = 0
     try:
@@ -214,11 +208,9 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             gn2 = float(np.dot(g, g))
             gn = math.sqrt(gn2)
             if not math.isfinite(gn):
-                status = RunStatus.DIVERGED
-                break
+                return rec.close(k, x, RunStatus.DIVERGED)
             if gn <= cfg.tol:
-                status = RunStatus.CONVERGED
-                break
+                return rec.close(k, x, RunStatus.CONVERGED)
             L_try = cfg.mode.L0 if L_prev is None else max(L_prev / 2.0, _L_MIN)
             doublings = 0
             while True:
@@ -241,8 +233,7 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             L_prev = L_try
             k += 1
             if float(np.linalg.norm(x - x_start)) > divergence_radius:
-                status = RunStatus.DIVERGED
-                break
+                return rec.close(k, x, RunStatus.DIVERGED)
     except OracleBudgetError:
         pass
-    return rec.close(k, x, status)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)

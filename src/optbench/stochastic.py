@@ -223,8 +223,7 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
             g = gradient(ctr, k, x)
             gamma = step(k, g)
             if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=float(np.linalg.norm(g)),
-                           step_size=gamma)
+                rec.record(k, x, grad_norm=float(np.linalg.norm(g)), step_size=gamma)
             x = x - gamma * g
             if project_needed:
                 x = fset.project(x)

@@ -102,16 +102,13 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
-    status = RunStatus.BUDGET_EXHAUSTED
     k = 0
     try:
         while k < cfg.N:
             fx = ctr.value(x)
             gap = fx - fstar
             if gap <= cfg.tol:
-                rec.record(k, x, fx, grad_norm=None, step_size=0.0, force=True)
-                status = RunStatus.CONVERGED
-                break
+                return rec.close(k, x, RunStatus.CONVERGED, f_value=fx)
             g = ctr.subgrad(x)
             gn2 = float(np.dot(g, g))
             if gn2 == 0.0:
@@ -123,7 +120,7 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
             k += 1
     except OracleBudgetError:
         pass
-    return rec.close(k, x, status)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
 
 
 def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradConfig,
@@ -146,24 +143,18 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
     sum_x = np.zeros_like(x)
-    n_seen = 0
-    status = RunStatus.BUDGET_EXHAUSTED
     try:
         for k in range(cfg.N):
             sum_x += x
-            n_seen += 1
-            last = k == cfg.N - 1
-            if last:
-                rec.record(k, x, ctr.value(x), step_size=0.0, force=True)
+            if k == cfg.N - 1:
                 break
             g = ctr.subgrad(x)
             if rec.due(k):
-                rec.record(k, x, ctr.value(x), grad_norm=float(np.linalg.norm(g)),
-                           step_size=h)
+                rec.record(k, x, grad_norm=float(np.linalg.norm(g)), step_size=h)
             x = fset.project(x - h * g)
     except OracleBudgetError:
         pass
-    return rec.close(n_seen - 1, x, status, sum_x / n_seen if cfg.averaging else None)
+    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED, sum_x / (k + 1) if cfg.averaging else None)
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,7 @@ class SwitchingConfig:
 def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                      x: np.ndarray, delta: float, theta: float, Mg: float,
                      cap: int, start_iter: int, stage_tag: str):
-    """One run of the switching scheme; returns (best_x, best_f, x_end, iters, stopped).
+    """One run of the switching scheme; returns (best_x, x_end, iters, stopped).
 
     An :class:`OracleBudgetError` leaves the stage carrying the number of
     iterations it completed as ``stage_iters``.
@@ -241,10 +232,7 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                 if gn == 0.0:
                     raise ZeroSubgradientError("zero constraint subgradient on a nonproductive step")
                 h = delta / gn
-                if rec.due(it):
-                    fx = ctr.value(x)
-                    rec.record(it, x, fx, grad_norm=gn, step_size=h,
-                               tag=stage_tag + "nonproductive")
+                rec.record(it, x, grad_norm=gn, step_size=h, tag=stage_tag + "nonproductive")
                 x = fset.project(x - h * g)
                 n_nonproductive += 1
             k += 1
@@ -255,7 +243,7 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
     except OracleBudgetError as exc:
         exc.stage_iters = k
         raise
-    return best_x, best_f, x, k, stopped
+    return best_x, x, k, stopped
 
 
 def run_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
@@ -285,14 +273,12 @@ def run_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
     ctr = CountingOracle(oracle, max_oracle_calls, constraint=constraint)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
-    best_x, best_f, x_end, iters, stopped = _switching_stage(
+    best_x, x_end, iters, stopped = _switching_stage(
         ctr, rec, fset, x, cfg.delta, cfg.theta0, Mg, cfg.max_iters, 0, "")
     if best_x is None:
         raise NoProductiveStepsError("switching scheme stopped without any productive step")
     status = RunStatus.CONVERGED if stopped else RunStatus.BUDGET_EXHAUSTED
-    rec.record(iters, x_end, ctr.value_final(x_end), force=True)
-    trace = rec.finish(status, best_x, best_f)
-    return best_x, trace
+    return best_x, rec.close(iters, x_end, status, best_x)
 
 
 def run_restarted_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
@@ -329,23 +315,19 @@ def run_restarted_switching(oracle: OracleSuite, constraint: Optional[Constraint
 
     n_stages = math.ceil(2.0 * math.log2(cfg.theta0 / cfg.eps_target))
     mg_eff = max(1.0, Mg)
-    status = RunStatus.CONVERGED
     it = 0
     for p in range(1, n_stages + 1):
         theta_p = cfg.theta0 / math.sqrt(2.0 ** p)
         delta_p = alpha * theta_p / (math.sqrt(2.0) * mg_eff)
         try:
-            best_x, _, _, iters, stopped = _switching_stage(
+            best_x, _, iters, stopped = _switching_stage(
                 ctr, rec, fset, x, delta_p, theta_p, Mg, cfg.max_iters, it, f"p{p}:")
         except OracleBudgetError as exc:
-            it += exc.stage_iters
-            status = RunStatus.BUDGET_EXHAUSTED
-            break
+            return x.copy(), rec.close(it + exc.stage_iters, x, RunStatus.BUDGET_EXHAUSTED)
         if best_x is None:
             raise NoProductiveStepsError(f"restart stage {p} produced no productive step")
         x = best_x
         it += iters
         if not stopped:
-            status = RunStatus.BUDGET_EXHAUSTED
-            break
-    return x.copy(), rec.close(it, x, status)
+            return x.copy(), rec.close(it, x, RunStatus.BUDGET_EXHAUSTED)
+    return x.copy(), rec.close(it, x, RunStatus.CONVERGED)

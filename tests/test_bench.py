@@ -108,6 +108,15 @@ def test_parse_rejects_params_that_fail_to_build(noise, method, params):
         parse_config(json.dumps(doc))
 
 
+def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
+    doc = {"problem": "abs1d", "noise": {"kind": "absolute_grad", "delta": 0.1},
+           "method": "gd", "iterations": 5}
+    with pytest.raises(ConfigError, match="noise: gradient noise requires an oracle with grad"):
+        parse_config(json.dumps(doc))
+    assert main(["run", "--config", write_cfg(tmp_path, "abs_noise.json", doc)]) == 2
+    assert "runtime error" not in capsys.readouterr().err
+
+
 def test_default_record_every_keeps_traces_small():
     spec = parse_config('{"problem": "abs1d", "method": "polyak_subgrad", "iterations": 1000000}')
     assert spec.record_every >= 10
@@ -322,6 +331,19 @@ def test_every_method_trace_iters_strictly_increase():
                     continue
                 iters = [r.iter for r in trace.rows]
                 assert all(b > a for a, b in zip(iters, iters[1:])), (name, every, max_calls, iters[-3:])
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_METHOD))
+def test_recording_does_not_change_a_run(name):
+    problem, noise, params, x0, N = EVERY_METHOD[name]
+    outcomes = []
+    for every in (1, 7, N + 1):
+        doc = {"problem": problem, "method": {"name": name, "params": params},
+               "iterations": N, "output": {"record_every": every}}
+        doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
+        trace, _ = run_experiment(parse_config(json.dumps(doc)))
+        outcomes.append((trace.x_out.tobytes(), trace.f_out, trace.status, trace.final.iter))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], name
 
 
 def test_build_makes_no_oracle_call():

@@ -23,7 +23,14 @@ Grids:
   {FullSpace, Box}, and ``run_zo_sgd`` over the five step rules x both
   tau schedules x beta {2, 4} x batch {1, 3} x {FullSpace, Box}; each
   with ``record_every`` in {1, 7} and ``max_oracle_calls`` in
-  {none, 40} (800 runs).
+  {none, 40} (800 runs);
+* ``stop/...``: eight configs tuned to reach their method's own stop
+  test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
+  ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
+  ``taylor_drori`` with a positive ``tol``, and ``gd_abs``'s early
+  stop), for seeds 1-2 with ``record_every`` in {1, 7, N+1} and
+  ``max_oracle_calls`` in {none, 3, 40, 333}, run through
+  ``run_experiment`` (192 runs).
 """
 
 from __future__ import annotations
@@ -39,6 +46,23 @@ SEEDS = (1, 2, 3, 4)
 CATALOG_BUDGETS = (None, 3, 40, 333)
 GRID_N = 60
 GRID_BUDGETS = (None, 40)
+STOP_SEEDS = (1, 2)
+_QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
+# name -> (problem, noise, method params, iterations); each reaches its stop test.
+STOP_CONFIGS = {
+    "cg_quadratic": ({"name": "quad_diag", "params": {"lambdas": [1, 5, 20]}}, None,
+                     {"tol": 1e-8}, 10),
+    "frank_wolfe-classic": ({"name": "fw_box"}, None, {"tol": 0.05}, 400),
+    "frank_wolfe-short": ({"name": "fw_box"}, None, {"tol": 0.05, "step_rule": "short"}, 400),
+    "gd_rel_adaptive": ({"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+                        {"kind": "relative_grad", "alpha": 0.25, "mode": "shrink"},
+                        {"L0": 1.0, "tol": 1e-6}, 500),
+    "polyak_subgrad": ({"name": "l1_system", "params": {"d": 5, "m": 8}}, None, {"tol": 1e-6}, 300),
+    "heavy_ball": (_QUAD_50_1, None, {"tol": 1e-6}, 2000),
+    "taylor_drori": (_QUAD_50_1, None, {"tol": 1e-6}, 2000),
+    "gd_abs": ({"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+               {"kind": "absolute_grad", "delta": 0.1}, {}, 500),
+}
 
 
 def _digest(path: str, oracle_calls: int) -> dict:
@@ -73,6 +97,29 @@ def catalog_grid(tmp: str) -> dict:
                     return _digest(path, summary["oracle_calls"])
 
                 out[f"catalog/{canon.key}/seed{seed}/every{every}/budget{budget}"] = _guarded(run)
+    return out
+
+
+def stop_grid(tmp: str) -> dict:
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+
+    out = {}
+    path = os.path.join(tmp, "trace.json")
+    for key, (problem, noise, params, N) in STOP_CONFIGS.items():
+        method = key.split("-")[0]
+        for seed, every, budget in itertools.product(STOP_SEEDS, (1, 7, N + 1), CATALOG_BUDGETS):
+            doc = {"problem": dict(problem, seed=seed), "method": {"name": method, "params": params},
+                   "budget": {"iterations": N, "max_oracle_calls": budget},
+                   "output": {"record_every": every, "record_x": True}}
+            if noise is not None:
+                doc["noise"] = noise
+
+            def run(doc=doc):
+                _, summary = run_experiment(parse_config(json.dumps(doc)), trace_path=path)
+                return _digest(path, summary["oracle_calls"])
+
+            out[f"stop/{key}/seed{seed}/every{every}/budget{budget}"] = _guarded(run)
     return out
 
 
@@ -127,7 +174,7 @@ def main(argv: list[str]) -> int:
     checkout = os.path.abspath(argv[0])
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp)}
+        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
