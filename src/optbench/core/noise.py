@@ -196,7 +196,7 @@ def wrap_noise(oracle: OracleSuite, noise: NoiseSpec, rng: Rng) -> OracleSuite:
                 return base_value(x) + (delta if float(np.dot(w, x)) >= 0 else -delta)
         else:
             def zo(x, rng_):
-                return base_value(x) + delta * float(rng_.uniform(-1.0, 1.0))
+                return base_value(x) + delta * rng_.uniform(-1.0, 1.0)
         return replace(oracle, zo_value=zo)
 
     if isinstance(noise, ZOStochValue):

@@ -14,6 +14,8 @@ code are reproducible regardless of execution order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -36,6 +38,12 @@ class Rng:
         return Rng(self._entropy + (int(key),))
 
     def uniform(self, low: float = -1.0, high: float = 1.0, size=None):
+        if size is None and type(low) is type(high) is float:
+            span = high - low
+            if 0.0 <= span < math.inf:
+                # numpy's own random_uniform formula, so the bits of Generator.uniform;
+                # a negative or non-finite span falls through to its error below
+                return low + span * self._gen.random()
         return self._gen.uniform(low, high, size)
 
     def gaussian(self, size=None):
@@ -51,6 +59,6 @@ class Rng:
         """Uniform point on the unit sphere in R^d (normalized gaussian)."""
         while True:
             v = self._gen.standard_normal(d)
-            n = float(np.linalg.norm(v))
+            n = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-d float vector
             if n > 1e-12:
                 return v / n

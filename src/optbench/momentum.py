@@ -42,6 +42,8 @@ from .core.oracles import (
 VARIANTS = ("heavy_ball", "chebyshev", "nesterov_sc", "nesterov_cvx", "taylor_drori")
 # taylor_drori degenerates gracefully to its convex tuning at mu = 0.
 _NEEDS_MU = ("heavy_ball", "chebyshev", "nesterov_sc")
+# Recurrences that divide by L - mu (taylor_drori by (1 - mu/L)^2).
+_NEEDS_MU_BELOW_L = ("chebyshev", "taylor_drori")
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,10 @@ def _resolve(oracle: OracleSuite, cfg: MomentumConfig) -> tuple[float, float]:
             raise ValueError(f"variant {cfg.variant!r} requires mu > 0")
         if mu > L:
             raise ValueError("mu must not exceed L")
-        if cfg.variant == "chebyshev" and not mu < L:
-            raise ValueError("chebyshev requires mu < L strictly")
     else:
         mu = 0.0 if mu is None else mu
+    if cfg.variant in _NEEDS_MU_BELOW_L and not mu < L:
+        raise ValueError(f"{cfg.variant} requires mu < L strictly")
     return float(L), float(mu)
 
 

@@ -17,6 +17,16 @@ Gauss-Legendre quadrature at construction.  Odd kernels meet the even-j
 conditions automatically, so beta = 2, 3 share K(u) = 3u and
 beta = 4, 5 share K(u) = (75u - 105u^3)/4.
 
+Draw order.  :func:`kernel_grad_estimate` takes all its randomness from
+one :class:`Rng`, and per sample it draws the radius r, then the
+direction e, then calls the oracle at x + tau r e and then at
+x - tau r e (value noise draws from the same stream inside those calls).
+That order is why equal seeds give equal streams, and why the sample
+loop stays per-sample: drawing all radii, then all directions would
+interleave the noise draws differently and change every estimate.  The
+kernel weights and the in-order sum of the samples are computed once per
+batch.
+
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.
@@ -103,7 +113,11 @@ def build_kernel(beta: int) -> Kernel:
 
 def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: float,
                          kernel: Kernel, rng: Rng, batch: int = 1) -> np.ndarray:
-    """Average of ``batch`` two-point kernel estimates; 2*batch oracle calls."""
+    """Average of ``batch`` two-point kernel estimates; 2*batch oracle calls.
+
+    Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
+    and at x - tau r_i e_i (the module docstring's draw order).
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if batch < 1:
@@ -114,15 +128,23 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
         zo = oracle.zo_value
     else:
         zo = oracle.zo_value_or_exact
-    acc = np.zeros(d)
-    scale = d / (2.0 * tau)
-    for _ in range(batch):
-        r = float(rng.uniform(-1.0, 1.0))
+    radii = np.empty(batch)
+    dirs = np.empty((batch, d))
+    diffs = np.empty(batch)
+    for i in range(batch):
+        r = rng.uniform(-1.0, 1.0)
         e = rng.sphere(d)
-        fp = zo(x + (tau * r) * e, rng)
-        fm = zo(x - (tau * r) * e, rng)
-        acc += (scale * (fp - fm) * float(kernel(r))) * e
-    return acc / batch
+        s = (tau * r) * e
+        diffs[i] = zo(x + s, rng) - zo(x - s, rng)
+        radii[i] = r
+        dirs[i] = e
+    weights = (d / (2.0 * tau)) * diffs * kernel(radii)
+    # Sum the samples as a running sum from +0.0 would: cumsum adds the rows
+    # strictly in order (sum(axis=0) sums pairwise when d = 1, and
+    # weights @ dirs goes through BLAS), and adding 0.0 turns a -0.0 total
+    # into the +0.0 that a zero start gives.
+    total = np.cumsum(weights[:, None] * dirs, axis=0)[-1] + 0.0
+    return total / batch
 
 
 @dataclass(frozen=True)

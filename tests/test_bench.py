@@ -397,6 +397,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", bad]) == 2
     assert "available" in capsys.readouterr().err
 
+    # mu = L = 2: taylor_drori's (1 - mu/L)^2 denominator is 0
+    flat = write_cfg(tmp_path, "flat.json", {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 2]}},
+                                            "method": "taylor_drori", "iterations": 5})
+    assert main(["run", "--config", flat]) == 2
+    assert "taylor_drori requires mu < L strictly" in capsys.readouterr().err
+
     missing_trace = main(["rates", "--trace", str(tmp_path / "none.csv"), "--model", "sublinear"])
     assert missing_trace == 1
 

@@ -127,6 +127,14 @@ def test_momentum_requires_mu():
         MomentumConfig("polyak_spiral", N=5)
 
 
+@pytest.mark.parametrize("variant", ["chebyshev", "taylor_drori"])
+def test_momentum_refuses_mu_equal_to_L(variant):
+    # both recurrences divide by L - mu; quad_diag [2, 2] has mu = L = 2
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 2.0]})
+    with pytest.raises(ValueError, match=f"{variant} requires mu < L strictly"):
+        run_momentum(oracle, np.ones(2), MomentumConfig(variant, N=5))
+
+
 # -- conjugate gradients ---------------------------------------------------------
 
 def test_cg_finite_termination_random_spectrum():

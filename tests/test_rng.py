@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from optbench.core import Rng
 
@@ -35,3 +36,34 @@ def test_sphere_isotropy():
         assert abs(cov[i, i] - 1.0 / d) <= 0.05 / d
         for j in range(i + 1, d):
             assert abs(cov[i, j]) <= 0.05 / d
+
+
+def _twin(seed):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed,))))
+
+
+def test_scalar_uniform_matches_generator_uniform():
+    rng, twin = Rng(7), _twin(7)
+    got = [rng.uniform() for _ in range(2000)]
+    want = [twin.uniform(-1.0, 1.0) for _ in range(2000)]
+    for low, high in [(0.001, 1.0), (-3.5, 250.0), (2.0, 40.0), (-0.2, 0.2)]:
+        got += [rng.uniform(low, high) for _ in range(2000)]
+        want += [twin.uniform(low, high) for _ in range(2000)]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 50])
+def test_sphere_matches_normalized_generator_gaussian(d):
+    rng, twin = Rng(11), _twin(11)
+    for _ in range(500):
+        v = twin.standard_normal(d)
+        assert rng.sphere(d).tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+
+def test_uniform_keeps_generator_argument_checks():
+    rng = Rng(3)
+    with pytest.raises(OverflowError):
+        rng.uniform(0.0, float("inf"))
+    with pytest.raises(ValueError):
+        rng.uniform(1.0, -1.0)
+    assert rng.uniform(np.zeros(3), 1.0).shape == (3,)  # array bounds broadcast

@@ -5,6 +5,7 @@ import pytest
 
 from optbench.core import (
     CountingOracle,
+    OracleBudgetError,
     OracleSuite,
     Rng,
     ZOBoundedValue,
@@ -58,6 +59,81 @@ def linear_oracle(c):
     c = np.asarray(c, dtype=float)
     return OracleSuite(value=lambda x: float(c @ x), subgrad=lambda x: c.copy(),
                        grad=lambda x: c.copy(), dim=c.shape[0])
+
+
+class LoopRng(Rng):
+    """Rng whose scalar uniform and sphere draws go through Generator.uniform and np.linalg.norm."""
+
+    def uniform(self, low=-1.0, high=1.0, size=None):
+        return self._gen.uniform(low, high, size)
+
+    def sphere(self, d):
+        while True:
+            v = self._gen.standard_normal(d)
+            n = float(np.linalg.norm(v))
+            if n > 1e-12:
+                return v / n
+
+
+def reference_estimate(oracle, x, tau, kernel, rng, batch):
+    """The estimator as one accumulating loop per sample: the bit-level reference."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[0]
+    zo = oracle.zo_value if isinstance(oracle, CountingOracle) else oracle.zo_value_or_exact
+    acc = np.zeros(d)
+    scale = d / (2.0 * tau)
+    for _ in range(batch):
+        r = float(rng.uniform(-1.0, 1.0))
+        e = rng.sphere(d)
+        fp = zo(x + (tau * r) * e, rng)
+        fm = zo(x - (tau * r) * e, rng)
+        acc += (scale * (fp - fm) * float(kernel(r))) * e
+    return acc / batch
+
+
+def _quad50(noise):
+    lam = np.linspace(1.0, 10.0, 50)
+    oracle, _ = make_problem("quad_diag", {"lambdas": lam.tolist(), "shift": np.sin(lam).tolist()})
+    return wrap_noise(oracle, noise, Rng(17)), np.cos(3.0 * lam)
+
+
+BIT_CASES = {
+    "linear-d3": lambda: (linear_oracle([1.0, -2.0, 0.5]), np.array([0.3, -0.1, 2.0])),
+    "quad50-zo_stoch": lambda: _quad50(ZOStochValue(1e-3)),
+    "quad50-zo_bounded-random": lambda: _quad50(ZOBoundedValue(1e-2, mode="random")),
+    "quad50-zo_bounded-worst": lambda: _quad50(ZOBoundedValue(1e-2, mode="deterministic_worst")),
+    # one column: a reduction over the sample axis alone may sum pairwise
+    "quad-d1": lambda: (make_problem("quad_diag", {"lambdas": [3.0]})[0], np.array([0.7])),
+    # equal probe values at the minimizer: every sample estimate is a signed zero
+    "quad-minimizer": lambda: (make_problem("quad_diag", {"lambdas": [1.0, 1.0]})[0], np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 7, 1000])
+@pytest.mark.parametrize("beta", [2, 4])
+@pytest.mark.parametrize("case", list(BIT_CASES))
+def test_estimator_bits_match_the_per_sample_loop(case, beta, batch):
+    oracle, x = BIT_CASES[case]()
+    kernel = build_kernel(beta)
+    ref_rng, rng = LoopRng(5), Rng(5)
+    ref = reference_estimate(oracle, x, 0.05, kernel, ref_rng, batch)
+    est = kernel_grad_estimate(oracle, x, 0.05, kernel, rng, batch)
+    assert est.tobytes() == ref.tobytes()
+    assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()  # same draws consumed
+
+
+def test_estimator_budget_cut_matches_the_per_sample_loop():
+    oracle, x = BIT_CASES["quad50-zo_stoch"]()
+    kernel = build_kernel(2)
+    ref_ctr, ctr = CountingOracle(oracle, 7), CountingOracle(oracle, 7)
+    ref_rng, rng = LoopRng(5), Rng(5)
+    with pytest.raises(OracleBudgetError) as ref_err:
+        reference_estimate(ref_ctr, x, 0.05, kernel, ref_rng, 10)
+    with pytest.raises(OracleBudgetError) as err:
+        kernel_grad_estimate(ctr, x, 0.05, kernel, rng, 10)
+    # the 8th call is the second probe of sample 3
+    assert str(err.value) == str(ref_err.value) and ctr.calls == ref_ctr.calls == 7
+    assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
 
 
 def test_estimator_unbiased_for_linear():

@@ -1,4 +1,4 @@
-"""Print a digest of every trace over two fixed run grids, for before/after comparison.
+"""Print a digest of every trace over fixed run grids, for before/after comparison.
 
 Usage::
 
@@ -30,7 +30,17 @@ Grids:
   ``taylor_drori`` with a positive ``tol``, and ``gd_abs``'s early
   stop), for seeds 1-2 with ``record_every`` in {1, 7, N+1} and
   ``max_oracle_calls`` in {none, 3, 40, 333}, run through
-  ``run_experiment`` (192 runs).
+  ``run_experiment`` (192 runs);
+* ``est/...``: direct ``kernel_grad_estimate`` outputs on a linear suite
+  at d=3, ``quad_diag`` at d=50 under ``zo_stoch``, ``zo_bounded``
+  ``random`` and ``zo_bounded`` ``deterministic_worst`` noise, a 1-d
+  quadratic and a quadratic at its minimizer, for beta {2, 4} x batch
+  {1, 7, 1000} x seeds 1-2, plus each case cut by a budget of 7 calls in
+  the middle of a probe pair (its error text and call count); and the
+  gradient streams of ``absolute_grad`` and ``relative_grad`` in
+  ``random_direction`` mode at d {1, 3, 50} for seeds 1-2 (96 runs).  The
+  hash also covers the next draws of the run's ``Rng``, so a change in
+  the number of draws consumed shows.
 """
 
 from __future__ import annotations
@@ -167,6 +177,63 @@ def sgd_zo_grid(tmp: str) -> dict:
     return out
 
 
+def estimator_grid() -> dict:
+    import numpy as np
+
+    from optbench import zeroorder as zo
+    from optbench.core import (AbsoluteGrad, CountingOracle, OracleBudgetError, OracleSuite, RelativeGrad,
+                               Rng, ZOBoundedValue, ZOStochValue, make_problem, wrap_noise)
+
+    c = np.array([1.0, -2.0, 0.5])
+    lam = np.linspace(1.0, 10.0, 50)
+    quad50, _ = make_problem("quad_diag", {"lambdas": lam.tolist(), "shift": np.sin(lam).tolist()})
+    cases = {
+        "linear-d3": (OracleSuite(value=lambda x: float(c @ x), subgrad=lambda x: c.copy(), dim=3),
+                      np.array([0.3, -0.1, 2.0])),
+        "quad50-zo_stoch": (wrap_noise(quad50, ZOStochValue(1e-3), Rng(17)), np.cos(3.0 * lam)),
+        "quad50-zo_bounded-random": (wrap_noise(quad50, ZOBoundedValue(1e-2, "random"), Rng(17)),
+                                     np.cos(3.0 * lam)),
+        "quad50-zo_bounded-worst": (wrap_noise(quad50, ZOBoundedValue(1e-2, "deterministic_worst"), Rng(17)),
+                                    np.cos(3.0 * lam)),
+        "quad-d1": (make_problem("quad_diag", {"lambdas": [3.0]})[0], np.array([0.7])),
+        "quad-minimizer": (make_problem("quad_diag", {"lambdas": [1.0, 1.0]})[0], np.zeros(2)),
+    }
+    out = {}
+
+    def digest(rng, *arrays) -> dict:
+        data = b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays) + rng.gaussian(3).tobytes()
+        return {"sha256": hashlib.sha256(data).hexdigest()}
+
+    for (name, (oracle, x)), beta, batch, seed in itertools.product(cases.items(), (2, 4), (1, 7, 1000), (1, 2)):
+        def run(oracle=oracle, x=x, beta=beta, batch=batch, seed=seed):
+            rng = Rng(seed)
+            return digest(rng, zo.kernel_grad_estimate(oracle, x, 0.05, zo.build_kernel(beta), rng, batch))
+
+        out[f"est/{name}/beta{beta}/batch{batch}/seed{seed}"] = _guarded(run)
+
+    for (name, (oracle, x)), seed in itertools.product(cases.items(), (1, 2)):
+        def cut(oracle=oracle, x=x, seed=seed):
+            rng, ctr = Rng(seed), CountingOracle(oracle, 7)
+            try:
+                zo.kernel_grad_estimate(ctr, x, 0.05, zo.build_kernel(2), rng, 10)
+            except OracleBudgetError as e:
+                return dict(digest(rng), error=f"{type(e).__name__}: {e}", oracle_calls=ctr.calls)
+            return {"error": "the budget did not cut the estimate"}
+
+        out[f"est/{name}/budget7/seed{seed}"] = _guarded(cut)
+
+    kinds = {"absolute_grad": AbsoluteGrad(0.1), "relative_grad": RelativeGrad(0.3, "random_direction")}
+    for (kind, noise), d, seed in itertools.product(kinds.items(), (1, 3, 50), (1, 2)):
+        def stream(noise=noise, d=d, seed=seed):
+            oracle, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 4.0, d).tolist()})
+            rng = Rng(seed)
+            grad = wrap_noise(oracle, noise, rng).grad
+            return digest(rng, *(grad(np.full(d, 1.0 / (k + 1))) for k in range(200)))
+
+        out[f"est/{kind}/d{d}/seed{seed}"] = _guarded(stream)
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -174,7 +241,7 @@ def main(argv: list[str]) -> int:
     checkout = os.path.abspath(argv[0])
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp)}
+        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid()}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
