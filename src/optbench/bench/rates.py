@@ -49,11 +49,10 @@ def fit_rate(trace: Trace, model: str, window: float = 0.5) -> RateFit:
         raise ValueError(f"unknown rate model {model!r}; choose from {MODELS}")
     if not 0 < window <= 1:
         raise ValueError("window must lie in (0, 1]")
-    rows = trace.rows
-    n_tail = max(1, math.ceil(window * len(rows)))
-    tail = rows[len(rows) - n_tail:]
-    pts = [(r.iter, r.f_gap) for r in tail
-           if r.f_gap is not None and r.f_gap > 0 and r.iter >= 1]
+    cols = trace.columns
+    start = len(cols["iter"]) - max(1, math.ceil(window * len(cols["iter"])))
+    pts = [(k, g) for k, g in zip(cols["iter"][start:], cols["f_gap"][start:])
+           if g is not None and g > 0 and k >= 1]
     if len(pts) < 10:
         raise InsufficientDataError(
             f"need >= 10 rows with positive f_gap in the window, got {len(pts)}")

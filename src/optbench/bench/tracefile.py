@@ -22,11 +22,26 @@ import numpy as np
 from ..core.oracles import RunStatus, Trace, TraceRow
 
 CSV_HEADER = "iter,f_value,f_gap,dist_to_opt,grad_norm,step_size,oracle_calls"
+CSV_FIELDS = tuple(CSV_HEADER.split(","))
 FORMATS = ("csv", "json")
 
 
-def _fmt(v: Optional[float]) -> str:
-    return "" if v is None else format(float(v), ".17g")
+def _csv_column(values: list) -> tuple[str, list]:
+    """The row-template piece of a float column, and the values it takes.
+
+    A column without None is formatted by ``%.17g`` in the template; a
+    column with None is formatted cell by cell, None as an empty cell.
+    ``'%.17g' % v`` gives the same text as ``format(v, ".17g")``.
+    """
+    if None not in values:
+        return "%.17g", values
+    return "%s", ["" if v is None else "%.17g" % v for v in values]
+
+
+def _csv_floats(cells: tuple, empty: Optional[float]) -> list:
+    if "" not in cells:
+        return list(map(float, cells))
+    return [float(c) if c else empty for c in cells]
 
 
 def _atomic_write(path: str, text: str):
@@ -51,13 +66,11 @@ def write_trace(trace: Trace, path: str, format: str = "csv"):
     if format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; choose from {FORMATS}")
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in trace.rows:
-            lines.append(",".join([
-                str(r.iter), _fmt(r.f_value), _fmt(r.f_gap), _fmt(r.dist_to_opt),
-                _fmt(r.grad_norm), _fmt(r.step_size), str(r.oracle_calls),
-            ]))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        columns = trace.columns
+        floats = [_csv_column(columns[name]) for name in CSV_FIELDS[1:-1]]
+        row = ",".join(["%d", *(piece for piece, _ in floats), "%d"])
+        cells = zip(columns["iter"], *(values for _, values in floats), columns["oracle_calls"])
+        _atomic_write(path, "\n".join([CSV_HEADER, *map(row.__mod__, cells)]) + "\n")
         return
 
     doc = {
@@ -94,21 +107,23 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
             lines = [ln for ln in fh.read().split("\n") if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError(f"{path}: not a trace CSV (bad header)")
-        rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 7:
-                raise ValueError(f"{path}: malformed row {ln!r}")
-            rows.append(TraceRow(
-                iter=int(parts[0]),
-                f_value=float(parts[1]),
-                f_gap=float(parts[2]) if parts[2] else None,
-                dist_to_opt=float(parts[3]) if parts[3] else None,
-                grad_norm=float(parts[4]) if parts[4] else None,
-                step_size=float(parts[5]) if parts[5] else 0.0,
-                oracle_calls=int(parts[6]),
-            ))
-        return Trace(rows=rows, status=None)
+        cells = [ln.split(",") for ln in lines[1:]]
+        if set(map(len, cells)) - {len(CSV_FIELDS)}:
+            bad = next(ln for ln, c in zip(lines[1:], cells) if len(c) != len(CSV_FIELDS))
+            raise ValueError(f"{path}: malformed row {bad!r}")
+        columns = zip(*cells) if cells else [()] * len(CSV_FIELDS)
+        iters, f_values, f_gaps, dists, grad_norms, steps, calls = columns
+        return Trace(status=None, columns={
+            "iter": list(map(int, iters)),
+            "f_value": list(map(float, f_values)),
+            "f_gap": _csv_floats(f_gaps, None),
+            "dist_to_opt": _csv_floats(dists, None),
+            "grad_norm": _csv_floats(grad_norms, None),
+            "step_size": _csv_floats(steps, 0.0),
+            "oracle_calls": list(map(int, calls)),
+            "x": [None] * len(cells),
+            "tag": [None] * len(cells),
+        })
 
     with open(path, "r") as fh:
         doc = json.load(fh)

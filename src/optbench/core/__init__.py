@@ -1,5 +1,6 @@
 """Shared infrastructure: vectors, oracles, feasible sets, problems, noise, traces."""
 
+from .linalg import norm
 from .noise import (
     AbsoluteGrad,
     AdditiveStochGrad,
@@ -59,6 +60,7 @@ __all__ = [
     "ZeroSubgradientError",
     "default_x0",
     "make_problem",
+    "norm",
     "problem_doc",
     "problem_names",
     "wrap_noise",

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import norm
 from .oracles import OracleSuite
 from .rng import Rng
 
@@ -53,7 +54,7 @@ class AbsoluteGrad:
             if self.v is None:
                 raise ValueError("fixed mode requires the perturbation vector v")
             v = np.asarray(self.v, dtype=float)
-            if np.linalg.norm(v) > self.delta + 1e-12:
+            if norm(v) > self.delta + 1e-12:
                 raise ValueError("||v|| must not exceed delta")
             object.__setattr__(self, "v", v)
 
@@ -125,7 +126,7 @@ def _absolute_grad(oracle: OracleSuite, noise: AbsoluteGrad, rng: Rng):
     else:
         def noisy(x):
             e = rng.sphere(d)
-            if np.linalg.norm(e) > 1 + 1e-12:
+            if norm(e) > 1 + 1e-12:
                 raise AssertionError("absolute noise exceeds its bound delta")
             return base(x) + delta * e
     return noisy
@@ -143,10 +144,10 @@ def _relative_grad(oracle: OracleSuite, noise: RelativeGrad, rng: Rng):
     else:
         def noisy(x):
             g = base(x)
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             out = g + alpha * gn * rng.sphere(d)
             # Compared relative to ||g||: the squares of a tiny g underflow.
-            if gn > 0 and np.linalg.norm((out - g) / gn) > alpha * (1 + 1e-12):
+            if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12):
                 raise AssertionError("relative noise exceeds its bound alpha ||g||")
             return out
     return noisy

@@ -15,10 +15,12 @@ runs over one suite never interfere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .linalg import norm
 
 
 class OracleBudgetError(RuntimeError):
@@ -74,9 +76,9 @@ class OracleSuite:
         if self.dist_fn is not None:
             return float(self.dist_fn(x))
         if self.minimizers is not None:
-            return min(float(np.linalg.norm(x - m)) for m in self.minimizers)
+            return min(norm(x - m) for m in self.minimizers)
         if self.xstar is not None:
-            return float(np.linalg.norm(x - self.xstar))
+            return norm(x - self.xstar)
         return None
 
     def zo_value_or_exact(self, x: np.ndarray, rng) -> float:
@@ -167,23 +169,49 @@ class TraceRow:
     tag: Optional[str] = None
 
 
-@dataclass
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
+
+
 class Trace:
-    rows: list[TraceRow]
-    status: Optional[RunStatus]
-    x_out: Optional[np.ndarray] = None
-    f_out: Optional[float] = None
+    """A run's trace rows, stored one list per :class:`TraceRow` field, and how it ended.
+
+    ``columns`` maps each name of :data:`TRACE_FIELDS` to a list with one
+    entry per row; ``x`` and ``tag`` hold ``None`` on rows without them.
+    :attr:`rows` builds the row objects on first access and caches them;
+    :attr:`final` reads the last entry of each column.  A trace is built
+    either from its ``columns`` (what :class:`TraceRecorder` does) or from
+    a list of ``rows``.
+    """
+
+    def __init__(self, rows: Optional[list[TraceRow]] = None, status: Optional[RunStatus] = None,
+                 x_out: Optional[np.ndarray] = None, f_out: Optional[float] = None, *,
+                 columns: Optional[dict[str, list]] = None):
+        if columns is None:
+            rows = list(rows or ())
+            columns = {name: [getattr(r, name) for r in rows] for name in TRACE_FIELDS}
+        self.columns = columns
+        self.status = status
+        self.x_out = x_out
+        self.f_out = f_out
+        self._rows = rows
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        if self._rows is None:
+            self._rows = [TraceRow(*values) for values in zip(*(self.columns[n] for n in TRACE_FIELDS))]
+        return self._rows
 
     @property
     def final(self) -> TraceRow:
-        return self.rows[-1]
+        return TraceRow(*(self.columns[n][-1] for n in TRACE_FIELDS))
 
 
 class TraceRecorder:
     """Accumulates trace rows for one run; the only code that evaluates f for a row.
 
     Rows are kept every ``record_every`` iterations; the first and the
-    terminal row are always kept.  A due row without a given ``f_value``
+    terminal row are always kept.  Each row appends one entry to every
+    column of :data:`TRACE_FIELDS`.  A due row without a given ``f_value``
     is evaluated through the run's counter and charged to its budget,
     like any other call.  :meth:`close` writes the terminal row and ends
     the run.  ``f_gap`` is filled from the suite's known optimal value
@@ -198,7 +226,8 @@ class TraceRecorder:
         self.counter = counter
         self.record_every = record_every
         self.record_x = record_x
-        self.rows: list[TraceRow] = []
+        self.columns: dict[str, list] = {name: [] for name in TRACE_FIELDS}
+        self._columns = tuple(self.columns.values())
 
     def due(self, it: int) -> bool:
         return it % self.record_every == 0
@@ -208,22 +237,22 @@ class TraceRecorder:
                tag: Optional[str] = None, force: bool = False):
         if not (force or self.due(it)):
             return
-        if self.rows and self.rows[-1].iter == it:
+        iters, f_values, f_gaps, dists, grad_norms, steps, calls, xs, tags = self._columns
+        if iters and iters[-1] == it:
             return
         if f_value is None:
             f_value = self.counter.value(x)
+        f_value = float(f_value)
         fstar = self.suite.fstar
-        self.rows.append(TraceRow(
-            iter=it,
-            f_value=float(f_value),
-            f_gap=None if fstar is None else float(f_value) - fstar,
-            dist_to_opt=self.suite.dist_to_opt(x),
-            grad_norm=None if grad_norm is None else float(grad_norm),
-            step_size=float(step_size),
-            oracle_calls=self.counter.calls,
-            x=np.array(x, dtype=float) if self.record_x else None,
-            tag=tag,
-        ))
+        iters.append(it)
+        f_values.append(f_value)
+        f_gaps.append(None if fstar is None else f_value - fstar)
+        dists.append(self.suite.dist_to_opt(x))
+        grad_norms.append(None if grad_norm is None else float(grad_norm))
+        steps.append(float(step_size))
+        calls.append(self.counter.calls)
+        xs.append(np.array(x, dtype=float) if self.record_x else None)
+        tags.append(tag)
 
     def close(self, it: int, x: np.ndarray, status: RunStatus,
               x_out: Optional[np.ndarray] = None, *, f_value: Optional[float] = None,
@@ -236,12 +265,13 @@ class TraceRecorder:
         point is ``x``, or ``x_out`` (an average, an auxiliary sequence, a
         best iterate) evaluated with ``value_final`` after the terminal row.
         """
-        if self.rows and self.rows[-1].iter == it:
-            f_end = self.rows[-1].f_value
+        iters = self.columns["iter"]
+        if iters and iters[-1] == it:
+            f_end = self.columns["f_value"][-1]
         else:
             f_end = self.counter.value_final(x) if f_value is None else f_value
             self.record(it, x, f_end, grad_norm=grad_norm, force=True)
         if x_out is not None:
             x, f_end = x_out, self.counter.value_final(x_out)
-        return Trace(rows=self.rows, status=status, x_out=np.array(x, dtype=float),
-                     f_out=float(f_end))
+        return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),
+                     columns=self.columns)

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .linalg import norm
 from .oracles import ConstraintOracle, OracleSuite, QuadraticForm
 from .rng import Rng
 from .sets import Box, FeasibleSet, FullSpace
@@ -90,11 +91,11 @@ def _norm2(params: dict, seed: int):
         a = np.zeros(d)
 
     def value(x):
-        return float(np.linalg.norm(x - a))
+        return norm(x - a)
 
     def subgrad(x):
         z = x - a
-        n = float(np.linalg.norm(z))
+        n = norm(z)
         return z / n if n > 0 else np.zeros(d)
 
     oracle = OracleSuite(

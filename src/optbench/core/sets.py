@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import norm
+
 
 class DimensionMismatchError(ValueError):
     pass
@@ -80,7 +82,7 @@ class Box:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
+        return norm(self.hi - self.lo)
 
     def project(self, y) -> np.ndarray:
         return np.clip(_as_vector(y, self.dim), self.lo, self.hi)
@@ -117,14 +119,14 @@ class Ball:
     def project(self, y) -> np.ndarray:
         y = _as_vector(y, self.dim)
         z = y - self.center
-        n = float(np.linalg.norm(z))
+        n = norm(z)
         if n <= self.radius:
             return y.copy()
         return self.center + z * (self.radius / n)
 
     def lmo(self, g) -> np.ndarray:
         g = _as_vector(g, self.dim)
-        n = float(np.linalg.norm(g))
+        n = norm(g)
         if n == 0.0:
             return self.center.copy()
         return self.center - g * (self.radius / n)

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core.linalg import norm
 from .core.oracles import (
     CountingOracle,
     OracleBudgetError,
@@ -67,7 +68,7 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
     if isinstance(fset, FullSpace):
         raise UnboundedSetError("Frank-Wolfe needs a bounded feasible set")
     x = fset.project(np.array(x0, dtype=float))
-    if float(np.linalg.norm(x - np.asarray(x0, dtype=float))) > 1e-9:
+    if norm(x - np.asarray(x0, dtype=float)) > 1e-9:
         raise ValueError("x0 must be feasible")
 
     L = None
@@ -86,13 +87,13 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
             d = y - x
             gap = -float(np.dot(g, d))  # FW duality gap at x
             if gap <= cfg.tol:
-                return rec.close(k, x, RunStatus.CONVERGED, grad_norm=float(np.linalg.norm(g)))
+                return rec.close(k, x, RunStatus.CONVERGED, grad_norm=norm(g))
             if isinstance(cfg.step_rule, Classic):
                 gamma = 2.0 / (k + 1)
             else:
                 gamma = min(max(gap / (L * float(np.dot(d, d))), 0.0), 1.0)
             if rec.due(k):
-                rec.record(k, x, grad_norm=float(np.linalg.norm(g)), step_size=gamma)
+                rec.record(k, x, grad_norm=norm(g), step_size=gamma)
             x = (1.0 - gamma) * x + gamma * y
             k += 1
     except OracleBudgetError:

@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core.linalg import norm
 from .core.oracles import (
     CountingOracle,
     OracleBudgetError,
@@ -124,7 +125,7 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
                 delta = 0.5 * ((1 - q) ** 2 * A_next - (1 + q) * A_k) / (1 + q + q * A_k)
                 y = x + tau * (z - x)
                 g = ctr.grad(y)
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             if not math.isfinite(gn):
                 return rec.close(k, x, RunStatus.DIVERGED, z)
             if gn <= cfg.tol:
@@ -154,7 +155,7 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
             rec.record(k, x, grad_norm=gn, step_size=step)
             x_prev, x = x, x_new
             k += 1
-            if not np.all(np.isfinite(x)) or float(np.linalg.norm(x - x_start)) > divergence_radius:
+            if not np.all(np.isfinite(x)) or norm(x - x_start) > divergence_radius:
                 return rec.close(k, x, RunStatus.DIVERGED, z)
     except OracleBudgetError:
         pass
@@ -202,7 +203,7 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
     try:
         while k < N:
             g = ctr.grad(x)
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             if gn <= tol:
                 return rec.close(k, x, RunStatus.CONVERGED, grad_norm=gn)
             d = x - x_prev

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core.linalg import norm
 from .core.oracles import (
     CountingOracle,
     OracleBudgetError,
@@ -109,7 +110,7 @@ def _fixed_step_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, h: float,
     try:
         while k < cfg.N:
             g = ctr.grad(x)
-            gn = float(np.linalg.norm(g))
+            gn = norm(g)
             if not math.isfinite(gn):
                 return rec.close(k, x, RunStatus.DIVERGED)
             if gn <= stop_threshold:
@@ -117,7 +118,7 @@ def _fixed_step_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, h: float,
             rec.record(k, x, grad_norm=gn, step_size=h)
             x = x - h * g
             k += 1
-            if not np.all(np.isfinite(x)) or float(np.linalg.norm(x - x_start)) > divergence_radius:
+            if not np.all(np.isfinite(x)) or norm(x - x_start) > divergence_radius:
                 return rec.close(k, x, RunStatus.DIVERGED)
     except OracleBudgetError:
         pass
@@ -232,7 +233,7 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             x, fx = x_new, f_new
             L_prev = L_try
             k += 1
-            if float(np.linalg.norm(x - x_start)) > divergence_radius:
+            if norm(x - x_start) > divergence_radius:
                 return rec.close(k, x, RunStatus.DIVERGED)
     except OracleBudgetError:
         pass

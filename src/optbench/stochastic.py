@@ -29,6 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core.linalg import norm
 from .core.oracles import (
     CountingOracle,
     OracleBudgetError,
@@ -160,7 +161,7 @@ def clip(z: np.ndarray, lam: float) -> np.ndarray:
     if lam <= 0:
         raise ValueError("lambda must be positive")
     z = np.asarray(z, dtype=float)
-    n = float(np.linalg.norm(z))
+    n = norm(z)
     if n <= lam:
         return z.copy()
     return z * (lam / n)
@@ -223,7 +224,7 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
             g = gradient(ctr, k, x)
             gamma = step(k, g)
             if rec.due(k):
-                rec.record(k, x, grad_norm=float(np.linalg.norm(g)), step_size=gamma)
+                rec.record(k, x, grad_norm=norm(g), step_size=gamma)
             x = x - gamma * g
             if project_needed:
                 x = fset.project(x)

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core.linalg import norm
 from .core.oracles import (
     ConstraintOracle,
     CountingOracle,
@@ -150,7 +151,7 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
                 break
             g = ctr.subgrad(x)
             if rec.due(k):
-                rec.record(k, x, grad_norm=float(np.linalg.norm(g)), step_size=h)
+                rec.record(k, x, grad_norm=norm(g), step_size=h)
             x = fset.project(x - h * g)
     except OracleBudgetError:
         pass
@@ -225,7 +226,7 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                 sum_productive += 1.0 / gn2
             else:
                 g = ctr.constraint_subgrad(x)
-                gn = float(np.linalg.norm(g))
+                gn = norm(g)
                 if Mg > 0 and gn > Mg * (1 + 1e-9):
                     warnings.warn(f"constraint subgradient norm {gn:.3g} exceeds the declared Mg={Mg:.3g}; "
                                   "the switching guarantee is void", stacklevel=3)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from optbench import frankwolfe, momentum, smooth, stochastic, subgrad
 from optbench.bench import (
     ConfigError,
     InsufficientDataError,
@@ -16,7 +17,9 @@ from optbench.bench import (
 )
 from optbench.bench.cli import main
 from optbench.bench.registry import METHODS
-from optbench.core import OracleBudgetError, RunStatus, Trace, TraceRow, make_problem
+from optbench.core import OracleBudgetError, RunStatus, Trace, TraceRecorder, TraceRow, make_problem
+
+METHOD_MODULES = (frankwolfe, momentum, smooth, stochastic, subgrad)
 
 
 # -- config parsing --------------------------------------------------------------
@@ -191,6 +194,77 @@ def test_csv_empty_fields_for_unknown_gap(tmp_path):
     assert read_trace(path).rows[0].f_gap is None
 
 
+def parent_csv_text(trace) -> str:
+    """The per-row CSV writer the columnar one replaced, kept as the byte reference."""
+    def fmt(v):
+        return "" if v is None else format(float(v), ".17g")
+
+    lines = ["iter,f_value,f_gap,dist_to_opt,grad_norm,step_size,oracle_calls"]
+    for r in trace.rows:
+        lines.append(",".join([str(r.iter), fmt(r.f_value), fmt(r.f_gap), fmt(r.dist_to_opt),
+                               fmt(r.grad_norm), fmt(r.step_size), str(r.oracle_calls)]))
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -2.5e-310, 1e308]
+
+
+def csv_case_trace(case):
+    n = 100_000 if case == "rows_1e5" else 60
+    k = np.arange(n)
+    f = (3.0 / (k + 1.0) ** 1.5 + 0.25).tolist()
+    columns = {
+        "iter": k.tolist(),
+        "f_value": f,
+        "f_gap": [v - 0.25 for v in f],
+        "dist_to_opt": np.sqrt(k + 0.5).tolist(),
+        "grad_norm": (1.0 / (k + 1.0)).tolist(),
+        "step_size": (0.1 * np.cos(k)).tolist(),
+        "oracle_calls": (2 * k + 1).tolist(),
+        "x": [None] * n,
+        "tag": [None] * n,
+    }
+    if case == "grad_norm_on_some_rows":
+        columns["grad_norm"] = [None if i % 3 else g for i, g in enumerate(columns["grad_norm"])]
+    elif case == "no_gap_no_dist":
+        columns["f_gap"] = columns["dist_to_opt"] = [None] * n
+    elif case == "special_f_values":
+        for i, v in enumerate(SPECIAL_FLOATS):
+            columns["f_value"][5 * i] = v
+            columns["f_gap"][5 * i + 1] = v
+            columns["step_size"][5 * i + 2] = v
+    return Trace(columns=columns)
+
+
+def fit_or_error(trace, model):
+    try:
+        return repr(fit_rate(trace, model, 0.5))
+    except (ValueError, np.linalg.LinAlgError) as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("case", ["grad_norm_on_some_rows", "no_gap_no_dist", "special_f_values", "rows_1e5"])
+def test_csv_bytes_match_the_per_row_writer(tmp_path, case):
+    trace = csv_case_trace(case)
+    path, again = str(tmp_path / "t.csv"), str(tmp_path / "again.csv")
+    write_trace(trace, path, "csv")
+    data = open(path, "rb").read()
+    assert data == parent_csv_text(trace).encode()
+    back = read_trace(path)
+    write_trace(back, again, "csv")
+    assert open(again, "rb").read() == data
+    for model in ("sublinear", "geometric"):
+        assert fit_or_error(back, model) == fit_or_error(trace, model)
+
+
+def test_csv_malformed_row_is_named(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("iter,f_value,f_gap,dist_to_opt,grad_norm,step_size,oracle_calls\n"
+                    "0,1,,,,0.5,1\n3,0.5,,,0.25,2\n")
+    with pytest.raises(ValueError, match="malformed row '3,0.5,,,0.25,2'"):
+        read_trace(str(path))
+
+
 def test_json_round_trip_field_for_field(tmp_path):
     rows = [
         TraceRow(iter=0, f_value=1.0, f_gap=0.5, dist_to_opt=0.25, grad_norm=2.0,
@@ -344,6 +418,78 @@ def test_recording_does_not_change_a_run(name):
         trace, _ = run_experiment(parse_config(json.dumps(doc)))
         outcomes.append((trace.x_out.tobytes(), trace.f_out, trace.status, trace.final.iter))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], name
+
+
+class RowRecorder(TraceRecorder):
+    """The row-object recorder the columnar one replaced, kept as the reference.
+
+    Its rows are whole :class:`TraceRow` objects, and ``dist_to_opt`` goes
+    through ``np.linalg.norm`` as it did.
+    """
+
+    def __init__(self, suite, counter, record_every=1, record_x=False):
+        super().__init__(suite, counter, record_every, record_x)
+        self.rows = []
+
+    def dist(self, x):
+        s = self.suite
+        if s.dist_fn is not None:
+            return float(s.dist_fn(x))
+        if s.minimizers is not None:
+            return min(float(np.linalg.norm(x - m)) for m in s.minimizers)
+        if s.xstar is not None:
+            return float(np.linalg.norm(x - s.xstar))
+        return None
+
+    def record(self, it, x, f_value=None, grad_norm=None, step_size=0.0, tag=None, force=False):
+        if not (force or self.due(it)):
+            return
+        if self.rows and self.rows[-1].iter == it:
+            return
+        if f_value is None:
+            f_value = self.counter.value(x)
+        fstar = self.suite.fstar
+        self.rows.append(TraceRow(
+            iter=it, f_value=float(f_value), f_gap=None if fstar is None else float(f_value) - fstar,
+            dist_to_opt=self.dist(x), grad_norm=None if grad_norm is None else float(grad_norm),
+            step_size=float(step_size), oracle_calls=self.counter.calls,
+            x=np.array(x, dtype=float) if self.record_x else None, tag=tag))
+
+    def close(self, it, x, status, x_out=None, *, f_value=None, grad_norm=None):
+        if self.rows and self.rows[-1].iter == it:
+            f_end = self.rows[-1].f_value
+        else:
+            f_end = self.counter.value_final(x) if f_value is None else f_value
+            self.record(it, x, f_end, grad_norm=grad_norm, force=True)
+        if x_out is not None:
+            x, f_end = x_out, self.counter.value_final(x_out)
+        return Trace(rows=self.rows, status=status, x_out=np.array(x, dtype=float), f_out=float(f_end))
+
+
+def row_bits(r):
+    def bits(v):
+        return None if v is None else (type(v), np.float64(v).tobytes())
+
+    return (r.iter, bits(r.f_value), bits(r.f_gap), bits(r.dist_to_opt), bits(r.grad_norm),
+            bits(r.step_size), r.oracle_calls, None if r.x is None else r.x.tobytes(), r.tag)
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_METHOD))
+def test_trace_rows_match_the_row_recorder(name, monkeypatch):
+    problem, noise, params, x0, N = EVERY_METHOD[name]
+    for every in (1, 7):
+        doc = {"problem": problem, "method": {"name": name, "params": params},
+               "iterations": N, "output": {"record_every": every, "record_x": True}}
+        doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
+        trace, _ = run_experiment(parse_config(json.dumps(doc)))
+        with monkeypatch.context() as m:
+            for mod in METHOD_MODULES:
+                m.setattr(mod, "TraceRecorder", RowRecorder)
+            ref, _ = run_experiment(parse_config(json.dumps(doc)))
+        assert [row_bits(r) for r in trace.rows] == [row_bits(r) for r in ref.rows], (name, every)
+        assert row_bits(trace.final) == row_bits(trace.rows[-1])
+        assert trace.x_out.tobytes() == ref.x_out.tobytes()
+        assert (trace.f_out, trace.status) == (ref.f_out, ref.status)
 
 
 def test_build_makes_no_oracle_call():

@@ -17,8 +17,8 @@ def test_record_evaluates_due_rows_only():
     for it in range(6):
         rec.record(it, X, step_size=0.1)
     assert ctr.calls == 2
-    assert [(r.iter, r.oracle_calls) for r in rec.rows] == [(0, 1), (3, 2)]
-    assert rec.rows[0].f_value == oracle.value(X)
+    assert list(zip(rec.columns["iter"], rec.columns["oracle_calls"])) == [(0, 1), (3, 2)]
+    assert rec.columns["f_value"][0] == oracle.value(X)
 
 
 def test_record_evaluation_is_charged_to_the_budget():
@@ -26,7 +26,7 @@ def test_record_evaluation_is_charged_to_the_budget():
     rec.record(0, X)
     with pytest.raises(OracleBudgetError):
         rec.record(1, X)
-    assert ctr.calls == 1 and len(rec.rows) == 1
+    assert ctr.calls == 1 and len(rec.columns["iter"]) == 1
 
 
 def test_close_writes_a_given_terminal_row_without_an_oracle_call():

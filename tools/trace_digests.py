@@ -40,7 +40,13 @@ Grids:
   gradient streams of ``absolute_grad`` and ``relative_grad`` in
   ``random_direction`` mode at d {1, 3, 50} for seeds 1-2 (96 runs).  The
   hash also covers the next draws of the run's ``Rng``, so a change in
-  the number of draws consumed shows.
+  the number of draws consumed shows;
+* ``csv/...``: the 17 canonical configs for seeds 1-2 with
+  ``record_every`` in {1, 7}, run through ``run_experiment`` with a CSV
+  trace, whose bytes the hash covers (68 runs); and for each of those
+  files a ``rates/...`` key holding the ``repr`` of ``fit_rate`` on the
+  trace read back from it, for both models with window 0.5, or the
+  fit's error text (68 keys).
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ CATALOG_BUDGETS = (None, 3, 40, 333)
 GRID_N = 60
 GRID_BUDGETS = (None, 40)
 STOP_SEEDS = (1, 2)
+CSV_SEEDS = (1, 2)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
 STOP_CONFIGS = {
@@ -107,6 +114,39 @@ def catalog_grid(tmp: str) -> dict:
                     return _digest(path, summary["oracle_calls"])
 
                 out[f"catalog/{canon.key}/seed{seed}/every{every}/budget{budget}"] = _guarded(run)
+    return out
+
+
+def csv_grid(tmp: str) -> dict:
+    from catalog import make_configs
+    from optbench.bench.config import parse_config
+    from optbench.bench.rates import MODELS, fit_rate
+    from optbench.bench.runner import run_experiment
+    from optbench.bench.tracefile import read_trace
+    from optbench.core import make_problem
+
+    out = {}
+    path = os.path.join(tmp, "trace.csv")
+    for seed in CSV_SEEDS:
+        for canon in make_configs(seed, make_problem):
+            for every in (1, 7):
+                doc = dict(canon.doc, budget={"iterations": canon.iterations}, output={"record_every": every})
+                key = f"{canon.key}/seed{seed}/every{every}"
+
+                def run(doc=doc):
+                    if os.path.exists(path):
+                        os.remove(path)  # a failed run must not leave its rates a stale file
+                    _, summary = run_experiment(parse_config(json.dumps(doc)), trace_path=path)
+                    return _digest(path, summary["oracle_calls"])
+
+                out[f"csv/{key}"] = _guarded(run)
+
+                def rates():
+                    trace = read_trace(path)
+                    return {model: _guarded(lambda model=model: repr(fit_rate(trace, model, 0.5)))
+                            for model in MODELS}
+
+                out[f"rates/{key}"] = _guarded(rates)
     return out
 
 
@@ -241,7 +281,8 @@ def main(argv: list[str]) -> int:
     checkout = os.path.abspath(argv[0])
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid()}
+        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
+                   **csv_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
