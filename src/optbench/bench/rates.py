@@ -7,7 +7,9 @@ Two models over the positive-gap rows of a tail window:
 * ``geometric``: per-iteration contraction q = exp(mean log-ratio of
   consecutive gaps), i.e. gap ~ C q^iter.
 
-Both are invariant to positive rescaling of the gaps.
+Both are invariant to positive rescaling of the gaps.  A window that
+holds a non-finite gap (a diverged run's rows) is refused with
+:class:`InsufficientDataError`, which names the first such row.
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ def fit_rate(trace: Trace, model: str, window: float = 0.5) -> RateFit:
         raise ValueError("window must lie in (0, 1]")
     cols = trace.columns
     start = len(cols["iter"]) - max(1, math.ceil(window * len(cols["iter"])))
-    pts = [(k, g) for k, g in zip(cols["iter"][start:], cols["f_gap"][start:])
-           if g is not None and g > 0 and k >= 1]
+    window_rows = list(zip(cols["iter"][start:], cols["f_gap"][start:]))
+    for k, g in window_rows:
+        if g is not None and not math.isfinite(g):
+            raise InsufficientDataError(f"f_gap is {g} at iter {k}; a rate needs finite gaps")
+    pts = [(k, g) for k, g in window_rows if g is not None and g > 0 and k >= 1]
     if len(pts) < 10:
         raise InsufficientDataError(
             f"need >= 10 rows with positive f_gap in the window, got {len(pts)}")

@@ -18,8 +18,9 @@ the true objective.  A wrapped suite that draws its own randomness
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .rng import Rng
 
 class NoiseCompatibilityError(TypeError):
     """The oracle lacks the entry this noise model perturbs."""
+
+
+def _check_scale(name: str, value: float):
+    if not 0 <= value < math.inf:  # also false for NaN
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -46,15 +52,14 @@ class AbsoluteGrad:
     v: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        _check_scale("delta", self.delta)
         if self.mode not in ("fixed", "random_direction"):
             raise ValueError(f"unknown AbsoluteGrad mode {self.mode!r}")
         if self.mode == "fixed":
             if self.v is None:
                 raise ValueError("fixed mode requires the perturbation vector v")
             v = np.asarray(self.v, dtype=float)
-            if norm(v) > self.delta + 1e-12:
+            if not norm(v) <= self.delta + 1e-12:
                 raise ValueError("||v|| must not exceed delta")
             object.__setattr__(self, "v", v)
 
@@ -81,10 +86,38 @@ class AdditiveStochGrad:
     distribution: str = "gaussian"  # or "student_t3" (heavy tails, Var = 3 sigma^2)
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        _check_scale("sigma", self.sigma)
         if self.distribution not in ("gaussian", "student_t3"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
+
+
+@dataclass(frozen=True)
+class AdditiveNoise:
+    """The ``stoch_grad`` entry that :func:`wrap_noise` builds for :class:`AdditiveStochGrad`.
+
+    A call ``self(x, rng)`` returns ``grad(x) + sigma * xi``: it evaluates
+    ``grad(x)`` and then draws one noise row of length ``d`` from ``rng``.
+    ``rows(rng, n)`` draws the scaled noise rows of n successive calls at
+    once.  numpy fills an ``(n, d)`` draw in call order, so the rows equal
+    those calls' noise bit for bit and leave ``rng`` in the same state.
+    The object holds no per-run state, so one suite serves concurrent runs.
+    """
+
+    grad: Callable[[np.ndarray], np.ndarray]
+    sigma: float
+    d: int
+    distribution: str = "gaussian"
+
+    def __call__(self, x, rng: Rng) -> np.ndarray:
+        return self.grad(x) + self._scaled(rng, self.d)
+
+    def rows(self, rng: Rng, n: int) -> np.ndarray:
+        return self._scaled(rng, (n, self.d))
+
+    def _scaled(self, rng: Rng, size) -> np.ndarray:
+        if self.distribution == "gaussian":
+            return self.sigma * rng.gaussian(size)
+        return self.sigma * rng.student_t(3, size)
 
 
 @dataclass(frozen=True)
@@ -95,8 +128,7 @@ class ZOBoundedValue:
     mode: str = "deterministic_worst"  # or "random"
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
+        _check_scale("delta", self.delta)
         if self.mode not in ("deterministic_worst", "random"):
             raise ValueError(f"unknown ZOBoundedValue mode {self.mode!r}")
 
@@ -108,8 +140,7 @@ class ZOStochValue:
     delta_tilde: float
 
     def __post_init__(self):
-        if self.delta_tilde < 0:
-            raise ValueError("delta_tilde must be >= 0")
+        _check_scale("delta_tilde", self.delta_tilde)
 
 
 NoiseSpec = NoNoise | AbsoluteGrad | RelativeGrad | AdditiveStochGrad | ZOBoundedValue | ZOStochValue
@@ -174,15 +205,8 @@ def wrap_noise(oracle: OracleSuite, noise: NoiseSpec, rng: Rng) -> OracleSuite:
     if isinstance(noise, AdditiveStochGrad):
         if oracle.grad is None:
             raise NoiseCompatibilityError("stochastic gradient noise requires an oracle with grad")
-        base = oracle.grad
-        sigma, d = noise.sigma, oracle.dim
-        if noise.distribution == "gaussian":
-            def sg(x, rng_):
-                return base(x) + sigma * rng_.gaussian(d)
-        else:
-            def sg(x, rng_):
-                return base(x) + sigma * rng_.student_t(3, d)
-        return replace(oracle, stoch_grad=sg)
+        return replace(oracle, stoch_grad=AdditiveNoise(oracle.grad, noise.sigma, oracle.dim,
+                                                        noise.distribution))
 
     if isinstance(noise, ZOBoundedValue):
         base_value = oracle.value

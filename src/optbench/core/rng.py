@@ -33,6 +33,15 @@ class Rng:
     def entropy(self) -> tuple:
         return self._entropy
 
+    @property
+    def state(self) -> dict:
+        """The generator's state; assigning a saved state rewinds the stream to it."""
+        return self._gen.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict):
+        self._gen.bit_generator.state = value
+
     def spawn(self, key: int) -> "Rng":
         """Independent child stream; deterministic in (parent entropy, key)."""
         return Rng(self._entropy + (int(key),))

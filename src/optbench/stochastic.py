@@ -19,6 +19,18 @@ before the step (heavy-tail robustness).
 :func:`run_sgd` and the zeroth-order :func:`optbench.zeroorder.run_zo_sgd`
 are front ends over one projected-SGD loop; each supplies its own
 gradient source.
+
+Noise stream.  :func:`run_sgd` takes one noise row per ``stoch_grad``
+call, in call order, from the run's ``Rng``.  When the suite's
+``stoch_grad`` is the :class:`~optbench.core.noise.AdditiveNoise` that
+``wrap_noise`` builds, the rows are drawn in chunks, ``grad(x)`` is
+still evaluated once per draw, and each draw is still charged to the
+budget before its row is used.  numpy fills a chunk in call order, so
+chunking changes no value, and when the run ends by any exit the
+``Rng`` is rewound to where one draw per call would have left it.  That
+holds as long as ``grad`` draws nothing from the run's ``Rng``, so a noise
+wrapper stacked under it needs a stream of its own.  A hand-built
+``stoch_grad`` is called once per draw.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core.linalg import norm
+from .core.noise import AdditiveNoise
 from .core.oracles import (
     CountingOracle,
     OracleBudgetError,
@@ -152,13 +165,13 @@ class SgdConfig:
             raise ValueError("N must be >= 0")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.clip_lambda is not None and self.clip_lambda <= 0:
+        if self.clip_lambda is not None and not self.clip_lambda > 0:  # also rejects NaN
             raise ValueError("clip_lambda must be positive")
 
 
 def clip(z: np.ndarray, lam: float) -> np.ndarray:
     """Rescale z to norm at most lam, preserving direction (0 stays 0)."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     z = np.asarray(z, dtype=float)
     n = norm(z)
@@ -178,17 +191,57 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
     if oracle.stoch_grad is None:
         raise ValueError("run_sgd needs a stochastic gradient oracle (wrap with AdditiveStochGrad)")
     b, lam = cfg.batch, cfg.clip_lambda
+    if isinstance(oracle.stoch_grad, AdditiveNoise):
+        draw, rewind = _noise_blocks(oracle.stoch_grad, rng)
+    else:
+        draw, rewind = (lambda ctr, x: ctr.stoch_grad(x, rng)), (lambda: None)
 
     def gradient(ctr, k, x):
-        g = ctr.stoch_grad(x, rng)
+        g = draw(ctr, x)
         if b > 1:
             for _ in range(b - 1):
-                g = g + ctr.stoch_grad(x, rng)
+                g = g + draw(ctr, x)
             g = g / b
         return g if lam is None else clip(g, lam)
 
-    return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging, gradient,
-                          record_every, record_x, max_oracle_calls)
+    try:
+        return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging, gradient,
+                              record_every, record_x, max_oracle_calls)
+    finally:
+        rewind()
+
+
+# Noise values that the block path of run_sgd draws at once: 4 KB of float64 rows.
+_CHUNK_VALUES = 512
+
+
+def _noise_blocks(noise: AdditiveNoise, rng: Rng):
+    """``draw(ctr, x)``, the bits of ``ctr.stoch_grad(x, rng)`` with the noise drawn in chunks.
+
+    Each draw charges one call to ``ctr``, then evaluates ``noise.grad(x)``
+    and adds the next row of the current chunk.  The chunk runs ahead of
+    the draws, so ``rewind()`` ends the run: it restores ``rng``'s state
+    from before the current chunk and redraws only the rows used, which
+    leaves ``rng`` where one draw per call would have left it.
+    """
+    grad, n = noise.grad, max(1, _CHUNK_VALUES // noise.d)
+    state, chunk, used = None, None, n
+
+    def draw(ctr, x):
+        nonlocal state, chunk, used
+        ctr.count_extra()
+        if used == n:
+            state, chunk, used = rng.state, noise.rows(rng, n), 0
+        g = grad(x) + chunk[used]
+        used += 1
+        return g
+
+    def rewind():
+        if state is not None:
+            rng.state = state
+            noise.rows(rng, used)
+
+    return draw, rewind
 
 
 def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule: StepRule,

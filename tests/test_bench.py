@@ -111,6 +111,40 @@ def test_parse_rejects_params_that_fail_to_build(noise, method, params):
         parse_config(json.dumps(doc))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+SGD_CLIP_NAN = {"name": "sgd", "params": {"gamma": 0.1, "clip_lambda": NAN}}
+
+
+@pytest.mark.parametrize("noise, method, message", [
+    ({"kind": "additive_stoch_grad", "sigma": NAN}, "gd", "sigma must be finite"),
+    ({"kind": "additive_stoch_grad", "sigma": INF}, "gd", "sigma must be finite"),
+    ({"kind": "additive_stoch_grad", "sigma": -1.0}, "gd", "sigma must be finite and >= 0"),
+    ({"kind": "absolute_grad", "delta": NAN}, "gd", "delta must be finite"),
+    ({"kind": "absolute_grad", "delta": INF, "v": [1.0, 0.0]}, "gd", "delta must be finite"),
+    ({"kind": "absolute_grad", "delta": 1.0, "v": [NAN, 0.0]}, "gd", "must not exceed delta"),
+    ({"kind": "relative_grad", "alpha": NAN}, "gd", "alpha must lie in"),
+    ({"kind": "zo_bounded", "delta": NAN}, "gd", "delta must be finite"),
+    ({"kind": "zo_stoch", "delta_tilde": NAN}, "gd", "delta_tilde must be finite"),
+    ({"kind": "zo_stoch", "delta_tilde": INF}, "gd", "delta_tilde must be finite"),
+    (STOCH, SGD_CLIP_NAN, "method 'sgd': clip_lambda must be positive"),
+], ids=["sigma-nan", "sigma-inf", "sigma-negative", "abs-delta-nan", "abs-delta-inf", "abs-v-nan",
+        "rel-alpha-nan", "zo_bounded-delta-nan", "zo_stoch-nan", "zo_stoch-inf", "sgd-clip-nan"])
+def test_parse_rejects_non_finite_noise_scales_and_clip(noise, method, message):
+    doc = {"problem": QUAD, "noise": noise, "method": method, "iterations": 10}
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+
+
+def test_non_finite_sigma_exits_2(tmp_path, capsys):
+    doc = {"problem": QUAD, "noise": {"kind": "additive_stoch_grad", "sigma": NAN},
+           "method": {"name": "sgd", "params": {"gamma": 0.1}}, "iterations": 10}
+    assert main(["run", "--config", write_cfg(tmp_path, "nan_sigma.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "sigma must be finite" in err and "runtime error" not in err
+
+
 def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
     doc = {"problem": "abs1d", "noise": {"kind": "absolute_grad", "delta": 0.1},
            "method": "gd", "iterations": 5}
@@ -165,6 +199,17 @@ def test_fit_requires_positive_gaps():
         fit_rate(tr, "geometric", window=1.0)
     with pytest.raises(ValueError, match="unknown rate model"):
         fit_rate(synthetic_trace([1.0] * 20), "cubic")
+
+
+@pytest.mark.parametrize("gap, row", [(float("inf"), 19), (float("nan"), 12)], ids=["inf", "nan"])
+@pytest.mark.parametrize("model", ["sublinear", "geometric"])
+def test_cli_rates_refuses_non_finite_gaps(tmp_path, capsys, gap, row, model):
+    gaps = [1.0 / (k + 1) for k in range(20)]
+    gaps[row] = gap
+    path = str(tmp_path / "gaps.csv")
+    write_trace(synthetic_trace(gaps, start_iter=0), path, "csv")
+    assert main(["rates", "--trace", path, "--model", model, "--window", "1"]) == 2
+    assert f"f_gap is {gap} at iter {row}" in capsys.readouterr().err
 
 
 # -- trace files ------------------------------------------------------------------

@@ -1,7 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
+from optbench import stochastic
+from optbench.bench import write_trace
 from optbench.core import AdditiveStochGrad, Rng, make_problem, wrap_noise
+from optbench.core.noise import AdditiveNoise
 from optbench.smooth import SmoothRunConfig, run_gd
 from optbench.stochastic import (
     AdaGradNorm,
@@ -9,6 +15,7 @@ from optbench.stochastic import (
     Const,
     Decay,
     InvK,
+    NoAveraging,
     SgdConfig,
     TailAvg,
     UniformAvg,
@@ -158,6 +165,109 @@ def test_heavy_tail_clipping_robustness():
         clipped.append(run_sgd(noisy, fset, np.array([1.0]), cfg, Rng(seed),
                                record_every=400).final.dist_to_opt ** 2)
     assert np.mean(clipped) < np.mean(raw)
+
+
+# -- noise drawn in blocks ---------------------------------------------------------
+
+RULES = {"const": Const(0.05), "budget_const": BudgetConst(R=2.0, M=3.0), "inv_k": InvK(mu=1.0),
+         "adagrad_norm": AdaGradNorm(R=1.0), "decay": Decay(gamma0=0.3, eta=0.7)}
+AVERAGING = (NoAveraging(), UniformAvg(), TailAvg(0.3))
+DISTRIBUTIONS = ("gaussian", "student_t3")
+
+
+def noisy_quad(d, distribution="gaussian", raise_after=None):
+    """``quad_diag`` under additive noise; its grad raises after ``raise_after`` calls when given."""
+    oracle, fset = make_problem("quad_diag", {"lambdas": np.linspace(2.0, 1.0, d).tolist()})
+    if raise_after is not None:
+        oracle = dataclasses.replace(oracle, grad=raising_after(raise_after, oracle.grad))
+    return wrap_noise(oracle, AdditiveStochGrad(0.5, distribution), Rng(11)), fset
+
+
+def raising_after(calls, grad):
+    count = 0
+
+    def g(x):
+        nonlocal count
+        count += 1
+        if count > calls:
+            raise FloatingPointError(f"grad call {count}")
+        return grad(x)
+    return g
+
+
+def per_call(suite):
+    """The same suite behind a hand-built ``stoch_grad``, which run_sgd calls once per draw."""
+    return dataclasses.replace(suite, stoch_grad=lambda x, r: suite.stoch_grad(x, r))
+
+
+def crossing_n(d, batch):
+    """An iteration count whose draws cross at least two chunk boundaries of the block path."""
+    return 2 * max(1, stochastic._CHUNK_VALUES // d) // batch + 7
+
+
+def sgd_outcome(tmp_path, suite, fset, x0, cfg, **kw):
+    """Trace bytes, status, calls and reported point of a run, then the next draws of its rng."""
+    rng = Rng(12)
+    try:
+        trace = run_sgd(suite, fset, x0, cfg, rng, record_x=True, **kw)
+    except FloatingPointError as e:
+        outcome = (str(e),)
+    else:
+        path = tmp_path / "trace.json"
+        write_trace(trace, str(path), "json")
+        outcome = (path.read_bytes(), trace.status, trace.final.oracle_calls, trace.x_out.tobytes())
+    return outcome + (rng.gaussian(5).tobytes(),)
+
+
+def test_noise_rows_equal_successive_calls():
+    for distribution, d in itertools.product(DISTRIBUTIONS, (1, 3)):
+        noise = AdditiveNoise(lambda x: np.arange(d, dtype=float), 0.7, d, distribution)
+        x = np.zeros(d)
+        r1, r2 = Rng(4), Rng(4)
+        calls = np.stack([noise(x, r1) for _ in range(37)])
+        assert (noise.grad(x) + noise.rows(r2, 37)).tobytes() == calls.tobytes()
+        assert r1.state == r2.state
+
+
+def test_wrap_noise_takes_the_block_path():
+    suite, _ = noisy_quad(2)
+    assert isinstance(suite.stoch_grad, AdditiveNoise)
+    assert not isinstance(per_call(suite).stoch_grad, AdditiveNoise)
+
+
+@pytest.mark.parametrize("rule, distribution", itertools.product(RULES, DISTRIBUTIONS))
+def test_block_path_is_bit_identical_to_per_call(tmp_path, rule, distribution):
+    for d, batch, clip_lambda, averaging in itertools.product((1, 2, 50), (1, 3), (None, 0.5), AVERAGING):
+        suite, fset = noisy_quad(d, distribution)
+        cfg = SgdConfig(N=crossing_n(d, batch), step_rule=RULES[rule], batch=batch,
+                        clip_lambda=clip_lambda, averaging=averaging)
+        x0 = np.linspace(1.5, -1.0, d)
+        block = sgd_outcome(tmp_path, suite, fset, x0, cfg, record_every=7)
+        assert block == sgd_outcome(tmp_path, per_call(suite), fset, x0, cfg, record_every=7), \
+            (d, batch, clip_lambda, averaging)
+
+
+@pytest.mark.parametrize("case", ["budget_mid_chunk", "budget_at_record_row", "grad_raises"])
+def test_block_path_cut_short_leaves_the_per_call_stream(tmp_path, case):
+    for d, batch, distribution in itertools.product((1, 2, 50), (1, 3), DISTRIBUTIONS):
+        N = crossing_n(d, batch)
+        draws = N * batch
+        kw = {"record_every": 1 if case == "budget_at_record_row" else 7}
+        if case == "budget_mid_chunk":
+            kw["max_oracle_calls"] = draws // 2 + 3
+        elif case == "budget_at_record_row":
+            # b draws, then one recording evaluation, per iteration: the budget's
+            # last call is a draw, so the next row's evaluation is the call it refuses
+            kw["max_oracle_calls"] = (N // 2) * (batch + 1) + batch
+        cfg = SgdConfig(N=N, step_rule=Decay(gamma0=0.3), batch=batch, averaging=UniformAvg())
+        x0 = np.linspace(1.5, -1.0, d)
+        raise_after = draws // 2 + 1 if case == "grad_raises" else None
+        suite, fset = noisy_quad(d, distribution, raise_after)
+        block = sgd_outcome(tmp_path, suite, fset, x0, cfg, **kw)
+        suite, fset = noisy_quad(d, distribution, raise_after)  # a fresh grad-call count
+        call = sgd_outcome(tmp_path, per_call(suite), fset, x0, cfg, **kw)
+        assert block == call, (d, batch, distribution)
+        assert len(block) == (2 if case == "grad_raises" else 5)
 
 
 # -- Monte-Carlo statistics ------------------------------------------------------

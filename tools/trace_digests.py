@@ -20,10 +20,16 @@ Grids:
   {none, 3, 40, 333}, run through ``run_experiment`` (816 runs);
 * ``sgd/...`` and ``zo/...``: ``run_sgd`` over the five step rules x
   averaging {none, uniform, tail} x batch {1, 3} x clip {off, 0.5} x
-  {FullSpace, Box}, and ``run_zo_sgd`` over the five step rules x both
-  tau schedules x beta {2, 4} x batch {1, 3} x {FullSpace, Box}; each
-  with ``record_every`` in {1, 7} and ``max_oracle_calls`` in
-  {none, 40} (800 runs);
+  {FullSpace, Box} under gaussian noise, and again under ``student_t3``
+  noise (keys ``sgd/student_t3/...``), and ``run_zo_sgd`` over the five
+  step rules x both tau schedules x beta {2, 4} x batch {1, 3} x
+  {FullSpace, Box}; each with ``record_every`` in {1, 7} and
+  ``max_oracle_calls`` in {none, 40} (1280 runs).  A long set
+  (``sgd/long/...``) runs ``run_sgd`` for N = 2500 iterations over both
+  noise distributions x d {1, 2} x batch {1, 3} x clip {off, 0.5} x
+  ``max_oracle_calls`` in {none, 1300}, a budget that ends the run part
+  way through a block of noise rows (32 runs).  The hash of every
+  ``sgd/`` key also covers the next draws of the run's ``Rng``;
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -62,6 +68,9 @@ SEEDS = (1, 2, 3, 4)
 CATALOG_BUDGETS = (None, 3, 40, 333)
 GRID_N = 60
 GRID_BUDGETS = (None, 40)
+LONG_N = 2500
+LONG_BUDGETS = (None, 1300)
+DISTRIBUTIONS = ("gaussian", "student_t3")
 STOP_SEEDS = (1, 2)
 CSV_SEEDS = (1, 2)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
@@ -82,9 +91,13 @@ STOP_CONFIGS = {
 }
 
 
-def _digest(path: str, oracle_calls: int) -> dict:
+def _digest(path: str, oracle_calls: int, rng=None) -> dict:
+    """Hash of the file at ``path``, and of ``rng``'s next three gaussians when given."""
     with open(path, "rb") as fh:
-        return {"sha256": hashlib.sha256(fh.read()).hexdigest(), "oracle_calls": oracle_calls}
+        data = fh.read()
+    if rng is not None:
+        data += rng.gaussian(3).tobytes()
+    return {"sha256": hashlib.sha256(data).hexdigest(), "oracle_calls": oracle_calls}
 
 
 def _guarded(fn) -> dict:
@@ -192,28 +205,41 @@ def sgd_zo_grid(tmp: str) -> dict:
     path = os.path.join(tmp, "trace.json")
     out = {}
 
-    def digest(key, call):
+    def digest(key, call, rng=None):
         def run():
             trace = call()
             write_trace(trace, path, "json")
-            return _digest(path, trace.final.oracle_calls)
+            return _digest(path, trace.final.oracle_calls, rng)
         out[key] = _guarded(run)
+
+    def sgd(key, suite, fset, x0, cfg, **kw):
+        rng = Rng(12)
+        digest(key, lambda: st.run_sgd(suite, fset, x0, cfg, rng, **kw), rng)
 
     runs = itertools.product(rules.items(), sets.items(), (1, 3), (1, 7), GRID_BUDGETS)
     for (rname, rule), (sname, fset), batch, every, budget in runs:
         kw = dict(record_every=every, record_x=True, max_oracle_calls=budget)
         tail = f"{sname}/batch{batch}/every{every}/budget{budget}"
-        for (aname, avg), clip in itertools.product(averaging.items(), (None, 0.5)):
-            noisy = wrap_noise(oracle, AdditiveStochGrad(sigma=0.5), Rng(11))
+        for (aname, avg), clip, dist in itertools.product(averaging.items(), (None, 0.5), DISTRIBUTIONS):
+            noisy = wrap_noise(oracle, AdditiveStochGrad(sigma=0.5, distribution=dist), Rng(11))
             cfg = st.SgdConfig(N=GRID_N, step_rule=rule, batch=batch, clip_lambda=clip, averaging=avg)
-            digest(f"sgd/{rname}/{aname}/clip{clip}/{tail}",
-                   lambda: st.run_sgd(noisy, fset, x0, cfg, Rng(12), **kw))
+            prefix = "sgd" if dist == "gaussian" else f"sgd/{dist}"
+            sgd(f"{prefix}/{rname}/{aname}/clip{clip}/{tail}", noisy, fset, x0, cfg, **kw)
         for (tname, tau), beta in itertools.product(taus.items(), (2, 4)):
             noisy = wrap_noise(oracle, ZOStochValue(0.01), Rng(21))
             cfg = zo.ZoConfig(N=GRID_N, step_rule=rule, kernel=zo.build_kernel(beta),
                               tau_schedule=tau, batch=batch)
             digest(f"zo/{rname}/tau-{tname}/beta{beta}/{tail}",
                    lambda: zo.run_zo_sgd(noisy, fset, x0, cfg, Rng(22), **kw))
+
+    runs = itertools.product(DISTRIBUTIONS, (1, 2), (1, 3), (None, 0.5), LONG_BUDGETS)
+    for dist, d, batch, clip, budget in runs:
+        suite, fset = make_problem("quad_diag", {"lambdas": [2.0, 1.0][:d]})
+        noisy = wrap_noise(suite, AdditiveStochGrad(sigma=0.5, distribution=dist), Rng(11))
+        cfg = st.SgdConfig(N=LONG_N, step_rule=st.Decay(gamma0=0.3, eta=0.7), batch=batch, clip_lambda=clip,
+                           averaging=st.UniformAvg())
+        sgd(f"sgd/long/{dist}/d{d}/batch{batch}/clip{clip}/budget{budget}", noisy, fset, x0[:d], cfg,
+            record_every=7, record_x=True, max_oracle_calls=budget)
     return out
 
 
