@@ -8,12 +8,20 @@ Subcommands:
 * ``list-problems`` / ``list-methods``
 
 Exit codes: 0 success, 2 validation error, 1 runtime failure.  The
-``OPT_SEED`` environment variable overrides the config seed when set.
+``OPT_SEED`` environment variable overrides the config seed when set; it
+is read on every call.
+
+The parser is built on the first :func:`main` call and reused by every
+later call in the process.  It holds no per-call state: each call parses
+into a fresh namespace, and the subcommand handlers look ``parse_config``,
+``run_experiment``, ``read_trace`` and ``fit_rate`` up as module globals
+when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -92,6 +100,7 @@ def _cmd_list_methods(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optbench",

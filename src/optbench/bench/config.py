@@ -180,6 +180,8 @@ def parse_config(text: str) -> ExperimentSpec:
         x0 = np.asarray(x0, dtype=float)
         if x0.ndim != 1:
             raise ConfigError("x0 must be a flat list of numbers")
+        if not np.isfinite(x0).all():
+            raise ConfigError(f"x0 must hold finite numbers only, got {doc['x0']!r}")
 
     # Resolve names, wrap the noise and build the method against the noisy
     # problem now, as the run will, so typos and bad parameters fail at parse time.

@@ -33,13 +33,13 @@ def run_experiment(spec: ExperimentSpec, trace_path: Optional[str] = None) -> tu
     """
     t0 = time.perf_counter()
     oracle, fset = make_problem(spec.problem_name, spec.problem_params, spec.seed)
-    noisy = wrap_noise(oracle, spec.noise, Rng(spec.seed).spawn(_NOISE_STREAM))
+    noisy = wrap_noise(oracle, spec.noise, Rng((int(spec.seed), _NOISE_STREAM)))
     x0 = spec.x0 if spec.x0 is not None else default_x0(spec.problem_name, spec.problem_params, spec.seed)
     if np.asarray(x0).shape[0] != oracle.dim:
         raise ConfigError(f"x0 has dimension {np.asarray(x0).shape[0]}, problem has {oracle.dim}")
     run = build_method(spec, noisy)
     try:
-        trace = run(fset, np.asarray(x0, dtype=float), Rng(spec.seed).spawn(_METHOD_STREAM))
+        trace = run(fset, np.asarray(x0, dtype=float), Rng((int(spec.seed), _METHOD_STREAM)))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{spec.method_name} on {spec.problem_name}: {e}") from e
     wall = time.perf_counter() - t0

@@ -32,6 +32,18 @@ def _check_params(name: str, params: dict, allowed: set[str]):
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"problem {name!r}: unknown params {sorted(unknown)}; allowed: {sorted(allowed)}")
+    for key, value in params.items():
+        if not _all_finite(value):
+            raise ValueError(f"problem {name!r}: param {key!r} must hold finite numbers only, got {value!r}")
+
+
+def _all_finite(value) -> bool:
+    """False when ``value`` is, or nests, a NaN or an infinite float."""
+    if isinstance(value, (list, tuple)):
+        return all(_all_finite(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
+    return not isinstance(value, (float, np.floating)) or math.isfinite(value)
 
 
 def _abs1d(params: dict, seed: int):

@@ -21,6 +21,7 @@ feasible; iteration indices in the trace are 1-based to match the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -57,8 +58,8 @@ class FwConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:  # also true for NaN
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
@@ -74,7 +75,7 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
     L = None
     if isinstance(cfg.step_rule, ShortStep):
         L = cfg.step_rule.L if cfg.step_rule.L is not None else oracle.L
-        if L is None or L <= 0:
+        if L is None or not L > 0:
             raise ValueError("ShortStep requires a positive L (config or oracle)")
 
     ctr = CountingOracle(oracle, max_oracle_calls)

@@ -62,15 +62,17 @@ class MomentumConfig:
             raise ValueError("budget N must be >= 0")
         if self.L is not None and self.mu is not None and self.mu > self.L:
             raise ValueError("mu must not exceed L")
+        if not 0 <= self.tol < math.inf:  # also true for NaN
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 def _resolve(oracle: OracleSuite, cfg: MomentumConfig) -> tuple[float, float]:
     L = cfg.L if cfg.L is not None else oracle.L
-    if L is None or L <= 0:
+    if L is None or not L > 0:  # also true for NaN
         raise ValueError("a positive L is required (config or oracle)")
     mu = cfg.mu if cfg.mu is not None else oracle.mu
     if cfg.variant in _NEEDS_MU:
-        if mu is None or mu <= 0:
+        if mu is None or not mu > 0:
             raise ValueError(f"variant {cfg.variant!r} requires mu > 0")
         if mu > L:
             raise ValueError("mu must not exceed L")
@@ -189,6 +191,8 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
         raise UnsupportedProblemError("run_cg_quadratic needs a quadratic oracle (A-products and b)")
     if N < 0:
         raise ValueError("budget N must be >= 0")
+    if not 0 <= tol < math.inf:  # also true for NaN
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     quad = oracle.quadratic
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)

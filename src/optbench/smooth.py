@@ -48,9 +48,9 @@ class AbsNoise:
     stop_multiplier: float = 2.0  # 0 disables early stopping
 
     def __post_init__(self):
-        if self.delta < 0:
+        if not self.delta >= 0:  # also true for NaN
             raise ValueError("delta must be >= 0")
-        if self.stop_multiplier < 0:
+        if not self.stop_multiplier >= 0:
             raise ValueError("stop multiplier must be >= 0")
 
 
@@ -85,10 +85,10 @@ class SmoothRunConfig:
     def __post_init__(self):
         if self.N < 0:
             raise ValueError("budget N must be >= 0")
-        if self.L is not None and self.L <= 0:
+        if self.L is not None and not self.L > 0:  # also true for NaN
             raise ValueError("L must be positive")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:  # also true for NaN
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 def _resolve_L(oracle: OracleSuite, cfg: SmoothRunConfig) -> float:

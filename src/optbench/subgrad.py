@@ -76,8 +76,8 @@ class SubgradConfig:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("budget N must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:  # also true for NaN
+            raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
 class NoProductiveStepsError(RuntimeError):
@@ -176,13 +176,13 @@ class SwitchingConfig:
     alpha_sharp: Optional[float] = None
 
     def __post_init__(self):
-        if self.theta0 <= 0:
+        if not self.theta0 > 0:  # also true for NaN
             raise ValueError("theta0 must be positive")
         if self.max_iters < 1:
             raise ValueError("iteration cap must be >= 1")
-        if self.eps_target is not None and self.eps_target <= 0:
+        if self.eps_target is not None and not self.eps_target > 0:
             raise ValueError("eps_target must be positive")
-        if self.alpha_sharp is not None and self.alpha_sharp <= 0:
+        if self.alpha_sharp is not None and not self.alpha_sharp > 0:
             raise ValueError("alpha_sharp must be positive")
 
 

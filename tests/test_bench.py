@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import optbench
 from optbench import frankwolfe, momentum, smooth, stochastic, subgrad
 from optbench.bench import (
     ConfigError,
@@ -143,6 +147,50 @@ def test_non_finite_sigma_exits_2(tmp_path, capsys):
     assert main(["run", "--config", write_cfg(tmp_path, "nan_sigma.json", doc)]) == 2
     err = capsys.readouterr().err
     assert "sigma must be finite" in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("problem, method, params, message", [
+    (QUAD, "gd", {"L": NAN}, "L must be positive"),
+    (QUAD, "gd", {"tol": NAN}, "tol must be >= 0"),
+    (QUAD, "gd", {"tol": INF}, "tol must be >= 0"),
+    (QUAD, "gd_rel_adaptive", {"alpha": 0.1, "L0": NAN}, "L0 must be positive"),
+    (QUAD, "gd_abs", {"delta": NAN}, "delta must be >= 0"),
+    (QUAD, "heavy_ball", {"tol": NAN}, "tol must be >= 0"),
+    (QUAD, "heavy_ball", {"mu": NAN}, "requires mu > 0"),
+    (QUAD, "nesterov_cvx", {"L": NAN}, "a positive L is required"),
+    (QUAD, "cg_quadratic", {"tol": NAN}, "tol must be >= 0"),
+    ("fw_box", "frank_wolfe", {"tol": NAN}, "tol must be >= 0"),
+    ("fw_box", "frank_wolfe", {"step_rule": "short", "L": NAN}, "ShortStep requires a positive L"),
+    ("abs1d", "polyak_subgrad", {"tol": NAN}, "tol must be >= 0"),
+    ("abs1d", "const_subgrad", {"h": 0.1, "tol": INF}, "tol must be >= 0"),
+    ("slp", "switching", {"delta": 0.1, "theta0": NAN}, "theta0 must be positive"),
+    ("slp", "restarted_switching", {"theta0": 2.0, "eps": NAN}, "eps_target must be positive"),
+    ("slp", "restarted_switching", {"theta0": 2.0, "eps": 0.1, "alpha": NAN}, "alpha_sharp must be positive"),
+], ids=["gd-L-nan", "gd-tol-nan", "gd-tol-inf", "gd_rel_adaptive-L0-nan", "gd_abs-delta-nan",
+        "heavy_ball-tol-nan", "heavy_ball-mu-nan", "nesterov_cvx-L-nan", "cg_quadratic-tol-nan",
+        "frank_wolfe-tol-nan", "frank_wolfe-short-L-nan", "polyak_subgrad-tol-nan", "const_subgrad-tol-inf",
+        "switching-theta0-nan", "restarted_switching-eps-nan", "restarted_switching-alpha-nan"])
+def test_non_finite_method_constants_exit_2(tmp_path, capsys, problem, method, params, message):
+    doc = {"problem": problem, "method": {"name": method, "params": params}, "iterations": 10}
+    assert main(["run", "--config", write_cfg(tmp_path, "nan_const.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    (dict(problem=QUAD, method="gd", iterations=10, x0=[NAN, 1.0]), "x0 must hold finite numbers only"),
+    (dict(problem={"name": "quad_diag", "params": {"lambdas": [NAN, 1]}}, method="gd", iterations=10),
+     "param 'lambdas' must hold finite numbers only"),
+    (dict(problem={"name": "slp", "params": {"rho": INF}},
+          method={"name": "switching", "params": {"delta": 0.1, "theta0": 2.0}}, iterations=10),
+     "param 'rho' must hold finite numbers only"),
+], ids=["x0-nan", "quad_diag-lambdas-nan", "slp-rho-inf"])
+def test_non_finite_x0_and_problem_params_exit_2(tmp_path, capsys, doc, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(json.dumps(doc))
+    assert main(["run", "--config", write_cfg(tmp_path, "nan_problem.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "runtime error" not in err
 
 
 def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
@@ -625,3 +673,67 @@ def test_cli_opt_seed_override(tmp_path, capsys, monkeypatch):
     overridden = capsys.readouterr().out
     assert "seed 2" in overridden and "seed 1" in base
     assert base.splitlines()[3] != overridden.splitlines()[3]  # different instance, different gap
+
+
+def _mask_times(command: str, text: str) -> str:
+    """Blank the times: `run`'s wall_time line and `compare`'s last column (time_s)."""
+    if command == "compare":
+        return "\n".join(line.rsplit(None, 1)[0] for line in text.splitlines())
+    return "\n".join("wall_time : -" if line.startswith("wall_time") else line for line in text.splitlines())
+
+
+def _fresh_process(argv, env_seed=None):
+    """(exit code, masked stdout, stderr) of one `optbench` call in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "OPT_SEED"}
+    if env_seed is not None:
+        env["OPT_SEED"] = env_seed
+    src = os.path.dirname(os.path.dirname(optbench.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "optbench.bench.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, _mask_times(argv[0], done.stdout), done.stderr
+
+
+def test_cli_calls_in_one_process_are_independent(tmp_path, capsys, monkeypatch):
+    """The parser is built once per process; no call may see state left by an earlier one.
+
+    Each call must match the same call in a fresh interpreter: exit code,
+    stdout with its times masked, stderr and the trace bytes it writes.
+    """
+    monkeypatch.delenv("OPT_SEED", raising=False)
+    a = write_cfg(tmp_path, "a.json", {"problem": "fw_box", "method": "frank_wolfe", "iterations": 60})
+    b = write_cfg(tmp_path, "b.json", {
+        "problem": {"name": "l1_system", "params": {"d": 3, "m": 5}, "seed": 1},
+        "method": "polyak_subgrad", "iterations": 20})
+    trace = str(tmp_path / "a.csv")
+    steps = [
+        ("run", ["run", "--config", a, "--trace", trace]),
+        ("compare", ["compare", "--configs", a, b]),
+        ("rates", ["rates", "--trace", trace, "--model", "sublinear"]),
+        ("bad argument", ["compare", "--configs", b, "--bogus"]),
+        ("help", ["run", "--help"]),
+        ("list-methods", ["list-methods"]),
+        ("run again", ["run", "--config", a, "--trace", trace]),
+        ("compare again", ["compare", "--configs", b]),
+    ]
+    seen = {}
+    for name, argv in steps:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's own exits: 2 on a bad argument, 0 on --help
+            code = e.code
+        out, err = capsys.readouterr()
+        trace_bytes = open(trace, "rb").read() if argv[0] == "run" else None
+        seen[name] = (code, _mask_times(argv[0], out), trace_bytes)
+        assert (code, seen[name][1], err) == _fresh_process(argv), name
+        if trace_bytes is not None:
+            assert open(trace, "rb").read() == trace_bytes, name  # as the fresh process wrote it
+    assert [seen[name][0] for name, _ in steps] == [0, 0, 0, 2, 0, 0, 0, 0]
+    assert seen["run again"] == seen["run"] and "(seed 0)" in seen["run"][1]
+
+    monkeypatch.setenv("OPT_SEED", "7")
+    argv = ["run", "--config", b]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "(seed 7)" in out
+    assert (0, _mask_times("run", out), "") == _fresh_process(argv, env_seed="7")

@@ -207,6 +207,35 @@ def test_catalog_errors_and_determinism():
     assert default_x0("fw_box").tolist() == [1.0, 1.0]
 
 
+# Every catalog parameter that JSON can carry as a float, with a value that builds.
+NUMERIC_PARAMS = [
+    ("l1_system", "d", 5), ("l1_system", "m", 8),
+    ("norm2", "d", 3), ("norm2", "a", [1.0, 2.0]),
+    ("quad_diag", "lambdas", [2.0, 1.0]), ("quad_diag", "shift", [0.5, -0.5]),
+    ("degenerate3", "l1", 1.0), ("degenerate3", "l2", 0.1),
+    ("phase_retrieval", "m", 25), ("phase_retrieval", "n", 5),
+    ("slp", "rho", 1.0),
+    ("logistic_small", "n", 20), ("logistic_small", "d", 3), ("logistic_small", "box_radius", 2.0),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, key, good", NUMERIC_PARAMS, ids=[f"{n}-{k}" for n, k, _ in NUMERIC_PARAMS])
+def test_catalog_refuses_non_finite_params(name, key, good, bad):
+    make_problem(name, {key: good})
+    value = good[:-1] + [bad] if isinstance(good, list) else bad
+    with pytest.raises(ValueError, match=f"param '{key}' must hold finite numbers only"):
+        make_problem(name, {key: value})
+
+
+@pytest.mark.parametrize("lambdas", [[[2.0, math.nan]], np.array([2.0, math.inf]), (1.0, -math.inf)],
+                         ids=["nested-list", "ndarray", "tuple"])
+def test_catalog_finiteness_check_sees_nested_and_array_values(lambdas):
+    with pytest.raises(ValueError, match="param 'lambdas' must hold finite numbers only"):
+        make_problem("quad_diag", {"lambdas": lambdas})
+    assert make_problem("quad_diag", {"lambdas": np.array([2.0, 1.0])})[0].L == 2.0
+
+
 # -- noise wrappers ------------------------------------------------------------
 
 def test_no_noise_passthrough():

@@ -52,12 +52,22 @@ Grids:
   trace, whose bytes the hash covers (68 runs); and for each of those
   files a ``rates/...`` key holding the ``repr`` of ``fit_rate`` on the
   trace read back from it, for both models with window 0.5, or the
-  fit's error text (68 keys).
+  fit's error text (68 keys);
+* ``cli/...``: the 17 canonical configs for seeds 1-2 through the
+  command line, in one process: ``run --trace`` (``record_every`` 1),
+  ``compare`` (recording off) and, for the configs that name a rate,
+  ``rates`` for both models.  The hash covers the exit code, stdout
+  with the ``wall_time`` and ``time_s`` fields masked, and the trace
+  bytes ``run`` writes; a few error paths (an unknown subcommand, a
+  missing config file, a bad JSON config, ``rates`` on a too-short
+  trace) hash their exit code and stderr instead (110 keys).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -73,6 +83,7 @@ LONG_BUDGETS = (None, 1300)
 DISTRIBUTIONS = ("gaussian", "student_t3")
 STOP_SEEDS = (1, 2)
 CSV_SEEDS = (1, 2)
+CLI_SEEDS = (1, 2)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
 STOP_CONFIGS = {
@@ -300,6 +311,66 @@ def estimator_grid() -> dict:
     return out
 
 
+def cli_grid(tmp: str) -> dict:
+    from catalog import make_configs
+    from optbench.bench import cli
+    from optbench.bench.rates import MODELS
+    from optbench.core import make_problem
+
+    os.environ.pop("OPT_SEED", None)
+    config, trace = os.path.join(tmp, "config.json"), os.path.join(tmp, "trace.csv")
+
+    def call(argv, with_trace=False, stream="stdout") -> dict:
+        """Hash of one in-process call: exit code, masked output and the trace it wrote."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:  # argparse's own exit on a bad command line
+                code = e.code
+        text = (out if stream == "stdout" else err).getvalue().replace(tmp, "<tmp>")
+        lines = text.splitlines()
+        if argv[0] == "run":
+            lines = ["wall_time : -" if line.startswith("wall_time") else line for line in lines]
+        elif argv[0] == "compare":
+            lines = [line.rsplit(None, 1)[0] for line in lines]  # time_s is the last column
+        data = f"exit {code}\n".encode() + "\n".join(lines).encode()
+        if with_trace:
+            with open(trace, "rb") as fh:
+                data += fh.read()
+        return {"sha256": hashlib.sha256(data).hexdigest()}
+
+    def write(doc):
+        with open(config, "w") as fh:
+            json.dump(doc, fh)
+
+    out = {}
+    for seed in CLI_SEEDS:
+        for canon in make_configs(seed, make_problem):
+            N, key = canon.iterations, f"cli/{canon.key}/seed{seed}"
+            write(dict(canon.doc, budget={"iterations": N}, output={"record_every": 1}))
+            if os.path.exists(trace):
+                os.remove(trace)  # a failed run must not leave its rates a stale file
+            out[f"{key}/run"] = call(["run", "--config", config, "--trace", trace], with_trace=True)
+            if canon.rate is not None:
+                for model in MODELS:
+                    out[f"{key}/rates-{model}"] = call(["rates", "--trace", trace, "--model", model])
+            write(dict(canon.doc, budget={"iterations": N}, output={"record_every": N + 1}))
+            out[f"{key}/compare"] = call(["compare", "--configs", config])
+
+    write({"problem": "quad_diag", "method": "gd", "iterations": 3})
+    out["cli/error/short-run"] = call(["run", "--config", config, "--trace", trace], with_trace=True)
+    with open(config, "w") as fh:
+        fh.write('{"problem": "abs1d",\n "method": }')
+    errors = {"unknown-subcommand": ["optimise", "--config", config],
+              "missing-config": ["run", "--config", os.path.join(tmp, "none.json")],
+              "bad-json": ["run", "--config", config],
+              **{f"short-trace-{model}": ["rates", "--trace", trace, "--model", model] for model in MODELS}}
+    for name, argv in errors.items():
+        out[f"cli/error/{name}"] = call(argv, stream="stderr")
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -308,7 +379,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
-                   **csv_grid(tmp)}
+                   **csv_grid(tmp), **cli_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
