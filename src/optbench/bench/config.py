@@ -22,22 +22,13 @@ parse time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from ..core.noise import (
-    AbsoluteGrad,
-    AdditiveStochGrad,
-    NoNoise,
-    NoiseCompatibilityError,
-    NoiseSpec,
-    RelativeGrad,
-    ZOBoundedValue,
-    ZOStochValue,
-    wrap_noise,
-)
+from ..core.linalg import number
+from ..core.noise import NOISE_KINDS, NoNoise, NoiseCompatibilityError, NoiseSpec, wrap_noise
 from ..core.problems import UnknownProblemError, make_problem
 from ..core.rng import Rng
 
@@ -73,14 +64,12 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
 
-_NOISE_KEYS = {
-    "none": set(),
-    "absolute_grad": {"delta", "mode", "v"},
-    "relative_grad": {"alpha", "mode"},
-    "additive_stoch_grad": {"sigma", "distribution"},
-    "zo_bounded": {"delta", "mode"},
-    "zo_stoch": {"delta_tilde"},
-}
+def _count(value, name: str, least: int) -> int:
+    """``value`` as a whole number ``>= least``, or a ConfigError naming ``name``."""
+    try:
+        return number(value, name, whole=True, least=least)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _parse_noise(obj) -> NoiseSpec:
@@ -89,28 +78,17 @@ def _parse_noise(obj) -> NoiseSpec:
     if not isinstance(obj, dict):
         raise ConfigError("noise must be an object with a 'kind' key")
     kind = obj.get("kind")
-    if kind not in _NOISE_KEYS:
-        raise ConfigError(f"unknown noise kind {kind!r}; available: {sorted(_NOISE_KEYS)}")
-    _require_keys(obj, _NOISE_KEYS[kind] | {"kind"}, "noise")
+    cls = NOISE_KINDS.get(kind)
+    if cls is None:
+        raise ConfigError(f"unknown noise kind {kind!r}; available: {sorted(NOISE_KINDS)}")
+    spec_fields = fields(cls)
+    _require_keys(obj, {f.name for f in spec_fields} | {"kind"}, "noise")
+    for f in spec_fields:
+        if f.default is MISSING and f.name not in obj:
+            raise ConfigError(f"noise kind {kind!r}: missing required field {f.name!r}")
     try:
-        if kind == "none":
-            return NoNoise()
-        if kind == "absolute_grad":
-            v = obj.get("v")
-            return AbsoluteGrad(delta=float(obj["delta"]),
-                                mode=obj.get("mode", "fixed" if v is not None else "random_direction"),
-                                v=None if v is None else np.asarray(v, dtype=float))
-        if kind == "relative_grad":
-            return RelativeGrad(alpha=float(obj["alpha"]), mode=obj.get("mode", "shrink"))
-        if kind == "additive_stoch_grad":
-            return AdditiveStochGrad(sigma=float(obj["sigma"]),
-                                     distribution=obj.get("distribution", "gaussian"))
-        if kind == "zo_bounded":
-            return ZOBoundedValue(delta=float(obj["delta"]),
-                                  mode=obj.get("mode", "deterministic_worst"))
-        return ZOStochValue(delta_tilde=float(obj["delta_tilde"]))
-    except KeyError as e:
-        raise ConfigError(f"noise kind {kind!r}: missing required field {e.args[0]!r}") from None
+        return cls(**{f.name: number(obj[f.name], f.name) if f.type == "float" else obj[f.name]
+                      for f in spec_fields if f.name in obj})
     except ValueError as e:
         raise ConfigError(f"noise: {e}") from None
 
@@ -137,7 +115,7 @@ def parse_config(text: str) -> ExperimentSpec:
     if "name" not in problem:
         raise ConfigError("problem: missing required field 'name'")
     problem_params = dict(problem.get("params") or {})
-    seed = int(problem.get("seed", 0))
+    seed = _count(problem.get("seed", 0), "seed", 0)
 
     method = doc.get("method")
     if method is None:
@@ -154,14 +132,10 @@ def parse_config(text: str) -> ExperimentSpec:
     iterations = doc.get("iterations", budget.get("iterations"))
     if iterations is None:
         raise ConfigError("missing required field 'iterations' (top level or under budget)")
-    iterations = int(iterations)
-    if iterations < 0:
-        raise ConfigError("iterations must be >= 0")
+    iterations = _count(iterations, "iterations", 0)
     max_calls = budget.get("max_oracle_calls")
     if max_calls is not None:
-        max_calls = int(max_calls)
-        if max_calls < 1:
-            raise ConfigError("max_oracle_calls must be >= 1")
+        max_calls = _count(max_calls, "max_oracle_calls", 1)
 
     output = doc.get("output") or {}
     _require_keys(output, {"trace_path", "record_every", "record_x"}, "output")
@@ -169,9 +143,7 @@ def parse_config(text: str) -> ExperimentSpec:
     if record_every is None:
         # keep traces under _MAX_TRACE_ROWS rows by default
         record_every = max(1, -(-(iterations + 1) // _MAX_TRACE_ROWS))
-    record_every = int(record_every)
-    if record_every < 1:
-        raise ConfigError("record_every must be >= 1")
+    record_every = _count(record_every, "record_every", 1)
 
     noise = _parse_noise(doc.get("noise"))
 
@@ -187,10 +159,8 @@ def parse_config(text: str) -> ExperimentSpec:
     # problem now, as the run will, so typos and bad parameters fail at parse time.
     try:
         oracle, _ = make_problem(problem["name"], problem_params, seed)
-    except UnknownProblemError as e:
+    except (UnknownProblemError, ValueError) as e:
         raise ConfigError(str(e)) from None
-    except ValueError as e:
-        raise ConfigError(f"problem {problem['name']!r}: {e}") from None
     try:
         oracle = wrap_noise(oracle, noise, Rng(seed))
     except NoiseCompatibilityError as e:

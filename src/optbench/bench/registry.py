@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .. import frankwolfe, momentum, smooth, stochastic, subgrad, zeroorder
+from ..core.linalg import number
 from ..core.noise import AbsoluteGrad, RelativeGrad
 from ..core.oracles import OracleSuite, Trace
 from ..core.rng import Rng
@@ -90,7 +91,7 @@ def _build_restarted_switching(spec, oracle) -> Run:
         delta=1.0,  # per-stage deltas are derived inside
         theta0=float(_need(p, "theta0")),
         Mg=p.get("Mg"),
-        max_iters=int(p.get("stage_cap", max(spec.iterations, 1))),
+        max_iters=number(p.get("stage_cap", max(spec.iterations, 1)), "stage_cap", whole=True),
         eps_target=float(_need(p, "eps")),
         alpha_sharp=p.get("alpha"),
     )
@@ -99,52 +100,43 @@ def _build_restarted_switching(spec, oracle) -> Run:
 
 # -- smooth first-order methods ----------------------------------------------
 
-def _resolve_noise_level(spec: ExperimentSpec, attr: str, noise_cls) -> Optional[float]:
-    if isinstance(spec.noise, noise_cls):
-        return getattr(spec.noise, attr)
-    return None
-
-
 def _relative_alpha(spec: ExperimentSpec) -> float:
-    alpha = spec.method_params.get("alpha", _resolve_noise_level(spec, "alpha", RelativeGrad))
+    alpha = spec.method_params.get("alpha", spec.noise.alpha if isinstance(spec.noise, RelativeGrad) else None)
     if alpha is None:
         raise ValueError("alpha not given and no relative_grad noise configured")
     return float(alpha)
 
 
-def _smooth_config(spec: ExperimentSpec, mode) -> smooth.SmoothRunConfig:
-    p = spec.method_params
-    return smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"), mode=mode,
-                                  tol=p.get("tol", 1e-10))
+def _smooth_run(spec: ExperimentSpec, oracle, mode, entry: str) -> Run:
+    """The run of ``smooth.<entry>`` under ``mode``."""
+    p, kw = spec.method_params, _common_kwargs(spec)
+    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"), mode=mode, tol=p.get("tol", 1e-10))
+    return lambda fset, x0, rng: getattr(smooth, entry)(oracle, x0, cfg, **kw)
 
 
 def _build_gd(spec, oracle) -> Run:
-    cfg, kw = _smooth_config(spec, smooth.Exact()), _common_kwargs(spec)
-    return lambda fset, x0, rng: smooth.run_gd(oracle, x0, cfg, **kw)
+    return _smooth_run(spec, oracle, smooth.Exact(), "run_gd")
 
 
 def _build_gd_abs(spec, oracle) -> Run:
-    p, kw = spec.method_params, _common_kwargs(spec)
-    delta = p.get("delta", _resolve_noise_level(spec, "delta", AbsoluteGrad))
+    p = spec.method_params
+    delta = p.get("delta", spec.noise.delta if isinstance(spec.noise, AbsoluteGrad) else None)
     if delta is None:
         raise ValueError("delta not given and no absolute_grad noise configured")
-    cfg = _smooth_config(spec, smooth.AbsNoise(delta=float(delta),
-                                               stop_multiplier=float(p.get("c", 2.0))))
-    return lambda fset, x0, rng: smooth.run_gd_abs(oracle, x0, cfg, **kw)
+    mode = smooth.AbsNoise(delta=float(delta), stop_multiplier=float(p.get("c", 2.0)))
+    return _smooth_run(spec, oracle, mode, "run_gd_abs")
 
 
 def _build_gd_rel(spec, oracle) -> Run:
-    cfg, kw = _smooth_config(spec, smooth.RelNoise(alpha=_relative_alpha(spec))), _common_kwargs(spec)
-    return lambda fset, x0, rng: smooth.run_gd_rel(oracle, x0, cfg, **kw)
+    return _smooth_run(spec, oracle, smooth.RelNoise(alpha=_relative_alpha(spec)), "run_gd_rel")
 
 
 def _build_gd_rel_adaptive(spec, oracle) -> Run:
-    alpha, kw = _relative_alpha(spec), _common_kwargs(spec)
+    alpha = _relative_alpha(spec)
     L0 = spec.method_params.get("L0", oracle.L)
     if L0 is None:
         raise ValueError("L0 not given and L unknown for this problem")
-    cfg = _smooth_config(spec, smooth.RelNoiseAdaptive(alpha=alpha, L0=float(L0)))
-    return lambda fset, x0, rng: smooth.run_gd_rel_adaptive(oracle, x0, cfg, **kw)
+    return _smooth_run(spec, oracle, smooth.RelNoiseAdaptive(alpha=alpha, L0=float(L0)), "run_gd_rel_adaptive")
 
 
 # -- momentum methods ----------------------------------------------------------
@@ -220,7 +212,7 @@ def _build_sgd(spec, oracle) -> Run:
     cfg = stochastic.SgdConfig(
         N=spec.iterations,
         step_rule=_sgd_step_rule(p, oracle),
-        batch=int(p.get("batch", 1)),
+        batch=number(p.get("batch", 1), "batch", whole=True),
         clip_lambda=p.get("clip_lambda"),
         averaging=_sgd_averaging(p),
     )
@@ -237,9 +229,9 @@ def _build_zo_sgd(spec, oracle) -> Run:
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
         step_rule=_sgd_step_rule(p, oracle),
-        kernel=zeroorder.build_kernel(int(p.get("beta", 2))),
+        kernel=zeroorder.build_kernel(number(p.get("beta", 2), "beta", whole=True)),
         tau_schedule=tau,
-        batch=int(p.get("batch", 1)),
+        batch=number(p.get("batch", 1), "batch", whole=True),
     )
     return lambda fset, x0, rng: zeroorder.run_zo_sgd(oracle, fset, x0, cfg, rng, **kw)
 

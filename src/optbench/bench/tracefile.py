@@ -61,8 +61,9 @@ def format_for_path(path: str) -> str:
     return "csv" if str(path).lower().endswith(".csv") else "json"
 
 
-def write_trace(trace: Trace, path: str, format: str = "csv"):
-    """Serialize a trace; see the module docstring for the formats."""
+def write_trace(trace: Trace, path: str, format: Optional[str] = None):
+    """Serialize a trace, as CSV for a ``.csv`` path and as JSON otherwise unless ``format`` says."""
+    format = format or format_for_path(path)
     if format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; choose from {FORMATS}")
     if format == "csv":

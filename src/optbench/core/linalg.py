@@ -1,8 +1,9 @@
-"""The Euclidean norm of a 1-d float vector, bit-identical to ``np.linalg.norm``."""
+"""The Euclidean norm of a 1-d float vector, and the check on a number read from a config."""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 
 def norm(v) -> float:
@@ -16,3 +17,15 @@ def norm(v) -> float:
     in another order.
     """
     return math.sqrt(v.dot(v))
+
+
+def number(value, name: str, whole: bool = False, least=None):
+    """``value`` as a float, or an int if ``whole`` (5.0 passes, 5.5 not), and ``>= least``; or a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if whole and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    value = int(value) if whole else float(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value

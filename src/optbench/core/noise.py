@@ -14,13 +14,16 @@ value noise replaces only the zeroth-order entry, so traces still report
 the true objective.  A wrapped suite that draws its own randomness
 (absolute noise in random-direction mode) holds the ``Rng`` passed to
 ``wrap_noise``; create one wrapper per run for independent streams.
+
+Each spec class names its config ``kind`` and wraps a suite itself.
+:data:`NOISE_KINDS` maps a kind to its class; the class's fields are its config keys.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, get_args
 
 import numpy as np
 
@@ -40,34 +43,63 @@ def _check_scale(name: str, value: float):
 
 @dataclass(frozen=True)
 class NoNoise:
-    pass
+    kind: ClassVar[str] = "none"
+
+    def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
+        return oracle
+
+
+def _require_grad(oracle: OracleSuite, what: str):
+    if oracle.grad is None:
+        raise NoiseCompatibilityError(f"{what} requires an oracle with grad")
 
 
 @dataclass(frozen=True)
 class AbsoluteGrad:
     """Additive gradient perturbation with ||v(x)||_2 <= delta."""
 
+    kind: ClassVar[str] = "absolute_grad"
     delta: float
-    mode: str = "random_direction"  # or "fixed"
+    mode: Optional[str] = None  # "fixed" | "random_direction"; None: "fixed" iff v is given
     v: Optional[np.ndarray] = None
 
     def __post_init__(self):
         _check_scale("delta", self.delta)
+        if self.mode is None:
+            object.__setattr__(self, "mode", "random_direction" if self.v is None else "fixed")
         if self.mode not in ("fixed", "random_direction"):
             raise ValueError(f"unknown AbsoluteGrad mode {self.mode!r}")
+        if self.v is not None:
+            object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.mode == "fixed":
             if self.v is None:
                 raise ValueError("fixed mode requires the perturbation vector v")
-            v = np.asarray(self.v, dtype=float)
-            if not norm(v) <= self.delta + 1e-12:
+            if not norm(self.v) <= self.delta + 1e-12:
                 raise ValueError("||v|| must not exceed delta")
-            object.__setattr__(self, "v", v)
+
+    def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
+        _require_grad(oracle, "gradient noise")
+        base = oracle.grad
+        delta, d = self.delta, oracle.dim
+        if self.mode == "fixed":
+            v = self.v  # ||v|| <= delta enforced at construction
+
+            def noisy(x):
+                return base(x) + v
+        else:
+            def noisy(x):
+                e = rng.sphere(d)
+                if norm(e) > 1 + 1e-12:
+                    raise AssertionError("absolute noise exceeds its bound delta")
+                return base(x) + delta * e
+        return replace(oracle, grad=noisy, subgrad=noisy)
 
 
 @dataclass(frozen=True)
 class RelativeGrad:
     """Multiplicative gradient perturbation with ||g~ - g|| <= alpha ||g||."""
 
+    kind: ClassVar[str] = "relative_grad"
     alpha: float
     mode: str = "shrink"  # "shrink" | "grow" | "random_direction"
 
@@ -77,11 +109,33 @@ class RelativeGrad:
         if self.mode not in ("shrink", "grow", "random_direction"):
             raise ValueError(f"unknown RelativeGrad mode {self.mode!r}")
 
+    def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
+        _require_grad(oracle, "gradient noise")
+        base = oracle.grad
+        alpha, d = self.alpha, oracle.dim
+        if self.mode == "shrink":
+            def noisy(x):
+                return (1.0 - alpha) * base(x)
+        elif self.mode == "grow":
+            def noisy(x):
+                return (1.0 + alpha) * base(x)
+        else:
+            def noisy(x):
+                g = base(x)
+                gn = norm(g)
+                out = g + alpha * gn * rng.sphere(d)
+                # Compared relative to ||g||: the squares of a tiny g underflow.
+                if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12):
+                    raise AssertionError("relative noise exceeds its bound alpha ||g||")
+                return out
+        return replace(oracle, grad=noisy, subgrad=noisy)
+
 
 @dataclass(frozen=True)
 class AdditiveStochGrad:
     """Stochastic gradient g(x) + sigma * xi with i.i.d. noise per call."""
 
+    kind: ClassVar[str] = "additive_stoch_grad"
     sigma: float
     distribution: str = "gaussian"  # or "student_t3" (heavy tails, Var = 3 sigma^2)
 
@@ -90,10 +144,14 @@ class AdditiveStochGrad:
         if self.distribution not in ("gaussian", "student_t3"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
+    def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
+        _require_grad(oracle, "stochastic gradient noise")
+        return replace(oracle, stoch_grad=AdditiveNoise(oracle.grad, self.sigma, oracle.dim, self.distribution))
+
 
 @dataclass(frozen=True)
 class AdditiveNoise:
-    """The ``stoch_grad`` entry that :func:`wrap_noise` builds for :class:`AdditiveStochGrad`.
+    """The ``stoch_grad`` entry that :class:`AdditiveStochGrad` builds.
 
     A call ``self(x, rng)`` returns ``grad(x) + sigma * xi``: it evaluates
     ``grad(x)`` and then draws one noise row of length ``d`` from ``rng``.
@@ -124,6 +182,7 @@ class AdditiveNoise:
 class ZOBoundedValue:
     """Adversarial bounded value noise |delta(x)| <= delta for the ZO oracle."""
 
+    kind: ClassVar[str] = "zo_bounded"
     delta: float
     mode: str = "deterministic_worst"  # or "random"
 
@@ -132,86 +191,10 @@ class ZOBoundedValue:
         if self.mode not in ("deterministic_worst", "random"):
             raise ValueError(f"unknown ZOBoundedValue mode {self.mode!r}")
 
-
-@dataclass(frozen=True)
-class ZOStochValue:
-    """Stochastic value noise with E[xi^2] <= delta_tilde^2 (gaussian)."""
-
-    delta_tilde: float
-
-    def __post_init__(self):
-        _check_scale("delta_tilde", self.delta_tilde)
-
-
-NoiseSpec = NoNoise | AbsoluteGrad | RelativeGrad | AdditiveStochGrad | ZOBoundedValue | ZOStochValue
-
-
-def _absolute_grad(oracle: OracleSuite, noise: AbsoluteGrad, rng: Rng):
-    base = oracle.grad
-    delta, d = noise.delta, oracle.dim
-    if noise.mode == "fixed":
-        v = noise.v  # ||v|| <= delta enforced at construction
-
-        def noisy(x):
-            return base(x) + v
-    else:
-        def noisy(x):
-            e = rng.sphere(d)
-            if norm(e) > 1 + 1e-12:
-                raise AssertionError("absolute noise exceeds its bound delta")
-            return base(x) + delta * e
-    return noisy
-
-
-def _relative_grad(oracle: OracleSuite, noise: RelativeGrad, rng: Rng):
-    base = oracle.grad
-    alpha, d = noise.alpha, oracle.dim
-    if noise.mode == "shrink":
-        def noisy(x):
-            return (1.0 - alpha) * base(x)
-    elif noise.mode == "grow":
-        def noisy(x):
-            return (1.0 + alpha) * base(x)
-    else:
-        def noisy(x):
-            g = base(x)
-            gn = norm(g)
-            out = g + alpha * gn * rng.sphere(d)
-            # Compared relative to ||g||: the squares of a tiny g underflow.
-            if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12):
-                raise AssertionError("relative noise exceeds its bound alpha ||g||")
-            return out
-    return noisy
-
-
-def wrap_noise(oracle: OracleSuite, noise: NoiseSpec, rng: Rng) -> OracleSuite:
-    """Decorate ``oracle`` with the given noise model.
-
-    The returned suite is deterministic given ``rng``'s seed; the noise
-    model's bound holds on every perturbed call.
-    """
-    if isinstance(noise, NoNoise):
-        return oracle
-
-    if isinstance(noise, (AbsoluteGrad, RelativeGrad)):
-        if oracle.grad is None:
-            raise NoiseCompatibilityError("gradient noise requires an oracle with grad")
-        if isinstance(noise, AbsoluteGrad):
-            noisy = _absolute_grad(oracle, noise, rng)
-        else:
-            noisy = _relative_grad(oracle, noise, rng)
-        return replace(oracle, grad=noisy, subgrad=noisy)
-
-    if isinstance(noise, AdditiveStochGrad):
-        if oracle.grad is None:
-            raise NoiseCompatibilityError("stochastic gradient noise requires an oracle with grad")
-        return replace(oracle, stoch_grad=AdditiveNoise(oracle.grad, noise.sigma, oracle.dim,
-                                                        noise.distribution))
-
-    if isinstance(noise, ZOBoundedValue):
+    def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
         base_value = oracle.value
-        delta = noise.delta
-        if noise.mode == "deterministic_worst":
+        delta = self.delta
+        if self.mode == "deterministic_worst":
             # Sign noise along a fixed random hyperplane: the two probe points
             # of a symmetric difference land on opposite sides near the
             # minimizer, the worst case for two-point estimators.
@@ -224,13 +207,35 @@ def wrap_noise(oracle: OracleSuite, noise: NoiseSpec, rng: Rng) -> OracleSuite:
                 return base_value(x) + delta * rng_.uniform(-1.0, 1.0)
         return replace(oracle, zo_value=zo)
 
-    if isinstance(noise, ZOStochValue):
+
+@dataclass(frozen=True)
+class ZOStochValue:
+    """Stochastic value noise with E[xi^2] <= delta_tilde^2 (gaussian)."""
+
+    kind: ClassVar[str] = "zo_stoch"
+    delta_tilde: float
+
+    def __post_init__(self):
+        _check_scale("delta_tilde", self.delta_tilde)
+
+    def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
         base_value = oracle.value
-        dt = noise.delta_tilde
+        dt = self.delta_tilde
 
         def zo(x, rng_):
             return base_value(x) + dt * float(rng_.gaussian())
 
         return replace(oracle, zo_value=zo)
 
-    raise TypeError(f"unknown noise spec {noise!r}")
+
+NoiseSpec = NoNoise | AbsoluteGrad | RelativeGrad | AdditiveStochGrad | ZOBoundedValue | ZOStochValue
+NOISE_KINDS: dict[str, type] = {cls.kind: cls for cls in get_args(NoiseSpec)}
+
+
+def wrap_noise(oracle: OracleSuite, noise: NoiseSpec, rng: Rng) -> OracleSuite:
+    """Decorate ``oracle`` with the given noise model: ``noise.wrap(oracle, rng)``.
+
+    The returned suite is deterministic given ``rng``'s seed; the noise
+    model's bound holds on every perturbed call.
+    """
+    return noise.wrap(oracle, rng)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import norm
+from .linalg import norm, number
 from .oracles import ConstraintOracle, OracleSuite, QuadraticForm
 from .rng import Rng
 from .sets import Box, FeasibleSet, FullSpace
@@ -28,13 +28,16 @@ class UnknownProblemError(KeyError):
     pass
 
 
-def _check_params(name: str, params: dict, allowed: set[str]):
-    unknown = set(params) - allowed
+def _check_params(params: dict, allowed: tuple):
+    """Refuse unknown and non-finite params; turn the whole-number ones into ints in place."""
+    unknown = set(params).difference(allowed)
     if unknown:
-        raise ValueError(f"problem {name!r}: unknown params {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ValueError(f"unknown params {sorted(unknown)}; allowed: {sorted(allowed)}")
     for key, value in params.items():
         if not _all_finite(value):
-            raise ValueError(f"problem {name!r}: param {key!r} must hold finite numbers only, got {value!r}")
+            raise ValueError(f"param {key!r} must hold finite numbers only, got {value!r}")
+        if key in _WHOLE_PARAMS:
+            params[key] = number(value, f"param {key!r}", whole=True, least=1)
 
 
 def _all_finite(value) -> bool:
@@ -47,8 +50,6 @@ def _all_finite(value) -> bool:
 
 
 def _abs1d(params: dict, seed: int):
-    _check_params("abs1d", params, set())
-
     def value(x):
         return abs(float(x[0]))
 
@@ -63,11 +64,10 @@ def _abs1d(params: dict, seed: int):
 
 
 def _l1_system(params: dict, seed: int):
-    _check_params("l1_system", params, {"d", "m"})
-    d = int(params.get("d", 5))
-    m = int(params.get("m", 8))
+    d = params.get("d", 5)
+    m = params.get("m", 8)
     if m < d:
-        raise ValueError("l1_system needs m >= d for a unique solution")
+        raise ValueError("needs m >= d for a unique solution")
     rng = Rng(seed)
     A = rng.gaussian((m, d))
     x_true = rng.gaussian(d)
@@ -94,12 +94,11 @@ def _l1_system(params: dict, seed: int):
 
 
 def _norm2(params: dict, seed: int):
-    _check_params("norm2", params, {"d", "a"})
     if "a" in params:
         a = np.asarray(params["a"], dtype=float)
         d = a.shape[0]
     else:
-        d = int(params.get("d", 3))
+        d = params.get("d", 3)
         a = np.zeros(d)
 
     def value(x):
@@ -118,7 +117,6 @@ def _norm2(params: dict, seed: int):
 
 
 def _quad_diag(params: dict, seed: int):
-    _check_params("quad_diag", params, {"lambdas", "shift"})
     lam = np.asarray(params.get("lambdas", [10.0, 1.0]), dtype=float)
     if lam.ndim != 1 or np.any(lam <= 0):
         raise ValueError("lambdas must be a 1-d array of positive numbers")
@@ -144,8 +142,6 @@ def _quad_diag(params: dict, seed: int):
 
 
 def _fw_box(params: dict, seed: int):
-    _check_params("fw_box", params, set())
-
     def value(x):
         return float(x[0] ** 2 + (1.0 + x[1]) ** 2)
 
@@ -161,11 +157,10 @@ def _fw_box(params: dict, seed: int):
 
 
 def _degenerate3(params: dict, seed: int):
-    _check_params("degenerate3", params, {"l1", "l2"})
     l1 = float(params.get("l1", 1.0))
     l2 = float(params.get("l2", 0.1))
     if not l1 > l2 > 0:
-        raise ValueError("degenerate3 requires l1 > l2 > 0")
+        raise ValueError("requires l1 > l2 > 0")
     lam = np.array([l1, l2, 0.0])
 
     def value(x):
@@ -185,8 +180,6 @@ def _degenerate3(params: dict, seed: int):
 
 
 def _rosenbrock(params: dict, seed: int):
-    _check_params("rosenbrock", params, set())
-
     def value(x):
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
@@ -202,8 +195,6 @@ def _rosenbrock(params: dict, seed: int):
 
 
 def _nesterov_skokov_toy(params: dict, seed: int):
-    _check_params("nesterov_skokov_toy", params, set())
-
     def value(x):
         return float(0.5 * x[0] ** 2 + 0.25 * x[1] ** 4 - 0.5 * x[1] ** 2)
 
@@ -220,9 +211,8 @@ def _nesterov_skokov_toy(params: dict, seed: int):
 
 
 def _phase_retrieval(params: dict, seed: int):
-    _check_params("phase_retrieval", params, {"m", "n"})
-    m = int(params.get("m", 25))
-    n = int(params.get("n", 5))
+    m = params.get("m", 25)
+    n = params.get("n", 5)
     rng = Rng(seed)
     A = rng.gaussian((m, n))
     xs = rng.gaussian(n)
@@ -247,7 +237,6 @@ def _phase_retrieval(params: dict, seed: int):
 
 
 def _slp(params: dict, seed: int):
-    _check_params("slp", params, {"rho"})
     rho = float(params.get("rho", 1.0))
     if rho <= 0:
         raise ValueError("rho must be positive")
@@ -284,9 +273,8 @@ def _slp(params: dict, seed: int):
 
 
 def _logistic_small(params: dict, seed: int):
-    _check_params("logistic_small", params, {"n", "d", "box_radius"})
-    n = int(params.get("n", 20))
-    d = int(params.get("d", 3))
+    n = params.get("n", 20)
+    d = params.get("d", 3)
     r = float(params.get("box_radius", 2.0))
     rng = Rng(seed)
     A = rng.gaussian((n, d))
@@ -309,18 +297,23 @@ def _logistic_small(params: dict, seed: int):
     return oracle, Box(-r * np.ones(d), r * np.ones(d)), np.zeros(d)
 
 
-_CATALOG: dict[str, tuple[Callable, str]] = {
-    "abs1d": (_abs1d, "f = |x| on R; sharp minimum at 0"),
-    "l1_system": (_l1_system, "f = sum_i |<a_i,x> - b_i| for a consistent system (params d, m)"),
-    "norm2": (_norm2, "f = ||x - a||_2; sharp minimum at a (params d or a)"),
-    "quad_diag": (_quad_diag, "f = 0.5 sum_i lam_i (x_i - a_i)^2 (params lambdas, shift)"),
-    "fw_box": (_fw_box, "f = x1^2 + (1+x2)^2 on [-1,1]x[0,1]"),
-    "degenerate3": (_degenerate3, "f = <Ax,x>, A = diag(l1,l2,0); PL but not strongly convex"),
-    "rosenbrock": (_rosenbrock, "f = 100(x2-x1^2)^2 + (1-x1)^2"),
-    "nesterov_skokov_toy": (_nesterov_skokov_toy, "f = x1^2/2 + x2^4/4 - x2^2/2; saddle at origin"),
-    "phase_retrieval": (_phase_retrieval, "f = mean_i |<a_i,x>^2 - b_i|, planted +-x*, f*=0 (params m, n)"),
-    "slp": (_slp, "f = -x1 with 20 tangent half-plane constraints as max-type g (param rho)"),
-    "logistic_small": (_logistic_small, "logistic loss on a compact box (params n, d, box_radius)"),
+_WHOLE_PARAMS = ("d", "m", "n")  # dimensions and sample counts (>= 1), in every problem that takes them
+
+# name -> (builder, summary, allowed params)
+_CATALOG: dict[str, tuple[Callable, str, tuple]] = {
+    "abs1d": (_abs1d, "f = |x| on R; sharp minimum at 0", ()),
+    "l1_system": (_l1_system, "f = sum_i |<a_i,x> - b_i| for a consistent system (params d, m)", ("d", "m")),
+    "norm2": (_norm2, "f = ||x - a||_2; sharp minimum at a (params d or a)", ("d", "a")),
+    "quad_diag": (_quad_diag, "f = 0.5 sum_i lam_i (x_i - a_i)^2 (params lambdas, shift)", ("lambdas", "shift")),
+    "fw_box": (_fw_box, "f = x1^2 + (1+x2)^2 on [-1,1]x[0,1]", ()),
+    "degenerate3": (_degenerate3, "f = <Ax,x>, A = diag(l1,l2,0); PL but not strongly convex", ("l1", "l2")),
+    "rosenbrock": (_rosenbrock, "f = 100(x2-x1^2)^2 + (1-x1)^2", ()),
+    "nesterov_skokov_toy": (_nesterov_skokov_toy, "f = x1^2/2 + x2^4/4 - x2^2/2; saddle at origin", ()),
+    "phase_retrieval": (_phase_retrieval, "f = mean_i |<a_i,x>^2 - b_i|, planted +-x*, f*=0 (params m, n)",
+                        ("m", "n")),
+    "slp": (_slp, "f = -x1 with 20 tangent half-plane constraints as max-type g (param rho)", ("rho",)),
+    "logistic_small": (_logistic_small, "logistic loss on a compact box (params n, d, box_radius)",
+                       ("n", "d", "box_radius")),
 }
 
 
@@ -347,5 +340,10 @@ def default_x0(name: str, params: Optional[dict] = None, seed: int = 0) -> np.nd
 def _build(name: str, params: Optional[dict], seed: int):
     if name not in _CATALOG:
         raise UnknownProblemError(f"unknown problem {name!r}; available: {', '.join(problem_names())}")
-    builder, _ = _CATALOG[name]
-    return builder(dict(params or {}), int(seed))
+    builder, _, allowed = _CATALOG[name]
+    params = dict(params or {})
+    try:
+        _check_params(params, allowed)
+        return builder(params, int(seed))
+    except ValueError as e:
+        raise ValueError(f"problem {name!r}: {e}") from None

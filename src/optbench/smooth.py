@@ -1,17 +1,22 @@
 """Gradient descent for L-smooth objectives under gradient domination.
 
-Four regimes over one engine:
+Four regimes; the config's ``mode`` picks one.  The three fixed-step
+modes share one loop, :func:`run_gd` (also bound as ``run_gd_abs`` and
+``run_gd_rel``); each mode's ``regime(L, tol)`` gives its step, its stop
+threshold on ``||g||`` and the status a stop reports:
 
-* exact gradients, step ``1/L`` (:func:`run_gd`);
-* absolutely inexact gradients ``||g~ - g|| <= delta`` with an early
-  stopping rule ``||g~|| <= c * delta`` (:func:`run_gd_abs`) -- without
-  it the iterates can run away, which every run guards with a distance
-  monitor;
-* relatively inexact gradients ``||g~ - g|| <= alpha ||g||`` with the
-  fixed step ``(1/L) (1-alpha)/(1+alpha)^2`` (:func:`run_gd_rel`);
-* the adaptive variant for ``alpha < 1/2`` with step
-  ``(1/L_{k+1}) (1-2 alpha)/(1-alpha)``, doubling ``L_{k+1}`` until the
-  iteration's exit inequality holds (:func:`run_gd_rel_adaptive`).
+* :class:`Exact` gradients, step ``1/L``;
+* :class:`AbsNoise`, absolutely inexact gradients ``||g~ - g|| <= delta``,
+  step ``1/L`` with an early stopping rule ``||g~|| <= c * delta`` --
+  without it the iterates can run away, which every run guards with a
+  distance monitor;
+* :class:`RelNoise`, relatively inexact gradients
+  ``||g~ - g|| <= alpha ||g||`` with the fixed step
+  ``(1/L) (1-alpha)/(1+alpha)^2``;
+* :class:`RelNoiseAdaptive`, the adaptive variant for ``alpha < 1/2``
+  with step ``(1/L_{k+1}) (1-2 alpha)/(1-alpha)``, doubling ``L_{k+1}``
+  until the iteration's exit inequality holds; it runs through its own
+  loop, :func:`run_gd_rel_adaptive`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ _L_MIN = 1e-12
 
 @dataclass(frozen=True)
 class Exact:
-    pass
+    def regime(self, L: float, tol: float) -> tuple[float, float, RunStatus]:
+        return 1.0 / L, tol, RunStatus.CONVERGED
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,10 @@ class AbsNoise:
         if not self.stop_multiplier >= 0:
             raise ValueError("stop multiplier must be >= 0")
 
+    def regime(self, L: float, tol: float) -> tuple[float, float, RunStatus]:
+        threshold = max(self.stop_multiplier * self.delta, tol)  # early stop above tol
+        return 1.0 / L, threshold, RunStatus.EARLY_STOPPED if threshold > tol else RunStatus.CONVERGED
+
 
 @dataclass(frozen=True)
 class RelNoise:
@@ -61,6 +71,9 @@ class RelNoise:
     def __post_init__(self):
         if not 0 <= self.alpha < 1:
             raise ValueError("relative error level alpha must lie in [0, 1)")
+
+    def regime(self, L: float, tol: float) -> tuple[float, float, RunStatus]:
+        return (1.0 - self.alpha) / ((1.0 + self.alpha) ** 2 * L), tol, RunStatus.CONVERGED
 
 
 @dataclass(frozen=True)
@@ -91,17 +104,20 @@ class SmoothRunConfig:
             raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
 
-def _resolve_L(oracle: OracleSuite, cfg: SmoothRunConfig) -> float:
+def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
+           record_every: int = 1, record_x: bool = False,
+           max_oracle_calls: Optional[int] = None,
+           divergence_radius: float = 1e6) -> Trace:
+    """Fixed-step descent ``x <- x - h g`` on the oracle's (perturbed) gradient.
+
+    ``cfg.mode.regime`` gives the step ``h`` and the stop test ``||g|| <= threshold``.
+    """
+    if isinstance(cfg.mode, RelNoiseAdaptive):
+        raise ValueError("mode RelNoiseAdaptive runs through run_gd_rel_adaptive")
     L = cfg.L if cfg.L is not None else oracle.L
     if L is None or L <= 0:
         raise ValueError("a positive smoothness constant L is required (config or oracle)")
-    return L
-
-
-def _fixed_step_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, h: float,
-                   stop_threshold: float, stop_status: RunStatus,
-                   record_every: int, record_x: bool,
-                   max_oracle_calls: Optional[int], divergence_radius: float) -> Trace:
+    h, stop_threshold, stop_status = cfg.mode.regime(L, cfg.tol)
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = np.array(x0, dtype=float)
@@ -125,49 +141,7 @@ def _fixed_step_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, h: float,
     return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
 
 
-def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
-           record_every: int = 1, record_x: bool = False,
-           max_oracle_calls: Optional[int] = None,
-           divergence_radius: float = 1e6) -> Trace:
-    """Plain gradient descent x <- x - (1/L) grad f(x); stops at ||grad|| <= tol."""
-    if not isinstance(cfg.mode, Exact):
-        raise ValueError("run_gd expects mode Exact")
-    L = _resolve_L(oracle, cfg)
-    return _fixed_step_gd(oracle, x0, cfg, 1.0 / L, cfg.tol, RunStatus.CONVERGED,
-                          record_every, record_x, max_oracle_calls, divergence_radius)
-
-
-def run_gd_abs(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
-               record_every: int = 1, record_x: bool = False,
-               max_oracle_calls: Optional[int] = None,
-               divergence_radius: float = 1e6) -> Trace:
-    """Gradient descent on an absolutely inexact gradient with early stopping.
-
-    The oracle's ``grad`` is the perturbed one; the run stops as
-    EarlyStopped once its norm falls below ``stop_multiplier * delta``
-    (with multiplier 0 the rule is off and only ``tol`` applies).
-    """
-    if not isinstance(cfg.mode, AbsNoise):
-        raise ValueError("run_gd_abs expects mode AbsNoise")
-    L = _resolve_L(oracle, cfg)
-    threshold = max(cfg.mode.stop_multiplier * cfg.mode.delta, cfg.tol)
-    status = RunStatus.EARLY_STOPPED if threshold > cfg.tol else RunStatus.CONVERGED
-    return _fixed_step_gd(oracle, x0, cfg, 1.0 / L, threshold, status,
-                          record_every, record_x, max_oracle_calls, divergence_radius)
-
-
-def run_gd_rel(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
-               record_every: int = 1, record_x: bool = False,
-               max_oracle_calls: Optional[int] = None,
-               divergence_radius: float = 1e6) -> Trace:
-    """Fixed-step descent under relative gradient error: h = (1/L)(1-a)/(1+a)^2."""
-    if not isinstance(cfg.mode, RelNoise):
-        raise ValueError("run_gd_rel expects mode RelNoise")
-    L = _resolve_L(oracle, cfg)
-    a = cfg.mode.alpha
-    h = (1.0 - a) / ((1.0 + a) ** 2 * L)
-    return _fixed_step_gd(oracle, x0, cfg, h, cfg.tol, RunStatus.CONVERGED,
-                          record_every, record_x, max_oracle_calls, divergence_radius)
+run_gd_abs = run_gd_rel = run_gd
 
 
 class ExitCriterionUnreachable(RuntimeError):

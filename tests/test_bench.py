@@ -202,6 +202,65 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
     assert "runtime error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(problem=QUAD, method="gd", iterations=5.9), "iterations must be a whole number, got 5.9"),
+    (dict(problem=QUAD, method="gd", iterations=[3]), "iterations must be a number, got [3]"),
+    (dict(problem=QUAD, method="gd", iterations="5"), "iterations must be a number, got '5'"),
+    (dict(problem=QUAD, method="gd", budget={"iterations": 5, "max_oracle_calls": 2.5}),
+     "max_oracle_calls must be a whole number"),
+    (dict(problem=QUAD, method="gd", iterations=5, output={"record_every": 1.5}), "record_every must be a whole number"),
+    (dict(problem=dict(QUAD, seed="abc"), method="gd", iterations=5), "seed must be a number, got 'abc'"),
+    (dict(problem=dict(QUAD, seed=-1), method="gd", iterations=5), "seed must be >= 0"),
+    (dict(problem={"name": "l1_system", "params": {"d": 2.7, "m": 4}}, method="polyak_subgrad", iterations=5),
+     "param 'd' must be a whole number, got 2.7"),
+    (dict(problem={"name": "phase_retrieval", "params": {"m": 4.5}}, method="polyak_subgrad", iterations=5),
+     "param 'm' must be a whole number"),
+    (dict(problem={"name": "logistic_small", "params": {"n": True}}, method="gd", iterations=5),
+     "param 'n' must be a number, got True"),
+    (dict(problem=QUAD, noise={"kind": "zo_stoch", "delta_tilde": None}, method="gd", iterations=5),
+     "noise: delta_tilde must be a number, got None"),
+    (dict(problem=QUAD, noise={"kind": "additive_stoch_grad", "sigma": "0.1"}, method="gd", iterations=5),
+     "noise: sigma must be a number, got '0.1'"),
+    (dict(problem=QUAD, noise=STOCH, method={"name": "sgd", "params": {"gamma": 0.1, "batch": 1.5}}, iterations=5),
+     "method 'sgd': batch must be a whole number"),
+    (dict(problem=QUAD, noise=ZO, method={"name": "zo_sgd", "params": {"gamma": 0.1, "beta": 2.5}}, iterations=5),
+     "method 'zo_sgd': beta must be a whole number"),
+    (dict(problem="slp", method={"name": "restarted_switching",
+                                 "params": {"theta0": 2.0, "eps": 0.1, "stage_cap": 3.5}}, iterations=5),
+     "method 'restarted_switching': stage_cap must be a whole number"),
+], ids=["iterations-fraction", "iterations-list", "iterations-quoted", "max_oracle_calls-fraction",
+        "record_every-fraction", "seed-string", "seed-negative", "l1_system-d-fraction", "phase_retrieval-m-fraction",
+        "logistic_small-n-bool", "delta_tilde-null", "sigma-quoted", "sgd-batch-fraction", "zo_sgd-beta-fraction",
+        "restarted_switching-stage_cap-fraction"])
+def test_config_numbers_are_checked(tmp_path, capsys, doc, message):
+    assert main(["run", "--config", write_cfg(tmp_path, "numbers.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "runtime error" not in err
+
+
+def test_whole_numbers_given_as_floats_are_accepted():
+    doc = {"problem": {"name": "l1_system", "params": {"d": 3.0, "m": 4.0}, "seed": 2.0},
+           "method": "polyak_subgrad", "budget": {"iterations": 5.0, "max_oracle_calls": 50.0}}
+    spec = parse_config(json.dumps(doc))
+    assert (spec.iterations, spec.seed, spec.max_oracle_calls) == (5, 2, 50)
+    assert type(spec.iterations) is int
+    trace, _ = run_experiment(spec)
+    assert trace.final.iter == 5 and make_problem("l1_system", {"d": 3.0, "m": 4.0})[0].dim == 3
+
+
+@pytest.mark.parametrize("name, params", [("quad_diag", {"lambdas": [NAN, 1]}), ("quad_diag", {"bogus": 1}),
+                                          ("l1_system", {"d": 6, "m": 4}), ("degenerate3", {"l1": 0.1})],
+                         ids=["non-finite", "unknown", "l1_system-m-below-d", "degenerate3-order"])
+def test_problem_errors_name_the_problem_once(tmp_path, capsys, name, params):
+    with pytest.raises(ValueError) as raised:
+        make_problem(name, params)
+    assert str(raised.value).count(name) == 1
+    doc = {"problem": {"name": name, "params": params}, "method": "polyak_subgrad", "iterations": 5}
+    assert main(["run", "--config", write_cfg(tmp_path, "problem.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(name) == 1 and err.startswith(f"error: problem '{name}': ")
+
+
 def test_default_record_every_keeps_traces_small():
     spec = parse_config('{"problem": "abs1d", "method": "polyak_subgrad", "iterations": 1000000}')
     assert spec.record_every >= 10
@@ -275,6 +334,17 @@ def test_csv_round_trip(tmp_path):
     for a, b in zip(tr.rows, back.rows):
         assert (a.iter, a.f_value, a.f_gap, a.step_size, a.oracle_calls) == \
                (b.iter, b.f_value, b.f_gap, b.step_size, b.oracle_calls)
+
+
+def test_write_trace_format_follows_the_path(tmp_path):
+    tr = synthetic_trace([1.0, 0.5], start_iter=0)
+    for name in ("t.json", "t.csv", "t.CSV", "t.trace"):
+        path = str(tmp_path / name)
+        write_trace(tr, path)
+        assert open(path).read().startswith("{") == (not name.lower().endswith(".csv"))
+        back = read_trace(path)
+        assert [(r.iter, r.f_value, r.oracle_calls) for r in back.rows] == \
+               [(r.iter, r.f_value, r.oracle_calls) for r in tr.rows]
 
 
 def test_csv_empty_fields_for_unknown_gap(tmp_path):

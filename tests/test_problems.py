@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -22,6 +23,8 @@ from optbench.core import (
     problem_names,
     wrap_noise,
 )
+from optbench.core.noise import NOISE_KINDS
+from optbench.core.problems import _CATALOG
 
 
 def test_abs1d_constants():
@@ -228,6 +231,23 @@ def test_catalog_refuses_non_finite_params(name, key, good, bad):
         make_problem(name, {key: value})
 
 
+@pytest.mark.parametrize("name", problem_names())
+def test_catalog_builds_with_every_allowed_param_and_refuses_an_unknown_one(name):
+    params = {key: good for n, key, good in NUMERIC_PARAMS if n == name}
+    assert sorted(params) == sorted(_CATALOG[name][2])  # NUMERIC_PARAMS covers every allowed param
+    make_problem(name, params)
+    with pytest.raises(ValueError, match=f"^problem '{name}': unknown params \\['bogus'\\]"):
+        make_problem(name, dict(params, bogus=1.0))
+
+
+@pytest.mark.parametrize("name, key", [("phase_retrieval", "n"), ("phase_retrieval", "m"), ("l1_system", "d"),
+                                       ("logistic_small", "d"), ("norm2", "d")])
+def test_catalog_dimensions_and_counts_must_be_positive(name, key):
+    # phase_retrieval's start is drawn on the (n-1)-sphere, a draw that never ends for n = 0
+    with pytest.raises(ValueError, match=f"param '{key}' must be >= 1"):
+        make_problem(name, {key: 0})
+
+
 @pytest.mark.parametrize("lambdas", [[[2.0, math.nan]], np.array([2.0, math.inf]), (1.0, -math.inf)],
                          ids=["nested-list", "ndarray", "tuple"])
 def test_catalog_finiteness_check_sees_nested_and_array_values(lambdas):
@@ -237,6 +257,43 @@ def test_catalog_finiteness_check_sees_nested_and_array_values(lambdas):
 
 
 # -- noise wrappers ------------------------------------------------------------
+
+# Every field of every noise kind, with values that build.
+NOISE_FIELDS = {
+    "none": {},
+    "absolute_grad": {"delta": 0.1, "mode": "fixed", "v": [0.1, 0.0]},
+    "relative_grad": {"alpha": 0.25, "mode": "grow"},
+    "additive_stoch_grad": {"sigma": 0.5, "distribution": "student_t3"},
+    "zo_bounded": {"delta": 0.1, "mode": "random"},
+    "zo_stoch": {"delta_tilde": 0.01},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_FIELDS))
+def test_noise_table_round_trips_kind_and_fields(kind):
+    cls = NOISE_KINDS[kind]
+    assert cls.kind == kind
+    assert [f.name for f in dataclasses.fields(cls)] == list(NOISE_FIELDS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_FIELDS))
+@pytest.mark.parametrize("drop_optional", [False, True], ids=["all-fields", "required-only"])
+def test_parsed_noise_equals_direct_construction(kind, drop_optional):
+    cls = NOISE_KINDS[kind]
+    fields = {f.name: NOISE_FIELDS[kind][f.name] for f in dataclasses.fields(cls)
+              if not (drop_optional and f.default is not dataclasses.MISSING)}
+    doc = {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 1]}}, "noise": dict(fields, kind=kind),
+           "method": "gd", "iterations": 1}
+    parsed = parse_config(json.dumps(doc)).noise
+    assert type(parsed) is cls and parsed.kind == kind
+    assert repr(parsed) == repr(cls(**fields))
+
+
+def test_absolute_grad_mode_defaults_to_fixed_when_v_is_given():
+    assert AbsoluteGrad(0.1).mode == "random_direction"
+    fixed = AbsoluteGrad(0.1, v=[0.0, 0.1])
+    assert fixed.mode == "fixed" and fixed.v.dtype == float
+
 
 def test_no_noise_passthrough():
     oracle, _ = make_problem("quad_diag", {"lambdas": [3.0, 1.0]})

@@ -237,3 +237,11 @@ def test_distance_monitor_configurable():
                         grad=lambda x: -base.grad(x), dim=1, fstar=0.0, L=1.0)
     tr = run_gd(wrong, np.array([1.0]), SmoothRunConfig(N=100), divergence_radius=10.0)
     assert tr.status is RunStatus.DIVERGED
+
+
+def test_fixed_step_gd_refuses_the_adaptive_mode():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    cfg = SmoothRunConfig(N=5, mode=RelNoiseAdaptive(alpha=0.1, L0=1.0))
+    with pytest.raises(ValueError, match="run_gd_rel_adaptive"):
+        run_gd(oracle, np.ones(2), cfg)
+    assert run_gd_abs is run_gd and run_gd_rel is run_gd

@@ -60,7 +60,15 @@ Grids:
   with the ``wall_time`` and ``time_s`` fields masked, and the trace
   bytes ``run`` writes; a few error paths (an unknown subcommand, a
   missing config file, a bad JSON config, ``rates`` on a too-short
-  trace) hash their exit code and stderr instead (110 keys).
+  trace) hash their exit code and stderr instead (110 keys);
+* ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
+  config, the config without each of its fields, an unknown key, a bad
+  mode, ints where floats are meant, and ``v`` without ``mode``.  For
+  each catalog problem: its defaults, an unknown parameter, a non-finite
+  parameter and a bad value.  And (``parse/number/...``) numbers that are
+  not JSON numbers or not whole where a whole number is meant, at every
+  layer.  The hash covers the ``repr`` of the parsed spec; a config that
+  fails maps to its error text (92 keys).
 """
 
 from __future__ import annotations
@@ -371,6 +379,88 @@ def cli_grid(tmp: str) -> dict:
     return out
 
 
+_PARSE_QUAD = {"name": "quad_diag", "params": {"lambdas": [2, 1]}}
+# kind -> (a valid config's fields, the same with ints for floats, its mode key)
+PARSE_NOISE = {
+    "none": ({}, {}, "mode"),
+    "absolute_grad": ({"delta": 0.1, "mode": "random_direction"}, {"delta": 1}, "mode"),
+    "relative_grad": ({"alpha": 0.25, "mode": "grow"}, {"alpha": 0}, "mode"),
+    "additive_stoch_grad": ({"sigma": 0.5, "distribution": "student_t3"}, {"sigma": 2}, "distribution"),
+    "zo_bounded": ({"delta": 0.1, "mode": "random"}, {"delta": 1}, "mode"),
+    "zo_stoch": ({"delta_tilde": 0.01}, {"delta_tilde": 1}, "mode"),
+}
+# problem -> (a parameter made non-finite, a bad value); None where the problem has no parameters
+PARSE_PROBLEMS = {
+    "abs1d": None,
+    "l1_system": ("d", {"d": 6, "m": 4}),
+    "norm2": ("a", {"a": "x"}),
+    "quad_diag": ("lambdas", {"lambdas": [-1, 1]}),
+    "fw_box": None,
+    "degenerate3": ("l1", {"l1": 0.1, "l2": 1.0}),
+    "rosenbrock": None,
+    "nesterov_skokov_toy": None,
+    "phase_retrieval": ("m", {"m": 0}),
+    "slp": ("rho", {"rho": -1}),
+    "logistic_small": ("box_radius", {"box_radius": -1}),
+}
+_STOCH = {"kind": "additive_stoch_grad", "sigma": 1.0}
+# name -> config changes; each number is not a JSON number, or not whole where a whole number is meant
+PARSE_NUMBERS = {
+    "iterations-5.9": {"iterations": 5.9},
+    "iterations-5.0": {"iterations": 5.0},
+    "iterations-list": {"iterations": [3]},
+    "iterations-quoted": {"iterations": "5"},
+    "max_oracle_calls-2.5": {"budget": {"max_oracle_calls": 2.5}},
+    "record_every-1.5": {"output": {"record_every": 1.5}},
+    "seed-abc": {"problem": dict(_PARSE_QUAD, seed="abc")},
+    "seed-2.5": {"problem": dict(_PARSE_QUAD, seed=2.5)},
+    "seed-negative": {"problem": dict(_PARSE_QUAD, seed=-1)},
+    "l1_system-d-2.7": {"problem": {"name": "l1_system", "params": {"d": 2.7, "m": 4}}},
+    "phase_retrieval-n-5.0": {"problem": {"name": "phase_retrieval", "params": {"n": 5.0}}},
+    "zo_stoch-delta_tilde-null": {"noise": {"kind": "zo_stoch", "delta_tilde": None}},
+    "relative_grad-alpha-quoted": {"noise": {"kind": "relative_grad", "alpha": "0.1"}},
+    "sgd-batch-1.5": {"noise": _STOCH, "method": {"name": "sgd", "params": {"gamma": 0.1, "batch": 1.5}}},
+    "sgd-batch-2.0": {"noise": _STOCH, "method": {"name": "sgd", "params": {"gamma": 0.1, "batch": 2.0}}},
+    "zo_sgd-beta-2.5": {"noise": {"kind": "zo_stoch", "delta_tilde": 0.01},
+                        "method": {"name": "zo_sgd", "params": {"gamma": 0.1, "beta": 2.5}}},
+    "restarted_switching-stage_cap-3.5": {"problem": "slp", "method": {
+        "name": "restarted_switching", "params": {"theta0": 2.0, "eps": 0.1, "stage_cap": 3.5}}},
+}
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def parse_grid() -> dict:
+    from optbench.bench.config import parse_config
+
+    def parse(key, doc):
+        def run():
+            return {"sha256": hashlib.sha256(repr(parse_config(json.dumps(doc))).encode()).hexdigest()}
+        out[f"parse/{key}"] = _guarded(run)
+
+    out = {}
+    base = {"problem": _PARSE_QUAD, "method": "gd", "iterations": 5}
+    for kind, (fields, ints, mode_key) in PARSE_NOISE.items():
+        valid = dict(fields, kind=kind)
+        cases = {"valid": valid, "unknown-key": dict(valid, bogus=1), "bad-mode": dict(valid, **{mode_key: "bogus"}),
+                 "ints": dict(valid, **ints), "v-without-mode": _without(valid, "mode") | {"v": [0.1, 0.0]},
+                 **{f"missing-{name}": _without(valid, name) for name in fields}}
+        for case, noise in cases.items():
+            parse(f"noise/{kind}/{case}", dict(base, noise=noise))
+    base = {"method": "polyak_subgrad", "iterations": 5}
+    for name, bad in PARSE_PROBLEMS.items():
+        cases = {"defaults": {}, "unknown-param": {"bogus": 1}}
+        if bad is not None:
+            cases.update({"non-finite": {bad[0]: float("nan")}, "bad-value": bad[1]})
+        for case, params in cases.items():
+            parse(f"problem/{name}/{case}", dict(base, problem={"name": name, "params": params}))
+    for case, changes in PARSE_NUMBERS.items():
+        parse(f"number/{case}", {**base, "problem": _PARSE_QUAD, **changes})
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -379,7 +469,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
-                   **csv_grid(tmp), **cli_grid(tmp)}
+                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid()}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
