@@ -43,9 +43,12 @@ def _load_spec(path: str):
     env_seed = os.environ.get("OPT_SEED")
     if env_seed is not None:
         try:
-            spec = spec.with_seed(int(env_seed))
+            seed = int(env_seed)
         except ValueError:
             raise ConfigError(f"OPT_SEED must be an integer, got {env_seed!r}") from None
+        if seed < 0:
+            raise ConfigError(f"OPT_SEED must be >= 0, got {env_seed!r}")
+        spec = spec.with_seed(seed)
     return spec
 
 

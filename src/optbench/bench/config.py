@@ -58,8 +58,17 @@ class ExperimentSpec:
         return replace(self, seed=int(seed))
 
 
+def _object(obj, where: str) -> dict:
+    """``obj``, or ``{}`` for null; a ConfigError unless it is a JSON object."""
+    if obj is None:
+        return {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    return obj
+
+
 def _require_keys(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
+    unknown = set(_object(obj, where)) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
 
@@ -114,7 +123,7 @@ def parse_config(text: str) -> ExperimentSpec:
     _require_keys(problem, {"name", "params", "seed"}, "problem")
     if "name" not in problem:
         raise ConfigError("problem: missing required field 'name'")
-    problem_params = dict(problem.get("params") or {})
+    problem_params = dict(_object(problem.get("params"), "problem: params"))
     seed = _count(problem.get("seed", 0), "seed", 0)
 
     method = doc.get("method")
@@ -125,9 +134,9 @@ def parse_config(text: str) -> ExperimentSpec:
     _require_keys(method, {"name", "params"}, "method")
     if "name" not in method:
         raise ConfigError("method: missing required field 'name'")
-    method_params = dict(method.get("params") or {})
+    method_params = dict(_object(method.get("params"), "method: params"))
 
-    budget = doc.get("budget") or {}
+    budget = _object(doc.get("budget"), "budget")
     _require_keys(budget, {"iterations", "max_oracle_calls"}, "budget")
     iterations = doc.get("iterations", budget.get("iterations"))
     if iterations is None:
@@ -137,7 +146,7 @@ def parse_config(text: str) -> ExperimentSpec:
     if max_calls is not None:
         max_calls = _count(max_calls, "max_oracle_calls", 1)
 
-    output = doc.get("output") or {}
+    output = _object(doc.get("output"), "output")
     _require_keys(output, {"trace_path", "record_every", "record_x"}, "output")
     record_every = output.get("record_every")
     if record_every is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -42,34 +42,40 @@ def _common_kwargs(spec: ExperimentSpec) -> dict:
                 max_oracle_calls=spec.max_oracle_calls)
 
 
-def _need(params: dict, key: str):
+def _need(params: dict, key: str) -> float:
     if params.get(key) is None:
         raise ValueError(f"missing required parameter {key!r}")
-    return params[key]
+    return number(params[key], key)
+
+
+def _float(params: dict, key: str, default=None) -> Optional[float]:
+    """``params[key]``, else ``default``, as a float; None only where both are absent or null."""
+    value = params.get(key, default)
+    return None if value is None and default is None else number(value, key)
 
 
 # -- subgradient methods -----------------------------------------------------
 
 def _build_polyak_subgrad(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
-    cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(p.get("fstar")),
-                                N=max(spec.iterations, 1), tol=p.get("tol", 0.0))
+    cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(_float(p, "fstar")),
+                                N=max(spec.iterations, 1), tol=_float(p, "tol", 0.0))
     return lambda fset, x0, rng: subgrad.run_polyak_subgrad(oracle, fset, x0, cfg, **kw)
 
 
 def _build_const_subgrad(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if p.get("h") is not None:
-        rule = subgrad.FixedStep(float(p["h"]))
+        rule = subgrad.FixedStep(_float(p, "h"))
     elif p.get("R") is None:
         raise ValueError("give either a step 'h' or a radius 'R' (with optional 'M')")
     else:
-        M = p.get("M", oracle.M)
+        M = _float(p, "M", oracle.M)
         if M is None:
             raise ValueError("M not given and unknown for this problem")
-        rule = subgrad.BudgetStep(M=float(M), R=float(p["R"]))
+        rule = subgrad.BudgetStep(M=M, R=_float(p, "R"))
     cfg = subgrad.SubgradConfig(step_rule=rule, N=max(spec.iterations, 1),
-                                tol=p.get("tol", 0.0),
+                                tol=_float(p, "tol", 0.0),
                                 averaging=bool(p.get("averaging", False)))
     return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
 
@@ -77,9 +83,9 @@ def _build_const_subgrad(spec, oracle) -> Run:
 def _build_switching(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
-        delta=float(_need(p, "delta")),
-        theta0=float(_need(p, "theta0")),
-        Mg=p.get("Mg"),
+        delta=_need(p, "delta"),
+        theta0=_need(p, "theta0"),
+        Mg=_float(p, "Mg"),
         max_iters=max(spec.iterations, 1),
     )
     return lambda fset, x0, rng: subgrad.run_switching(oracle, None, fset, x0, cfg, **kw)[1]
@@ -89,11 +95,11 @@ def _build_restarted_switching(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
         delta=1.0,  # per-stage deltas are derived inside
-        theta0=float(_need(p, "theta0")),
-        Mg=p.get("Mg"),
+        theta0=_need(p, "theta0"),
+        Mg=_float(p, "Mg"),
         max_iters=number(p.get("stage_cap", max(spec.iterations, 1)), "stage_cap", whole=True),
-        eps_target=float(_need(p, "eps")),
-        alpha_sharp=p.get("alpha"),
+        eps_target=_need(p, "eps"),
+        alpha_sharp=_float(p, "alpha"),
     )
     return lambda fset, x0, rng: subgrad.run_restarted_switching(oracle, None, fset, x0, cfg, **kw)[1]
 
@@ -101,16 +107,16 @@ def _build_restarted_switching(spec, oracle) -> Run:
 # -- smooth first-order methods ----------------------------------------------
 
 def _relative_alpha(spec: ExperimentSpec) -> float:
-    alpha = spec.method_params.get("alpha", spec.noise.alpha if isinstance(spec.noise, RelativeGrad) else None)
+    alpha = _float(spec.method_params, "alpha", spec.noise.alpha if isinstance(spec.noise, RelativeGrad) else None)
     if alpha is None:
         raise ValueError("alpha not given and no relative_grad noise configured")
-    return float(alpha)
+    return alpha
 
 
 def _smooth_run(spec: ExperimentSpec, oracle, mode, entry: str) -> Run:
     """The run of ``smooth.<entry>`` under ``mode``."""
     p, kw = spec.method_params, _common_kwargs(spec)
-    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=p.get("L"), mode=mode, tol=p.get("tol", 1e-10))
+    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=_float(p, "L"), mode=mode, tol=_float(p, "tol", 1e-10))
     return lambda fset, x0, rng: getattr(smooth, entry)(oracle, x0, cfg, **kw)
 
 
@@ -120,10 +126,10 @@ def _build_gd(spec, oracle) -> Run:
 
 def _build_gd_abs(spec, oracle) -> Run:
     p = spec.method_params
-    delta = p.get("delta", spec.noise.delta if isinstance(spec.noise, AbsoluteGrad) else None)
+    delta = _float(p, "delta", spec.noise.delta if isinstance(spec.noise, AbsoluteGrad) else None)
     if delta is None:
         raise ValueError("delta not given and no absolute_grad noise configured")
-    mode = smooth.AbsNoise(delta=float(delta), stop_multiplier=float(p.get("c", 2.0)))
+    mode = smooth.AbsNoise(delta=delta, stop_multiplier=_float(p, "c", 2.0))
     return _smooth_run(spec, oracle, mode, "run_gd_abs")
 
 
@@ -133,10 +139,10 @@ def _build_gd_rel(spec, oracle) -> Run:
 
 def _build_gd_rel_adaptive(spec, oracle) -> Run:
     alpha = _relative_alpha(spec)
-    L0 = spec.method_params.get("L0", oracle.L)
+    L0 = _float(spec.method_params, "L0", oracle.L)
     if L0 is None:
         raise ValueError("L0 not given and L unknown for this problem")
-    return _smooth_run(spec, oracle, smooth.RelNoiseAdaptive(alpha=alpha, L0=float(L0)), "run_gd_rel_adaptive")
+    return _smooth_run(spec, oracle, smooth.RelNoiseAdaptive(alpha=alpha, L0=L0), "run_gd_rel_adaptive")
 
 
 # -- momentum methods ----------------------------------------------------------
@@ -144,13 +150,13 @@ def _build_gd_rel_adaptive(spec, oracle) -> Run:
 def _build_momentum(variant: str, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations,
-                                  L=p.get("L"), mu=p.get("mu"),
-                                  tol=p.get("tol", 1e-10))
+                                  L=_float(p, "L"), mu=_float(p, "mu"),
+                                  tol=_float(p, "tol", 1e-10))
     return lambda fset, x0, rng: momentum.run_momentum(oracle, x0, cfg, **kw)
 
 
 def _build_cg_quadratic(spec, oracle) -> Run:
-    N, tol, kw = spec.iterations, spec.method_params.get("tol", 0.0), _common_kwargs(spec)
+    N, tol, kw = spec.iterations, _float(spec.method_params, "tol", 0.0), _common_kwargs(spec)
     return lambda fset, x0, rng: momentum.run_cg_quadratic(oracle, x0, N, tol=tol, **kw)
 
 
@@ -162,10 +168,10 @@ def _build_frank_wolfe(spec, oracle) -> Run:
     if rule_name == "classic":
         rule = frankwolfe.Classic()
     elif rule_name == "short":
-        rule = frankwolfe.ShortStep(L=p.get("L"))
+        rule = frankwolfe.ShortStep(L=_float(p, "L"))
     else:
         raise ValueError(f"unknown step_rule {rule_name!r} (classic | short)")
-    cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=rule, tol=p.get("tol", 0.0))
+    cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=rule, tol=_float(p, "tol", 0.0))
     return lambda fset, x0, rng: frankwolfe.run_fw(oracle, fset, x0, cfg, **kw)
 
 
@@ -177,21 +183,21 @@ _SGD_STEP_KEYS = {"step_rule", "gamma", "R", "M", "mu", "gamma0", "eta"}
 def _sgd_step_rule(p: dict, oracle: OracleSuite) -> stochastic.StepRule:
     rule = p.get("step_rule", "const")
     if rule == "const":
-        return stochastic.Const(float(_need(p, "gamma")))
+        return stochastic.Const(_need(p, "gamma"))
     if rule == "budget_const":
-        M = p.get("M", oracle.M)
+        M = _float(p, "M", oracle.M)
         if M is None:
             raise ValueError("M not given and unknown for this problem")
-        return stochastic.BudgetConst(R=float(_need(p, "R")), M=float(M))
+        return stochastic.BudgetConst(R=_need(p, "R"), M=M)
     if rule == "inv_k":
-        mu = p.get("mu", oracle.mu)
+        mu = _float(p, "mu", oracle.mu)
         if mu is None:
             raise ValueError("mu not given and unknown for this problem")
-        return stochastic.InvK(mu=float(mu))
+        return stochastic.InvK(mu=mu)
     if rule == "adagrad_norm":
-        return stochastic.AdaGradNorm(R=float(_need(p, "R")))
+        return stochastic.AdaGradNorm(R=_need(p, "R"))
     if rule == "decay":
-        return stochastic.Decay(gamma0=float(_need(p, "gamma0")), eta=float(p.get("eta", 0.6)))
+        return stochastic.Decay(gamma0=_need(p, "gamma0"), eta=_float(p, "eta", 0.6))
     raise ValueError(f"unknown step_rule {rule!r} "
                      "(const | budget_const | inv_k | adagrad_norm | decay)")
 
@@ -203,7 +209,7 @@ def _sgd_averaging(p: dict) -> stochastic.Averaging:
     if mode == "uniform":
         return stochastic.UniformAvg()
     if mode == "tail":
-        return stochastic.TailAvg(fraction=float(p.get("tail_fraction", 0.5)))
+        return stochastic.TailAvg(fraction=_float(p, "tail_fraction", 0.5))
     raise ValueError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
 
 
@@ -213,7 +219,7 @@ def _build_sgd(spec, oracle) -> Run:
         N=spec.iterations,
         step_rule=_sgd_step_rule(p, oracle),
         batch=number(p.get("batch", 1), "batch", whole=True),
-        clip_lambda=p.get("clip_lambda"),
+        clip_lambda=_float(p, "clip_lambda"),
         averaging=_sgd_averaging(p),
     )
     return lambda fset, x0, rng: stochastic.run_sgd(oracle, fset, x0, cfg, rng, **kw)
@@ -222,10 +228,9 @@ def _build_sgd(spec, oracle) -> Run:
 def _build_zo_sgd(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if "tau0" in p:
-        tau = zeroorder.PowerDecayTau(tau0=float(p["tau0"]),
-                                      exponent=float(p.get("tau_exponent", 0.0)))
+        tau = zeroorder.PowerDecayTau(tau0=_need(p, "tau0"), exponent=_float(p, "tau_exponent", 0.0))
     else:
-        tau = zeroorder.ConstTau(float(p.get("tau", 1e-3)))
+        tau = zeroorder.ConstTau(_float(p, "tau", 1e-3))
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
         step_rule=_sgd_step_rule(p, oracle),
@@ -289,6 +294,8 @@ def build_method(spec: ExperimentSpec, oracle: OracleSuite) -> Run:
     A bad name or parameter raises :class:`ConfigError`.
     """
     entry = METHODS.get(spec.method_name)
+    if not isinstance(spec.method_params, dict):
+        raise ConfigError(f"method: params must be an object, got {spec.method_params!r}")
     if entry is None:
         raise ConfigError(f"unknown method {spec.method_name!r}; available: {', '.join(method_names())}")
     unknown = set(spec.method_params) - entry.allowed

@@ -9,6 +9,13 @@ seed.
 Subgradient selections at kinks are deterministic: the minimal-norm
 element where it is cheap (``sign(0) = 0`` for absolute values), and the
 lowest achieving index for max-type functions.
+
+Every callable returns the bits of its plain numpy form on every input,
+``+-0.0``, subnormals, ``+-inf`` and NaN included.  The small closed forms
+compute on the Python floats of ``x.tolist()``, through :func:`_on_floats`
+where they take powers.  Powers stay ``**``, which is libm's ``pow`` as in
+numpy (``v * v`` rounds differently on about one input in a thousand), and
+an overflow gives ``inf`` as numpy does.
 """
 
 from __future__ import annotations
@@ -49,6 +56,23 @@ def _all_finite(value) -> bool:
     return not isinstance(value, (float, np.floating)) or math.isfinite(value)
 
 
+def _on_floats(f):
+    """``f(x0, x1)`` on a 2-vector's entries as Python floats, which skip numpy's per-scalar dispatch.
+
+    Where the results could differ, ``f`` runs on numpy float64 scalars instead: Python's ``**`` raises
+    OverflowError where numpy's gives inf, and of two NaN operands each may pass on a different one.
+    """
+    def on_floats(x):
+        x0, x1 = x.tolist()
+        if x0 == x0 and x1 == x1:  # no NaN
+            try:
+                return f(x0, x1)
+            except OverflowError:
+                pass
+        return f(x[0], x[1])
+    return on_floats
+
+
 def _abs1d(params: dict, seed: int):
     def value(x):
         return abs(float(x[0]))
@@ -72,12 +96,13 @@ def _l1_system(params: dict, seed: int):
     A = rng.gaussian((m, d))
     x_true = rng.gaussian(d)
     b = A @ x_true
+    AT = A.T
 
     def value(x):
-        return float(np.sum(np.abs(A @ x - b)))
+        return float(np.abs(A.dot(x) - b).sum())
 
     def subgrad(x):
-        return A.T @ np.sign(A @ x - b)
+        return AT.dot(np.sign(A.dot(x) - b))
 
     sigma_min = float(np.linalg.svd(A, compute_uv=False)[-1])
     if sigma_min <= 0:
@@ -124,13 +149,14 @@ def _quad_diag(params: dict, seed: int):
     a = np.asarray(params.get("shift", np.zeros(d)), dtype=float)
     if a.shape != (d,):
         raise ValueError("shift must match the dimension of lambdas")
+    shifted = np.signbit(a).any() or a.any()  # x - (+0.0) is x, but -0.0 - (-0.0) is +0.0
 
     def value(x):
-        z = x - a
-        return 0.5 * float(np.dot(lam * z, z))
+        z = x - a if shifted else x
+        return 0.5 * float((lam * z).dot(z))
 
     def grad(x):
-        return lam * (x - a)
+        return lam * (x - a) if shifted else lam * x
 
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=d,
@@ -142,10 +168,12 @@ def _quad_diag(params: dict, seed: int):
 
 
 def _fw_box(params: dict, seed: int):
-    def value(x):
-        return float(x[0] ** 2 + (1.0 + x[1]) ** 2)
+    @_on_floats
+    def value(x0, x1):
+        return float(x0 ** 2 + (1.0 + x1) ** 2)
 
     def grad(x):
+        x = x.tolist()
         return np.array([2.0 * x[0], 2.0 * (1.0 + x[1])])
 
     oracle = OracleSuite(
@@ -164,28 +192,31 @@ def _degenerate3(params: dict, seed: int):
     lam = np.array([l1, l2, 0.0])
 
     def value(x):
-        return float(np.dot(lam * x, x))
+        return float((lam * x).dot(x))  # BLAS's dot may fuse multiply-adds, which Python floats cannot
 
     def grad(x):
-        return 2.0 * lam * x
+        x = x.tolist()
+        return np.array([2.0 * l1 * x[0], 2.0 * l2 * x[1], 0.0 * x[2]])
 
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=3,
         fstar=0.0, xstar=np.zeros(3),
         # f = l1 x1^2 + l2 x2^2 has Hessian 2 diag(l1,l2,0).
         L=2.0 * l1, mu=2.0 * l2,
-        dist_fn=lambda x: float(math.hypot(x[0], x[1])),  # X* is the x3 axis
+        dist_fn=lambda x: math.hypot(x[0], x[1]),  # X* is the x3 axis
     )
     return oracle, FullSpace(3), np.zeros(3)
 
 
 def _rosenbrock(params: dict, seed: int):
-    def value(x):
-        return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+    @_on_floats
+    def value(x0, x1):
+        return float(100.0 * (x1 - x0 ** 2) ** 2 + (1.0 - x0) ** 2)
 
-    def grad(x):
-        t = x[1] - x[0] ** 2
-        return np.array([-400.0 * t * x[0] - 2.0 * (1.0 - x[0]), 200.0 * t])
+    @_on_floats
+    def grad(x0, x1):
+        t = x1 - x0 ** 2
+        return np.array([-400.0 * t * x0 - 2.0 * (1.0 - x0), 200.0 * t])
 
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=2,
@@ -195,11 +226,13 @@ def _rosenbrock(params: dict, seed: int):
 
 
 def _nesterov_skokov_toy(params: dict, seed: int):
-    def value(x):
-        return float(0.5 * x[0] ** 2 + 0.25 * x[1] ** 4 - 0.5 * x[1] ** 2)
+    @_on_floats
+    def value(x0, x1):
+        return float(0.5 * x0 ** 2 + 0.25 * x1 ** 4 - 0.5 * x1 ** 2)
 
-    def grad(x):
-        return np.array([x[0], x[1] ** 3 - x[1]])
+    @_on_floats
+    def grad(x0, x1):
+        return np.array([x0, x1 ** 3 - x1])
 
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=2,
@@ -250,18 +283,18 @@ def _slp(params: dict, seed: int):
         return np.array([-1.0, 0.0])
 
     def g_value(x):
-        return float(np.max(C @ x - rho))
+        return float((C.dot(x) - rho).max())
 
     def g_subgrad(x):
-        rows = C @ x - rho
-        return C[int(np.argmax(rows))].copy()  # lowest achieving index on ties
+        return C[(C.dot(x) - rho).argmax()].copy()  # lowest achieving index on ties
 
     # The optimal face is the segment {1} x [-tan(pi/20), tan(pi/20)].
     half_edge = math.tan(math.pi / 20.0)
 
     def dist_fn(x):
-        t = min(max(float(x[1]), -half_edge), half_edge)
-        return float(math.hypot(x[0] - 1.0, x[1] - t))
+        x = x.tolist()
+        t = min(max(x[1], -half_edge), half_edge)
+        return math.hypot(x[0] - 1.0, x[1] - t)
 
     oracle = OracleSuite(
         value=value, subgrad=subgrad, grad=subgrad, dim=2,
@@ -345,5 +378,5 @@ def _build(name: str, params: Optional[dict], seed: int):
     try:
         _check_params(params, allowed)
         return builder(params, int(seed))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:  # a JSON value of the wrong type raises TypeError in numpy
         raise ValueError(f"problem {name!r}: {e}") from None

@@ -157,7 +157,7 @@ def run_momentum(oracle: OracleSuite, x0, cfg: MomentumConfig, *,
             rec.record(k, x, grad_norm=gn, step_size=step)
             x_prev, x = x, x_new
             k += 1
-            if not np.all(np.isfinite(x)) or norm(x - x_start) > divergence_radius:
+            if not norm(x - x_start) <= divergence_radius:  # NaN and inf entries fail it too (radius finite)
                 return rec.close(k, x, RunStatus.DIVERGED, z)
     except OracleBudgetError:
         pass

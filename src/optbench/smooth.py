@@ -134,7 +134,7 @@ def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             rec.record(k, x, grad_norm=gn, step_size=h)
             x = x - h * g
             k += 1
-            if not np.all(np.isfinite(x)) or norm(x - x_start) > divergence_radius:
+            if not norm(x - x_start) <= divergence_radius:  # NaN and inf entries fail it too (radius finite)
                 return rec.close(k, x, RunStatus.DIVERGED)
     except OracleBudgetError:
         pass

@@ -228,10 +228,32 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
     (dict(problem="slp", method={"name": "restarted_switching",
                                  "params": {"theta0": 2.0, "eps": 0.1, "stage_cap": 3.5}}, iterations=5),
      "method 'restarted_switching': stage_cap must be a whole number"),
+    (dict(problem=QUAD, noise=STOCH, method={"name": "sgd", "params": {"gamma": "0.1"}}, iterations=5),
+     "method 'sgd': gamma must be a number, got '0.1'"),
+    (dict(problem=QUAD, method={"name": "gd", "params": {"L": "2"}}, iterations=5),
+     "method 'gd': L must be a number, got '2'"),
+    (dict(problem=QUAD, method={"name": "heavy_ball", "params": {"mu": [1]}}, iterations=5),
+     "method 'heavy_ball': mu must be a number, got [1]"),
+    (dict(problem=QUAD, noise=STOCH, method={"name": "sgd", "params": {"step_rule": "decay", "gamma0": 0.5,
+                                                                       "eta": None}}, iterations=5),
+     "method 'sgd': eta must be a number, got None"),
+    (dict(problem=QUAD, noise=ZO, method={"name": "zo_sgd", "params": {"gamma": 0.1, "tau": "0.01"}}, iterations=5),
+     "method 'zo_sgd': tau must be a number, got '0.01'"),
+    (dict(problem={"name": "quad_diag", "params": {"lambdas": {"a": 1}}}, method="gd", iterations=5),
+     "problem 'quad_diag': float() argument must be a string or a real number, not 'dict'"),
+    (dict(problem={"name": "quad_diag", "params": [1]}, method="gd", iterations=5),
+     "problem: params must be an object, got [1]"),
+    (dict(problem=QUAD, method={"name": "gd", "params": [1]}, iterations=5),
+     "method: params must be an object, got [1]"),
+    (dict(problem=QUAD, method={"name": "gd", "params": False}, iterations=5),
+     "method: params must be an object, got False"),
+    (dict(problem=QUAD, method="gd", budget=5), "budget must be an object, got 5"),
 ], ids=["iterations-fraction", "iterations-list", "iterations-quoted", "max_oracle_calls-fraction",
         "record_every-fraction", "seed-string", "seed-negative", "l1_system-d-fraction", "phase_retrieval-m-fraction",
         "logistic_small-n-bool", "delta_tilde-null", "sigma-quoted", "sgd-batch-fraction", "zo_sgd-beta-fraction",
-        "restarted_switching-stage_cap-fraction"])
+        "restarted_switching-stage_cap-fraction", "sgd-gamma-quoted", "gd-L-quoted", "heavy_ball-mu-list",
+        "sgd-eta-null", "zo_sgd-tau-quoted", "quad_diag-lambdas-object", "problem-params-list",
+        "method-params-list", "method-params-false", "budget-number"])
 def test_config_numbers_are_checked(tmp_path, capsys, doc, message):
     assert main(["run", "--config", write_cfg(tmp_path, "numbers.json", doc)]) == 2
     err = capsys.readouterr().err
@@ -667,6 +689,8 @@ def test_build_makes_no_oracle_call():
         oracle = dataclasses.replace(oracle, value=boom, subgrad=boom, grad=boom,
                                      stoch_grad=boom, zo_value=boom)
         assert callable(build_method(spec, oracle)), name
+    with pytest.raises(ConfigError, match=r"^method: params must be an object, got \[1\]$"):
+        build_method(dataclasses.replace(spec, method_params=[1]), oracle)
 
 
 @pytest.mark.xfail(strict=True, reason="the open-loop 2/(k+1) step decays ~1/N^2 on "
@@ -743,6 +767,9 @@ def test_cli_opt_seed_override(tmp_path, capsys, monkeypatch):
     overridden = capsys.readouterr().out
     assert "seed 2" in overridden and "seed 1" in base
     assert base.splitlines()[3] != overridden.splitlines()[3]  # different instance, different gap
+    monkeypatch.setenv("OPT_SEED", "-1")
+    assert main(["run", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: OPT_SEED must be >= 0, got '-1'\n"
 
 
 def _mask_times(command: str, text: str) -> str:

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from optbench.core import Rng, RunStatus, UnsupportedProblemError, make_problem
+from optbench.core import OracleSuite, Rng, RunStatus, UnsupportedProblemError, make_problem
 from optbench.momentum import (
     MomentumConfig,
     chebyshev_delta_limit,
@@ -174,3 +176,23 @@ def test_cg_no_worse_than_chebyshev_at_equal_budget():
                               MomentumConfig("chebyshev", N=n, L=float(lam[-1]),
                                              mu=float(lam[0]), tol=0.0))
             assert cg.f_out <= ch.f_out * (1 + 1e-9) + 1e-12
+
+
+@pytest.mark.parametrize("x0, g", [
+    ([math.nan, 0.0], [1.0, 0.0]),  # a NaN iterate
+    ([0.0, 0.0], [1e154, 0.0]),  # step * g overflows: an infinite iterate
+    ([0.0, 0.0], [1.0, 0.0]),  # x = (-1e200, 0) is finite, but its norm overflows
+], ids=["nan", "inf", "norm-overflow"])
+def test_momentum_non_finite_or_overflowing_iterate_ends_diverged(x0, g):
+    # L = mu = 1e-200 makes heavy ball's momentum 0 and its step 1e200
+    x0, g = np.array(x0), np.array(g)
+    oracle = OracleSuite(value=lambda x: float(x[0]), subgrad=lambda x: g, grad=lambda x: g, dim=2)
+    cfg = MomentumConfig("heavy_ball", N=5, L=1e-200, mu=1e-200, tol=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = run_momentum(oracle, x0, cfg, record_x=True)
+        step, beta = heavy_ball_coefficients(1e-200, 1e-200)
+        x1 = x0 - step * g + beta * (x0 - x0)
+    last = tr.rows[-1]
+    assert tr.status is RunStatus.DIVERGED and len(tr.rows) == 2 and beta == 0.0
+    assert (last.iter, last.oracle_calls, last.grad_norm) == (1, 3, None)
+    assert last.x.tobytes() == x1.tobytes() and np.array(last.f_value).tobytes() == x1[:1].tobytes()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,113 @@ def test_catalog_finiteness_check_sees_nested_and_array_values(lambdas):
     with pytest.raises(ValueError, match="param 'lambdas' must hold finite numbers only"):
         make_problem("quad_diag", {"lambdas": lambdas})
     assert make_problem("quad_diag", {"lambdas": np.array([2.0, 1.0])})[0].L == 2.0
+
+
+# -- catalog callables against their numpy forms, bit for bit ------------------
+
+def _numpy_forms(name: str, params: dict, seed: int) -> dict:
+    """The catalog callables as first written, on numpy scalars and functions: kind -> callable."""
+    if name == "l1_system":
+        rng = Rng(seed)
+        A = rng.gaussian((params["m"], params["d"]))
+        b = A @ rng.gaussian(params["d"])
+        return {"value": lambda x: float(np.sum(np.abs(A @ x - b))),
+                "subgrad": lambda x: A.T @ np.sign(A @ x - b)}
+    if name == "quad_diag":
+        lam = np.asarray(params["lambdas"], dtype=float)
+        a = np.asarray(params.get("shift", np.zeros(lam.shape[0])), dtype=float)
+
+        def value(x):
+            z = x - a
+            return 0.5 * float(np.dot(lam * z, z))
+        return {"value": value, "grad": lambda x: lam * (x - a)}
+    if name == "fw_box":
+        return {"value": lambda x: float(x[0] ** 2 + (1.0 + x[1]) ** 2),
+                "grad": lambda x: np.array([2.0 * x[0], 2.0 * (1.0 + x[1])])}
+    if name == "degenerate3":
+        lam = np.array([params["l1"], params["l2"], 0.0])
+        return {"value": lambda x: float(np.dot(lam * x, x)), "grad": lambda x: 2.0 * lam * x,
+                "dist_to_opt": lambda x: float(math.hypot(x[0], x[1]))}
+    if name == "rosenbrock":
+        def grad(x):
+            t = x[1] - x[0] ** 2
+            return np.array([-400.0 * t * x[0] - 2.0 * (1.0 - x[0]), 200.0 * t])
+        return {"value": lambda x: float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2), "grad": grad}
+    if name == "nesterov_skokov_toy":
+        return {"value": lambda x: float(0.5 * x[0] ** 2 + 0.25 * x[1] ** 4 - 0.5 * x[1] ** 2),
+                "grad": lambda x: np.array([x[0], x[1] ** 3 - x[1]])}
+    assert name == "slp"
+    rho, half_edge = params["rho"], math.tan(math.pi / 20.0)
+    angles = np.pi * np.arange(20) / 10.0
+    C = rho * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+    def dist_to_opt(x):
+        t = min(max(float(x[1]), -half_edge), half_edge)
+        return float(math.hypot(x[0] - 1.0, x[1] - t))
+    return {"constraint-value": lambda x: float(np.max(C @ x - rho)),
+            "constraint-subgrad": lambda x: C[int(np.argmax(C @ x - rho))].copy(), "dist_to_opt": dist_to_opt}
+
+
+# case -> (problem, params); every param is given, as _numpy_forms reads them
+NUMPY_FORM_CASES = {
+    "l1_system": ("l1_system", {"d": 5, "m": 8}),
+    "l1_system-d3-m4": ("l1_system", {"d": 3, "m": 4}),
+    "quad_diag": ("quad_diag", {"lambdas": [10.0, 1.0]}),
+    "quad_diag-shift": ("quad_diag", {"lambdas": [10.0, 1.0, 0.3], "shift": [1.5, -2.0, 0.0]}),
+    "quad_diag-shift+0": ("quad_diag", {"lambdas": [4.0, 1.0], "shift": [0.0, 0.0]}),
+    "quad_diag-shift-0": ("quad_diag", {"lambdas": [4.0, 1.0], "shift": [-0.0, 0.0]}),
+    "fw_box": ("fw_box", {}),
+    "degenerate3": ("degenerate3", {"l1": 1.0, "l2": 0.1}),
+    "rosenbrock": ("rosenbrock", {}),
+    "nesterov_skokov_toy": ("nesterov_skokov_toy", {}),
+    "slp": ("slp", {"rho": 1.0}),
+    "slp-rho2.5": ("slp", {"rho": 2.5}),
+}
+# +-0.0, subnormals, entries whose squares overflow, +-inf, +-nan and (last) a signalling NaN
+PROBE_SPECIALS = np.append([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -3e200, math.inf, -math.inf, math.nan, -math.nan],
+                           np.array([0x7FF4000000000001], dtype=np.uint64).view(float))
+
+
+def _probe_points(d: int, known: list) -> list:
+    rng = np.random.default_rng(11)
+    points = [np.array(x, dtype=float) for x in known]
+    points += [scale * rng.standard_normal(d) for scale in 10.0 ** np.arange(-300, 151, 10) for _ in range(3)]
+    for u in PROBE_SPECIALS:
+        points.append(np.full(d, u))
+        for v in PROBE_SPECIALS:  # every pair of specials in the first and last entries
+            x = rng.standard_normal(d)
+            x[0], x[-1] = u, v
+            points.append(x)
+    return points
+
+
+def _outcome(fn, x):
+    """What ``fn(x)`` gives: its type, dtype, shape and bytes, or the type of the error it raises."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            y = fn(x.copy())
+        except Exception as e:
+            return f"raises {type(e).__name__}"
+    a = np.asarray(y)
+    return type(y).__name__, a.dtype.str, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("case, kind", [(case, kind) for case, (name, params) in NUMPY_FORM_CASES.items()
+                                        for kind in _numpy_forms(name, params, 0)])
+def test_catalog_callables_give_the_bits_of_their_numpy_forms(case, kind):
+    name, params = NUMPY_FORM_CASES[case]
+    oracle, _ = make_problem(name, params, seed=3)
+    new = {"value": oracle.value, "subgrad": oracle.subgrad, "grad": oracle.grad,
+           "constraint-value": oracle.constraint and oracle.constraint.value,
+           "constraint-subgrad": oracle.constraint and oracle.constraint.subgrad,
+           "dist_to_opt": oracle.dist_to_opt}[kind]
+    reference = _numpy_forms(name, params, 3)[kind]
+    points = _probe_points(oracle.dim, [oracle.xstar, *(oracle.minimizers or ())])
+    for x in points:
+        expected = _outcome(reference, x)
+        assert not isinstance(expected, str), (x, expected)  # the numpy form returns inf or nan here
+        assert _outcome(new, x) == expected, x
 
 
 # -- noise wrappers ------------------------------------------------------------

@@ -245,3 +245,21 @@ def test_fixed_step_gd_refuses_the_adaptive_mode():
     with pytest.raises(ValueError, match="run_gd_rel_adaptive"):
         run_gd(oracle, np.ones(2), cfg)
     assert run_gd_abs is run_gd and run_gd_rel is run_gd
+
+
+@pytest.mark.parametrize("x0, g", [
+    ([math.nan, 0.0], [1.0, 0.0]),  # a NaN iterate
+    ([0.0, 0.0], [1e154, 0.0]),  # h * g overflows: an infinite iterate
+    ([0.0, 0.0], [1.0, 0.0]),  # x = (-1e200, 0) is finite, but its norm overflows
+], ids=["nan", "inf", "norm-overflow"])
+def test_gd_non_finite_or_overflowing_iterate_ends_diverged(x0, g):
+    # step h = 1/L = 1e200 along a constant gradient whose norm is finite
+    x0, g = np.array(x0), np.array(g)
+    oracle = OracleSuite(value=lambda x: float(x[0]), subgrad=lambda x: g, grad=lambda x: g, dim=2, L=1e-200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = run_gd(oracle, x0, SmoothRunConfig(N=5), record_x=True)
+        x1 = x0 - (1.0 / 1e-200) * g
+    last = tr.rows[-1]
+    assert tr.status is RunStatus.DIVERGED and len(tr.rows) == 2
+    assert (last.iter, last.oracle_calls, last.grad_norm) == (1, 3, None)
+    assert last.x.tobytes() == x1.tobytes() and np.array(last.f_value).tobytes() == x1[:1].tobytes()

@@ -68,7 +68,17 @@ Grids:
   parameter and a bad value.  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
   layer.  The hash covers the ``repr`` of the parsed spec; a config that
-  fails maps to its error text (92 keys).
+  fails maps to its error text (92 keys);
+* ``oracle/...``: every catalog callable called directly: ``value``,
+  ``subgrad``, ``grad``, the constraint's ``value`` and ``subgrad`` and
+  ``dist_to_opt``, for each problem at its defaults and a few parameter
+  sets (a nonzero, a ``+0.0`` and a ``-0.0`` quad_diag shift among them).
+  The inputs are random vectors at scales from 1e-300 to 1e150, the
+  minimizers, and vectors holding ``+-0.0``, subnormals, entries near
+  1e200 whose squares overflow, ``+-inf``, ``+-nan`` and a signalling
+  NaN, alone and as every pair in the first and last entries.  The hash
+  covers each output's type, dtype, shape and bytes, or the type of the
+  error it raised (67 keys, one per case and callable).
 """
 
 from __future__ import annotations
@@ -319,6 +329,87 @@ def estimator_grid() -> dict:
     return out
 
 
+# case -> (problem, params, seed)
+ORACLE_CASES = {
+    "abs1d": ("abs1d", {}, 1),
+    "l1_system": ("l1_system", {}, 1),
+    "l1_system-d3-m4-seed2": ("l1_system", {"d": 3, "m": 4}, 2),
+    "norm2": ("norm2", {"a": [1.0, -2.0, 0.5]}, 1),
+    "quad_diag": ("quad_diag", {}, 1),
+    "quad_diag-shift": ("quad_diag", {"lambdas": [10.0, 1.0, 0.3], "shift": [1.5, -2.0, 0.0]}, 1),
+    "quad_diag-shift+0": ("quad_diag", {"lambdas": [4.0, 1.0], "shift": [0.0, 0.0]}, 1),
+    "quad_diag-shift-0": ("quad_diag", {"lambdas": [4.0, 1.0], "shift": [-0.0, 0.0]}, 1),
+    "fw_box": ("fw_box", {}, 1),
+    "degenerate3": ("degenerate3", {}, 1),
+    "degenerate3-l1_3-l2_0.7": ("degenerate3", {"l1": 3.0, "l2": 0.7}, 1),
+    "rosenbrock": ("rosenbrock", {}, 1),
+    "nesterov_skokov_toy": ("nesterov_skokov_toy", {}, 1),
+    "phase_retrieval": ("phase_retrieval", {}, 1),
+    "slp": ("slp", {}, 1),
+    "slp-rho2.5": ("slp", {"rho": 2.5}, 1),
+    "logistic_small": ("logistic_small", {}, 1),
+}
+ORACLE_SPECIALS = (0.0, -0.0, 5e-324, -2.5e-310, 1e200, -3e200, float("inf"), float("-inf"), float("nan"),
+                   -float("nan"))
+
+
+def oracle_points(d: int, known=()) -> list:
+    """The fixed input grid of the ``oracle/`` keys for dimension ``d``; ``known`` adds minimizers."""
+    import numpy as np
+
+    rng = np.random.default_rng(20)
+    points = [np.asarray(x, dtype=float) for x in known]
+    points += [scale * rng.standard_normal(d) for scale in 10.0 ** np.arange(-300, 151, 10) for _ in range(3)]
+    specials = np.append(ORACLE_SPECIALS, np.array([0x7FF4000000000001], dtype=np.uint64).view(float))
+    for u in specials:  # the last is a signalling NaN
+        points.append(np.full(d, u))
+        for i in range(d):
+            x = rng.standard_normal(d)
+            x[i] = u
+            points.append(x)
+        for v in specials:
+            x = rng.standard_normal(d)
+            x[0], x[-1] = u, v
+            points.append(x)
+    return points
+
+
+def oracle_grid() -> dict:
+    import warnings
+
+    import numpy as np
+
+    from optbench.core import make_problem
+
+    def outcome(fn, x) -> bytes:
+        try:
+            y = fn(x.copy())
+        except Exception as e:  # which inputs raise, and with what, is part of the compared behaviour
+            return f"raises {type(e).__name__};".encode()
+        if y is None:
+            return b"None;"
+        a = np.asarray(y)
+        return f"{type(y).__name__} {a.dtype.str} {a.shape};".encode() + a.tobytes()
+
+    out = {}
+    for case, (name, params, seed) in ORACLE_CASES.items():
+        oracle, _ = make_problem(name, params, seed)
+        known = [m for m in (oracle.xstar, *(oracle.minimizers or ())) if m is not None]
+        points = oracle_points(oracle.dim, known)
+        g = oracle.constraint
+        fns = {"value": oracle.value, "subgrad": oracle.subgrad, "grad": oracle.grad,
+               "constraint-value": g and g.value, "constraint-subgrad": g and g.subgrad,
+               "dist_to_opt": oracle.dist_to_opt}
+        for kind, fn in fns.items():
+            if fn is None:
+                continue
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                data = b"".join(outcome(fn, x) for x in points)
+            out[f"oracle/{case}/{kind}"] = {"sha256": hashlib.sha256(data).hexdigest()}
+    return out
+
+
 def cli_grid(tmp: str) -> dict:
     from catalog import make_configs
     from optbench.bench import cli
@@ -469,7 +560,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
-                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid()}
+                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **oracle_grid()}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
