@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.linalg import number
+from ..core.linalg import flag, number
 from ..core.noise import NOISE_KINDS, NoNoise, NoiseCompatibilityError, NoiseSpec, wrap_noise
 from ..core.problems import UnknownProblemError, make_problem
 from ..core.rng import Rng
@@ -153,6 +153,10 @@ def parse_config(text: str) -> ExperimentSpec:
         # keep traces under _MAX_TRACE_ROWS rows by default
         record_every = max(1, -(-(iterations + 1) // _MAX_TRACE_ROWS))
     record_every = _count(record_every, "record_every", 1)
+    try:
+        record_x = flag(output.get("record_x"), "record_x")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
     noise = _parse_noise(doc.get("noise"))
 
@@ -186,7 +190,7 @@ def parse_config(text: str) -> ExperimentSpec:
         max_oracle_calls=max_calls,
         trace_path=output.get("trace_path"),
         record_every=record_every,
-        record_x=bool(output.get("record_x", False)),
+        record_x=record_x,
         x0=x0,
     )
     build_method(spec, oracle)

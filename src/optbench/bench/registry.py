@@ -12,14 +12,14 @@ method's entry point up as a module attribute at call time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .. import frankwolfe, momentum, smooth, stochastic, subgrad, zeroorder
-from ..core.linalg import number
+from ..core.linalg import flag, number
 from ..core.noise import AbsoluteGrad, RelativeGrad
 from ..core.oracles import OracleSuite, Trace
 from ..core.rng import Rng
@@ -54,6 +54,30 @@ def _float(params: dict, key: str, default=None) -> Optional[float]:
     return None if value is None and default is None else number(value, key)
 
 
+def _constant(params: dict, key: str, oracle: OracleSuite) -> float:
+    """``params[key]``, else the problem's constant of that name, as a float."""
+    value = _float(params, key, getattr(oracle, key))
+    if value is None:
+        raise ValueError(f"{key} not given and unknown for this problem")
+    return value
+
+
+def _step_rule(table: dict, params: dict, oracle: OracleSuite):
+    """The rule of kind ``params["step_rule"]`` (default: ``table``'s first), read from its fields' keys."""
+    kind = params.get("step_rule", next(iter(table)))
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown step_rule {kind!r} ({' | '.join(table)})")
+    # A missing field takes its default; a required M, mu or L, the problem's constant.
+    return cls(**{f.name: _float(params, f.name, f.default) if f.default is not MISSING
+                  else _constant(params, f.name, oracle) if f.name in ("M", "mu", "L")
+                  else _need(params, f.name) for f in fields(cls)})
+
+
+def _rule_keys(table: dict) -> set:
+    return {"step_rule"} | {f.name for cls in table.values() for f in fields(cls)}
+
+
 # -- subgradient methods -----------------------------------------------------
 
 def _build_polyak_subgrad(spec, oracle) -> Run:
@@ -70,13 +94,10 @@ def _build_const_subgrad(spec, oracle) -> Run:
     elif p.get("R") is None:
         raise ValueError("give either a step 'h' or a radius 'R' (with optional 'M')")
     else:
-        M = _float(p, "M", oracle.M)
-        if M is None:
-            raise ValueError("M not given and unknown for this problem")
-        rule = subgrad.BudgetStep(M=M, R=_float(p, "R"))
+        rule = subgrad.BudgetStep(M=_constant(p, "M", oracle), R=_float(p, "R"))
     cfg = subgrad.SubgradConfig(step_rule=rule, N=max(spec.iterations, 1),
                                 tol=_float(p, "tol", 0.0),
-                                averaging=bool(p.get("averaging", False)))
+                                averaging=flag(p.get("averaging"), "averaging"))
     return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
 
 
@@ -164,43 +185,12 @@ def _build_cg_quadratic(spec, oracle) -> Run:
 
 def _build_frank_wolfe(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
-    rule_name = p.get("step_rule", "classic")
-    if rule_name == "classic":
-        rule = frankwolfe.Classic()
-    elif rule_name == "short":
-        rule = frankwolfe.ShortStep(L=_float(p, "L"))
-    else:
-        raise ValueError(f"unknown step_rule {rule_name!r} (classic | short)")
-    cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=rule, tol=_float(p, "tol", 0.0))
+    cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=_step_rule(frankwolfe.FW_STEP_RULES, p, oracle),
+                              tol=_float(p, "tol", 0.0))
     return lambda fset, x0, rng: frankwolfe.run_fw(oracle, fset, x0, cfg, **kw)
 
 
 # -- stochastic -------------------------------------------------------------------
-
-_SGD_STEP_KEYS = {"step_rule", "gamma", "R", "M", "mu", "gamma0", "eta"}
-
-
-def _sgd_step_rule(p: dict, oracle: OracleSuite) -> stochastic.StepRule:
-    rule = p.get("step_rule", "const")
-    if rule == "const":
-        return stochastic.Const(_need(p, "gamma"))
-    if rule == "budget_const":
-        M = _float(p, "M", oracle.M)
-        if M is None:
-            raise ValueError("M not given and unknown for this problem")
-        return stochastic.BudgetConst(R=_need(p, "R"), M=M)
-    if rule == "inv_k":
-        mu = _float(p, "mu", oracle.mu)
-        if mu is None:
-            raise ValueError("mu not given and unknown for this problem")
-        return stochastic.InvK(mu=mu)
-    if rule == "adagrad_norm":
-        return stochastic.AdaGradNorm(R=_need(p, "R"))
-    if rule == "decay":
-        return stochastic.Decay(gamma0=_need(p, "gamma0"), eta=_float(p, "eta", 0.6))
-    raise ValueError(f"unknown step_rule {rule!r} "
-                     "(const | budget_const | inv_k | adagrad_norm | decay)")
-
 
 def _sgd_averaging(p: dict) -> stochastic.Averaging:
     mode = p.get("averaging", "none")
@@ -217,7 +207,7 @@ def _build_sgd(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = stochastic.SgdConfig(
         N=spec.iterations,
-        step_rule=_sgd_step_rule(p, oracle),
+        step_rule=_step_rule(stochastic.STEP_RULES, p, oracle),
         batch=number(p.get("batch", 1), "batch", whole=True),
         clip_lambda=_float(p, "clip_lambda"),
         averaging=_sgd_averaging(p),
@@ -233,7 +223,7 @@ def _build_zo_sgd(spec, oracle) -> Run:
         tau = zeroorder.ConstTau(_float(p, "tau", 1e-3))
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
-        step_rule=_sgd_step_rule(p, oracle),
+        step_rule=_step_rule(stochastic.STEP_RULES, p, oracle),
         kernel=zeroorder.build_kernel(number(p.get("beta", 2), "beta", whole=True)),
         tau_schedule=tau,
         batch=number(p.get("batch", 1), "batch", whole=True),
@@ -262,24 +252,16 @@ METHODS: dict[str, MethodEntry] = {e.name: e for e in [
            {"L", "tol", "alpha"}, _build_gd_rel),
     _entry("gd_rel_adaptive", "adaptive-step descent under relative gradient error (alpha < 0.5)",
            {"L", "L0", "tol", "alpha"}, _build_gd_rel_adaptive),
-    _entry("heavy_ball", "two-term momentum with constant coefficients",
-           {"L", "mu", "tol"}, partial(_build_momentum, "heavy_ball")),
-    _entry("chebyshev", "Chebyshev semi-iterative recurrence",
-           {"L", "mu", "tol"}, partial(_build_momentum, "chebyshev")),
-    _entry("nesterov_sc", "look-ahead momentum, strongly convex tuning",
-           {"L", "mu", "tol"}, partial(_build_momentum, "nesterov_sc")),
-    _entry("nesterov_cvx", "look-ahead momentum with factor (k-1)/(k+2)",
-           {"L", "mu", "tol"}, partial(_build_momentum, "nesterov_cvx")),
-    _entry("taylor_drori", "worst-case-optimal accelerated recurrence",
-           {"L", "mu", "tol"}, partial(_build_momentum, "taylor_drori")),
+    *(_entry(name, variant.doc, {"L", "mu", "tol"}, partial(_build_momentum, name))
+      for name, variant in momentum.VARIANTS.items()),
     _entry("cg_quadratic", "conjugate gradients (quadratic problems only)",
            {"tol"}, _build_cg_quadratic),
     _entry("frank_wolfe", "conditional gradient with classic or short step",
-           {"step_rule", "L", "tol"}, _build_frank_wolfe),
+           _rule_keys(frankwolfe.FW_STEP_RULES) | {"tol"}, _build_frank_wolfe),
     _entry("sgd", "projected stochastic gradient descent",
-           _SGD_STEP_KEYS | {"batch", "clip_lambda", "averaging", "tail_fraction"}, _build_sgd),
+           _rule_keys(stochastic.STEP_RULES) | {"batch", "clip_lambda", "averaging", "tail_fraction"}, _build_sgd),
     _entry("zo_sgd", "zeroth-order projected SGD with a kernel estimator",
-           _SGD_STEP_KEYS | {"batch", "beta", "tau", "tau0", "tau_exponent"}, _build_zo_sgd),
+           _rule_keys(stochastic.STEP_RULES) | {"batch", "beta", "tau", "tau0", "tau_exponent"}, _build_zo_sgd),
 ]}
 
 

@@ -1,4 +1,4 @@
-"""The Euclidean norm of a 1-d float vector, and the check on a number read from a config."""
+"""The Euclidean norm of a 1-d float vector, and the checks on a number or a flag read from a config."""
 
 from __future__ import annotations
 
@@ -29,3 +29,10 @@ def number(value, name: str, whole: bool = False, least=None):
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
     return value
+
+
+def flag(value, name: str) -> bool:
+    """``value`` as a bool, null read as false; or a ValueError unless it is a JSON boolean."""
+    if value is not None and not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)

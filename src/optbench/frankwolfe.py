@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -41,12 +41,16 @@ from .core.sets import FeasibleSet, FullSpace, UnboundedSetError
 
 @dataclass(frozen=True)
 class Classic:
-    pass
+    kind: ClassVar[str] = "classic"
 
 
 @dataclass(frozen=True)
 class ShortStep:
+    kind: ClassVar[str] = "short"
     L: Optional[float] = None  # resolved from the oracle when omitted
+
+
+FW_STEP_RULES: dict[str, type] = {cls.kind: cls for cls in (Classic, ShortStep)}  # a class's fields are its keys
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -40,11 +40,20 @@ from .core.oracles import (
     UnsupportedProblemError,
 )
 
-VARIANTS = ("heavy_ball", "chebyshev", "nesterov_sc", "nesterov_cvx", "taylor_drori")
-# taylor_drori degenerates gracefully to its convex tuning at mu = 0.
-_NEEDS_MU = ("heavy_ball", "chebyshev", "nesterov_sc")
-# Recurrences that divide by L - mu (taylor_drori by (1 - mu/L)^2).
-_NEEDS_MU_BELOW_L = ("chebyshev", "taylor_drori")
+
+class Variant(NamedTuple):
+    doc: str  # its ``list-methods`` line
+    needs_mu: bool = False  # mu > 0; otherwise a missing mu reads 0, taylor_drori's convex tuning
+    needs_mu_below_L: bool = False  # the recurrence divides by L - mu (taylor_drori by (1 - mu/L)^2)
+
+
+VARIANTS = {
+    "heavy_ball": Variant("two-term momentum with constant coefficients", needs_mu=True),
+    "chebyshev": Variant("Chebyshev semi-iterative recurrence", needs_mu=True, needs_mu_below_L=True),
+    "nesterov_sc": Variant("look-ahead momentum, strongly convex tuning", needs_mu=True),
+    "nesterov_cvx": Variant("look-ahead momentum with factor (k-1)/(k+2)"),
+    "taylor_drori": Variant("worst-case-optimal accelerated recurrence", needs_mu_below_L=True),
+}
 
 
 @dataclass(frozen=True)
@@ -57,7 +66,7 @@ class MomentumConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown momentum variant {self.variant!r}; choose from {VARIANTS}")
+            raise ValueError(f"unknown momentum variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if self.N < 0:
             raise ValueError("budget N must be >= 0")
         if self.L is not None and self.mu is not None and self.mu > self.L:
@@ -71,14 +80,13 @@ def _resolve(oracle: OracleSuite, cfg: MomentumConfig) -> tuple[float, float]:
     if L is None or not L > 0:  # also true for NaN
         raise ValueError("a positive L is required (config or oracle)")
     mu = cfg.mu if cfg.mu is not None else oracle.mu
-    if cfg.variant in _NEEDS_MU:
+    if VARIANTS[cfg.variant].needs_mu:
         if mu is None or not mu > 0:
             raise ValueError(f"variant {cfg.variant!r} requires mu > 0")
         if mu > L:
             raise ValueError("mu must not exceed L")
-    else:
-        mu = 0.0 if mu is None else mu
-    if cfg.variant in _NEEDS_MU_BELOW_L and not mu < L:
+    mu = 0.0 if mu is None else mu
+    if VARIANTS[cfg.variant].needs_mu_below_L and not mu < L:
         raise ValueError(f"{cfg.variant} requires mu < L strictly")
     return float(L), float(mu)
 

@@ -183,9 +183,9 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             gn2 = float(np.dot(g, g))
             gn = math.sqrt(gn2)
             if not math.isfinite(gn):
-                return rec.close(k, x, RunStatus.DIVERGED)
+                return rec.close(k, x, RunStatus.DIVERGED, f_value=fx)
             if gn <= cfg.tol:
-                return rec.close(k, x, RunStatus.CONVERGED)
+                return rec.close(k, x, RunStatus.CONVERGED, f_value=fx)
             L_try = cfg.mode.L0 if L_prev is None else max(L_prev / 2.0, _L_MIN)
             doublings = 0
             while True:
@@ -208,7 +208,7 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             L_prev = L_try
             k += 1
             if norm(x - x_start) > divergence_radius:
-                return rec.close(k, x, RunStatus.DIVERGED)
+                return rec.close(k, x, RunStatus.DIVERGED, f_value=fx)
     except OracleBudgetError:
         pass
     return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)

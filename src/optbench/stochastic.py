@@ -4,7 +4,7 @@ Step schedules (``rule.schedule(N)`` returns the step ``gamma(k, g)`` of
 iteration k with applied gradient g):
 
 * ``Const(gamma)``          -- fixed step;
-* ``BudgetConst(R, M)``     -- gamma = R / (M sqrt(N)) for a known run length;
+* ``BudgetConst(M, R)``     -- gamma = R / (M sqrt(N)) for a known run length;
 * ``InvK(mu)``              -- gamma_k = 1 / (mu (k+1)), the strongly convex rule;
 * ``AdaGradNorm(R)``        -- gamma_k = R / sqrt(sum_{j<=k} ||g_j||^2);
 * ``Decay(gamma0, eta)``    -- gamma_k = gamma0 (k+1)^{-eta} with eta in (1/2, 1),
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional, get_args
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .core.sets import FeasibleSet, FullSpace
 
 @dataclass(frozen=True)
 class Const:
+    kind: ClassVar[str] = "const"
     gamma: float
 
     def __post_init__(self):
@@ -70,8 +71,9 @@ class Const:
 
 @dataclass(frozen=True)
 class BudgetConst:
+    kind: ClassVar[str] = "budget_const"
+    M: float  # before R: the registry reads fields in order, and a missing M is reported first
     R: float
-    M: float
 
     def __post_init__(self):
         if not (self.R > 0 and self.M > 0):
@@ -84,6 +86,7 @@ class BudgetConst:
 
 @dataclass(frozen=True)
 class InvK:
+    kind: ClassVar[str] = "inv_k"
     mu: float
 
     def __post_init__(self):
@@ -97,6 +100,7 @@ class InvK:
 
 @dataclass(frozen=True)
 class AdaGradNorm:
+    kind: ClassVar[str] = "adagrad_norm"
     R: float
 
     def __post_init__(self):
@@ -115,6 +119,7 @@ class AdaGradNorm:
 
 @dataclass(frozen=True)
 class Decay:
+    kind: ClassVar[str] = "decay"
     gamma0: float
     eta: float = 0.6
 
@@ -149,6 +154,7 @@ class TailAvg:
 
 
 StepRule = Const | BudgetConst | InvK | AdaGradNorm | Decay
+STEP_RULES: dict[str, type] = {cls.kind: cls for cls in get_args(StepRule)}  # a class's fields are its config keys
 Averaging = NoAveraging | UniformAvg | TailAvg
 
 

@@ -289,6 +289,98 @@ def test_default_record_every_keeps_traces_small():
     assert (spec.iterations + 1) / spec.record_every <= 100_000
 
 
+# every field of each step-rule kind, in field order; fw_box has M, mu and L
+STEP_RULE_FIELDS = {
+    "const": {"gamma": 0.1},
+    "budget_const": {"M": 2.0, "R": 1.0},
+    "inv_k": {"mu": 0.5},
+    "adagrad_norm": {"R": 1.0},
+    "decay": {"gamma0": 0.3, "eta": 0.7},
+}
+FW_STEP_RULE_FIELDS = {"classic": {}, "short": {"L": 3.0}}
+# method -> (its noise, the module and entry point its run calls, its step-rule table and fields)
+RULE_METHODS = {
+    "sgd": (STOCH, stochastic, "run_sgd", stochastic.STEP_RULES, STEP_RULE_FIELDS),
+    "zo_sgd": (ZO, optbench.zeroorder, "run_zo_sgd", stochastic.STEP_RULES, STEP_RULE_FIELDS),
+    "frank_wolfe": (None, frankwolfe, "run_fw", frankwolfe.FW_STEP_RULES, FW_STEP_RULE_FIELDS),
+}
+
+
+def built_step_rule(monkeypatch, method, params):
+    """The step rule that ``method``'s run, parsed from JSON on fw_box, hands to its entry point."""
+    noise, module, entry, *_ = RULE_METHODS[method]
+    doc = {"problem": "fw_box", "noise": noise, "method": {"name": method, "params": params}, "iterations": 5}
+    spec = parse_config(json.dumps(doc))
+    oracle, fset = make_problem("fw_box")
+    seen = []
+    monkeypatch.setattr(module, entry, lambda oracle, fset, x0, cfg, *args, **kw: seen.append(cfg))
+    build_method(spec, oracle)(fset, np.zeros(2), None)
+    return seen[0].step_rule
+
+
+@pytest.mark.parametrize("method, kind", [(m, k) for m, (*_, kinds) in RULE_METHODS.items() for k in kinds])
+def test_parsed_step_rule_equals_direct_construction(monkeypatch, method, kind):
+    *_, table, kinds = RULE_METHODS[method]
+    cls, fields = table[kind], kinds[kind]
+    assert cls.kind == kind and [f.name for f in dataclasses.fields(cls)] == list(fields)
+    assert built_step_rule(monkeypatch, method, dict(fields, step_rule=kind)) == cls(**fields)
+
+
+@pytest.mark.parametrize("method, kind, params, expected", [
+    ("sgd", "budget_const", {"R": 1.0}, stochastic.BudgetConst(M=make_problem("fw_box")[0].M, R=1.0)),
+    ("sgd", "inv_k", {}, stochastic.InvK(mu=2.0)),
+    ("sgd", "decay", {"gamma0": 0.3}, stochastic.Decay(gamma0=0.3, eta=0.6)),
+    ("frank_wolfe", "short", {}, frankwolfe.ShortStep(L=None)),
+    ("frank_wolfe", None, {}, frankwolfe.Classic()),
+    ("sgd", None, {"gamma": 0.1}, stochastic.Const(gamma=0.1)),
+], ids=["M-from-problem", "mu-from-problem", "eta-default", "L-default", "fw-default-kind", "sgd-default-kind"])
+def test_missing_rule_fields_take_problem_constants_or_defaults(monkeypatch, method, kind, params, expected):
+    if kind is not None:
+        params = dict(params, step_rule=kind)
+    assert built_step_rule(monkeypatch, method, params) == expected
+
+
+def test_step_rule_keys_are_the_table_fields():
+    rule_keys = {"step_rule"} | {f.name for cls in stochastic.STEP_RULES.values() for f in dataclasses.fields(cls)}
+    assert rule_keys == {"step_rule", "gamma", "R", "M", "mu", "gamma0", "eta"}
+    assert METHODS["sgd"].allowed == rule_keys | {"batch", "clip_lambda", "averaging", "tail_fraction"}
+    assert METHODS["zo_sgd"].allowed == rule_keys | {"batch", "beta", "tau", "tau0", "tau_exponent"}
+    assert METHODS["frank_wolfe"].allowed == {"step_rule", "L", "tol"}
+    for name, variant in momentum.VARIANTS.items():
+        assert (METHODS[name].doc, METHODS[name].allowed) == (variant.doc, {"L", "mu", "tol"})
+
+
+NORM2_SUBGRAD = {"problem": {"name": "norm2", "params": {"a": [1, 2]}},
+                 "method": {"name": "const_subgrad", "params": {"R": 3}}, "iterations": 20}
+
+
+@pytest.mark.parametrize("key, value", [("averaging", "false"), ("averaging", "no"), ("averaging", 0),
+                                        ("averaging", 1), ("record_x", "no"), ("record_x", "true"),
+                                        ("record_x", 1), ("record_x", [])])
+def test_flags_must_be_json_booleans(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(NORM2_SUBGRAD))
+    if key == "averaging":
+        doc["method"]["params"]["averaging"] = value
+    else:
+        doc["output"] = {"record_x": value}
+    assert main(["run", "--config", write_cfg(tmp_path, "flag.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be true or false, got {value!r}" in err and "runtime error" not in err
+
+
+def test_null_or_omitted_flags_read_false():
+    def gap(averaging):
+        doc = json.loads(json.dumps(NORM2_SUBGRAD))
+        if averaging != "omitted":
+            doc["method"]["params"]["averaging"] = averaging
+        return run_experiment(parse_config(json.dumps(doc)))[1]["final_gap"]
+
+    assert gap(None) == gap("omitted") == gap(False) != gap(True)
+    for output in ({"record_x": None}, {}):
+        assert parse_config(json.dumps(dict(NORM2_SUBGRAD, output=output))).record_x is False
+    assert parse_config(json.dumps(dict(NORM2_SUBGRAD, output={"record_x": True}))).record_x is True
+
+
 # -- rate fitting -----------------------------------------------------------------
 
 def synthetic_trace(gaps, start_iter=1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -222,6 +223,23 @@ def test_adaptive_exit_unreachable_for_lying_alpha():
     cfg = SmoothRunConfig(N=5, mode=RelNoiseAdaptive(alpha=0.1, L0=1e-9))
     with pytest.raises(ExitCriterionUnreachable):
         run_gd_rel_adaptive(lying, np.array([1.0]), cfg)
+
+
+def test_adaptive_converged_terminal_row_reuses_the_method_value():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    noisy = wrap_noise(oracle, RelativeGrad(alpha=0.25, mode="shrink"), Rng(0))
+    calls = []
+
+    def counted(kind, fn):
+        return lambda x: calls.append(kind) or fn(x)
+
+    suite = dataclasses.replace(noisy, value=counted("value", noisy.value), grad=counted("grad", noisy.grad))
+    cfg = SmoothRunConfig(N=500, mode=RelNoiseAdaptive(alpha=0.25, L0=1.0), tol=1e-6)
+    tr = run_gd_rel_adaptive(suite, np.array([1.0, 1.0]), cfg)
+    assert tr.status is RunStatus.CONVERGED
+    before, last = tr.rows[-2], tr.rows[-1]
+    assert last.iter == before.iter + 1 and last.oracle_calls == before.oracle_calls + 1 == len(calls)
+    assert calls[before.oracle_calls:] == ["grad"]
 
 
 def test_adaptive_rejects_alpha_half():

@@ -60,7 +60,8 @@ Grids:
   with the ``wall_time`` and ``time_s`` fields masked, and the trace
   bytes ``run`` writes; a few error paths (an unknown subcommand, a
   missing config file, a bad JSON config, ``rates`` on a too-short
-  trace) hash their exit code and stderr instead (110 keys);
+  trace) hash their exit code and stderr instead; and ``list-methods``
+  hashes its exit code and stdout (111 keys);
 * ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
   config, the config without each of its fields, an unknown key, a bad
   mode, ints where floats are meant, and ``v`` without ``mode``.  For
@@ -68,7 +69,17 @@ Grids:
   parameter and a bad value.  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
   layer.  The hash covers the ``repr`` of the parsed spec; a config that
-  fails maps to its error text (92 keys);
+  fails maps to its error text (92 keys).  ``parse/variant/...`` parses
+  each method variant's keys and runs the result for 3 iterations through
+  ``run_experiment``, hashing the spec's ``repr`` and the trace: for
+  ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
+  keys, with each key null and with each key quoted; ``M`` and ``mu``
+  filled from a problem that has them or refused on one that lacks them,
+  an unknown, null or list ``step_rule`` and bad values; Frank-Wolfe's
+  ``classic`` and ``short`` with and without ``L``; and each momentum
+  variant with L and mu from the problem, mu null, missing L, missing mu,
+  mu = 0, mu = L and mu > L.  A failure at parse or run time maps to its
+  error text (112 keys);
 * ``oracle/...``: every catalog callable called directly: ``value``,
   ``subgrad``, ``grad``, the constraint's ``value`` and ``subgrad`` and
   ``dist_to_opt``, for each problem at its defaults and a few parameter
@@ -467,6 +478,7 @@ def cli_grid(tmp: str) -> dict:
               **{f"short-trace-{model}": ["rates", "--trace", trace, "--model", model] for model in MODELS}}
     for name, argv in errors.items():
         out[f"cli/error/{name}"] = call(argv, stream="stderr")
+    out["cli/list-methods"] = call(["list-methods"])
     return out
 
 
@@ -552,6 +564,92 @@ def parse_grid() -> dict:
     return out
 
 
+_ZO = {"kind": "zo_stoch", "delta_tilde": 0.01}
+# SGD step-rule kind -> a valid rule's keys on quad_diag [2, 1], which has mu = 1 and no M
+VARIANT_RULES = {
+    "const": {"gamma": 0.1},
+    "budget_const": {"R": 1.0, "M": 2.0},
+    "inv_k": {"mu": 1.0},
+    "adagrad_norm": {"R": 1.0},
+    "decay": {"gamma0": 0.3, "eta": 0.7},
+}
+# name -> (problem, method, params): SGD rule kinds, problem constants, Frank-Wolfe rules
+VARIANT_CASES = {
+    "sgd/default-kind": (_PARSE_QUAD, "sgd", {"gamma": 0.1}),
+    "sgd/unknown-kind": (_PARSE_QUAD, "sgd", {"step_rule": "bogus", "gamma": 0.1}),
+    "sgd/null-kind": (_PARSE_QUAD, "sgd", {"step_rule": None, "gamma": 0.1}),
+    "sgd/list-kind": (_PARSE_QUAD, "sgd", {"step_rule": ["const"], "gamma": 0.1}),
+    "sgd/const/other-kinds-keys": (_PARSE_QUAD, "sgd", {"gamma": 0.1, "R": 5.0, "eta": 0.9}),
+    "sgd/const/bad-value": (_PARSE_QUAD, "sgd", {"gamma": -1.0}),
+    "sgd/decay/bad-value": (_PARSE_QUAD, "sgd", {"step_rule": "decay", "gamma0": 0.3, "eta": 0.4}),
+    "sgd/budget_const/missing-R-and-M": (_PARSE_QUAD, "sgd", {"step_rule": "budget_const"}),
+    "sgd/budget_const/fw_box-fills-M": ("fw_box", "sgd", {"step_rule": "budget_const", "R": 1.0}),
+    "sgd/budget_const/fw_box-null-M": ("fw_box", "sgd", {"step_rule": "budget_const", "R": 1.0, "M": None}),
+    "sgd/inv_k/fw_box-fills-mu": ("fw_box", "sgd", {"step_rule": "inv_k"}),
+    "sgd/inv_k/fw_box-null-mu": ("fw_box", "sgd", {"step_rule": "inv_k", "mu": None}),
+    "sgd/inv_k/lacks-mu": ("nesterov_skokov_toy", "sgd", {"step_rule": "inv_k"}),
+    "sgd/inv_k/lacks-mu-null": ("nesterov_skokov_toy", "sgd", {"step_rule": "inv_k", "mu": None}),
+    "frank_wolfe/default-kind": ("fw_box", "frank_wolfe", {}),
+    "frank_wolfe/classic": ("fw_box", "frank_wolfe", {"step_rule": "classic"}),
+    "frank_wolfe/classic/with-L": ("fw_box", "frank_wolfe", {"step_rule": "classic", "L": 2.0}),
+    "frank_wolfe/short": ("fw_box", "frank_wolfe", {"step_rule": "short", "L": 3.0}),
+    "frank_wolfe/short/missing-L": ("fw_box", "frank_wolfe", {"step_rule": "short"}),
+    "frank_wolfe/short/null-L": ("fw_box", "frank_wolfe", {"step_rule": "short", "L": None}),
+    "frank_wolfe/short/quoted-L": ("fw_box", "frank_wolfe", {"step_rule": "short", "L": "2"}),
+    "frank_wolfe/short/bad-L": ("fw_box", "frank_wolfe", {"step_rule": "short", "L": -1.0}),
+    "frank_wolfe/unknown-kind": ("fw_box", "frank_wolfe", {"step_rule": "bogus"}),
+    "frank_wolfe/null-kind": ("fw_box", "frank_wolfe", {"step_rule": None}),
+    "frank_wolfe/list-kind": ("fw_box", "frank_wolfe", {"step_rule": ["short"]}),
+}
+MOMENTUM_VARIANTS = ("heavy_ball", "chebyshev", "nesterov_sc", "nesterov_cvx", "taylor_drori")
+# case -> (problem, params); rosenbrock has neither L nor mu, quad_diag [2, 1] has L = 2 and mu = 1
+MOMENTUM_CASES = {
+    "from-problem": (_PARSE_QUAD, {}),
+    "null-mu": (_PARSE_QUAD, {"mu": None}),
+    "missing-L": ("rosenbrock", {}),
+    "missing-mu": ("rosenbrock", {"L": 2.0}),
+    "mu-zero": ("rosenbrock", {"L": 2.0, "mu": 0.0}),
+    "mu-equals-L": ("rosenbrock", {"L": 2.0, "mu": 2.0}),
+    "mu-above-L": ("rosenbrock", {"L": 2.0, "mu": 3.0}),
+}
+
+
+def variant_grid(tmp: str) -> dict:
+    """``parse/variant/...``: each method variant's keys parsed, then run for 3 iterations."""
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+
+    path = os.path.join(tmp, "trace.json")
+    noises = {"sgd": _STOCH, "zo_sgd": _ZO}
+    cases = dict(VARIANT_CASES)
+    for (method, noise), (kind, keys) in itertools.product(noises.items(), VARIANT_RULES.items()):
+        rule = dict(keys, step_rule=kind)
+        cases[f"{method}/{kind}/valid"] = (_PARSE_QUAD, method, rule)
+        for name, value in keys.items():
+            cases[f"{method}/{kind}/missing-{name}"] = (_PARSE_QUAD, method, _without(rule, name))
+            cases[f"{method}/{kind}/null-{name}"] = (_PARSE_QUAD, method, dict(rule, **{name: None}))
+            cases[f"{method}/{kind}/quoted-{name}"] = (_PARSE_QUAD, method, dict(rule, **{name: str(value)}))
+    for variant, (case, (problem, params)) in itertools.product(MOMENTUM_VARIANTS, MOMENTUM_CASES.items()):
+        cases[f"momentum/{variant}/{case}"] = (problem, variant, params)
+
+    out = {}
+    for key, (problem, method, params) in cases.items():
+        doc = {"problem": problem, "method": {"name": method, "params": params}, "iterations": 3,
+               "output": {"record_x": True}}
+        if method in noises:
+            doc["noise"] = noises[method]
+
+        def run(doc=doc):
+            spec = parse_config(json.dumps(doc))
+            _, summary = run_experiment(spec, trace_path=path)
+            with open(path, "rb") as fh:
+                data = repr(spec).encode() + fh.read()
+            return {"sha256": hashlib.sha256(data).hexdigest(), "oracle_calls": summary["oracle_calls"]}
+
+        out[f"parse/variant/{key}"] = _guarded(run)
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -560,7 +658,7 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
-                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **oracle_grid()}
+                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid()}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
