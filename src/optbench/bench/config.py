@@ -87,7 +87,7 @@ def _parse_noise(obj) -> NoiseSpec:
     if not isinstance(obj, dict):
         raise ConfigError("noise must be an object with a 'kind' key")
     kind = obj.get("kind")
-    cls = NOISE_KINDS.get(kind)
+    cls = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown noise kind {kind!r}; available: {sorted(NOISE_KINDS)}")
     spec_fields = fields(cls)

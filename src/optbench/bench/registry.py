@@ -275,7 +275,7 @@ def build_method(spec: ExperimentSpec, oracle: OracleSuite) -> Run:
     Returns ``run(fset, x0, rng) -> Trace``; building makes no oracle call.
     A bad name or parameter raises :class:`ConfigError`.
     """
-    entry = METHODS.get(spec.method_name)
+    entry = METHODS.get(spec.method_name) if isinstance(spec.method_name, str) else None
     if not isinstance(spec.method_params, dict):
         raise ConfigError(f"method: params must be an object, got {spec.method_params!r}")
     if entry is None:

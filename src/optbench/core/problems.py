@@ -371,7 +371,7 @@ def default_x0(name: str, params: Optional[dict] = None, seed: int = 0) -> np.nd
 
 
 def _build(name: str, params: Optional[dict], seed: int):
-    if name not in _CATALOG:
+    if not isinstance(name, str) or name not in _CATALOG:
         raise UnknownProblemError(f"unknown problem {name!r}; available: {', '.join(problem_names())}")
     builder, _, allowed = _CATALOG[name]
     params = dict(params or {})

@@ -85,12 +85,12 @@ class Box:
         return norm(self.hi - self.lo)
 
     def project(self, y) -> np.ndarray:
-        return np.clip(_as_vector(y, self.dim), self.lo, self.hi)
+        return _as_vector(y, self.dim).clip(self.lo, self.hi)
 
     def lmo(self, g) -> np.ndarray:
         g = _as_vector(g, self.dim)
         # g > 0 -> lower bound, g < 0 -> upper bound, g == 0 -> lower bound.
-        return np.where(g < 0, self.hi, self.lo).astype(float)
+        return np.where(g < 0, self.hi, self.lo)  # a fresh float array: lo and hi are float
 
 
 @dataclass(frozen=True)

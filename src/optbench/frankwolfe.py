@@ -90,13 +90,13 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
             g = ctr.grad(x)
             y = fset.lmo(g)
             d = y - x
-            gap = -float(np.dot(g, d))  # FW duality gap at x
+            gap = -float(g.dot(d))  # FW duality gap at x
             if gap <= cfg.tol:
                 return rec.close(k, x, RunStatus.CONVERGED, grad_norm=norm(g))
             if isinstance(cfg.step_rule, Classic):
                 gamma = 2.0 / (k + 1)
             else:
-                gamma = min(max(gap / (L * float(np.dot(d, d))), 0.0), 1.0)
+                gamma = min(max(gap / (L * float(d.dot(d))), 0.0), 1.0)
             if rec.due(k):
                 rec.record(k, x, grad_norm=norm(g), step_size=gamma)
             x = (1.0 - gamma) * x + gamma * y
@@ -113,4 +113,4 @@ def fw_gap(oracle: OracleSuite, fset: FeasibleSet, x) -> float:
         raise ValueError("fw_gap needs a gradient oracle")
     g = np.asarray(oracle.grad(x), dtype=float)
     y = fset.lmo(g)
-    return float(np.dot(g, x - y))
+    return float(g.dot(x - y))

@@ -220,18 +220,18 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
                 return rec.close(k, x, RunStatus.CONVERGED, grad_norm=gn)
             d = x - x_prev
             Ag = matvec(g)
-            gAg = float(np.dot(g, Ag))
-            gg = float(np.dot(g, g))
-            use_fallback = float(np.dot(d, d)) == 0.0
+            gAg = float(g.dot(Ag))
+            gg = float(g.dot(g))
+            use_fallback = float(d.dot(d)) == 0.0
             if not use_fallback:
                 Ad = matvec(d)
-                gAd = float(np.dot(g, Ad))
-                dAd = float(np.dot(d, Ad))
+                gAd = float(g.dot(Ad))
+                dAd = float(d.dot(Ad))
                 det = gAg * dAd - gAd * gAd
                 if abs(det) <= 1e-14 * max(abs(gAg * dAd), 1e-300):
                     use_fallback = True
                 else:
-                    gd = float(np.dot(g, d))
+                    gd = float(g.dot(d))
                     a = (gg * dAd - gd * gAd) / det
                     b = (-gd * gAg + gg * gAd) / det
             if use_fallback:

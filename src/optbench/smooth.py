@@ -180,7 +180,7 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
         fx = ctr.value(x)
         while k < cfg.N:
             g = ctr.grad(x)
-            gn2 = float(np.dot(g, g))
+            gn2 = float(g.dot(g))
             gn = math.sqrt(gn2)
             if not math.isfinite(gn):
                 return rec.close(k, x, RunStatus.DIVERGED, f_value=fx)

@@ -112,7 +112,7 @@ class AdaGradNorm:
 
         def gamma(k, g):
             nonlocal sq_accum
-            sq_accum += float(np.dot(g, g))
+            sq_accum += float(g.dot(g))
             return R / math.sqrt(sq_accum) if sq_accum > 0 else 0.0
         return gamma
 

@@ -111,7 +111,7 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
             if gap <= cfg.tol:
                 return rec.close(k, x, RunStatus.CONVERGED, f_value=fx)
             g = ctr.subgrad(x)
-            gn2 = float(np.dot(g, g))
+            gn2 = float(g.dot(g))
             if gn2 == 0.0:
                 raise ZeroSubgradientError(
                     f"zero subgradient off-optimum at iter {k} (gap {gap:.3e})")
@@ -208,7 +208,7 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
             if gx <= delta * Mg:
                 fx = ctr.value(x)
                 g = ctr.subgrad(x)
-                gn2 = float(np.dot(g, g))
+                gn2 = float(g.dot(g))
                 if fx < best_f:
                     best_f, best_x = fx, x.copy()
                 if gn2 == 0.0:

@@ -23,9 +23,10 @@ direction e, then calls the oracle at x + tau r e and then at
 x - tau r e (value noise draws from the same stream inside those calls).
 That order is why equal seeds give equal streams, and why the sample
 loop stays per-sample: drawing all radii, then all directions would
-interleave the noise draws differently and change every estimate.  The
-kernel weights and the in-order sum of the samples are computed once per
-batch.
+interleave the noise draws differently and change every estimate.  Each
+sample's weight ``d/(2 tau) * (f~+ - f~-) * K(r)`` is computed in the
+loop, on scalars; only the in-order sum of the weighted directions
+is computed once per batch.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
@@ -59,12 +60,17 @@ class Kernel:
     odd_coeffs: np.ndarray  # coefficients of u, u^3, u^5, ...; read-only from build_kernel
     kappa: float            # int_{-1}^{1} K(u)^2 du
     kappa_beta: float       # int_{-1}^{1} |u|^beta |K(u)| du
+    # odd_coeffs highest power first, as Python floats
+    horner: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "horner", tuple(float(c) for c in self.odd_coeffs[::-1]))
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=float)
+        """K(u) for a float or a float array ``u``: the same bits either way, elementwise."""
         u2 = u * u
-        acc = np.zeros_like(u)
-        for c in self.odd_coeffs[::-1]:
+        acc = 0.0
+        for c in self.horner:
             acc = acc * u2 + c
         return acc * u
 
@@ -118,8 +124,8 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
     and at x - tau r_i e_i (the module docstring's draw order).
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     if batch < 1:
         raise ValueError("batch must be >= 1")
     x = np.asarray(x, dtype=float)
@@ -128,22 +134,23 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
         zo = oracle.zo_value
     else:
         zo = oracle.zo_value_or_exact
-    radii = np.empty(batch)
+    scale = d / (2.0 * tau)
+    weigh = kernel.__call__  # the bound method: calling the instance looks __call__ up per sample
+    weights = np.empty(batch)
     dirs = np.empty((batch, d))
-    diffs = np.empty(batch)
     for i in range(batch):
         r = rng.uniform(-1.0, 1.0)
         e = rng.sphere(d)
         s = (tau * r) * e
-        diffs[i] = zo(x + s, rng) - zo(x - s, rng)
-        radii[i] = r
+        fp = zo(x + s, rng)
+        fm = zo(x - s, rng)
+        weights[i] = scale * (fp - fm) * weigh(r)
         dirs[i] = e
-    weights = (d / (2.0 * tau)) * diffs * kernel(radii)
     # Sum the samples as a running sum from +0.0 would: cumsum adds the rows
     # strictly in order (sum(axis=0) sums pairwise when d = 1, and
     # weights @ dirs goes through BLAS), and adding 0.0 turns a -0.0 total
     # into the +0.0 that a zero start gives.
-    total = np.cumsum(weights[:, None] * dirs, axis=0)[-1] + 0.0
+    total = (weights[:, None] * dirs).cumsum(axis=0)[-1] + 0.0
     return total / batch
 
 
@@ -152,8 +159,8 @@ class ConstTau:
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
 
     def at(self, k: int) -> float:
         return self.tau
@@ -165,8 +172,8 @@ class PowerDecayTau:
     exponent: float
 
     def __post_init__(self):
-        if not self.tau0 > 0:
-            raise ValueError("tau0 must be positive")
+        if not 0 < self.tau0 < math.inf:
+            raise ValueError("tau0 must be positive and finite")
         if self.exponent < 0:
             raise ValueError("exponent must be >= 0")
 

@@ -260,6 +260,34 @@ def test_config_numbers_are_checked(tmp_path, capsys, doc, message):
     assert message in err and "runtime error" not in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    (dict(problem=QUAD, noise={"kind": ["x"]}, method="gd", iterations=3), "unknown noise kind ['x']"),
+    (dict(problem=QUAD, noise={"kind": {"a": 1}}, method="gd", iterations=3), "unknown noise kind {'a': 1}"),
+    (dict(problem={"name": ["quad_diag"]}, method="gd", iterations=3), "unknown problem ['quad_diag']"),
+    (dict(problem={"name": {"a": 1}}, method="gd", iterations=3), "unknown problem {'a': 1}"),
+    (dict(problem=QUAD, method={"name": ["gd"]}, iterations=3), "unknown method ['gd']"),
+    (dict(problem=QUAD, method={"name": {"a": 1}}, iterations=3), "unknown method {'a': 1}"),
+], ids=["noise-kind-list", "noise-kind-object", "problem-name-list", "problem-name-object",
+        "method-name-list", "method-name-object"])
+def test_names_that_are_not_strings_exit_2(tmp_path, capsys, doc, message):
+    assert main(["run", "--config", write_cfg(tmp_path, "name.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"gamma": 0.01, "tau": INF}, "tau must be positive and finite"),
+    ({"gamma": 0.01, "tau": NAN}, "tau must be positive and finite"),
+    ({"gamma": 0.01, "tau0": INF}, "tau0 must be positive and finite"),
+    ({"gamma": 0.01, "tau0": NAN}, "tau0 must be positive and finite"),
+], ids=["tau-inf", "tau-nan", "tau0-inf", "tau0-nan"])
+def test_non_finite_tau_exits_2(tmp_path, capsys, params, message):
+    doc = {"problem": QUAD, "noise": ZO, "method": {"name": "zo_sgd", "params": params}, "iterations": 3}
+    assert main(["run", "--config", write_cfg(tmp_path, "tau.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"method 'zo_sgd': {message}" in err and "runtime error" not in err
+
+
 def test_whole_numbers_given_as_floats_are_accepted():
     doc = {"problem": {"name": "l1_system", "params": {"d": 3.0, "m": 4.0}, "seed": 2.0},
            "method": "polyak_subgrad", "budget": {"iterations": 5.0, "max_oracle_calls": 50.0}}

@@ -133,3 +133,39 @@ def test_dimension_and_boundedness_errors():
         Box(np.ones(2), np.zeros(2))
     with pytest.raises(ValueError):
         Ball(np.zeros(2), 0.0)
+
+
+SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+def special_box_inputs(rng):
+    """Every pair of special values in the first and last entries of a 3-vector, plus random vectors."""
+    points = [3.0 * rng.standard_normal(3) for _ in range(50)]
+    for u, v in itertools.product(SPECIALS, SPECIALS):
+        x = rng.standard_normal(3)
+        x[0], x[-1] = u, v
+        points.append(x)
+    return points
+
+
+BIT_BOXES = {
+    "finite": (np.array([-1.0, 0.0, -2.0]), np.array([1.0, 1.0, 0.5])),
+    "signed-zero-subnormal": (np.array([0.0, -5e-324, -0.0]), np.array([-0.0, 5e-324, 0.0])),
+    "infinite": (np.array([-np.inf, -1.0, 0.0]), np.array([np.inf, np.inf, 0.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(BIT_BOXES))
+def test_box_project_and_lmo_bits_match_numpy(case):
+    lo, hi = BIT_BOXES[case]
+    box = Box(lo, hi)
+    with np.errstate(invalid="ignore"):
+        for x in special_box_inputs(np.random.default_rng(3)):
+            p = box.project(x)
+            assert p.dtype == np.float64 and p.tobytes() == np.clip(x, lo, hi).tobytes()
+            v = box.lmo(x)
+            assert v.dtype == np.float64 and v.tobytes() == np.where(x < 0, hi, lo).astype(float).tobytes()
+            for out in (p, v):  # fresh arrays: writing to them must not move the box
+                assert not np.shares_memory(out, box.lo) and not np.shares_memory(out, box.hi)
+                assert not np.shares_memory(out, x)
+    assert box.lo.tobytes() == lo.tobytes() and box.hi.tobytes() == hi.tobytes()

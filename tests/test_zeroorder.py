@@ -50,6 +50,27 @@ def test_kernel_closed_forms():
     assert k4.kappa == pytest.approx(37.5, rel=1e-10)
 
 
+def horner_on_arrays(kernel, u):
+    """The reference bits of K(u): Horner's rule on arrays, from a zero array, with numpy coefficients."""
+    u2 = u * u
+    acc = np.zeros_like(u)
+    for c in kernel.odd_coeffs[::-1]:
+        acc = acc * u2 + c
+    return acc * u
+
+
+@pytest.mark.parametrize("beta", [2, 3, 4, 5])
+def test_kernel_float_and_array_calls_give_equal_bits(beta):
+    k = build_kernel(beta)
+    specials = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-160, -1e-160]
+    u = np.concatenate([np.random.default_rng(beta).uniform(-1.0, 1.0, 20_000), specials])
+    on_array = k(u)
+    assert on_array.dtype == np.float64 and on_array.tobytes() == horner_on_arrays(k, u).tobytes()
+    on_floats = np.array([k(float(v)) for v in u])
+    assert on_floats.tobytes() == on_array.tobytes()
+    assert all(type(k(float(v))) is float for v in specials)
+
+
 def test_unsupported_beta():
     with pytest.raises(ValueError):
         build_kernel(6)
@@ -239,6 +260,19 @@ def test_bounded_noise_plateau_grows_with_level():
         tail = [r.f_gap for r in tr.rows if r.iter >= 2000]
         plateaus.append(float(np.mean(tail)))
     assert plateaus[0] < plateaus[1] < plateaus[2]
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_tau_must_be_positive_and_finite(tau):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [1.0, 1.0]})
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        kernel_grad_estimate(oracle, np.ones(2), tau, build_kernel(2), rng)
+    assert rng.gaussian(3).tobytes() == Rng(0).gaussian(3).tobytes()  # refused before any draw
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        ConstTau(tau)
+    with pytest.raises(ValueError, match="tau0 must be positive and finite"):
+        PowerDecayTau(tau, 0.5)
 
 
 STEP_RULES = {

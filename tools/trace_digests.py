@@ -89,7 +89,15 @@ Grids:
   1e200 whose squares overflow, ``+-inf``, ``+-nan`` and a signalling
   NaN, alone and as every pair in the first and last entries.  The hash
   covers each output's type, dtype, shape and bytes, or the type of the
-  error it raised (67 keys, one per case and callable).
+  error it raised (67 keys, one per case and callable);
+* ``sets/...``: ``project`` and ``lmo`` of ``FullSpace``, ``Box``,
+  ``Ball`` and ``Simplex`` cases (boxes with ``+-0.0``, infinite,
+  subnormal and equal bounds among them) called directly on the
+  ``oracle/`` grid's inputs for their dimension, plus an integer list, a
+  vector of the wrong length and a 2-d array.  The hash covers each
+  output's type, dtype, shape and bytes and whether it shares memory with
+  the input or with an array the set holds, or the error's type and text
+  (18 keys, one per case and method).
 """
 
 from __future__ import annotations
@@ -421,6 +429,50 @@ def oracle_grid() -> dict:
     return out
 
 
+def sets_grid() -> dict:
+    import warnings
+
+    import numpy as np
+
+    from optbench.core.sets import Ball, Box, FullSpace, Simplex
+
+    inf, sub = float("inf"), 5e-324
+    cases = {
+        "fullspace-d1": FullSpace(1),
+        "fullspace-d3": FullSpace(3),
+        "box-d1": Box(np.array([-1.0]), np.array([2.0])),
+        "box-d3": Box(np.array([-1.0, -0.0, -inf]), np.array([2.0, 0.0, inf])),
+        "box-d3-signed-zero-subnormal": Box(np.array([0.0, -sub, 1.0]), np.array([-0.0, sub, 1.0])),
+        "ball-d1": Ball(np.array([0.5]), 2.0),
+        "ball-d3": Ball(np.array([1.0, -2.0, 0.5]), 1.5),
+        "simplex-d1": Simplex(1),
+        "simplex-d3": Simplex(3),
+    }
+
+    def outcome(fn, x, held) -> bytes:
+        try:
+            y = fn(x)
+        except Exception as e:  # which inputs raise, and with what, is part of the compared behaviour
+            return f"raises {type(e).__name__}: {e};".encode()
+        a = np.asarray(y)
+        shared = any(np.shares_memory(a, h) for h in (x, *held) if isinstance(h, np.ndarray))
+        return f"{type(y).__name__} {a.dtype.str} {a.shape} shared={shared};".encode() + a.tobytes()
+
+    out = {}
+    for case, fset in cases.items():
+        d = fset.dim
+        held = [v for v in vars(fset).values() if isinstance(v, np.ndarray)]
+        points = [x.copy() for x in oracle_points(d)]
+        points += [list(range(1, d + 1)), np.zeros(d + 1), np.zeros((2, d))]
+        for kind in ("project", "lmo"):
+            fn = getattr(fset, kind)
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                data = b"".join(outcome(fn, x, held) for x in points)
+            out[f"sets/{case}/{kind}"] = {"sha256": hashlib.sha256(data).hexdigest()}
+    return out
+
+
 def cli_grid(tmp: str) -> dict:
     from catalog import make_configs
     from optbench.bench import cli
@@ -658,7 +710,8 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
-                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid()}
+                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
+                   **sets_grid()}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
