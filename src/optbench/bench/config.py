@@ -29,7 +29,7 @@ import numpy as np
 
 from ..core.linalg import flag, number
 from ..core.noise import NOISE_KINDS, NoNoise, NoiseCompatibilityError, NoiseSpec, wrap_noise
-from ..core.problems import UnknownProblemError, make_problem
+from ..core.problems import make_problem
 from ..core.rng import Rng
 
 _MAX_TRACE_ROWS = 100_000
@@ -172,7 +172,7 @@ def parse_config(text: str) -> ExperimentSpec:
     # problem now, as the run will, so typos and bad parameters fail at parse time.
     try:
         oracle, _ = make_problem(problem["name"], problem_params, seed)
-    except (UnknownProblemError, ValueError) as e:
+    except ValueError as e:  # an UnknownProblemError among them
         raise ConfigError(str(e)) from None
     try:
         oracle = wrap_noise(oracle, noise, Rng(seed))

@@ -83,7 +83,7 @@ def _rule_keys(table: dict) -> set:
 def _build_polyak_subgrad(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(_float(p, "fstar")),
-                                N=max(spec.iterations, 1), tol=_float(p, "tol", 0.0))
+                                N=spec.iterations, tol=_float(p, "tol", subgrad.SubgradConfig.tol))
     return lambda fset, x0, rng: subgrad.run_polyak_subgrad(oracle, fset, x0, cfg, **kw)
 
 
@@ -96,7 +96,6 @@ def _build_const_subgrad(spec, oracle) -> Run:
     else:
         rule = subgrad.BudgetStep(M=_constant(p, "M", oracle), R=_float(p, "R"))
     cfg = subgrad.SubgradConfig(step_rule=rule, N=max(spec.iterations, 1),
-                                tol=_float(p, "tol", 0.0),
                                 averaging=flag(p.get("averaging"), "averaging"))
     return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
 
@@ -107,22 +106,22 @@ def _build_switching(spec, oracle) -> Run:
         delta=_need(p, "delta"),
         theta0=_need(p, "theta0"),
         Mg=_float(p, "Mg"),
-        max_iters=max(spec.iterations, 1),
+        max_iters=spec.iterations,
     )
-    return lambda fset, x0, rng: subgrad.run_switching(oracle, None, fset, x0, cfg, **kw)[1]
+    return lambda fset, x0, rng: subgrad.run_switching(oracle, fset, x0, cfg, **kw)
 
 
 def _build_restarted_switching(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
-        delta=1.0,  # per-stage deltas are derived inside
         theta0=_need(p, "theta0"),
         Mg=_float(p, "Mg"),
-        max_iters=number(p.get("stage_cap", max(spec.iterations, 1)), "stage_cap", whole=True),
+        # iterations: 0 gives a zero cap, which the config refuses, also beside a stage_cap
+        max_iters=number(p.get("stage_cap", spec.iterations), "stage_cap", whole=True) if spec.iterations else 0,
         eps_target=_need(p, "eps"),
         alpha_sharp=_float(p, "alpha"),
     )
-    return lambda fset, x0, rng: subgrad.run_restarted_switching(oracle, None, fset, x0, cfg, **kw)[1]
+    return lambda fset, x0, rng: subgrad.run_restarted_switching(oracle, fset, x0, cfg, **kw)
 
 
 # -- smooth first-order methods ----------------------------------------------
@@ -134,15 +133,16 @@ def _relative_alpha(spec: ExperimentSpec) -> float:
     return alpha
 
 
-def _smooth_run(spec: ExperimentSpec, oracle, mode, entry: str) -> Run:
-    """The run of ``smooth.<entry>`` under ``mode``."""
+def _smooth_run(spec: ExperimentSpec, oracle, mode, entry: str, L: Optional[float] = None) -> Run:
+    """The run of ``smooth.<entry>`` under ``mode`` with the fixed-step constant ``L``."""
     p, kw = spec.method_params, _common_kwargs(spec)
-    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=_float(p, "L"), mode=mode, tol=_float(p, "tol", 1e-10))
+    cfg = smooth.SmoothRunConfig(N=spec.iterations, L=L, mode=mode,
+                                 tol=_float(p, "tol", smooth.SmoothRunConfig.tol))
     return lambda fset, x0, rng: getattr(smooth, entry)(oracle, x0, cfg, **kw)
 
 
 def _build_gd(spec, oracle) -> Run:
-    return _smooth_run(spec, oracle, smooth.Exact(), "run_gd")
+    return _smooth_run(spec, oracle, smooth.Exact(), "run_gd", _float(spec.method_params, "L"))
 
 
 def _build_gd_abs(spec, oracle) -> Run:
@@ -150,12 +150,13 @@ def _build_gd_abs(spec, oracle) -> Run:
     delta = _float(p, "delta", spec.noise.delta if isinstance(spec.noise, AbsoluteGrad) else None)
     if delta is None:
         raise ValueError("delta not given and no absolute_grad noise configured")
-    mode = smooth.AbsNoise(delta=delta, stop_multiplier=_float(p, "c", 2.0))
-    return _smooth_run(spec, oracle, mode, "run_gd_abs")
+    mode = smooth.AbsNoise(delta=delta, stop_multiplier=_float(p, "c", smooth.AbsNoise.stop_multiplier))
+    return _smooth_run(spec, oracle, mode, "run_gd_abs", _float(p, "L"))
 
 
 def _build_gd_rel(spec, oracle) -> Run:
-    return _smooth_run(spec, oracle, smooth.RelNoise(alpha=_relative_alpha(spec)), "run_gd_rel")
+    mode = smooth.RelNoise(alpha=_relative_alpha(spec))
+    return _smooth_run(spec, oracle, mode, "run_gd_rel", _float(spec.method_params, "L"))
 
 
 def _build_gd_rel_adaptive(spec, oracle) -> Run:
@@ -172,13 +173,15 @@ def _build_momentum(variant: str, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations,
                                   L=_float(p, "L"), mu=_float(p, "mu"),
-                                  tol=_float(p, "tol", 1e-10))
+                                  tol=_float(p, "tol", momentum.MomentumConfig.tol))
     return lambda fset, x0, rng: momentum.run_momentum(oracle, x0, cfg, **kw)
 
 
 def _build_cg_quadratic(spec, oracle) -> Run:
-    N, tol, kw = spec.iterations, _float(spec.method_params, "tol", 0.0), _common_kwargs(spec)
-    return lambda fset, x0, rng: momentum.run_cg_quadratic(oracle, x0, N, tol=tol, **kw)
+    N, kw = spec.iterations, _common_kwargs(spec)
+    if "tol" in spec.method_params:
+        kw["tol"] = number(spec.method_params["tol"], "tol")
+    return lambda fset, x0, rng: momentum.run_cg_quadratic(oracle, x0, N, **kw)
 
 
 # -- frank-wolfe ----------------------------------------------------------------
@@ -186,7 +189,7 @@ def _build_cg_quadratic(spec, oracle) -> Run:
 def _build_frank_wolfe(spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=_step_rule(frankwolfe.FW_STEP_RULES, p, oracle),
-                              tol=_float(p, "tol", 0.0))
+                              tol=_float(p, "tol", frankwolfe.FwConfig.tol))
     return lambda fset, x0, rng: frankwolfe.run_fw(oracle, fset, x0, cfg, **kw)
 
 
@@ -199,7 +202,7 @@ def _sgd_averaging(p: dict) -> stochastic.Averaging:
     if mode == "uniform":
         return stochastic.UniformAvg()
     if mode == "tail":
-        return stochastic.TailAvg(fraction=_float(p, "tail_fraction", 0.5))
+        return stochastic.TailAvg(fraction=_float(p, "tail_fraction", stochastic.TailAvg.fraction))
     raise ValueError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
 
 
@@ -208,7 +211,7 @@ def _build_sgd(spec, oracle) -> Run:
     cfg = stochastic.SgdConfig(
         N=spec.iterations,
         step_rule=_step_rule(stochastic.STEP_RULES, p, oracle),
-        batch=number(p.get("batch", 1), "batch", whole=True),
+        batch=number(p.get("batch", stochastic.SgdConfig.batch), "batch", whole=True),
         clip_lambda=_float(p, "clip_lambda"),
         averaging=_sgd_averaging(p),
     )
@@ -220,13 +223,13 @@ def _build_zo_sgd(spec, oracle) -> Run:
     if "tau0" in p:
         tau = zeroorder.PowerDecayTau(tau0=_need(p, "tau0"), exponent=_float(p, "tau_exponent", 0.0))
     else:
-        tau = zeroorder.ConstTau(_float(p, "tau", 1e-3))
+        tau = zeroorder.ConstTau(_float(p, "tau", zeroorder.ConstTau.tau))
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
         step_rule=_step_rule(stochastic.STEP_RULES, p, oracle),
         kernel=zeroorder.build_kernel(number(p.get("beta", 2), "beta", whole=True)),
         tau_schedule=tau,
-        batch=number(p.get("batch", 1), "batch", whole=True),
+        batch=number(p.get("batch", zeroorder.ZoConfig.batch), "batch", whole=True),
     )
     return lambda fset, x0, rng: zeroorder.run_zo_sgd(oracle, fset, x0, cfg, rng, **kw)
 
@@ -239,7 +242,7 @@ METHODS: dict[str, MethodEntry] = {e.name: e for e in [
     _entry("polyak_subgrad", "subgradient descent with the Polyak step (needs f*)",
            {"tol", "fstar"}, _build_polyak_subgrad),
     _entry("const_subgrad", "constant-step subgradient descent, optional averaging",
-           {"h", "R", "M", "tol", "averaging"}, _build_const_subgrad),
+           {"h", "R", "M", "averaging"}, _build_const_subgrad),
     _entry("switching", "adaptive switching scheme for one functional constraint",
            {"delta", "theta0", "Mg"}, _build_switching),
     _entry("restarted_switching", "restarted switching scheme under conditional sharpness",
@@ -251,7 +254,7 @@ METHODS: dict[str, MethodEntry] = {e.name: e for e in [
     _entry("gd_rel", "gradient descent under relative gradient error, fixed step",
            {"L", "tol", "alpha"}, _build_gd_rel),
     _entry("gd_rel_adaptive", "adaptive-step descent under relative gradient error (alpha < 0.5)",
-           {"L", "L0", "tol", "alpha"}, _build_gd_rel_adaptive),
+           {"L0", "tol", "alpha"}, _build_gd_rel_adaptive),
     *(_entry(name, variant.doc, {"L", "mu", "tol"}, partial(_build_momentum, name))
       for name, variant in momentum.VARIANTS.items()),
     _entry("cg_quadratic", "conjugate gradients (quadratic problems only)",

@@ -96,10 +96,8 @@ class CountingOracle:
     evaluations.
     """
 
-    def __init__(self, suite: OracleSuite, max_calls: Optional[int] = None,
-                 constraint: Optional[ConstraintOracle] = None):
+    def __init__(self, suite: OracleSuite, max_calls: Optional[int] = None):
         self.suite = suite
-        self.constraint = constraint if constraint is not None else suite.constraint
         self.max_calls = max_calls
         self.calls = 0
 
@@ -142,11 +140,11 @@ class CountingOracle:
 
     def constraint_value(self, x) -> float:
         self._tick()
-        return float(self.constraint.value(x))
+        return float(self.suite.constraint.value(x))
 
     def constraint_subgrad(self, x) -> np.ndarray:
         self._tick()
-        return np.asarray(self.constraint.subgrad(x), dtype=float)
+        return np.asarray(self.suite.constraint.subgrad(x), dtype=float)
 
 
 class RunStatus(enum.Enum):

@@ -31,7 +31,7 @@ from .rng import Rng
 from .sets import Box, FeasibleSet, FullSpace
 
 
-class UnknownProblemError(KeyError):
+class UnknownProblemError(ValueError):
     pass
 
 

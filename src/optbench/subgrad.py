@@ -13,6 +13,9 @@
 * :func:`run_restarted_switching` -- restarts of the switching scheme
   that halve the distance bound per stage under a conditional
   sharp-minimum assumption.
+
+Each returns a :class:`Trace`; a run the oracle budget cuts short ends as
+``budget_exhausted``, and no :class:`OracleBudgetError` escapes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from .core.linalg import norm
 from .core.oracles import (
-    ConstraintOracle,
     CountingOracle,
     OracleBudgetError,
     OracleSuite,
@@ -69,13 +71,13 @@ class BudgetStep:
 @dataclass(frozen=True)
 class SubgradConfig:
     step_rule: PolyakStep | FixedStep | BudgetStep
-    N: int
+    N: int  # the Polyak rule's steps; the constant rules' iterates x^0 .. x^{N-1}
     tol: float = 0.0
     averaging: bool = False
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("budget N must be >= 1")
+        if self.N < (0 if isinstance(self.step_rule, PolyakStep) else 1):
+            raise ValueError("budget N must be >= 1, or >= 0 with the Polyak step")
         if not 0 <= self.tol < math.inf:  # also true for NaN
             raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 
@@ -164,8 +166,8 @@ class SwitchingConfig:
 
     theta0 must satisfy ``2 theta0^2 >= ||x* - x0||^2``; Mg is the
     Lipschitz constant of the constraint (taken from the constraint
-    oracle when omitted).  ``eps_target`` and ``alpha_sharp`` are only
-    used by the restarted variant.
+    oracle when omitted).  ``delta`` is only used by the plain scheme,
+    ``eps_target`` and ``alpha_sharp`` only by the restarted variant.
     """
 
     delta: float = 0.0
@@ -189,10 +191,11 @@ class SwitchingConfig:
 def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                      x: np.ndarray, delta: float, theta: float, Mg: float,
                      cap: int, start_iter: int, stage_tag: str):
-    """One run of the switching scheme; returns (best_x, x_end, iters, stopped).
+    """One run of the switching scheme; returns (best_x, x_end, iters, ended).
 
-    An :class:`OracleBudgetError` leaves the stage carrying the number of
-    iterations it completed as ``stage_iters``.
+    ``ended`` says how the stage ended: ``"stop"`` once the stop sum is
+    reached, ``"cap"`` after ``cap`` iterations, ``"budget"`` when the
+    oracle budget ran out during iteration ``iters`` (at ``x_end``).
     """
     threshold = 2.0 * theta * theta / (delta * delta)
     sum_productive = 0.0
@@ -200,7 +203,6 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
     best_f = math.inf
     best_x: Optional[np.ndarray] = None
     k = 0
-    stopped = False
     try:
         while k < cap:
             it = start_iter + k
@@ -216,9 +218,7 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                     # productive step: the stop sum is +inf, stop here.
                     rec.record(it, x, fx, grad_norm=0.0, step_size=0.0,
                                tag=stage_tag + "productive", force=True)
-                    k += 1
-                    stopped = True
-                    break
+                    return best_x, x, k + 1, "stop"
                 h = delta / gn2
                 rec.record(it, x, fx, grad_norm=math.sqrt(gn2), step_size=h,
                            tag=stage_tag + "productive")
@@ -239,80 +239,79 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
             k += 1
             # 1e-9 relative slack absorbs float dust in theta^2 / delta^2.
             if sum_productive + n_nonproductive >= threshold * (1.0 - 1e-9):
-                stopped = True
-                break
-    except OracleBudgetError as exc:
-        exc.stage_iters = k
-        raise
-    return best_x, x, k, stopped
+                return best_x, x, k, "stop"
+    except OracleBudgetError:
+        return best_x, x, k, "budget"
+    return best_x, x, k, "cap"
 
 
-def run_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
-                  fset: FeasibleSet, x0, cfg: SwitchingConfig,
+def _constraint_bound(oracle: OracleSuite, cfg: SwitchingConfig, entry: str) -> float:
+    """The constraint's Lipschitz bound Mg: ``cfg.Mg``, else the constraint oracle's."""
+    if oracle.constraint is None:
+        raise ValueError(f"{entry} needs a functional constraint oracle")
+    Mg = cfg.Mg if cfg.Mg is not None else oracle.constraint.lipschitz
+    if Mg is None or Mg <= 0:
+        raise ValueError("a positive Lipschitz bound Mg for the constraint is required")
+    return Mg
+
+
+def run_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConfig,
                   *, record_every: int = 1, record_x: bool = False,
-                  max_oracle_calls: Optional[int] = None) -> tuple[np.ndarray, Trace]:
+                  max_oracle_calls: Optional[int] = None) -> Trace:
     """Adaptive switching subgradient scheme for min f s.t. g <= 0 on Q.
 
-    Productive steps (taken when ``g(x) <= delta * Mg``) use
-    ``h = delta / ||grad f||^2``; nonproductive ones use
-    ``h = delta / ||grad g||``.  The run stops once
+    g is ``oracle.constraint``.  Productive steps (taken when
+    ``g(x) <= delta * Mg``) use ``h = delta / ||grad f||^2``; nonproductive
+    ones use ``h = delta / ||grad g||``.  The run stops once
     ``2 theta0^2 / delta^2 <= sum_I ||grad f||^{-2} + #nonproductive``
-    and returns the best productive iterate, which then satisfies
-    ``f - f* <= delta`` and ``g <= delta * Mg``.  An oracle budget that
-    runs out first raises :class:`OracleBudgetError`: the scheme then has
-    no usable output.
+    and reports as ``x_out`` the best productive iterate, which then
+    satisfies ``f - f* <= delta`` and ``g <= delta * Mg``.  A cap or a
+    budget hit first ends the run as ``budget_exhausted``, reporting the
+    best productive iterate so far (after a budget cut, the last iterate
+    when there is none).
     """
     if cfg.delta <= 0:
         raise ValueError("delta must be positive")
-    constraint = constraint if constraint is not None else oracle.constraint
-    if constraint is None:
-        raise ValueError("run_switching needs a functional constraint oracle")
-    Mg = cfg.Mg if cfg.Mg is not None else constraint.lipschitz
-    if Mg is None or Mg <= 0:
-        raise ValueError("a positive Lipschitz bound Mg for the constraint is required")
+    Mg = _constraint_bound(oracle, cfg, "run_switching")
 
-    ctr = CountingOracle(oracle, max_oracle_calls, constraint=constraint)
+    ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
-    best_x, x_end, iters, stopped = _switching_stage(
+    best_x, x_end, iters, ended = _switching_stage(
         ctr, rec, fset, x, cfg.delta, cfg.theta0, Mg, cfg.max_iters, 0, "")
-    if best_x is None:
+    if best_x is None and ended != "budget":
         raise NoProductiveStepsError("switching scheme stopped without any productive step")
-    status = RunStatus.CONVERGED if stopped else RunStatus.BUDGET_EXHAUSTED
-    return best_x, rec.close(iters, x_end, status, best_x)
+    status = RunStatus.CONVERGED if ended == "stop" else RunStatus.BUDGET_EXHAUSTED
+    return rec.close(iters, x_end, status, best_x)
 
 
-def run_restarted_switching(oracle: OracleSuite, constraint: Optional[ConstraintOracle],
-                            fset: FeasibleSet, x0, cfg: SwitchingConfig,
+def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConfig,
                             *, record_every: int = 1, record_x: bool = False,
-                            max_oracle_calls: Optional[int] = None) -> tuple[np.ndarray, Trace]:
+                            max_oracle_calls: Optional[int] = None) -> Trace:
     """Restarted switching scheme under a conditional sharp minimum.
 
     Stage p runs the switching scheme with ``theta_p = theta0 / 2^{p/2}``
     and ``delta_p = alpha * theta_p / (sqrt(2) max(1, Mg))``, restarting
     from the previous stage's output; there are exactly
     ``ceil(2 log2(theta0 / eps))`` stages, after which the output is
-    within ``eps`` of the minimizer set.
+    within ``eps`` of the minimizer set.  A stage cut by its cap ends the
+    run as ``budget_exhausted`` at its output, one cut by the budget at
+    its starting point.
     """
-    constraint = constraint if constraint is not None else oracle.constraint
-    if constraint is None:
-        raise ValueError("run_restarted_switching needs a functional constraint oracle")
+    Mg = _constraint_bound(oracle, cfg, "run_restarted_switching")
     alpha = cfg.alpha_sharp if cfg.alpha_sharp is not None else oracle.alpha_sharp
     if alpha is None or alpha <= 0:
         raise ValueError("a positive sharp-minimum constant is required")
     if cfg.eps_target is None:
         raise ValueError("eps_target is required for the restarted scheme")
-    Mg = cfg.Mg if cfg.Mg is not None else constraint.lipschitz
-    if Mg is None or Mg <= 0:
-        raise ValueError("a positive Lipschitz bound Mg for the constraint is required")
 
-    ctr = CountingOracle(oracle, max_oracle_calls, constraint=constraint)
+    ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
 
     if cfg.eps_target >= cfg.theta0:
         # Already within the target radius by assumption on theta0.
-        return x.copy(), rec.close(0, x, RunStatus.CONVERGED)
+        return rec.close(0, x, RunStatus.CONVERGED)
 
     n_stages = math.ceil(2.0 * math.log2(cfg.theta0 / cfg.eps_target))
     mg_eff = max(1.0, Mg)
@@ -320,15 +319,14 @@ def run_restarted_switching(oracle: OracleSuite, constraint: Optional[Constraint
     for p in range(1, n_stages + 1):
         theta_p = cfg.theta0 / math.sqrt(2.0 ** p)
         delta_p = alpha * theta_p / (math.sqrt(2.0) * mg_eff)
-        try:
-            best_x, _, iters, stopped = _switching_stage(
-                ctr, rec, fset, x, delta_p, theta_p, Mg, cfg.max_iters, it, f"p{p}:")
-        except OracleBudgetError as exc:
-            return x.copy(), rec.close(it + exc.stage_iters, x, RunStatus.BUDGET_EXHAUSTED)
+        best_x, _, iters, ended = _switching_stage(
+            ctr, rec, fset, x, delta_p, theta_p, Mg, cfg.max_iters, it, f"p{p}:")
+        if ended == "budget":
+            return rec.close(it + iters, x, RunStatus.BUDGET_EXHAUSTED)
         if best_x is None:
             raise NoProductiveStepsError(f"restart stage {p} produced no productive step")
         x = best_x
         it += iters
-        if not stopped:
-            return x.copy(), rec.close(it, x, RunStatus.BUDGET_EXHAUSTED)
-    return x.copy(), rec.close(it, x, RunStatus.CONVERGED)
+        if ended == "cap":
+            return rec.close(it, x, RunStatus.BUDGET_EXHAUSTED)
+    return rec.close(it, x, RunStatus.CONVERGED)

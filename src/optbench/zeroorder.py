@@ -156,7 +156,7 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
 
 @dataclass(frozen=True)
 class ConstTau:
-    tau: float
+    tau: float = 1e-3
 
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
@@ -189,7 +189,7 @@ class ZoConfig:
     N: int
     step_rule: StepRule
     kernel: Kernel
-    tau_schedule: TauSchedule = field(default_factory=lambda: ConstTau(1e-3))
+    tau_schedule: TauSchedule = field(default_factory=ConstTau)
     batch: int = 1
 
     def __post_init__(self):

@@ -100,8 +100,8 @@ def test_criterion_03_switching_restarts_on_slp():
         alpha, eps, theta0 = 0.5, 0.05, 1.0
         cfg = SwitchingConfig(theta0=theta0, eps_target=eps, alpha_sharp=alpha,
                               max_iters=100_000)
-        x_out, tr = run_restarted_switching(oracle, None, fset, np.zeros(2), cfg)
-        assert np.linalg.norm(x_out - np.array([1.0, 0.0])) <= eps
+        tr = run_restarted_switching(oracle, fset, np.zeros(2), cfg)
+        assert np.linalg.norm(tr.x_out - np.array([1.0, 0.0])) <= eps
         budget = (math.ceil(4 * max(1, oracle.M ** 2)
                             * max(1, oracle.constraint.lipschitz ** 2) / alpha ** 2)
                   * math.ceil(2 * math.log2(theta0 / eps)))

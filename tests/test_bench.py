@@ -21,7 +21,7 @@ from optbench.bench import (
 )
 from optbench.bench.cli import main
 from optbench.bench.registry import METHODS
-from optbench.core import OracleBudgetError, RunStatus, Trace, TraceRecorder, TraceRow, make_problem
+from optbench.core import RunStatus, Trace, TraceRecorder, TraceRow, make_problem
 
 METHOD_MODULES = (frankwolfe, momentum, smooth, stochastic, subgrad)
 
@@ -59,6 +59,13 @@ def test_parse_rejects_unknown_keys_everywhere():
     with pytest.raises(ConfigError, match="unknown params"):
         parse_config('{"problem": "abs1d", "method": {"name": "polyak_subgrad", '
                      '"params": {"what": 1}}, "iterations": 5}')
+    # keys a method's run would not read
+    with pytest.raises(ConfigError, match=r"unknown params \['tol'\]"):
+        parse_config('{"problem": "abs1d", "method": {"name": "const_subgrad", '
+                     '"params": {"h": 0.1, "tol": 1000}}, "iterations": 5}')
+    with pytest.raises(ConfigError, match=r"unknown params \['L'\]"):
+        parse_config('{"problem": "rosenbrock", "noise": {"kind": "relative_grad", "alpha": 0.25}, '
+                     '"method": {"name": "gd_rel_adaptive", "params": {"L": 1e-300}}, "iterations": 5}')
 
 
 def test_parse_unknown_method_lists_available():
@@ -69,6 +76,12 @@ def test_parse_unknown_method_lists_available():
 def test_parse_unknown_problem_lists_available():
     with pytest.raises(ConfigError, match="available: .*quad_diag"):
         parse_config('{"problem": "nope", "method": "gd", "iterations": 5}')
+
+
+def test_cli_unknown_problem_error_is_unquoted(tmp_path, capsys):
+    doc = {"problem": "nope", "method": "gd", "iterations": 3}
+    assert main(["run", "--config", write_cfg(tmp_path, "nope.json", doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown problem 'nope'; available: ")
 
 
 def test_parse_missing_fields_are_named():
@@ -162,7 +175,7 @@ def test_non_finite_sigma_exits_2(tmp_path, capsys):
     ("fw_box", "frank_wolfe", {"tol": NAN}, "tol must be >= 0"),
     ("fw_box", "frank_wolfe", {"step_rule": "short", "L": NAN}, "ShortStep requires a positive L"),
     ("abs1d", "polyak_subgrad", {"tol": NAN}, "tol must be >= 0"),
-    ("abs1d", "const_subgrad", {"h": 0.1, "tol": INF}, "tol must be >= 0"),
+    ("abs1d", "const_subgrad", {"h": 0.1, "tol": INF}, "unknown params ['tol']"),
     ("slp", "switching", {"delta": 0.1, "theta0": NAN}, "theta0 must be positive"),
     ("slp", "restarted_switching", {"theta0": 2.0, "eps": NAN}, "eps_target must be positive"),
     ("slp", "restarted_switching", {"theta0": 2.0, "eps": 0.1, "alpha": NAN}, "alpha_sharp must be positive"),
@@ -703,13 +716,22 @@ def test_every_method_trace_iters_strictly_increase():
                        "budget": {"iterations": N, "max_oracle_calls": max_calls},
                        "output": {"record_every": every}}
                 doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
-                try:
-                    trace, _ = run_experiment(parse_config(json.dumps(doc)))
-                except OracleBudgetError:
-                    assert name == "switching"  # a budget-cut switching run has no output
-                    continue
+                trace, _ = run_experiment(parse_config(json.dumps(doc)))
                 iters = [r.iter for r in trace.rows]
                 assert all(b > a for a, b in zip(iters, iters[1:])), (name, every, max_calls, iters[-3:])
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_METHOD))
+def test_zero_iterations_take_no_step(tmp_path, capsys, name):
+    problem, noise, params, x0, _ = EVERY_METHOD[name]
+    doc = {"problem": problem, "method": {"name": name, "params": params}, "iterations": 0}
+    doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
+    if name in ("switching", "restarted_switching"):  # the schemes report a productive step, so need one
+        assert main(["run", "--config", write_cfg(tmp_path, "zero.json", doc)]) == 2
+        assert f"method '{name}': iteration cap must be >= 1" in capsys.readouterr().err
+        return
+    trace, _ = run_experiment(parse_config(json.dumps(doc)))
+    assert trace.columns["iter"] == [1 if name == "frank_wolfe" else 0]  # Frank-Wolfe counts from 1
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_METHOD))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -169,7 +170,8 @@ def test_switching_guarantee_on_slp():
     x0 = np.zeros(2)
     theta0 = float(np.linalg.norm(x0 - oracle.xstar)) / math.sqrt(2) * 1.1
     cfg = SwitchingConfig(delta=0.1, theta0=theta0, max_iters=100000)
-    x_hat, tr = run_switching(oracle, None, fset, x0, cfg, record_x=True)
+    tr = run_switching(oracle, fset, x0, cfg, record_x=True)
+    x_hat = tr.x_out
     assert tr.status is RunStatus.CONVERGED
     assert oracle.value(x_hat) - oracle.fstar <= 0.1 + 1e-12
     assert oracle.constraint.value(x_hat) <= 0.1 * 1.0 + 1e-12
@@ -188,9 +190,9 @@ def test_switching_immediate_stop_at_interior_optimum():
                                   subgrad=lambda x: np.array([1.0, 0.0]),
                                   lipschitz=1.0)
     cfg = SwitchingConfig(delta=0.5, theta0=1.0, max_iters=50)
-    x_hat, tr = run_switching(objective, constraint, fset, np.zeros(2), cfg)
+    tr = run_switching(dataclasses.replace(objective, constraint=constraint), fset, np.zeros(2), cfg)
     assert tr.status is RunStatus.CONVERGED
-    np.testing.assert_allclose(x_hat, np.zeros(2))
+    np.testing.assert_allclose(tr.x_out, np.zeros(2))
     assert tr.rows[0].tag == "productive"
 
 
@@ -201,22 +203,49 @@ def test_switching_no_productive_steps_error():
                                   lipschitz=1.0)
     cfg = SwitchingConfig(delta=1.0, theta0=1.0, max_iters=1000)
     with pytest.raises(NoProductiveStepsError):
-        run_switching(objective, constraint, fset, np.zeros(2), cfg)
+        run_switching(dataclasses.replace(objective, constraint=constraint), fset, np.zeros(2), cfg)
 
 
 def test_switching_cap_gives_partial_result():
     oracle, fset = make_problem("slp", {"rho": 1.0})
     cfg = SwitchingConfig(delta=0.01, theta0=5.0, max_iters=20)
-    x_hat, tr = run_switching(oracle, None, fset, np.zeros(2), cfg)
+    tr = run_switching(oracle, fset, np.zeros(2), cfg)
     assert tr.status is RunStatus.BUDGET_EXHAUSTED
-    assert x_hat is not None
+    assert tr.x_out is not None
+
+
+@pytest.mark.parametrize("budget", [3, 40, 333])
+def test_switching_budget_cut_ends_in_a_status(budget):
+    oracle, fset = make_problem("slp", {"rho": 1.0})
+    cfg = SwitchingConfig(delta=0.035, theta0=1.0, max_iters=5000)
+    tr = run_switching(oracle, fset, np.array([0.1, -0.1]), cfg, record_x=True, max_oracle_calls=budget)
+    assert tr.status is RunStatus.BUDGET_EXHAUSTED
+    # every iteration costs three calls (a nonproductive row evaluates f), so budget // 3 complete
+    assert tr.final.iter == budget // 3
+    assert [r.iter for r in tr.rows] == list(range(budget // 3 + 1))
+    productive = [r for r in tr.rows[:-1] if r.tag == "productive"]
+    best = min(productive, key=lambda r: r.f_value)  # the first of equal values, as the scheme keeps
+    np.testing.assert_array_equal(tr.x_out, best.x)
+
+
+def test_switching_budget_cut_without_productive_step_reports_last_iterate():
+    objective, fset = make_problem("norm2", {"d": 2})
+    constraint = ConstraintOracle(value=lambda x: 10.0,  # never satisfied
+                                  subgrad=lambda x: np.array([1.0, 0.0]),
+                                  lipschitz=1.0)
+    cfg = SwitchingConfig(delta=1.0, theta0=10.0, max_iters=1000)
+    tr = run_switching(dataclasses.replace(objective, constraint=constraint), fset, np.zeros(2), cfg,
+                       record_x=True, max_oracle_calls=10)
+    assert tr.status is RunStatus.BUDGET_EXHAUSTED and tr.final.iter == 3
+    np.testing.assert_array_equal(tr.x_out, [-3.0, 0.0])
+    np.testing.assert_array_equal(tr.final.x, tr.x_out)
 
 
 def test_switching_warns_on_understated_mg():
     oracle, fset = make_problem("slp", {"rho": 1.0})
     cfg = SwitchingConfig(delta=0.05, theta0=1.0, Mg=0.2, max_iters=500)
     with pytest.warns(UserWarning, match="exceeds the declared Mg"):
-        run_switching(oracle, None, fset, np.array([2.0, 0.0]), cfg)
+        run_switching(oracle, fset, np.array([2.0, 0.0]), cfg)
 
 
 # -- restarts ------------------------------------------------------------------------
@@ -224,7 +253,7 @@ def test_switching_warns_on_understated_mg():
 def test_restart_count_formula():
     oracle, fset = make_problem("slp", {"rho": 1.0})
     cfg = SwitchingConfig(theta0=1.0, eps_target=0.25, alpha_sharp=0.5, max_iters=10000)
-    _, tr = run_restarted_switching(oracle, None, fset, np.zeros(2), cfg)
+    tr = run_restarted_switching(oracle, fset, np.zeros(2), cfg)
     stages = {r.tag.split(":")[0] for r in tr.rows if r.tag}
     assert stages == {f"p{i}" for i in range(1, 5)}  # ceil(2 log2 4) = 4 restarts
 
@@ -232,16 +261,16 @@ def test_restart_count_formula():
 def test_restart_degenerate_eps_above_theta0():
     oracle, fset = make_problem("slp", {"rho": 1.0})
     cfg = SwitchingConfig(theta0=0.5, eps_target=0.5, alpha_sharp=0.5)
-    x_out, tr = run_restarted_switching(oracle, None, fset, np.zeros(2), cfg)
-    np.testing.assert_allclose(x_out, np.zeros(2))
+    tr = run_restarted_switching(oracle, fset, np.zeros(2), cfg)
+    np.testing.assert_allclose(tr.x_out, np.zeros(2))
     assert tr.status is RunStatus.CONVERGED and len(tr.rows) == 1
 
 
 def test_restart_reaches_target_on_slp():
     oracle, fset = make_problem("slp", {"rho": 1.0})
     cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=10000)
-    x_out, tr = run_restarted_switching(oracle, None, fset, np.zeros(2), cfg)
-    assert np.linalg.norm(x_out - oracle.xstar) <= 0.05
+    tr = run_restarted_switching(oracle, fset, np.zeros(2), cfg)
+    assert np.linalg.norm(tr.x_out - oracle.xstar) <= 0.05
     # total subgradient calls (= iterations) within the stated product bound
     budget = math.ceil(4 * 1 * 1 / 0.5 ** 2) * math.ceil(2 * math.log2(1.0 / 0.05))
     assert tr.rows[-1].iter <= budget

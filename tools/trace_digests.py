@@ -60,16 +60,18 @@ Grids:
   with the ``wall_time`` and ``time_s`` fields masked, and the trace
   bytes ``run`` writes; a few error paths (an unknown subcommand, a
   missing config file, a bad JSON config, ``rates`` on a too-short
-  trace) hash their exit code and stderr instead; and ``list-methods``
-  hashes its exit code and stdout (111 keys);
+  trace, an unknown problem name) hash their exit code and stderr
+  instead; and ``list-methods`` hashes its exit code and stdout
+  (112 keys);
 * ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
   config, the config without each of its fields, an unknown key, a bad
   mode, ints where floats are meant, and ``v`` without ``mode``.  For
   each catalog problem: its defaults, an unknown parameter, a non-finite
   parameter and a bad value.  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
-  layer.  The hash covers the ``repr`` of the parsed spec; a config that
-  fails maps to its error text (92 keys).  ``parse/variant/...`` parses
+  layer.  ``parse/key/...`` gives ``const_subgrad`` a ``tol`` and
+  ``gd_rel_adaptive`` an ``L``.  The hash covers the ``repr`` of the
+  parsed spec; a config that fails maps to its error text (94 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -175,6 +177,25 @@ def catalog_grid(tmp: str) -> dict:
                     return _digest(path, summary["oracle_calls"])
 
                 out[f"catalog/{canon.key}/seed{seed}/every{every}/budget{budget}"] = _guarded(run)
+    return out
+
+
+def zero_grid(tmp: str) -> dict:
+    from catalog import make_configs
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+    from optbench.core import make_problem
+
+    out = {}
+    path = os.path.join(tmp, "trace.json")
+    for canon in make_configs(1, make_problem):
+        doc = dict(canon.doc, budget={"iterations": 0}, output={"record_x": True})
+
+        def run(doc=doc):
+            _, summary = run_experiment(parse_config(json.dumps(doc)), trace_path=path)
+            return _digest(path, summary["oracle_calls"])
+
+        out[f"zero/{canon.key}"] = _guarded(run)
     return out
 
 
@@ -530,6 +551,8 @@ def cli_grid(tmp: str) -> dict:
               **{f"short-trace-{model}": ["rates", "--trace", trace, "--model", model] for model in MODELS}}
     for name, argv in errors.items():
         out[f"cli/error/{name}"] = call(argv, stream="stderr")
+    write({"problem": "nope", "method": "gd", "iterations": 3})
+    out["cli/error/unknown-problem"] = call(["run", "--config", config], stream="stderr")
     out["cli/list-methods"] = call(["list-methods"])
     return out
 
@@ -581,6 +604,12 @@ PARSE_NUMBERS = {
     "restarted_switching-stage_cap-3.5": {"problem": "slp", "method": {
         "name": "restarted_switching", "params": {"theta0": 2.0, "eps": 0.1, "stage_cap": 3.5}}},
 }
+# name -> config changes that give a method a key its run does not read
+PARSE_KEYS = {
+    "const_subgrad-tol": {"problem": "abs1d", "method": {"name": "const_subgrad", "params": {"h": 0.1, "tol": 1000}}},
+    "gd_rel_adaptive-L": {"noise": {"kind": "relative_grad", "alpha": 0.25},
+                          "method": {"name": "gd_rel_adaptive", "params": {"L": 1e-300}}},
+}
 
 
 def _without(doc: dict, key: str) -> dict:
@@ -613,6 +642,8 @@ def parse_grid() -> dict:
             parse(f"problem/{name}/{case}", dict(base, problem={"name": name, "params": params}))
     for case, changes in PARSE_NUMBERS.items():
         parse(f"number/{case}", {**base, "problem": _PARSE_QUAD, **changes})
+    for case, changes in PARSE_KEYS.items():
+        parse(f"key/{case}", {**base, "problem": _PARSE_QUAD, **changes})
     return out
 
 
@@ -709,7 +740,7 @@ def main(argv: list[str]) -> int:
     checkout = os.path.abspath(argv[0])
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**catalog_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
+        digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
                    **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
                    **sets_grid()}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
