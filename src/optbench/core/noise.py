@@ -179,6 +179,39 @@ class AdditiveNoise:
 
 
 @dataclass(frozen=True)
+class ValueNoise:
+    """What the ``zo_value`` entry of :class:`ZOStochValue` computes.
+
+    A call ``entry(x, rng)`` of the entry that :meth:`entry` builds
+    evaluates the rng-free ``value(x)`` and adds ``scale * xi`` for one
+    standard gaussian draw ``xi`` from ``rng``.  The entry is a plain
+    closure, so a call costs what a hand-written one does, and it carries
+    this declaration as its ``noise`` attribute.  ``xi(rng, n)`` draws the
+    ``xi`` of n successive calls at once: numpy fills an n-vector in call
+    order, so they equal those calls' draws bit for bit and leave ``rng``
+    in the same state.  ``add(f, xi)`` adds them to those calls' values.
+    """
+
+    value: Callable[[np.ndarray], float]
+    scale: float
+
+    def entry(self) -> Callable[[np.ndarray, Rng], float]:
+        value, scale = self.value, self.scale
+
+        def zo(x, rng):
+            return value(x) + scale * rng.gaussian()
+
+        zo.noise = self
+        return zo
+
+    def xi(self, rng: Rng, n: int) -> np.ndarray:
+        return rng.gaussian(n)
+
+    def add(self, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
+        return f + self.scale * xi
+
+
+@dataclass(frozen=True)
 class ZOBoundedValue:
     """Adversarial bounded value noise |delta(x)| <= delta for the ZO oracle."""
 
@@ -219,13 +252,7 @@ class ZOStochValue:
         _check_scale("delta_tilde", self.delta_tilde)
 
     def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
-        base_value = oracle.value
-        dt = self.delta_tilde
-
-        def zo(x, rng_):
-            return base_value(x) + dt * float(rng_.gaussian())
-
-        return replace(oracle, zo_value=zo)
+        return replace(oracle, zo_value=ValueNoise(oracle.value, self.delta_tilde).entry())
 
 
 NoiseSpec = NoNoise | AbsoluteGrad | RelativeGrad | AdditiveStochGrad | ZOBoundedValue | ZOStochValue

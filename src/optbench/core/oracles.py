@@ -106,6 +106,10 @@ class CountingOracle:
             raise OracleBudgetError(f"oracle budget of {self.max_calls} calls exhausted")
         self.calls += 1
 
+    def has_room(self, n: int) -> bool:
+        """Whether ``n`` more budgeted calls fit in the budget."""
+        return self.max_calls is None or self.calls + n <= self.max_calls
+
     def count_extra(self):
         """Count one oracle access made outside the suite's entries (e.g. an A-product)."""
         self._tick()

@@ -66,8 +66,13 @@ class Rng:
 
     def sphere(self, d: int) -> np.ndarray:
         """Uniform point on the unit sphere in R^d (normalized gaussian)."""
+        v, n = self.sphere_draw(d)
+        return v / n
+
+    def sphere_draw(self, d: int) -> tuple[np.ndarray, float]:
+        """The draw behind :meth:`sphere`: a standard gaussian d-vector and its norm, redrawn while that is <= 1e-12."""
         while True:
             v = self._gen.standard_normal(d)
             n = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-d float vector
             if n > 1e-12:
-                return v / n
+                return v, n

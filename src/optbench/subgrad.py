@@ -295,8 +295,10 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     from the previous stage's output; there are exactly
     ``ceil(2 log2(theta0 / eps))`` stages, after which the output is
     within ``eps`` of the minimizer set.  A stage cut by its cap ends the
-    run as ``budget_exhausted`` at its output, one cut by the budget at
-    its starting point.
+    run as ``budget_exhausted`` at its output.  A stage cut by the budget
+    ends it the same way, with its terminal row at the stage's last
+    iterate, and reports the stage's best productive iterate so far, or
+    its starting point when it has none.
     """
     Mg = _constraint_bound(oracle, cfg, "run_restarted_switching")
     alpha = cfg.alpha_sharp if cfg.alpha_sharp is not None else oracle.alpha_sharp
@@ -319,10 +321,10 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     for p in range(1, n_stages + 1):
         theta_p = cfg.theta0 / math.sqrt(2.0 ** p)
         delta_p = alpha * theta_p / (math.sqrt(2.0) * mg_eff)
-        best_x, _, iters, ended = _switching_stage(
+        best_x, x_end, iters, ended = _switching_stage(
             ctr, rec, fset, x, delta_p, theta_p, Mg, cfg.max_iters, it, f"p{p}:")
         if ended == "budget":
-            return rec.close(it + iters, x, RunStatus.BUDGET_EXHAUSTED)
+            return rec.close(it + iters, x_end, RunStatus.BUDGET_EXHAUSTED, x if best_x is None else best_x)
         if best_x is None:
             raise NoProductiveStepsError(f"restart stage {p} produced no productive step")
         x = best_x

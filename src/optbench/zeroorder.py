@@ -21,12 +21,26 @@ Draw order.  :func:`kernel_grad_estimate` takes all its randomness from
 one :class:`Rng`, and per sample it draws the radius r, then the
 direction e, then calls the oracle at x + tau r e and then at
 x - tau r e (value noise draws from the same stream inside those calls).
-That order is why equal seeds give equal streams, and why the sample
-loop stays per-sample: drawing all radii, then all directions would
-interleave the noise draws differently and change every estimate.  Each
-sample's weight ``d/(2 tau) * (f~+ - f~-) * K(r)`` is computed in the
-loop, on scalars; only the in-order sum of the weighted directions
-is computed once per batch.
+That order is why equal seeds give equal streams, and no batch size
+changes it.  From :data:`BLOCK_BATCH` samples on, when the zeroth-order
+entry is the suite's exact ``value`` or declares its noise (the
+:class:`~optbench.core.noise.ValueNoise` that ``zo_stoch`` builds), the
+estimator runs in two phases.  Phase 1 draws, per sample and in that
+order, r, the direction's normals (:meth:`Rng.sphere_draw`, the draw
+behind :meth:`Rng.sphere`) and the two probes' noise, and keeps the
+radii, the raw directions and their norms.  Phase 2 works on
+``(batch, d)`` arrays: it normalizes the directions, builds the probe
+points, counts the batch's ``2 * batch`` calls, calls the noise-free
+``value`` once per probe in call order, adds the noise and computes the
+weights ``d/(2 tau) * (f~+ - f~-) * K(r)``.  Every step is elementwise,
+so each estimate and the stream's final state equal the per-sample
+loop's bit for bit.  The per-sample loop runs below ``BLOCK_BATCH``
+(where the arrays' fixed cost is larger than what they save), for any
+other entry (a hand-built one may draw anything from the stream; the
+``zo_bounded`` entries' crossover has not been timed), and for a
+:class:`CountingOracle` with fewer than ``2 * batch`` calls left, so that
+a budget cut leaves the stream where the loop leaves it.  Either way the
+weighted directions are summed once per batch, in the order drawn.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
@@ -42,6 +56,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .core.noise import ValueNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace
 from .core.rng import Rng
 from .core.sets import FeasibleSet
@@ -50,6 +65,11 @@ from .stochastic import NoAveraging, StepRule, _projected_sgd
 _SUPPORTED_BETA = (2, 3, 4, 5)
 _QUAD_NODES = 64
 _MOMENT_TOL = 1e-10
+# The smallest batch that kernel_grad_estimate draws ahead and probes as arrays.  Timed
+# against the per-sample loop at batch 1-8, 16 and 64 and d = 2, 10 and 50, on exact values
+# and on gaussian value noise through a CountingOracle (2-vCPU x86-64 host), the arrays won
+# from 7 samples on, tied at 6 and lost below.
+BLOCK_BATCH = 7
 
 
 @dataclass(frozen=True)
@@ -122,19 +142,54 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     """Average of ``batch`` two-point kernel estimates; 2*batch oracle calls.
 
     Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
-    and at x - tau r_i e_i (the module docstring's draw order).
+    and at x - tau r_i e_i (the module docstring's draw order).  ``x``
+    must have shape ``(dim,)`` of the suite.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    counter = oracle if isinstance(oracle, CountingOracle) else None
+    suite = oracle.suite if counter is not None else oracle
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    if isinstance(oracle, CountingOracle):
-        zo = oracle.zo_value
+    if x.shape != (suite.dim,):
+        raise ValueError(f"x has shape {x.shape}, the suite takes ({suite.dim},)")
+    scale = x.shape[0] / (2.0 * tau)
+    declared = None
+    if batch >= BLOCK_BATCH and (counter is None or counter.has_room(2 * batch)):
+        declared = _declared(suite)
+    if declared is not None:
+        weights, dirs = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
     else:
-        zo = oracle.zo_value_or_exact
-    scale = d / (2.0 * tau)
+        weights, dirs = _loop_samples(oracle.zo_value if counter is not None else suite.zo_value_or_exact,
+                                      x, tau, scale, kernel, rng, batch)
+    # Sum the samples as a running sum from +0.0 would: cumsum adds the rows
+    # strictly in order (sum(axis=0) sums pairwise when d = 1, and
+    # weights @ dirs goes through BLAS), and adding 0.0 turns a -0.0 total
+    # into the +0.0 that a zero start gives.
+    total = (weights[:, None] * dirs).cumsum(axis=0)[-1] + 0.0
+    return total / batch
+
+
+def _declared(suite: OracleSuite):
+    """``(value, noise)`` when the suite's zeroth-order draws are known, else None (a hand-built entry).
+
+    ``value`` is the entry's rng-free part and ``noise`` the
+    :class:`ValueNoise` whose draws the entry adds; a suite without an
+    entry gives its exact ``value`` and no noise.
+    """
+    entry = suite.zo_value
+    if entry is None:
+        return suite.value, None
+    noise = getattr(entry, "noise", None)
+    if not isinstance(noise, ValueNoise):
+        return None
+    return noise.value, noise
+
+
+def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
+    """Each sample's weight and direction, one sample at a time through the ``zo_value`` entry."""
+    d = x.shape[0]
     weigh = kernel.__call__  # the bound method: calling the instance looks __call__ up per sample
     weights = np.empty(batch)
     dirs = np.empty((batch, d))
@@ -146,12 +201,36 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
         fm = zo(x - s, rng)
         weights[i] = scale * (fp - fm) * weigh(r)
         dirs[i] = e
-    # Sum the samples as a running sum from +0.0 would: cumsum adds the rows
-    # strictly in order (sum(axis=0) sums pairwise when d = 1, and
-    # weights @ dirs goes through BLAS), and adding 0.0 turns a -0.0 total
-    # into the +0.0 that a zero start gives.
-    total = (weights[:, None] * dirs).cumsum(axis=0)[-1] + 0.0
-    return total / batch
+    return weights, dirs
+
+
+def _block_samples(value, noise: Optional[ValueNoise], counter, x, tau, scale, kernel, rng, batch):
+    """Each sample's weight and direction: all draws first, then the probes as arrays.
+
+    ``value`` and ``noise`` are what :func:`_declared` returns.  The caller
+    has checked that ``counter`` has room for every probe, so all of them
+    are counted before the first.
+    """
+    d = x.shape[0]
+    uniform, sphere_draw = rng.uniform, rng.sphere_draw
+    radii, norms = [], []
+    dirs = np.empty((batch, d))
+    xi = None if noise is None else np.empty((batch, 2))
+    for i in range(batch):
+        radii.append(uniform(-1.0, 1.0))
+        dirs[i], n = sphere_draw(d)  # Rng.sphere's draw, before its division
+        norms.append(n)
+        if xi is not None:
+            xi[i] = noise.xi(rng, 2)
+    r = np.array(radii)
+    dirs /= np.array(norms)[:, None]
+    s = (tau * r)[:, None] * dirs
+    if counter is not None:
+        counter.calls += 2 * batch
+    f = np.array([float(value(p)) for pair in zip(x + s, x - s) for p in pair])
+    if xi is not None:
+        f = noise.add(f, xi.ravel())
+    return scale * (f[0::2] - f[1::2]) * kernel(r), dirs
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,31 @@ def test_restart_degenerate_eps_above_theta0():
     assert tr.status is RunStatus.CONVERGED and len(tr.rows) == 1
 
 
+def test_restart_budget_cut_reports_the_stage_best_productive_iterate():
+    oracle, fset = make_problem("slp")
+    cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=100_000)
+    tr = run_restarted_switching(oracle, fset, np.zeros(2), cfg, record_x=True, max_oracle_calls=40)
+    assert tr.status is RunStatus.BUDGET_EXHAUSTED
+    stage = tr.rows[-2].tag.split(":")[0]
+    productive = [r for r in tr.rows[:-1] if r.tag == stage + ":productive"]
+    best = min(productive, key=lambda r: r.f_value)  # the first of equal values, as the scheme keeps
+    np.testing.assert_array_equal(tr.x_out, best.x)
+    assert tr.f_out == best.f_value < oracle.value(np.zeros(2))  # not the stage's start
+
+
+def test_restart_budget_cut_without_productive_step_reports_the_stage_start():
+    objective, fset = make_problem("norm2", {"d": 2})
+    constraint = ConstraintOracle(value=lambda x: 10.0,  # never satisfied
+                                  subgrad=lambda x: np.array([1.0, 0.0]),
+                                  lipschitz=1.0)
+    cfg = SwitchingConfig(theta0=10.0, eps_target=1.0, alpha_sharp=1.0, max_iters=1000)
+    tr = run_restarted_switching(dataclasses.replace(objective, constraint=constraint), fset,
+                                 np.array([0.5, 0.0]), cfg, record_x=True, max_oracle_calls=10)
+    assert tr.status is RunStatus.BUDGET_EXHAUSTED and tr.final.iter == 3
+    np.testing.assert_array_equal(tr.x_out, [0.5, 0.0])
+    assert tr.final.x[0] < 0.5  # the terminal row is at the last iterate
+
+
 def test_restart_reaches_target_on_slp():
     oracle, fset = make_problem("slp", {"rho": 1.0})
     cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=10000)

@@ -1,4 +1,7 @@
+import contextlib
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from optbench.core import (
 )
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
+    BLOCK_BATCH,
     ConstTau,
     PowerDecayTau,
     ZoConfig,
@@ -118,6 +122,14 @@ def _quad50(noise):
     return wrap_noise(oracle, noise, Rng(17)), np.cos(3.0 * lam)
 
 
+def _drawing_entry():
+    # a hand-built entry that draws from the run's stream: the estimator cannot draw it ahead
+    c = np.array([1.0, -2.0, 0.5])
+    oracle = linear_oracle(c)
+    return (dataclasses.replace(oracle, zo_value=lambda x, rng: float(c @ x) + 0.01 * float(rng.student_t(3))),
+            np.array([0.3, -0.1, 2.0]))
+
+
 BIT_CASES = {
     "linear-d3": lambda: (linear_oracle([1.0, -2.0, 0.5]), np.array([0.3, -0.1, 2.0])),
     "quad50-zo_stoch": lambda: _quad50(ZOStochValue(1e-3)),
@@ -127,10 +139,13 @@ BIT_CASES = {
     "quad-d1": lambda: (make_problem("quad_diag", {"lambdas": [3.0]})[0], np.array([0.7])),
     # equal probe values at the minimizer: every sample estimate is a signed zero
     "quad-minimizer": lambda: (make_problem("quad_diag", {"lambdas": [1.0, 1.0]})[0], np.zeros(2)),
+    "linear-d3-drawing": _drawing_entry,
 }
+# both sides of the batch from which the estimator draws ahead and probes as arrays
+BIT_BATCHES = sorted({1, 2, 3, 4, 8, BLOCK_BATCH - 1, BLOCK_BATCH, BLOCK_BATCH + 1, 1000})
 
 
-@pytest.mark.parametrize("batch", [1, 7, 1000])
+@pytest.mark.parametrize("batch", BIT_BATCHES)
 @pytest.mark.parametrize("beta", [2, 4])
 @pytest.mark.parametrize("case", list(BIT_CASES))
 def test_estimator_bits_match_the_per_sample_loop(case, beta, batch):
@@ -154,6 +169,84 @@ def test_estimator_budget_cut_matches_the_per_sample_loop():
         kernel_grad_estimate(ctr, x, 0.05, kernel, rng, 10)
     # the 8th call is the second probe of sample 3
     assert str(err.value) == str(ref_err.value) and ctr.calls == ref_ctr.calls == 7
+    assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
+
+
+@pytest.mark.parametrize("batch", [BLOCK_BATCH, 64])
+@pytest.mark.parametrize("case", ["linear-d3", "quad50-zo_stoch"])
+def test_estimator_at_the_budget_boundary_matches_the_per_sample_loop(case, batch):
+    oracle, x = BIT_CASES[case]()
+    kernel = build_kernel(2)
+    for room in (2 * batch, 2 * batch - 1):
+        ref_ctr, ctr = CountingOracle(oracle, 3 + room), CountingOracle(oracle, 3 + room)
+        for _ in range(3):  # calls made earlier in the run
+            ref_ctr.count_extra()
+            ctr.count_extra()
+        ref_rng, rng = LoopRng(5), Rng(5)
+        if room == 2 * batch:  # exactly enough: no cut, the same bits
+            ref = reference_estimate(ref_ctr, x, 0.05, kernel, ref_rng, batch)
+            est = kernel_grad_estimate(ctr, x, 0.05, kernel, rng, batch)
+            assert est.tobytes() == ref.tobytes()
+        else:  # one call short: the cut comes at the last probe, with the stream where it is
+            with pytest.raises(OracleBudgetError) as ref_err:
+                reference_estimate(ref_ctr, x, 0.05, kernel, ref_rng, batch)
+            with pytest.raises(OracleBudgetError) as err:
+                kernel_grad_estimate(ctr, x, 0.05, kernel, rng, batch)
+            assert str(err.value) == str(ref_err.value)
+        assert ctr.calls == ref_ctr.calls == 3 + room
+        assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
+
+
+class SphereCountingRng(Rng):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.spheres = 0
+
+    def sphere(self, d):
+        self.spheres += 1
+        return super().sphere(d)
+
+
+@pytest.mark.parametrize("case", ["linear-d3", "quad50-zo_stoch", "quad50-zo_bounded-worst", "linear-d3-drawing"])
+def test_estimator_draws_ahead_from_the_block_batch(case):
+    oracle, x = BIT_CASES[case]()
+    kernel = build_kernel(2)
+    # only the exact value and the zo_stoch entry are drawn ahead; any other entry keeps the per-sample loop
+    ahead = case in ("linear-d3", "quad50-zo_stoch")
+    for batch, room, loop in ((BLOCK_BATCH - 1, None, True), (BLOCK_BATCH, None, not ahead),
+                              (BLOCK_BATCH, 2 * BLOCK_BATCH, not ahead), (BLOCK_BATCH, 2 * BLOCK_BATCH - 1, True)):
+        rng = SphereCountingRng(5)
+        with contextlib.suppress(OracleBudgetError):
+            kernel_grad_estimate(CountingOracle(oracle, room), x, 0.05, kernel, rng, batch)
+        # the per-sample loop draws each direction with Rng.sphere; the block path does not
+        assert (rng.spheres > 0) == loop
+
+
+class TinyNormals:
+    """Generator view whose ``call``-th standard_normal draw (from 0) is scaled to a norm below 1e-12."""
+
+    def __init__(self, gen, call):
+        self.gen, self.call, self.calls = gen, call, 0
+
+    def standard_normal(self, size=None):
+        out = self.gen.standard_normal(size)
+        self.calls += 1
+        return out * 1e-14 if self.calls == self.call + 1 else out
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("batch, call", [(1, 0), (BLOCK_BATCH, 0), (BLOCK_BATCH, 3)])
+def test_estimator_redraws_a_tiny_direction_where_the_per_sample_loop_does(batch, call):
+    oracle, x = BIT_CASES["linear-d3"]()  # draws nothing but the directions' normals
+    kernel = build_kernel(2)
+    ref_rng, rng = LoopRng(5), Rng(5)
+    ref_rng._gen, rng._gen = TinyNormals(ref_rng._gen, call), TinyNormals(rng._gen, call)
+    ref = reference_estimate(oracle, x, 0.05, kernel, ref_rng, batch)
+    est = kernel_grad_estimate(oracle, x, 0.05, kernel, rng, batch)
+    assert est.tobytes() == ref.tobytes()
+    assert rng._gen.calls == ref_rng._gen.calls == batch + 1  # one redraw
     assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
 
 
@@ -273,6 +366,18 @@ def test_tau_must_be_positive_and_finite(tau):
         ConstTau(tau)
     with pytest.raises(ValueError, match="tau0 must be positive and finite"):
         PowerDecayTau(tau, 0.5)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (3, 1), (1, 3)])
+@pytest.mark.parametrize("counted", [False, True])
+def test_x_must_have_the_suite_shape(shape, counted):
+    oracle = linear_oracle([1.0, -2.0, 0.5])
+    oracle = CountingOracle(oracle, 100) if counted else oracle
+    rng = Rng(0)
+    with pytest.raises(ValueError, match=re.escape(f"x has shape {shape}")):
+        kernel_grad_estimate(oracle, np.full(shape, 0.5), 0.1, build_kernel(2), rng, batch=5)
+    assert rng.gaussian(3).tobytes() == Rng(0).gaussian(3).tobytes()  # refused before any draw
+    assert not counted or oracle.calls == 0
 
 
 STEP_RULES = {

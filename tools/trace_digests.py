@@ -40,13 +40,19 @@ Grids:
 * ``est/...``: direct ``kernel_grad_estimate`` outputs on a linear suite
   at d=3, ``quad_diag`` at d=50 under ``zo_stoch``, ``zo_bounded``
   ``random`` and ``zo_bounded`` ``deterministic_worst`` noise, a 1-d
-  quadratic and a quadratic at its minimizer, for beta {2, 4} x batch
-  {1, 7, 1000} x seeds 1-2, plus each case cut by a budget of 7 calls in
-  the middle of a probe pair (its error text and call count); and the
-  gradient streams of ``absolute_grad`` and ``relative_grad`` in
-  ``random_direction`` mode at d {1, 3, 50} for seeds 1-2 (96 runs).  The
-  hash also covers the next draws of the run's ``Rng``, so a change in
-  the number of draws consumed shows;
+  quadratic, a quadratic at its minimizer and a linear suite whose
+  hand-built zeroth-order entry draws a Student-t from the run's ``Rng``,
+  for beta {2, 4} x batch {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000} x
+  seeds 1-2; each case cut by a budget of 7 calls in the middle of a probe
+  pair (its error text and call count); each case at beta 2 and seed 1
+  with a budget of exactly ``2 * batch`` calls and of one call fewer, for
+  batch {1, 2, 3, 4, 5, 6, 7, 8, 16, 64} (``room...`` keys); ``run_zo_sgd``
+  at batch 9 on the ``zo_stoch`` quadratic for 12 iterations, with
+  ``max_oracle_calls`` in {none, 36, 53, 54, 55} (``est/zo_sgd/...``);
+  and the gradient streams of ``absolute_grad`` and ``relative_grad`` in
+  ``random_direction`` mode at d {1, 3, 50} for seeds 1-2 (507 keys).
+  The hash also covers the next draws of the run's ``Rng``, so a change
+  in the number of draws consumed shows;
 * ``csv/...``: the 17 canonical configs for seeds 1-2 with
   ``record_every`` in {1, 7}, run through ``run_experiment`` with a CSV
   trace, whose bytes the hash covers (68 runs); and for each of those
@@ -123,6 +129,9 @@ DISTRIBUTIONS = ("gaussian", "student_t3")
 STOP_SEEDS = (1, 2)
 CSV_SEEDS = (1, 2)
 CLI_SEEDS = (1, 2)
+EST_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000)
+ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
+ZO_BUDGETS = (None, 36, 53, 54, 55)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
 STOP_CONFIGS = {
@@ -315,9 +324,10 @@ def sgd_zo_grid(tmp: str) -> dict:
 def estimator_grid() -> dict:
     import numpy as np
 
+    from optbench import stochastic as st
     from optbench import zeroorder as zo
-    from optbench.core import (AbsoluteGrad, CountingOracle, OracleBudgetError, OracleSuite, RelativeGrad,
-                               Rng, ZOBoundedValue, ZOStochValue, make_problem, wrap_noise)
+    from optbench.core import (AbsoluteGrad, CountingOracle, FullSpace, OracleBudgetError, OracleSuite,
+                               RelativeGrad, Rng, ZOBoundedValue, ZOStochValue, make_problem, wrap_noise)
 
     c = np.array([1.0, -2.0, 0.5])
     lam = np.linspace(1.0, 10.0, 50)
@@ -332,6 +342,9 @@ def estimator_grid() -> dict:
                                     np.cos(3.0 * lam)),
         "quad-d1": (make_problem("quad_diag", {"lambdas": [3.0]})[0], np.array([0.7])),
         "quad-minimizer": (make_problem("quad_diag", {"lambdas": [1.0, 1.0]})[0], np.zeros(2)),
+        "linear-d3-drawing": (OracleSuite(value=lambda x: float(c @ x), subgrad=lambda x: c.copy(), dim=3,
+                                          zo_value=lambda x, rng: float(c @ x) + 0.01 * float(rng.student_t(3))),
+                              np.array([0.3, -0.1, 2.0])),
     }
     out = {}
 
@@ -339,7 +352,7 @@ def estimator_grid() -> dict:
         data = b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays) + rng.gaussian(3).tobytes()
         return {"sha256": hashlib.sha256(data).hexdigest()}
 
-    for (name, (oracle, x)), beta, batch, seed in itertools.product(cases.items(), (2, 4), (1, 7, 1000), (1, 2)):
+    for (name, (oracle, x)), beta, batch, seed in itertools.product(cases.items(), (2, 4), EST_BATCHES, (1, 2)):
         def run(oracle=oracle, x=x, beta=beta, batch=batch, seed=seed):
             rng = Rng(seed)
             return digest(rng, zo.kernel_grad_estimate(oracle, x, 0.05, zo.build_kernel(beta), rng, batch))
@@ -356,6 +369,30 @@ def estimator_grid() -> dict:
             return {"error": "the budget did not cut the estimate"}
 
         out[f"est/{name}/budget7/seed{seed}"] = _guarded(cut)
+
+    for (name, (oracle, x)), batch, short in itertools.product(cases.items(), ROOM_BATCHES, (0, 1)):
+        def room(oracle=oracle, x=x, batch=batch, calls=2 * batch - short):
+            rng, ctr = Rng(1), CountingOracle(oracle, calls)
+            try:
+                est = zo.kernel_grad_estimate(ctr, x, 0.05, zo.build_kernel(2), rng, batch)
+            except OracleBudgetError as e:
+                return dict(digest(rng), error=f"{type(e).__name__}: {e}", oracle_calls=ctr.calls)
+            return dict(digest(rng, est), oracle_calls=ctr.calls)
+
+        out[f"est/{name}/batch{batch}/room{2 * batch - short}"] = _guarded(room)
+
+    quad, quad_x = cases["quad50-zo_stoch"]
+    cfg = zo.ZoConfig(N=12, step_rule=st.Const(0.01), kernel=zo.build_kernel(2), batch=9)
+    for budget in ZO_BUDGETS:
+        def run_zo(budget=budget):
+            rng = Rng(3)
+            trace = zo.run_zo_sgd(quad, FullSpace(50), quad_x, cfg, rng, record_every=5, record_x=True,
+                                  max_oracle_calls=budget)
+            rows = [np.array([r.iter, r.f_value, r.oracle_calls]) for r in trace.rows]
+            return dict(digest(rng, trace.x_out, *rows, *(r.x for r in trace.rows)),
+                        status=trace.status.value, oracle_calls=trace.final.oracle_calls)
+
+        out[f"est/zo_sgd/batch9/budget{budget}"] = _guarded(run_zo)
 
     kinds = {"absolute_grad": AbsoluteGrad(0.1), "relative_grad": RelativeGrad(0.3, "random_direction")}
     for (kind, noise), d, seed in itertools.product(kinds.items(), (1, 3, 50), (1, 2)):
