@@ -2,7 +2,7 @@
 
 from .config import ConfigError, ExperimentSpec, parse_config
 from .rates import InsufficientDataError, RateFit, fit_rate
-from .registry import METHODS, build_method, method_names
+from .registry import build_method, method_entry, method_names
 from .runner import run_experiment
 from .tracefile import read_trace, write_trace
 
@@ -10,10 +10,10 @@ __all__ = [
     "ConfigError",
     "ExperimentSpec",
     "InsufficientDataError",
-    "METHODS",
     "RateFit",
     "build_method",
     "fit_rate",
+    "method_entry",
     "method_names",
     "parse_config",
     "read_trace",

@@ -16,6 +16,10 @@ later call in the process.  It holds no per-call state: each call parses
 into a fresh namespace, and the subcommand handlers look ``parse_config``,
 ``run_experiment``, ``read_trace`` and ``fit_rate`` up as module globals
 when they run.
+
+Importing this module loads no method module.  ``run`` and ``compare``
+import each config's method module when the registry builds the method
+(at parse time); ``list-methods`` imports all six.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 from ..core.problems import problem_doc, problem_names
 from .config import ConfigError, parse_config
 from .rates import MODELS, InsufficientDataError, fit_rate
-from .registry import METHODS, method_names
+from .registry import method_entry, method_names
 from .runner import run_experiment
 from .tracefile import read_trace
 
@@ -99,7 +103,7 @@ def _cmd_list_problems(args) -> int:
 
 def _cmd_list_methods(args) -> int:
     for name in method_names():
-        print(f"{name:22s} {METHODS[name].doc}")
+        print(f"{name:22s} {method_entry(name).doc}")
     return 0
 
 

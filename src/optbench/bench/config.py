@@ -104,7 +104,7 @@ def _parse_noise(obj) -> NoiseSpec:
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate a JSON experiment document."""
-    from .registry import build_method  # deferred: registry imports method modules
+    from .registry import build_method  # deferred: registry imports this module
 
     try:
         doc = json.loads(text)

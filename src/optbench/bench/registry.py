@@ -6,19 +6,29 @@ noise model, builds the method's config and returns
 ``run(fset, x0, rng) -> Trace``.  Building calls no oracle, so
 :func:`optbench.bench.config.parse_config` builds against the bare
 problem to check a config, and the runner builds against the
-noise-wrapped oracle and runs the result.  The closures look the
-method's entry point up as a module attribute at call time.
+noise-wrapped oracle and runs the result.
+
+The registry imports no method module at its own import.  Each entry
+names its module, and :func:`method_entry` imports it with
+:mod:`importlib` when the method is built or listed, so a run loads its
+method's module only (``zo_sgd``'s also loads ``stochastic``).  The
+momentum variants are named by ``momentum.VARIANTS``, so resolving one
+of them, listing the methods or reporting an unknown name imports
+``momentum``.  The builders take the imported module as their first
+argument; their closures look the method's entry point up as an
+attribute of that module when the run starts.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from functools import cache, partial
+from types import ModuleType
 from typing import Callable, Optional
 
 import numpy as np
 
-from .. import frankwolfe, momentum, smooth, stochastic, subgrad, zeroorder
 from ..core.linalg import flag, number
 from ..core.noise import AbsoluteGrad, RelativeGrad
 from ..core.oracles import OracleSuite, Trace
@@ -35,6 +45,11 @@ class MethodEntry:
     doc: str
     allowed: frozenset
     build: Callable[[ExperimentSpec, OracleSuite], Run]
+
+
+def _module(name: str) -> ModuleType:
+    """The method module ``optbench.<name>``, imported on first use."""
+    return importlib.import_module(f"..{name}", __package__)
 
 
 def _common_kwargs(spec: ExperimentSpec) -> dict:
@@ -80,14 +95,14 @@ def _rule_keys(table: dict) -> set:
 
 # -- subgradient methods -----------------------------------------------------
 
-def _build_polyak_subgrad(spec, oracle) -> Run:
+def _build_polyak_subgrad(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(_float(p, "fstar")),
                                 N=spec.iterations, tol=_float(p, "tol", subgrad.SubgradConfig.tol))
     return lambda fset, x0, rng: subgrad.run_polyak_subgrad(oracle, fset, x0, cfg, **kw)
 
 
-def _build_const_subgrad(spec, oracle) -> Run:
+def _build_const_subgrad(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if p.get("h") is not None:
         rule = subgrad.FixedStep(_float(p, "h"))
@@ -100,7 +115,7 @@ def _build_const_subgrad(spec, oracle) -> Run:
     return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
 
 
-def _build_switching(spec, oracle) -> Run:
+def _build_switching(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
         delta=_need(p, "delta"),
@@ -111,13 +126,15 @@ def _build_switching(spec, oracle) -> Run:
     return lambda fset, x0, rng: subgrad.run_switching(oracle, fset, x0, cfg, **kw)
 
 
-def _build_restarted_switching(spec, oracle) -> Run:
+def _build_restarted_switching(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = subgrad.SwitchingConfig(
         theta0=_need(p, "theta0"),
         Mg=_float(p, "Mg"),
-        # iterations: 0 gives a zero cap, which the config refuses, also beside a stage_cap
-        max_iters=number(p.get("stage_cap", spec.iterations), "stage_cap", whole=True) if spec.iterations else 0,
+        # iterations caps the steps of all stages, stage_cap (default: iterations) each stage's;
+        # a zero cap is refused
+        max_iters=number(p.get("stage_cap", spec.iterations), "stage_cap", whole=True),
+        total_iters=spec.iterations,
         eps_target=_need(p, "eps"),
         alpha_sharp=_float(p, "alpha"),
     )
@@ -133,7 +150,7 @@ def _relative_alpha(spec: ExperimentSpec) -> float:
     return alpha
 
 
-def _smooth_run(spec: ExperimentSpec, oracle, mode, entry: str, L: Optional[float] = None) -> Run:
+def _smooth_run(smooth, spec: ExperimentSpec, oracle, mode, entry: str, L: Optional[float] = None) -> Run:
     """The run of ``smooth.<entry>`` under ``mode`` with the fixed-step constant ``L``."""
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = smooth.SmoothRunConfig(N=spec.iterations, L=L, mode=mode,
@@ -141,35 +158,35 @@ def _smooth_run(spec: ExperimentSpec, oracle, mode, entry: str, L: Optional[floa
     return lambda fset, x0, rng: getattr(smooth, entry)(oracle, x0, cfg, **kw)
 
 
-def _build_gd(spec, oracle) -> Run:
-    return _smooth_run(spec, oracle, smooth.Exact(), "run_gd", _float(spec.method_params, "L"))
+def _build_gd(smooth, spec, oracle) -> Run:
+    return _smooth_run(smooth, spec, oracle, smooth.Exact(), "run_gd", _float(spec.method_params, "L"))
 
 
-def _build_gd_abs(spec, oracle) -> Run:
+def _build_gd_abs(smooth, spec, oracle) -> Run:
     p = spec.method_params
     delta = _float(p, "delta", spec.noise.delta if isinstance(spec.noise, AbsoluteGrad) else None)
     if delta is None:
         raise ValueError("delta not given and no absolute_grad noise configured")
     mode = smooth.AbsNoise(delta=delta, stop_multiplier=_float(p, "c", smooth.AbsNoise.stop_multiplier))
-    return _smooth_run(spec, oracle, mode, "run_gd_abs", _float(p, "L"))
+    return _smooth_run(smooth, spec, oracle, mode, "run_gd_abs", _float(p, "L"))
 
 
-def _build_gd_rel(spec, oracle) -> Run:
+def _build_gd_rel(smooth, spec, oracle) -> Run:
     mode = smooth.RelNoise(alpha=_relative_alpha(spec))
-    return _smooth_run(spec, oracle, mode, "run_gd_rel", _float(spec.method_params, "L"))
+    return _smooth_run(smooth, spec, oracle, mode, "run_gd_rel", _float(spec.method_params, "L"))
 
 
-def _build_gd_rel_adaptive(spec, oracle) -> Run:
+def _build_gd_rel_adaptive(smooth, spec, oracle) -> Run:
     alpha = _relative_alpha(spec)
     L0 = _float(spec.method_params, "L0", oracle.L)
     if L0 is None:
         raise ValueError("L0 not given and L unknown for this problem")
-    return _smooth_run(spec, oracle, smooth.RelNoiseAdaptive(alpha=alpha, L0=L0), "run_gd_rel_adaptive")
+    return _smooth_run(smooth, spec, oracle, smooth.RelNoiseAdaptive(alpha=alpha, L0=L0), "run_gd_rel_adaptive")
 
 
 # -- momentum methods ----------------------------------------------------------
 
-def _build_momentum(variant: str, spec, oracle) -> Run:
+def _build_momentum(variant: str, momentum, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations,
                                   L=_float(p, "L"), mu=_float(p, "mu"),
@@ -177,7 +194,7 @@ def _build_momentum(variant: str, spec, oracle) -> Run:
     return lambda fset, x0, rng: momentum.run_momentum(oracle, x0, cfg, **kw)
 
 
-def _build_cg_quadratic(spec, oracle) -> Run:
+def _build_cg_quadratic(momentum, spec, oracle) -> Run:
     N, kw = spec.iterations, _common_kwargs(spec)
     if "tol" in spec.method_params:
         kw["tol"] = number(spec.method_params["tol"], "tol")
@@ -186,7 +203,7 @@ def _build_cg_quadratic(spec, oracle) -> Run:
 
 # -- frank-wolfe ----------------------------------------------------------------
 
-def _build_frank_wolfe(spec, oracle) -> Run:
+def _build_frank_wolfe(frankwolfe, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = frankwolfe.FwConfig(N=max(spec.iterations, 1), step_rule=_step_rule(frankwolfe.FW_STEP_RULES, p, oracle),
                               tol=_float(p, "tol", frankwolfe.FwConfig.tol))
@@ -195,7 +212,7 @@ def _build_frank_wolfe(spec, oracle) -> Run:
 
 # -- stochastic -------------------------------------------------------------------
 
-def _sgd_averaging(p: dict) -> stochastic.Averaging:
+def _sgd_averaging(stochastic, p: dict):
     mode = p.get("averaging", "none")
     if mode == "none":
         return stochastic.NoAveraging()
@@ -206,19 +223,19 @@ def _sgd_averaging(p: dict) -> stochastic.Averaging:
     raise ValueError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
 
 
-def _build_sgd(spec, oracle) -> Run:
+def _build_sgd(stochastic, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     cfg = stochastic.SgdConfig(
         N=spec.iterations,
         step_rule=_step_rule(stochastic.STEP_RULES, p, oracle),
         batch=number(p.get("batch", stochastic.SgdConfig.batch), "batch", whole=True),
         clip_lambda=_float(p, "clip_lambda"),
-        averaging=_sgd_averaging(p),
+        averaging=_sgd_averaging(stochastic, p),
     )
     return lambda fset, x0, rng: stochastic.run_sgd(oracle, fset, x0, cfg, rng, **kw)
 
 
-def _build_zo_sgd(spec, oracle) -> Run:
+def _build_zo_sgd(zeroorder, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if "tau0" in p:
         tau = zeroorder.PowerDecayTau(tau0=_need(p, "tau0"), exponent=_float(p, "tau_exponent", 0.0))
@@ -226,7 +243,7 @@ def _build_zo_sgd(spec, oracle) -> Run:
         tau = zeroorder.ConstTau(_float(p, "tau", zeroorder.ConstTau.tau))
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
-        step_rule=_step_rule(stochastic.STEP_RULES, p, oracle),
+        step_rule=_step_rule(_module("stochastic").STEP_RULES, p, oracle),
         kernel=zeroorder.build_kernel(number(p.get("beta", 2), "beta", whole=True)),
         tau_schedule=tau,
         batch=number(p.get("batch", zeroorder.ZoConfig.batch), "batch", whole=True),
@@ -234,42 +251,55 @@ def _build_zo_sgd(spec, oracle) -> Run:
     return lambda fset, x0, rng: zeroorder.run_zo_sgd(oracle, fset, x0, cfg, rng, **kw)
 
 
-def _entry(name, doc, allowed, build) -> MethodEntry:
-    return MethodEntry(name=name, doc=doc, allowed=frozenset(allowed), build=build)
-
-
-METHODS: dict[str, MethodEntry] = {e.name: e for e in [
-    _entry("polyak_subgrad", "subgradient descent with the Polyak step (needs f*)",
-           {"tol", "fstar"}, _build_polyak_subgrad),
-    _entry("const_subgrad", "constant-step subgradient descent, optional averaging",
-           {"h", "R", "M", "averaging"}, _build_const_subgrad),
-    _entry("switching", "adaptive switching scheme for one functional constraint",
-           {"delta", "theta0", "Mg"}, _build_switching),
-    _entry("restarted_switching", "restarted switching scheme under conditional sharpness",
-           {"eps", "theta0", "Mg", "alpha", "stage_cap"}, _build_restarted_switching),
-    _entry("gd", "gradient descent with step 1/L",
+# name -> (its module, its list-methods line, its keys or a function of its module giving
+# them, its builder); the momentum variants are the names in momentum.VARIANTS
+_DECLARED = {
+    "polyak_subgrad": ("subgrad", "subgradient descent with the Polyak step (needs f*)",
+                       {"tol", "fstar"}, _build_polyak_subgrad),
+    "const_subgrad": ("subgrad", "constant-step subgradient descent, optional averaging",
+                      {"h", "R", "M", "averaging"}, _build_const_subgrad),
+    "switching": ("subgrad", "adaptive switching scheme for one functional constraint",
+                  {"delta", "theta0", "Mg"}, _build_switching),
+    "restarted_switching": ("subgrad", "restarted switching scheme under conditional sharpness",
+                            {"eps", "theta0", "Mg", "alpha", "stage_cap"}, _build_restarted_switching),
+    "gd": ("smooth", "gradient descent with step 1/L",
            {"L", "tol"}, _build_gd),
-    _entry("gd_abs", "gradient descent under absolute gradient error, early stopping",
-           {"L", "tol", "delta", "c"}, _build_gd_abs),
-    _entry("gd_rel", "gradient descent under relative gradient error, fixed step",
-           {"L", "tol", "alpha"}, _build_gd_rel),
-    _entry("gd_rel_adaptive", "adaptive-step descent under relative gradient error (alpha < 0.5)",
-           {"L0", "tol", "alpha"}, _build_gd_rel_adaptive),
-    *(_entry(name, variant.doc, {"L", "mu", "tol"}, partial(_build_momentum, name))
-      for name, variant in momentum.VARIANTS.items()),
-    _entry("cg_quadratic", "conjugate gradients (quadratic problems only)",
-           {"tol"}, _build_cg_quadratic),
-    _entry("frank_wolfe", "conditional gradient with classic or short step",
-           _rule_keys(frankwolfe.FW_STEP_RULES) | {"tol"}, _build_frank_wolfe),
-    _entry("sgd", "projected stochastic gradient descent",
-           _rule_keys(stochastic.STEP_RULES) | {"batch", "clip_lambda", "averaging", "tail_fraction"}, _build_sgd),
-    _entry("zo_sgd", "zeroth-order projected SGD with a kernel estimator",
-           _rule_keys(stochastic.STEP_RULES) | {"batch", "beta", "tau", "tau0", "tau_exponent"}, _build_zo_sgd),
-]}
+    "gd_abs": ("smooth", "gradient descent under absolute gradient error, early stopping",
+               {"L", "tol", "delta", "c"}, _build_gd_abs),
+    "gd_rel": ("smooth", "gradient descent under relative gradient error, fixed step",
+               {"L", "tol", "alpha"}, _build_gd_rel),
+    "gd_rel_adaptive": ("smooth", "adaptive-step descent under relative gradient error (alpha < 0.5)",
+                        {"L0", "tol", "alpha"}, _build_gd_rel_adaptive),
+    "cg_quadratic": ("momentum", "conjugate gradients (quadratic problems only)",
+                     {"tol"}, _build_cg_quadratic),
+    "frank_wolfe": ("frankwolfe", "conditional gradient with classic or short step",
+                    lambda m: _rule_keys(m.FW_STEP_RULES) | {"tol"}, _build_frank_wolfe),
+    "sgd": ("stochastic", "projected stochastic gradient descent",
+            lambda m: _rule_keys(m.STEP_RULES) | {"batch", "clip_lambda", "averaging", "tail_fraction"},
+            _build_sgd),
+    "zo_sgd": ("zeroorder", "zeroth-order projected SGD with a kernel estimator",
+               lambda m: _rule_keys(_module("stochastic").STEP_RULES)
+               | {"batch", "beta", "tau", "tau0", "tau_exponent"}, _build_zo_sgd),
+}
+_VARIANT_KEYS = frozenset({"L", "mu", "tol"})
+
+
+@cache
+def method_entry(name: str) -> Optional[MethodEntry]:
+    """The entry of method ``name``, importing its module on the first call; None for an unknown name."""
+    if name in _DECLARED:
+        module, doc, keys, build = _DECLARED[name]
+        mod = _module(module)
+        return MethodEntry(name, doc, frozenset(keys(mod) if callable(keys) else keys), partial(build, mod))
+    momentum = _module("momentum")
+    variant = momentum.VARIANTS.get(name)
+    return None if variant is None else MethodEntry(name, variant.doc, _VARIANT_KEYS,
+                                                    partial(_build_momentum, name, momentum))
 
 
 def method_names() -> list[str]:
-    return sorted(METHODS)
+    """Every method name, sorted; imports ``momentum`` for its variants."""
+    return sorted([*_DECLARED, *_module("momentum").VARIANTS])
 
 
 def build_method(spec: ExperimentSpec, oracle: OracleSuite) -> Run:
@@ -278,7 +308,7 @@ def build_method(spec: ExperimentSpec, oracle: OracleSuite) -> Run:
     Returns ``run(fset, x0, rng) -> Trace``; building makes no oracle call.
     A bad name or parameter raises :class:`ConfigError`.
     """
-    entry = METHODS.get(spec.method_name) if isinstance(spec.method_name, str) else None
+    entry = method_entry(spec.method_name) if isinstance(spec.method_name, str) else None
     if not isinstance(spec.method_params, dict):
         raise ConfigError(f"method: params must be an object, got {spec.method_params!r}")
     if entry is None:

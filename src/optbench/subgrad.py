@@ -167,7 +167,9 @@ class SwitchingConfig:
     theta0 must satisfy ``2 theta0^2 >= ||x* - x0||^2``; Mg is the
     Lipschitz constant of the constraint (taken from the constraint
     oracle when omitted).  ``delta`` is only used by the plain scheme,
-    ``eps_target`` and ``alpha_sharp`` only by the restarted variant.
+    ``eps_target``, ``alpha_sharp`` and ``total_iters`` only by the
+    restarted variant, where ``max_iters`` caps each stage and
+    ``total_iters`` (when given) the steps of all stages together.
     """
 
     delta: float = 0.0
@@ -176,11 +178,12 @@ class SwitchingConfig:
     max_iters: int = 100_000
     eps_target: Optional[float] = None
     alpha_sharp: Optional[float] = None
+    total_iters: Optional[int] = None
 
     def __post_init__(self):
         if not self.theta0 > 0:  # also true for NaN
             raise ValueError("theta0 must be positive")
-        if self.max_iters < 1:
+        if self.max_iters < 1 or (self.total_iters is not None and self.total_iters < 1):
             raise ValueError("iteration cap must be >= 1")
         if self.eps_target is not None and not self.eps_target > 0:
             raise ValueError("eps_target must be positive")
@@ -294,8 +297,10 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     and ``delta_p = alpha * theta_p / (sqrt(2) max(1, Mg))``, restarting
     from the previous stage's output; there are exactly
     ``ceil(2 log2(theta0 / eps))`` stages, after which the output is
-    within ``eps`` of the minimizer set.  A stage cut by its cap ends the
-    run as ``budget_exhausted`` at its output.  A stage cut by the budget
+    within ``eps`` of the minimizer set.  Each stage is capped at
+    ``max_iters`` steps, and at the steps ``total_iters`` leaves.  A stage
+    cut by its cap ends the run as ``budget_exhausted`` at its output, as
+    does a stage that ``total_iters`` leaves no step.  A stage cut by the budget
     ends it the same way, with its terminal row at the stage's last
     iterate, and reports the stage's best productive iterate so far, or
     its starting point when it has none.
@@ -319,10 +324,13 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     mg_eff = max(1.0, Mg)
     it = 0
     for p in range(1, n_stages + 1):
+        cap = cfg.max_iters if cfg.total_iters is None else min(cfg.max_iters, cfg.total_iters - it)
+        if cap < 1:
+            return rec.close(it, x, RunStatus.BUDGET_EXHAUSTED)
         theta_p = cfg.theta0 / math.sqrt(2.0 ** p)
         delta_p = alpha * theta_p / (math.sqrt(2.0) * mg_eff)
         best_x, x_end, iters, ended = _switching_stage(
-            ctr, rec, fset, x, delta_p, theta_p, Mg, cfg.max_iters, it, f"p{p}:")
+            ctr, rec, fset, x, delta_p, theta_p, Mg, cap, it, f"p{p}:")
         if ended == "budget":
             return rec.close(it + iters, x_end, RunStatus.BUDGET_EXHAUSTED, x if best_x is None else best_x)
         if best_x is None:

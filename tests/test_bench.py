@@ -20,7 +20,7 @@ from optbench.bench import (
     write_trace,
 )
 from optbench.bench.cli import main
-from optbench.bench.registry import METHODS
+from optbench.bench.registry import method_entry, method_names
 from optbench.core import RunStatus, Trace, TraceRecorder, TraceRow, make_problem
 
 METHOD_MODULES = (frankwolfe, momentum, smooth, stochastic, subgrad)
@@ -384,11 +384,11 @@ def test_missing_rule_fields_take_problem_constants_or_defaults(monkeypatch, met
 def test_step_rule_keys_are_the_table_fields():
     rule_keys = {"step_rule"} | {f.name for cls in stochastic.STEP_RULES.values() for f in dataclasses.fields(cls)}
     assert rule_keys == {"step_rule", "gamma", "R", "M", "mu", "gamma0", "eta"}
-    assert METHODS["sgd"].allowed == rule_keys | {"batch", "clip_lambda", "averaging", "tail_fraction"}
-    assert METHODS["zo_sgd"].allowed == rule_keys | {"batch", "beta", "tau", "tau0", "tau_exponent"}
-    assert METHODS["frank_wolfe"].allowed == {"step_rule", "L", "tol"}
+    assert method_entry("sgd").allowed == rule_keys | {"batch", "clip_lambda", "averaging", "tail_fraction"}
+    assert method_entry("zo_sgd").allowed == rule_keys | {"batch", "beta", "tau", "tau0", "tau_exponent"}
+    assert method_entry("frank_wolfe").allowed == {"step_rule", "L", "tol"}
     for name, variant in momentum.VARIANTS.items():
-        assert (METHODS[name].doc, METHODS[name].allowed) == (variant.doc, {"L", "mu", "tol"})
+        assert (method_entry(name).doc, method_entry(name).allowed) == (variant.doc, {"L", "mu", "tol"})
 
 
 NORM2_SUBGRAD = {"problem": {"name": "norm2", "params": {"a": [1, 2]}},
@@ -708,7 +708,7 @@ EVERY_METHOD = {
 
 
 def test_every_method_trace_iters_strictly_increase():
-    assert set(EVERY_METHOD) == set(METHODS)
+    assert set(EVERY_METHOD) == set(method_names())
     for name, (problem, noise, params, x0, N) in EVERY_METHOD.items():
         for every in (1, 7, N + 1):
             for max_calls in (3, 40, 333):
@@ -719,6 +719,19 @@ def test_every_method_trace_iters_strictly_increase():
                 trace, _ = run_experiment(parse_config(json.dumps(doc)))
                 iters = [r.iter for r in trace.rows]
                 assert all(b > a for a, b in zip(iters, iters[1:])), (name, every, max_calls, iters[-3:])
+
+
+def test_restarted_switching_iterations_cap_the_steps_beside_a_stage_cap(tmp_path):
+    def run(iterations):
+        doc = {"problem": "slp", "method": {"name": "restarted_switching", "params": {
+            "eps": 0.05, "theta0": 1.0, "alpha": 0.5, "stage_cap": 100}}, "iterations": iterations}
+        trace, summary = run_experiment(parse_config(json.dumps(doc)))
+        return trace, {k: v for k, v in summary.items() if k != "wall_time"}
+
+    (short, s5), (_, s1000) = run(5), run(1000)
+    assert s5 != s1000
+    assert s5["status"] == "budget_exhausted" and s1000["status"] == "converged"
+    assert short.final.iter <= 5
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_METHOD))
@@ -921,14 +934,19 @@ def _mask_times(command: str, text: str) -> str:
     return "\n".join("wall_time : -" if line.startswith("wall_time") else line for line in text.splitlines())
 
 
-def _fresh_process(argv, env_seed=None):
-    """(exit code, masked stdout, stderr) of one `optbench` call in a new interpreter."""
+def _fresh_env(env_seed=None):
+    """The environment of a new interpreter that imports this optbench, with ``OPT_SEED`` only if given."""
     env = {k: v for k, v in os.environ.items() if k != "OPT_SEED"}
     if env_seed is not None:
         env["OPT_SEED"] = env_seed
     src = os.path.dirname(os.path.dirname(optbench.__file__))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-m", "optbench.bench.cli", *argv], env=env,
+    return env
+
+
+def _fresh_process(argv, env_seed=None):
+    """(exit code, masked stdout, stderr) of one `optbench` call in a new interpreter."""
+    done = subprocess.run([sys.executable, "-m", "optbench.bench.cli", *argv], env=_fresh_env(env_seed),
                           capture_output=True, text=True, timeout=120)
     return done.returncode, _mask_times(argv[0], done.stdout), done.stderr
 
@@ -976,3 +994,112 @@ def test_cli_calls_in_one_process_are_independent(tmp_path, capsys, monkeypatch)
     out = capsys.readouterr().out
     assert "(seed 7)" in out
     assert (0, _mask_times("run", out), "") == _fresh_process(argv, env_seed="7")
+
+
+# -- import graph and registry -------------------------------------------------------
+
+METHOD_MODULE_NAMES = ("frankwolfe", "momentum", "smooth", "stochastic", "subgrad", "zeroorder")
+
+
+def _method_modules_loaded_by(code):
+    """The method modules a new interpreter has loaded after running ``code``."""
+    probe = code + ("\nimport sys\nprint(' '.join(n for n in %r if 'optbench.' + n in sys.modules))"
+                    % (METHOD_MODULE_NAMES,))
+    done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_no_method_module():
+    assert _method_modules_loaded_by("import optbench, optbench.bench.cli") == []
+
+
+@pytest.mark.parametrize("method, noise, params, loaded", [
+    ("gd", None, {}, ["smooth"]),
+    ("zo_sgd", {"kind": "zo_stoch", "delta_tilde": 0.01}, {"gamma": 0.005, "tau": 0.01},
+     ["stochastic", "zeroorder"]),
+])
+def test_cli_run_loads_only_its_method_module(tmp_path, method, noise, params, loaded):
+    doc = {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 1]}},
+           "method": {"name": method, "params": params}, "iterations": 20}
+    if noise is not None:
+        doc["noise"] = noise
+    cfg = write_cfg(tmp_path, "run.json", doc)
+    code = f"from optbench.bench.cli import main\nassert main(['run', '--config', {cfg!r}]) == 0"
+    assert _method_modules_loaded_by(code) == loaded
+
+
+def test_method_modules_resolve_as_package_attributes():
+    code = ("import importlib, optbench\n"
+            f"for n in {METHOD_MODULE_NAMES!r}:\n"
+            "    assert getattr(optbench, n) is importlib.import_module('optbench.' + n), n\n"
+            "    assert n in optbench.__all__, n\n"
+            "from optbench import smooth\n"
+            "assert smooth is optbench.smooth\n"
+            "assert not hasattr(optbench, 'nope')")
+    assert _method_modules_loaded_by(code) == list(METHOD_MODULE_NAMES)
+
+
+LIST_METHODS = """\
+cg_quadratic           conjugate gradients (quadratic problems only)
+chebyshev              Chebyshev semi-iterative recurrence
+const_subgrad          constant-step subgradient descent, optional averaging
+frank_wolfe            conditional gradient with classic or short step
+gd                     gradient descent with step 1/L
+gd_abs                 gradient descent under absolute gradient error, early stopping
+gd_rel                 gradient descent under relative gradient error, fixed step
+gd_rel_adaptive        adaptive-step descent under relative gradient error (alpha < 0.5)
+heavy_ball             two-term momentum with constant coefficients
+nesterov_cvx           look-ahead momentum with factor (k-1)/(k+2)
+nesterov_sc            look-ahead momentum, strongly convex tuning
+polyak_subgrad         subgradient descent with the Polyak step (needs f*)
+restarted_switching    restarted switching scheme under conditional sharpness
+sgd                    projected stochastic gradient descent
+switching              adaptive switching scheme for one functional constraint
+taylor_drori           worst-case-optimal accelerated recurrence
+zo_sgd                 zeroth-order projected SGD with a kernel estimator
+"""
+ALLOWED_KEYS = {
+    "cg_quadratic": ["tol"],
+    "chebyshev": ["L", "mu", "tol"],
+    "const_subgrad": ["M", "R", "averaging", "h"],
+    "frank_wolfe": ["L", "step_rule", "tol"],
+    "gd": ["L", "tol"],
+    "gd_abs": ["L", "c", "delta", "tol"],
+    "gd_rel": ["L", "alpha", "tol"],
+    "gd_rel_adaptive": ["L0", "alpha", "tol"],
+    "heavy_ball": ["L", "mu", "tol"],
+    "nesterov_cvx": ["L", "mu", "tol"],
+    "nesterov_sc": ["L", "mu", "tol"],
+    "polyak_subgrad": ["fstar", "tol"],
+    "restarted_switching": ["Mg", "alpha", "eps", "stage_cap", "theta0"],
+    "sgd": ["M", "R", "averaging", "batch", "clip_lambda", "eta", "gamma", "gamma0", "mu", "step_rule",
+            "tail_fraction"],
+    "switching": ["Mg", "delta", "theta0"],
+    "taylor_drori": ["L", "mu", "tol"],
+    "zo_sgd": ["M", "R", "batch", "beta", "eta", "gamma", "gamma0", "mu", "step_rule", "tau", "tau0",
+               "tau_exponent"],
+}
+AVAILABLE = ("available: cg_quadratic, chebyshev, const_subgrad, frank_wolfe, gd, gd_abs, gd_rel, "
+             "gd_rel_adaptive, heavy_ball, nesterov_cvx, nesterov_sc, polyak_subgrad, restarted_switching, "
+             "sgd, switching, taylor_drori, zo_sgd")
+
+
+def test_registry_listing_messages_and_keys_are_pinned(tmp_path, capsys):
+    assert main(["list-methods"]) == 0
+    assert capsys.readouterr().out == LIST_METHODS
+    assert method_names() == sorted(ALLOWED_KEYS)
+    assert {name: sorted(method_entry(name).allowed) for name in method_names()} == ALLOWED_KEYS
+    assert method_entry("nope") is None
+    for method, err in [
+        ("nope", f"error: unknown method 'nope'; {AVAILABLE}\n"),
+        ({"name": ["gd"]}, f"error: unknown method ['gd']; {AVAILABLE}\n"),
+        ({"name": "gd", "params": {"zz": 1, "a": 2}},
+         "error: method 'gd': unknown params ['a', 'zz']; allowed: ['L', 'tol']\n"),
+        ({"name": "heavy_ball", "params": {"q": 1}},
+         "error: method 'heavy_ball': unknown params ['q']; allowed: ['L', 'mu', 'tol']\n"),
+    ]:
+        cfg = write_cfg(tmp_path, "bad.json", {"problem": "quad_diag", "method": method, "iterations": 5})
+        assert main(["run", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", err)

@@ -278,6 +278,37 @@ def test_restart_budget_cut_reports_the_stage_best_productive_iterate():
     assert tr.f_out == best.f_value < oracle.value(np.zeros(2))  # not the stage's start
 
 
+def test_restart_total_cap_cuts_the_run_at_the_stage_best_productive_iterate():
+    oracle, fset = make_problem("slp")
+    cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=100)
+    free = run_restarted_switching(oracle, fset, np.zeros(2), cfg, record_x=True)
+    assert free.status is RunStatus.CONVERGED and free.final.iter > 5
+    cut = run_restarted_switching(oracle, fset, np.zeros(2), dataclasses.replace(cfg, total_iters=5), record_x=True)
+    assert cut.status is RunStatus.BUDGET_EXHAUSTED and cut.final.iter == 5
+    assert [r.iter for r in cut.rows[:-1]] == [r.iter for r in free.rows[:5]]  # the same first steps
+    stage = cut.rows[-2].tag.split(":")[0]
+    best = min((r for r in cut.rows[:-1] if r.tag == stage + ":productive"), key=lambda r: r.f_value)
+    np.testing.assert_array_equal(cut.x_out, best.x)
+    np.testing.assert_array_equal(cut.final.x, best.x)
+
+
+def test_restart_total_cap_spent_by_a_stopped_stage_ends_before_the_next():
+    oracle, fset = make_problem("slp")
+    cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=100)
+    free = run_restarted_switching(oracle, fset, np.zeros(2), cfg, record_x=True)
+    second = next(r for r in free.rows[:-1] if r.tag.startswith("p2:"))  # stage 2 starts where stage 1 stopped
+    cut = run_restarted_switching(oracle, fset, np.zeros(2), dataclasses.replace(cfg, total_iters=second.iter),
+                                  record_x=True)
+    assert cut.status is RunStatus.BUDGET_EXHAUSTED and cut.final.iter == second.iter
+    assert not any(r.tag.startswith("p2:") for r in cut.rows[:-1])
+    np.testing.assert_array_equal(cut.x_out, second.x)
+
+
+def test_restart_refuses_a_zero_total_cap():
+    with pytest.raises(ValueError, match="iteration cap must be >= 1"):
+        SwitchingConfig(theta0=1.0, eps_target=0.05, total_iters=0)
+
+
 def test_restart_budget_cut_without_productive_step_reports_the_stage_start():
     objective, fset = make_problem("norm2", {"d": 2})
     constraint = ConstraintOracle(value=lambda x: 10.0,  # never satisfied

@@ -86,8 +86,9 @@ Grids:
   an unknown, null or list ``step_rule`` and bad values; Frank-Wolfe's
   ``classic`` and ``short`` with and without ``L``; and each momentum
   variant with L and mu from the problem, mu null, missing L, missing mu,
-  mu = 0, mu = L and mu > L.  A failure at parse or run time maps to its
-  error text (112 keys);
+  mu = 0, mu = L and mu > L; and ``restarted_switching`` on ``slp``
+  without a ``stage_cap`` and with one of 2 and of 100.  A failure at
+  parse or run time maps to its error text (115 keys);
 * ``oracle/...``: every catalog callable called directly: ``value``,
   ``subgrad``, ``grad``, the constraint's ``value`` and ``subgrad`` and
   ``dist_to_opt``, for each problem at its defaults and a few parameter
@@ -693,7 +694,8 @@ VARIANT_RULES = {
     "adagrad_norm": {"R": 1.0},
     "decay": {"gamma0": 0.3, "eta": 0.7},
 }
-# name -> (problem, method, params): SGD rule kinds, problem constants, Frank-Wolfe rules
+# name -> (problem, method, params): SGD rule kinds, problem constants, Frank-Wolfe rules,
+# restarted-switching stage caps below and above the 3 iterations
 VARIANT_CASES = {
     "sgd/default-kind": (_PARSE_QUAD, "sgd", {"gamma": 0.1}),
     "sgd/unknown-kind": (_PARSE_QUAD, "sgd", {"step_rule": "bogus", "gamma": 0.1}),
@@ -720,6 +722,11 @@ VARIANT_CASES = {
     "frank_wolfe/unknown-kind": ("fw_box", "frank_wolfe", {"step_rule": "bogus"}),
     "frank_wolfe/null-kind": ("fw_box", "frank_wolfe", {"step_rule": None}),
     "frank_wolfe/list-kind": ("fw_box", "frank_wolfe", {"step_rule": ["short"]}),
+    "restarted_switching/no-stage_cap": ("slp", "restarted_switching", {"eps": 0.05, "theta0": 1.0, "alpha": 0.5}),
+    "restarted_switching/stage_cap-2": ("slp", "restarted_switching",
+                                        {"eps": 0.05, "theta0": 1.0, "alpha": 0.5, "stage_cap": 2}),
+    "restarted_switching/stage_cap-100": ("slp", "restarted_switching",
+                                          {"eps": 0.05, "theta0": 1.0, "alpha": 0.5, "stage_cap": 100}),
 }
 MOMENTUM_VARIANTS = ("heavy_ball", "chebyshev", "nesterov_sc", "nesterov_cvx", "taylor_drori")
 # case -> (problem, params); rosenbrock has neither L nor mu, quad_diag [2, 1] has L = 2 and mu = 1
