@@ -283,10 +283,14 @@ def _slp(params: dict, seed: int):
         return np.array([-1.0, 0.0])
 
     def g_value(x):
-        return float((C.dot(x) - rho).max())
+        # Shifting after the max gives the same bits: rounding t - rho is monotone in t,
+        # and a NaN propagates through both forms.
+        return float(C.dot(x).max()) - rho
 
     def g_subgrad(x):
-        return C[(C.dot(x) - rho).argmax()].copy()  # lowest achieving index on ties
+        # The argmax stays on the shifted vector: rounding can merge two distinct rows
+        # into a tie, which goes to the lowest index.
+        return C[(C.dot(x) - rho).argmax()].copy()
 
     # The optimal face is the segment {1} x [-tan(pi/20), tan(pi/20)].
     half_edge = math.tan(math.pi / 20.0)

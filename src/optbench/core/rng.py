@@ -15,8 +15,33 @@ code are reproducible regardless of execution order.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+
+
+class _UnbuiltGenerator:
+    """An :class:`Rng`'s generator until its first use, which builds it and puts it in its place.
+
+    So a run that never draws does not import ``numpy.random``, and later
+    draws reach the generator as a plain instance attribute (a ``__getattr__``
+    on :class:`Rng` itself would slow every attribute read of it).  A
+    wrapper that took this object in keeps drawing through it.
+    """
+
+    __slots__ = ("rng", "gen")
+
+    def __init__(self, rng: "Rng"):
+        self.rng, self.gen = rng, None
+
+    def __getattr__(self, name):
+        if name.startswith("__"):  # copy and pickle protocol lookups build nothing
+            raise AttributeError(name)
+        if self.gen is None:
+            self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.rng.entropy)))
+            if self.rng._gen is self:
+                self.rng._gen = self.gen
+        return getattr(self.gen, name)
 
 
 class Rng:
@@ -27,7 +52,9 @@ class Rng:
             self._entropy = seed
         else:
             self._entropy = (int(seed),)
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
+        if any(operator.index(e) < 0 for e in self._entropy):  # what SeedSequence refuses
+            raise ValueError(f"seed entropy must be non-negative integers, got {self._entropy}")
+        self._gen = _UnbuiltGenerator(self)
 
     @property
     def entropy(self) -> tuple:

@@ -278,7 +278,7 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
     try:
         for k in range(N):
             if avg_start is not None and k >= avg_start:
-                avg_sum += x
+                avg_sum = avg_sum + x  # a fresh add: numpy's in-place add of a 1-element array is about 2x slower
                 avg_n += 1
             g = gradient(ctr, k, x)
             gamma = step(k, g)

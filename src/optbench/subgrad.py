@@ -37,7 +37,7 @@ from .core.oracles import (
     TraceRecorder,
     ZeroSubgradientError,
 )
-from .core.sets import FeasibleSet
+from .core.sets import FeasibleSet, FullSpace
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,7 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
+    project_needed = not isinstance(fset, FullSpace)
     k = 0
     try:
         while k < cfg.N:
@@ -119,7 +120,9 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
                     f"zero subgradient off-optimum at iter {k} (gap {gap:.3e})")
             h = gap / gn2
             rec.record(k, x, fx, grad_norm=math.sqrt(gn2), step_size=h)
-            x = fset.project(x - h * g)
+            x = x - h * g
+            if project_needed:
+                x = fset.project(x)
             k += 1
     except OracleBudgetError:
         pass
@@ -145,16 +148,19 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
+    project_needed = not isinstance(fset, FullSpace)
     sum_x = np.zeros_like(x)
     try:
         for k in range(cfg.N):
-            sum_x += x
+            sum_x += x  # in place costs what a fresh add does from d = 2 on; d = 1: see stochastic._projected_sgd
             if k == cfg.N - 1:
                 break
             g = ctr.subgrad(x)
             if rec.due(k):
                 rec.record(k, x, grad_norm=norm(g), step_size=h)
-            x = fset.project(x - h * g)
+            x = x - h * g
+            if project_needed:
+                x = fset.project(x)
     except OracleBudgetError:
         pass
     return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED, sum_x / (k + 1) if cfg.averaging else None)
@@ -201,6 +207,8 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
     oracle budget ran out during iteration ``iters`` (at ``x_end``).
     """
     threshold = 2.0 * theta * theta / (delta * delta)
+    productive_tag, nonproductive_tag = stage_tag + "productive", stage_tag + "nonproductive"
+    project_needed = not isinstance(fset, FullSpace)
     sum_productive = 0.0
     n_nonproductive = 0
     best_f = math.inf
@@ -219,13 +227,12 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                 if gn2 == 0.0:
                     # Minimal-norm selection hit an exact minimizer of f on a
                     # productive step: the stop sum is +inf, stop here.
-                    rec.record(it, x, fx, grad_norm=0.0, step_size=0.0,
-                               tag=stage_tag + "productive", force=True)
+                    rec.record(it, x, fx, grad_norm=0.0, step_size=0.0, tag=productive_tag, force=True)
                     return best_x, x, k + 1, "stop"
                 h = delta / gn2
-                rec.record(it, x, fx, grad_norm=math.sqrt(gn2), step_size=h,
-                           tag=stage_tag + "productive")
-                x = fset.project(x - h * g)
+                if rec.due(it):
+                    rec.record(it, x, fx, grad_norm=math.sqrt(gn2), step_size=h, tag=productive_tag)
+                x = x - h * g
                 sum_productive += 1.0 / gn2
             else:
                 g = ctr.constraint_subgrad(x)
@@ -236,9 +243,12 @@ def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
                 if gn == 0.0:
                     raise ZeroSubgradientError("zero constraint subgradient on a nonproductive step")
                 h = delta / gn
-                rec.record(it, x, grad_norm=gn, step_size=h, tag=stage_tag + "nonproductive")
-                x = fset.project(x - h * g)
+                if rec.due(it):
+                    rec.record(it, x, grad_norm=gn, step_size=h, tag=nonproductive_tag)
+                x = x - h * g
                 n_nonproductive += 1
+            if project_needed:
+                x = fset.project(x)
             k += 1
             # 1e-9 relative slack absorbs float dust in theta^2 / delta^2.
             if sum_productive + n_nonproductive >= threshold * (1.0 - 1e-9):

@@ -40,7 +40,8 @@ other entry (a hand-built one may draw anything from the stream; the
 ``zo_bounded`` entries' crossover has not been timed), and for a
 :class:`CountingOracle` with fewer than ``2 * batch`` calls left, so that
 a budget cut leaves the stream where the loop leaves it.  Either way the
-weighted directions are summed once per batch, in the order drawn.
+weighted directions are summed in the order drawn: the loop keeps a
+running sum, and the arrays are summed row by row once per batch.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
@@ -159,16 +160,14 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     if batch >= BLOCK_BATCH and (counter is None or counter.has_room(2 * batch)):
         declared = _declared(suite)
     if declared is not None:
-        weights, dirs = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
+        total = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
     else:
-        weights, dirs = _loop_samples(oracle.zo_value if counter is not None else suite.zo_value_or_exact,
-                                      x, tau, scale, kernel, rng, batch)
-    # Sum the samples as a running sum from +0.0 would: cumsum adds the rows
-    # strictly in order (sum(axis=0) sums pairwise when d = 1, and
-    # weights @ dirs goes through BLAS), and adding 0.0 turns a -0.0 total
-    # into the +0.0 that a zero start gives.
-    total = (weights[:, None] * dirs).cumsum(axis=0)[-1] + 0.0
-    return total / batch
+        total = _loop_samples(oracle.zo_value if counter is not None else suite.zo_value_or_exact,
+                              x, tau, scale, kernel, rng, batch)
+    # Both paths sum the weighted directions strictly in draw order, from the
+    # first sample's; adding 0.0 turns a -0.0 total into the +0.0 that a
+    # running sum from a zero start gives.
+    return (total + 0.0) / batch
 
 
 def _declared(suite: OracleSuite):
@@ -188,24 +187,23 @@ def _declared(suite: OracleSuite):
 
 
 def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
-    """Each sample's weight and direction, one sample at a time through the ``zo_value`` entry."""
+    """The sum of the weighted directions, one sample at a time through the ``zo_value`` entry."""
     d = x.shape[0]
     weigh = kernel.__call__  # the bound method: calling the instance looks __call__ up per sample
-    weights = np.empty(batch)
-    dirs = np.empty((batch, d))
-    for i in range(batch):
+    total = None
+    for _ in range(batch):
         r = rng.uniform(-1.0, 1.0)
         e = rng.sphere(d)
         s = (tau * r) * e
         fp = zo(x + s, rng)
         fm = zo(x - s, rng)
-        weights[i] = scale * (fp - fm) * weigh(r)
-        dirs[i] = e
-    return weights, dirs
+        w = scale * (fp - fm) * weigh(r)
+        total = w * e if total is None else total + w * e
+    return total
 
 
 def _block_samples(value, noise: Optional[ValueNoise], counter, x, tau, scale, kernel, rng, batch):
-    """Each sample's weight and direction: all draws first, then the probes as arrays.
+    """The sum of the weighted directions: all draws first, then the probes as arrays.
 
     ``value`` and ``noise`` are what :func:`_declared` returns.  The caller
     has checked that ``counter`` has room for every probe, so all of them
@@ -230,7 +228,10 @@ def _block_samples(value, noise: Optional[ValueNoise], counter, x, tau, scale, k
     f = np.array([float(value(p)) for pair in zip(x + s, x - s) for p in pair])
     if xi is not None:
         f = noise.add(f, xi.ravel())
-    return scale * (f[0::2] - f[1::2]) * kernel(r), dirs
+    weights = scale * (f[0::2] - f[1::2]) * kernel(r)
+    # cumsum adds the rows strictly in order, as the per-sample loop does: sum(axis=0)
+    # sums pairwise when d = 1, and weights @ dirs goes through BLAS.
+    return (weights[:, None] * dirs).cumsum(axis=0)[-1]
 
 
 @dataclass(frozen=True)

@@ -999,12 +999,13 @@ def test_cli_calls_in_one_process_are_independent(tmp_path, capsys, monkeypatch)
 # -- import graph and registry -------------------------------------------------------
 
 METHOD_MODULE_NAMES = ("frankwolfe", "momentum", "smooth", "stochastic", "subgrad", "zeroorder")
+# the modules a run loads only when it needs them: the method modules, and numpy.random for a draw
+LAZY_MODULES = tuple("optbench." + n for n in METHOD_MODULE_NAMES) + ("numpy.random",)
 
 
-def _method_modules_loaded_by(code):
-    """The method modules a new interpreter has loaded after running ``code``."""
-    probe = code + ("\nimport sys\nprint(' '.join(n for n in %r if 'optbench.' + n in sys.modules))"
-                    % (METHOD_MODULE_NAMES,))
+def _lazy_modules_loaded_by(code):
+    """The :data:`LAZY_MODULES` a new interpreter has loaded after running ``code``."""
+    probe = code + "\nimport sys\nprint(' '.join(n for n in %r if n in sys.modules))" % (LAZY_MODULES,)
     done = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(), capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
@@ -1012,13 +1013,13 @@ def _method_modules_loaded_by(code):
 
 
 def test_import_loads_no_method_module():
-    assert _method_modules_loaded_by("import optbench, optbench.bench.cli") == []
+    assert _lazy_modules_loaded_by("import optbench, optbench.bench.cli") == []
 
 
 @pytest.mark.parametrize("method, noise, params, loaded", [
-    ("gd", None, {}, ["smooth"]),
+    ("gd", None, {}, ["optbench.smooth"]),
     ("zo_sgd", {"kind": "zo_stoch", "delta_tilde": 0.01}, {"gamma": 0.005, "tau": 0.01},
-     ["stochastic", "zeroorder"]),
+     ["optbench.stochastic", "optbench.zeroorder", "numpy.random"]),
 ])
 def test_cli_run_loads_only_its_method_module(tmp_path, method, noise, params, loaded):
     doc = {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 1]}},
@@ -1027,7 +1028,7 @@ def test_cli_run_loads_only_its_method_module(tmp_path, method, noise, params, l
         doc["noise"] = noise
     cfg = write_cfg(tmp_path, "run.json", doc)
     code = f"from optbench.bench.cli import main\nassert main(['run', '--config', {cfg!r}]) == 0"
-    assert _method_modules_loaded_by(code) == loaded
+    assert _lazy_modules_loaded_by(code) == loaded
 
 
 def test_method_modules_resolve_as_package_attributes():
@@ -1038,7 +1039,7 @@ def test_method_modules_resolve_as_package_attributes():
             "from optbench import smooth\n"
             "assert smooth is optbench.smooth\n"
             "assert not hasattr(optbench, 'nope')")
-    assert _method_modules_loaded_by(code) == list(METHOD_MODULE_NAMES)
+    assert _lazy_modules_loaded_by(code) == list(LAZY_MODULES[:-1])
 
 
 LIST_METHODS = """\

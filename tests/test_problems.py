@@ -299,6 +299,8 @@ def _numpy_forms(name: str, params: dict, seed: int) -> dict:
         t = min(max(float(x[1]), -half_edge), half_edge)
         return float(math.hypot(x[0] - 1.0, x[1] - t))
     return {"constraint-value": lambda x: float(np.max(C @ x - rho)),
+            # the shift before the max, as the catalog's constraint value computed it before
+            "constraint-value-shift-first": lambda x: float((C.dot(x) - rho).max()),
             "constraint-subgrad": lambda x: C[int(np.argmax(C @ x - rho))].copy(), "dist_to_opt": dist_to_opt}
 
 
@@ -354,6 +356,7 @@ def test_catalog_callables_give_the_bits_of_their_numpy_forms(case, kind):
     oracle, _ = make_problem(name, params, seed=3)
     new = {"value": oracle.value, "subgrad": oracle.subgrad, "grad": oracle.grad,
            "constraint-value": oracle.constraint and oracle.constraint.value,
+           "constraint-value-shift-first": oracle.constraint and oracle.constraint.value,
            "constraint-subgrad": oracle.constraint and oracle.constraint.subgrad,
            "dist_to_opt": oracle.dist_to_opt}[kind]
     reference = _numpy_forms(name, params, 3)[kind]

@@ -11,6 +11,25 @@ def test_same_seed_same_stream():
     assert np.array_equal(a.sphere(4), b.sphere(4))
 
 
+def test_generator_is_built_on_first_use_with_the_seed_stream():
+    rng, twin = Rng((5, 2)), np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 2))))
+    child = rng.spawn(1)
+    built = [isinstance(r._gen, np.random.Generator) for r in (rng, child)]
+    assert built == [False, False]  # spawning draws nothing
+    assert rng.state == twin.bit_generator.state
+    assert isinstance(rng._gen, np.random.Generator)  # the first use put the generator in place
+    assert rng.gaussian(4).tobytes() == twin.standard_normal(4).tobytes()
+    fresh = Rng((5, 2))
+    fresh.state = rng.state  # assigning a state builds the generator too
+    assert fresh.gaussian(3).tobytes() == rng.gaussian(3).tobytes()
+
+
+@pytest.mark.parametrize("seed", [-1, (3, -2)])
+def test_negative_seed_is_refused_at_construction(seed):
+    with pytest.raises(ValueError, match="non-negative"):
+        Rng(seed)
+
+
 def test_spawn_deterministic_and_distinct():
     a = Rng(1).spawn(3)
     b = Rng(1).spawn(3)

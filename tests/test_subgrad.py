@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from optbench.core import (
+    Box,
     ConstraintOracle,
     FullSpace,
     OracleSuite,
@@ -246,6 +247,42 @@ def test_switching_warns_on_understated_mg():
     cfg = SwitchingConfig(delta=0.05, theta0=1.0, Mg=0.2, max_iters=500)
     with pytest.warns(UserWarning, match="exceeds the declared Mg"):
         run_switching(oracle, fset, np.array([2.0, 0.0]), cfg)
+
+
+def _disk_suite_and_box():
+    """f = -x_1 under ||x|| <= 1, on a box whose face x_1 = 0.5 cuts the disk's minimizer (1, 0) off.
+
+    The minimizers over the box are the segment {0.5} x [-sqrt(0.75), sqrt(0.75)].
+    """
+    half_edge = math.sqrt(0.75)
+
+    def dist(x):
+        t = min(max(float(x[1]), -half_edge), half_edge)
+        return math.hypot(float(x[0]) - 0.5, float(x[1]) - t)
+
+    constraint = ConstraintOracle(value=lambda x: math.hypot(*x.tolist()) - 1.0,
+                                  subgrad=lambda x: x / math.hypot(*x.tolist()), lipschitz=1.0)
+    suite = OracleSuite(value=lambda x: -float(x[0]), subgrad=lambda x: np.array([-1.0, 0.0]), dim=2,
+                        fstar=-0.5, dist_fn=dist, M=1.0, alpha_sharp=0.5, constraint=constraint)
+    return suite, Box(np.array([-1.0, -1.0]), np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("restarted", [False, True], ids=["switching", "restarted_switching"])
+def test_switching_projects_every_step_onto_a_box(restarted):
+    suite, box = _disk_suite_and_box()
+    x0 = np.array([-0.9, 0.9])  # outside the disk: the run starts with nonproductive steps
+    if restarted:
+        cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=5000)
+        tr = run_restarted_switching(suite, box, x0, cfg, record_x=True)
+        assert suite.dist_to_opt(tr.x_out) <= 0.05
+    else:
+        tr = run_switching(suite, box, x0, SwitchingConfig(delta=0.05, theta0=1.0, max_iters=5000), record_x=True)
+        assert tr.f_out - suite.fstar <= 0.05 and suite.constraint.value(tr.x_out) <= 0.05
+    assert tr.status is RunStatus.CONVERGED
+    assert {r.tag.split(":")[-1] for r in tr.rows[:-1]} == {"productive", "nonproductive"}
+    xs = np.array([r.x for r in tr.rows] + [tr.x_out])
+    assert np.all(xs >= -1.0) and np.all(xs[:, 0] <= 0.5) and np.all(xs[:, 1] <= 1.0)
+    assert np.count_nonzero(xs[:, 0] == 0.5) > len(xs) // 2  # the productive steps end on the face
 
 
 # -- restarts ------------------------------------------------------------------------

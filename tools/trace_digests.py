@@ -106,7 +106,14 @@ Grids:
   vector of the wrong length and a 2-d array.  The hash covers each
   output's type, dtype, shape and bytes and whether it shares memory with
   the input or with an array the set holds, or the error's type and text
-  (18 keys, one per case and method).
+  (18 keys, one per case and method);
+* ``subgrad/...``: ``run_switching``, ``run_restarted_switching``,
+  ``run_polyak_subgrad`` (which ignores the constraint, so on the box
+  every step lands past the face) and averaged
+  ``run_const_subgrad`` on ``slp``, called directly over ``FullSpace``
+  and over a box whose face ``x_1 = 0.5`` cuts the minimizer off, from a
+  start outside the constraint, with ``record_every`` in {1, 7} and
+  ``max_oracle_calls`` in {none, 40} (32 runs).
 """
 
 from __future__ import annotations
@@ -319,6 +326,36 @@ def sgd_zo_grid(tmp: str) -> dict:
                            averaging=st.UniformAvg())
         sgd(f"sgd/long/{dist}/d{d}/batch{batch}/clip{clip}/budget{budget}", noisy, fset, x0[:d], cfg,
             record_every=7, record_x=True, max_oracle_calls=budget)
+    return out
+
+
+def subgrad_grid(tmp: str) -> dict:
+    import numpy as np
+
+    from optbench import subgrad as sg
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import Box, FullSpace, make_problem
+
+    oracle, _ = make_problem("slp", {"rho": 1.0})
+    x0 = np.array([-1.2, 0.9])
+    sets = {"full": FullSpace(2), "box": Box(np.array([-2.0, -2.0]), np.array([0.5, 2.0]))}
+    runs = {
+        "switching": (sg.run_switching, sg.SwitchingConfig(delta=0.035, theta0=1.0, max_iters=2000)),
+        "restarted_switching": (sg.run_restarted_switching,
+                                sg.SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=2000)),
+        "polyak": (sg.run_polyak_subgrad, sg.SubgradConfig(step_rule=sg.PolyakStep(), N=GRID_N)),
+        "const": (sg.run_const_subgrad, sg.SubgradConfig(step_rule=sg.FixedStep(0.1), N=GRID_N, averaging=True)),
+    }
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+    for (name, (run_fn, cfg)), (sname, fset), every, budget in itertools.product(
+            runs.items(), sets.items(), (1, 7), GRID_BUDGETS):
+        def run(run_fn=run_fn, cfg=cfg, fset=fset, every=every, budget=budget):
+            trace = run_fn(oracle, fset, x0, cfg, record_every=every, record_x=True, max_oracle_calls=budget)
+            write_trace(trace, path, "json")
+            return _digest(path, trace.final.oracle_calls)
+
+        out[f"subgrad/{name}/{sname}/every{every}/budget{budget}"] = _guarded(run)
     return out
 
 
@@ -786,7 +823,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
                    **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
-                   **sets_grid()}
+                   **sets_grid(), **subgrad_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
