@@ -10,6 +10,10 @@ Suites are treated as immutable after construction.  Runs that need
 randomness receive their own :class:`~optbench.core.rng.Rng`, and every
 run wraps the suite in its own :class:`CountingOracle`, so concurrent
 runs over one suite never interfere.
+
+:func:`run_steps` is the loop of every method but the switching schemes:
+it owns the run's counter and recorder, its budget, its stops and its
+divergence test, and calls the method's step once per iteration.
 """
 
 from __future__ import annotations
@@ -277,3 +281,49 @@ class TraceRecorder:
             x, f_end = x_out, self.counter.value_final(x_out)
         return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),
                      columns=self.columns)
+
+
+class Stop(Exception):
+    """Raised by a :func:`run_steps` step to end the run at its iterate, with the terminal row's known values."""
+
+    def __init__(self, status: RunStatus, f_value: Optional[float] = None, grad_norm: Optional[float] = None):
+        super().__init__(status)
+        self.status, self.f_value, self.grad_norm = status, f_value, grad_norm
+
+
+def run_steps(oracle: OracleSuite, x0: np.ndarray, N: int, step: Callable, *, record_every: int,
+              record_x: bool, max_oracle_calls: Optional[int], first: int = 0,
+              divergence_radius: Optional[float] = None, reported: Optional[Callable] = None) -> Trace:
+    """Run iterations ``first .. N-1`` of ``step`` from ``x0`` and return the trace.
+
+    ``step(ctr, k, x)`` makes iteration k's oracle calls through ``ctr`` and
+    returns ``(x_next, f, g, h)``: the next iterate, ``f(x)`` if the step
+    computed it (else None), the vector whose norm row k records as
+    ``grad_norm``, and the step size.  Row k is written at ``x`` when due,
+    after the step's calls.  The run ends as a :class:`Stop` the step raises
+    says, at ``x``; as ``diverged`` once ``||x_next - x0||`` is not
+    ``<= divergence_radius`` (NaN and inf iterates fail the test too); and
+    as ``budget_exhausted`` when a call would exceed ``max_oracle_calls``
+    (at ``x``) or after iteration ``N-1``.  The reported point is
+    ``reported()`` when that is given and not None, else the last iterate.
+    """
+    ctr = CountingOracle(oracle, max_oracle_calls)
+    rec = TraceRecorder(oracle, ctr, record_every, record_x)
+    x, k = x0, first
+    status, f_value, grad_norm = RunStatus.BUDGET_EXHAUSTED, None, None
+    try:
+        while k < N:
+            x_next, f, g, h = step(ctr, k, x)
+            if k % record_every == 0:  # rec.due(k), inlined: it is tested on every iteration
+                rec.record(k, x, f, grad_norm=norm(g), step_size=h)
+            x = x_next
+            k += 1
+            if divergence_radius is not None and not norm(x - x0) <= divergence_radius:
+                status = RunStatus.DIVERGED
+                break
+    except Stop as stop:
+        status, f_value, grad_norm = stop.status, stop.f_value, stop.grad_norm
+    except OracleBudgetError:
+        pass
+    return rec.close(k, x, status, None if reported is None else reported(),
+                     f_value=f_value, grad_norm=grad_norm)

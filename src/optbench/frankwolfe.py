@@ -28,14 +28,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .core.linalg import norm
-from .core.oracles import (
-    CountingOracle,
-    OracleBudgetError,
-    OracleSuite,
-    RunStatus,
-    Trace,
-    TraceRecorder,
-)
+from .core.oracles import OracleSuite, RunStatus, Stop, Trace, run_steps
 from .core.sets import FeasibleSet, FullSpace, UnboundedSetError
 
 
@@ -82,28 +75,21 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
         if L is None or not L > 0:
             raise ValueError("ShortStep requires a positive L (config or oracle)")
 
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    k = 1
-    try:
-        while k <= cfg.N - 1:
-            g = ctr.grad(x)
-            y = fset.lmo(g)
-            d = y - x
-            gap = -float(g.dot(d))  # FW duality gap at x
-            if gap <= cfg.tol:
-                return rec.close(k, x, RunStatus.CONVERGED, grad_norm=norm(g))
-            if isinstance(cfg.step_rule, Classic):
-                gamma = 2.0 / (k + 1)
-            else:
-                gamma = min(max(gap / (L * float(d.dot(d))), 0.0), 1.0)
-            if rec.due(k):
-                rec.record(k, x, grad_norm=norm(g), step_size=gamma)
-            x = (1.0 - gamma) * x + gamma * y
-            k += 1
-    except OracleBudgetError:
-        pass
-    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
+    def step(ctr, k, x):
+        g = ctr.grad(x)
+        y = fset.lmo(g)
+        d = y - x
+        gap = -float(g.dot(d))  # FW duality gap at x
+        if gap <= cfg.tol:
+            raise Stop(RunStatus.CONVERGED, grad_norm=norm(g))
+        if isinstance(cfg.step_rule, Classic):
+            gamma = 2.0 / (k + 1)
+        else:
+            gamma = min(max(gap / (L * float(d.dot(d))), 0.0), 1.0)
+        return (1.0 - gamma) * x + gamma * y, None, g, gamma
+
+    return run_steps(oracle, x, cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, first=1)
 
 
 def fw_gap(oracle: OracleSuite, fset: FeasibleSet, x) -> float:

@@ -28,14 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .core.linalg import norm
-from .core.oracles import (
-    CountingOracle,
-    OracleBudgetError,
-    OracleSuite,
-    RunStatus,
-    Trace,
-    TraceRecorder,
-)
+from .core.oracles import OracleSuite, RunStatus, Stop, Trace, run_steps
 
 _L_MIN = 1e-12
 
@@ -118,27 +111,18 @@ def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
     if L is None or L <= 0:
         raise ValueError("a positive smoothness constant L is required (config or oracle)")
     h, stop_threshold, stop_status = cfg.mode.regime(L, cfg.tol)
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    x = np.array(x0, dtype=float)
-    x_start = x.copy()
-    k = 0
-    try:
-        while k < cfg.N:
-            g = ctr.grad(x)
-            gn = norm(g)
-            if not math.isfinite(gn):
-                return rec.close(k, x, RunStatus.DIVERGED)
-            if gn <= stop_threshold:
-                return rec.close(k, x, stop_status, grad_norm=gn)
-            rec.record(k, x, grad_norm=gn, step_size=h)
-            x = x - h * g
-            k += 1
-            if not norm(x - x_start) <= divergence_radius:  # NaN and inf entries fail it too (radius finite)
-                return rec.close(k, x, RunStatus.DIVERGED)
-    except OracleBudgetError:
-        pass
-    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
+
+    def step(ctr, k, x):
+        g = ctr.grad(x)
+        gn = norm(g)
+        if not math.isfinite(gn):
+            raise Stop(RunStatus.DIVERGED)
+        if gn <= stop_threshold:
+            raise Stop(stop_status, grad_norm=gn)
+        return x - h * g, None, g, h
+
+    return run_steps(oracle, np.array(x0, dtype=float), cfg.N, step, record_every=record_every,
+                     record_x=record_x, max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)
 
 
 run_gd_abs = run_gd_rel = run_gd
@@ -170,45 +154,39 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
     step_factor = (1.0 - 2.0 * a) / (1.0 - a)
     slack_coef = a / (1.0 - a)
 
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    x = np.array(x0, dtype=float)
-    x_start = x.copy()
+    fx: Optional[float] = None  # f at the current iterate, computed on the first step: a run of no steps never needs it
     L_prev: Optional[float] = None
-    k = 0
-    try:
-        fx = ctr.value(x)
-        while k < cfg.N:
-            g = ctr.grad(x)
-            gn2 = float(g.dot(g))
-            gn = math.sqrt(gn2)
-            if not math.isfinite(gn):
-                return rec.close(k, x, RunStatus.DIVERGED, f_value=fx)
-            if gn <= cfg.tol:
-                return rec.close(k, x, RunStatus.CONVERGED, f_value=fx)
-            L_try = cfg.mode.L0 if L_prev is None else max(L_prev / 2.0, _L_MIN)
-            doublings = 0
-            while True:
-                h = step_factor / L_try
-                x_new = x - h * g
-                f_new = ctr.value(x_new)
-                move2 = h * h * gn2
-                rhs = (fx - h * gn2 + 0.5 * L_try * move2 + slack_coef * gn * (h * gn))
-                # Step-scaled slack keeps exact-arithmetic equality cases
-                # accepted while genuine violations (also step-scaled) reject.
-                if f_new <= rhs + 1e-9 * h * gn2:
-                    break
-                L_try *= 2.0
-                doublings += 1
-                if doublings > 60:
-                    raise ExitCriterionUnreachable(
-                        "exit criterion unreachable: alpha understates the oracle's error")
-            rec.record(k, x, fx, grad_norm=gn, step_size=h)
-            x, fx = x_new, f_new
-            L_prev = L_try
-            k += 1
-            if norm(x - x_start) > divergence_radius:
-                return rec.close(k, x, RunStatus.DIVERGED, f_value=fx)
-    except OracleBudgetError:
-        pass
-    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
+
+    def step(ctr, k, x):
+        nonlocal fx, L_prev
+        if fx is None:
+            fx = ctr.value(x)
+        g = ctr.grad(x)
+        gn2 = float(g.dot(g))
+        gn = math.sqrt(gn2)
+        if not math.isfinite(gn):
+            raise Stop(RunStatus.DIVERGED, f_value=fx)
+        if gn <= cfg.tol:
+            raise Stop(RunStatus.CONVERGED, f_value=fx)
+        L_try = cfg.mode.L0 if L_prev is None else max(L_prev / 2.0, _L_MIN)
+        doublings = 0
+        while True:
+            h = step_factor / L_try
+            x_new = x - h * g
+            f_new = ctr.value(x_new)
+            move2 = h * h * gn2
+            rhs = (fx - h * gn2 + 0.5 * L_try * move2 + slack_coef * gn * (h * gn))
+            # Step-scaled slack keeps exact-arithmetic equality cases
+            # accepted while genuine violations (also step-scaled) reject.
+            if f_new <= rhs + 1e-9 * h * gn2:
+                break
+            L_try *= 2.0
+            doublings += 1
+            if doublings > 60:
+                raise ExitCriterionUnreachable(
+                    "exit criterion unreachable: alpha understates the oracle's error")
+        f_x, fx, L_prev = fx, f_new, L_try
+        return x_new, f_x, g, h
+
+    return run_steps(oracle, np.array(x0, dtype=float), cfg.N, step, record_every=record_every,
+                     record_x=record_x, max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)

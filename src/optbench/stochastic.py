@@ -43,14 +43,7 @@ import numpy as np
 
 from .core.linalg import norm
 from .core.noise import AdditiveNoise
-from .core.oracles import (
-    CountingOracle,
-    OracleBudgetError,
-    OracleSuite,
-    RunStatus,
-    Trace,
-    TraceRecorder,
-)
+from .core.oracles import CountingOracle, OracleSuite, Trace, run_steps
 from .core.rng import Rng
 from .core.sets import FeasibleSet, FullSpace
 
@@ -200,18 +193,19 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
     if isinstance(oracle.stoch_grad, AdditiveNoise):
         draw, rewind = _noise_blocks(oracle.stoch_grad, rng)
     else:
-        draw, rewind = (lambda ctr, x: ctr.stoch_grad(x, rng)), (lambda: None)
+        draw, rewind = (lambda ctr, k, x: ctr.stoch_grad(x, rng)), (lambda: None)
 
     def gradient(ctr, k, x):
-        g = draw(ctr, x)
+        g = draw(ctr, k, x)
         if b > 1:
             for _ in range(b - 1):
-                g = g + draw(ctr, x)
+                g = g + draw(ctr, k, x)
             g = g / b
         return g if lam is None else clip(g, lam)
 
     try:
-        return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging, gradient,
+        return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging,
+                              draw if b == 1 and lam is None else gradient,
                               record_every, record_x, max_oracle_calls)
     finally:
         rewind()
@@ -222,7 +216,7 @@ _CHUNK_VALUES = 512
 
 
 def _noise_blocks(noise: AdditiveNoise, rng: Rng):
-    """``draw(ctr, x)``, the bits of ``ctr.stoch_grad(x, rng)`` with the noise drawn in chunks.
+    """``draw(ctr, k, x)``, the bits of ``ctr.stoch_grad(x, rng)`` with the noise drawn in chunks.
 
     Each draw charges one call to ``ctr``, then evaluates ``noise.grad(x)``
     and adds the next row of the current chunk.  The chunk runs ahead of
@@ -233,7 +227,7 @@ def _noise_blocks(noise: AdditiveNoise, rng: Rng):
     grad, n = noise.grad, max(1, _CHUNK_VALUES // noise.d)
     state, chunk, used = None, None, n
 
-    def draw(ctr, x):
+    def draw(ctr, k, x):  # k unused: the signature of a _projected_sgd gradient
         nonlocal state, chunk, used
         ctr.count_extra()
         if used == n:
@@ -259,38 +253,31 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
     the run's counting oracle.  The reported point is the average of the
     averaged iterates, or the last iterate without averaging.
     """
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(np.array(x0, dtype=float))
-    step = step_rule.schedule(N)
+    gamma_k = step_rule.schedule(N)
 
     if isinstance(averaging, UniformAvg):
         avg_start = 0
     elif isinstance(averaging, TailAvg):
         avg_start = N - math.ceil(averaging.fraction * N)
     else:
-        avg_start = None
-    avg_sum = np.zeros_like(x)
-    avg_n = 0
+        avg_start = N  # no iterate is averaged
+    avg_sum, avg_n = np.zeros_like(x), 0
 
     project_needed = not isinstance(fset, FullSpace)
-    k = 0
-    try:
-        for k in range(N):
-            if avg_start is not None and k >= avg_start:
-                avg_sum = avg_sum + x  # a fresh add: numpy's in-place add of a 1-element array is about 2x slower
-                avg_n += 1
-            g = gradient(ctr, k, x)
-            gamma = step(k, g)
-            if rec.due(k):
-                rec.record(k, x, grad_norm=norm(g), step_size=gamma)
-            x = x - gamma * g
-            if project_needed:
-                x = fset.project(x)
-        k = N
-    except OracleBudgetError:
-        pass
-    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED, avg_sum / avg_n if avg_n else None)
+
+    def step(ctr, k, x):
+        nonlocal avg_sum, avg_n
+        if k >= avg_start:
+            avg_sum = avg_sum + x  # a fresh add: numpy's in-place add of a 1-element array is about 2x slower
+            avg_n += 1
+        g = gradient(ctr, k, x)
+        gamma = gamma_k(k, g)
+        x_new = x - gamma * g
+        return fset.project(x_new) if project_needed else x_new, None, g, gamma
+
+    return run_steps(oracle, x, N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, reported=lambda: avg_sum / avg_n if avg_n else None)
 
 
 @dataclass(frozen=True)

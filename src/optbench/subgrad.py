@@ -33,9 +33,11 @@ from .core.oracles import (
     OracleBudgetError,
     OracleSuite,
     RunStatus,
+    Stop,
     Trace,
     TraceRecorder,
     ZeroSubgradientError,
+    run_steps,
 )
 from .core.sets import FeasibleSet, FullSpace
 
@@ -102,31 +104,24 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
     if fstar is None:
         raise ValueError("the Polyak step needs the optimal value f*")
 
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    x = fset.project(x0)
     project_needed = not isinstance(fset, FullSpace)
-    k = 0
-    try:
-        while k < cfg.N:
-            fx = ctr.value(x)
-            gap = fx - fstar
-            if gap <= cfg.tol:
-                return rec.close(k, x, RunStatus.CONVERGED, f_value=fx)
-            g = ctr.subgrad(x)
-            gn2 = float(g.dot(g))
-            if gn2 == 0.0:
-                raise ZeroSubgradientError(
-                    f"zero subgradient off-optimum at iter {k} (gap {gap:.3e})")
-            h = gap / gn2
-            rec.record(k, x, fx, grad_norm=math.sqrt(gn2), step_size=h)
-            x = x - h * g
-            if project_needed:
-                x = fset.project(x)
-            k += 1
-    except OracleBudgetError:
-        pass
-    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED)
+
+    def step(ctr, k, x):
+        fx = ctr.value(x)
+        gap = fx - fstar
+        if gap <= cfg.tol:
+            raise Stop(RunStatus.CONVERGED, f_value=fx)
+        g = ctr.subgrad(x)
+        gn2 = float(g.dot(g))
+        if gn2 == 0.0:
+            raise ZeroSubgradientError(
+                f"zero subgradient off-optimum at iter {k} (gap {gap:.3e})")
+        h = gap / gn2
+        x_new = x - h * g
+        return fset.project(x_new) if project_needed else x_new, fx, g, h
+
+    return run_steps(oracle, fset.project(x0), cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls)
 
 
 def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradConfig,
@@ -145,25 +140,22 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     else:
         raise ValueError("run_const_subgrad requires FixedStep or BudgetStep")
 
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
     x = fset.project(x0)
     project_needed = not isinstance(fset, FullSpace)
-    sum_x = np.zeros_like(x)
-    try:
-        for k in range(cfg.N):
-            sum_x += x  # in place costs what a fresh add does from d = 2 on; d = 1: see stochastic._projected_sgd
-            if k == cfg.N - 1:
-                break
-            g = ctr.subgrad(x)
-            if rec.due(k):
-                rec.record(k, x, grad_norm=norm(g), step_size=h)
-            x = x - h * g
-            if project_needed:
-                x = fset.project(x)
-    except OracleBudgetError:
-        pass
-    return rec.close(k, x, RunStatus.BUDGET_EXHAUSTED, sum_x / (k + 1) if cfg.averaging else None)
+    sum_x, n = np.zeros_like(x), 0
+
+    def step(ctr, k, x):
+        nonlocal sum_x, n
+        sum_x += x  # in place costs what a fresh add does from d = 2 on; d = 1: see stochastic._projected_sgd
+        n += 1
+        if k == cfg.N - 1:
+            raise Stop(RunStatus.BUDGET_EXHAUSTED)  # x^{N-1} takes no step
+        g = ctr.subgrad(x)
+        x_new = x - h * g
+        return fset.project(x_new) if project_needed else x_new, None, g, h
+
+    return run_steps(oracle, x, cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, reported=lambda: sum_x / n if cfg.averaging else None)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import optbench
-from optbench import frankwolfe, momentum, smooth, stochastic, subgrad
+from optbench import frankwolfe, momentum, stochastic, subgrad
 from optbench.bench import (
     ConfigError,
     InsufficientDataError,
@@ -22,8 +22,10 @@ from optbench.bench import (
 from optbench.bench.cli import main
 from optbench.bench.registry import method_entry, method_names
 from optbench.core import RunStatus, Trace, TraceRecorder, TraceRow, make_problem
+from optbench.core import oracles
 
-METHOD_MODULES = (frankwolfe, momentum, smooth, stochastic, subgrad)
+# The modules that build a TraceRecorder: run_steps' module, and subgrad for the switching schemes.
+RECORDER_MODULES = (oracles, subgrad)
 
 
 # -- config parsing --------------------------------------------------------------
@@ -745,6 +747,7 @@ def test_zero_iterations_take_no_step(tmp_path, capsys, name):
         return
     trace, _ = run_experiment(parse_config(json.dumps(doc)))
     assert trace.columns["iter"] == [1 if name == "frank_wolfe" else 0]  # Frank-Wolfe counts from 1
+    assert trace.final.oracle_calls == 1  # the terminal row's value, nothing else
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_METHOD))
@@ -823,7 +826,7 @@ def test_trace_rows_match_the_row_recorder(name, monkeypatch):
         doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
         trace, _ = run_experiment(parse_config(json.dumps(doc)))
         with monkeypatch.context() as m:
-            for mod in METHOD_MODULES:
+            for mod in RECORDER_MODULES:
                 m.setattr(mod, "TraceRecorder", RowRecorder)
             ref, _ = run_experiment(parse_config(json.dumps(doc)))
         assert [row_bits(r) for r in trace.rows] == [row_bits(r) for r in ref.rows], (name, every)

@@ -242,6 +242,19 @@ def test_adaptive_converged_terminal_row_reuses_the_method_value():
     assert calls[before.oracle_calls:] == ["grad"]
 
 
+def test_adaptive_radius_exit_evaluates_its_terminal_row():
+    # f = -x is unbounded below: every trial is accepted, the step doubles, and the
+    # iterate leaves the radius at iteration 21 after 1 + 2 * 21 = 43 method calls.
+    # The terminal row is then evaluated, as at the end of the iterations: 44 calls.
+    down = OracleSuite(value=lambda x: -float(x[0]), subgrad=lambda x: np.array([-1.0]),
+                       grad=lambda x: np.array([-1.0]), dim=1)
+    cfg = SmoothRunConfig(N=100, mode=RelNoiseAdaptive(alpha=0.1, L0=1.0))
+    tr = run_gd_rel_adaptive(down, np.array([0.0]), cfg)
+    assert tr.status is RunStatus.DIVERGED
+    assert tr.final.iter == 21 and tr.final.oracle_calls == 44
+    assert tr.final.f_value == -tr.x_out[0] and tr.rows[-2].oracle_calls == 43
+
+
 def test_adaptive_rejects_alpha_half():
     with pytest.raises(ValueError, match="alpha < 0.5"):
         RelNoiseAdaptive(alpha=0.5, L0=1.0)

@@ -113,7 +113,19 @@ Grids:
   ``run_const_subgrad`` on ``slp``, called directly over ``FullSpace``
   and over a box whose face ``x_1 = 0.5`` cuts the minimizer off, from a
   start outside the constraint, with ``record_every`` in {1, 7} and
-  ``max_oracle_calls`` in {none, 40} (32 runs).
+  ``max_oracle_calls`` in {none, 40} (32 runs);
+* ``diverge/...``: runs that leave, called directly.  ``gd``, ``gd_abs``
+  (``absolute_grad`` noise, delta 0.1), ``gd_rel`` (``relative_grad``
+  ``shrink`` noise, alpha 0.25) and the five momentum variants with
+  L = 1 (and mu = 0.5) on ``quad_diag [10, 1]``, whose true L is 10, and
+  on the unbounded-below cubic ``f = -sum(x^3)/3`` from (1, 0.5);
+  ``gd_rel_adaptive`` (the same noise, L0 = 1) on the cubic and on the
+  unbounded-below linear ``f = -sum(x)`` from 0.  Each with the distance
+  monitor's radius 1e6 (``r1e6``: the runs leave through the radius) and
+  inf (``rinf``: the iterates grow until the gradient's norm is not
+  finite, except the linear suite's, whose gradient stays finite),
+  ``record_every`` in {1, 7} and ``max_oracle_calls`` in {none, 40}
+  (144 runs).
 """
 
 from __future__ import annotations
@@ -356,6 +368,59 @@ def subgrad_grid(tmp: str) -> dict:
             return _digest(path, trace.final.oracle_calls)
 
         out[f"subgrad/{name}/{sname}/every{every}/budget{budget}"] = _guarded(run)
+    return out
+
+
+def diverge_grid(tmp: str) -> dict:
+    import math
+
+    import numpy as np
+
+    from optbench import momentum as mo
+    from optbench import smooth as sm
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import AbsoluteGrad, OracleSuite, RelativeGrad, Rng, make_problem, wrap_noise
+
+    quad, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    cubic = OracleSuite(value=lambda x: -float((x * x * x).sum()) / 3.0, subgrad=lambda x: -(x * x),
+                        grad=lambda x: -(x * x), dim=2)
+    linear = OracleSuite(value=lambda x: -float(x.sum()), subgrad=lambda x: -np.ones(2),
+                         grad=lambda x: -np.ones(2), dim=2)
+    starts = {"quad": (quad, np.array([1.0, 1.0])), "cubic": (cubic, np.array([1.0, 0.5])),
+              "linear": (linear, np.zeros(2))}
+    N = 400
+
+    def smooth_run(entry, noise, mode, L=1.0):
+        def run(suite, x0, **kw):
+            noisy = suite if noise is None else wrap_noise(suite, noise, Rng(1))
+            return entry(noisy, x0, sm.SmoothRunConfig(N=N, L=L, mode=mode), **kw)
+        return run
+
+    runs = {
+        "gd": (smooth_run(sm.run_gd, None, sm.Exact()), ("quad", "cubic")),
+        "gd_abs": (smooth_run(sm.run_gd_abs, AbsoluteGrad(0.1), sm.AbsNoise(0.1)), ("quad", "cubic")),
+        "gd_rel": (smooth_run(sm.run_gd_rel, RelativeGrad(0.25, mode="shrink"), sm.RelNoise(0.25)),
+                   ("quad", "cubic")),
+        "gd_rel_adaptive": (smooth_run(sm.run_gd_rel_adaptive, RelativeGrad(0.25, mode="shrink"),
+                                       sm.RelNoiseAdaptive(0.25, L0=1.0), L=None), ("cubic", "linear")),
+        **{v: (lambda suite, x0, v=v, **kw: mo.run_momentum(suite, x0, mo.MomentumConfig(v, N=N, L=1.0, mu=0.5), **kw),
+               ("quad", "cubic")) for v in MOMENTUM_VARIANTS},
+    }
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+    for name, (run_fn, suites) in runs.items():
+        for sname, (rname, radius), every, budget in itertools.product(
+                suites, (("r1e6", 1e6), ("rinf", math.inf)), (1, 7), GRID_BUDGETS):
+            suite, x0 = starts[sname]
+
+            def run(run_fn=run_fn, suite=suite, x0=x0, radius=radius, every=every, budget=budget):
+                with np.errstate(all="ignore"):
+                    trace = run_fn(suite, x0, record_every=every, record_x=True, max_oracle_calls=budget,
+                                   divergence_radius=radius)
+                write_trace(trace, path, "json")
+                return _digest(path, trace.final.oracle_calls)
+
+            out[f"diverge/{name}/{sname}/{rname}/every{every}/budget{budget}"] = _guarded(run)
     return out
 
 
@@ -823,7 +888,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
                    **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
-                   **sets_grid(), **subgrad_grid(tmp)}
+                   **sets_grid(), **subgrad_grid(tmp), **diverge_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
