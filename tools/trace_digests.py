@@ -114,6 +114,23 @@ Grids:
   and over a box whose face ``x_1 = 0.5`` cuts the minimizer off, from a
   start outside the constraint, with ``record_every`` in {1, 7} and
   ``max_oracle_calls`` in {none, 40} (32 runs);
+* ``switch/...``: ``run_switching`` and ``run_restarted_switching``
+  called directly over ``FullSpace``, one case for each way a run ends:
+  the stop sum (``slp-stop``), a stage cap with and without a
+  productive step (``slp-cap``, ``slp-cap-unproductive``),
+  ``total_iters`` cutting a stage part-way (``slp-total5``) and at the
+  iteration where stage 2 starts (``slp-total-at-boundary``),
+  ``eps >= theta0`` (``slp-eps-above-theta0``), a zero productive
+  subgradient at iteration 2 or 3, after productive or nonproductive
+  steps (``hinge-...``: f = max(x_1, 0) under x_2 <= 1, where every
+  restart stage after the first starts on the zero), and no productive
+  step (``never-productive``, a constraint no point satisfies: its
+  error text, or a budget cut without a productive step).  Each with
+  ``record_every`` in {1, 2, 7}, so a zero subgradient lands on a due
+  and on a non-due iteration, and ``max_oracle_calls`` in {none, 10,
+  11, 40}: 10 and 40 cut inside a step, 11 cuts ``never-productive`` at
+  ``record_every`` 1 inside a nonproductive row's f evaluation (192
+  runs);
 * ``diverge/...``: runs that leave, called directly.  ``gd``, ``gd_abs``
   (``absolute_grad`` noise, delta 0.1), ``gd_rel`` (``relative_grad``
   ``shrink`` noise, alpha 0.25) and the five momentum variants with
@@ -131,6 +148,7 @@ Grids:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -152,6 +170,7 @@ CLI_SEEDS = (1, 2)
 EST_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000)
 ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
 ZO_BUDGETS = (None, 36, 53, 54, 55)
+SWITCH_BUDGETS = (None, 10, 11, 40)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
 STOP_CONFIGS = {
@@ -368,6 +387,68 @@ def subgrad_grid(tmp: str) -> dict:
             return _digest(path, trace.final.oracle_calls)
 
         out[f"subgrad/{name}/{sname}/every{every}/budget{budget}"] = _guarded(run)
+    return out
+
+
+def switch_grid(tmp: str) -> dict:
+    import numpy as np
+
+    from optbench import subgrad as sg
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import ConstraintOracle, FullSpace, OracleSuite, make_problem
+
+    slp, _ = make_problem("slp", {"rho": 1.0})
+    full = FullSpace(2)
+    # f = max(x_1, 0), whose subgradient (1, 0) is 0 once x_1 <= 0, under x_2 <= 1: a productive
+    # step of length delta = 1 from x_1 = 1.5 (2.5) lands where the subgradient is 0 at iteration 2 (3).
+    hinge = OracleSuite(value=lambda x: max(float(x[0]), 0.0),
+                        subgrad=lambda x: np.array([1.0 if x[0] > 0 else 0.0, 0.0]), dim=2,
+                        constraint=ConstraintOracle(value=lambda x: float(x[1]) - 1.0,
+                                                    subgrad=lambda x: np.array([0.0, 1.0]), lipschitz=1.0))
+    # a constraint no iterate satisfies: every step is nonproductive, 3 calls each at a due row
+    never = OracleSuite(value=lambda x: float(x[0] * x[0]), subgrad=lambda x: np.array([2.0 * x[0], 0.0]), dim=2,
+                        constraint=ConstraintOracle(value=lambda x: 10.0, subgrad=lambda x: np.array([1.0, 0.0]),
+                                                    lipschitz=1.0))
+    x_slp = np.array([-1.2, 0.9])
+    restarted = sg.SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=2000)
+    free = sg.run_restarted_switching(slp, full, x_slp, restarted)
+    boundary = next(r.iter for r in free.rows if r.tag and r.tag.startswith("p2:"))
+    plain_hinge = sg.SwitchingConfig(delta=1.0, theta0=4.0, max_iters=50)
+    restarted_hinge = sg.SwitchingConfig(theta0=4.0, eps_target=1.0, alpha_sharp=0.5, max_iters=50)
+    plain, restart = sg.run_switching, sg.run_restarted_switching
+    runs = {
+        "slp-stop/switching": (plain, slp, x_slp, sg.SwitchingConfig(delta=0.035, theta0=1.0, max_iters=2000)),
+        "slp-stop/restarted_switching": (restart, slp, x_slp, restarted),
+        "slp-cap/switching": (plain, slp, np.zeros(2), sg.SwitchingConfig(delta=0.01, theta0=5.0, max_iters=20)),
+        "slp-cap/restarted_switching": (restart, slp, x_slp, dataclasses.replace(restarted, max_iters=3)),
+        "slp-cap-unproductive/switching": (plain, slp, x_slp, sg.SwitchingConfig(delta=0.01, theta0=5.0,
+                                                                                 max_iters=20)),
+        "slp-total5/restarted_switching": (restart, slp, x_slp, dataclasses.replace(restarted, total_iters=5)),
+        "slp-total-at-boundary/restarted_switching": (restart, slp, x_slp,
+                                                      dataclasses.replace(restarted, total_iters=boundary)),
+        "slp-eps-above-theta0/restarted_switching": (restart, slp, x_slp,
+                                                     dataclasses.replace(restarted, eps_target=1.0)),
+        "hinge-zero-at-2/switching": (plain, hinge, np.array([1.5, 0.0]), plain_hinge),
+        "hinge-zero-at-2/restarted_switching": (restart, hinge, np.array([1.5, 0.0]), restarted_hinge),
+        "hinge-zero-at-3/switching": (plain, hinge, np.array([2.5, 0.0]), plain_hinge),
+        "hinge-zero-at-3/restarted_switching": (restart, hinge, np.array([2.5, 0.0]), restarted_hinge),
+        "hinge-nonproductive-first/switching": (plain, hinge, np.array([1.5, 2.5]), plain_hinge),
+        "hinge-nonproductive-first/restarted_switching": (restart, hinge, np.array([1.5, 2.5]), restarted_hinge),
+        "never-productive/switching": (plain, never, np.zeros(2), sg.SwitchingConfig(delta=1.0, theta0=10.0,
+                                                                                     max_iters=30)),
+        "never-productive/restarted_switching": (restart, never, np.zeros(2), sg.SwitchingConfig(
+            theta0=10.0, eps_target=1.0, alpha_sharp=1.0, max_iters=30)),
+    }
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+    for (name, (run_fn, suite, x0, cfg)), every, budget in itertools.product(
+            runs.items(), (1, 2, 7), SWITCH_BUDGETS):
+        def run(run_fn=run_fn, suite=suite, x0=x0, cfg=cfg, every=every, budget=budget):
+            trace = run_fn(suite, full, x0, cfg, record_every=every, record_x=True, max_oracle_calls=budget)
+            write_trace(trace, path, "json")
+            return _digest(path, trace.final.oracle_calls)
+
+        out[f"switch/{name}/every{every}/budget{budget}"] = _guarded(run)
     return out
 
 
@@ -888,7 +969,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
                    **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
-                   **sets_grid(), **subgrad_grid(tmp), **diverge_grid(tmp)}
+                   **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **diverge_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
