@@ -11,9 +11,10 @@ randomness receive their own :class:`~optbench.core.rng.Rng`, and every
 run wraps the suite in its own :class:`CountingOracle`, so concurrent
 runs over one suite never interfere.
 
-:func:`run_steps` is the loop of every method but the switching schemes:
-it owns the run's counter and recorder, its budget, its stops and its
-divergence test, and calls the method's step once per iteration.
+:func:`run_steps` is the loop of every method: it owns the run's
+counter and recorder, its budget, its stops and its divergence test, and
+calls the method's step once per iteration.  The step returns the next
+iterate, what row k records, and the row's tag.
 """
 
 from __future__ import annotations
@@ -240,14 +241,13 @@ class TraceRecorder:
 
     def record(self, it: int, x: np.ndarray, f_value: Optional[float] = None,
                grad_norm: Optional[float] = None, step_size: float = 0.0,
-               tag: Optional[str] = None, force: bool = False):
-        if not (force or self.due(it)):
-            return
+               tag: Optional[str] = None):
+        if self.due(it):
+            self._append(it, x, self.counter.value(x) if f_value is None else f_value, grad_norm, step_size, tag)
+
+    def _append(self, it: int, x: np.ndarray, f_value: float, grad_norm: Optional[float],
+                step_size: float, tag: Optional[str]):
         iters, f_values, f_gaps, dists, grad_norms, steps, calls, xs, tags = self._columns
-        if iters and iters[-1] == it:
-            return
-        if f_value is None:
-            f_value = self.counter.value(x)
         f_value = float(f_value)
         fstar = self.suite.fstar
         iters.append(it)
@@ -276,7 +276,7 @@ class TraceRecorder:
             f_end = self.columns["f_value"][-1]
         else:
             f_end = self.counter.value_final(x) if f_value is None else f_value
-            self.record(it, x, f_end, grad_norm=grad_norm, force=True)
+            self._append(it, x, f_end, grad_norm, 0.0, None)
         if x_out is not None:
             x, f_end = x_out, self.counter.value_final(x_out)
         return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),
@@ -297,15 +297,16 @@ def run_steps(oracle: OracleSuite, x0: np.ndarray, N: int, step: Callable, *, re
     """Run iterations ``first .. N-1`` of ``step`` from ``x0`` and return the trace.
 
     ``step(ctr, k, x)`` makes iteration k's oracle calls through ``ctr`` and
-    returns ``(x_next, f, g, h)``: the next iterate, ``f(x)`` if the step
-    computed it (else None), the vector whose norm row k records as
-    ``grad_norm``, and the step size.  Row k is written at ``x`` when due,
-    after the step's calls.  The run ends as a :class:`Stop` the step raises
-    says, at ``x``; as ``diverged`` once ``||x_next - x0||`` is not
-    ``<= divergence_radius`` (NaN and inf iterates fail the test too); and
-    as ``budget_exhausted`` when a call would exceed ``max_oracle_calls``
-    (at ``x``) or after iteration ``N-1``.  The reported point is
-    ``reported()`` when that is given and not None, else the last iterate.
+    returns ``(x_next, f, g, h, tag)``: the next iterate, ``f(x)`` if the
+    step computed it (else None), the vector whose norm row k records as
+    ``grad_norm``, the step size, and the row's tag (or None).  Row k is
+    written at ``x`` when due, after the step's calls.  The run ends as a
+    :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
+    ``||x_next - x0||`` is not ``<= divergence_radius`` (NaN and inf
+    iterates fail the test too); and as ``budget_exhausted`` when a call
+    would exceed ``max_oracle_calls`` (at ``x``) or after iteration
+    ``N-1``.  The reported point is ``reported()`` when that is given and
+    not None, else the last iterate.
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
@@ -313,9 +314,9 @@ def run_steps(oracle: OracleSuite, x0: np.ndarray, N: int, step: Callable, *, re
     status, f_value, grad_norm = RunStatus.BUDGET_EXHAUSTED, None, None
     try:
         while k < N:
-            x_next, f, g, h = step(ctr, k, x)
+            x_next, f, g, h, tag = step(ctr, k, x)
             if k % record_every == 0:  # rec.due(k), inlined: it is tested on every iteration
-                rec.record(k, x, f, grad_norm=norm(g), step_size=h)
+                rec.record(k, x, f, grad_norm=norm(g), step_size=h, tag=tag)
             x = x_next
             k += 1
             if divergence_radius is not None and not norm(x - x0) <= divergence_radius:

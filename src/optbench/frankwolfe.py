@@ -86,7 +86,7 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
             gamma = 2.0 / (k + 1)
         else:
             gamma = min(max(gap / (L * float(d.dot(d))), 0.0), 1.0)
-        return (1.0 - gamma) * x + gamma * y, None, g, gamma
+        return (1.0 - gamma) * x + gamma * y, None, g, gamma, None
 
     return run_steps(oracle, x, cfg.N, step, record_every=record_every, record_x=record_x,
                      max_oracle_calls=max_oracle_calls, first=1)

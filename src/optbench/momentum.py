@@ -68,7 +68,7 @@ def _two_term(coefficients, L, mu, tol, x_prev):
         a, b = next(coef)
         x_new = x - a * g + b * (x - x_prev)
         x_prev = x
-        return x_new, None, g, a
+        return x_new, None, g, a, None
     return step, None
 
 
@@ -81,7 +81,7 @@ def _look_ahead(momentum, L, mu, tol, x_prev):
         y = x + next(beta) * (x - x_prev)
         g = _gradient(ctr, y, tol)
         x_prev = x
-        return y - (1.0 / L) * g, None, g, 1.0 / L
+        return y - (1.0 / L) * g, None, g, 1.0 / L, None
     return step, None
 
 
@@ -98,7 +98,7 @@ def _taylor_drori(L, mu, tol, z):
         g = _gradient(ctr, y, tol)
         z = (1.0 - q * delta) * z + q * delta * y - (delta / L) * g
         A_k = A_next
-        return y - (1.0 / L) * g, None, g, 1.0 / L
+        return y - (1.0 / L) * g, None, g, 1.0 / L, None
     return step, lambda: z
 
 
@@ -243,7 +243,7 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
                 raise UnsupportedProblemError("quadratic form is not positive along the gradient")
             a, b = gg / gAg, 0.0
         x_prev = x
-        return x - a * g + b * d, None, g, a
+        return x - a * g + b * d, None, g, a, None
 
     return run_steps(oracle, x_prev, N, step, record_every=record_every, record_x=record_x,
                      max_oracle_calls=max_oracle_calls)

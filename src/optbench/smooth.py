@@ -119,7 +119,7 @@ def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
             raise Stop(RunStatus.DIVERGED)
         if gn <= stop_threshold:
             raise Stop(stop_status, grad_norm=gn)
-        return x - h * g, None, g, h
+        return x - h * g, None, g, h, None
 
     return run_steps(oracle, np.array(x0, dtype=float), cfg.N, step, record_every=record_every,
                      record_x=record_x, max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)
@@ -186,7 +186,7 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
                 raise ExitCriterionUnreachable(
                     "exit criterion unreachable: alpha understates the oracle's error")
         f_x, fx, L_prev = fx, f_new, L_try
-        return x_new, f_x, g, h
+        return x_new, f_x, g, h, None
 
     return run_steps(oracle, np.array(x0, dtype=float), cfg.N, step, record_every=record_every,
                      record_x=record_x, max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)

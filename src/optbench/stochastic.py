@@ -274,7 +274,7 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
         g = gradient(ctr, k, x)
         gamma = gamma_k(k, g)
         x_new = x - gamma * g
-        return fset.project(x_new) if project_needed else x_new, None, g, gamma
+        return fset.project(x_new) if project_needed else x_new, None, g, gamma, None
 
     return run_steps(oracle, x, N, step, record_every=record_every, record_x=record_x,
                      max_oracle_calls=max_oracle_calls, reported=lambda: avg_sum / avg_n if avg_n else None)

@@ -14,8 +14,11 @@
   that halve the distance bound per stage under a conditional
   sharp-minimum assumption.
 
-Each returns a :class:`Trace`; a run the oracle budget cuts short ends as
-``budget_exhausted``, and no :class:`OracleBudgetError` escapes.
+Each runs as a step function under :func:`~optbench.core.oracles.run_steps`;
+the two switching schemes share one, a stage machine over a list of
+stages.  Each returns a :class:`Trace`; a run the oracle budget cuts
+short ends as ``budget_exhausted``, and no
+:class:`~optbench.core.oracles.OracleBudgetError` escapes.
 """
 
 from __future__ import annotations
@@ -28,17 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core.linalg import norm
-from .core.oracles import (
-    CountingOracle,
-    OracleBudgetError,
-    OracleSuite,
-    RunStatus,
-    Stop,
-    Trace,
-    TraceRecorder,
-    ZeroSubgradientError,
-    run_steps,
-)
+from .core.oracles import CountingOracle, OracleSuite, RunStatus, Stop, Trace, ZeroSubgradientError, run_steps
 from .core.sets import FeasibleSet, FullSpace
 
 
@@ -118,7 +111,7 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
                 f"zero subgradient off-optimum at iter {k} (gap {gap:.3e})")
         h = gap / gn2
         x_new = x - h * g
-        return fset.project(x_new) if project_needed else x_new, fx, g, h
+        return fset.project(x_new) if project_needed else x_new, fx, g, h, None
 
     return run_steps(oracle, fset.project(x0), cfg.N, step, record_every=record_every, record_x=record_x,
                      max_oracle_calls=max_oracle_calls)
@@ -152,7 +145,7 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
             raise Stop(RunStatus.BUDGET_EXHAUSTED)  # x^{N-1} takes no step
         g = ctr.subgrad(x)
         x_new = x - h * g
-        return fset.project(x_new) if project_needed else x_new, None, g, h
+        return fset.project(x_new) if project_needed else x_new, None, g, h, None
 
     return run_steps(oracle, x, cfg.N, step, record_every=record_every, record_x=record_x,
                      max_oracle_calls=max_oracle_calls, reported=lambda: sum_x / n if cfg.averaging else None)
@@ -189,65 +182,96 @@ class SwitchingConfig:
             raise ValueError("alpha_sharp must be positive")
 
 
-def _switching_stage(ctr: CountingOracle, rec: TraceRecorder, fset: FeasibleSet,
-                     x: np.ndarray, delta: float, theta: float, Mg: float,
-                     cap: int, start_iter: int, stage_tag: str):
-    """One run of the switching scheme; returns (best_x, x_end, iters, ended).
+class _Switching:
+    """The switching scheme over a list of stages, as a :func:`run_steps` step.
 
-    ``ended`` says how the stage ended: ``"stop"`` once the stop sum is
-    reached, ``"cap"`` after ``cap`` iterations, ``"budget"`` when the
-    oracle budget ran out during iteration ``iters`` (at ``x_end``).
+    Each stage ``(delta, theta, cap, tag_prefix)`` runs the scheme for at
+    most ``cap`` steps, and not past ``total_iters`` when that is given,
+    tagging its rows with its prefix.  A stage ends by its stop sum, by a
+    zero productive subgradient or by its cap: the step that ends it sets
+    ``end`` to the next iteration, whose step call acts on it before any
+    oracle call.  With ``restart`` each stage hands its best productive
+    iterate on as ``x_next``; without it the run ends at its last iterate
+    and reports the best productive one.
     """
-    threshold = 2.0 * theta * theta / (delta * delta)
-    productive_tag, nonproductive_tag = stage_tag + "productive", stage_tag + "nonproductive"
-    project_needed = not isinstance(fset, FullSpace)
-    sum_productive = 0.0
-    n_nonproductive = 0
-    best_f = math.inf
-    best_x: Optional[np.ndarray] = None
-    k = 0
-    try:
-        while k < cap:
-            it = start_iter + k
-            gx = ctr.constraint_value(x)
-            if gx <= delta * Mg:
-                fx = ctr.value(x)
-                g = ctr.subgrad(x)
-                gn2 = float(g.dot(g))
-                if fx < best_f:
-                    best_f, best_x = fx, x.copy()
-                if gn2 == 0.0:
-                    # Minimal-norm selection hit an exact minimizer of f on a
-                    # productive step: the stop sum is +inf, stop here.
-                    rec.record(it, x, fx, grad_norm=0.0, step_size=0.0, tag=productive_tag, force=True)
-                    return best_x, x, k + 1, "stop"
-                h = delta / gn2
-                if rec.due(it):
-                    rec.record(it, x, fx, grad_norm=math.sqrt(gn2), step_size=h, tag=productive_tag)
-                x = x - h * g
-                sum_productive += 1.0 / gn2
-            else:
-                g = ctr.constraint_subgrad(x)
-                gn = norm(g)
-                if Mg > 0 and gn > Mg * (1 + 1e-9):
-                    warnings.warn(f"constraint subgradient norm {gn:.3g} exceeds the declared Mg={Mg:.3g}; "
-                                  "the switching guarantee is void", stacklevel=3)
-                if gn == 0.0:
-                    raise ZeroSubgradientError("zero constraint subgradient on a nonproductive step")
-                h = delta / gn
-                if rec.due(it):
-                    rec.record(it, x, grad_norm=gn, step_size=h, tag=nonproductive_tag)
-                x = x - h * g
-                n_nonproductive += 1
-            if project_needed:
-                x = fset.project(x)
-            k += 1
-            # 1e-9 relative slack absorbs float dust in theta^2 / delta^2.
-            if sum_productive + n_nonproductive >= threshold * (1.0 - 1e-9):
-                return best_x, x, k, "stop"
-    except OracleBudgetError:
-        return best_x, x, k, "budget"
-    return best_x, x, k, "cap"
+
+    def __init__(self, fset: FeasibleSet, Mg: float, stages: list, restart: bool,
+                 total_iters: Optional[int] = None):
+        self.fset, self.Mg, self.stages, self.restart, self.total_iters = fset, Mg, stages, restart, total_iters
+        self.project_needed = not isinstance(fset, FullSpace)
+        self.N = sum(cap for _, _, cap, _ in stages) + 1  # stages end by their caps at the latest, the run after
+        self.p = 0  # stages started
+        self.end, self.stopped = 0, True  # the run starts as if a stage had stopped before iteration 0
+        self.best_x = self.start = None
+
+    def reported(self) -> Optional[np.ndarray]:
+        """A budget cut's reported point: the stage's best productive iterate, else its start or None."""
+        return self.best_x if self.best_x is not None else self.start
+
+    def _next_stage(self, k: int, x: np.ndarray):
+        """Act on the stage that ended at iteration ``k``: end the run, or start the next stage at ``x``."""
+        if self.p and self.best_x is None:
+            raise NoProductiveStepsError(f"restart stage {self.p} produced no productive step" if self.restart
+                                         else "switching scheme stopped without any productive step")
+        if self.restart:
+            self.best_x = self.start = None  # x is the stage's output: a run that ends here reports it
+        if not self.stopped:
+            raise Stop(RunStatus.BUDGET_EXHAUSTED)  # the stage's cap
+        if self.p == len(self.stages):
+            raise Stop(RunStatus.CONVERGED)
+        delta, theta, cap, prefix = self.stages[self.p]
+        self.p += 1
+        self.end = k + cap if self.total_iters is None else min(k + cap, self.total_iters)
+        if self.end <= k:
+            raise Stop(RunStatus.BUDGET_EXHAUSTED)  # total_iters leaves the stage no step
+        # 1e-9 relative slack absorbs float dust in theta^2 / delta^2.
+        self.threshold = 2.0 * theta * theta / (delta * delta) * (1.0 - 1e-9)
+        self.delta, self.productive, self.nonproductive = delta, prefix + "productive", prefix + "nonproductive"
+        self.sum_productive, self.n_nonproductive, self.stopped = 0.0, 0, False
+        self.best_f, self.start = math.inf, x if self.restart else None
+
+    def _stage_over(self, k: int, x: np.ndarray) -> np.ndarray:
+        """End the stage after iteration ``k``; returns the iterate it hands on."""
+        self.end = k + 1
+        return self.best_x if self.restart and self.best_x is not None else x
+
+    def step(self, ctr: CountingOracle, k: int, x: np.ndarray):
+        if k == self.end:
+            self._next_stage(k, x)
+        delta, Mg = self.delta, self.Mg
+        if ctr.constraint_value(x) <= delta * Mg:
+            fx = ctr.value(x)
+            g = ctr.subgrad(x)
+            gn2 = float(g.dot(g))
+            if fx < self.best_f:
+                self.best_f, self.best_x = fx, x
+            if gn2 == 0.0:
+                # Minimal-norm selection hit an exact minimizer of f on a
+                # productive step: the stop sum is +inf, the stage stops here.
+                self.stopped = True
+                return self._stage_over(k, x), fx, g, 0.0, self.productive
+            h = delta / gn2
+            self.sum_productive += 1.0 / gn2
+            f, tag = fx, self.productive
+        else:
+            g = ctr.constraint_subgrad(x)
+            gn = norm(g)
+            if gn > Mg * (1 + 1e-9):
+                warnings.warn(f"constraint subgradient norm {gn:.3g} exceeds the declared Mg={Mg:.3g}; "
+                              "the switching guarantee is void", stacklevel=4)
+            if gn == 0.0:
+                raise ZeroSubgradientError("zero constraint subgradient on a nonproductive step")
+            h = delta / gn
+            self.n_nonproductive += 1
+            f, tag = None, self.nonproductive
+        x_next = x - h * g
+        if self.project_needed:
+            x_next = self.fset.project(x_next)
+        if self.sum_productive + self.n_nonproductive >= self.threshold:
+            self.stopped = True
+        if self.stopped or k + 1 == self.end:
+            x_next = self._stage_over(k, x_next)
+        return x_next, f, g, h, tag
 
 
 def _constraint_bound(oracle: OracleSuite, cfg: SwitchingConfig, entry: str) -> float:
@@ -278,16 +302,9 @@ def run_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConf
     if cfg.delta <= 0:
         raise ValueError("delta must be positive")
     Mg = _constraint_bound(oracle, cfg, "run_switching")
-
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    x = fset.project(x0)
-    best_x, x_end, iters, ended = _switching_stage(
-        ctr, rec, fset, x, cfg.delta, cfg.theta0, Mg, cfg.max_iters, 0, "")
-    if best_x is None and ended != "budget":
-        raise NoProductiveStepsError("switching scheme stopped without any productive step")
-    status = RunStatus.CONVERGED if ended == "stop" else RunStatus.BUDGET_EXHAUSTED
-    return rec.close(iters, x_end, status, best_x)
+    scheme = _Switching(fset, Mg, [(cfg.delta, cfg.theta0, cfg.max_iters, "")], restart=False)
+    return run_steps(oracle, fset.project(x0), scheme.N, scheme.step, record_every=record_every,
+                     record_x=record_x, max_oracle_calls=max_oracle_calls, reported=scheme.reported)
 
 
 def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConfig,
@@ -299,13 +316,15 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     and ``delta_p = alpha * theta_p / (sqrt(2) max(1, Mg))``, restarting
     from the previous stage's output; there are exactly
     ``ceil(2 log2(theta0 / eps))`` stages, after which the output is
-    within ``eps`` of the minimizer set.  Each stage is capped at
-    ``max_iters`` steps, and at the steps ``total_iters`` leaves.  A stage
-    cut by its cap ends the run as ``budget_exhausted`` at its output, as
-    does a stage that ``total_iters`` leaves no step.  A stage cut by the budget
-    ends it the same way, with its terminal row at the stage's last
-    iterate, and reports the stage's best productive iterate so far, or
-    its starting point when it has none.
+    within ``eps`` of the minimizer set (none when ``eps >= theta0``:
+    the start is then within ``eps`` by the assumption on theta0).  Each
+    stage is capped at ``max_iters`` steps, and at the steps
+    ``total_iters`` leaves.  A stage cut by its cap ends the run as
+    ``budget_exhausted`` at its output, as does a stage that
+    ``total_iters`` leaves no step.  A stage cut by the budget ends it the
+    same way, with its terminal row at the stage's last iterate, and
+    reports the stage's best productive iterate so far, or its starting
+    point when it has none.
     """
     Mg = _constraint_bound(oracle, cfg, "run_restarted_switching")
     alpha = cfg.alpha_sharp if cfg.alpha_sharp is not None else oracle.alpha_sharp
@@ -314,31 +333,10 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     if cfg.eps_target is None:
         raise ValueError("eps_target is required for the restarted scheme")
 
-    ctr = CountingOracle(oracle, max_oracle_calls)
-    rec = TraceRecorder(oracle, ctr, record_every, record_x)
-    x = fset.project(x0)
-
-    if cfg.eps_target >= cfg.theta0:
-        # Already within the target radius by assumption on theta0.
-        return rec.close(0, x, RunStatus.CONVERGED)
-
-    n_stages = math.ceil(2.0 * math.log2(cfg.theta0 / cfg.eps_target))
-    mg_eff = max(1.0, Mg)
-    it = 0
-    for p in range(1, n_stages + 1):
-        cap = cfg.max_iters if cfg.total_iters is None else min(cfg.max_iters, cfg.total_iters - it)
-        if cap < 1:
-            return rec.close(it, x, RunStatus.BUDGET_EXHAUSTED)
+    stages = []
+    for p in range(1, math.ceil(2.0 * math.log2(cfg.theta0 / cfg.eps_target)) + 1):
         theta_p = cfg.theta0 / math.sqrt(2.0 ** p)
-        delta_p = alpha * theta_p / (math.sqrt(2.0) * mg_eff)
-        best_x, x_end, iters, ended = _switching_stage(
-            ctr, rec, fset, x, delta_p, theta_p, Mg, cap, it, f"p{p}:")
-        if ended == "budget":
-            return rec.close(it + iters, x_end, RunStatus.BUDGET_EXHAUSTED, x if best_x is None else best_x)
-        if best_x is None:
-            raise NoProductiveStepsError(f"restart stage {p} produced no productive step")
-        x = best_x
-        it += iters
-        if ended == "cap":
-            return rec.close(it, x, RunStatus.BUDGET_EXHAUSTED)
-    return rec.close(it, x, RunStatus.CONVERGED)
+        stages.append((alpha * theta_p / (math.sqrt(2.0) * max(1.0, Mg)), theta_p, cfg.max_iters, f"p{p}:"))
+    scheme = _Switching(fset, Mg, stages, restart=True, total_iters=cfg.total_iters)
+    return run_steps(oracle, fset.project(x0), scheme.N, scheme.step, record_every=record_every,
+                     record_x=record_x, max_oracle_calls=max_oracle_calls, reported=scheme.reported)

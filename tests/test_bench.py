@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import optbench
-from optbench import frankwolfe, momentum, stochastic, subgrad
+from optbench import frankwolfe, momentum, stochastic
 from optbench.bench import (
     ConfigError,
     InsufficientDataError,
@@ -24,8 +24,8 @@ from optbench.bench.registry import method_entry, method_names
 from optbench.core import RunStatus, Trace, TraceRecorder, TraceRow, make_problem
 from optbench.core import oracles
 
-# The modules that build a TraceRecorder: run_steps' module, and subgrad for the switching schemes.
-RECORDER_MODULES = (oracles, subgrad)
+# The modules that build a TraceRecorder: run_steps' module, which runs every method.
+RECORDER_MODULES = (oracles,)
 
 
 # -- config parsing --------------------------------------------------------------

@@ -76,7 +76,7 @@ def halving(stop_at=None, stop=None, to=None, f=None):
         ctr.grad(x)
         if k == stop_at:
             raise stop
-        return (x / 2 if to is None else to), f, G, 0.25
+        return (x / 2 if to is None else to), f, G, 0.25, None
     return step, seen
 
 

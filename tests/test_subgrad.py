@@ -249,6 +249,57 @@ def test_switching_warns_on_understated_mg():
         run_switching(oracle, fset, np.array([2.0, 0.0]), cfg)
 
 
+@pytest.mark.parametrize("restarted", [False, True], ids=["switching", "restarted_switching"])
+def test_understated_mg_warning_points_at_the_caller(restarted):
+    oracle, fset = make_problem("slp", {"rho": 1.0})
+    if restarted:
+        cfg = SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, Mg=0.2, max_iters=500)
+        with pytest.warns(UserWarning, match="exceeds the declared Mg") as caught:
+            run_restarted_switching(oracle, fset, np.array([2.0, 0.0]), cfg)
+    else:
+        cfg = SwitchingConfig(delta=0.05, theta0=1.0, Mg=0.2, max_iters=500)
+        with pytest.warns(UserWarning, match="exceeds the declared Mg") as caught:
+            run_switching(oracle, fset, np.array([2.0, 0.0]), cfg)
+    assert {w.filename for w in caught} == {__file__}
+
+
+def _hinge_suite():
+    """f = max(x_1, 0) under x_2 <= 1; its subgradient (1, 0) is 0 once x_1 <= 0."""
+    constraint = ConstraintOracle(value=lambda x: float(x[1]) - 1.0, subgrad=lambda x: np.array([0.0, 1.0]),
+                                  lipschitz=1.0)
+    return OracleSuite(value=lambda x: max(float(x[0]), 0.0), dim=2, constraint=constraint,
+                       subgrad=lambda x: np.array([1.0 if x[0] > 0 else 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("every", [2, 7])
+def test_switching_zero_subgradient_off_the_grid_writes_no_row(every):
+    # steps of length 1 from x_1 = 2.5 reach x_1 = -0.5, where the subgradient is 0, at iteration 3
+    tr = run_switching(_hinge_suite(), FullSpace(2), np.array([2.5, 0.0]),
+                       SwitchingConfig(delta=1.0, theta0=4.0, max_iters=50), record_every=every, record_x=True)
+    assert [r.iter for r in tr.rows] == [k for k in range(4) if k % every == 0] + [4]
+    assert tr.status is RunStatus.CONVERGED
+    assert tr.final.f_value == 0.0 and tr.final.oracle_calls == 13  # 4 iterations of 3 calls, then f(x)
+    np.testing.assert_array_equal(tr.final.x, [-0.5, 0.0])
+    np.testing.assert_array_equal(tr.x_out, [-0.5, 0.0])
+    assert tr.f_out == 0.0
+
+
+@pytest.mark.parametrize("every", [2, 7])
+def test_restart_zero_subgradient_off_the_grid_writes_no_row(every):
+    # stage 1 reaches the zero at iteration 3; stages 2-4 start on it and stop at once (4 stages for eps 1)
+    cfg = SwitchingConfig(theta0=4.0, eps_target=1.0, alpha_sharp=0.5, max_iters=50)
+    tr = run_restarted_switching(_hinge_suite(), FullSpace(2), np.array([2.5, 0.0]), cfg, record_every=every,
+                                 record_x=True)
+    assert [r.iter for r in tr.rows] == [k for k in range(7) if k % every == 0] + [7]
+    assert [r.tag for r in tr.rows[:-1]] == [f"p{min(max(r.iter - 2, 1), 4)}:productive" for r in tr.rows[:-1]]
+    zero = tr.x_out  # stage 1's best productive iterate, where its subgradient was 0
+    assert zero[0] <= 0 and zero[1] == 0.0
+    for r in tr.rows:  # stages 2-4 start from it, and the terminal row sits at it
+        if r.iter > 3:
+            np.testing.assert_array_equal(r.x, zero)
+    assert tr.status is RunStatus.CONVERGED and tr.final.f_value == 0.0 == tr.f_out
+
+
 def _disk_suite_and_box():
     """f = -x_1 under ||x|| <= 1, on a box whose face x_1 = 0.5 cuts the disk's minimizer (1, 0) off.
 
