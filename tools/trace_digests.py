@@ -131,6 +131,17 @@ Grids:
   11, 40}: 10 and 40 cut inside a step, 11 cuts ``never-productive`` at
   ``record_every`` 1 inside a nonproductive row's f evaluation (192
   runs);
+* ``set/...``: runs over sets whose projection moves points, called
+  directly.  ``run_switching`` and ``run_restarted_switching`` on
+  ``slp`` from (0.3, 0.4) over ``Ball([0.1, 0.05], 0.9)`` and over the
+  2-d ``Simplex``; the ``switch/`` grid's ``hinge-zero-at-2`` suite from
+  (1.5, 0) over ``Ball([1.0, 0.2], 1.4)``, which puts the zero
+  subgradient on its boundary, so a restart stage hands on a projected
+  point; and ``run_polyak_subgrad`` and averaged ``run_const_subgrad`` on
+  ``slp`` and uniformly averaged ``run_sgd`` on ``quad_diag [2, 1]``
+  under gaussian noise from (1.5, -1), over the first ball.  Each with
+  ``record_every`` in {1, 7} and ``max_oracle_calls`` in {none, 40}
+  (36 runs);
 * ``diverge/...``: runs that leave, called directly.  ``gd``, ``gd_abs``
   (``absolute_grad`` noise, delta 0.1), ``gd_rel`` (``relative_grad``
   ``shrink`` noise, alpha 0.25) and the five momentum variants with
@@ -390,6 +401,22 @@ def subgrad_grid(tmp: str) -> dict:
     return out
 
 
+def _hinge():
+    """f = max(x_1, 0), whose subgradient (1, 0) is 0 once x_1 <= 0, under x_2 <= 1.
+
+    A productive step of length delta = 1 from x_1 = 1.5 (2.5) lands where
+    the subgradient is 0 at iteration 2 (3).
+    """
+    import numpy as np
+
+    from optbench.core import ConstraintOracle, OracleSuite
+
+    return OracleSuite(value=lambda x: max(float(x[0]), 0.0),
+                       subgrad=lambda x: np.array([1.0 if x[0] > 0 else 0.0, 0.0]), dim=2,
+                       constraint=ConstraintOracle(value=lambda x: float(x[1]) - 1.0,
+                                                   subgrad=lambda x: np.array([0.0, 1.0]), lipschitz=1.0))
+
+
 def switch_grid(tmp: str) -> dict:
     import numpy as np
 
@@ -399,12 +426,7 @@ def switch_grid(tmp: str) -> dict:
 
     slp, _ = make_problem("slp", {"rho": 1.0})
     full = FullSpace(2)
-    # f = max(x_1, 0), whose subgradient (1, 0) is 0 once x_1 <= 0, under x_2 <= 1: a productive
-    # step of length delta = 1 from x_1 = 1.5 (2.5) lands where the subgradient is 0 at iteration 2 (3).
-    hinge = OracleSuite(value=lambda x: max(float(x[0]), 0.0),
-                        subgrad=lambda x: np.array([1.0 if x[0] > 0 else 0.0, 0.0]), dim=2,
-                        constraint=ConstraintOracle(value=lambda x: float(x[1]) - 1.0,
-                                                    subgrad=lambda x: np.array([0.0, 1.0]), lipschitz=1.0))
+    hinge = _hinge()
     # a constraint no iterate satisfies: every step is nonproductive, 3 calls each at a due row
     never = OracleSuite(value=lambda x: float(x[0] * x[0]), subgrad=lambda x: np.array([2.0 * x[0], 0.0]), dim=2,
                         constraint=ConstraintOracle(value=lambda x: 10.0, subgrad=lambda x: np.array([1.0, 0.0]),
@@ -449,6 +471,55 @@ def switch_grid(tmp: str) -> dict:
             return _digest(path, trace.final.oracle_calls)
 
         out[f"switch/{name}/every{every}/budget{budget}"] = _guarded(run)
+    return out
+
+
+def set_grid(tmp: str) -> dict:
+    import numpy as np
+
+    from optbench import stochastic as st
+    from optbench import subgrad as sg
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import AdditiveStochGrad, Ball, Rng, Simplex, make_problem, wrap_noise
+
+    slp, _ = make_problem("slp", {"rho": 1.0})
+    quad, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    noisy = wrap_noise(quad, AdditiveStochGrad(sigma=0.5), Rng(11))
+    ball, simplex = Ball(np.array([0.1, 0.05]), 0.9), Simplex(2)
+    # x_1 = 1.5 -> 0.5 -> -0.5, which this ball projects onto its boundary at a point whose
+    # projection is not bitwise the same point: the zero subgradient still comes at iteration 2.
+    hinge_ball = Ball(np.array([1.0, 0.2]), 1.4)
+    plain = sg.SwitchingConfig(delta=0.035, theta0=1.0, max_iters=2000)
+    restarted = sg.SwitchingConfig(theta0=1.0, eps_target=0.05, alpha_sharp=0.5, max_iters=2000)
+    plain_hinge = sg.SwitchingConfig(delta=1.0, theta0=4.0, max_iters=50)
+    restarted_hinge = sg.SwitchingConfig(theta0=4.0, eps_target=1.0, alpha_sharp=0.5, max_iters=50)
+    x_slp, x_hinge = np.array([0.3, 0.4]), np.array([1.5, 0.0])
+    runs = {
+        **{f"slp/{scheme}/{sname}": (run_fn, slp, fset, x_slp, cfg)
+           for scheme, run_fn, cfg in (("switching", sg.run_switching, plain),
+                                       ("restarted_switching", sg.run_restarted_switching, restarted))
+           for sname, fset in (("ball", ball), ("simplex", simplex))},
+        "hinge-zero-at-2/switching/ball": (sg.run_switching, _hinge(), hinge_ball, x_hinge, plain_hinge),
+        "hinge-zero-at-2/restarted_switching/ball": (sg.run_restarted_switching, _hinge(), hinge_ball, x_hinge,
+                                                     restarted_hinge),
+        "slp/polyak/ball": (sg.run_polyak_subgrad, slp, ball, x_slp,
+                            sg.SubgradConfig(step_rule=sg.PolyakStep(), N=GRID_N)),
+        "slp/const/ball": (sg.run_const_subgrad, slp, ball, x_slp,
+                           sg.SubgradConfig(step_rule=sg.FixedStep(0.1), N=GRID_N, averaging=True)),
+        "quad/sgd/ball": (lambda suite, fset, x0, cfg, **kw: st.run_sgd(suite, fset, x0, cfg, Rng(12), **kw),
+                          noisy, ball, np.array([1.5, -1.0]),
+                          st.SgdConfig(N=GRID_N, step_rule=st.Const(0.3), averaging=st.UniformAvg())),
+    }
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+    for (name, (run_fn, suite, fset, x0, cfg)), every, budget in itertools.product(
+            runs.items(), (1, 7), GRID_BUDGETS):
+        def run(run_fn=run_fn, suite=suite, fset=fset, x0=x0, cfg=cfg, every=every, budget=budget):
+            trace = run_fn(suite, fset, x0, cfg, record_every=every, record_x=True, max_oracle_calls=budget)
+            write_trace(trace, path, "json")
+            return _digest(path, trace.final.oracle_calls)
+
+        out[f"set/{name}/every{every}/budget{budget}"] = _guarded(run)
     return out
 
 
@@ -969,7 +1040,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
                    **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
-                   **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **diverge_grid(tmp)}
+                   **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
+                   **diverge_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
