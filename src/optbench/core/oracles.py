@@ -13,19 +13,24 @@ runs over one suite never interfere.
 
 :func:`run_steps` is the loop of every method: it owns the run's
 counter and recorder, its budget, its stops and its divergence test, and
-calls the method's step once per iteration.  The step returns the next
-iterate, what row k records, and the row's tag.
+calls the method's step once per iteration.  Given the run's feasible
+set, it also prepares the start point and projects each step's point,
+so a step returns its raw next point, what row k records, and the row's
+tag.  :func:`grad_or_stop` is the gradient-norm stop that the fixed-step
+and momentum methods share.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .linalg import norm
+from .sets import FeasibleSet, FullSpace
 
 
 class OracleBudgetError(RuntimeError):
@@ -96,9 +101,9 @@ class CountingOracle:
     """Per-run view of a suite that counts oracle calls and enforces a budget.
 
     ``value_final`` is exempt from the budget.  Only :class:`TraceRecorder`
-    calls it, to evaluate a run's terminal row and its reported point, so
-    a run's total never exceeds the budget by more than those two
-    evaluations.
+    calls it, to evaluate a run's terminal row and a reported point other
+    than the terminal row's, so a run's total never exceeds the budget by
+    more than those two evaluations.
     """
 
     def __init__(self, suite: OracleSuite, max_calls: Optional[int] = None):
@@ -265,19 +270,17 @@ class TraceRecorder:
               grad_norm: Optional[float] = None) -> Trace:
         """Record the terminal row at iteration ``it`` and return the trace.
 
-        An existing row ``it`` is kept.  Otherwise the row carries
-        ``f_value`` and ``grad_norm`` when the run knows them, and ``f(x)``
-        is evaluated with ``value_final`` when it does not.  The reported
-        point is ``x``, or ``x_out`` (an average, an auxiliary sequence, a
-        best iterate) evaluated with ``value_final`` after the terminal row.
+        The row carries ``f_value`` and ``grad_norm`` when the run knows
+        them, and ``f(x)`` is evaluated with ``value_final`` when it does
+        not.  The reported point is ``x``, or ``x_out`` (an average, an
+        auxiliary sequence, a best iterate).  An ``x_out`` with the bytes of
+        ``x`` reuses the row's f; another is evaluated with ``value_final``
+        after the row.  Bytes, not values: ``-0.0 == 0.0``, but f may tell
+        the two apart.
         """
-        iters = self.columns["iter"]
-        if iters and iters[-1] == it:
-            f_end = self.columns["f_value"][-1]
-        else:
-            f_end = self.counter.value_final(x) if f_value is None else f_value
-            self._append(it, x, f_end, grad_norm, 0.0, None)
-        if x_out is not None:
+        f_end = self.counter.value_final(x) if f_value is None else f_value
+        self._append(it, x, f_end, grad_norm, 0.0, None)
+        if x_out is not None and x_out.tobytes() != x.tobytes():
             x, f_end = x_out, self.counter.value_final(x_out)
         return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),
                      columns=self.columns)
@@ -291,17 +294,32 @@ class Stop(Exception):
         self.status, self.f_value, self.grad_norm = status, f_value, grad_norm
 
 
-def run_steps(oracle: OracleSuite, x0: np.ndarray, N: int, step: Callable, *, record_every: int,
+def grad_or_stop(ctr: CountingOracle, x: np.ndarray, tol: float, status: RunStatus) -> np.ndarray:
+    """The gradient at ``x``; its norm stops the run as diverged when not finite, as ``status`` when ``<= tol``."""
+    g = ctr.grad(x)
+    gn = norm(g)
+    if not math.isfinite(gn):
+        raise Stop(RunStatus.DIVERGED)
+    if gn <= tol:
+        raise Stop(status, grad_norm=gn)
+    return g
+
+
+def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: int,
               record_x: bool, max_oracle_calls: Optional[int], first: int = 0,
-              divergence_radius: Optional[float] = None, reported: Optional[Callable] = None) -> Trace:
+              divergence_radius: Optional[float] = None, reported: Optional[Callable] = None,
+              fset: Optional[FeasibleSet] = None) -> Trace:
     """Run iterations ``first .. N-1`` of ``step`` from ``x0`` and return the trace.
 
-    ``step(ctr, k, x)`` makes iteration k's oracle calls through ``ctr`` and
-    returns ``(x_next, f, g, h, tag)``: the next iterate, ``f(x)`` if the
-    step computed it (else None), the vector whose norm row k records as
-    ``grad_norm``, the step size, and the row's tag (or None).  Row k is
-    written at ``x`` when due, after the step's calls.  The run ends as a
-    :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
+    The run starts at ``fset.project(x0)``, or at ``x0`` as a float array
+    when no set is given.  ``step(ctr, k, x)`` makes iteration k's oracle
+    calls through ``ctr`` and returns ``(x_next, f, g, h, tag)``: the next
+    point before projection, ``f(x)`` if the step computed it (else None),
+    the vector whose norm row k records as ``grad_norm``, the step size,
+    and the row's tag (or None).  Row k is written at ``x`` when due, after
+    the step's calls.  The next iterate is ``fset.project(x_next)``, or
+    ``x_next`` itself without a set or on ``FullSpace``.  The run ends as
+    a :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
     ``||x_next - x0||`` is not ``<= divergence_radius`` (NaN and inf
     iterates fail the test too); and as ``budget_exhausted`` when a call
     would exceed ``max_oracle_calls`` (at ``x``) or after iteration
@@ -310,6 +328,8 @@ def run_steps(oracle: OracleSuite, x0: np.ndarray, N: int, step: Callable, *, re
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
+    x0 = np.array(x0, dtype=float) if fset is None else fset.project(x0)
+    project = None if fset is None or isinstance(fset, FullSpace) else fset.project
     x, k = x0, first
     status, f_value, grad_norm = RunStatus.BUDGET_EXHAUSTED, None, None
     try:
@@ -317,7 +337,7 @@ def run_steps(oracle: OracleSuite, x0: np.ndarray, N: int, step: Callable, *, re
             x_next, f, g, h, tag = step(ctr, k, x)
             if k % record_every == 0:  # rec.due(k), inlined: it is tested on every iteration
                 rec.record(k, x, f, grad_norm=norm(g), step_size=h, tag=tag)
-            x = x_next
+            x = x_next if project is None else project(x_next)
             k += 1
             if divergence_radius is not None and not norm(x - x0) <= divergence_radius:
                 status = RunStatus.DIVERGED

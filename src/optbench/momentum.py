@@ -35,27 +35,23 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .core.linalg import norm
-from .core.oracles import OracleSuite, RunStatus, Stop, Trace, UnsupportedProblemError, run_steps
+from .core.oracles import OracleSuite, RunStatus, Stop, Trace, UnsupportedProblemError, grad_or_stop, run_steps
+
+
+def _chebyshev_deltas(L: float, mu: float):
+    """delta_1, delta_2, ... of the Chebyshev recurrence ``delta <- 1 / (2(L+mu)/(L-mu) - delta)``."""
+    ratio = 2.0 * (L + mu) / (L - mu)
+    delta = 1.0 / (ratio + 1.0)
+    while True:
+        yield delta
+        delta = 1.0 / (ratio - delta)
 
 
 def _chebyshev_coefficients(L: float, mu: float):
     """(step, momentum) of iterations 0, 1, ... of the Chebyshev recurrence."""
     yield 2.0 / (L + mu), 0.0
-    delta = 1.0 / (2.0 * (L + mu) / (L - mu) + 1.0)
-    while True:
+    for delta in _chebyshev_deltas(L, mu):
         yield 4.0 * delta / (L - mu), 2.0 * delta * (L + mu) / (L - mu) - 1.0
-        delta = 1.0 / (2.0 * (L + mu) / (L - mu) - delta)
-
-
-def _gradient(ctr, y: np.ndarray, tol: float) -> np.ndarray:
-    """The gradient at ``y``; its norm stops the run as diverged when not finite, as converged when ``<= tol``."""
-    g = ctr.grad(y)
-    gn = norm(g)
-    if not math.isfinite(gn):
-        raise Stop(RunStatus.DIVERGED)
-    if gn <= tol:
-        raise Stop(RunStatus.CONVERGED, grad_norm=gn)
-    return g
 
 
 def _two_term(coefficients, L, mu, tol, x_prev):
@@ -64,7 +60,7 @@ def _two_term(coefficients, L, mu, tol, x_prev):
 
     def step(ctr, k, x):
         nonlocal x_prev
-        g = _gradient(ctr, x, tol)
+        g = grad_or_stop(ctr, x, tol, RunStatus.CONVERGED)
         a, b = next(coef)
         x_new = x - a * g + b * (x - x_prev)
         x_prev = x
@@ -79,7 +75,7 @@ def _look_ahead(momentum, L, mu, tol, x_prev):
     def step(ctr, k, x):
         nonlocal x_prev
         y = x + next(beta) * (x - x_prev)
-        g = _gradient(ctr, y, tol)
+        g = grad_or_stop(ctr, y, tol, RunStatus.CONVERGED)
         x_prev = x
         return y - (1.0 / L) * g, None, g, 1.0 / L, None
     return step, None
@@ -95,7 +91,7 @@ def _taylor_drori(L, mu, tol, z):
         tau = 1.0 - A_k / ((1 - q) * A_next)
         delta = 0.5 * ((1 - q) ** 2 * A_next - (1 + q) * A_k) / (1 + q + q * A_k)
         y = x + tau * (z - x)
-        g = _gradient(ctr, y, tol)
+        g = grad_or_stop(ctr, y, tol, RunStatus.CONVERGED)
         z = (1.0 - q * delta) * z + q * delta * y - (delta / L) * g
         A_k = A_next
         return y - (1.0 / L) * g, None, g, 1.0 / L, None
@@ -186,13 +182,7 @@ def chebyshev_delta_sequence(L: float, mu: float, n: int) -> np.ndarray:
     """delta_1 .. delta_n of the Chebyshev recurrence (diagnostic helper)."""
     if not L > mu > 0:
         raise ValueError("requires L > mu > 0")
-    ratio = 2.0 * (L + mu) / (L - mu)
-    out = np.empty(n)
-    d = 1.0 / (ratio + 1.0)
-    for i in range(n):
-        out[i] = d
-        d = 1.0 / (ratio - d)
-    return out
+    return np.fromiter(itertools.islice(_chebyshev_deltas(L, mu), n), dtype=float, count=n)
 
 
 def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,

@@ -25,10 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .core.linalg import norm
-from .core.oracles import OracleSuite, RunStatus, Stop, Trace, run_steps
+from .core.oracles import OracleSuite, RunStatus, Stop, Trace, grad_or_stop, run_steps
 
 _L_MIN = 1e-12
 
@@ -113,16 +110,11 @@ def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
     h, stop_threshold, stop_status = cfg.mode.regime(L, cfg.tol)
 
     def step(ctr, k, x):
-        g = ctr.grad(x)
-        gn = norm(g)
-        if not math.isfinite(gn):
-            raise Stop(RunStatus.DIVERGED)
-        if gn <= stop_threshold:
-            raise Stop(stop_status, grad_norm=gn)
+        g = grad_or_stop(ctr, x, stop_threshold, stop_status)
         return x - h * g, None, g, h, None
 
-    return run_steps(oracle, np.array(x0, dtype=float), cfg.N, step, record_every=record_every,
-                     record_x=record_x, max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)
+    return run_steps(oracle, x0, cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)
 
 
 run_gd_abs = run_gd_rel = run_gd
@@ -188,5 +180,5 @@ def run_gd_rel_adaptive(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
         f_x, fx, L_prev = fx, f_new, L_try
         return x_new, f_x, g, h, None
 
-    return run_steps(oracle, np.array(x0, dtype=float), cfg.N, step, record_every=record_every,
-                     record_x=record_x, max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)
+    return run_steps(oracle, x0, cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius)

@@ -17,8 +17,9 @@ the tail fraction.  Mini-batching averages ``batch`` independent draws;
 before the step (heavy-tail robustness).
 
 :func:`run_sgd` and the zeroth-order :func:`optbench.zeroorder.run_zo_sgd`
-are front ends over one projected-SGD loop; each supplies its own
-gradient source.
+are front ends over one projected-SGD step; each supplies its own
+gradient source, and :func:`~optbench.core.oracles.run_steps` projects
+the start and each step's point onto the feasible set.
 
 Noise stream.  :func:`run_sgd` takes one noise row per ``stoch_grad``
 call, in call order, from the run's ``Rng``.  When the suite's
@@ -45,7 +46,7 @@ from .core.linalg import norm
 from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace, run_steps
 from .core.rng import Rng
-from .core.sets import FeasibleSet, FullSpace
+from .core.sets import FeasibleSet
 
 
 @dataclass(frozen=True)
@@ -247,13 +248,12 @@ def _noise_blocks(noise: AdditiveNoise, rng: Rng):
 def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule: StepRule,
                    averaging: Averaging, gradient: Callable[[CountingOracle, int, np.ndarray], np.ndarray],
                    record_every: int, record_x: bool, max_oracle_calls: Optional[int]) -> Trace:
-    """The loop behind :func:`run_sgd` and :func:`optbench.zeroorder.run_zo_sgd`.
+    """The step behind :func:`run_sgd` and :func:`optbench.zeroorder.run_zo_sgd`, run by ``run_steps``.
 
     ``gradient(ctr, k, x)`` returns iteration k's gradient, drawn through
     the run's counting oracle.  The reported point is the average of the
     averaged iterates, or the last iterate without averaging.
     """
-    x = fset.project(np.array(x0, dtype=float))
     gamma_k = step_rule.schedule(N)
 
     if isinstance(averaging, UniformAvg):
@@ -262,9 +262,7 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
         avg_start = N - math.ceil(averaging.fraction * N)
     else:
         avg_start = N  # no iterate is averaged
-    avg_sum, avg_n = np.zeros_like(x), 0
-
-    project_needed = not isinstance(fset, FullSpace)
+    avg_sum, avg_n = np.zeros(oracle.dim), 0
 
     def step(ctr, k, x):
         nonlocal avg_sum, avg_n
@@ -273,11 +271,11 @@ def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule
             avg_n += 1
         g = gradient(ctr, k, x)
         gamma = gamma_k(k, g)
-        x_new = x - gamma * g
-        return fset.project(x_new) if project_needed else x_new, None, g, gamma, None
+        return x - gamma * g, None, g, gamma, None
 
-    return run_steps(oracle, x, N, step, record_every=record_every, record_x=record_x,
-                     max_oracle_calls=max_oracle_calls, reported=lambda: avg_sum / avg_n if avg_n else None)
+    return run_steps(oracle, x0, N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, reported=lambda: avg_sum / avg_n if avg_n else None,
+                     fset=fset)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,10 @@
 
 Each runs as a step function under :func:`~optbench.core.oracles.run_steps`;
 the two switching schemes share one, a stage machine over a list of
-stages.  Each returns a :class:`Trace`; a run the oracle budget cuts
-short ends as ``budget_exhausted``, and no
+stages.  The steps return unprojected points: ``run_steps`` takes the
+feasible set, projects the start and each step's point.  Each returns a
+:class:`Trace`; a run the oracle budget cuts short ends as
+``budget_exhausted``, and no
 :class:`~optbench.core.oracles.OracleBudgetError` escapes.
 """
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .core.linalg import norm
 from .core.oracles import CountingOracle, OracleSuite, RunStatus, Stop, Trace, ZeroSubgradientError, run_steps
-from .core.sets import FeasibleSet, FullSpace
+from .core.sets import FeasibleSet
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,6 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
     if fstar is None:
         raise ValueError("the Polyak step needs the optimal value f*")
 
-    project_needed = not isinstance(fset, FullSpace)
-
     def step(ctr, k, x):
         fx = ctr.value(x)
         gap = fx - fstar
@@ -110,11 +110,10 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
             raise ZeroSubgradientError(
                 f"zero subgradient off-optimum at iter {k} (gap {gap:.3e})")
         h = gap / gn2
-        x_new = x - h * g
-        return fset.project(x_new) if project_needed else x_new, fx, g, h, None
+        return x - h * g, fx, g, h, None
 
-    return run_steps(oracle, fset.project(x0), cfg.N, step, record_every=record_every, record_x=record_x,
-                     max_oracle_calls=max_oracle_calls)
+    return run_steps(oracle, x0, cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, fset=fset)
 
 
 def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradConfig,
@@ -133,9 +132,7 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     else:
         raise ValueError("run_const_subgrad requires FixedStep or BudgetStep")
 
-    x = fset.project(x0)
-    project_needed = not isinstance(fset, FullSpace)
-    sum_x, n = np.zeros_like(x), 0
+    sum_x, n = np.zeros(oracle.dim), 0
 
     def step(ctr, k, x):
         nonlocal sum_x, n
@@ -144,11 +141,11 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
         if k == cfg.N - 1:
             raise Stop(RunStatus.BUDGET_EXHAUSTED)  # x^{N-1} takes no step
         g = ctr.subgrad(x)
-        x_new = x - h * g
-        return fset.project(x_new) if project_needed else x_new, None, g, h, None
+        return x - h * g, None, g, h, None
 
-    return run_steps(oracle, x, cfg.N, step, record_every=record_every, record_x=record_x,
-                     max_oracle_calls=max_oracle_calls, reported=lambda: sum_x / n if cfg.averaging else None)
+    return run_steps(oracle, x0, cfg.N, step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, reported=lambda: sum_x / n if cfg.averaging else None,
+                     fset=fset)
 
 
 @dataclass(frozen=True)
@@ -192,13 +189,13 @@ class _Switching:
     ``end`` to the next iteration, whose step call acts on it before any
     oracle call.  With ``restart`` each stage hands its best productive
     iterate on as ``x_next``; without it the run ends at its last iterate
-    and reports the best productive one.
+    and reports the best productive one.  ``run_steps`` projects every
+    ``x_next``, also an iterate handed on that is already projected: on a
+    ``Ball`` or a ``Simplex`` that can move its last bits.
     """
 
-    def __init__(self, fset: FeasibleSet, Mg: float, stages: list, restart: bool,
-                 total_iters: Optional[int] = None):
-        self.fset, self.Mg, self.stages, self.restart, self.total_iters = fset, Mg, stages, restart, total_iters
-        self.project_needed = not isinstance(fset, FullSpace)
+    def __init__(self, Mg: float, stages: list, restart: bool, total_iters: Optional[int] = None):
+        self.Mg, self.stages, self.restart, self.total_iters = Mg, stages, restart, total_iters
         self.N = sum(cap for _, _, cap, _ in stages) + 1  # stages end by their caps at the latest, the run after
         self.p = 0  # stages started
         self.end, self.stopped = 0, True  # the run starts as if a stage had stopped before iteration 0
@@ -265,8 +262,6 @@ class _Switching:
             self.n_nonproductive += 1
             f, tag = None, self.nonproductive
         x_next = x - h * g
-        if self.project_needed:
-            x_next = self.fset.project(x_next)
         if self.sum_productive + self.n_nonproductive >= self.threshold:
             self.stopped = True
         if self.stopped or k + 1 == self.end:
@@ -302,9 +297,9 @@ def run_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConf
     if cfg.delta <= 0:
         raise ValueError("delta must be positive")
     Mg = _constraint_bound(oracle, cfg, "run_switching")
-    scheme = _Switching(fset, Mg, [(cfg.delta, cfg.theta0, cfg.max_iters, "")], restart=False)
-    return run_steps(oracle, fset.project(x0), scheme.N, scheme.step, record_every=record_every,
-                     record_x=record_x, max_oracle_calls=max_oracle_calls, reported=scheme.reported)
+    scheme = _Switching(Mg, [(cfg.delta, cfg.theta0, cfg.max_iters, "")], restart=False)
+    return run_steps(oracle, x0, scheme.N, scheme.step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, reported=scheme.reported, fset=fset)
 
 
 def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConfig,
@@ -337,6 +332,6 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     for p in range(1, math.ceil(2.0 * math.log2(cfg.theta0 / cfg.eps_target)) + 1):
         theta_p = cfg.theta0 / math.sqrt(2.0 ** p)
         stages.append((alpha * theta_p / (math.sqrt(2.0) * max(1.0, Mg)), theta_p, cfg.max_iters, f"p{p}:"))
-    scheme = _Switching(fset, Mg, stages, restart=True, total_iters=cfg.total_iters)
-    return run_steps(oracle, fset.project(x0), scheme.N, scheme.step, record_every=record_every,
-                     record_x=record_x, max_oracle_calls=max_oracle_calls, reported=scheme.reported)
+    scheme = _Switching(Mg, stages, restart=True, total_iters=cfg.total_iters)
+    return run_steps(oracle, x0, scheme.N, scheme.step, record_every=record_every, record_x=record_x,
+                     max_oracle_calls=max_oracle_calls, reported=scheme.reported, fset=fset)

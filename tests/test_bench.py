@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import optbench
-from optbench import frankwolfe, momentum, stochastic
+from optbench import frankwolfe, momentum, stochastic, subgrad
 from optbench.bench import (
     ConfigError,
     InsufficientDataError,
@@ -21,7 +21,7 @@ from optbench.bench import (
 )
 from optbench.bench.cli import main
 from optbench.bench.registry import method_entry, method_names
-from optbench.core import RunStatus, Trace, TraceRecorder, TraceRow, make_problem
+from optbench.core import AdditiveStochGrad, Rng, RunStatus, Trace, TraceRecorder, TraceRow, make_problem, wrap_noise
 from optbench.core import oracles
 
 # The modules that build a TraceRecorder: run_steps' module, which runs every method.
@@ -422,6 +422,32 @@ def test_null_or_omitted_flags_read_false():
     for output in ({"record_x": None}, {}):
         assert parse_config(json.dumps(dict(NORM2_SUBGRAD, output=output))).record_x is False
     assert parse_config(json.dumps(dict(NORM2_SUBGRAD, output={"record_x": True}))).record_x is True
+
+
+@pytest.mark.parametrize("method, params, run", [
+    ("const_subgrad", {"h": 0.05, "averaging": True},
+     lambda oracle, fset, x0, rng, **kw: subgrad.run_const_subgrad(
+         oracle, fset, x0, subgrad.SubgradConfig(step_rule=subgrad.FixedStep(0.05), N=30, averaging=True), **kw)),
+    ("sgd", {"gamma": 0.05, "averaging": "tail", "tail_fraction": 0.3},
+     lambda oracle, fset, x0, rng, **kw: stochastic.run_sgd(
+         oracle, fset, x0, stochastic.SgdConfig(N=30, step_rule=stochastic.Const(0.05),
+                                                averaging=stochastic.TailAvg(0.3)), rng, **kw)),
+], ids=["const_subgrad-h", "sgd-tail"])
+def test_config_params_build_the_python_api_run(tmp_path, method, params, run):
+    doc = {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 1]}},
+           "method": {"name": method, "params": params}, "iterations": 30,
+           "output": {"record_every": 1, "record_x": True}}
+    oracle, fset = make_problem("quad_diag", {"lambdas": [2, 1]})
+    if method == "sgd":
+        doc["noise"] = {"kind": "additive_stoch_grad", "sigma": 0.5}
+        oracle = wrap_noise(oracle, AdditiveStochGrad(sigma=0.5), Rng(0))
+    x0 = np.array([1.5, -1.0])
+    built = build_method(parse_config(json.dumps(doc)), oracle)(fset, x0, Rng(7))
+    direct = run(oracle, fset, x0, Rng(7), record_x=True)
+    paths = [str(tmp_path / "built.json"), str(tmp_path / "direct.json")]
+    for trace, path in zip((built, direct), paths):
+        write_trace(trace, path, "json")
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
 # -- rate fitting -----------------------------------------------------------------

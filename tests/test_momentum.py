@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from optbench.core import OracleSuite, Rng, RunStatus, UnsupportedProblemError, make_problem
+from optbench.core import OracleSuite, QuadraticForm, Rng, RunStatus, UnsupportedProblemError, make_problem
 from optbench.momentum import (
     MomentumConfig,
     chebyshev_delta_limit,
@@ -158,6 +158,24 @@ def test_cg_trivial_cases():
     assert tr.final.iter == 1 and abs(tr.x_out[0]) <= 1e-14
 
 
+def test_cg_parallel_directions_fall_back_to_the_line_search_step():
+    # in 1-d the gradient and the momentum direction are parallel: from x^1 = -4.4e-16, which the
+    # first step leaves by rounding, the 2x2 system is singular and the step is gg / gAg = 1/3
+    oracle, _ = make_problem("quad_diag", {"lambdas": [3.0]})
+    tr = run_cg_quadratic(oracle, np.array([2.7]), N=5, record_x=True)
+    assert tr.status is RunStatus.CONVERGED and [r.iter for r in tr.rows] == [0, 1, 2]
+    row = tr.rows[1]
+    assert row.x[0] != 0.0 and row.oracle_calls == 7  # g(x^0), A g, f(x^0); then g, A g, A d, f
+    assert row.step_size == 1.0 / 3.0 and tr.x_out[0] == 0.0
+
+
+def test_cg_refuses_non_positive_curvature_along_the_gradient():
+    concave = OracleSuite(value=lambda x: -0.5 * float(x.dot(x)), subgrad=lambda x: -x, grad=lambda x: -x, dim=2,
+                          quadratic=QuadraticForm(matvec=lambda v: -v, b=np.zeros(2)))
+    with pytest.raises(UnsupportedProblemError, match="not positive along the gradient"):
+        run_cg_quadratic(concave, np.ones(2), N=5)
+
+
 def test_cg_rejects_non_quadratic():
     oracle, _ = make_problem("rosenbrock")
     with pytest.raises(UnsupportedProblemError):
@@ -196,3 +214,20 @@ def test_momentum_non_finite_or_overflowing_iterate_ends_diverged(x0, g):
     assert tr.status is RunStatus.DIVERGED and len(tr.rows) == 2 and beta == 0.0
     assert (last.iter, last.oracle_calls, last.grad_norm) == (1, 3, None)
     assert last.x.tobytes() == x1.tobytes() and np.array(last.f_value).tobytes() == x1[:1].tobytes()
+
+
+def test_momentum_non_finite_gradient_norm_ends_the_run_diverged():
+    # f = -sum(x^3)/3 from (1, 0.5): g(x^9) is finite, but its norm overflows, and no radius stops the run first
+    cubic = OracleSuite(value=lambda x: -float((x * x * x).sum()) / 3.0, subgrad=lambda x: -(x * x),
+                        grad=lambda x: -(x * x), dim=2)
+    a, b = heavy_ball_coefficients(1.0, 0.5)
+    x = x_prev = np.array([1.0, 0.5])
+    with np.errstate(over="ignore"):
+        tr = run_momentum(cubic, x, MomentumConfig("heavy_ball", N=400, L=1.0, mu=0.5), record_x=True,
+                          divergence_radius=math.inf)
+        for _ in range(9):
+            x, x_prev = x - a * -(x * x) + b * (x - x_prev), x
+    last = tr.final
+    assert tr.status is RunStatus.DIVERGED and [r.iter for r in tr.rows] == list(range(10))
+    assert (last.iter, last.grad_norm, last.f_value, last.oracle_calls) == (9, None, -math.inf, 20)  # 10 g, 10 f
+    assert last.x.tobytes() == x.tobytes() and math.isfinite(tr.rows[-2].grad_norm)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from optbench.core import CountingOracle, OracleBudgetError, RunStatus, TraceRecorder, make_problem
+from optbench.core import Box, CountingOracle, FullSpace, OracleBudgetError, RunStatus, TraceRecorder, make_problem
 from optbench.core.oracles import Stop, run_steps
 
 X = np.array([1.0, -1.0])
@@ -40,13 +40,13 @@ def test_close_writes_a_given_terminal_row_without_an_oracle_call():
     assert np.array_equal(trace.x_out, X)
 
 
-def test_close_keeps_an_existing_row():
-    _, ctr, rec = recorder()
-    rec.record(2, X, 7.0, grad_norm=1.0, step_size=0.5)
-    trace = rec.close(2, X, RunStatus.BUDGET_EXHAUSTED, f_value=9.0, grad_norm=3.0)
-    assert ctr.calls == 0 and len(trace.rows) == 1
-    assert (trace.final.f_value, trace.final.grad_norm, trace.final.step_size) == (7.0, 1.0, 0.5)
-    assert trace.f_out == 7.0
+def test_close_evaluates_a_reported_point_unless_it_has_the_terminal_row_bytes():
+    at = np.array([0.0, 1.0])
+    for x_out, calls in ((at.copy(), 1), (np.array([-0.0, 1.0]), 2)):  # -0.0 == 0.0, but its bytes differ
+        _, ctr, rec = recorder()
+        trace = rec.close(3, at, RunStatus.BUDGET_EXHAUSTED, x_out)
+        assert ctr.calls == calls and trace.columns["iter"] == [3]
+        assert trace.x_out.tobytes() == x_out.tobytes() and trace.f_out == trace.final.f_value
 
 
 def test_close_evaluates_outside_an_exhausted_budget():
@@ -199,3 +199,24 @@ def test_run_steps_radius_is_inclusive_and_optional():
 def test_run_steps_reports_the_last_iterate_when_reported_gives_none():
     oracle, trace = drive(halving()[0], reported=lambda: None)
     assert np.array_equal(trace.x_out, X / 16) and trace.f_out == oracle.value(X / 16)
+
+
+def test_run_steps_projects_the_start_and_each_step_onto_its_set():
+    box = Box(np.array([-0.5, -0.5]), np.array([0.5, 0.5]))
+    step, seen = halving(to=np.array([0.25, 2.0]))
+    _, trace = drive(step, fset=box)
+    assert seen == [0, 1, 2, 3]
+    assert [x.tolist() for x in trace.columns["x"]] == [[0.5, -0.5]] + [[0.25, 0.5]] * 4
+
+
+def test_run_steps_takes_the_step_point_as_it_is_without_a_set_or_on_full_space():
+    for fset in (None, FullSpace(2)):
+        given, out = [], []
+
+        def step(ctr, k, x):
+            given.append(x)
+            out.append(x + 1.0)
+            return out[-1], 0.0, G, 0.25, None
+        drive(step, N=3, fset=fset)
+        assert given[0].tolist() == X.tolist() and given[0] is not X
+        assert given[1] is out[0] and given[2] is out[1]

@@ -18,6 +18,10 @@ from optbench.smooth import (
 )
 from optbench.core import OracleSuite
 
+# f = -sum(x^3)/3, unbounded below: from (1, 0.5) the iterates grow until a gradient's norm overflows
+CUBIC = OracleSuite(value=lambda x: -float((x * x * x).sum()) / 3.0, subgrad=lambda x: -(x * x),
+                    grad=lambda x: -(x * x), dim=2)
+
 
 def test_gd_hand_trace_quad():
     oracle, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
@@ -294,3 +298,28 @@ def test_gd_non_finite_or_overflowing_iterate_ends_diverged(x0, g):
     assert tr.status is RunStatus.DIVERGED and len(tr.rows) == 2
     assert (last.iter, last.oracle_calls, last.grad_norm) == (1, 3, None)
     assert last.x.tobytes() == x1.tobytes() and np.array(last.f_value).tobytes() == x1[:1].tobytes()
+
+
+def test_gd_non_finite_gradient_norm_ends_the_run_diverged():
+    # h = 1 gives x+ = x + x*x; g(x^9) is finite, but its norm overflows, and no radius stops the run first
+    x = np.array([1.0, 0.5])
+    with np.errstate(over="ignore"):
+        tr = run_gd(CUBIC, x, SmoothRunConfig(N=400, L=1.0), record_x=True, divergence_radius=math.inf)
+        for _ in range(9):
+            x = x - 1.0 * -(x * x)
+    last = tr.final
+    assert tr.status is RunStatus.DIVERGED and [r.iter for r in tr.rows] == list(range(10))
+    assert (last.iter, last.grad_norm, last.f_value, last.oracle_calls) == (9, None, -math.inf, 20)  # 10 g, 10 f
+    assert last.x.tobytes() == x.tobytes() and math.isfinite(tr.rows[-2].grad_norm)
+
+
+def test_adaptive_non_finite_gradient_norm_ends_the_run_diverged():
+    cfg = SmoothRunConfig(N=400, mode=RelNoiseAdaptive(alpha=0.25, L0=1.0))
+    with np.errstate(over="ignore"):
+        tr = run_gd_rel_adaptive(CUBIC, np.array([1.0, 0.5]), cfg, record_x=True, divergence_radius=math.inf)
+    last = tr.final
+    assert tr.status is RunStatus.DIVERGED and [r.iter for r in tr.rows] == list(range(9))
+    # f(x^0), then a gradient and one accepted trial per step, then g(x^8), whose norm overflows;
+    # the terminal row takes f(x^8) from the last trial
+    assert (last.iter, last.grad_norm, last.oracle_calls) == (8, None, 18)
+    assert last.f_value == CUBIC.value(last.x) == tr.f_out and math.isfinite(last.f_value)

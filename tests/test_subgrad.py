@@ -300,6 +300,17 @@ def test_restart_zero_subgradient_off_the_grid_writes_no_row(every):
     assert tr.status is RunStatus.CONVERGED and tr.final.f_value == 0.0 == tr.f_out
 
 
+def test_switching_reporting_its_terminal_point_evaluates_it_once():
+    # the zero productive subgradient at iteration 3 ends the run at its best productive iterate, the
+    # terminal row's own point: f is called at iterations 0-3 and for that row, and f_out reuses the row's f
+    suite, calls = _hinge_suite(), []
+    counted = dataclasses.replace(suite, value=lambda x: calls.append(1) or suite.value(x))
+    tr = run_switching(counted, FullSpace(2), np.array([2.5, 0.0]),
+                       SwitchingConfig(delta=1.0, theta0=4.0, max_iters=50))
+    assert len(calls) == 5
+    assert tr.x_out.tobytes() == np.array([-0.5, 0.0]).tobytes() and tr.f_out == tr.final.f_value == 0.0
+
+
 def _disk_suite_and_box():
     """f = -x_1 under ||x|| <= 1, on a box whose face x_1 = 0.5 cuts the disk's minimizer (1, 0) off.
 
