@@ -17,7 +17,7 @@
 Each runs as a step function under :func:`~optbench.core.oracles.run_steps`;
 the two switching schemes share one, a stage machine over a list of
 stages.  The steps return unprojected points: ``run_steps`` takes the
-feasible set, projects the start and each step's point.  Each returns a
+feasible set and projects the start and each step's point.  Each returns a
 :class:`Trace`; a run the oracle budget cuts short ends as
 ``budget_exhausted``, and no
 :class:`~optbench.core.oracles.OracleBudgetError` escapes.
