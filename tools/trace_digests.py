@@ -49,8 +49,12 @@ Grids:
   batch {1, 2, 3, 4, 5, 6, 7, 8, 16, 64} (``room...`` keys); ``run_zo_sgd``
   at batch 9 on the ``zo_stoch`` quadratic for 12 iterations, with
   ``max_oracle_calls`` in {none, 36, 53, 54, 55} (``est/zo_sgd/...``);
-  and the gradient streams of ``absolute_grad`` and ``relative_grad`` in
-  ``random_direction`` mode at d {1, 3, 50} for seeds 1-2 (507 keys).
+  the gradient streams of ``absolute_grad`` and ``relative_grad`` in
+  ``random_direction`` mode at d {1, 3, 50} for seeds 1-2; and
+  (``est/tiny/...``) the linear d=3 suite and the ``zo_stoch`` quadratic
+  at beta 2, batch {7, 1000} and seeds 1-2 with the 1st or the 4th
+  direction's gaussian draw scaled to a norm below 1e-12 by a stubbed
+  generator, so the estimator redraws it (523 keys).
   The hash also covers the next draws of the run's ``Rng``, so a change
   in the number of draws consumed shows;
 * ``csv/...``: the 17 canonical configs for seeds 1-2 with
@@ -658,7 +662,45 @@ def estimator_grid() -> dict:
             return digest(rng, *(grad(np.full(d, 1.0 / (k + 1))) for k in range(200)))
 
         out[f"est/{kind}/d{d}/seed{seed}"] = _guarded(stream)
+
+    for name, batch, call, seed in itertools.product(("linear-d3", "quad50-zo_stoch"), (7, 1000), (0, 3), (1, 2)):
+        def tiny(oracle=cases[name][0], x=cases[name][1], batch=batch, call=call, seed=seed):
+            rng = Rng(seed)
+            rng._gen = _TinyDirection(np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.entropy))),
+                                      x.shape[0], call)
+            return digest(rng, zo.kernel_grad_estimate(oracle, x, 0.05, zo.build_kernel(2), rng, batch))
+
+        out[f"est/tiny/{name}/batch{batch}/call{call}/seed{seed}"] = _guarded(tiny)
     return out
+
+
+class _TinyDirection:
+    """Generator view that scales the ``call``-th direction draw (from 0) to a norm below 1e-12.
+
+    A direction draw is a ``standard_normal`` call of at least ``d`` values,
+    a sphere draw alone or followed by its probes' noise; its first ``d``
+    values are scaled by 1e-14.  The stream position where that draw starts
+    is kept, so a draw that starts there again after a rewind is scaled too.
+    """
+
+    def __init__(self, gen, d: int, call: int):
+        self.gen, self.d, self.call, self.seen, self.position = gen, d, call, 0, None
+
+    def standard_normal(self, size=None, out=None):
+        import numpy as np
+
+        position = self.gen.bit_generator.state["state"]["state"]
+        out = self.gen.standard_normal(size) if out is None else self.gen.standard_normal(out=out)
+        if np.size(out) >= self.d:
+            if self.seen == self.call:
+                self.position = position
+            self.seen += 1
+        if position == self.position:
+            out[:self.d] *= 1e-14
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
 
 
 # case -> (problem, params, seed)
