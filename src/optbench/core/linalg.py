@@ -1,4 +1,4 @@
-"""The Euclidean norm of a 1-d float vector, and the checks on a number or a flag read from a config."""
+"""The Euclidean norm of a 1-d float vector, row-wise dot products, and the checks on a number or a flag read from a config."""
 
 from __future__ import annotations
 
@@ -17,6 +17,25 @@ def norm(v) -> float:
     in another order.
     """
     return math.sqrt(v.dot(v))
+
+
+def row_dots(A, B):
+    """``[A[i].dot(B[i]) for i in range(n)]`` for float64 ``(n, d)`` arrays, as one array with the same bits.
+
+    For d >= 2, ``matmul`` of the ``(n, 1, d)`` and ``(n, d, 1)`` views
+    computes each 1 x d by d x 1 product with the dot kernel that
+    ``ndarray.dot`` of two 1-d vectors calls, so each entry adds in the
+    same order, ``+-0.0``, subnormals, ``+-inf`` and NaN included.  At
+    d = 1 ``matmul`` adds the product to a zero, which turns a -0.0 into
+    +0.0, so the rows' products are returned as they are, as ``dot``
+    returns them.  ``einsum`` and ``sum(axis=1)`` add in other orders and
+    differ in the last bit on many rows.  The rows of ``A`` and ``B``
+    must each be contiguous (a column slice of a wider array is), for the
+    reason :func:`norm` gives.
+    """
+    if A.shape[1] == 1:
+        return A[:, 0] * B[:, 0]
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
 
 
 def number(value, name: str, whole: bool = False, least=None):

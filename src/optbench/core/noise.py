@@ -186,10 +186,10 @@ class ValueNoise:
     evaluates the rng-free ``value(x)`` and adds ``scale * xi`` for one
     standard gaussian draw ``xi`` from ``rng``.  The entry is a plain
     closure, so a call costs what a hand-written one does, and it carries
-    this declaration as its ``noise`` attribute.  ``xi(rng, n)`` draws the
-    ``xi`` of n successive calls at once: numpy fills an n-vector in call
-    order, so they equal those calls' draws bit for bit and leave ``rng``
-    in the same state.  ``add(f, xi)`` adds them to those calls' values.
+    this declaration as its ``noise`` attribute.  The ``xi`` of n
+    successive calls are the next n standard gaussians of the stream,
+    which a caller may draw in one fill; ``add(f, xi)`` adds them to those
+    calls' values with the bits of the calls.
     """
 
     value: Callable[[np.ndarray], float]
@@ -203,9 +203,6 @@ class ValueNoise:
 
         zo.noise = self
         return zo
-
-    def xi(self, rng: Rng, n: int) -> np.ndarray:
-        return rng.gaussian(n)
 
     def add(self, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return f + self.scale * xi

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import norm, number
+from .linalg import norm, number, row_dots
 from .oracles import ConstraintOracle, OracleSuite, QuadraticForm
 from .rng import Rng
 from .sets import Box, FeasibleSet, FullSpace
@@ -143,7 +143,7 @@ def _norm2(params: dict, seed: int):
 
 def _quad_diag(params: dict, seed: int):
     lam = np.asarray(params.get("lambdas", [10.0, 1.0]), dtype=float)
-    if lam.ndim != 1 or np.any(lam <= 0):
+    if lam.ndim != 1 or lam.size == 0 or np.any(lam <= 0):
         raise ValueError("lambdas must be a 1-d array of positive numbers")
     d = lam.shape[0]
     a = np.asarray(params.get("shift", np.zeros(d)), dtype=float)
@@ -154,6 +154,13 @@ def _quad_diag(params: dict, seed: int):
     def value(x):
         z = x - a if shifted else x
         return 0.5 * float((lam * z).dot(z))
+
+    def rows(X):
+        """``value`` of each row of a ``(n, d)`` array, with the bits of n calls."""
+        Z = X - a if shifted else X
+        return 0.5 * row_dots(lam * Z, Z)
+
+    value.rows = rows
 
     def grad(x):
         return lam * (x - a) if shifted else lam * x

@@ -19,6 +19,17 @@ import operator
 
 import numpy as np
 
+# A gaussian draw whose norm is at most this is redrawn before it is scaled onto the sphere.
+SPHERE_MIN_NORM = 1e-12
+
+
+def uniform_of(u, low: float = -1.0, high: float = 1.0):
+    """numpy's uniform formula ``low + (high - low) * u`` on a ``Generator.random()`` draw ``u``.
+
+    Elementwise on an array of draws, with the bits of one scalar call per draw.
+    """
+    return low + (high - low) * u
+
 
 class _UnbuiltGenerator:
     """An :class:`Rng`'s generator until its first use, which builds it and puts it in its place.
@@ -69,17 +80,20 @@ class Rng:
     def state(self, value: dict):
         self._gen.bit_generator.state = value
 
+    @property
+    def generator(self):
+        """The numpy ``Generator`` behind the stream, for a caller that draws raw values in its order."""
+        return self._gen
+
     def spawn(self, key: int) -> "Rng":
         """Independent child stream; deterministic in (parent entropy, key)."""
         return Rng(self._entropy + (int(key),))
 
     def uniform(self, low: float = -1.0, high: float = 1.0, size=None):
-        if size is None and type(low) is type(high) is float:
-            span = high - low
-            if 0.0 <= span < math.inf:
-                # numpy's own random_uniform formula, so the bits of Generator.uniform;
-                # a negative or non-finite span falls through to its error below
-                return low + span * self._gen.random()
+        # numpy's own random_uniform formula, so the bits of Generator.uniform;
+        # a negative or non-finite span falls through to its error below
+        if size is None and type(low) is type(high) is float and 0.0 <= high - low < math.inf:
+            return uniform_of(self._gen.random(), low, high)
         return self._gen.uniform(low, high, size)
 
     def gaussian(self, size=None):
@@ -92,14 +106,14 @@ class Rng:
         return self._gen.integers(low, high, size=size)
 
     def sphere(self, d: int) -> np.ndarray:
-        """Uniform point on the unit sphere in R^d (normalized gaussian)."""
-        v, n = self.sphere_draw(d)
-        return v / n
+        """Uniform point on the unit sphere in R^d, d >= 1: a standard gaussian d-vector over its norm.
 
-    def sphere_draw(self, d: int) -> tuple[np.ndarray, float]:
-        """The draw behind :meth:`sphere`: a standard gaussian d-vector and its norm, redrawn while that is <= 1e-12."""
+        A draw of norm at most :data:`SPHERE_MIN_NORM` is redrawn.
+        """
+        if d < 1:
+            raise ValueError(f"the unit sphere needs d >= 1, got {d}")
         while True:
             v = self._gen.standard_normal(d)
             n = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-d float vector
-            if n > 1e-12:
-                return v, n
+            if n > SPHERE_MIN_NORM:
+                return v / n

@@ -25,23 +25,32 @@ That order is why equal seeds give equal streams, and no batch size
 changes it.  From :data:`BLOCK_BATCH` samples on, when the zeroth-order
 entry is the suite's exact ``value`` or declares its noise (the
 :class:`~optbench.core.noise.ValueNoise` that ``zo_stoch`` builds), the
-estimator runs in two phases.  Phase 1 draws, per sample and in that
-order, r, the direction's normals (:meth:`Rng.sphere_draw`, the draw
-behind :meth:`Rng.sphere`) and the two probes' noise, and keeps the
-radii, the raw directions and their norms.  Phase 2 works on
-``(batch, d)`` arrays: it normalizes the directions, builds the probe
-points, counts the batch's ``2 * batch`` calls, calls the noise-free
-``value`` once per probe in call order, adds the noise and computes the
-weights ``d/(2 tau) * (f~+ - f~-) * K(r)``.  Every step is elementwise,
-so each estimate and the stream's final state equal the per-sample
-loop's bit for bit.  The per-sample loop runs below ``BLOCK_BATCH``
-(where the arrays' fixed cost is larger than what they save), for any
-other entry (a hand-built one may draw anything from the stream; the
-``zo_bounded`` entries' crossover has not been timed), and for a
-:class:`CountingOracle` with fewer than ``2 * batch`` calls left, so that
-a budget cut leaves the stream where the loop leaves it.  Either way the
-weighted directions are summed in the order drawn: the loop keeps a
-running sum, and the arrays are summed row by row once per batch.
+estimator runs in two phases.  Phase 1 draws only raw values, per sample
+and in that order: one ``random()`` for the radius, then one
+``standard_normal`` fill of a preallocated row with the direction's d
+normals followed by the two probes' noise.  Phase 2 works on arrays: it
+maps the raw radii to [-1, 1] (:func:`~optbench.core.rng.uniform_of`),
+takes the directions' norms with one
+:func:`~optbench.core.linalg.row_dots` call, normalizes the directions,
+builds the probe points, counts the batch's ``2 * batch`` calls,
+evaluates the noise-free ``value`` at every probe (one call of its
+``rows`` attribute where it has one, as ``quad_diag``'s does, else one
+call per probe in call order), adds the noise and computes the weights
+``d/(2 tau) * (f~+ - f~-) * K(r)``.  Every step is elementwise or has
+the bits of the scalar call it replaces, so each estimate and the
+stream's final state equal the per-sample loop's bit for bit.  Should a
+direction's norm be at most :data:`~optbench.core.rng.SPHERE_MIN_NORM`,
+which :meth:`Rng.sphere` redraws, the stream is rewound to where the
+batch began and the batch replayed by the per-sample loop, which redraws
+that direction where it always has; with gaussian draws that almost
+never happens.  The per-sample loop runs below ``BLOCK_BATCH`` (where the
+arrays' fixed cost is larger than what they save), for any other entry
+(a hand-built one may draw anything from the stream; the ``zo_bounded``
+entries' crossover has not been timed), and for a :class:`CountingOracle`
+with fewer than ``2 * batch`` calls left, so that a budget cut leaves the
+stream where the loop leaves it.  Either way the weighted directions are
+summed in the order drawn: the loop keeps a running sum, and the arrays
+are summed row by row once per batch.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
@@ -57,9 +66,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .core.linalg import row_dots
 from .core.noise import ValueNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace
-from .core.rng import Rng
+from .core.rng import SPHERE_MIN_NORM, Rng, uniform_of
 from .core.sets import FeasibleSet
 from .stochastic import NoAveraging, StepRule, _projected_sgd
 
@@ -144,7 +154,7 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
 
     Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
     and at x - tau r_i e_i (the module docstring's draw order).  ``x``
-    must have shape ``(dim,)`` of the suite.
+    must have shape ``(dim,)`` of the suite, and ``dim`` must be >= 1.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
@@ -155,13 +165,15 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     x = np.asarray(x, dtype=float)
     if x.shape != (suite.dim,):
         raise ValueError(f"x has shape {x.shape}, the suite takes ({suite.dim},)")
+    if suite.dim < 1:
+        raise ValueError("the estimator needs a suite of dim >= 1")
     scale = x.shape[0] / (2.0 * tau)
-    declared = None
+    total = None
     if batch >= BLOCK_BATCH and (counter is None or counter.has_room(2 * batch)):
         declared = _declared(suite)
-    if declared is not None:
-        total = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
-    else:
+        if declared is not None:
+            total = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
+    if total is None:
         total = _loop_samples(oracle.zo_value if counter is not None else suite.zo_value_or_exact,
                               x, tau, scale, kernel, rng, batch)
     # Both paths sum the weighted directions strictly in draw order, from the
@@ -203,32 +215,46 @@ def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
 
 
 def _block_samples(value, noise: Optional[ValueNoise], counter, x, tau, scale, kernel, rng, batch):
-    """The sum of the weighted directions: all draws first, then the probes as arrays.
+    """The sum of the weighted directions: raw draws first, then the rest as arrays.
 
     ``value`` and ``noise`` are what :func:`_declared` returns.  The caller
     has checked that ``counter`` has room for every probe, so all of them
-    are counted before the first.
+    are counted before the first.  Returns None, with ``rng`` rewound to
+    where the batch began and nothing counted, when a direction must be
+    redrawn.
     """
     d = x.shape[0]
-    uniform, sphere_draw = rng.uniform, rng.sphere_draw
-    radii, norms = [], []
-    dirs = np.empty((batch, d))
-    xi = None if noise is None else np.empty((batch, 2))
-    for i in range(batch):
-        radii.append(uniform(-1.0, 1.0))
-        dirs[i], n = sphere_draw(d)  # Rng.sphere's draw, before its division
-        norms.append(n)
-        if xi is not None:
-            xi[i] = noise.xi(rng, 2)
-    r = np.array(radii)
-    dirs /= np.array(norms)[:, None]
+    start = rng.state
+    gen = rng.generator
+    random, normal = gen.random, gen.standard_normal
+    raw = np.empty((batch, d if noise is None else d + 2))  # the direction's normals, then the noise's
+    radii = []
+    for row in raw:
+        radii.append(random())
+        normal(out=row)
+    dirs = raw[:, :d]
+    norms = np.sqrt(row_dots(dirs, dirs))  # Rng.sphere's math.sqrt(v.dot(v)), row by row
+    if not (norms > SPHERE_MIN_NORM).all():
+        rng.state = start
+        return None
+    r = uniform_of(np.array(radii))
+    dirs = dirs / norms[:, None]
     s = (tau * r)[:, None] * dirs
+    probes = np.empty((batch, 2, d))  # each sample's x + s, then its x - s: the order of the calls
+    np.add(x, s, out=probes[:, 0])
+    np.subtract(x, s, out=probes[:, 1])
+    probes = probes.reshape(2 * batch, d)
     if counter is not None:
         counter.calls += 2 * batch
-    f = np.array([float(value(p)) for pair in zip(x + s, x - s) for p in pair])
-    if xi is not None:
-        f = noise.add(f, xi.ravel())
-    weights = scale * (f[0::2] - f[1::2]) * kernel(r)
+    rows = getattr(value, "rows", None)
+    if rows is not None:
+        f = rows(probes)
+    else:
+        f = np.array([float(value(p)) for p in probes])
+    f = f.reshape(batch, 2)
+    if noise is not None:
+        f = noise.add(f, raw[:, d:])
+    weights = scale * (f[:, 0] - f[:, 1]) * kernel(r)
     # cumsum adds the rows strictly in order, as the per-sample loop does: sum(axis=0)
     # sums pairwise when d = 1, and weights @ dirs goes through BLAS.
     return (weights[:, None] * dirs).cumsum(axis=0)[-1]

@@ -256,6 +256,8 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
      "method 'zo_sgd': tau must be a number, got '0.01'"),
     (dict(problem={"name": "quad_diag", "params": {"lambdas": {"a": 1}}}, method="gd", iterations=5),
      "problem 'quad_diag': float() argument must be a string or a real number, not 'dict'"),
+    (dict(problem={"name": "quad_diag", "params": {"lambdas": []}}, method="gd", iterations=5),
+     "problem 'quad_diag': lambdas must be a 1-d array of positive numbers"),
     (dict(problem={"name": "quad_diag", "params": [1]}, method="gd", iterations=5),
      "problem: params must be an object, got [1]"),
     (dict(problem=QUAD, method={"name": "gd", "params": [1]}, iterations=5),
@@ -267,7 +269,8 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
         "record_every-fraction", "seed-string", "seed-negative", "l1_system-d-fraction", "phase_retrieval-m-fraction",
         "logistic_small-n-bool", "delta_tilde-null", "sigma-quoted", "sgd-batch-fraction", "zo_sgd-beta-fraction",
         "restarted_switching-stage_cap-fraction", "sgd-gamma-quoted", "gd-L-quoted", "heavy_ball-mu-list",
-        "sgd-eta-null", "zo_sgd-tau-quoted", "quad_diag-lambdas-object", "problem-params-list",
+        "sgd-eta-null", "zo_sgd-tau-quoted", "quad_diag-lambdas-object", "quad_diag-lambdas-empty",
+        "problem-params-list",
         "method-params-list", "method-params-false", "budget-number"])
 def test_config_numbers_are_checked(tmp_path, capsys, doc, message):
     assert main(["run", "--config", write_cfg(tmp_path, "numbers.json", doc)]) == 2

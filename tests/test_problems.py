@@ -349,6 +349,19 @@ def _outcome(fn, x):
     return type(y).__name__, a.dtype.str, a.shape, a.tobytes()
 
 
+@pytest.mark.parametrize("shift", ["zero", "-0.0", "nonzero"])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 50, 200])
+def test_quad_diag_rows_give_the_bits_of_value(d, shift):
+    lam = np.linspace(0.5, 10.0, d)
+    a = {"zero": np.zeros(d), "-0.0": np.where(np.arange(d) == 0, -0.0, 0.0), "nonzero": np.sin(3.0 * lam)}[shift]
+    oracle, _ = make_problem("quad_diag", {"lambdas": lam.tolist(), "shift": a.tolist()})
+    X = np.array(_probe_points(d, [a]))
+    with np.errstate(all="ignore"):
+        got = oracle.value.rows(X)
+        want = np.array([oracle.value(x) for x in X])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("case, kind", [(case, kind) for case, (name, params) in NUMPY_FORM_CASES.items()
                                         for kind in _numpy_forms(name, params, 0)])
 def test_catalog_callables_give_the_bits_of_their_numpy_forms(case, kind):

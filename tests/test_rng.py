@@ -79,6 +79,14 @@ def test_sphere_matches_normalized_generator_gaussian(d):
         assert rng.sphere(d).tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_sphere_refuses_d_below_1_before_any_draw(d):
+    rng = Rng(4)
+    with pytest.raises(ValueError, match="d >= 1"):
+        rng.sphere(d)
+    assert rng.gaussian(3).tobytes() == Rng(4).gaussian(3).tobytes()
+
+
 def test_uniform_keeps_generator_argument_checks():
     rng = Rng(3)
     with pytest.raises(OverflowError):

@@ -223,21 +223,32 @@ def test_estimator_draws_ahead_from_the_block_batch(case):
 
 
 class TinyNormals:
-    """Generator view whose ``call``-th standard_normal draw (from 0) is scaled to a norm below 1e-12."""
+    """Generator view whose ``call``-th standard_normal draw (from 0) is scaled to a norm below 1e-12.
+
+    The stream position where that draw starts is kept, and a draw that
+    starts there again after the stream is rewound is scaled too.  A fill of
+    ``out=`` is scaled in place.
+    """
 
     def __init__(self, gen, call):
-        self.gen, self.call, self.calls = gen, call, 0
+        self.gen, self.call, self.calls, self.tiny, self.position = gen, call, 0, 0, None
 
-    def standard_normal(self, size=None):
-        out = self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        position = self.gen.bit_generator.state["state"]["state"]
+        if self.calls == self.call:
+            self.position = position
         self.calls += 1
-        return out * 1e-14 if self.calls == self.call + 1 else out
+        out = self.gen.standard_normal(size, out=out)
+        if position == self.position:
+            self.tiny += 1
+            out *= 1e-14
+        return out
 
     def __getattr__(self, name):
         return getattr(self.gen, name)
 
 
-@pytest.mark.parametrize("batch, call", [(1, 0), (BLOCK_BATCH, 0), (BLOCK_BATCH, 3)])
+@pytest.mark.parametrize("batch, call", [(1, 0), (BLOCK_BATCH, 0), (BLOCK_BATCH, 3), (1000, 0), (1000, 3)])
 def test_estimator_redraws_a_tiny_direction_where_the_per_sample_loop_does(batch, call):
     oracle, x = BIT_CASES["linear-d3"]()  # draws nothing but the directions' normals
     kernel = build_kernel(2)
@@ -246,8 +257,45 @@ def test_estimator_redraws_a_tiny_direction_where_the_per_sample_loop_does(batch
     ref = reference_estimate(oracle, x, 0.05, kernel, ref_rng, batch)
     est = kernel_grad_estimate(oracle, x, 0.05, kernel, rng, batch)
     assert est.tobytes() == ref.tobytes()
-    assert rng._gen.calls == ref_rng._gen.calls == batch + 1  # one redraw
+    assert ref_rng._gen.calls == batch + 1 and ref_rng._gen.tiny == 1  # one redraw
+    # the block path fills the batch's rows once, finds the tiny norm, rewinds and replays the loop's draws
+    replayed = batch >= BLOCK_BATCH
+    assert rng._gen.calls == batch + 1 + replayed * batch and rng._gen.tiny == 1 + replayed
     assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, BLOCK_BATCH])
+def test_estimator_refuses_a_zero_dimensional_suite_before_any_draw(batch):
+    oracle = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: np.zeros(0), dim=0)
+    rng = Rng(0)
+    with pytest.raises(ValueError, match="dim >= 1"):
+        kernel_grad_estimate(oracle, np.zeros(0), 0.1, build_kernel(2), rng, batch)
+    assert rng.gaussian(3).tobytes() == Rng(0).gaussian(3).tobytes()
+
+
+class CountingValue:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+@pytest.mark.parametrize("batch", [BLOCK_BATCH, 64])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_replacing_value_drops_its_rows(noisy, batch):
+    lam = np.linspace(1.0, 10.0, 50)
+    suite, _ = make_problem("quad_diag", {"lambdas": lam.tolist(), "shift": np.sin(lam).tolist()})
+    assert hasattr(suite.value, "rows")
+    f = CountingValue(suite.value)
+    replaced = dataclasses.replace(suite, value=f)
+    if noisy:
+        suite, replaced = (wrap_noise(s, ZOStochValue(1e-3), Rng(17)) for s in (suite, replaced))
+    x, kernel = np.cos(3.0 * lam), build_kernel(2)
+    est = kernel_grad_estimate(replaced, x, 0.05, kernel, Rng(5), batch)
+    assert f.calls == 2 * batch  # no rows on f: one call per probe
+    assert est.tobytes() == kernel_grad_estimate(suite, x, 0.05, kernel, Rng(5), batch).tobytes()
 
 
 def test_estimator_unbiased_for_linear():
