@@ -26,9 +26,8 @@ def row_dots(A, B):
     computes each 1 x d by d x 1 product with the dot kernel that
     ``ndarray.dot`` of two 1-d vectors calls, so each entry adds in the
     same order, ``+-0.0``, subnormals, ``+-inf`` and NaN included.  At
-    d = 1 ``matmul`` adds the product to a zero, which turns a -0.0 into
-    +0.0, so the rows' products are returned as they are, as ``dot``
-    returns them.  ``einsum`` and ``sum(axis=1)`` add in other orders and
+    d = 1 ``matmul`` gives +0.0 where the product is -0.0, so the rows'
+    products are returned as they are, as ``dot`` returns them.  ``einsum`` and ``sum(axis=1)`` add in other orders and
     differ in the last bit on many rows.  The rows of ``A`` and ``B``
     must each be contiguous (a column slice of a wider array is), for the
     reason :func:`norm` gives.
