@@ -12,8 +12,12 @@ satisfy the declared bound on every call:
 Gradient noise replaces both ``grad`` and ``subgrad`` (consistently);
 value noise replaces only the zeroth-order entry, so traces still report
 the true objective.  A wrapped suite that draws its own randomness
-(absolute noise in random-direction mode) holds the ``Rng`` passed to
-``wrap_noise``; create one wrapper per run for independent streams.
+(absolute or relative noise in random-direction mode) holds the ``Rng``
+passed to ``wrap_noise``; create one wrapper per run for independent
+streams.  Those wrappers take their directions from
+:meth:`Rng.spheres`, which draws them in blocks: the ``Rng`` they hold
+runs ahead of the calls made by at most one block, and every gradient is
+the one that per-call :meth:`Rng.sphere` draws would give.
 
 Each spec class names its config ``kind`` and wraps a suite itself.
 :data:`NOISE_KINDS` maps a kind to its class; the class's fields are its config keys.
@@ -87,8 +91,10 @@ class AbsoluteGrad:
             def noisy(x):
                 return base(x) + v
         else:
+            direction = rng.spheres(d).__next__
+
             def noisy(x):
-                e = rng.sphere(d)
+                e = direction()
                 if norm(e) > 1 + 1e-12:
                     raise AssertionError("absolute noise exceeds its bound delta")
                 return base(x) + delta * e
@@ -120,10 +126,12 @@ class RelativeGrad:
             def noisy(x):
                 return (1.0 + alpha) * base(x)
         else:
+            direction = rng.spheres(d).__next__
+
             def noisy(x):
                 g = base(x)
                 gn = norm(g)
-                out = g + alpha * gn * rng.sphere(d)
+                out = g + alpha * gn * direction()
                 # Compared relative to ||g||: the squares of a tiny g underflow.
                 if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12):
                     raise AssertionError("relative noise exceeds its bound alpha ||g||")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -100,6 +101,12 @@ class OracleSuite:
 class CountingOracle:
     """Per-run view of a suite that counts oracle calls and enforces a budget.
 
+    Each counted call is one Python frame: the suite's entries are looked
+    up once, at construction, and the budget test is inlined.  A call
+    refuses a missing entry with :class:`UnsupportedProblemError` before
+    it counts, and a call that finds ``calls >= max_calls`` raises
+    :class:`OracleBudgetError` without calling the suite.
+
     ``value_final`` is exempt from the budget.  Only :class:`TraceRecorder`
     calls it, to evaluate a run's terminal row and a reported point other
     than the terminal row's, so a run's total never exceeds the budget by
@@ -110,55 +117,86 @@ class CountingOracle:
         self.suite = suite
         self.max_calls = max_calls
         self.calls = 0
+        # no budget: a cap no run reaches; an int compares with calls faster than math.inf
+        self._cap = sys.maxsize if max_calls is None else max_calls
+        constraint = suite.constraint
+        self._value, self._subgrad, self._grad = suite.value, suite.subgrad, suite.grad
+        self._stoch_grad, self._zo_value = suite.stoch_grad, suite.zo_value
+        self._g_value = None if constraint is None else constraint.value
+        self._g_subgrad = None if constraint is None else constraint.subgrad
 
-    def _tick(self):
-        if self.max_calls is not None and self.calls >= self.max_calls:
-            raise OracleBudgetError(f"oracle budget of {self.max_calls} calls exhausted")
-        self.calls += 1
+    def _exhausted(self):
+        raise OracleBudgetError(f"oracle budget of {self.max_calls} calls exhausted")
 
     def has_room(self, n: int) -> bool:
         """Whether ``n`` more budgeted calls fit in the budget."""
-        return self.max_calls is None or self.calls + n <= self.max_calls
+        return self.calls + n <= self._cap
 
     def count_extra(self):
         """Count one oracle access made outside the suite's entries (e.g. an A-product)."""
-        self._tick()
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
 
     def value(self, x) -> float:
-        self._tick()
-        return float(self.suite.value(x))
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        return float(self._value(x))
 
     def value_final(self, x) -> float:
         self.calls += 1
-        return float(self.suite.value(x))
+        return float(self._value(x))
 
     def subgrad(self, x) -> np.ndarray:
-        self._tick()
-        return np.asarray(self.suite.subgrad(x), dtype=float)
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        return np.asarray(self._subgrad(x), dtype=float)
 
     def grad(self, x) -> np.ndarray:
-        if self.suite.grad is None:
+        fn = self._grad
+        if fn is None:
             raise UnsupportedProblemError("oracle has no gradient entry")
-        self._tick()
-        return np.asarray(self.suite.grad(x), dtype=float)
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        return np.asarray(fn(x), dtype=float)
 
     def stoch_grad(self, x, rng) -> np.ndarray:
-        if self.suite.stoch_grad is None:
+        fn = self._stoch_grad
+        if fn is None:
             raise UnsupportedProblemError("oracle has no stochastic gradient entry")
-        self._tick()
-        return np.asarray(self.suite.stoch_grad(x, rng), dtype=float)
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        return np.asarray(fn(x, rng), dtype=float)
 
     def zo_value(self, x, rng) -> float:
-        self._tick()
-        return self.suite.zo_value_or_exact(x, rng)
+        """The suite's ``zo_value(x, rng)``, or its exact ``value(x)`` when it has no zeroth-order entry."""
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        fn = self._zo_value
+        return float(self._value(x) if fn is None else fn(x, rng))
 
     def constraint_value(self, x) -> float:
-        self._tick()
-        return float(self.suite.constraint.value(x))
+        fn = self._g_value
+        if fn is None:
+            raise UnsupportedProblemError("oracle has no constraint")
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        return float(fn(x))
 
     def constraint_subgrad(self, x) -> np.ndarray:
-        self._tick()
-        return np.asarray(self.suite.constraint.subgrad(x), dtype=float)
+        fn = self._g_subgrad
+        if fn is None:
+            raise UnsupportedProblemError("oracle has no constraint")
+        if self.calls >= self._cap:
+            self._exhausted()
+        self.calls += 1
+        return np.asarray(fn(x), dtype=float)
 
 
 class RunStatus(enum.Enum):

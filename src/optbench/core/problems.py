@@ -291,8 +291,14 @@ def _slp(params: dict, seed: int):
 
     def g_value(x):
         # Shifting after the max gives the same bits: rounding t - rho is monotone in t,
-        # and a NaN propagates through both forms.
-        return float(C.dot(x).max()) - rho
+        # and a NaN propagates through both forms.  t[t.argmax()] is the max without
+        # ndarray.max's Python-level wrapper; argmax picks the first NaN, whose sign
+        # may differ from the NaN that max returns, so a NaN is taken from max.
+        t = C.dot(x)
+        m = float(t[t.argmax()])
+        if m != m:
+            m = float(t.max())
+        return m - rho
 
     def g_subgrad(x):
         # The argmax stays on the shifted vector: rounding can merge two distinct rows

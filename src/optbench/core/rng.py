@@ -3,7 +3,8 @@
 A thin wrapper around numpy's PCG64 generator that fixes the draw
 conventions used throughout the library: uniform on [-1, 1], standard
 gaussians, and uniform points on the unit Euclidean sphere (normalized
-gaussian vectors).  Identical seeds always yield identical streams.
+gaussian vectors), one at a time or a block of draws at a time.
+Identical seeds always yield identical streams.
 
 Derived streams are produced with :meth:`Rng.spawn`, which appends an
 integer key to the entropy sequence of the parent.  Two spawns with
@@ -19,8 +20,12 @@ import operator
 
 import numpy as np
 
+from .linalg import row_dots
+
 # A gaussian draw whose norm is at most this is redrawn before it is scaled onto the sphere.
 SPHERE_MIN_NORM = 1e-12
+# The gaussian values of one block draw of Rng.spheres: 4 KB of float64.
+SPHERE_BLOCK = 512
 
 
 def uniform_of(u, low: float = -1.0, high: float = 1.0):
@@ -117,3 +122,27 @@ class Rng:
             n = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-d float vector
             if n > SPHERE_MIN_NORM:
                 return v / n
+
+    def spheres(self, d: int):
+        """An iterator over the points of successive :meth:`sphere` calls, bit for bit, drawn a block at a time.
+
+        A block is one ``standard_normal((n, d))`` fill, ``n = max(1, 512 // d)``,
+        which numpy fills in the order of n ``sphere(d)`` draws.  A row whose
+        norm is at most :data:`SPHERE_MIN_NORM` is skipped, where
+        :meth:`sphere` would redraw.  The stream runs ahead of the points
+        taken by at most one block, so only a caller that draws nothing
+        else from this ``Rng`` may use it.
+        """
+        if d < 1:
+            raise ValueError(f"the unit sphere needs d >= 1, got {d}")
+        return self._sphere_rows(d, max(1, SPHERE_BLOCK // d))
+
+    def _sphere_rows(self, d: int, n: int):
+        while True:
+            block = self._gen.standard_normal((n, d))
+            norms = np.sqrt(row_dots(block, block))  # sphere's math.sqrt(v.dot(v)), row by row
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is skipped below
+                units = block / norms[:, None]
+            for keep, row in zip((norms > SPHERE_MIN_NORM).tolist(), units):
+                if keep:
+                    yield row

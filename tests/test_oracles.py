@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optbench.core import Box, CountingOracle, FullSpace, OracleBudgetError, RunStatus, TraceRecorder, make_problem
+from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
+                           TraceRecorder, UnsupportedProblemError, make_problem)
 from optbench.core.oracles import Stop, run_steps
 
 X = np.array([1.0, -1.0])
@@ -220,3 +221,82 @@ def test_run_steps_takes_the_step_point_as_it_is_without_a_set_or_on_full_space(
         drive(step, N=3, fset=fset)
         assert given[0].tolist() == X.tolist() and given[0] is not X
         assert given[1] is out[0] and given[2] is out[1]
+
+
+# -- CountingOracle's counted entries --------------------------------------------------
+
+
+def spied_suite(seen, *, grad=True, stoch_grad=True, zo_value=True, constraint=True):
+    """A 2-d suite whose entries log their name in ``seen``; the ``False`` ones are left out."""
+    def entry(name, out):
+        def fn(*args):
+            seen.append(name)
+            return out
+        return fn
+
+    return OracleSuite(
+        value=entry("value", 2.0), subgrad=entry("subgrad", G), dim=2,
+        grad=entry("grad", G) if grad else None,
+        stoch_grad=entry("stoch_grad", G) if stoch_grad else None,
+        zo_value=entry("zo_value", 3.0) if zo_value else None,
+        constraint=ConstraintOracle(entry("g_value", -1.0), entry("g_subgrad", G)) if constraint else None)
+
+
+# entry -> (the suite entry a call reaches, what the call returns, the suite flag that leaves it out)
+COUNTED = {
+    "value": ("value", 2.0, None),
+    "grad": ("grad", G, "grad"),
+    "subgrad": ("subgrad", G, None),
+    "stoch_grad": ("stoch_grad", G, "stoch_grad"),
+    "zo_value": ("zo_value", 3.0, None),
+    "zo_value-exact": ("value", 2.0, None),  # a suite without a zeroth-order entry answers with its value
+    "constraint_value": ("g_value", -1.0, "constraint"),
+    "constraint_subgrad": ("g_subgrad", G, "constraint"),
+    "count_extra": (None, None, None),
+}
+
+
+def counted_call(ctr, name):
+    method = name.split("-")[0]
+    args = (X, None) if method in ("stoch_grad", "zo_value") else () if method == "count_extra" else (X,)
+    return getattr(ctr, method)(*args)
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_each_counted_entry_counts_once_and_stops_at_the_cap(name):
+    reached, out, _ = COUNTED[name]
+    seen = []
+    ctr = CountingOracle(spied_suite(seen, zo_value=name != "zo_value-exact"), max_calls=2)
+    for n in (1, 2):
+        got = counted_call(ctr, name)
+        assert ctr.calls == n and seen == ([reached] * n if reached else [])
+        assert np.array_equal(got, out) and type(got) is type(out)
+    with pytest.raises(OracleBudgetError, match="budget of 2 calls"):
+        counted_call(ctr, name)
+    assert ctr.calls == 2 and len(seen) == (2 if reached else 0)  # the suite was not called at the cap
+    assert ctr.value_final(X) == 2.0 and ctr.calls == 3  # exempt from the budget
+
+
+@pytest.mark.parametrize("name", [name for name, (_, _, flag) in COUNTED.items() if flag])
+def test_a_missing_entry_is_refused_before_it_is_counted(name):
+    seen = []
+    ctr = CountingOracle(spied_suite(seen, **{COUNTED[name][2]: False}), max_calls=5)
+    with pytest.raises(UnsupportedProblemError):
+        counted_call(ctr, name)
+    assert ctr.calls == 0 and seen == []
+
+
+def test_a_catalog_suite_without_a_constraint_refuses_its_calls_uncounted():
+    ctr = CountingOracle(make_problem("quad_diag")[0])
+    for call in (ctr.constraint_value, ctr.constraint_subgrad):
+        with pytest.raises(UnsupportedProblemError, match="no constraint"):
+            call(X)
+    assert ctr.calls == 0
+
+
+def test_without_a_cap_every_call_is_counted():
+    seen = []
+    ctr = CountingOracle(spied_suite(seen))
+    for _ in range(1000):
+        ctr.grad(X)
+    assert ctr.calls == 1000 and len(seen) == 1000 and ctr.has_room(10 ** 9)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -21,6 +22,7 @@ from optbench.core import (
     ZOStochValue,
     default_x0,
     make_problem,
+    norm,
     problem_names,
     wrap_noise,
 )
@@ -484,10 +486,25 @@ def test_relative_noise_tiny_gradient_stays_in_bound():
                          ids=["absolute", "relative"])
 def test_random_direction_noise_checks_its_bound(noise, monkeypatch):
     oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    # the wrapper takes its directions from Rng.spheres when it is built
+    monkeypatch.setattr(Rng, "spheres", lambda self, d: itertools.repeat(np.full(d, 2.0 / math.sqrt(d))))
     noisy = wrap_noise(oracle, noise, Rng(0))
-    monkeypatch.setattr(Rng, "sphere", lambda self, d: np.full(d, 2.0 / math.sqrt(d)))
     with pytest.raises(AssertionError, match="exceeds its bound"):
         noisy.grad(np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("noise", [AbsoluteGrad(0.3), RelativeGrad(0.4, mode="random_direction")],
+                         ids=["absolute", "relative"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_random_direction_noise_gives_the_gradients_of_per_call_sphere_draws(noise, d):
+    oracle, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 4.0, d).tolist()})
+    noisy, ref = wrap_noise(oracle, noise, Rng(6)).grad, Rng(6)
+    scale = noise.delta if isinstance(noise, AbsoluteGrad) else None
+    for k in range(700):  # past the first block of directions at d = 1 and at d = 3
+        x = np.full(d, 1.0 / (k + 1))
+        g = oracle.grad(x)
+        want = g + scale * ref.sphere(d) if scale is not None else g + noise.alpha * norm(g) * ref.sphere(d)
+        assert noisy(x).tobytes() == want.tobytes()
 
 
 def test_gradient_noise_requires_grad():

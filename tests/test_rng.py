@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optbench.core import Rng
+from optbench.core.rng import SPHERE_BLOCK
 
 
 def test_same_seed_same_stream():
@@ -79,12 +80,51 @@ def test_sphere_matches_normalized_generator_gaussian(d):
         assert rng.sphere(d).tobytes() == (v / np.linalg.norm(v)).tobytes()
 
 
+@pytest.mark.parametrize("form", ["sphere", "spheres"])
 @pytest.mark.parametrize("d", [0, -1])
-def test_sphere_refuses_d_below_1_before_any_draw(d):
+def test_sphere_refuses_d_below_1_before_any_draw(d, form):
     rng = Rng(4)
     with pytest.raises(ValueError, match="d >= 1"):
-        rng.sphere(d)
+        getattr(rng, form)(d)
     assert rng.gaussian(3).tobytes() == Rng(4).gaussian(3).tobytes()
+
+
+class TinyRow:
+    """Generator view that scales the ``row``-th d-vector of the normal stream (from 0) to a norm below 1e-12.
+
+    Rows are counted in values drawn, so the row is the same whether the
+    stream is drawn d values a call (``Rng.sphere``) or in blocks.
+    """
+
+    def __init__(self, gen, d, row):
+        self.gen, self.lo, self.hi, self.drawn = gen, row * d, (row + 1) * d, 0
+
+    def standard_normal(self, size=None):
+        out = self.gen.standard_normal(size)
+        flat, start = out.reshape(-1), self.drawn
+        self.drawn += flat.size
+        flat[max(self.lo - start, 0):max(self.hi - start, 0)] *= 1e-14
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("tiny", ["none", "first-block", "later-block"])
+@pytest.mark.parametrize("d", [1, 2, 3, 50])
+def test_spheres_give_the_bits_of_successive_sphere_calls(d, tiny):
+    n = max(1, SPHERE_BLOCK // d)  # rows per block
+    row = {"none": -1, "first-block": 1, "later-block": n + 2}[tiny]
+    ref, rng = Rng(9), Rng(9)
+    ref._gen, rng._gen = TinyRow(_twin(9), d, row), TinyRow(_twin(9), d, row)
+    k = 2 * n + 3  # three blocks' worth of points, the last block only partly taken
+    points = rng.spheres(d)
+    for _ in range(k):
+        assert next(points).tobytes() == ref.sphere(d).tobytes()
+    rows_taken = k + (row >= 0)  # sphere redrew the tiny row; spheres skipped it
+    assert ref._gen.drawn == rows_taken * d and rng._gen.drawn == 3 * n * d
+    ref.gaussian(rng._gen.drawn - ref._gen.drawn)  # the blocks ran ahead by the rest of the last block
+    assert rng.gaussian(4).tobytes() == ref.gaussian(4).tobytes()
 
 
 def test_uniform_keeps_generator_argument_checks():
