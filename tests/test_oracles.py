@@ -292,11 +292,3 @@ def test_a_catalog_suite_without_a_constraint_refuses_its_calls_uncounted():
         with pytest.raises(UnsupportedProblemError, match="no constraint"):
             call(X)
     assert ctr.calls == 0
-
-
-def test_without_a_cap_every_call_is_counted():
-    seen = []
-    ctr = CountingOracle(spied_suite(seen))
-    for _ in range(1000):
-        ctr.grad(X)
-    assert ctr.calls == 1000 and len(seen) == 1000 and ctr.has_room(10 ** 9)
