@@ -74,6 +74,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    if not 0 < args.window <= 1:  # also false for NaN
+        raise ConfigError(f"--window must lie in (0, 1], got {args.window:g}")
     trace = read_trace(args.trace)
     fit = fit_rate(trace, args.model, args.window)
     label = "p" if args.model == "sublinear" else "q"

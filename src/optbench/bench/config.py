@@ -96,10 +96,18 @@ def _parse_noise(obj) -> NoiseSpec:
         if f.default is MISSING and f.name not in obj:
             raise ConfigError(f"noise kind {kind!r}: missing required field {f.name!r}")
     try:
-        return cls(**{f.name: number(obj[f.name], f.name) if f.type == "float" else obj[f.name]
-                      for f in spec_fields if f.name in obj})
+        return cls(**{f.name: _noise_field(f, obj[f.name]) for f in spec_fields if f.name in obj})
     except ValueError as e:
         raise ConfigError(f"noise: {e}") from None
+
+
+def _noise_field(f, value):
+    """A float field's value read through ``number``, a list's (``v``) entry by entry; any other as given."""
+    if f.type == "float":
+        return number(value, f.name)
+    if isinstance(value, list):
+        return [number(v, f"{f.name} entry") for v in value]
+    return value
 
 
 def parse_config(text: str) -> ExperimentSpec:
@@ -157,14 +165,20 @@ def parse_config(text: str) -> ExperimentSpec:
         record_x = flag(output.get("record_x"), "record_x")
     except ValueError as e:
         raise ConfigError(str(e)) from None
+    trace_path = output.get("trace_path")
+    if trace_path is not None and not isinstance(trace_path, str):
+        raise ConfigError(f"trace_path must be a string, got {trace_path!r}")
 
     noise = _parse_noise(doc.get("noise"))
 
     x0 = doc.get("x0")
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.ndim != 1:
+        if not isinstance(x0, list):
             raise ConfigError("x0 must be a flat list of numbers")
+        try:
+            x0 = np.array([number(v, "x0 entry") for v in x0], dtype=float)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if not np.isfinite(x0).all():
             raise ConfigError(f"x0 must hold finite numbers only, got {doc['x0']!r}")
 
@@ -188,7 +202,7 @@ def parse_config(text: str) -> ExperimentSpec:
         method_params=method_params,
         iterations=iterations,
         max_oracle_calls=max_calls,
-        trace_path=output.get("trace_path"),
+        trace_path=trace_path,
         record_every=record_every,
         record_x=record_x,
         x0=x0,

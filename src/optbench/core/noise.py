@@ -17,7 +17,10 @@ passed to ``wrap_noise``; create one wrapper per run for independent
 streams.  Those wrappers take their directions from
 :meth:`Rng.spheres`, which draws them in blocks: the ``Rng`` they hold
 runs ahead of the calls made by at most one block, and every gradient is
-the one that per-call :meth:`Rng.sphere` draws would give.
+the one that per-call :meth:`Rng.sphere` draws would give.  One
+:class:`AdditiveNoise` builds ``additive_stoch_grad``'s gradient and
+``zo_stoch``'s value, and each entry carries it as ``noise`` so that a
+caller may draw the noise in blocks.
 
 Each spec class names its config ``kind`` and wraps a suite itself.
 :data:`NOISE_KINDS` maps a kind to its class; the class's fields are its config keys.
@@ -75,6 +78,8 @@ class AbsoluteGrad:
             raise ValueError(f"unknown AbsoluteGrad mode {self.mode!r}")
         if self.v is not None:
             object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
+            if self.v.ndim != 1:
+                raise ValueError("v must be a flat list of numbers")
         if self.mode == "fixed":
             if self.v is None:
                 raise ValueError("fixed mode requires the perturbation vector v")
@@ -87,6 +92,8 @@ class AbsoluteGrad:
         delta, d = self.delta, oracle.dim
         if self.mode == "fixed":
             v = self.v  # ||v|| <= delta enforced at construction
+            if v.shape != (d,):
+                raise NoiseCompatibilityError(f"v has shape {v.shape}, the problem takes ({d},)")
 
             def noisy(x):
                 return base(x) + v
@@ -154,63 +161,49 @@ class AdditiveStochGrad:
 
     def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
         _require_grad(oracle, "stochastic gradient noise")
-        return replace(oracle, stoch_grad=AdditiveNoise(oracle.grad, self.sigma, oracle.dim, self.distribution))
+        noise = AdditiveNoise(oracle.grad, self.sigma, (oracle.dim,), self.distribution)
+        return replace(oracle, stoch_grad=noise.entry())
 
 
 @dataclass(frozen=True)
 class AdditiveNoise:
-    """The ``stoch_grad`` entry that :class:`AdditiveStochGrad` builds.
+    """The declared draws of an entry ``base(x) + scale * xi``, built by :meth:`entry`.
 
-    A call ``self(x, rng)`` returns ``grad(x) + sigma * xi``: it evaluates
-    ``grad(x)`` and then draws one noise row of length ``d`` from ``rng``.
-    ``rows(rng, n)`` draws the scaled noise rows of n successive calls at
-    once.  numpy fills an ``(n, d)`` draw in call order, so the rows equal
-    those calls' noise bit for bit and leave ``rng`` in the same state.
-    The object holds no per-run state, so one suite serves concurrent runs.
+    A call ``entry(x, rng)`` evaluates the rng-free ``base(x)`` and then
+    draws one ``xi`` of ``shape`` from ``rng``: standard gaussian, or
+    Student-t with 3 degrees of freedom for ``"student_t3"``; ``shape=()``
+    draws a Python float.  The entry is a plain closure, so a call costs
+    what a hand-written one does, and it carries this declaration as its
+    ``noise`` attribute.  ``rows(rng, n)`` draws the scaled ``xi`` of n
+    successive calls in one ``(n, *shape)`` fill; numpy fills it in call
+    order, so the rows equal those calls' draws bit for bit and leave
+    ``rng`` in the same state.  ``add(f, xi)`` adds raw draws to base
+    values with the bits of the calls.  :class:`AdditiveStochGrad` builds
+    a gradient entry (``shape=(dim,)``), :class:`ZOStochValue` a value
+    entry.  Neither holds per-run state, so one suite serves concurrent runs.
     """
 
-    grad: Callable[[np.ndarray], np.ndarray]
-    sigma: float
-    d: int
+    base: Callable[[np.ndarray], object]
+    scale: float
+    shape: tuple = ()
     distribution: str = "gaussian"
 
-    def __call__(self, x, rng: Rng) -> np.ndarray:
-        return self.grad(x) + self._scaled(rng, self.d)
+    def entry(self) -> Callable[[np.ndarray, Rng], object]:
+        base, scale, size = self.base, self.scale, self.shape or None
+        if self.distribution == "gaussian":
+            def noisy(x, rng):
+                return base(x) + scale * rng.gaussian(size)
+        else:
+            def noisy(x, rng):
+                return base(x) + scale * rng.student_t(3, size)
+        noisy.noise = self
+        return noisy
 
     def rows(self, rng: Rng, n: int) -> np.ndarray:
-        return self._scaled(rng, (n, self.d))
-
-    def _scaled(self, rng: Rng, size) -> np.ndarray:
+        size = (n, *self.shape)
         if self.distribution == "gaussian":
-            return self.sigma * rng.gaussian(size)
-        return self.sigma * rng.student_t(3, size)
-
-
-@dataclass(frozen=True)
-class ValueNoise:
-    """What the ``zo_value`` entry of :class:`ZOStochValue` computes.
-
-    A call ``entry(x, rng)`` of the entry that :meth:`entry` builds
-    evaluates the rng-free ``value(x)`` and adds ``scale * xi`` for one
-    standard gaussian draw ``xi`` from ``rng``.  The entry is a plain
-    closure, so a call costs what a hand-written one does, and it carries
-    this declaration as its ``noise`` attribute.  The ``xi`` of n
-    successive calls are the next n standard gaussians of the stream,
-    which a caller may draw in one fill; ``add(f, xi)`` adds them to those
-    calls' values with the bits of the calls.
-    """
-
-    value: Callable[[np.ndarray], float]
-    scale: float
-
-    def entry(self) -> Callable[[np.ndarray, Rng], float]:
-        value, scale = self.value, self.scale
-
-        def zo(x, rng):
-            return value(x) + scale * rng.gaussian()
-
-        zo.noise = self
-        return zo
+            return self.scale * rng.gaussian(size)
+        return self.scale * rng.student_t(3, size)
 
     def add(self, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
         return f + self.scale * xi
@@ -257,7 +250,7 @@ class ZOStochValue:
         _check_scale("delta_tilde", self.delta_tilde)
 
     def wrap(self, oracle: OracleSuite, rng: Rng) -> OracleSuite:
-        return replace(oracle, zo_value=ValueNoise(oracle.value, self.delta_tilde).entry())
+        return replace(oracle, zo_value=AdditiveNoise(oracle.value, self.delta_tilde).entry())
 
 
 NoiseSpec = NoNoise | AbsoluteGrad | RelativeGrad | AdditiveStochGrad | ZOBoundedValue | ZOStochValue

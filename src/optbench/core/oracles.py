@@ -92,11 +92,6 @@ class OracleSuite:
             return norm(x - self.xstar)
         return None
 
-    def zo_value_or_exact(self, x: np.ndarray, rng) -> float:
-        if self.zo_value is not None:
-            return float(self.zo_value(x, rng))
-        return float(self.value(x))
-
 
 class CountingOracle:
     """Per-run view of a suite that counts oracle calls and enforces a budget.

@@ -36,7 +36,10 @@ class UnknownProblemError(ValueError):
 
 
 def _check_params(params: dict, allowed: tuple):
-    """Refuse unknown and non-finite params; turn the whole-number ones into ints in place."""
+    """Refuse unknown, non-finite and non-number params; turn the whole-number ones into ints in place.
+
+    A list's entries must each be a number: numpy would read ``"1"`` or ``true`` as one.
+    """
     unknown = set(params).difference(allowed)
     if unknown:
         raise ValueError(f"unknown params {sorted(unknown)}; allowed: {sorted(allowed)}")
@@ -45,6 +48,11 @@ def _check_params(params: dict, allowed: tuple):
             raise ValueError(f"param {key!r} must hold finite numbers only, got {value!r}")
         if key in _WHOLE_PARAMS:
             params[key] = number(value, f"param {key!r}", whole=True, least=1)
+        elif key in _REAL_PARAMS:
+            number(value, f"param {key!r}")
+        elif isinstance(value, list):
+            for v in value:
+                number(v, f"param {key!r} entry")
 
 
 def _all_finite(value) -> bool:
@@ -348,6 +356,7 @@ def _logistic_small(params: dict, seed: int):
 
 
 _WHOLE_PARAMS = ("d", "m", "n")  # dimensions and sample counts (>= 1), in every problem that takes them
+_REAL_PARAMS = ("l1", "l2", "rho", "box_radius")  # real scalars; a list param (a, lambdas, shift) is read entry by entry
 
 # name -> (builder, summary, allowed params)
 _CATALOG: dict[str, tuple[Callable, str, tuple]] = {

@@ -6,6 +6,10 @@ gaussians, and uniform points on the unit Euclidean sphere (normalized
 gaussian vectors), one at a time or a block of draws at a time.
 Identical seeds always yield identical streams.
 
+Every block that the library draws ahead of its calls holds :data:`BLOCK_VALUES`
+values, and :func:`unit_rows` turns gaussian rows into sphere points, for
+:meth:`Rng.spheres` and for the kernel estimator's directions.
+
 Derived streams are produced with :meth:`Rng.spawn`, which appends an
 integer key to the entropy sequence of the parent.  Two spawns with
 different keys are statistically independent, and the mapping
@@ -24,8 +28,21 @@ from .linalg import row_dots
 
 # A gaussian draw whose norm is at most this is redrawn before it is scaled onto the sphere.
 SPHERE_MIN_NORM = 1e-12
-# The gaussian values of one block draw of Rng.spheres: 4 KB of float64.
-SPHERE_BLOCK = 512
+# The values of one block draw (Rng.spheres, run_sgd's noise rows): 4 KB of float64.
+BLOCK_VALUES = 512
+
+
+def unit_rows(raw):
+    """``(units, kept)``: each row of a float64 ``(n, d)`` gaussian block over its norm, and which rows to keep.
+
+    A unit row has the bits of :meth:`Rng.sphere`'s ``v / sqrt(v.dot(v))``; a row whose
+    norm is at most :data:`SPHERE_MIN_NORM`, which :meth:`Rng.sphere` redraws, is not
+    kept.  The rows of ``raw`` must each be contiguous.
+    """
+    norms = np.sqrt(row_dots(raw, raw))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is not kept
+        units = raw / norms[:, None]
+    return units, norms > SPHERE_MIN_NORM
 
 
 def uniform_of(u, low: float = -1.0, high: float = 1.0):
@@ -126,23 +143,20 @@ class Rng:
     def spheres(self, d: int):
         """An iterator over the points of successive :meth:`sphere` calls, bit for bit, drawn a block at a time.
 
-        A block is one ``standard_normal((n, d))`` fill, ``n = max(1, 512 // d)``,
-        which numpy fills in the order of n ``sphere(d)`` draws.  A row whose
-        norm is at most :data:`SPHERE_MIN_NORM` is skipped, where
-        :meth:`sphere` would redraw.  The stream runs ahead of the points
-        taken by at most one block, so only a caller that draws nothing
-        else from this ``Rng`` may use it.
+        A block is one ``standard_normal((n, d))`` fill,
+        ``n = max(1, BLOCK_VALUES // d)``, which numpy fills in the order of
+        n ``sphere(d)`` draws.  A row that :func:`unit_rows` does not keep
+        is skipped, where :meth:`sphere` would redraw.  The stream runs
+        ahead of the points taken by at most one block, so only a caller
+        that draws nothing else from this ``Rng`` may use it.
         """
         if d < 1:
             raise ValueError(f"the unit sphere needs d >= 1, got {d}")
-        return self._sphere_rows(d, max(1, SPHERE_BLOCK // d))
+        return self._sphere_rows(d, max(1, BLOCK_VALUES // d))
 
     def _sphere_rows(self, d: int, n: int):
         while True:
-            block = self._gen.standard_normal((n, d))
-            norms = np.sqrt(row_dots(block, block))  # sphere's math.sqrt(v.dot(v)), row by row
-            with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is skipped below
-                units = block / norms[:, None]
-            for keep, row in zip((norms > SPHERE_MIN_NORM).tolist(), units):
+            units, kept = unit_rows(self._gen.standard_normal((n, d)))
+            for keep, row in zip(kept.tolist(), units):
                 if keep:
                     yield row

@@ -23,13 +23,15 @@ the start and each step's point onto the feasible set.
 
 Noise stream.  :func:`run_sgd` takes one noise row per ``stoch_grad``
 call, in call order, from the run's ``Rng``.  When the suite's
-``stoch_grad`` is the :class:`~optbench.core.noise.AdditiveNoise` that
-``wrap_noise`` builds, the rows are drawn in chunks, ``grad(x)`` is
-still evaluated once per draw, and each draw is still charged to the
-budget before its row is used.  numpy fills a chunk in call order, so
+``stoch_grad`` declares its draws (its ``noise`` attribute, the
+:class:`~optbench.core.noise.AdditiveNoise` that ``wrap_noise`` hangs
+on it), the rows are drawn in chunks of
+:data:`~optbench.core.rng.BLOCK_VALUES` values, ``base(x)`` is still
+evaluated once per draw, and each draw is still charged to the budget
+before its row is used.  numpy fills a chunk in call order, so
 chunking changes no value, and when the run ends by any exit the
 ``Rng`` is rewound to where one draw per call would have left it.  That
-holds as long as ``grad`` draws nothing from the run's ``Rng``, so a noise
+holds as long as ``base`` draws nothing from the run's ``Rng``, so a noise
 wrapper stacked under it needs a stream of its own.  A hand-built
 ``stoch_grad`` is called once per draw.
 """
@@ -45,7 +47,7 @@ import numpy as np
 from .core.linalg import norm
 from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace, run_steps
-from .core.rng import Rng
+from .core.rng import BLOCK_VALUES, Rng
 from .core.sets import FeasibleSet
 
 
@@ -191,8 +193,9 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
     if oracle.stoch_grad is None:
         raise ValueError("run_sgd needs a stochastic gradient oracle (wrap with AdditiveStochGrad)")
     b, lam = cfg.batch, cfg.clip_lambda
-    if isinstance(oracle.stoch_grad, AdditiveNoise):
-        draw, rewind = _noise_blocks(oracle.stoch_grad, rng)
+    noise = getattr(oracle.stoch_grad, "noise", None)
+    if noise is not None:
+        draw, rewind = _noise_blocks(noise, rng)
     else:
         draw, rewind = (lambda ctr, k, x: ctr.stoch_grad(x, rng)), (lambda: None)
 
@@ -212,20 +215,16 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
         rewind()
 
 
-# Noise values that the block path of run_sgd draws at once: 4 KB of float64 rows.
-_CHUNK_VALUES = 512
-
-
 def _noise_blocks(noise: AdditiveNoise, rng: Rng):
     """``draw(ctr, k, x)``, the bits of ``ctr.stoch_grad(x, rng)`` with the noise drawn in chunks.
 
-    Each draw charges one call to ``ctr``, then evaluates ``noise.grad(x)``
+    Each draw charges one call to ``ctr``, then evaluates ``noise.base(x)``
     and adds the next row of the current chunk.  The chunk runs ahead of
     the draws, so ``rewind()`` ends the run: it restores ``rng``'s state
     from before the current chunk and redraws only the rows used, which
     leaves ``rng`` where one draw per call would have left it.
     """
-    grad, n = noise.grad, max(1, _CHUNK_VALUES // noise.d)
+    grad, n = noise.base, max(1, BLOCK_VALUES // math.prod(noise.shape))
     state, chunk, used = None, None, n
 
     def draw(ctr, k, x):  # k unused: the signature of a _projected_sgd gradient

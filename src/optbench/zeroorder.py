@@ -22,35 +22,36 @@ one :class:`Rng`, and per sample it draws the radius r, then the
 direction e, then calls the oracle at x + tau r e and then at
 x - tau r e (value noise draws from the same stream inside those calls).
 That order is why equal seeds give equal streams, and no batch size
-changes it.  From :data:`BLOCK_BATCH` samples on, when the zeroth-order
-entry is the suite's exact ``value`` or declares its noise (the
-:class:`~optbench.core.noise.ValueNoise` that ``zo_stoch`` builds), the
-estimator runs in two phases.  Phase 1 draws only raw values, per sample
-and in that order: one ``random()`` for the radius, then one
+changes it.  A bare suite is counted by an unbudgeted
+:class:`CountingOracle`, whose ``zo_value`` is the suite's exact
+``value`` where the suite has no zeroth-order entry.  From
+:data:`BLOCK_BATCH` samples on, when that entry is the exact ``value``
+or declares one gaussian per call (the
+:class:`~optbench.core.noise.AdditiveNoise` that ``zo_stoch`` hangs on
+it), the estimator runs in two phases.  Phase 1 draws only raw values,
+per sample and in that order: one ``random()`` for the radius, then one
 ``standard_normal`` fill of a preallocated row with the direction's d
 normals followed by the two probes' noise.  Phase 2 works on arrays: it
 maps the raw radii to [-1, 1] (:func:`~optbench.core.rng.uniform_of`),
-takes the directions' norms with one
-:func:`~optbench.core.linalg.row_dots` call, normalizes the directions,
-builds the probe points, counts the batch's ``2 * batch`` calls,
-evaluates the noise-free ``value`` at every probe (one call of its
-``rows`` attribute where it has one, as ``quad_diag``'s does, else one
-call per probe in call order), adds the noise and computes the weights
+normalizes the directions (:func:`~optbench.core.rng.unit_rows`), builds
+the probe points, counts the batch's ``2 * batch`` calls, evaluates the
+noise-free ``value`` at every probe (one call of its ``rows`` attribute
+where it has one, as ``quad_diag``'s does, else one call per probe in
+call order), adds the noise and computes the weights
 ``d/(2 tau) * (f~+ - f~-) * K(r)``.  Every step is elementwise or has
 the bits of the scalar call it replaces, so each estimate and the
-stream's final state equal the per-sample loop's bit for bit.  Should a
-direction's norm be at most :data:`~optbench.core.rng.SPHERE_MIN_NORM`,
-which :meth:`Rng.sphere` redraws, the stream is rewound to where the
-batch began and the batch replayed by the per-sample loop, which redraws
-that direction where it always has; with gaussian draws that almost
-never happens.  The per-sample loop runs below ``BLOCK_BATCH`` (where the
-arrays' fixed cost is larger than what they save), for any other entry
-(a hand-built one may draw anything from the stream; the ``zo_bounded``
-entries' crossover has not been timed), and for a :class:`CountingOracle`
-with fewer than ``2 * batch`` calls left, so that a budget cut leaves the
-stream where the loop leaves it.  Either way the weighted directions are
-summed in the order drawn: the loop keeps a running sum, and the arrays
-are summed row by row once per batch.
+stream's final state equal the per-sample loop's bit for bit.  Should
+``unit_rows`` not keep a direction, which :meth:`Rng.sphere` would
+redraw, the stream is rewound to where the batch began and the batch
+replayed by the per-sample loop, which redraws that direction where it always has; with
+gaussian draws that almost never happens.  The per-sample loop runs
+below ``BLOCK_BATCH`` (where the arrays' fixed cost is larger than what
+they save), for any other entry (a hand-built one may draw anything from
+the stream; the ``zo_bounded`` entries' crossover has not been timed),
+and with fewer than ``2 * batch`` calls left in the budget, so that a
+budget cut leaves the stream where the loop leaves it.  Either way the
+weighted directions are summed in the order drawn: the loop keeps a
+running sum, and the arrays are summed row by row once per batch.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
@@ -66,10 +67,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core.linalg import row_dots
-from .core.noise import ValueNoise
+from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace
-from .core.rng import SPHERE_MIN_NORM, Rng, uniform_of
+from .core.rng import Rng, uniform_of, unit_rows
 from .core.sets import FeasibleSet
 from .stochastic import NoAveraging, StepRule, _projected_sgd
 
@@ -160,8 +160,8 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
         raise ValueError("tau must be positive and finite")
     if batch < 1:
         raise ValueError("batch must be >= 1")
-    counter = oracle if isinstance(oracle, CountingOracle) else None
-    suite = oracle.suite if counter is not None else oracle
+    counter = oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
+    suite = counter.suite
     x = np.asarray(x, dtype=float)
     if x.shape != (suite.dim,):
         raise ValueError(f"x has shape {x.shape}, the suite takes ({suite.dim},)")
@@ -169,13 +169,12 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
         raise ValueError("the estimator needs a suite of dim >= 1")
     scale = x.shape[0] / (2.0 * tau)
     total = None
-    if batch >= BLOCK_BATCH and (counter is None or counter.has_room(2 * batch)):
+    if batch >= BLOCK_BATCH and counter.has_room(2 * batch):
         declared = _declared(suite)
         if declared is not None:
             total = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
     if total is None:
-        total = _loop_samples(oracle.zo_value if counter is not None else suite.zo_value_or_exact,
-                              x, tau, scale, kernel, rng, batch)
+        total = _loop_samples(counter.zo_value, x, tau, scale, kernel, rng, batch)
     # Both paths sum the weighted directions strictly in draw order, from the
     # first sample's; adding 0.0 turns a -0.0 total into the +0.0 that a
     # running sum from a zero start gives.
@@ -183,19 +182,21 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
 
 
 def _declared(suite: OracleSuite):
-    """``(value, noise)`` when the suite's zeroth-order draws are known, else None (a hand-built entry).
+    """``(value, noise)`` when the block path can draw the suite's zeroth-order noise, else None.
 
     ``value`` is the entry's rng-free part and ``noise`` the
-    :class:`ValueNoise` whose draws the entry adds; a suite without an
-    entry gives its exact ``value`` and no noise.
+    :class:`AdditiveNoise` whose draws the entry adds; a suite without an
+    entry gives its exact ``value`` and no noise.  An entry without a
+    declaration (a hand-built one) and a declaration of other than one
+    gaussian per call take the per-sample loop.
     """
     entry = suite.zo_value
     if entry is None:
         return suite.value, None
     noise = getattr(entry, "noise", None)
-    if not isinstance(noise, ValueNoise):
+    if noise is None or noise.shape != () or noise.distribution != "gaussian":
         return None
-    return noise.value, noise
+    return noise.base, noise
 
 
 def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
@@ -214,7 +215,7 @@ def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
     return total
 
 
-def _block_samples(value, noise: Optional[ValueNoise], counter, x, tau, scale, kernel, rng, batch):
+def _block_samples(value, noise: Optional[AdditiveNoise], counter, x, tau, scale, kernel, rng, batch):
     """The sum of the weighted directions: raw draws first, then the rest as arrays.
 
     ``value`` and ``noise`` are what :func:`_declared` returns.  The caller
@@ -232,20 +233,17 @@ def _block_samples(value, noise: Optional[ValueNoise], counter, x, tau, scale, k
     for row in raw:
         radii.append(random())
         normal(out=row)
-    dirs = raw[:, :d]
-    norms = np.sqrt(row_dots(dirs, dirs))  # Rng.sphere's math.sqrt(v.dot(v)), row by row
-    if not (norms > SPHERE_MIN_NORM).all():
+    dirs, kept = unit_rows(raw[:, :d])
+    if not kept.all():
         rng.state = start
         return None
     r = uniform_of(np.array(radii))
-    dirs = dirs / norms[:, None]
     s = (tau * r)[:, None] * dirs
     probes = np.empty((batch, 2, d))  # each sample's x + s, then its x - s: the order of the calls
     np.add(x, s, out=probes[:, 0])
     np.subtract(x, s, out=probes[:, 1])
     probes = probes.reshape(2 * batch, d)
-    if counter is not None:
-        counter.calls += 2 * batch
+    counter.calls += 2 * batch
     rows = getattr(value, "rows", None)
     if rows is not None:
         f = rows(probes)

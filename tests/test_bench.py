@@ -265,13 +265,42 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
     (dict(problem=QUAD, method={"name": "gd", "params": False}, iterations=5),
      "method: params must be an object, got False"),
     (dict(problem=QUAD, method="gd", budget=5), "budget must be an object, got 5"),
+    (dict(problem=QUAD, method="gd", iterations=5, x0=["1", "2"]), "x0 entry must be a number, got '1'"),
+    (dict(problem={"name": "quad_diag", "params": {"lambdas": ["10", "1"]}}, method="gd", iterations=5),
+     "param 'lambdas' entry must be a number, got '10'"),
+    (dict(problem={"name": "quad_diag", "params": {"lambdas": [True, 1]}}, method="gd", iterations=5),
+     "param 'lambdas' entry must be a number, got True"),
+    (dict(problem={"name": "quad_diag", "params": {"lambdas": [2, 1], "shift": ["0.5", "0"]}}, method="gd",
+          iterations=5), "param 'shift' entry must be a number, got '0.5'"),
+    (dict(problem={"name": "slp", "params": {"rho": "2"}}, method="polyak_subgrad", iterations=5),
+     "problem 'slp': param 'rho' must be a number, got '2'"),
+    (dict(problem={"name": "degenerate3", "params": {"l1": True}}, method="gd", iterations=5),
+     "problem 'degenerate3': param 'l1' must be a number, got True"),
+    (dict(problem={"name": "logistic_small", "params": {"box_radius": "3"}}, method="gd", iterations=5),
+     "problem 'logistic_small': param 'box_radius' must be a number, got '3'"),
+    (dict(problem=QUAD, noise={"kind": "absolute_grad", "delta": 0.1, "v": ["0.05", "0"]}, method="gd_abs",
+          iterations=5), "noise: v entry must be a number, got '0.05'"),
+    (dict(problem=QUAD, noise={"kind": "absolute_grad", "delta": 0.1, "v": [[0.05, 0.05]]}, method="gd_abs",
+          iterations=5), "noise: v entry must be a number, got [0.05, 0.05]"),
+    (dict(problem=QUAD, noise={"kind": "absolute_grad", "delta": 0.1, "v": [0.1]}, method="gd_abs", iterations=5),
+     "noise: v has shape (1,), the problem takes (2,)"),
+    (dict(problem=QUAD, noise={"kind": "absolute_grad", "delta": 0.1, "v": [0.05, 0.05, 0.05]}, method="gd_abs",
+          iterations=5), "noise: v has shape (3,), the problem takes (2,)"),
+    (dict(problem=QUAD, method="gd", iterations=5, output={"trace_path": 5}), "trace_path must be a string, got 5"),
+    (dict(problem=QUAD, method="gd", iterations=5, output={"trace_path": ["a.csv"]}),
+     "trace_path must be a string, got ['a.csv']"),
+    (dict(problem=QUAD, method="gd", iterations=5, output={"trace_path": True}),
+     "trace_path must be a string, got True"),
 ], ids=["iterations-fraction", "iterations-list", "iterations-quoted", "max_oracle_calls-fraction",
         "record_every-fraction", "seed-string", "seed-negative", "l1_system-d-fraction", "phase_retrieval-m-fraction",
         "logistic_small-n-bool", "delta_tilde-null", "sigma-quoted", "sgd-batch-fraction", "zo_sgd-beta-fraction",
         "restarted_switching-stage_cap-fraction", "sgd-gamma-quoted", "gd-L-quoted", "heavy_ball-mu-list",
         "sgd-eta-null", "zo_sgd-tau-quoted", "quad_diag-lambdas-object", "quad_diag-lambdas-empty",
         "problem-params-list",
-        "method-params-list", "method-params-false", "budget-number"])
+        "method-params-list", "method-params-false", "budget-number", "x0-quoted", "quad_diag-lambdas-quoted",
+        "quad_diag-lambdas-bool", "quad_diag-shift-quoted", "slp-rho-quoted", "degenerate3-l1-bool",
+        "logistic_small-box_radius-quoted", "absolute_grad-v-quoted", "absolute_grad-v-2d", "absolute_grad-v-short",
+        "absolute_grad-v-long", "trace_path-int", "trace_path-list", "trace_path-bool"])
 def test_config_numbers_are_checked(tmp_path, capsys, doc, message):
     assert main(["run", "--config", write_cfg(tmp_path, "numbers.json", doc)]) == 2
     err = capsys.readouterr().err
@@ -925,6 +954,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     missing_trace = main(["rates", "--trace", str(tmp_path / "none.csv"), "--model", "sublinear"])
     assert missing_trace == 1
+    for window in ("0", "nan", "1.5"):  # refused before the trace is read
+        assert main(["rates", "--trace", str(tmp_path / "none.csv"), "--model", "sublinear", "--window", window]) == 2
+        assert "--window must lie in (0, 1]" in capsys.readouterr().err
 
 
 def test_cli_compare_and_listings(tmp_path, capsys):

@@ -437,6 +437,10 @@ def test_absolute_fixed_vector_noise():
     np.testing.assert_allclose(noisy.subgrad(x), noisy.grad(x))
     with pytest.raises(ValueError):
         AbsoluteGrad(0.1, mode="fixed", v=np.array([0.0, 0.0, 0.5]))
+    with pytest.raises(ValueError, match="v must be a flat list of numbers"):
+        AbsoluteGrad(0.1, v=[[0.05, 0.05]])
+    with pytest.raises(NoiseCompatibilityError, match=r"v has shape \(2,\), the problem takes \(3,\)"):
+        wrap_noise(oracle, AbsoluteGrad(0.1, v=[0.05, 0.05]), Rng(0))
 
 
 def test_absolute_random_direction_bound():

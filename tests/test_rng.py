@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optbench.core import Rng
-from optbench.core.rng import SPHERE_BLOCK
+from optbench.core.rng import BLOCK_VALUES
 
 
 def test_same_seed_same_stream():
@@ -113,7 +113,7 @@ class TinyRow:
 @pytest.mark.parametrize("tiny", ["none", "first-block", "later-block"])
 @pytest.mark.parametrize("d", [1, 2, 3, 50])
 def test_spheres_give_the_bits_of_successive_sphere_calls(d, tiny):
-    n = max(1, SPHERE_BLOCK // d)  # rows per block
+    n = max(1, BLOCK_VALUES // d)  # rows per block
     row = {"none": -1, "first-block": 1, "later-block": n + 2}[tiny]
     ref, rng = Rng(9), Rng(9)
     ref._gen, rng._gen = TinyRow(_twin(9), d, row), TinyRow(_twin(9), d, row)

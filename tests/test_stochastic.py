@@ -4,10 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from optbench import stochastic
 from optbench.bench import write_trace
 from optbench.core import AdditiveStochGrad, Rng, make_problem, wrap_noise
 from optbench.core.noise import AdditiveNoise
+from optbench.core.rng import BLOCK_VALUES
 from optbench.smooth import SmoothRunConfig, run_gd
 from optbench.stochastic import (
     AdaGradNorm,
@@ -202,7 +202,7 @@ def per_call(suite):
 
 def crossing_n(d, batch):
     """An iteration count whose draws cross at least two chunk boundaries of the block path."""
-    return 2 * max(1, stochastic._CHUNK_VALUES // d) // batch + 7
+    return 2 * max(1, BLOCK_VALUES // d) // batch + 7
 
 
 def sgd_outcome(tmp_path, suite, fset, x0, cfg, **kw):
@@ -220,19 +220,26 @@ def sgd_outcome(tmp_path, suite, fset, x0, cfg, **kw):
 
 
 def test_noise_rows_equal_successive_calls():
-    for distribution, d in itertools.product(DISTRIBUTIONS, (1, 3)):
-        noise = AdditiveNoise(lambda x: np.arange(d, dtype=float), 0.7, d, distribution)
-        x = np.zeros(d)
-        r1, r2 = Rng(4), Rng(4)
-        calls = np.stack([noise(x, r1) for _ in range(37)])
-        assert (noise.grad(x) + noise.rows(r2, 37)).tobytes() == calls.tobytes()
-        assert r1.state == r2.state
+    # shape () is a value entry's noise (zo_stoch), (d,) a gradient entry's (additive_stoch_grad)
+    for distribution, shape in itertools.product(DISTRIBUTIONS, ((), (1,), (3,))):
+        base = (lambda x: 1.5) if shape == () else (lambda x, d=shape[0]: np.arange(d, dtype=float))
+        noise = AdditiveNoise(base, 0.7, shape, distribution)
+        entry, x = noise.entry(), np.zeros(3)
+        assert entry.noise is noise
+        r1, r2, r3 = Rng(4), Rng(4), Rng(4)
+        calls = [entry(x, r1) for _ in range(37)]
+        assert all(type(f) is float for f in calls) if shape == () else calls[0].shape == shape
+        calls = np.stack(calls).tobytes()
+        assert (base(x) + noise.rows(r2, 37)).tobytes() == calls
+        raw = r3.gaussian((37, *shape)) if distribution == "gaussian" else r3.student_t(3, (37, *shape))
+        assert noise.add(base(x), raw).tobytes() == calls
+        assert r1.state == r2.state == r3.state
 
 
 def test_wrap_noise_takes_the_block_path():
     suite, _ = noisy_quad(2)
-    assert isinstance(suite.stoch_grad, AdditiveNoise)
-    assert not isinstance(per_call(suite).stoch_grad, AdditiveNoise)
+    assert isinstance(suite.stoch_grad.noise, AdditiveNoise)
+    assert not hasattr(per_call(suite).stoch_grad, "noise")
 
 
 @pytest.mark.parametrize("rule, distribution", itertools.product(RULES, DISTRIBUTIONS))

@@ -16,6 +16,7 @@ from optbench.core import (
     make_problem,
     wrap_noise,
 )
+from optbench.core.noise import AdditiveNoise
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
     BLOCK_BATCH,
@@ -104,7 +105,7 @@ def reference_estimate(oracle, x, tau, kernel, rng, batch):
     """The estimator as one accumulating loop per sample: the bit-level reference."""
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    zo = oracle.zo_value if isinstance(oracle, CountingOracle) else oracle.zo_value_or_exact
+    zo = (oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)).zo_value
     acc = np.zeros(d)
     scale = d / (2.0 * tau)
     for _ in range(batch):
@@ -130,6 +131,20 @@ def _drawing_entry():
             np.array([0.3, -0.1, 2.0]))
 
 
+def _declared_entry(**declaration):
+    """The linear d=3 suite under declared value noise that the block path does not draw: the per-sample loop's."""
+    oracle, x = linear_oracle([1.0, -2.0, 0.5]), np.array([0.3, -0.1, 2.0])
+    noisy = AdditiveNoise(oracle.value, 0.01, **declaration).entry()
+    if noisy.noise.shape == ():
+        return dataclasses.replace(oracle, zo_value=noisy), x
+
+    def zo(x, rng):  # one value from a vector-shaped draw
+        return float(noisy(x, rng).sum())
+
+    zo.noise = noisy.noise
+    return dataclasses.replace(oracle, zo_value=zo), x
+
+
 BIT_CASES = {
     "linear-d3": lambda: (linear_oracle([1.0, -2.0, 0.5]), np.array([0.3, -0.1, 2.0])),
     "quad50-zo_stoch": lambda: _quad50(ZOStochValue(1e-3)),
@@ -140,6 +155,8 @@ BIT_CASES = {
     # equal probe values at the minimizer: every sample estimate is a signed zero
     "quad-minimizer": lambda: (make_problem("quad_diag", {"lambdas": [1.0, 1.0]})[0], np.zeros(2)),
     "linear-d3-drawing": _drawing_entry,
+    "linear-d3-declared-student_t3": lambda: _declared_entry(distribution="student_t3"),
+    "linear-d3-declared-vector": lambda: _declared_entry(shape=(1,)),
 }
 # both sides of the batch from which the estimator draws ahead and probes as arrays
 BIT_BATCHES = sorted({1, 2, 3, 4, 8, BLOCK_BATCH - 1, BLOCK_BATCH, BLOCK_BATCH + 1, 1000})
@@ -207,7 +224,8 @@ class SphereCountingRng(Rng):
         return super().sphere(d)
 
 
-@pytest.mark.parametrize("case", ["linear-d3", "quad50-zo_stoch", "quad50-zo_bounded-worst", "linear-d3-drawing"])
+@pytest.mark.parametrize("case", ["linear-d3", "quad50-zo_stoch", "quad50-zo_bounded-worst", "linear-d3-drawing",
+                                  "linear-d3-declared-student_t3", "linear-d3-declared-vector"])
 def test_estimator_draws_ahead_from_the_block_batch(case):
     oracle, x = BIT_CASES[case]()
     kernel = build_kernel(2)
@@ -262,6 +280,17 @@ def test_estimator_redraws_a_tiny_direction_where_the_per_sample_loop_does(batch
     replayed = batch >= BLOCK_BATCH
     assert rng._gen.calls == batch + 1 + replayed * batch and rng._gen.tiny == 1 + replayed
     assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, BLOCK_BATCH, 1000])
+@pytest.mark.parametrize("case", list(BIT_CASES))
+def test_bare_suite_is_estimated_as_an_unbudgeted_counter(case, batch):
+    oracle, x = BIT_CASES[case]()
+    kernel, rng, counted_rng = build_kernel(2), Rng(5), Rng(5)
+    counter = CountingOracle(oracle)
+    est = kernel_grad_estimate(oracle, x, 0.05, kernel, rng, batch)
+    assert est.tobytes() == kernel_grad_estimate(counter, x, 0.05, kernel, counted_rng, batch).tobytes()
+    assert rng.state == counted_rng.state and counter.calls == 2 * batch
 
 
 @pytest.mark.parametrize("batch", [1, BLOCK_BATCH])

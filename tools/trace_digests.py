@@ -70,18 +70,22 @@ Grids:
   with the ``wall_time`` and ``time_s`` fields masked, and the trace
   bytes ``run`` writes; a few error paths (an unknown subcommand, a
   missing config file, a bad JSON config, ``rates`` on a too-short
-  trace, an unknown problem name) hash their exit code and stderr
-  instead; and ``list-methods`` hashes its exit code and stdout
-  (112 keys);
+  trace, an unknown problem name, ``rates`` with a ``--window`` of 0,
+  nan or 1.5) hash their exit code and stderr instead; and
+  ``list-methods`` hashes its exit code and stdout (115 keys);
 * ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
   config, the config without each of its fields, an unknown key, a bad
   mode, ints where floats are meant, and ``v`` without ``mode``.  For
   each catalog problem: its defaults, an unknown parameter, a non-finite
   parameter and a bad value.  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
-  layer.  ``parse/key/...`` gives ``const_subgrad`` a ``tol`` and
-  ``gd_rel_adaptive`` an ``L``.  The hash covers the ``repr`` of the
-  parsed spec; a config that fails maps to its error text (94 keys).  ``parse/variant/...`` parses
+  layer, quoted numbers and booleans in ``x0``, in catalog parameters
+  and in ``absolute_grad``'s ``v`` among them.  ``parse/key/...`` gives
+  ``const_subgrad`` a ``tol`` and ``gd_rel_adaptive`` an ``L``.
+  ``parse/type/...`` gives ``absolute_grad`` a ``v`` that is too short,
+  too long or 2-d for the 2-d problem, and ``output.trace_path`` a
+  number, a list and a boolean.  The hash covers the ``repr`` of the
+  parsed spec; a config that fails maps to its error text (108 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -882,7 +886,9 @@ def cli_grid(tmp: str) -> dict:
     errors = {"unknown-subcommand": ["optimise", "--config", config],
               "missing-config": ["run", "--config", os.path.join(tmp, "none.json")],
               "bad-json": ["run", "--config", config],
-              **{f"short-trace-{model}": ["rates", "--trace", trace, "--model", model] for model in MODELS}}
+              **{f"short-trace-{model}": ["rates", "--trace", trace, "--model", model] for model in MODELS},
+              **{f"window-{w}": ["rates", "--trace", trace, "--model", "sublinear", "--window", w]
+                 for w in ("0", "nan", "1.5")}}
     for name, argv in errors.items():
         out[f"cli/error/{name}"] = call(argv, stream="stderr")
     write({"problem": "nope", "method": "gd", "iterations": 3})
@@ -937,6 +943,23 @@ PARSE_NUMBERS = {
                         "method": {"name": "zo_sgd", "params": {"gamma": 0.1, "beta": 2.5}}},
     "restarted_switching-stage_cap-3.5": {"problem": "slp", "method": {
         "name": "restarted_switching", "params": {"theta0": 2.0, "eps": 0.1, "stage_cap": 3.5}}},
+    "x0-quoted": {"x0": ["1", "2"]},
+    "quad_diag-lambdas-quoted": {"problem": {"name": "quad_diag", "params": {"lambdas": ["10", "1"]}}},
+    "quad_diag-lambdas-bool": {"problem": {"name": "quad_diag", "params": {"lambdas": [True, 1]}}},
+    "quad_diag-shift-quoted": {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 1], "shift": ["0.5", "0"]}}},
+    "slp-rho-quoted": {"problem": {"name": "slp", "params": {"rho": "2"}}},
+    "degenerate3-l1-bool": {"problem": {"name": "degenerate3", "params": {"l1": True}}},
+    "logistic_small-box_radius-quoted": {"problem": {"name": "logistic_small", "params": {"box_radius": "3"}}},
+    "absolute_grad-v-quoted": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": ["0.05", "0"]}},
+}
+# name -> config changes: a value of the wrong shape or type that is not a number case
+PARSE_TYPES = {
+    "absolute_grad-v-short": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [0.1]}},
+    "absolute_grad-v-long": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [0.05, 0.05, 0.05]}},
+    "absolute_grad-v-2d": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [[0.05, 0.05]]}},
+    "trace_path-int": {"output": {"trace_path": 5}},
+    "trace_path-list": {"output": {"trace_path": ["a.csv"]}},
+    "trace_path-bool": {"output": {"trace_path": True}},
 }
 # name -> config changes that give a method a key its run does not read
 PARSE_KEYS = {
@@ -978,6 +1001,8 @@ def parse_grid() -> dict:
         parse(f"number/{case}", {**base, "problem": _PARSE_QUAD, **changes})
     for case, changes in PARSE_KEYS.items():
         parse(f"key/{case}", {**base, "problem": _PARSE_QUAD, **changes})
+    for case, changes in PARSE_TYPES.items():
+        parse(f"type/{case}", {**base, "problem": _PARSE_QUAD, **changes})
     return out
 
 
