@@ -29,7 +29,25 @@ Grids:
   noise distributions x d {1, 2} x batch {1, 3} x clip {off, 0.5} x
   ``max_oracle_calls`` in {none, 1300}, a budget that ends the run part
   way through a block of noise rows (32 runs).  The hash of every
-  ``sgd/`` key also covers the next draws of the run's ``Rng``;
+  ``sgd/`` and ``zo/`` key also covers the next draws of the run's ``Rng``;
+* ``zo/chunk/...``: ``run_zo_sgd`` for 307 iterations (a prime, so no
+  chunk of iterations whose samples the run draws ahead divides it) on
+  ``quad_diag`` under ``zo_stoch`` noise, at d {1, 2, 10} x batch
+  {1, 4, 7, 9} x both tau schedules x ``record_every`` {1, 7}, with no
+  budget and with budgets that cut at the first iteration of the second
+  chunk (``boundary``), half a chunk later (``mid-chunk``), after
+  ``batch`` probes of that first iteration (``mid-iter``), at its last
+  probe (``last-probe``) and at its row's f evaluation (``row``); the
+  exact ``quad_diag`` values at d {2, 10} x batch {1, 4, 9}, with no
+  budget and a ``boundary`` budget; ``rosenbrock`` under ``zo_stoch``
+  noise at batch {1, 4, 9}, with no budget and a ``mid-iter`` one; the
+  ``zo_stoch`` quadratic at d {2, 10} x batch {1, 4, 9} with the
+  direction of the second chunk's first sample, or of the last sample of
+  its second iteration, scaled below 1e-12 by a stubbed generator
+  (``tiny/...``); and a ``PowerDecayTau`` whose tau underflows to 0 at
+  iteration 6, at batch {1, 9} (its error text).  A chunk holds
+  ``max(1, BLOCK_VALUES // (batch * width))`` iterations, ``width``
+  being d + 2 raw values per sample under noise and d without (320 runs);
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -80,12 +98,14 @@ Grids:
   parameter and a bad value.  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
   layer, quoted numbers and booleans in ``x0``, in catalog parameters
-  and in ``absolute_grad``'s ``v`` among them.  ``parse/key/...`` gives
+  and in ``absolute_grad``'s ``v`` among them, and a number and a
+  boolean as ``norm2``'s ``a``.  ``parse/key/...`` gives
   ``const_subgrad`` a ``tol`` and ``gd_rel_adaptive`` an ``L``.
   ``parse/type/...`` gives ``absolute_grad`` a ``v`` that is too short,
-  too long or 2-d for the 2-d problem, and ``output.trace_path`` a
-  number, a list and a boolean.  The hash covers the ``repr`` of the
-  parsed spec; a config that fails maps to its error text (108 keys).  ``parse/variant/...`` parses
+  too long or 2-d for the 2-d problem, or one in ``random_direction``
+  mode, and ``output.trace_path`` a number, a list and a boolean.  The
+  hash covers the ``repr`` of the parsed spec; a config that fails maps
+  to its error text (111 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -189,6 +209,9 @@ CLI_SEEDS = (1, 2)
 EST_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000)
 ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
 ZO_BUDGETS = (None, 36, 53, 54, 55)
+CHUNK_N = 307  # a prime: no chunk of iterations divides it
+CHUNK_DIMS = (1, 2, 10)
+CHUNK_BATCHES = (1, 4, 7, 9)
 SWITCH_BUDGETS = (None, 10, 11, 40)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
@@ -365,8 +388,9 @@ def sgd_zo_grid(tmp: str) -> dict:
             noisy = wrap_noise(oracle, ZOStochValue(0.01), Rng(21))
             cfg = zo.ZoConfig(N=GRID_N, step_rule=rule, kernel=zo.build_kernel(beta),
                               tau_schedule=tau, batch=batch)
+            rng = Rng(22)
             digest(f"zo/{rname}/tau-{tname}/beta{beta}/{tail}",
-                   lambda: zo.run_zo_sgd(noisy, fset, x0, cfg, Rng(22), **kw))
+                   lambda: zo.run_zo_sgd(noisy, fset, x0, cfg, rng, **kw), rng)
 
     runs = itertools.product(DISTRIBUTIONS, (1, 2), (1, 3), (None, 0.5), LONG_BUDGETS)
     for dist, d, batch, clip, budget in runs:
@@ -376,6 +400,80 @@ def sgd_zo_grid(tmp: str) -> dict:
                            averaging=st.UniformAvg())
         sgd(f"sgd/long/{dist}/d{d}/batch{batch}/clip{clip}/budget{budget}", noisy, fset, x0[:d], cfg,
             record_every=7, record_x=True, max_oracle_calls=budget)
+    return out
+
+
+def _chunk(batch: int, width: int) -> int:
+    """The iterations in one ``BLOCK_VALUES``-sized chunk of ``batch`` samples of ``width`` raw values each."""
+    from optbench.core.rng import BLOCK_VALUES
+
+    return max(1, BLOCK_VALUES // (batch * width))
+
+
+def _calls_after(j: int, batch: int, every: int) -> int:
+    """The calls of a ``run_zo_sgd`` run once iterations 0..j-1 and their due rows are done."""
+    return 2 * batch * j + (j - 1) // every + 1 if j else 0
+
+
+def zo_chunk_grid(tmp: str) -> dict:
+    """``zo/chunk/...``: ``run_zo_sgd`` runs sized around the chunks in which it may draw samples ahead."""
+    import numpy as np
+
+    from optbench import stochastic as st
+    from optbench import zeroorder as zo
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import FullSpace, Rng, ZOStochValue, make_problem, wrap_noise
+
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+
+    def run(key, suite, x0, batch, tau=zo.ConstTau(0.05), every=7, budget=None, rng=None):
+        def go():
+            cfg = zo.ZoConfig(N=CHUNK_N, step_rule=st.Const(0.01), kernel=zo.build_kernel(2), tau_schedule=tau,
+                              batch=batch)
+            trace = zo.run_zo_sgd(suite, FullSpace(suite.dim), x0, cfg, run_rng, record_every=every,
+                                  record_x=True, max_oracle_calls=budget)
+            write_trace(trace, path, "json")
+            return dict(_digest(path, trace.final.oracle_calls, run_rng), status=trace.status.value)
+        run_rng = Rng(23) if rng is None else rng
+        out[key] = _guarded(go)
+
+    def quad(d, noisy=True, name="quad_diag"):
+        params = {"lambdas": np.linspace(1.0, 3.0, d).tolist()} if name == "quad_diag" else {}
+        suite, _ = make_problem(name, params)
+        suite = wrap_noise(suite, ZOStochValue(0.01), Rng(21)) if noisy else suite
+        return suite, np.linspace(1.5, -1.0, suite.dim)
+
+    taus = {"const": zo.ConstTau(0.05), "power": zo.PowerDecayTau(0.2, 0.5)}
+    for d, batch, (tname, tau), every in itertools.product(CHUNK_DIMS, CHUNK_BATCHES, taus.items(), (1, 7)):
+        c = _chunk(batch, d + 2)
+        after = _calls_after(c, batch, every)
+        budgets = {"none": None, "boundary": after, "mid-chunk": _calls_after(c + c // 2, batch, every),
+                   "mid-iter": after + batch, "last-probe": after + 2 * batch - 1, "row": after + 2 * batch}
+        suite, x0 = quad(d)
+        for bname, budget in budgets.items():
+            run(f"zo/chunk/zo_stoch/d{d}/batch{batch}/tau-{tname}/every{every}/budget-{bname}", suite, x0, batch,
+                tau, every, budget)
+    for d, batch in itertools.product((2, 10), (1, 4, 9)):
+        suite, x0 = quad(d, noisy=False)
+        for bname, budget in {"none": None, "boundary": _calls_after(_chunk(batch, d), batch, 1)}.items():
+            run(f"zo/chunk/exact/d{d}/batch{batch}/budget-{bname}", suite, x0, batch, every=1, budget=budget)
+    for batch in (1, 4, 9):
+        suite, x0 = quad(2, name="rosenbrock")
+        after = _calls_after(_chunk(batch, 4), batch, 7)
+        for bname, budget in {"none": None, "mid-iter": after + batch}.items():
+            run(f"zo/chunk/rosenbrock/batch{batch}/budget-{bname}", suite, x0, batch, budget=budget)
+    for d, batch in itertools.product((2, 10), (1, 4, 9)):
+        suite, x0 = quad(d)
+        first = _chunk(batch, d + 2) * batch  # the first sample of the second chunk
+        for sample in sorted({first, first + 2 * batch - 1}):
+            rng = Rng(23)
+            rng._gen = _TinyDirection(np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.entropy))),
+                                      d, sample)
+            run(f"zo/chunk/tiny/d{d}/batch{batch}/sample{sample}", suite, x0, batch, rng=rng)
+    for batch in (1, 9):
+        suite, x0 = quad(2)
+        run(f"zo/chunk/tau-underflow/batch{batch}", suite, x0, batch, zo.PowerDecayTau(0.2, 400.0))
     return out
 
 
@@ -951,12 +1049,16 @@ PARSE_NUMBERS = {
     "degenerate3-l1-bool": {"problem": {"name": "degenerate3", "params": {"l1": True}}},
     "logistic_small-box_radius-quoted": {"problem": {"name": "logistic_small", "params": {"box_radius": "3"}}},
     "absolute_grad-v-quoted": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": ["0.05", "0"]}},
+    "norm2-a-scalar": {"problem": {"name": "norm2", "params": {"a": 5}}},
+    "norm2-a-bool": {"problem": {"name": "norm2", "params": {"a": True}}},
 }
 # name -> config changes: a value of the wrong shape or type that is not a number case
 PARSE_TYPES = {
     "absolute_grad-v-short": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [0.1]}},
     "absolute_grad-v-long": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [0.05, 0.05, 0.05]}},
     "absolute_grad-v-2d": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [[0.05, 0.05]]}},
+    "absolute_grad-random_direction-v": {"noise": {"kind": "absolute_grad", "delta": 0.1,
+                                                   "mode": "random_direction", "v": [5, 5]}},
     "trace_path-int": {"output": {"trace_path": 5}},
     "trace_path-list": {"output": {"trace_path": ["a.csv"]}},
     "trace_path-bool": {"output": {"trace_path": True}},
@@ -1105,8 +1207,8 @@ def main(argv: list[str]) -> int:
     checkout = os.path.abspath(argv[0])
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **stop_grid(tmp), **estimator_grid(),
-                   **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
+        digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
+                   **estimator_grid(), **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
                    **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
                    **diverge_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
