@@ -77,6 +77,8 @@ class AbsoluteGrad:
         if self.mode not in ("fixed", "random_direction"):
             raise ValueError(f"unknown AbsoluteGrad mode {self.mode!r}")
         if self.v is not None:
+            if self.mode != "fixed":
+                raise ValueError(f"v is read in fixed mode only, not in {self.mode!r} mode")
             object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
             if self.v.ndim != 1:
                 raise ValueError("v must be a flat list of numbers")

@@ -129,6 +129,8 @@ def _l1_system(params: dict, seed: int):
 def _norm2(params: dict, seed: int):
     if "a" in params:
         a = np.asarray(params["a"], dtype=float)
+        if a.ndim != 1:
+            raise ValueError(f"a must be a list of numbers, got {params['a']!r}")
         d = a.shape[0]
     else:
         d = params.get("d", 3)

@@ -55,7 +55,21 @@ running sum, and the arrays are summed row by row once per batch.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
-each iteration consumes exactly ``2 * batch`` zeroth-order calls.
+each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
+sample's draws do not depend on x, so when the entry is one that the
+block path draws, the run takes them ahead: one chunk of phase-1 raw
+draws, about :data:`~optbench.core.rng.BLOCK_VALUES` values, serves
+several iterations, and its directions, radii, kernel weights and steps
+``(tau_k r) e`` are computed once per chunk.  An iteration then counts
+its calls and weighs its samples, on scalars below ``BLOCK_BATCH`` and
+through phase 2 from it on, with the bits of the estimator's.  Where the
+estimator would take its per-sample loop (too few calls left, a
+direction to redraw) or refuse (a ``tau_k`` that is not positive and
+finite), the iteration calls :func:`kernel_grad_estimate` itself, after
+the stream is rewound to the chunk's start and the samples already used
+are drawn again; every exit of the run rewinds the same way.  So a run
+leaves its trace, its reported point and its ``Rng`` where estimating
+one iteration at a time leaves them.
 """
 
 from __future__ import annotations
@@ -69,7 +83,7 @@ import numpy as np
 
 from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace
-from .core.rng import Rng, uniform_of, unit_rows
+from .core.rng import BLOCK_VALUES, Rng, uniform_of, unit_rows
 from .core.sets import FeasibleSet
 from .stochastic import NoAveraging, StepRule, _projected_sgd
 
@@ -226,24 +240,44 @@ def _block_samples(value, noise: Optional[AdditiveNoise], counter, x, tau, scale
     """
     d = x.shape[0]
     start = rng.state
-    gen = rng.generator
-    random, normal = gen.random, gen.standard_normal
-    raw = np.empty((batch, d if noise is None else d + 2))  # the direction's normals, then the noise's
-    radii = []
-    for row in raw:
-        radii.append(random())
-        normal(out=row)
+    u, raw = _raw_samples(rng.generator, batch, d if noise is None else d + 2)
     dirs, kept = unit_rows(raw[:, :d])
     if not kept.all():
         rng.state = start
         return None
-    r = uniform_of(np.array(radii))
-    s = (tau * r)[:, None] * dirs
+    r = uniform_of(u)
+    counter.calls += 2 * batch
+    return _weigh_block(value, noise, x, (tau * r)[:, None] * dirs, dirs, kernel(r), raw[:, d:], scale)
+
+
+def _raw_samples(gen, n: int, width: int):
+    """Phase 1: the raw draws of ``n`` samples, ``(u, raw)``, in the per-sample loop's stream order.
+
+    Per sample: one ``random()`` (its radius before :func:`uniform_of`),
+    then one ``standard_normal`` fill of a ``width`` row of ``raw``: the
+    direction's d normals, then the two probes' noise where there is any.
+    """
+    random, normal = gen.random, gen.standard_normal
+    raw = np.empty((n, width))
+    u = []
+    for row in raw:
+        u.append(random())
+        normal(out=row)
+    return np.array(u), raw
+
+
+def _weigh_block(value, noise, x, s, dirs, kr, xi, scale):
+    """Phase 2: the sum of a batch's weighted directions, probed and weighed as arrays.
+
+    ``s`` holds each sample's ``(tau r) e``, ``dirs`` its ``e``, ``kr``
+    its ``K(r)`` and ``xi`` its probes' raw noise; the caller has counted
+    the probes.
+    """
+    batch, d = s.shape
     probes = np.empty((batch, 2, d))  # each sample's x + s, then its x - s: the order of the calls
     np.add(x, s, out=probes[:, 0])
     np.subtract(x, s, out=probes[:, 1])
     probes = probes.reshape(2 * batch, d)
-    counter.calls += 2 * batch
     rows = getattr(value, "rows", None)
     if rows is not None:
         f = rows(probes)
@@ -251,8 +285,8 @@ def _block_samples(value, noise: Optional[AdditiveNoise], counter, x, tau, scale
         f = np.array([float(value(p)) for p in probes])
     f = f.reshape(batch, 2)
     if noise is not None:
-        f = noise.add(f, raw[:, d:])
-    weights = scale * (f[:, 0] - f[:, 1]) * kernel(r)
+        f = noise.add(f, xi)
+    weights = scale * (f[:, 0] - f[:, 1]) * kr
     # cumsum adds the rows strictly in order, as the per-sample loop does: sum(axis=0)
     # sums pairwise when d = 1, and weights @ dirs goes through BLAS.
     return (weights[:, None] * dirs).cumsum(axis=0)[-1]
@@ -306,11 +340,117 @@ class ZoConfig:
 def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: Rng, *,
                record_every: int = 1, record_x: bool = False,
                max_oracle_calls: Optional[int] = None) -> Trace:
-    """Projected SGD on the kernel gradient estimate (2*batch calls/iter)."""
+    """Projected SGD on the kernel gradient estimate (2*batch calls/iter).
+
+    Iteration k's gradient has the bits of ``kernel_grad_estimate`` at
+    ``tau_schedule.at(k)``.  Where :func:`_declared` finds the suite's
+    zeroth-order draws, the samples of many iterations are drawn as one
+    chunk (:func:`_sample_chunks`); the run's ``Rng`` ends, by any exit,
+    where estimating one iteration at a time leaves it.
+    """
     tau, kernel, batch = cfg.tau_schedule, cfg.kernel, cfg.batch
 
-    def gradient(ctr, k, x):
+    def estimate(ctr, k, x):  # the module attribute, looked up per call: a traced run rebinds it
         return kernel_grad_estimate(ctr, x, tau.at(k), kernel, rng, batch)
 
-    return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, NoAveraging(), gradient,
-                          record_every, record_x, max_oracle_calls)
+    declared = _declared(oracle)
+    if declared is None:
+        gradient, rewind = estimate, (lambda: None)
+    else:
+        gradient, rewind = _sample_chunks(*declared, oracle.dim, cfg, rng, estimate)
+    try:
+        return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, NoAveraging(), gradient,
+                              record_every, record_x, max_oracle_calls)
+    finally:
+        rewind()
+
+
+def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfig, rng: Rng, estimate):
+    """``(gradient, rewind)``: :func:`run_zo_sgd`'s gradients, their samples drawn a chunk of iterations ahead.
+
+    ``value`` and ``noise`` are what :func:`_declared` returns, and
+    ``estimate(ctr, k, x)`` is iteration k's ``kernel_grad_estimate``.  A
+    chunk is one :func:`_raw_samples` draw for the next
+    ``max(1, BLOCK_VALUES // (batch * width))`` iterations, or the ones
+    left, with ``width`` raw values per sample.  Its directions, radii,
+    kernel weights and steps ``(tau_k r) e`` are computed once, ``tau_k``
+    being the sample's iteration's.  An iteration checks that the budget
+    has room for its ``2 * batch`` probes, counts them and weighs its
+    samples: on scalars, one at a time, below :data:`BLOCK_BATCH`, and by
+    :func:`_weigh_block` from it on.  ``estimate`` serves an iteration
+    without that room, one that would start a chunk at an ``x`` or a
+    ``tau_k`` that ``kernel_grad_estimate`` refuses, and one whose samples
+    hold a direction that :func:`unit_rows` does not keep.  Before it does,
+    and when ``rewind()`` ends the run, the stream is set back to the
+    chunk's start and the samples weighed are drawn again.  Without noise a
+    probe value gets ``+ 0.0``: that only turns a -0.0 value into +0.0,
+    which no estimate shows, as ``kernel_grad_estimate`` adds 0.0 to the sum.
+    """
+    tau, kernel, batch, N = cfg.tau_schedule, cfg.kernel, cfg.batch, cfg.N
+    width = dim if noise is None else dim + 2
+    per_chunk = max(1, BLOCK_VALUES // (batch * width))
+    scalar = batch < BLOCK_BATCH
+    start, drawn, ready, used = None, 0, 0, 0  # the state before the chunk; its samples drawn, servable, weighed
+    scales = steps = dirs = weights = xi = None
+
+    def rewind():
+        """Set the stream to just after the samples weighed, and drop the chunk."""
+        nonlocal start, drawn, ready, used
+        if used < drawn:
+            rng.state = start
+            _raw_samples(rng.generator, used, width)
+        start, drawn, ready, used = None, 0, 0, 0
+
+    def draw(k, x) -> bool:
+        """Draw the chunk that starts at iteration k; False when ``estimate`` must serve iteration k."""
+        nonlocal start, drawn, ready, scales, steps, dirs, weights, xi
+        if dim < 1 or x.shape != (dim,):
+            return False
+        taus = []
+        for j in range(k, min(N, k + per_chunk)):
+            t = tau.at(j)
+            if not 0 < t < math.inf:
+                break
+            taus.append(t)
+        if not taus:
+            return False
+        start, drawn = rng.state, batch * len(taus)
+        u, raw = _raw_samples(rng.generator, drawn, width)
+        units, kept = unit_rows(raw[:, :dim])
+        ready = drawn if kept.all() else int(kept.argmin()) // batch * batch  # up to the iteration to redraw
+        if ready == 0:
+            rewind()
+            return False
+        r = uniform_of(u)
+        steps = (np.repeat(taus, batch) * r)[:, None] * units
+        scales = [dim / (2.0 * t) for t in taus]
+        if scalar:  # as floats, and noise as the terms scale * xi that noise.add adds: two per sample
+            xi = [0.0, 0.0] * drawn if noise is None else (noise.scale * raw[:, dim:]).ravel().tolist()
+            steps, dirs, weights = list(steps), list(units), kernel(r).tolist()
+        else:
+            dirs, weights, xi = units, kernel(r), raw[:, dim:]
+        return True
+
+    def gradient(ctr, k, x):
+        nonlocal used
+        if not ctr.has_room(2 * batch):
+            rewind()
+            return estimate(ctr, k, x)
+        if used == ready:
+            rewind()
+            if not draw(k, x):
+                return estimate(ctr, k, x)
+        ctr.calls += 2 * batch
+        i, used = used, used + batch
+        scale = scales[i // batch]
+        if not scalar:
+            return (_weigh_block(value, noise, x, steps[i:used], dirs[i:used], weights[i:used], xi[i:used], scale)
+                    + 0.0) / batch
+        total = None
+        for j in range(i, used):
+            s, e = steps[j], dirs[j]
+            w = scale * ((float(value(x + s)) + xi[2 * j]) - (float(value(x - s)) + xi[2 * j + 1])) * weights[j]
+            total = w * e if total is None else total + w * e
+        return (total + 0.0) / batch
+
+    return gradient, rewind

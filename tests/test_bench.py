@@ -291,6 +291,12 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
      "trace_path must be a string, got ['a.csv']"),
     (dict(problem=QUAD, method="gd", iterations=5, output={"trace_path": True}),
      "trace_path must be a string, got True"),
+    (dict(problem={"name": "norm2", "params": {"a": 5}}, method="polyak_subgrad", iterations=5),
+     "problem 'norm2': a must be a list of numbers, got 5"),
+    (dict(problem={"name": "norm2", "params": {"a": True}}, method="polyak_subgrad", iterations=5),
+     "problem 'norm2': a must be a list of numbers, got True"),
+    (dict(problem=QUAD, noise={"kind": "absolute_grad", "delta": 0.1, "mode": "random_direction", "v": [5, 5]},
+          method="gd_abs", iterations=5), "noise: v is read in fixed mode only, not in 'random_direction' mode"),
 ], ids=["iterations-fraction", "iterations-list", "iterations-quoted", "max_oracle_calls-fraction",
         "record_every-fraction", "seed-string", "seed-negative", "l1_system-d-fraction", "phase_retrieval-m-fraction",
         "logistic_small-n-bool", "delta_tilde-null", "sigma-quoted", "sgd-batch-fraction", "zo_sgd-beta-fraction",
@@ -300,7 +306,8 @@ def test_noise_the_problem_cannot_carry_is_a_config_error(tmp_path, capsys):
         "method-params-list", "method-params-false", "budget-number", "x0-quoted", "quad_diag-lambdas-quoted",
         "quad_diag-lambdas-bool", "quad_diag-shift-quoted", "slp-rho-quoted", "degenerate3-l1-bool",
         "logistic_small-box_radius-quoted", "absolute_grad-v-quoted", "absolute_grad-v-2d", "absolute_grad-v-short",
-        "absolute_grad-v-long", "trace_path-int", "trace_path-list", "trace_path-bool"])
+        "absolute_grad-v-long", "trace_path-int", "trace_path-list", "trace_path-bool", "norm2-a-number",
+        "norm2-a-bool", "absolute_grad-random_direction-v"])
 def test_config_numbers_are_checked(tmp_path, capsys, doc, message):
     assert main(["run", "--config", write_cfg(tmp_path, "numbers.json", doc)]) == 2
     err = capsys.readouterr().err

@@ -441,6 +441,9 @@ def test_absolute_fixed_vector_noise():
         AbsoluteGrad(0.1, v=[[0.05, 0.05]])
     with pytest.raises(NoiseCompatibilityError, match=r"v has shape \(2,\), the problem takes \(3,\)"):
         wrap_noise(oracle, AbsoluteGrad(0.1, v=[0.05, 0.05]), Rng(0))
+    # random_direction mode draws its perturbation: a v, which it would not read, is refused
+    with pytest.raises(ValueError, match="v is read in fixed mode only, not in 'random_direction' mode"):
+        AbsoluteGrad(0.1, mode="random_direction", v=[0.0, 0.0, 0.05])
 
 
 def test_absolute_random_direction_bound():

@@ -2,12 +2,14 @@ import contextlib
 import dataclasses
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 
 from optbench.core import (
     CountingOracle,
+    FullSpace,
     OracleBudgetError,
     OracleSuite,
     Rng,
@@ -17,6 +19,7 @@ from optbench.core import (
     wrap_noise,
 )
 from optbench.core.noise import AdditiveNoise
+from optbench.core.rng import BLOCK_VALUES
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
     BLOCK_BATCH,
@@ -483,3 +486,105 @@ def test_zo_sgd_deterministic(rule_name):
         sq += r.grad_norm ** 2
         assert r.step_size == pytest.approx(gamma(r.iter, sq), rel=1e-12)
     assert [r.iter for r in a.rows] == list(range(101))
+
+
+def undeclared(suite):
+    """``suite`` with a zeroth-order entry that declares nothing, so that ``run_zo_sgd`` takes the per-sample loop."""
+    entry, value = suite.zo_value, suite.value
+    if entry is None:
+        return dataclasses.replace(suite, zo_value=lambda x, rng: value(x))
+    return dataclasses.replace(suite, zo_value=lambda x, rng: entry(x, rng))
+
+
+def trace_bits(trace):
+    """Every value of a trace, floats as their bytes: equal lists mean byte-identical traces."""
+    bits = [trace.status, struct.pack("d", trace.f_out), trace.x_out.tobytes()]
+    for column in trace.columns.values():
+        bits += [v.tobytes() if isinstance(v, np.ndarray) else struct.pack("d", v) if isinstance(v, float) else v
+                 for v in column]
+    return bits
+
+
+def chunk_iterations(batch, width):
+    """The iterations whose samples one chunk of run_zo_sgd draws: BLOCK_VALUES values of ``width`` per sample."""
+    return max(1, BLOCK_VALUES // (batch * width))
+
+
+def assert_run_matches_the_per_sample_loop(suite, x0, cfg, rng, ref_rng, **kw):
+    """``run_zo_sgd`` on ``suite`` and on its undeclared copy: the same trace bits and the same stream after."""
+    fset = FullSpace(suite.dim)
+    ref = run_zo_sgd(undeclared(suite), fset, x0, cfg, ref_rng, record_x=True, **kw)
+    got = run_zo_sgd(suite, fset, x0, cfg, rng, record_x=True, **kw)
+    assert trace_bits(got) == trace_bits(ref)
+    assert rng.state == ref_rng.state
+    return got
+
+
+def _zo_quad(d):
+    suite, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 3.0, d).tolist()})
+    return wrap_noise(suite, ZOStochValue(0.01), Rng(21)), np.linspace(1.5, -1.0, d)
+
+
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, BLOCK_BATCH), (3, 9)])
+def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
+    suite, x0 = _zo_quad(d)
+    chunk = chunk_iterations(batch, d + 2)
+    cfg = ZoConfig(N=chunk + 3, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
+
+    def calls_after(j):  # iterations 0..j-1 and their due rows
+        return 2 * batch * j + (j - 1) // every + 1
+
+    for budget in range(calls_after(chunk - 1), calls_after(chunk + 1) + 2):
+        rng = SphereCountingRng(5)
+        got = assert_run_matches_the_per_sample_loop(suite, x0, cfg, rng, Rng(5), record_every=every,
+                                                     max_oracle_calls=budget)
+        assert got.final.oracle_calls >= budget  # every budget cuts the run
+        assert rng.spheres <= batch  # no iteration but the one the budget cuts draws a direction with Rng.sphere
+
+
+@pytest.mark.parametrize("exponent", [0.5, 3.0])
+@pytest.mark.parametrize("d, batch", [(1, 1), (2, 4), (10, BLOCK_BATCH)])
+def test_run_takes_each_iterations_tau_of_power_decay(d, batch, exponent):
+    suite, x0 = _zo_quad(d)
+    cfg = ZoConfig(N=3 * chunk_iterations(batch, d + 2) + 2, step_rule=Const(0.01), kernel=build_kernel(2),
+                   tau_schedule=PowerDecayTau(0.2, exponent), batch=batch)
+    assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(8), Rng(8), record_every=3)
+
+
+@pytest.mark.parametrize("batch", [1, BLOCK_BATCH])
+def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
+    suite, x0 = _zo_quad(2)
+    cfg = ZoConfig(N=20, step_rule=Const(0.01), kernel=build_kernel(2), tau_schedule=PowerDecayTau(0.2, 400.0),
+                   batch=batch)  # tau is 0.0 from iteration 6 on
+    rng, ref_rng = Rng(3), Rng(3)
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        run_zo_sgd(undeclared(suite), FullSpace(2), x0, cfg, ref_rng)
+    with pytest.raises(ValueError, match="tau must be positive and finite"), np.errstate(invalid="ignore"):
+        run_zo_sgd(suite, FullSpace(2), x0, cfg, rng)  # a subnormal tau before it gives d / (2 tau) = inf
+    assert rng.state == ref_rng.state
+
+
+@pytest.mark.parametrize("offset", [0, 1, 5])
+@pytest.mark.parametrize("batch", [1, 4, BLOCK_BATCH])
+def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
+    oracle, x = BIT_CASES["linear-d3"]()  # exact values: each sample's one normal fill is its direction's
+    chunk = chunk_iterations(batch, 3)
+    cfg = ZoConfig(N=3 * chunk, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
+    call = chunk * batch + offset  # a sample of the second chunk
+    ref_rng, rng = Rng(5), Rng(5)
+    ref_rng._gen, rng._gen = TinyNormals(ref_rng._gen, call), TinyNormals(rng._gen, call)
+    assert_run_matches_the_per_sample_loop(oracle, x, cfg, rng, ref_rng, record_every=4)
+    assert ref_rng._gen.tiny == 1 and rng._gen.tiny >= 1  # the chunk redraws it after a rewind
+
+
+@pytest.mark.parametrize("case", ["quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1",
+                                  "quad50-zo_bounded-random", "linear-d3-drawing", "linear-d3-declared-student_t3"])
+@pytest.mark.parametrize("batch", [1, 3, BLOCK_BATCH])
+def test_run_draws_ahead_only_for_a_declared_entry(case, batch):
+    oracle, x = BIT_CASES[case]()
+    cfg = ZoConfig(N=12, step_rule=Const(0.01), kernel=build_kernel(4), batch=batch)
+    rng = SphereCountingRng(2)
+    assert_run_matches_the_per_sample_loop(oracle, x, cfg, rng, Rng(2), record_every=5)
+    ahead = case in ("quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1")
+    assert (rng.spheres == 0) == ahead
