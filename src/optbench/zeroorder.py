@@ -56,13 +56,15 @@ running sum, and the arrays are summed row by row once per batch.
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
-sample's draws do not depend on x, so when the entry is one that the
-block path draws, the run takes them ahead: one chunk of phase-1 raw
-draws, about :data:`~optbench.core.rng.BLOCK_VALUES` values, serves
-several iterations, and its directions, radii, kernel weights and steps
+sample's draws do not depend on x, so below ``BLOCK_BATCH``, when the
+entry is one that the block path draws, the run takes them ahead: one
+chunk of phase-1 raw draws, about
+:data:`~optbench.core.rng.BLOCK_VALUES` values, serves several
+iterations, and its directions, radii, kernel weights and steps
 ``(tau_k r) e`` are computed once per chunk.  An iteration then counts
-its calls and weighs its samples, on scalars below ``BLOCK_BATCH`` and
-through phase 2 from it on, with the bits of the estimator's.  Where the
+its calls and weighs its samples on scalars, with the bits of the
+estimator's.  From ``BLOCK_BATCH`` on each iteration is one call of the
+estimator, which draws its batch ahead itself.  Where the
 estimator would take its per-sample loop (too few calls left, a
 direction to redraw) or refuse (a ``tau_k`` that is not positive and
 finite), the iteration calls :func:`kernel_grad_estimate` itself, after
@@ -246,8 +248,24 @@ def _block_samples(value, noise: Optional[AdditiveNoise], counter, x, tau, scale
         rng.state = start
         return None
     r = uniform_of(u)
+    s = (tau * r)[:, None] * dirs
+    probes = np.empty((batch, 2, d))  # each sample's x + s, then its x - s: the order of the calls
+    np.add(x, s, out=probes[:, 0])
+    np.subtract(x, s, out=probes[:, 1])
+    probes = probes.reshape(2 * batch, d)
     counter.calls += 2 * batch
-    return _weigh_block(value, noise, x, (tau * r)[:, None] * dirs, dirs, kernel(r), raw[:, d:], scale)
+    rows = getattr(value, "rows", None)
+    if rows is not None:
+        f = rows(probes)
+    else:
+        f = np.array([float(value(p)) for p in probes])
+    f = f.reshape(batch, 2)
+    if noise is not None:
+        f = noise.add(f, raw[:, d:])
+    weights = scale * (f[:, 0] - f[:, 1]) * kernel(r)
+    # cumsum adds the rows strictly in order, as the per-sample loop does: sum(axis=0)
+    # sums pairwise when d = 1, and weights @ dirs goes through BLAS.
+    return (weights[:, None] * dirs).cumsum(axis=0)[-1]
 
 
 def _raw_samples(gen, n: int, width: int):
@@ -264,32 +282,6 @@ def _raw_samples(gen, n: int, width: int):
         u.append(random())
         normal(out=row)
     return np.array(u), raw
-
-
-def _weigh_block(value, noise, x, s, dirs, kr, xi, scale):
-    """Phase 2: the sum of a batch's weighted directions, probed and weighed as arrays.
-
-    ``s`` holds each sample's ``(tau r) e``, ``dirs`` its ``e``, ``kr``
-    its ``K(r)`` and ``xi`` its probes' raw noise; the caller has counted
-    the probes.
-    """
-    batch, d = s.shape
-    probes = np.empty((batch, 2, d))  # each sample's x + s, then its x - s: the order of the calls
-    np.add(x, s, out=probes[:, 0])
-    np.subtract(x, s, out=probes[:, 1])
-    probes = probes.reshape(2 * batch, d)
-    rows = getattr(value, "rows", None)
-    if rows is not None:
-        f = rows(probes)
-    else:
-        f = np.array([float(value(p)) for p in probes])
-    f = f.reshape(batch, 2)
-    if noise is not None:
-        f = noise.add(f, xi)
-    weights = scale * (f[:, 0] - f[:, 1]) * kr
-    # cumsum adds the rows strictly in order, as the per-sample loop does: sum(axis=0)
-    # sums pairwise when d = 1, and weights @ dirs goes through BLAS.
-    return (weights[:, None] * dirs).cumsum(axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -343,17 +335,19 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
     """Projected SGD on the kernel gradient estimate (2*batch calls/iter).
 
     Iteration k's gradient has the bits of ``kernel_grad_estimate`` at
-    ``tau_schedule.at(k)``.  Where :func:`_declared` finds the suite's
-    zeroth-order draws, the samples of many iterations are drawn as one
-    chunk (:func:`_sample_chunks`); the run's ``Rng`` ends, by any exit,
-    where estimating one iteration at a time leaves it.
+    ``tau_schedule.at(k)``.  Below :data:`BLOCK_BATCH`, where
+    :func:`_declared` finds the suite's zeroth-order draws, the samples of
+    many iterations are drawn as one chunk (:func:`_sample_chunks`); the
+    run's ``Rng`` ends, by any exit, where estimating one iteration at a
+    time leaves it.
     """
     tau, kernel, batch = cfg.tau_schedule, cfg.kernel, cfg.batch
 
     def estimate(ctr, k, x):  # the module attribute, looked up per call: a traced run rebinds it
         return kernel_grad_estimate(ctr, x, tau.at(k), kernel, rng, batch)
 
-    declared = _declared(oracle)
+    # From BLOCK_BATCH on, and for a suite the estimator refuses (dim 0), each iteration is one estimate.
+    declared = _declared(oracle) if batch < BLOCK_BATCH and oracle.dim >= 1 else None
     if declared is None:
         gradient, rewind = estimate, (lambda: None)
     else:
@@ -368,7 +362,8 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
 def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfig, rng: Rng, estimate):
     """``(gradient, rewind)``: :func:`run_zo_sgd`'s gradients, their samples drawn a chunk of iterations ahead.
 
-    ``value`` and ``noise`` are what :func:`_declared` returns, and
+    ``value`` and ``noise`` are what :func:`_declared` returns, ``dim`` is
+    at least 1, the batch is below :data:`BLOCK_BATCH`, and
     ``estimate(ctr, k, x)`` is iteration k's ``kernel_grad_estimate``.  A
     chunk is one :func:`_raw_samples` draw for the next
     ``max(1, BLOCK_VALUES // (batch * width))`` iterations, or the ones
@@ -376,20 +371,19 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
     kernel weights and steps ``(tau_k r) e`` are computed once, ``tau_k``
     being the sample's iteration's.  An iteration checks that the budget
     has room for its ``2 * batch`` probes, counts them and weighs its
-    samples: on scalars, one at a time, below :data:`BLOCK_BATCH`, and by
-    :func:`_weigh_block` from it on.  ``estimate`` serves an iteration
-    without that room, one that would start a chunk at an ``x`` or a
-    ``tau_k`` that ``kernel_grad_estimate`` refuses, and one whose samples
-    hold a direction that :func:`unit_rows` does not keep.  Before it does,
-    and when ``rewind()`` ends the run, the stream is set back to the
-    chunk's start and the samples weighed are drawn again.  Without noise a
-    probe value gets ``+ 0.0``: that only turns a -0.0 value into +0.0,
-    which no estimate shows, as ``kernel_grad_estimate`` adds 0.0 to the sum.
+    samples on scalars, one at a time (weighing them as arrays was slower
+    at batch 1).  ``estimate`` serves an iteration without that room,
+    one that would start a chunk at an ``x`` or a ``tau_k`` that
+    ``kernel_grad_estimate`` refuses, and one whose samples hold a
+    direction that :func:`unit_rows` does not keep.  Before it does, and
+    when ``rewind()`` ends the run, the stream is set back to the chunk's
+    start and the samples weighed are drawn again.  Without noise a probe
+    value gets ``+ 0.0``: that only turns a -0.0 value into +0.0, which no
+    estimate shows, as ``kernel_grad_estimate`` adds 0.0 to the sum.
     """
     tau, kernel, batch, N = cfg.tau_schedule, cfg.kernel, cfg.batch, cfg.N
     width = dim if noise is None else dim + 2
     per_chunk = max(1, BLOCK_VALUES // (batch * width))
-    scalar = batch < BLOCK_BATCH
     start, drawn, ready, used = None, 0, 0, 0  # the state before the chunk; its samples drawn, servable, weighed
     scales = steps = dirs = weights = xi = None
 
@@ -404,7 +398,7 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
     def draw(k, x) -> bool:
         """Draw the chunk that starts at iteration k; False when ``estimate`` must serve iteration k."""
         nonlocal start, drawn, ready, scales, steps, dirs, weights, xi
-        if dim < 1 or x.shape != (dim,):
+        if x.shape != (dim,):
             return False
         taus = []
         for j in range(k, min(N, k + per_chunk)):
@@ -422,13 +416,11 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
             rewind()
             return False
         r = uniform_of(u)
-        steps = (np.repeat(taus, batch) * r)[:, None] * units
         scales = [dim / (2.0 * t) for t in taus]
-        if scalar:  # as floats, and noise as the terms scale * xi that noise.add adds: two per sample
-            xi = [0.0, 0.0] * drawn if noise is None else (noise.scale * raw[:, dim:]).ravel().tolist()
-            steps, dirs, weights = list(steps), list(units), kernel(r).tolist()
-        else:
-            dirs, weights, xi = units, kernel(r), raw[:, dim:]
+        steps, dirs = list((np.repeat(taus, batch) * r)[:, None] * units), list(units)
+        weights = kernel(r).tolist()
+        # noise as the terms scale * xi that noise.add adds: two per sample
+        xi = [0.0, 0.0] * drawn if noise is None else (noise.scale * raw[:, dim:]).ravel().tolist()
         return True
 
     def gradient(ctr, k, x):
@@ -443,9 +435,6 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
         ctr.calls += 2 * batch
         i, used = used, used + batch
         scale = scales[i // batch]
-        if not scalar:
-            return (_weigh_block(value, noise, x, steps[i:used], dirs[i:used], weights[i:used], xi[i:used], scale)
-                    + 0.0) / batch
         total = None
         for j in range(i, used):
             s, e = steps[j], dirs[j]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from optbench.core import (
+    Box,
     CountingOracle,
     FullSpace,
     OracleBudgetError,
@@ -20,6 +21,7 @@ from optbench.core import (
 )
 from optbench.core.noise import AdditiveNoise
 from optbench.core.rng import BLOCK_VALUES
+from optbench import zeroorder
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
     BLOCK_BATCH,
@@ -296,12 +298,21 @@ def test_bare_suite_is_estimated_as_an_unbudgeted_counter(case, batch):
     assert rng.state == counted_rng.state and counter.calls == 2 * batch
 
 
+@pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("batch", [1, BLOCK_BATCH])
-def test_estimator_refuses_a_zero_dimensional_suite_before_any_draw(batch):
+def test_estimator_refuses_a_zero_dimensional_suite_before_any_draw(batch, noisy):
     oracle = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: np.zeros(0), dim=0)
+    if noisy:
+        oracle = wrap_noise(oracle, ZOStochValue(0.01), Rng(1))
     rng = Rng(0)
     with pytest.raises(ValueError, match="dim >= 1"):
         kernel_grad_estimate(oracle, np.zeros(0), 0.1, build_kernel(2), rng, batch)
+    # a run refuses it at its first iteration, as the estimator does, and runs no iteration at N = 0
+    fset = Box(np.zeros(0), np.zeros(0))  # FullSpace refuses dim 0
+    cfg = ZoConfig(N=3, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
+    with pytest.raises(ValueError, match="dim >= 1"):
+        run_zo_sgd(oracle, fset, np.zeros(0), cfg, rng)
+    assert run_zo_sgd(oracle, fset, np.zeros(0), dataclasses.replace(cfg, N=0), rng).final.iter == 0
     assert rng.gaussian(3).tobytes() == Rng(0).gaussian(3).tobytes()
 
 
@@ -526,7 +537,7 @@ def _zo_quad(d):
 
 
 @pytest.mark.parametrize("every", [1, 7])
-@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, BLOCK_BATCH), (3, 9)])
+@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, BLOCK_BATCH - 1), (3, BLOCK_BATCH)])
 def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
     suite, x0 = _zo_quad(d)
     chunk = chunk_iterations(batch, d + 2)
@@ -544,7 +555,7 @@ def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
 
 
 @pytest.mark.parametrize("exponent", [0.5, 3.0])
-@pytest.mark.parametrize("d, batch", [(1, 1), (2, 4), (10, BLOCK_BATCH)])
+@pytest.mark.parametrize("d, batch", [(1, 1), (2, 4), (10, BLOCK_BATCH - 1)])
 def test_run_takes_each_iterations_tau_of_power_decay(d, batch, exponent):
     suite, x0 = _zo_quad(d)
     cfg = ZoConfig(N=3 * chunk_iterations(batch, d + 2) + 2, step_rule=Const(0.01), kernel=build_kernel(2),
@@ -552,7 +563,7 @@ def test_run_takes_each_iterations_tau_of_power_decay(d, batch, exponent):
     assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(8), Rng(8), record_every=3)
 
 
-@pytest.mark.parametrize("batch", [1, BLOCK_BATCH])
+@pytest.mark.parametrize("batch", [1, BLOCK_BATCH - 1])
 def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
     suite, x0 = _zo_quad(2)
     cfg = ZoConfig(N=20, step_rule=Const(0.01), kernel=build_kernel(2), tau_schedule=PowerDecayTau(0.2, 400.0),
@@ -566,7 +577,7 @@ def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
 
 
 @pytest.mark.parametrize("offset", [0, 1, 5])
-@pytest.mark.parametrize("batch", [1, 4, BLOCK_BATCH])
+@pytest.mark.parametrize("batch", [1, 4, BLOCK_BATCH - 1])
 def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
     oracle, x = BIT_CASES["linear-d3"]()  # exact values: each sample's one normal fill is its direction's
     chunk = chunk_iterations(batch, 3)
@@ -580,11 +591,20 @@ def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
 
 @pytest.mark.parametrize("case", ["quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1",
                                   "quad50-zo_bounded-random", "linear-d3-drawing", "linear-d3-declared-student_t3"])
-@pytest.mark.parametrize("batch", [1, 3, BLOCK_BATCH])
-def test_run_draws_ahead_only_for_a_declared_entry(case, batch):
+@pytest.mark.parametrize("batch", [1, 3, BLOCK_BATCH - 1, BLOCK_BATCH])
+def test_run_draws_ahead_only_for_a_declared_entry_below_block_batch(monkeypatch, case, batch):
     oracle, x = BIT_CASES[case]()
     cfg = ZoConfig(N=12, step_rule=Const(0.01), kernel=build_kernel(4), batch=batch)
+    estimates = []
+
+    def counted(*args):
+        estimates.append(args)
+        return kernel_grad_estimate(*args)
+
+    monkeypatch.setattr(zeroorder, "kernel_grad_estimate", counted)
     rng = SphereCountingRng(2)
     assert_run_matches_the_per_sample_loop(oracle, x, cfg, rng, Rng(2), record_every=5)
-    ahead = case in ("quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1")
-    assert (rng.spheres == 0) == ahead
+    declared = case in ("quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1")
+    assert (rng.spheres == 0) == declared  # neither a chunk nor the estimator's block path calls Rng.sphere
+    # the reference estimates all 12 iterations; a run that draws ahead estimates none
+    assert len(estimates) == (12 if declared and batch < BLOCK_BATCH else 24)
