@@ -98,14 +98,17 @@ Grids:
   parameter and a bad value.  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
   layer, quoted numbers and booleans in ``x0``, in catalog parameters
-  and in ``absolute_grad``'s ``v`` among them, and a number and a
-  boolean as ``norm2``'s ``a``.  ``parse/key/...`` gives
+  and in ``absolute_grad``'s ``v`` among them, a number and a
+  boolean as ``norm2``'s ``a``, and ``zo_sgd`` taus whose estimator
+  scale ``dim/(2 tau)`` is finite or not (a constant tau of 1e-308 and
+  1e-320, and a decaying tau with exponent 40 and 400 over 200
+  iterations).  ``parse/key/...`` gives
   ``const_subgrad`` a ``tol`` and ``gd_rel_adaptive`` an ``L``.
   ``parse/type/...`` gives ``absolute_grad`` a ``v`` that is too short,
   too long or 2-d for the 2-d problem, or one in ``random_direction``
   mode, and ``output.trace_path`` a number, a list and a boolean.  The
   hash covers the ``repr`` of the parsed spec; a config that fails maps
-  to its error text (111 keys).  ``parse/variant/...`` parses
+  to its error text (115 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -181,7 +184,23 @@ Grids:
   inf (``rinf``: the iterates grow until the gradient's norm is not
   finite, except the linear suite's, whose gradient stays finite),
   ``record_every`` in {1, 7} and ``max_oracle_calls`` in {none, 40}
-  (144 runs).
+  (144 runs);
+* ``rec/...``: ``record_every`` 1 runs with ``record_x`` on and off, whose
+  row counts (511, 512, 513 and 1025) sit around a block of 512 rows.
+  ``gd`` (L = 8, tol 0) on ``quad_diag`` at d 1 and 2 (whose rows take
+  ``dist_to_opt`` from ``xstar``), from the default start and, at d 2,
+  from (-0.0, 1); on ``nesterov_skokov_toy`` (from ``minimizers``) from
+  (1, 0.5) and from (1, 0), where both minimizers are equally far; and
+  ``const_subgrad`` on ``slp`` (from ``dist_fn``), through
+  ``run_experiment``; at 1025 rows also with budgets that cut at a row's
+  f, at a step's call and at a block's end (``quad_diag`` d 2,
+  ``nesterov_skokov_toy`` and ``slp``).  ``rec/scripted/...`` calls
+  ``run_steps`` with a step whose iterates, values and gradients cycle
+  through +-0.0, a subnormal, +-1e200, +-inf and NaN, on those suites and
+  on ``nesterov_skokov_toy`` with a minimizer at (inf, 1) listed first
+  and second.  ``rec/diverge/blowup`` is ``gd`` on a suite whose row 1
+  sits at (-inf, inf), where f is NaN, before a NaN iterate ends the run
+  (128 runs).
 """
 
 from __future__ import annotations
@@ -213,6 +232,23 @@ CHUNK_N = 307  # a prime: no chunk of iterations divides it
 CHUNK_DIMS = (1, 2, 10)
 CHUNK_BATCHES = (1, 4, 7, 9)
 SWITCH_BUDGETS = (None, 10, 11, 40)
+REC_ROWS = (511, 512, 513, 1025)
+_GD_SLOW = {"L": 8.0, "tol": 0.0}  # a step of 1/8 on curvatures 1 and 2: no gradient reaches 0 in 1024 steps
+# name -> (problem, method, params, x0 or None, k): a run of rows - k iterations writes ``rows`` rows
+REC_RUNS = {
+    "quad_diag-d1": ({"name": "quad_diag", "params": {"lambdas": [2]}}, "gd", _GD_SLOW, None, 1),
+    "quad_diag-d2": ({"name": "quad_diag", "params": {"lambdas": [2, 1]}}, "gd", _GD_SLOW, None, 1),
+    "quad_diag-d2-negzero": ({"name": "quad_diag", "params": {"lambdas": [2, 1]}}, "gd", _GD_SLOW, [-0.0, 1.0], 1),
+    "nesterov_skokov_toy": ({"name": "nesterov_skokov_toy"}, "gd", _GD_SLOW, [1.0, 0.5], 1),
+    "nesterov_skokov_toy-tie": ({"name": "nesterov_skokov_toy"}, "gd", _GD_SLOW, [1.0, 0.0], 1),
+    "slp": ({"name": "slp"}, "const_subgrad", {"h": 0.01}, None, 0),  # its last iterate takes no step
+}
+# two calls an iteration (the step's, then the row's f): 701 cuts at row 350's f; 1024 at iteration 512's
+# first call, after a block of 512 rows; 1025 at row 512's f; 1026 at iteration 513's first call; 1500 at
+# row 749's f, inside the second block
+REC_BUDGETS = (701, 1024, 1025, 1026, 1500)
+REC_BUDGET_RUNS = ("quad_diag-d2", "nesterov_skokov_toy", "slp")
+REC_SPECIALS = (1.5, -0.0, 0.0, -2.25, 5e-324, 1e200, -3e200, float("inf"), float("-inf"), float("nan"), 0.125)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
 STOP_CONFIGS = {
@@ -682,6 +718,113 @@ def diverge_grid(tmp: str) -> dict:
     return out
 
 
+def _rec_suites() -> dict:
+    """name -> a suite whose trace rows take ``dist_to_opt`` from ``xstar``, ``minimizers`` or ``dist_fn``.
+
+    ``minimizers-inf`` has a minimizer with an infinite entry, so an iterate
+    with an infinite entry there is at distance NaN from it and at a finite
+    or infinite distance from the other; the two orders put the NaN first
+    and second.
+    """
+    import dataclasses
+
+    import numpy as np
+
+    from optbench.core import make_problem
+
+    quad1, _ = make_problem("quad_diag", {"lambdas": [2.0]})
+    quad2, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    toy, _ = make_problem("nesterov_skokov_toy", {})
+    slp, _ = make_problem("slp", {})
+    inf_first = (np.array([np.inf, 1.0]), np.array([0.0, -1.0]))
+    return {"quad_diag-d1": quad1, "quad_diag-d2": quad2, "nesterov_skokov_toy": toy, "slp": slp,
+            "minimizers-inf-first": dataclasses.replace(toy, minimizers=inf_first),
+            "minimizers-inf-second": dataclasses.replace(toy, minimizers=inf_first[::-1])}
+
+
+def _rec_script(d: int, rows: int):
+    """``(x0, step)``: a ``run_steps`` step whose iterates, values and gradients cycle through ``REC_SPECIALS``.
+
+    Iteration k moves to the k+1-th scripted point, returns a scripted f
+    on three rows in four (the fourth is evaluated through the counter),
+    a scripted gradient and a step of 0.5.
+    """
+    import numpy as np
+
+    n = len(REC_SPECIALS)
+
+    def point(k, shift):
+        return np.array([REC_SPECIALS[(k * (2 * j + 3) + j * (k // n + 1) + shift) % n] for j in range(d)])
+
+    xs = [point(k, 0) for k in range(rows)]
+
+    def step(ctr, k, x):
+        f = None if k % 4 == 0 else REC_SPECIALS[(5 * k + 2) % n]
+        return xs[k + 1], f, point(k, 7), 0.5, None
+
+    return xs[0], step
+
+
+def rec_grid(tmp: str) -> dict:
+    """``rec/...``: ``record_every`` 1 runs whose row counts sit around a block of ``REC_ROWS`` rows."""
+    import math
+
+    import numpy as np
+
+    from optbench import smooth as sm
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import OracleSuite
+    from optbench.core.oracles import run_steps
+
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+
+    def catalog(key, name, rows, record_x, budget=None):
+        problem, method, params, x0, extra = REC_RUNS[name]
+        doc = {"problem": problem, "method": {"name": method, "params": params},
+               "budget": {"iterations": rows - extra, "max_oracle_calls": budget},
+               "output": {"record_every": 1, "record_x": record_x}}
+        if x0 is not None:
+            doc["x0"] = x0
+
+        def run():
+            _, summary = run_experiment(parse_config(json.dumps(doc)), trace_path=path)
+            return _digest(path, summary["oracle_calls"])
+        out[key] = _guarded(run)
+
+    def direct(key, call):
+        def run():
+            with np.errstate(all="ignore"):
+                trace = call()
+            write_trace(trace, path, "json")
+            return _digest(path, trace.final.oracle_calls)
+        out[key] = _guarded(run)
+
+    suites = _rec_suites()
+    for record_x in (True, False):
+        xs = f"x-{'on' if record_x else 'off'}"
+        for name, rows in itertools.product(REC_RUNS, REC_ROWS):
+            catalog(f"rec/{name}/rows{rows}/{xs}", name, rows, record_x)
+        for name, budget in itertools.product(REC_BUDGET_RUNS, REC_BUDGETS):
+            catalog(f"rec/{name}/rows{REC_ROWS[-1]}/budget{budget}/{xs}", name, REC_ROWS[-1], record_x, budget)
+        for (sname, suite), rows in itertools.product(suites.items(), REC_ROWS):
+            def scripted(suite=suite, rows=rows, record_x=record_x):
+                x0, step = _rec_script(suite.dim, rows)
+                return run_steps(suite, x0, rows - 1, step, record_every=1, record_x=record_x,
+                                 max_oracle_calls=None)
+            direct(f"rec/scripted/{sname}/rows{rows}/{xs}", scripted)
+        # gd on f = x_1 + x_2 with a gradient of +-1e150 by sign and a step of 1e200: row 1 sits at
+        # (-inf, inf), where f is NaN, and the next iterate, NaN, ends the run as diverged
+        blowup = OracleSuite(value=lambda x: float(x[0] + x[1]), subgrad=lambda x: np.where(x > 0, 1e150, -1e150),
+                             grad=lambda x: np.where(x > 0, 1e150, -1e150), dim=2, fstar=0.0, xstar=np.zeros(2))
+        direct(f"rec/diverge/blowup/{xs}", lambda record_x=record_x: sm.run_gd(
+            blowup, np.array([1.0, -1.0]), sm.SmoothRunConfig(N=10, L=1e-200, tol=0.0), record_x=record_x,
+            divergence_radius=math.inf))
+    return out
+
+
 def estimator_grid() -> dict:
     import numpy as np
 
@@ -1020,6 +1163,7 @@ PARSE_PROBLEMS = {
     "logistic_small": ("box_radius", {"box_radius": -1}),
 }
 _STOCH = {"kind": "additive_stoch_grad", "sigma": 1.0}
+_ZO = {"kind": "zo_stoch", "delta_tilde": 0.01}
 # name -> config changes; each number is not a JSON number, or not whole where a whole number is meant
 PARSE_NUMBERS = {
     "iterations-5.9": {"iterations": 5.9},
@@ -1051,6 +1195,13 @@ PARSE_NUMBERS = {
     "absolute_grad-v-quoted": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": ["0.05", "0"]}},
     "norm2-a-scalar": {"problem": {"name": "norm2", "params": {"a": 5}}},
     "norm2-a-bool": {"problem": {"name": "norm2", "params": {"a": True}}},
+    # tau whose estimator scale dim/(2 tau) is finite (1e-308, and tau_199 = 0.2 * 200^-40) or not
+    "zo_sgd-tau-1e-308": {"noise": _ZO, "method": {"name": "zo_sgd", "params": {"gamma": 0.01, "tau": 1e-308}}},
+    "zo_sgd-tau-1e-320": {"noise": _ZO, "method": {"name": "zo_sgd", "params": {"gamma": 0.01, "tau": 1e-320}}},
+    "zo_sgd-tau_exponent-40": {"noise": _ZO, "iterations": 200, "method": {
+        "name": "zo_sgd", "params": {"gamma": 0.01, "tau0": 0.2, "tau_exponent": 40}}},
+    "zo_sgd-tau_exponent-400": {"noise": _ZO, "iterations": 200, "method": {
+        "name": "zo_sgd", "params": {"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}}},
 }
 # name -> config changes: a value of the wrong shape or type that is not a number case
 PARSE_TYPES = {
@@ -1108,7 +1259,6 @@ def parse_grid() -> dict:
     return out
 
 
-_ZO = {"kind": "zo_stoch", "delta_tilde": 0.01}
 # SGD step-rule kind -> a valid rule's keys on quad_diag [2, 1], which has mu = 1 and no M
 VARIANT_RULES = {
     "const": {"gamma": 0.1},
@@ -1210,7 +1360,7 @@ def main(argv: list[str]) -> int:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
                    **estimator_grid(), **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
                    **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
-                   **diverge_grid(tmp)}
+                   **diverge_grid(tmp), **rec_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
