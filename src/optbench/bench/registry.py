@@ -241,6 +241,12 @@ def _build_zo_sgd(zeroorder, spec, oracle) -> Run:
         tau = zeroorder.PowerDecayTau(tau0=_need(p, "tau0"), exponent=_float(p, "tau_exponent", 0.0))
     else:
         tau = zeroorder.ConstTau(_float(p, "tau", zeroorder.ConstTau.tau))
+    if spec.iterations > 0:  # tau_k does not grow with k: the last iteration's is the least
+        last = spec.iterations - 1
+        try:
+            zeroorder.estimator_scale(oracle.dim, tau.at(last))
+        except ValueError as e:
+            raise ValueError(f"{e} (tau at iteration {last})") from None
     cfg = zeroorder.ZoConfig(
         N=spec.iterations,
         step_rule=_step_rule(_module("stochastic").STEP_RULES, p, oracle),

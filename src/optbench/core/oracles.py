@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import norm
+from .linalg import norm, row_dots
 from .sets import FeasibleSet, FullSpace
 
 
@@ -106,6 +106,12 @@ class CountingOracle:
     calls it, to evaluate a run's terminal row and a reported point other
     than the terminal row's, so a run's total never exceeds the budget by
     more than those two evaluations.
+
+    An array entry's result is returned as the suite's entry gave it when
+    that is already a float64 array, not copied.  A run's recorder holds
+    the iterates and gradients of its pending trace rows until it derives
+    their columns, so an entry must not change an array it returned
+    afterwards (the catalog's entries return a fresh array on every call).
     """
 
     def __init__(self, suite: OracleSuite, max_calls: Optional[int] = None):
@@ -251,16 +257,37 @@ class Trace:
         return TraceRow(*(self.columns[n][-1] for n in TRACE_FIELDS))
 
 
+ROW_BLOCK = 512
+"""The trace rows a :class:`TraceRecorder` keeps raw before it derives their columns in one pass."""
+
+
+def _row_norms(V) -> np.ndarray:
+    """``||V[i]||`` of each row of a float64 ``(n, d)`` array, with the bits of :func:`norm` on the row."""
+    return np.sqrt(row_dots(V, V))
+
+
 class TraceRecorder:
     """Accumulates trace rows for one run; the only code that evaluates f for a row.
 
     Rows are kept every ``record_every`` iterations; the first and the
-    terminal row are always kept.  Each row appends one entry to every
-    column of :data:`TRACE_FIELDS`.  A due row without a given ``f_value``
+    terminal row are always kept.  A due row without a given ``f_value``
     is evaluated through the run's counter and charged to its budget,
     like any other call.  :meth:`close` writes the terminal row and ends
-    the run.  ``f_gap`` is filled from the suite's known optimal value
-    and ``dist_to_opt`` from its minimizer set.
+    the run.
+
+    What calls user code or reads the counter happens when a row is
+    recorded: the f evaluation, ``counter.calls`` and a suite's
+    ``dist_fn(x)``.  A row's other parts are kept raw, the iterate and the
+    step's gradient by reference, and its derived columns are computed
+    for up to :data:`ROW_BLOCK` rows at once, with the bits of the row's
+    own arithmetic: ``grad_norm`` as ``norm(g)``, ``dist_to_opt`` as the
+    norm of ``x - xstar`` or, over a minimizer set, the first least of
+    the norms of ``x - m`` in the set's order (a NaN first stays, a later
+    one is passed over, as Python's ``min`` does), ``f_gap`` as
+    ``f - fstar``, and each float as ``float()`` gives it.  A block is
+    derived when it fills, at :meth:`close` and when :attr:`columns` is
+    read; ``columns`` maps each name of :data:`TRACE_FIELDS` to a list
+    with one entry per row.
     """
 
     def __init__(self, suite: OracleSuite, counter: CountingOracle,
@@ -271,8 +298,17 @@ class TraceRecorder:
         self.counter = counter
         self.record_every = record_every
         self.record_x = record_x
-        self.columns: dict[str, list] = {name: [] for name in TRACE_FIELDS}
-        self._columns = tuple(self.columns.values())
+        self._columns: dict[str, list] = {name: [] for name in TRACE_FIELDS}
+        self._dist_fn = suite.dist_fn
+        # one (it, x, f, g, step_size, calls, tag, dist_fn(x) or None) per row not yet derived; a row
+        # with a given grad_norm has g None, and its norm (or None) sits in _norms under its index
+        self._pending: list[tuple] = []
+        self._norms: dict[int, Optional[float]] = {}
+
+    @property
+    def columns(self) -> dict[str, list]:
+        self._derive()
+        return self._columns
 
     def due(self, it: int) -> bool:
         return it % self.record_every == 0
@@ -281,27 +317,75 @@ class TraceRecorder:
                grad_norm: Optional[float] = None, step_size: float = 0.0,
                tag: Optional[str] = None):
         if self.due(it):
-            self._append(it, x, self.counter.value(x) if f_value is None else f_value, grad_norm, step_size, tag)
+            self._record_norm(it, x, self.counter.value(x) if f_value is None else f_value,
+                              grad_norm, step_size, tag)
 
-    def _append(self, it: int, x: np.ndarray, f_value: float, grad_norm: Optional[float],
-                step_size: float, tag: Optional[str]):
-        iters, f_values, f_gaps, dists, grad_norms, steps, calls, xs, tags = self._columns
-        f_value = float(f_value)
-        fstar = self.suite.fstar
-        iters.append(it)
-        f_values.append(f_value)
-        f_gaps.append(None if fstar is None else f_value - fstar)
-        dists.append(self.suite.dist_to_opt(x))
-        grad_norms.append(None if grad_norm is None else float(grad_norm))
-        steps.append(float(step_size))
-        calls.append(self.counter.calls)
-        xs.append(np.array(x, dtype=float) if self.record_x else None)
-        tags.append(tag)
+    def record_step(self, it: int, x: np.ndarray, f_value: Optional[float], g: np.ndarray,
+                    step_size: float, tag: Optional[str]):
+        """Record row ``it``, due, whose ``grad_norm`` is the norm of ``g``: the row :func:`run_steps` writes."""
+        if f_value is None:
+            f_value = self.counter.value(x)
+        dist_fn = self._dist_fn
+        pending = self._pending
+        pending.append((it, x, f_value, g, step_size, self.counter.calls, tag,
+                        None if dist_fn is None else float(dist_fn(x))))
+        if len(pending) == ROW_BLOCK:
+            self._derive()
+
+    def _record_norm(self, it: int, x: np.ndarray, f_value: float, grad_norm: Optional[float],
+                     step_size: float, tag: Optional[str]):
+        # set before the row: a full block is derived as it is appended; a row that fails leaves
+        # an entry that only a row with a given norm reads, and it sets its own first
+        self._norms[len(self._pending)] = grad_norm
+        self.record_step(it, x, f_value, None, step_size, tag)
+
+    def _derive(self):
+        """Append the pending rows to :attr:`columns`, each derived column computed over all of them at once."""
+        pending, norms = self._pending, self._norms
+        if not pending:
+            return
+        self._pending, self._norms = [], {}
+        n = len(pending)
+        its, xs, fs, gs, steps, calls, tags, dists = zip(*pending)
+        suite = self.suite
+        X = np.array(xs, dtype=float)
+        F = np.array(fs, dtype=float)
+        if not norms:
+            grad_norms = _row_norms(np.array(gs, dtype=float)).tolist()
+        else:
+            grad_norms = [None if v is None else float(v) for v in map(norms.get, range(n))]
+            rows = [i for i, g in enumerate(gs) if g is not None]
+            if rows:
+                for i, v in zip(rows, _row_norms(np.array([gs[i] for i in rows], dtype=float)).tolist()):
+                    grad_norms[i] = v
+        if self._dist_fn is None and suite.minimizers is not None:
+            best = None
+            for m in suite.minimizers:
+                dist = _row_norms(X - m)
+                best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
+            dists = best.tolist()
+        elif self._dist_fn is None and suite.xstar is not None:
+            dists = _row_norms(X - suite.xstar).tolist()
+        if suite.fstar is None:
+            gaps = [None] * n
+        else:
+            with np.errstate(all="ignore"):  # float subtraction, which F - fstar repeats, warns of nothing
+                gaps = (F - suite.fstar).tolist()
+        c = self._columns
+        c["iter"].extend(its)
+        c["f_value"].extend(F.tolist())
+        c["f_gap"].extend(gaps)
+        c["dist_to_opt"].extend(dists)
+        c["grad_norm"].extend(grad_norms)
+        c["step_size"].extend(np.array(steps, dtype=float).tolist())
+        c["oracle_calls"].extend(calls)
+        c["x"].extend(X if self.record_x else [None] * n)
+        c["tag"].extend(tags)
 
     def close(self, it: int, x: np.ndarray, status: RunStatus,
               x_out: Optional[np.ndarray] = None, *, f_value: Optional[float] = None,
               grad_norm: Optional[float] = None) -> Trace:
-        """Record the terminal row at iteration ``it`` and return the trace.
+        """Record the terminal row at iteration ``it``, derive the pending rows and return the trace.
 
         The row carries ``f_value`` and ``grad_norm`` when the run knows
         them, and ``f(x)`` is evaluated with ``value_final`` when it does
@@ -312,7 +396,7 @@ class TraceRecorder:
         the two apart.
         """
         f_end = self.counter.value_final(x) if f_value is None else f_value
-        self._append(it, x, f_end, grad_norm, 0.0, None)
+        self._record_norm(it, x, f_end, grad_norm, 0.0, None)
         if x_out is not None and x_out.tobytes() != x.tobytes():
             x, f_end = x_out, self.counter.value_final(x_out)
         return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),
@@ -349,8 +433,14 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     calls through ``ctr`` and returns ``(x_next, f, g, h, tag)``: the next
     point before projection, ``f(x)`` if the step computed it (else None),
     the vector whose norm row k records as ``grad_norm``, the step size,
-    and the row's tag (or None).  Row k is written at ``x`` when due, after
-    the step's calls.  The next iterate is ``fset.project(x_next)``, or
+    and the row's tag (or None).  Row k is recorded at ``x`` when due,
+    after the step's calls: its f evaluation, call count and ``dist_fn``
+    happen then, and its norms and gap when the recorder derives its block
+    (see :class:`TraceRecorder`).  Until then the recorder holds ``x`` and
+    ``g`` themselves, so a step must not change an iterate or a gradient
+    in place once it has returned it; none does (the only in-place add in
+    a step, ``run_const_subgrad``'s, is to its own running sum).  The next
+    iterate is ``fset.project(x_next)``, or
     ``x_next`` itself without a set or on ``FullSpace``.  The run ends as
     a :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
     ``||x_next - x0||`` is not ``<= divergence_radius`` (NaN and inf
@@ -361,6 +451,7 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
+    record = rec.record_step
     x0 = np.array(x0, dtype=float) if fset is None else fset.project(x0)
     project = None if fset is None or isinstance(fset, FullSpace) else fset.project
     x, k = x0, first
@@ -369,7 +460,7 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
         while k < N:
             x_next, f, g, h, tag = step(ctr, k, x)
             if k % record_every == 0:  # rec.due(k), inlined: it is tested on every iteration
-                rec.record(k, x, f, grad_norm=norm(g), step_size=h, tag=tag)
+                record(k, x, f, g, h, tag)
             x = x_next if project is None else project(x_next)
             k += 1
             if divergence_radius is not None and not norm(x - x0) <= divergence_radius:

@@ -67,7 +67,8 @@ estimator's.  From ``BLOCK_BATCH`` on each iteration is one call of the
 estimator, which draws its batch ahead itself.  Where the
 estimator would take its per-sample loop (too few calls left, a
 direction to redraw) or refuse (a ``tau_k`` that is not positive and
-finite), the iteration calls :func:`kernel_grad_estimate` itself, after
+finite, or so small that the scale ``d/(2 tau_k)`` overflows), the
+iteration calls :func:`kernel_grad_estimate` itself, after
 the stream is rewound to the chunk's start and the samples already used
 are drawn again; every exit of the run rewinds the same way.  So a run
 leaves its trace, its reported point and its ``Rng`` where estimating
@@ -170,10 +171,9 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
 
     Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
     and at x - tau r_i e_i (the module docstring's draw order).  ``x``
-    must have shape ``(dim,)`` of the suite, and ``dim`` must be >= 1.
+    must have shape ``(dim,)`` of the suite, ``dim`` must be >= 1, and
+    ``tau`` must pass :func:`estimator_scale`.
     """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be positive and finite")
     if batch < 1:
         raise ValueError("batch must be >= 1")
     counter = oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
@@ -183,7 +183,7 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
         raise ValueError(f"x has shape {x.shape}, the suite takes ({suite.dim},)")
     if suite.dim < 1:
         raise ValueError("the estimator needs a suite of dim >= 1")
-    scale = x.shape[0] / (2.0 * tau)
+    scale = estimator_scale(x.shape[0], tau)
     total = None
     if batch >= BLOCK_BATCH and counter.has_room(2 * batch):
         declared = _declared(suite)
@@ -195,6 +195,21 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     # first sample's; adding 0.0 turns a -0.0 total into the +0.0 that a
     # running sum from a zero start gives.
     return (total + 0.0) / batch
+
+
+def estimator_scale(dim: int, tau: float) -> float:
+    """``dim / (2 tau)``, the factor of every two-point estimate at ``tau``; a ValueError unless both are finite.
+
+    ``tau`` must be positive and finite.  A tau so small that the factor
+    overflows (1e-320 at any dim) would weigh the samples by inf and NaN,
+    so it is refused as well.
+    """
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
+    scale = dim / (2.0 * tau)
+    if scale == math.inf:
+        raise ValueError(f"tau = {tau!r} is too small: the estimator's scale dim/(2 tau) overflows at dim {dim}")
+    return scale
 
 
 def _declared(suite: OracleSuite):
@@ -400,10 +415,12 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
         nonlocal start, drawn, ready, scales, steps, dirs, weights, xi
         if x.shape != (dim,):
             return False
-        taus = []
+        taus, scales = [], []
         for j in range(k, min(N, k + per_chunk)):
             t = tau.at(j)
-            if not 0 < t < math.inf:
+            try:
+                scales.append(estimator_scale(dim, t))
+            except ValueError:  # the estimator refuses iteration j's tau
                 break
             taus.append(t)
         if not taus:
@@ -416,7 +433,6 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
             rewind()
             return False
         r = uniform_of(u)
-        scales = [dim / (2.0 * t) for t in taus]
         steps, dirs = list((np.repeat(taus, batch) * r)[:, None] * units), list(units)
         weights = kernel(r).tolist()
         # noise as the terms scale * xi that noise.add adds: two per sample

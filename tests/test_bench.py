@@ -329,17 +329,35 @@ def test_names_that_are_not_strings_exit_2(tmp_path, capsys, doc, message):
     assert message in err and "runtime error" not in err
 
 
-@pytest.mark.parametrize("params, message", [
-    ({"gamma": 0.01, "tau": INF}, "tau must be positive and finite"),
-    ({"gamma": 0.01, "tau": NAN}, "tau must be positive and finite"),
-    ({"gamma": 0.01, "tau0": INF}, "tau0 must be positive and finite"),
-    ({"gamma": 0.01, "tau0": NAN}, "tau0 must be positive and finite"),
-], ids=["tau-inf", "tau-nan", "tau0-inf", "tau0-nan"])
-def test_non_finite_tau_exits_2(tmp_path, capsys, params, message):
-    doc = {"problem": QUAD, "noise": ZO, "method": {"name": "zo_sgd", "params": params}, "iterations": 3}
+@pytest.mark.parametrize("params, iterations, message", [
+    ({"gamma": 0.01, "tau": INF}, 3, "tau must be positive and finite"),
+    ({"gamma": 0.01, "tau": NAN}, 3, "tau must be positive and finite"),
+    ({"gamma": 0.01, "tau0": INF}, 3, "tau0 must be positive and finite"),
+    ({"gamma": 0.01, "tau0": NAN}, 3, "tau0 must be positive and finite"),
+    # QUAD has dim 2: 2/(2 tau) overflows for tau below 1/DBL_MAX, about 5.6e-309
+    ({"gamma": 0.01, "tau": 1e-320}, 3,
+     "tau = 1e-320 is too small: the estimator's scale dim/(2 tau) overflows at dim 2 (tau at iteration 2)"),
+    ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}, 6,  # tau_5 = 0.2 * 6^-400, a subnormal
+     "is too small: the estimator's scale dim/(2 tau) overflows at dim 2 (tau at iteration 5)"),
+    ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}, 200,  # tau_199 underflows to 0
+     "tau must be positive and finite (tau at iteration 199)"),
+], ids=["tau-inf", "tau-nan", "tau0-inf", "tau0-nan", "tau-1e-320", "tau_exponent-400-subnormal",
+        "tau_exponent-400-zero"])
+def test_non_finite_tau_exits_2(tmp_path, capsys, params, iterations, message):
+    doc = {"problem": QUAD, "noise": ZO, "method": {"name": "zo_sgd", "params": params}, "iterations": iterations}
     assert main(["run", "--config", write_cfg(tmp_path, "tau.json", doc)]) == 2
     err = capsys.readouterr().err
-    assert f"method 'zo_sgd': {message}" in err and "runtime error" not in err
+    assert f"method 'zo_sgd': " in err and message in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("params, iterations", [
+    ({"gamma": 0.01, "tau": 1e-308}, 3),
+    ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}, 5),  # tau_4 = 0.2 * 5^-400 leaves 2/(2 tau) finite
+    ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 40}, 200),
+], ids=["tau-1e-308", "tau_exponent-400-short", "tau_exponent-40"])
+def test_tau_with_a_finite_estimator_scale_is_accepted(params, iterations):
+    doc = {"problem": QUAD, "noise": ZO, "method": {"name": "zo_sgd", "params": params}, "iterations": iterations}
+    assert parse_config(json.dumps(doc)).iterations == iterations
 
 
 def test_whole_numbers_given_as_floats_are_accepted():
@@ -831,8 +849,10 @@ def test_recording_does_not_change_a_run(name):
 class RowRecorder(TraceRecorder):
     """The row-object recorder the columnar one replaced, kept as the reference.
 
-    Its rows are whole :class:`TraceRow` objects, and ``dist_to_opt`` goes
-    through ``np.linalg.norm`` as it did.
+    Its rows are whole :class:`TraceRow` objects, built when each row is
+    recorded: ``grad_norm`` and ``dist_to_opt`` go through
+    ``np.linalg.norm`` row by row, where the recorder under test derives
+    them a block of rows at a time.
     """
 
     def __init__(self, suite, counter, record_every=1, record_x=False):
@@ -862,6 +882,9 @@ class RowRecorder(TraceRecorder):
             dist_to_opt=self.dist(x), grad_norm=None if grad_norm is None else float(grad_norm),
             step_size=float(step_size), oracle_calls=self.counter.calls,
             x=np.array(x, dtype=float) if self.record_x else None, tag=tag))
+
+    def record_step(self, it, x, f_value, g, step_size, tag):
+        self.record(it, x, f_value, grad_norm=float(np.linalg.norm(g)), step_size=step_size, tag=tag, force=True)
 
     def close(self, it, x, status, x_out=None, *, f_value=None, grad_norm=None):
         if self.rows and self.rows[-1].iter == it:

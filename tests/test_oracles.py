@@ -1,9 +1,14 @@
+import math
+import struct
+import weakref
+
 import numpy as np
 import pytest
 
 from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
                            TraceRecorder, UnsupportedProblemError, make_problem)
-from optbench.core.oracles import Stop, run_steps
+from optbench.core.linalg import norm
+from optbench.core.oracles import ROW_BLOCK, Stop, run_steps
 
 X = np.array([1.0, -1.0])
 
@@ -59,6 +64,175 @@ def test_close_evaluates_outside_an_exhausted_budget():
     assert trace.final.oracle_calls == 2 and ctr.calls == 3
     assert trace.final.f_value == oracle.value(X) and trace.f_out == oracle.value(x_out)
     assert np.array_equal(trace.x_out, x_out)
+
+
+# -- block-derived trace columns ---------------------------------------------------------
+
+SPECIALS = (0.0, -0.0, 5e-324, -1e200, math.inf, -math.inf, math.nan)
+DISTANCE_KINDS = ("xstar", "minimizers-nan-first", "minimizers-nan-second", "dist_fn", "unknown")
+
+
+def distance_suite(kind, d):
+    """A d-dim suite whose rows take ``dist_to_opt`` as ``kind`` says; "unknown" has no distance and no f*.
+
+    The minimizer sets hold (inf, ..., inf), from which an iterate with a
+    +inf entry is at distance NaN, first or second, and ``xstar`` twice,
+    whose distances tie.
+    """
+    xstar = np.linspace(-1.0, 2.0, d)
+    far = np.full(d, math.inf)
+    keys = {"xstar": {}, "minimizers-nan-first": {"minimizers": (far, xstar, xstar.copy())},
+            "minimizers-nan-second": {"minimizers": (xstar, far, xstar.copy())},
+            "dist_fn": {"dist_fn": lambda x: float(np.abs(x).max())}}
+    if kind == "unknown":
+        return OracleSuite(value=lambda x: float(x.sum()), subgrad=lambda x: np.ones(d), dim=d)
+    return OracleSuite(value=lambda x: float(x.sum()), subgrad=lambda x: np.ones(d), dim=d, fstar=-0.75,
+                       xstar=xstar, **keys[kind])
+
+
+def special_rows(rng, n, d):
+    """``(n, d)`` floats at scales from 1e-300 to 1e150, about one entry in five from ``SPECIALS``."""
+    v = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-300, 150, (n, d))
+    mask = rng.random((n, d)) < 0.2
+    v[mask] = rng.choice(SPECIALS, mask.sum())
+    return v
+
+
+def scripted_run(suite, rows, max_calls=None, seed=0):
+    """``run_steps`` of ``rows - 1`` iterations through ``special_rows`` iterates, gradients and values.
+
+    Each step counts one call; every third row has no f from its step,
+    so its f is evaluated.  Returns the trace, and the gradient and the f
+    (or None) of each step.
+    """
+    rng = np.random.default_rng(seed)
+    xs, gs = special_rows(rng, rows, suite.dim), special_rows(rng, rows, suite.dim)
+    fs = [None if k % 3 == 0 else float(f) for k, f in enumerate(special_rows(rng, rows, 1)[:, 0])]
+
+    def step(ctr, k, x):
+        ctr.count_extra()
+        return xs[k + 1].copy(), fs[k], gs[k].copy(), 0.5, None
+    with np.errstate(all="ignore"):
+        trace = run_steps(suite, xs[0], rows - 1, step, record_every=1, record_x=True, max_oracle_calls=max_calls)
+    return trace, gs, fs
+
+
+def bits(v):
+    return None if v is None else (type(v), struct.pack("<d", v))
+
+
+def assert_columns_match_per_row_arithmetic(suite, trace, gs, fs):
+    """Each row's f_value, f_gap, dist_to_opt and grad_norm as the row's own arithmetic gives them, bit for bit."""
+    c = trace.columns
+    last = len(c["iter"]) - 1
+    assert c["iter"] == list(range(last + 1))  # record_every 1: every iteration has its row
+    with np.errstate(all="ignore"):
+        for k, x in enumerate(c["x"]):
+            f = fs[k] if k < last and fs[k] is not None else suite.value(x)
+            expected = (f, None if suite.fstar is None else f - suite.fstar, suite.dist_to_opt(x),
+                        norm(gs[k]) if k < last else None)
+            got = (c["f_value"][k], c["f_gap"][k], c["dist_to_opt"][k], c["grad_norm"][k])
+            assert list(map(bits, got)) == list(map(bits, expected)), k
+
+
+@pytest.mark.parametrize("rows", [511, ROW_BLOCK, 513, 1025])
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+@pytest.mark.parametrize("kind", DISTANCE_KINDS)
+def test_block_derived_columns_have_the_bits_of_per_row_arithmetic(kind, d, rows):
+    suite = distance_suite(kind, d)
+    trace, gs, fs = scripted_run(suite, rows, seed=rows + d)
+    assert len(trace.columns["iter"]) == rows
+    assert_columns_match_per_row_arithmetic(suite, trace, gs, fs)
+    if kind.startswith("minimizers"):  # the cases the minimum's order decides are there
+        nans = [math.isnan(v) for v in trace.columns["dist_to_opt"]]
+        assert any(nans) and not all(nans)
+
+
+def test_minimizer_distance_keeps_a_nan_first_and_passes_over_a_later_one():
+    far, origin, x = np.array([math.inf, 0.0]), np.zeros(2), np.array([math.inf, 0.0])  # x - far is (NaN, 0)
+    cases = [((far, origin), x, math.nan), ((origin, far), x, math.inf),
+             ((np.array([1.0, 0.0]), np.array([-1.0, 0.0])), np.array([0.0, 3.0]), math.sqrt(10.0))]  # a tie
+    for minimizers, at, expected in cases:
+        suite = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: x, dim=2, minimizers=minimizers)
+        rec = TraceRecorder(suite, CountingOracle(suite))
+        with np.errstate(invalid="ignore"):
+            rec.record(0, at, 0.0)
+            got = rec.columns["dist_to_opt"][0]
+            assert bits(got) == bits(suite.dist_to_opt(at))
+        assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
+@pytest.mark.parametrize("budget", [300, 2 * ROW_BLOCK - 2, 2 * ROW_BLOCK, 1200])
+def test_rows_pending_at_a_budget_cut_are_derived(budget):
+    suite = distance_suite("minimizers-nan-second", 2)
+    trace, gs, fs = scripted_run(suite, 1025, max_calls=budget)
+    assert trace.status is RunStatus.BUDGET_EXHAUSTED and trace.final.iter < 1024
+    assert_columns_match_per_row_arithmetic(suite, trace, gs, fs)
+
+
+def test_a_row_refused_by_the_budget_leaves_the_pending_rows_to_close():
+    oracle, ctr, rec = recorder(max_calls=3)
+    xs = [X * k for k in range(4)]
+    for k in range(3):
+        rec.record(k, xs[k], grad_norm=0.5)
+    with pytest.raises(OracleBudgetError):
+        rec.record(3, xs[3])
+    trace = rec.close(3, xs[3], RunStatus.BUDGET_EXHAUSTED)
+    assert trace.columns["iter"] == [0, 1, 2, 3] and trace.columns["grad_norm"] == [0.5, 0.5, 0.5, None]
+    assert trace.columns["dist_to_opt"] == [oracle.dist_to_opt(x) for x in xs]
+    assert trace.columns["f_gap"] == [oracle.value(x) - oracle.fstar for x in xs]
+
+
+def test_columns_read_between_rows_hold_every_row_once():
+    oracle, ctr, rec = recorder()
+    xs = [X / (k + 1) for k in range(ROW_BLOCK + 4)]
+    for k in range(3):
+        rec.record_step(k, xs[k], None, G * k, 0.1, None)
+    assert rec.columns["iter"] == [0, 1, 2] and rec.columns["grad_norm"] == [0.0, 5.0, 10.0]
+    for k in range(3, ROW_BLOCK + 4):
+        rec.record_step(k, xs[k], None, G, 0.1, None)
+        if k == ROW_BLOCK + 1:
+            assert len(rec.columns["iter"]) == ROW_BLOCK + 2
+    trace = rec.close(ROW_BLOCK + 4, X, RunStatus.BUDGET_EXHAUSTED)
+    assert trace.columns["iter"] == list(range(ROW_BLOCK + 5))
+    assert trace.columns["dist_to_opt"] == [oracle.dist_to_opt(x) for x in xs + [X]]
+    assert trace.columns["f_value"] == [oracle.value(x) for x in xs + [X]]
+
+
+def test_given_norms_and_step_gradients_share_a_block():
+    _, ctr, rec = recorder()
+    rec.record(0, X, 1.0)
+    rec.record_step(1, X, 1.0, G, 0.1, None)
+    rec.record(2, X, 1.0, grad_norm=np.float64(0.5))
+    rec.record_step(3, X, 1.0, G / 5, 0.1, None)
+    trace = rec.close(4, X, RunStatus.CONVERGED, f_value=1.0, grad_norm=0.125)
+    assert list(map(bits, trace.columns["grad_norm"])) == list(map(bits, [None, 5.0, 0.5, 1.0, 0.125]))
+
+
+def test_a_row_that_fails_leaves_no_given_norm_to_the_next():
+    def dist_fn(x):
+        if x[0] < 0:
+            raise ArithmeticError("refused")
+        return 1.0
+    suite = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: x, dim=2, dist_fn=dist_fn)
+    rec = TraceRecorder(suite, CountingOracle(suite))
+    with pytest.raises(ArithmeticError):
+        rec.record(0, -X, 0.0, grad_norm=0.5)
+    rec.record_step(0, X, 0.0, G, 0.1, None)
+    assert rec.columns["grad_norm"] == [5.0] and rec.columns["dist_to_opt"] == [1.0]
+
+
+def test_the_recorder_lets_go_of_a_block_once_it_is_derived():
+    _, _, rec = recorder()
+    refs = []
+    for k in range(ROW_BLOCK):
+        x, g = X * k, G * k
+        refs += [weakref.ref(x), weakref.ref(g)]
+        rec.record_step(k, x, 1.0, g, 0.1, None)
+        del x, g
+        if k == ROW_BLOCK - 2:
+            assert all(r() is not None for r in refs)  # pending rows hold their iterate and gradient
+    assert all(r() is None for r in refs)  # the full block was derived, and its arrays dropped
 
 
 # -- run_steps, with a hand-built step ------------------------------------------------

@@ -29,6 +29,7 @@ from optbench.zeroorder import (
     PowerDecayTau,
     ZoConfig,
     build_kernel,
+    estimator_scale,
     kernel_grad_estimate,
     run_zo_sgd,
 )
@@ -459,6 +460,20 @@ def test_tau_must_be_positive_and_finite(tau):
         PowerDecayTau(tau, 0.5)
 
 
+@pytest.mark.parametrize("d", [1, 2, 50])
+def test_tau_whose_scale_overflows_is_refused_before_any_draw(d):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [1.0] * d})
+    for tau in (1e-320, d * 1e-309):  # d / (2 tau) is inf, and 5e308 overflows
+        for batch in (1, BLOCK_BATCH):
+            rng = Rng(0)
+            with pytest.raises(ValueError, match=re.escape(f"tau = {tau!r} is too small")):
+                kernel_grad_estimate(oracle, np.ones(d), tau, build_kernel(2), rng, batch=batch)
+            assert rng.gaussian(3).tobytes() == Rng(0).gaussian(3).tobytes()  # refused before any draw
+    tau = d * 1e-308
+    assert estimator_scale(d, tau) == d / (2.0 * tau) == pytest.approx(5e307)
+    assert np.isfinite(kernel_grad_estimate(oracle, np.ones(d), tau, build_kernel(2), Rng(0))).all()
+
+
 @pytest.mark.parametrize("shape", [(), (1,), (2,), (4,), (3, 1), (1, 3)])
 @pytest.mark.parametrize("counted", [False, True])
 def test_x_must_have_the_suite_shape(shape, counted):
@@ -569,11 +584,15 @@ def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
     cfg = ZoConfig(N=20, step_rule=Const(0.01), kernel=build_kernel(2), tau_schedule=PowerDecayTau(0.2, 400.0),
                    batch=batch)  # tau is 0.0 from iteration 6 on
     rng, ref_rng = Rng(3), Rng(3)
-    with pytest.raises(ValueError, match="tau must be positive and finite"):
+    # tau_5 = 0.2 * 6^-400 is subnormal, and d / (2 tau_5) overflows: iteration 5 is refused
+    too_small = re.escape("is too small: the estimator's scale dim/(2 tau) overflows at dim 2")
+    with pytest.raises(ValueError, match=too_small):
         run_zo_sgd(undeclared(suite), FullSpace(2), x0, cfg, ref_rng)
-    with pytest.raises(ValueError, match="tau must be positive and finite"), np.errstate(invalid="ignore"):
-        run_zo_sgd(suite, FullSpace(2), x0, cfg, rng)  # a subnormal tau before it gives d / (2 tau) = inf
+    with pytest.raises(ValueError, match=too_small):
+        run_zo_sgd(suite, FullSpace(2), x0, cfg, rng)
     assert rng.state == ref_rng.state
+    short = dataclasses.replace(cfg, N=5)  # iterations 0-4 only: their scales are finite
+    assert_run_matches_the_per_sample_loop(suite, x0, short, Rng(3), Rng(3), record_every=1)
 
 
 @pytest.mark.parametrize("offset", [0, 1, 5])
