@@ -280,11 +280,11 @@ class TraceRecorder:
     ``dist_fn(x)``.  A row's other parts are kept raw, the iterate and the
     step's gradient by reference, and its derived columns are computed
     for up to :data:`ROW_BLOCK` rows at once, with the bits of the row's
-    own arithmetic: ``grad_norm`` as ``norm(g)``, ``dist_to_opt`` as the
-    norm of ``x - xstar`` or, over a minimizer set, the first least of
+    own arithmetic: ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as
+    the norm of ``x - xstar`` or, over a minimizer set, the first least of
     the norms of ``x - m`` in the set's order (a NaN first stays, a later
-    one is passed over, as Python's ``min`` does), ``f_gap`` as
-    ``f - fstar``, and each float as ``float()`` gives it.  A block is
+    one is passed over, as Python's ``min`` does); ``f_gap`` is
+    ``float(f) - fstar``, as before.  A block is
     derived when it fills, at :meth:`close` and when :attr:`columns` is
     read; ``columns`` maps each name of :data:`TRACE_FIELDS` to a list
     with one entry per row.
@@ -340,7 +340,7 @@ class TraceRecorder:
         self.record_step(it, x, f_value, None, step_size, tag)
 
     def _derive(self):
-        """Append the pending rows to :attr:`columns`, each derived column computed over all of them at once."""
+        """Append the pending rows to :attr:`columns`, the norms of each derived column computed at once."""
         pending, norms = self._pending, self._norms
         if not pending:
             return
@@ -348,8 +348,6 @@ class TraceRecorder:
         n = len(pending)
         its, xs, fs, gs, steps, calls, tags, dists = zip(*pending)
         suite = self.suite
-        X = np.array(xs, dtype=float)
-        F = np.array(fs, dtype=float)
         if not norms:
             grad_norms = _row_norms(np.array(gs, dtype=float)).tolist()
         else:
@@ -358,6 +356,7 @@ class TraceRecorder:
             if rows:
                 for i, v in zip(rows, _row_norms(np.array([gs[i] for i in rows], dtype=float)).tolist()):
                     grad_norms[i] = v
+        X = np.array(xs, dtype=float) if self.record_x or self._dist_fn is None else None
         if self._dist_fn is None and suite.minimizers is not None:
             best = None
             for m in suite.minimizers:
@@ -366,18 +365,14 @@ class TraceRecorder:
             dists = best.tolist()
         elif self._dist_fn is None and suite.xstar is not None:
             dists = _row_norms(X - suite.xstar).tolist()
-        if suite.fstar is None:
-            gaps = [None] * n
-        else:
-            with np.errstate(all="ignore"):  # float subtraction, which F - fstar repeats, warns of nothing
-                gaps = (F - suite.fstar).tolist()
+        f_values, fstar = list(map(float, fs)), suite.fstar
         c = self._columns
         c["iter"].extend(its)
-        c["f_value"].extend(F.tolist())
-        c["f_gap"].extend(gaps)
+        c["f_value"].extend(f_values)
+        c["f_gap"].extend([None] * n if fstar is None else [f - fstar for f in f_values])
         c["dist_to_opt"].extend(dists)
         c["grad_norm"].extend(grad_norms)
-        c["step_size"].extend(np.array(steps, dtype=float).tolist())
+        c["step_size"].extend(map(float, steps))
         c["oracle_calls"].extend(calls)
         c["x"].extend(X if self.record_x else [None] * n)
         c["tag"].extend(tags)
