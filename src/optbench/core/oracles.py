@@ -259,6 +259,8 @@ class Trace:
 
 ROW_BLOCK = 512
 """The trace rows a :class:`TraceRecorder` keeps raw before it derives their columns in one pass."""
+ARRAY_ROWS = 8
+"""The fewest pending rows whose norms are computed as arrays; fewer cost less row by row."""
 
 
 def _row_norms(V) -> np.ndarray:
@@ -279,8 +281,9 @@ class TraceRecorder:
     recorded: the f evaluation, ``counter.calls`` and a suite's
     ``dist_fn(x)``.  A row's other parts are kept raw, the iterate and the
     step's gradient by reference, and its derived columns are computed
-    for up to :data:`ROW_BLOCK` rows at once, with the bits of the row's
-    own arithmetic: ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as
+    for up to :data:`ROW_BLOCK` rows at once (row by row when fewer than
+    :data:`ARRAY_ROWS` are pending), with the bits of the row's own
+    arithmetic: ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as
     the norm of ``x - xstar`` or, over a minimizer set, the first least of
     the norms of ``x - m`` in the set's order (a NaN first stays, a later
     one is passed over, as Python's ``min`` does); ``f_gap`` is
@@ -316,6 +319,7 @@ class TraceRecorder:
     def record(self, it: int, x: np.ndarray, f_value: Optional[float] = None,
                grad_norm: Optional[float] = None, step_size: float = 0.0,
                tag: Optional[str] = None):
+        """Record row ``it`` at ``x`` when it is due, with its ``grad_norm`` given (or None)."""
         if self.due(it):
             self._record_norm(it, x, self.counter.value(x) if f_value is None else f_value,
                               grad_norm, step_size, tag)
@@ -336,7 +340,7 @@ class TraceRecorder:
                      step_size: float, tag: Optional[str]):
         # set before the row: a full block is derived as it is appended; a row that fails leaves
         # an entry that only a row with a given norm reads, and it sets its own first
-        self._norms[len(self._pending)] = grad_norm
+        self._norms[len(self._pending)] = None if grad_norm is None else float(grad_norm)
         self.record_step(it, x, f_value, None, step_size, tag)
 
     def _derive(self):
@@ -347,24 +351,30 @@ class TraceRecorder:
         self._pending, self._norms = [], {}
         n = len(pending)
         its, xs, fs, gs, steps, calls, tags, dists = zip(*pending)
-        suite = self.suite
-        if not norms:
-            grad_norms = _row_norms(np.array(gs, dtype=float)).tolist()
+        suite, measured = self.suite, self._dist_fn is None
+        if n < ARRAY_ROWS:  # the per-row code itself
+            grad_norms = [norms.get(i) if g is None else norm(g) for i, g in enumerate(gs)]
+            if measured:
+                dists = list(map(suite.dist_to_opt, xs))
+            X = [np.array(x, dtype=float) for x in xs] if self.record_x else None
         else:
-            grad_norms = [None if v is None else float(v) for v in map(norms.get, range(n))]
-            rows = [i for i, g in enumerate(gs) if g is not None]
-            if rows:
-                for i, v in zip(rows, _row_norms(np.array([gs[i] for i in rows], dtype=float)).tolist()):
-                    grad_norms[i] = v
-        X = np.array(xs, dtype=float) if self.record_x or self._dist_fn is None else None
-        if self._dist_fn is None and suite.minimizers is not None:
-            best = None
-            for m in suite.minimizers:
-                dist = _row_norms(X - m)
-                best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
-            dists = best.tolist()
-        elif self._dist_fn is None and suite.xstar is not None:
-            dists = _row_norms(X - suite.xstar).tolist()
+            if not norms:
+                grad_norms = _row_norms(np.array(gs, dtype=float)).tolist()
+            else:
+                grad_norms = list(map(norms.get, range(n)))
+                rows = [i for i, g in enumerate(gs) if g is not None]
+                if rows:
+                    for i, v in zip(rows, _row_norms(np.array([gs[i] for i in rows], dtype=float)).tolist()):
+                        grad_norms[i] = v
+            X = np.array(xs, dtype=float) if self.record_x or measured else None
+            if measured and suite.minimizers is not None:
+                best = None
+                for m in suite.minimizers:
+                    dist = _row_norms(X - m)
+                    best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
+                dists = best.tolist()
+            elif measured and suite.xstar is not None:
+                dists = _row_norms(X - suite.xstar).tolist()
         f_values, fstar = list(map(float, fs)), suite.fstar
         c = self._columns
         c["iter"].extend(its)

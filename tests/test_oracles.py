@@ -8,7 +8,7 @@ import pytest
 from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
                            TraceRecorder, UnsupportedProblemError, make_problem)
 from optbench.core.linalg import norm
-from optbench.core.oracles import ROW_BLOCK, Stop, run_steps
+from optbench.core.oracles import ARRAY_ROWS, ROW_BLOCK, Stop, run_steps
 
 X = np.array([1.0, -1.0])
 
@@ -199,14 +199,17 @@ def test_columns_read_between_rows_hold_every_row_once():
     assert trace.columns["f_value"] == [oracle.value(x) for x in xs + [X]]
 
 
-def test_given_norms_and_step_gradients_share_a_block():
+@pytest.mark.parametrize("repeats", [1, ARRAY_ROWS])  # row by row, and as arrays
+def test_given_norms_and_step_gradients_share_a_block(repeats):
     _, ctr, rec = recorder()
-    rec.record(0, X, 1.0)
-    rec.record_step(1, X, 1.0, G, 0.1, None)
-    rec.record(2, X, 1.0, grad_norm=np.float64(0.5))
-    rec.record_step(3, X, 1.0, G / 5, 0.1, None)
-    trace = rec.close(4, X, RunStatus.CONVERGED, f_value=1.0, grad_norm=0.125)
-    assert list(map(bits, trace.columns["grad_norm"])) == list(map(bits, [None, 5.0, 0.5, 1.0, 0.125]))
+    for k in range(0, 4 * repeats, 4):
+        rec.record(k, X, 1.0)
+        rec.record_step(k + 1, X, 1.0, G, 0.1, None)
+        rec.record(k + 2, X, 1.0, grad_norm=np.float64(0.5))
+        rec.record_step(k + 3, X, 1.0, G / 5, 0.1, None)
+    trace = rec.close(4 * repeats, X, RunStatus.CONVERGED, f_value=1.0, grad_norm=0.125)
+    expected = [None, 5.0, 0.5, 1.0] * repeats + [0.125]
+    assert list(map(bits, trace.columns["grad_norm"])) == list(map(bits, expected))
 
 
 def test_a_row_that_fails_leaves_no_given_norm_to_the_next():
