@@ -344,17 +344,17 @@ class TraceRecorder:
         self.record_step(it, x, f_value, None, step_size, tag)
 
     def _derive(self):
-        """Append the pending rows to :attr:`columns`, the norms of each derived column computed at once."""
+        """Append the pending rows to :attr:`columns`, their norms computed as arrays from :data:`ARRAY_ROWS` rows on."""
         pending, norms = self._pending, self._norms
         if not pending:
             return
         self._pending, self._norms = [], {}
         n = len(pending)
         its, xs, fs, gs, steps, calls, tags, dists = zip(*pending)
-        suite, measured = self.suite, self._dist_fn is None
+        suite, derive_dist = self.suite, self._dist_fn is None
         if n < ARRAY_ROWS:  # the per-row code itself
             grad_norms = [norms.get(i) if g is None else norm(g) for i, g in enumerate(gs)]
-            if measured:
+            if derive_dist:
                 dists = list(map(suite.dist_to_opt, xs))
             X = [np.array(x, dtype=float) for x in xs] if self.record_x else None
         else:
@@ -366,14 +366,14 @@ class TraceRecorder:
                 if rows:
                     for i, v in zip(rows, _row_norms(np.array([gs[i] for i in rows], dtype=float)).tolist()):
                         grad_norms[i] = v
-            X = np.array(xs, dtype=float) if self.record_x or measured else None
-            if measured and suite.minimizers is not None:
+            X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
+            if derive_dist and suite.minimizers is not None:
                 best = None
                 for m in suite.minimizers:
                     dist = _row_norms(X - m)
                     best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
                 dists = best.tolist()
-            elif measured and suite.xstar is not None:
+            elif derive_dist and suite.xstar is not None:
                 dists = _row_norms(X - suite.xstar).tolist()
         f_values, fstar = list(map(float, fs)), suite.fstar
         c = self._columns
