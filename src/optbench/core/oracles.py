@@ -289,8 +289,11 @@ class TraceRecorder:
     one is passed over, as Python's ``min`` does); ``f_gap`` is
     ``float(f) - fstar``, as before.  A block is
     derived when it fills, at :meth:`close` and when :attr:`columns` is
-    read; ``columns`` maps each name of :data:`TRACE_FIELDS` to a list
-    with one entry per row.
+    read, under ``np.errstate(over="ignore", invalid="ignore")``: an
+    overflowing norm or distance shows in its column as inf, with no
+    warning from the block (nor an exception from a warnings filter set to
+    ``"error"``).  ``columns`` maps each name of :data:`TRACE_FIELDS` to a
+    list with one entry per row.
     """
 
     def __init__(self, suite: OracleSuite, counter: CountingOracle,
@@ -303,10 +306,9 @@ class TraceRecorder:
         self.record_x = record_x
         self._columns: dict[str, list] = {name: [] for name in TRACE_FIELDS}
         self._dist_fn = suite.dist_fn
-        # one (it, x, f, g, step_size, calls, tag, dist_fn(x) or None) per row not yet derived; a row
-        # with a given grad_norm has g None, and its norm (or None) sits in _norms under its index
+        # one (it, x, f, g, grad_norm, step_size, calls, tag, dist_fn(x) or None) per row not yet derived;
+        # g is None on a row whose grad_norm is given (or None)
         self._pending: list[tuple] = []
-        self._norms: dict[int, Optional[float]] = {}
 
     @property
     def columns(self) -> dict[str, list]:
@@ -321,60 +323,54 @@ class TraceRecorder:
                tag: Optional[str] = None):
         """Record row ``it`` at ``x`` when it is due, with its ``grad_norm`` given (or None)."""
         if self.due(it):
-            self._record_norm(it, x, self.counter.value(x) if f_value is None else f_value,
-                              grad_norm, step_size, tag)
+            self.record_step(it, x, f_value, None, step_size, tag, grad_norm)
 
-    def record_step(self, it: int, x: np.ndarray, f_value: Optional[float], g: np.ndarray,
-                    step_size: float, tag: Optional[str]):
-        """Record row ``it``, due, whose ``grad_norm`` is the norm of ``g``: the row :func:`run_steps` writes."""
+    def record_step(self, it: int, x: np.ndarray, f_value: Optional[float], g: Optional[np.ndarray],
+                    step_size: float, tag: Optional[str], grad_norm: Optional[float] = None):
+        """Record row ``it``, due: its ``grad_norm`` is the norm of ``g``, or the one given when ``g`` is None.
+
+        :func:`run_steps` writes its rows with the step's ``g``.
+        """
         if f_value is None:
             f_value = self.counter.value(x)
         dist_fn = self._dist_fn
         pending = self._pending
-        pending.append((it, x, f_value, g, step_size, self.counter.calls, tag,
-                        None if dist_fn is None else float(dist_fn(x))))
+        pending.append((it, x, f_value, g, grad_norm if grad_norm is None else float(grad_norm), step_size,
+                        self.counter.calls, tag, None if dist_fn is None else float(dist_fn(x))))
         if len(pending) == ROW_BLOCK:
             self._derive()
 
-    def _record_norm(self, it: int, x: np.ndarray, f_value: float, grad_norm: Optional[float],
-                     step_size: float, tag: Optional[str]):
-        # set before the row: a full block is derived as it is appended; a row that fails leaves
-        # an entry that only a row with a given norm reads, and it sets its own first
-        self._norms[len(self._pending)] = None if grad_norm is None else float(grad_norm)
-        self.record_step(it, x, f_value, None, step_size, tag)
-
     def _derive(self):
         """Append the pending rows to :attr:`columns`, their norms computed as arrays from :data:`ARRAY_ROWS` rows on."""
-        pending, norms = self._pending, self._norms
+        pending = self._pending
         if not pending:
             return
-        self._pending, self._norms = [], {}
+        self._pending = []
         n = len(pending)
-        its, xs, fs, gs, steps, calls, tags, dists = zip(*pending)
+        its, xs, fs, gs, grad_norms, steps, calls, tags, dists = zip(*pending)
         suite, derive_dist = self.suite, self._dist_fn is None
-        if n < ARRAY_ROWS:  # the per-row code itself
-            grad_norms = [norms.get(i) if g is None else norm(g) for i, g in enumerate(gs)]
-            if derive_dist:
-                dists = list(map(suite.dist_to_opt, xs))
-            X = [np.array(x, dtype=float) for x in xs] if self.record_x else None
-        else:
-            if not norms:
-                grad_norms = _row_norms(np.array(gs, dtype=float)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n < ARRAY_ROWS:  # the per-row code itself
+                grad_norms = [gn if g is None else norm(g) for g, gn in zip(gs, grad_norms)]
+                if derive_dist:
+                    dists = list(map(suite.dist_to_opt, xs))
+                X = [np.array(x, dtype=float) for x in xs] if self.record_x else None
             else:
-                grad_norms = list(map(norms.get, range(n)))
                 rows = [i for i, g in enumerate(gs) if g is not None]
                 if rows:
-                    for i, v in zip(rows, _row_norms(np.array([gs[i] for i in rows], dtype=float)).tolist()):
+                    grad_norms = list(grad_norms)
+                    G = np.array(gs if len(rows) == n else [gs[i] for i in rows], dtype=float)
+                    for i, v in zip(rows, _row_norms(G).tolist()):
                         grad_norms[i] = v
-            X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
-            if derive_dist and suite.minimizers is not None:
-                best = None
-                for m in suite.minimizers:
-                    dist = _row_norms(X - m)
-                    best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
-                dists = best.tolist()
-            elif derive_dist and suite.xstar is not None:
-                dists = _row_norms(X - suite.xstar).tolist()
+                X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
+                if derive_dist and suite.minimizers is not None:
+                    best = None
+                    for m in suite.minimizers:
+                        dist = _row_norms(X - m)
+                        best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
+                    dists = best.tolist()
+                elif derive_dist and suite.xstar is not None:
+                    dists = _row_norms(X - suite.xstar).tolist()
         f_values, fstar = list(map(float, fs)), suite.fstar
         c = self._columns
         c["iter"].extend(its)
@@ -401,7 +397,7 @@ class TraceRecorder:
         the two apart.
         """
         f_end = self.counter.value_final(x) if f_value is None else f_value
-        self._record_norm(it, x, f_end, grad_norm, 0.0, None)
+        self.record_step(it, x, f_end, None, 0.0, None, grad_norm)
         if x_out is not None and x_out.tobytes() != x.tobytes():
             x, f_end = x_out, self.counter.value_final(x_out)
         return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),

@@ -23,6 +23,7 @@ from optbench.bench.cli import main
 from optbench.bench.registry import method_entry, method_names
 from optbench.core import AdditiveStochGrad, Rng, RunStatus, Trace, TraceRecorder, TraceRow, make_problem, wrap_noise
 from optbench.core import oracles
+from optbench.zeroorder import PowerDecayTau
 
 # The modules that build a TraceRecorder: run_steps' module, which runs every method.
 RECORDER_MODULES = (oracles,)
@@ -338,7 +339,8 @@ def test_names_that_are_not_strings_exit_2(tmp_path, capsys, doc, message):
     ({"gamma": 0.01, "tau": 1e-320}, 3,
      "tau = 1e-320 is too small: the estimator's scale dim/(2 tau) overflows at dim 2 (tau at iteration 2)"),
     ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}, 6,  # tau_5 = 0.2 * 6^-400, a subnormal
-     "is too small: the estimator's scale dim/(2 tau) overflows at dim 2 (tau at iteration 5)"),
+     f"tau = {PowerDecayTau(0.2, 400.0).at(5)!r} is too small: the estimator's scale dim/(2 tau) overflows"
+     " at dim 2 (tau at iteration 5)"),
     ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}, 200,  # tau_199 underflows to 0
      "tau must be positive and finite (tau at iteration 199)"),
 ], ids=["tau-inf", "tau-nan", "tau0-inf", "tau0-nan", "tau-1e-320", "tau_exponent-400-subnormal",
@@ -347,7 +349,7 @@ def test_non_finite_tau_exits_2(tmp_path, capsys, params, iterations, message):
     doc = {"problem": QUAD, "noise": ZO, "method": {"name": "zo_sgd", "params": params}, "iterations": iterations}
     assert main(["run", "--config", write_cfg(tmp_path, "tau.json", doc)]) == 2
     err = capsys.readouterr().err
-    assert f"method 'zo_sgd': " in err and message in err and "runtime error" not in err
+    assert f"method 'zo_sgd': {message}" in err and "runtime error" not in err
 
 
 @pytest.mark.parametrize("params, iterations", [

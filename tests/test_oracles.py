@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -212,17 +213,18 @@ def test_given_norms_and_step_gradients_share_a_block(repeats):
     assert list(map(bits, trace.columns["grad_norm"])) == list(map(bits, expected))
 
 
-def test_a_row_that_fails_leaves_no_given_norm_to_the_next():
-    def dist_fn(x):
-        if x[0] < 0:
-            raise ArithmeticError("refused")
-        return 1.0
-    suite = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: x, dim=2, dist_fn=dist_fn)
-    rec = TraceRecorder(suite, CountingOracle(suite))
-    with pytest.raises(ArithmeticError):
-        rec.record(0, -X, 0.0, grad_norm=0.5)
-    rec.record_step(0, X, 0.0, G, 0.1, None)
-    assert rec.columns["grad_norm"] == [5.0] and rec.columns["dist_to_opt"] == [1.0]
+@pytest.mark.parametrize("rows", [ARRAY_ROWS - 1, ARRAY_ROWS])  # row by row, and as arrays
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_block_with_overflowing_norms_is_derived_without_warnings(dim, rows):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [1.0] * dim})
+    rec = TraceRecorder(oracle, CountingOracle(oracle))
+    big = np.full(dim, 1e200)  # its squared norm overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(rows):
+            rec.record_step(k, big, 1.0, big, 0.1, None)
+        columns = rec.columns
+    assert columns["grad_norm"] == [math.inf] * rows and columns["dist_to_opt"] == [math.inf] * rows
 
 
 def test_the_recorder_lets_go_of_a_block_once_it_is_derived():
