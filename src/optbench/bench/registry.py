@@ -117,8 +117,11 @@ def _build_const_subgrad(subgrad, spec, oracle) -> Run:
 
 def _build_switching(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
+    delta = _need(p, "delta")
+    if not delta > 0:  # also true for NaN; refused here, at parse, as run_switching would refuse it
+        raise ValueError("delta must be positive")
     cfg = subgrad.SwitchingConfig(
-        delta=_need(p, "delta"),
+        delta=delta,
         theta0=_need(p, "theta0"),
         Mg=_float(p, "Mg"),
         max_iters=spec.iterations,

@@ -179,10 +179,11 @@ class AdditiveNoise:
     ``noise`` attribute.  ``rows(rng, n)`` draws the scaled ``xi`` of n
     successive calls in one ``(n, *shape)`` fill; numpy fills it in call
     order, so the rows equal those calls' draws bit for bit and leave
-    ``rng`` in the same state.  ``add(f, xi)`` adds raw draws to base
-    values with the bits of the calls.  :class:`AdditiveStochGrad` builds
-    a gradient entry (``shape=(dim,)``), :class:`ZOStochValue` a value
-    entry.  Neither holds per-run state, so one suite serves concurrent runs.
+    ``rng`` in the same state.  ``terms(xi)`` gives the terms ``scale * xi``
+    that calls with the raw draws ``xi`` add to their base values, with
+    those calls' bits.  :class:`AdditiveStochGrad` builds a gradient entry
+    (``shape=(dim,)``), :class:`ZOStochValue` a value entry.  Neither holds
+    per-run state, so one suite serves concurrent runs.
     """
 
     base: Callable[[np.ndarray], object]
@@ -207,8 +208,8 @@ class AdditiveNoise:
             return self.scale * rng.gaussian(size)
         return self.scale * rng.student_t(3, size)
 
-    def add(self, f: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        return f + self.scale * xi
+    def terms(self, xi: np.ndarray) -> np.ndarray:
+        return self.scale * xi
 
 
 @dataclass(frozen=True)

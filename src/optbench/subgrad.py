@@ -171,6 +171,8 @@ class SwitchingConfig:
     def __post_init__(self):
         if not self.theta0 > 0:  # also true for NaN
             raise ValueError("theta0 must be positive")
+        if self.Mg is not None and not self.Mg > 0:
+            raise ValueError("Mg must be positive")
         if self.max_iters < 1 or (self.total_iters is not None and self.total_iters < 1):
             raise ValueError("iteration cap must be >= 1")
         if self.eps_target is not None and not self.eps_target > 0:
@@ -274,7 +276,7 @@ def _constraint_bound(oracle: OracleSuite, cfg: SwitchingConfig, entry: str) -> 
     if oracle.constraint is None:
         raise ValueError(f"{entry} needs a functional constraint oracle")
     Mg = cfg.Mg if cfg.Mg is not None else oracle.constraint.lipschitz
-    if Mg is None or Mg <= 0:
+    if Mg is None or not Mg > 0:
         raise ValueError("a positive Lipschitz bound Mg for the constraint is required")
     return Mg
 
@@ -294,7 +296,7 @@ def run_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SwitchingConf
     best productive iterate so far (after a budget cut, the last iterate
     when there is none).
     """
-    if cfg.delta <= 0:
+    if not cfg.delta > 0:
         raise ValueError("delta must be positive")
     Mg = _constraint_bound(oracle, cfg, "run_switching")
     scheme = _Switching(Mg, [(cfg.delta, cfg.theta0, cfg.max_iters, "")], restart=False)

@@ -62,8 +62,18 @@ chunk of phase-1 raw draws, about
 :data:`~optbench.core.rng.BLOCK_VALUES` values, serves several
 iterations, and its directions, radii, kernel weights and steps
 ``(tau_k r) e`` are computed once per chunk.  An iteration then counts
-its calls and weighs its samples on scalars, with the bits of the
-estimator's.  From ``BLOCK_BATCH`` on each iteration is one call of the
+its calls and weighs its samples with the bits of the estimator's.  From
+:data:`WEIGH_BATCH` samples on it weighs them as arrays, through the
+block estimator's own phase 2 (:func:`_weigh`): the probes ``x +- s`` as
+one ``(2 batch, d)`` array in call order, their values from one ``rows``
+call where the entry has one (else one call per probe), then the noise
+terms, the weights and the in-order ``cumsum`` of the weighted
+directions.  Below it, it weighs them one at a time on scalars.  Timed
+against each other on ``quad_diag`` under ``zo_stoch`` at d = 2, 10 and
+50 (20 interleaved runs per cell, 2-vCPU x86-64 host), the arrays took
+1.21-1.23 times the scalars' time per sample at batch 2, 0.96-1.06 at 3,
+0.82-0.94 at 4, 0.75-0.91 at 5 and 0.66-0.87 at 6: they win from 4
+samples on.  From ``BLOCK_BATCH`` on each iteration is one call of the
 estimator, which draws its batch ahead itself.  Where the
 estimator would take its per-sample loop (too few calls left, a
 direction to redraw) or refuse (a ``tau_k`` that is not positive and
@@ -98,6 +108,10 @@ _MOMENT_TOL = 1e-10
 # and on gaussian value noise through a CountingOracle (2-vCPU x86-64 host), the arrays won
 # from 7 samples on, tied at 6 and lost below.
 BLOCK_BATCH = 7
+# The smallest batch whose samples run_zo_sgd weighs as arrays where it draws them a chunk ahead;
+# the module docstring gives the sweep that chose it.
+WEIGH_BATCH = 4
+_SIGNS = np.array([[1.0], [-1.0]])  # a step s times these is (s, -s), and x + (-s) has the bits of x - s
 
 
 @dataclass(frozen=True)
@@ -263,23 +277,36 @@ def _block_samples(value, noise: Optional[AdditiveNoise], counter, x, tau, scale
         rng.state = start
         return None
     r = uniform_of(u)
-    s = (tau * r)[:, None] * dirs
-    probes = np.empty((batch, 2, d))  # each sample's x + s, then its x - s: the order of the calls
-    np.add(x, s, out=probes[:, 0])
-    np.subtract(x, s, out=probes[:, 1])
-    probes = probes.reshape(2 * batch, d)
     counter.calls += 2 * batch
+    return _weigh(value, x, ((tau * r)[:, None] * dirs)[:, None] * _SIGNS, dirs, kernel(r),
+                  None if noise is None else noise.terms(raw[:, d:]), scale)
+
+
+def _weigh(value, x, signed, dirs, kernel_weights, xi, scale):
+    """The sum, in sample order, of the weighted directions of n samples, as arrays.
+
+    Sample i has the steps ``signed[i] = (s_i, -s_i)`` to its two probes,
+    ``s_i = (tau r_i) e_i`` (an ``(n, 2, d)`` array), the direction
+    ``dirs[i] = e_i``, the kernel weight ``kernel_weights[i] = K(r_i)`` and
+    the noise terms ``xi[i]`` of its two probes (None: no noise).  ``value``
+    is evaluated at every probe: one call of its ``rows`` attribute where
+    it has one, else one call per probe in call order.  Every step is
+    elementwise or has the bits of the per-sample loop's (``x + (-s)`` is
+    ``x - s``), so the sum equals that loop's running sum bit for bit.
+    """
+    n, _, d = signed.shape
+    probes = (x + signed).reshape(2 * n, d)  # each sample's x + s, then its x - s: the order of the calls
     rows = getattr(value, "rows", None)
     if rows is not None:
         f = rows(probes)
     else:
         f = np.array([float(value(p)) for p in probes])
-    f = f.reshape(batch, 2)
-    if noise is not None:
-        f = noise.add(f, raw[:, d:])
-    weights = scale * (f[:, 0] - f[:, 1]) * kernel(r)
+    f = f.reshape(n, 2)
+    if xi is not None:
+        f = f + xi
+    weights = scale * (f[:, 0] - f[:, 1]) * kernel_weights
     # cumsum adds the rows strictly in order, as the per-sample loop does: sum(axis=0)
-    # sums pairwise when d = 1, and weights @ dirs goes through BLAS.
+    # sums pairwise when d = 1 (from 8 rows on), and weights @ dirs goes through BLAS.
     return (weights[:, None] * dirs).cumsum(axis=0)[-1]
 
 
@@ -386,10 +413,11 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
     kernel weights and steps ``(tau_k r) e`` are computed once, ``tau_k``
     being the sample's iteration's.  An iteration checks that the budget
     has room for its ``2 * batch`` probes, counts them and weighs its
-    samples on scalars, one at a time (weighing them as arrays was slower
-    at batch 1).  ``estimate`` serves an iteration without that room,
-    one that would start a chunk at an ``x`` or a ``tau_k`` that
-    ``kernel_grad_estimate`` refuses, and one whose samples hold a
+    samples: from :data:`WEIGH_BATCH` on as arrays with :func:`_weigh`,
+    for which the chunk keeps its steps as ``(s, -s)`` pairs, below it on
+    scalars, one at a time.  ``estimate`` serves an iteration without
+    that room, one that would start a chunk at an ``x`` or a ``tau_k``
+    that ``kernel_grad_estimate`` refuses, and one whose samples hold a
     direction that :func:`unit_rows` does not keep.  Before it does, and
     when ``rewind()`` ends the run, the stream is set back to the chunk's
     start and the samples weighed are drawn again.  Without noise a probe
@@ -399,6 +427,7 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
     tau, kernel, batch, N = cfg.tau_schedule, cfg.kernel, cfg.batch, cfg.N
     width = dim if noise is None else dim + 2
     per_chunk = max(1, BLOCK_VALUES // (batch * width))
+    arrays = batch >= WEIGH_BATCH
     start, drawn, ready, used = None, 0, 0, 0  # the state before the chunk; its samples drawn, servable, weighed
     scales = steps = dirs = weights = xi = None
 
@@ -433,10 +462,13 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
             rewind()
             return False
         r = uniform_of(u)
-        steps, dirs = list((np.repeat(taus, batch) * r)[:, None] * units), list(units)
-        weights = kernel(r).tolist()
-        # noise as the terms scale * xi that noise.add adds: two per sample
-        xi = [0.0, 0.0] * drawn if noise is None else (noise.scale * raw[:, dim:]).ravel().tolist()
+        steps, dirs, weights = (np.repeat(taus, batch) * r)[:, None] * units, units, kernel(r)
+        xi = None if noise is None else noise.terms(raw[:, dim:])  # two per sample
+        if arrays:
+            steps = steps[:, None] * _SIGNS
+        else:
+            steps, dirs, weights = list(steps), list(dirs), weights.tolist()
+            xi = [0.0, 0.0] * drawn if xi is None else xi.ravel().tolist()
         return True
 
     def gradient(ctr, k, x):
@@ -451,11 +483,15 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
         ctr.calls += 2 * batch
         i, used = used, used + batch
         scale = scales[i // batch]
-        total = None
-        for j in range(i, used):
-            s, e = steps[j], dirs[j]
-            w = scale * ((float(value(x + s)) + xi[2 * j]) - (float(value(x - s)) + xi[2 * j + 1])) * weights[j]
-            total = w * e if total is None else total + w * e
+        if arrays:
+            total = _weigh(value, x, steps[i:used], dirs[i:used], weights[i:used],
+                           None if xi is None else xi[i:used], scale)
+        else:
+            total = None
+            for j in range(i, used):
+                s, e = steps[j], dirs[j]
+                w = scale * ((float(value(x + s)) + xi[2 * j]) - (float(value(x - s)) + xi[2 * j + 1])) * weights[j]
+                total = w * e if total is None else total + w * e
         return (total + 0.0) / batch
 
     return gradient, rewind

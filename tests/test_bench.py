@@ -180,12 +180,17 @@ def test_non_finite_sigma_exits_2(tmp_path, capsys):
     ("abs1d", "polyak_subgrad", {"tol": NAN}, "tol must be >= 0"),
     ("abs1d", "const_subgrad", {"h": 0.1, "tol": INF}, "unknown params ['tol']"),
     ("slp", "switching", {"delta": 0.1, "theta0": NAN}, "theta0 must be positive"),
+    ("slp", "switching", {"delta": NAN, "theta0": 1.0}, "method 'switching': delta must be positive"),
+    ("slp", "switching", {"delta": 0.1, "theta0": 1.0, "Mg": NAN}, "method 'switching': Mg must be positive"),
+    ("slp", "restarted_switching", {"theta0": 2.0, "eps": 0.1, "Mg": NAN},
+     "method 'restarted_switching': Mg must be positive"),
     ("slp", "restarted_switching", {"theta0": 2.0, "eps": NAN}, "eps_target must be positive"),
     ("slp", "restarted_switching", {"theta0": 2.0, "eps": 0.1, "alpha": NAN}, "alpha_sharp must be positive"),
 ], ids=["gd-L-nan", "gd-tol-nan", "gd-tol-inf", "gd_rel_adaptive-L0-nan", "gd_abs-delta-nan",
         "heavy_ball-tol-nan", "heavy_ball-mu-nan", "nesterov_cvx-L-nan", "cg_quadratic-tol-nan",
         "frank_wolfe-tol-nan", "frank_wolfe-short-L-nan", "polyak_subgrad-tol-nan", "const_subgrad-tol-inf",
-        "switching-theta0-nan", "restarted_switching-eps-nan", "restarted_switching-alpha-nan"])
+        "switching-theta0-nan", "switching-delta-nan", "switching-Mg-nan", "restarted_switching-Mg-nan",
+        "restarted_switching-eps-nan", "restarted_switching-alpha-nan"])
 def test_non_finite_method_constants_exit_2(tmp_path, capsys, problem, method, params, message):
     doc = {"problem": problem, "method": {"name": method, "params": params}, "iterations": 10}
     assert main(["run", "--config", write_cfg(tmp_path, "nan_const.json", doc)]) == 2

@@ -232,7 +232,7 @@ def test_noise_rows_equal_successive_calls():
         calls = np.stack(calls).tobytes()
         assert (base(x) + noise.rows(r2, 37)).tobytes() == calls
         raw = r3.gaussian((37, *shape)) if distribution == "gaussian" else r3.student_t(3, (37, *shape))
-        assert noise.add(base(x), raw).tobytes() == calls
+        assert (base(x) + noise.terms(raw)).tobytes() == calls
         assert r1.state == r2.state == r3.state
 
 

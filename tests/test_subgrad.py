@@ -249,6 +249,18 @@ def test_switching_warns_on_understated_mg():
         run_switching(oracle, fset, np.array([2.0, 0.0]), cfg)
 
 
+def test_switching_refuses_a_nan_delta_and_mg():
+    oracle, fset = make_problem("slp", {"rho": 1.0})
+    with pytest.raises(ValueError, match="delta must be positive"):
+        run_switching(oracle, fset, np.array([2.0, 0.0]), SwitchingConfig(delta=math.nan, theta0=1.0))
+    with pytest.raises(ValueError, match="Mg must be positive"):
+        SwitchingConfig(delta=0.05, theta0=1.0, Mg=math.nan)
+    # a constraint oracle's own bound is checked the same way
+    nan_bound = dataclasses.replace(oracle, constraint=dataclasses.replace(oracle.constraint, lipschitz=math.nan))
+    with pytest.raises(ValueError, match="positive Lipschitz bound Mg"):
+        run_switching(nan_bound, fset, np.array([2.0, 0.0]), SwitchingConfig(delta=0.05, theta0=1.0))
+
+
 @pytest.mark.parametrize("restarted", [False, True], ids=["switching", "restarted_switching"])
 def test_understated_mg_warning_points_at_the_caller(restarted):
     oracle, fset = make_problem("slp", {"rho": 1.0})

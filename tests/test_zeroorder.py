@@ -25,6 +25,7 @@ from optbench import zeroorder
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
     BLOCK_BATCH,
+    WEIGH_BATCH,
     ConstTau,
     PowerDecayTau,
     ZoConfig,
@@ -627,3 +628,64 @@ def test_run_draws_ahead_only_for_a_declared_entry_below_block_batch(monkeypatch
     assert (rng.spheres == 0) == declared  # neither a chunk nor the estimator's block path calls Rng.sphere
     # the reference estimates all 12 iterations; a run that draws ahead estimates none
     assert len(estimates) == (12 if declared and batch < BLOCK_BATCH else 24)
+
+
+def _zo_rosenbrock():
+    suite, _ = make_problem("rosenbrock", {})
+    return wrap_noise(suite, ZOStochValue(0.01), Rng(21)), np.array([1.5, -1.0])
+
+
+# run_zo_sgd on both sides of the batch from which its samples are weighed as arrays
+WEIGH_CASES = {
+    "quad_diag-d1-zo_stoch": lambda: _zo_quad(1),   # one column: an unordered sum would show
+    "quad_diag-d10-zo_stoch": lambda: _zo_quad(10),  # value.rows evaluates all probes in one call
+    "rosenbrock-zo_stoch": _zo_rosenbrock,           # no rows: one value call per probe
+    "linear-d3": BIT_CASES["linear-d3"],             # exact values: no noise terms
+}
+# BLOCK_BATCH + 1: each iteration is one estimate, through the same weigher; numpy sums the first 7 rows
+# of a column in order, so only from 8 rows on would sum(axis=0) differ from the in-order cumsum at d = 1
+WEIGH_BATCHES = [WEIGH_BATCH - 1, WEIGH_BATCH, BLOCK_BATCH - 1, BLOCK_BATCH + 1]
+
+
+def count_weighs(monkeypatch):
+    """A list that gets one entry per call of the array weigher ``zeroorder._weigh``."""
+    calls, weigh = [], zeroorder._weigh
+
+    def counted(*args):
+        calls.append(args[2].shape[0])
+        return weigh(*args)
+
+    monkeypatch.setattr(zeroorder, "_weigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("batch", WEIGH_BATCHES)
+@pytest.mark.parametrize("case", list(WEIGH_CASES))
+def test_run_weighs_a_batch_as_arrays_from_weigh_batch_with_the_per_sample_loops_bits(monkeypatch, case, batch):
+    suite, x0 = WEIGH_CASES[case]()
+    width = suite.dim + 2 * (suite.zo_value is not None)
+    N = 2 * chunk_iterations(batch, width) + 3  # three chunks, the last one short
+    cfg = ZoConfig(N=N, step_rule=Const(0.01), kernel=build_kernel(4), tau_schedule=PowerDecayTau(0.2, 0.5),
+                   batch=batch)
+    weighs = count_weighs(monkeypatch)
+    assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(6), Rng(6), record_every=3)
+    # from WEIGH_BATCH on every iteration is one call of the array weigher; below it, none is
+    assert weighs == ([batch] * N if batch >= WEIGH_BATCH else [])
+
+
+@pytest.mark.parametrize("batch", WEIGH_BATCHES)
+@pytest.mark.parametrize("case", list(WEIGH_CASES))
+def test_run_budget_inside_an_iteration_weighed_as_arrays(monkeypatch, case, batch):
+    suite, x0 = WEIGH_CASES[case]()
+    width = suite.dim + 2 * (suite.zo_value is not None)
+    j = chunk_iterations(batch, width) // 4 * 2 + 1  # odd, inside the first chunk: no row is due at iteration j
+    cfg = ZoConfig(N=3 * j, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
+    calls_before = 2 * batch * j + (j - 1) // 2 + 1  # iterations 0..j-1 and their due rows at record_every 2
+    weighs = count_weighs(monkeypatch)
+    for budget in range(calls_before, calls_before + 2 * batch):  # each cuts one of iteration j's probes
+        weighs.clear()
+        got = assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(4), Rng(4), record_every=2,
+                                                     max_oracle_calls=budget)
+        assert got.final.iter == j and got.final.oracle_calls == budget + 1  # the call past the budget counts
+        # iterations before j are weighed as arrays; j itself, without room for its probes, by the estimator's loop
+        assert weighs == ([batch] * j if batch >= WEIGH_BATCH else [])

@@ -33,8 +33,9 @@ Grids:
 * ``zo/chunk/...``: ``run_zo_sgd`` for 307 iterations (a prime, so no
   chunk of iterations whose samples the run draws ahead divides it) on
   ``quad_diag`` under ``zo_stoch`` noise, at d {1, 2, 10} x batch
-  {1, 4, 7, 9} x both tau schedules x ``record_every`` {1, 7}, with no
-  budget and with budgets that cut at the first iteration of the second
+  {1, 3, 4, 5, 6, 7, 9} (both sides of ``WEIGH_BATCH`` and of
+  ``BLOCK_BATCH``) x both tau schedules x ``record_every`` {1, 7}, with
+  no budget and with budgets that cut at the first iteration of the second
   chunk (``boundary``), half a chunk later (``mid-chunk``), after
   ``batch`` probes of that first iteration (``mid-iter``), at its last
   probe (``last-probe``) and at its row's f evaluation (``row``); the
@@ -47,7 +48,7 @@ Grids:
   (``tiny/...``); and a ``PowerDecayTau`` whose tau underflows to 0 at
   iteration 6, at batch {1, 9} (its error text).  A chunk holds
   ``max(1, BLOCK_VALUES // (batch * width))`` iterations, ``width``
-  being d + 2 raw values per sample under noise and d without (320 runs);
+  being d + 2 raw values per sample under noise and d without (536 runs);
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -230,7 +231,7 @@ ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
 ZO_BUDGETS = (None, 36, 53, 54, 55)
 CHUNK_N = 307  # a prime: no chunk of iterations divides it
 CHUNK_DIMS = (1, 2, 10)
-CHUNK_BATCHES = (1, 4, 7, 9)
+CHUNK_BATCHES = (1, 3, 4, 5, 6, 7, 9)
 SWITCH_BUDGETS = (None, 10, 11, 40)
 REC_ROWS = (511, 512, 513, 1025)
 _GD_SLOW = {"L": 8.0, "tol": 0.0}  # a step of 1/8 on curvatures 1 and 2: no gradient reaches 0 in 1024 steps
