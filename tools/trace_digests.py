@@ -33,10 +33,11 @@ Grids:
 * ``zo/chunk/...``: ``run_zo_sgd`` for 307 iterations (a prime, so no
   chunk of iterations whose samples the run draws ahead divides it) on
   ``quad_diag`` under ``zo_stoch`` noise, at d {1, 2, 10} x batch
-  {1, 3, 4, 5, 6, 7, 9} (both sides of ``WEIGH_BATCH`` and of
-  ``BLOCK_BATCH``) x both tau schedules x ``record_every`` {1, 7}, with
-  no budget and with budgets that cut at the first iteration of the second
-  chunk (``boundary``), half a chunk later (``mid-chunk``), after
+  {1, 3, 4, 5, 6, 7, 9} (both sides of ``WEIGH_BATCH``) and at d 10 x
+  batch 64 (768 raw values per iteration: a chunk of one iteration), x
+  both tau schedules x ``record_every`` {1, 7}, with no budget and with
+  budgets that cut at the first iteration of the second chunk
+  (``boundary``), half a chunk later (``mid-chunk``), after
   ``batch`` probes of that first iteration (``mid-iter``), at its last
   probe (``last-probe``) and at its row's f evaluation (``row``); the
   exact ``quad_diag`` values at d {2, 10} x batch {1, 4, 9}, with no
@@ -48,7 +49,7 @@ Grids:
   (``tiny/...``); and a ``PowerDecayTau`` whose tau underflows to 0 at
   iteration 6, at batch {1, 9} (its error text).  A chunk holds
   ``max(1, BLOCK_VALUES // (batch * width))`` iterations, ``width``
-  being d + 2 raw values per sample under noise and d without (536 runs);
+  being d + 2 raw values per sample under noise and d without (560 runs);
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -482,7 +483,8 @@ def zo_chunk_grid(tmp: str) -> dict:
         return suite, np.linspace(1.5, -1.0, suite.dim)
 
     taus = {"const": zo.ConstTau(0.05), "power": zo.PowerDecayTau(0.2, 0.5)}
-    for d, batch, (tname, tau), every in itertools.product(CHUNK_DIMS, CHUNK_BATCHES, taus.items(), (1, 7)):
+    sizes = [*itertools.product(CHUNK_DIMS, CHUNK_BATCHES), (10, 64)]
+    for (d, batch), (tname, tau), every in itertools.product(sizes, taus.items(), (1, 7)):
         c = _chunk(batch, d + 2)
         after = _calls_after(c, batch, every)
         budgets = {"none": None, "boundary": after, "mid-chunk": _calls_after(c + c // 2, batch, every),
