@@ -48,10 +48,9 @@ class UnsupportedProblemError(TypeError):
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """Structure access for f(x) = 0.5 x'Ax - b'x (+ const): A-products and b."""
+    """Structure access for f(x) = 0.5 x'Ax - b'x (+ const): A-products."""
 
     matvec: Callable[[np.ndarray], np.ndarray]
-    b: np.ndarray
 
 
 @dataclass(frozen=True)

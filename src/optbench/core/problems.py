@@ -179,7 +179,7 @@ def _quad_diag(params: dict, seed: int):
         value=value, subgrad=grad, grad=grad, dim=d,
         fstar=0.0, xstar=a.copy(),
         L=float(np.max(lam)), mu=float(np.min(lam)),
-        quadratic=QuadraticForm(matvec=lambda v: lam * v, b=lam * a),
+        quadratic=QuadraticForm(matvec=lambda v: lam * v),
     )
     return oracle, FullSpace(d), a + np.ones(d)
 

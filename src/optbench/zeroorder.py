@@ -24,65 +24,63 @@ x - tau r e (value noise draws from the same stream inside those calls).
 That order is why equal seeds give equal streams, and no batch size
 changes it.  A bare suite is counted by an unbudgeted
 :class:`CountingOracle`, whose ``zo_value`` is the suite's exact
-``value`` where the suite has no zeroth-order entry.  From
-:data:`BLOCK_BATCH` samples on, when that entry is the exact ``value``
-or declares one gaussian per call (the
+``value`` where the suite has no zeroth-order entry.  When that entry is
+the exact ``value`` or declares one gaussian per call (the
 :class:`~optbench.core.noise.AdditiveNoise` that ``zo_stoch`` hangs on
-it), the estimator runs in two phases.  Phase 1 draws only raw values,
-per sample and in that order: one ``random()`` for the radius, then one
+it), samples are drawn ahead, a chunk at a time, by :func:`_draw`.
+Phase 1 (:func:`_raw_samples`) draws only raw values, per sample and in
+that order: one ``random()`` for the radius, then one
 ``standard_normal`` fill of a preallocated row with the direction's d
-normals followed by the two probes' noise.  Phase 2 works on arrays: it
-maps the raw radii to [-1, 1] (:func:`~optbench.core.rng.uniform_of`),
-normalizes the directions (:func:`~optbench.core.rng.unit_rows`), builds
-the probe points, counts the batch's ``2 * batch`` calls, evaluates the
-noise-free ``value`` at every probe (one call of its ``rows`` attribute
-where it has one, as ``quad_diag``'s does, else one call per probe in
-call order), adds the noise and computes the weights
-``d/(2 tau) * (f~+ - f~-) * K(r)``.  Every step is elementwise or has
-the bits of the scalar call it replaces, so each estimate and the
-stream's final state equal the per-sample loop's bit for bit.  Should
-``unit_rows`` not keep a direction, which :meth:`Rng.sphere` would
-redraw, the stream is rewound to where the batch began and the batch
-replayed by the per-sample loop, which redraws that direction where it always has; with
-gaussian draws that almost never happens.  The per-sample loop runs
-below ``BLOCK_BATCH`` (where the arrays' fixed cost is larger than what
-they save), for any other entry (a hand-built one may draw anything from
-the stream; the ``zo_bounded`` entries' crossover has not been timed),
-and with fewer than ``2 * batch`` calls left in the budget, so that a
-budget cut leaves the stream where the loop leaves it.  Either way the
-weighted directions are summed in the order drawn: the loop keeps a
-running sum, and the arrays are summed row by row once per batch.
+normals followed by the two probes' noise.  The half of phase 2 that
+does not depend on x follows on the chunk's arrays: it maps the raw
+radii to [-1, 1] (:func:`~optbench.core.rng.uniform_of`), normalizes
+the directions (:func:`~optbench.core.rng.unit_rows`), and computes the
+kernel weights K(r), the steps ``(tau r) e`` (as ``(s, -s)`` pairs from
+:data:`WEIGH_BATCH` samples on) and the noise terms.  The other half,
+:func:`_estimate`, serves one iteration once its ``2 * batch`` calls are
+counted: it evaluates the noise-free ``value`` at the probes ``x +- s``,
+adds the noise, computes the weights ``d/(2 tau) * (f~+ - f~-) * K(r)``
+and sums the weighted directions in the order drawn.  From
+``WEIGH_BATCH`` samples on it works on arrays (:func:`_weigh`): the
+probes as one ``(2 batch, d)`` array in call order, their values from
+one call of ``value``'s ``rows`` attribute where it has one, as
+``quad_diag``'s does (else one call per probe), and the in-order
+``cumsum`` of the weighted directions.  Below it, it works on scalars,
+one sample at a time.  Timed against each other on ``quad_diag`` under
+``zo_stoch`` at d = 2, 10 and 50 (20 interleaved runs per cell, 2-vCPU
+x86-64 host), the arrays took 1.21-1.23 times the scalars' time per
+sample at batch 2, 0.96-1.06 at 3, 0.82-0.94 at 4, 0.75-0.91 at 5 and
+0.66-0.87 at 6: they win from 4 samples on.  Every step is elementwise
+or has the bits of the scalar call it replaces, so each estimate and the
+stream's final state equal the per-sample loop's bit for bit.
+
+:func:`kernel_grad_estimate` is a chunk of one iteration wherever the
+entry is declared and the budget has room for the batch's ``2 * batch``
+calls.  Should ``unit_rows`` not keep a direction, which
+:meth:`Rng.sphere` would redraw, the stream is rewound to where the
+batch began and the batch replayed by the per-sample loop
+(:func:`_loop_samples`), which redraws that direction where it always
+has; with gaussian draws that almost never happens.  The per-sample loop
+also serves any other entry (a hand-built one may draw anything from the
+stream) and a budget with fewer than ``2 * batch`` calls left, so that a
+budget cut leaves the stream where the loop leaves it.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
-sample's draws do not depend on x, so below ``BLOCK_BATCH``, when the
-entry is one that the block path draws, the run takes them ahead: one
-chunk of phase-1 raw draws, about
-:data:`~optbench.core.rng.BLOCK_VALUES` values, serves several
-iterations, and its directions, radii, kernel weights and steps
-``(tau_k r) e`` are computed once per chunk.  An iteration then counts
-its calls and weighs its samples with the bits of the estimator's.  From
-:data:`WEIGH_BATCH` samples on it weighs them as arrays, through the
-block estimator's own phase 2 (:func:`_weigh`): the probes ``x +- s`` as
-one ``(2 batch, d)`` array in call order, their values from one ``rows``
-call where the entry has one (else one call per probe), then the noise
-terms, the weights and the in-order ``cumsum`` of the weighted
-directions.  Below it, it weighs them one at a time on scalars.  Timed
-against each other on ``quad_diag`` under ``zo_stoch`` at d = 2, 10 and
-50 (20 interleaved runs per cell, 2-vCPU x86-64 host), the arrays took
-1.21-1.23 times the scalars' time per sample at batch 2, 0.96-1.06 at 3,
-0.82-0.94 at 4, 0.75-0.91 at 5 and 0.66-0.87 at 6: they win from 4
-samples on.  From ``BLOCK_BATCH`` on each iteration is one call of the
-estimator, which draws its batch ahead itself.  Where the
-estimator would take its per-sample loop (too few calls left, a
-direction to redraw) or refuse (a ``tau_k`` that is not positive and
-finite, or so small that the scale ``d/(2 tau_k)`` overflows), the
-iteration calls :func:`kernel_grad_estimate` itself, after
-the stream is rewound to the chunk's start and the samples already used
-are drawn again; every exit of the run rewinds the same way.  So a run
-leaves its trace, its reported point and its ``Rng`` where estimating
-one iteration at a time leaves them.
+sample's draws do not depend on x, so where the entry is declared the
+run draws them ahead in chunks of about
+:data:`~optbench.core.rng.BLOCK_VALUES` raw values, each serving several
+iterations (one where a batch alone holds more values).  An iteration
+counts its calls and weighs its samples with :func:`_estimate`, as the
+estimator does.  Where the estimator would take its per-sample loop (too
+few calls left, a direction to redraw) or refuse (a ``tau_k`` that is
+not positive and finite, or so small that the scale ``d/(2 tau_k)``
+overflows), the iteration calls :func:`kernel_grad_estimate` itself,
+after the stream is rewound to the chunk's start and the samples already
+used are drawn again; every exit of the run rewinds the same way.  So a
+run leaves its trace, its reported point and its ``Rng`` where
+estimating one iteration at a time leaves them.
 """
 
 from __future__ import annotations
@@ -103,13 +101,7 @@ from .stochastic import NoAveraging, StepRule, _projected_sgd
 _SUPPORTED_BETA = (2, 3, 4, 5)
 _QUAD_NODES = 64
 _MOMENT_TOL = 1e-10
-# The smallest batch that kernel_grad_estimate draws ahead and probes as arrays.  Timed
-# against the per-sample loop at batch 1-8, 16 and 64 and d = 2, 10 and 50, on exact values
-# and on gaussian value noise through a CountingOracle (2-vCPU x86-64 host), the arrays won
-# from 7 samples on, tied at 6 and lost below.
-BLOCK_BATCH = 7
-# The smallest batch whose samples run_zo_sgd weighs as arrays where it draws them a chunk ahead;
-# the module docstring gives the sweep that chose it.
+# The smallest batch whose samples are weighed as arrays; the module docstring gives the sweep that chose it.
 WEIGH_BATCH = 4
 _SIGNS = np.array([[1.0], [-1.0]])  # a step s times these is (s, -s), and x + (-s) has the bits of x - s
 
@@ -198,17 +190,17 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     if suite.dim < 1:
         raise ValueError("the estimator needs a suite of dim >= 1")
     scale = estimator_scale(x.shape[0], tau)
-    total = None
-    if batch >= BLOCK_BATCH and counter.has_room(2 * batch):
-        declared = _declared(suite)
-        if declared is not None:
-            total = _block_samples(*declared, counter, x, tau, scale, kernel, rng, batch)
-    if total is None:
-        total = _loop_samples(counter.zo_value, x, tau, scale, kernel, rng, batch)
-    # Both paths sum the weighted directions strictly in draw order, from the
-    # first sample's; adding 0.0 turns a -0.0 total into the +0.0 that a
-    # running sum from a zero start gives.
-    return (total + 0.0) / batch
+    declared = _declared(suite) if counter.has_room(2 * batch) else None
+    if declared is not None:
+        value, noise = declared
+        start = rng.state
+        ready, chunk = _draw(rng, noise, x.shape[0], [tau], batch, kernel)
+        if ready:
+            counter.calls += 2 * batch
+            return _estimate(value, x, chunk, 0, batch, scale)
+        rng.state = start
+    # Adding 0.0 turns a -0.0 total into the +0.0 that a running sum from a zero start gives.
+    return (_loop_samples(counter.zo_value, x, tau, scale, kernel, rng, batch) + 0.0) / batch
 
 
 def estimator_scale(dim: int, tau: float) -> float:
@@ -227,7 +219,7 @@ def estimator_scale(dim: int, tau: float) -> float:
 
 
 def _declared(suite: OracleSuite):
-    """``(value, noise)`` when the block path can draw the suite's zeroth-order noise, else None.
+    """``(value, noise)`` when :func:`_draw` can draw the suite's zeroth-order noise, else None.
 
     ``value`` is the entry's rng-free part and ``noise`` the
     :class:`AdditiveNoise` whose draws the entry adds; a suite without an
@@ -260,26 +252,51 @@ def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
     return total
 
 
-def _block_samples(value, noise: Optional[AdditiveNoise], counter, x, tau, scale, kernel, rng, batch):
-    """The sum of the weighted directions: raw draws first, then the rest as arrays.
+def _draw(rng: Rng, noise: Optional[AdditiveNoise], dim: int, taus, batch: int, kernel: Kernel):
+    """``(ready, chunk)``: the samples of ``len(taus)`` iterations of ``batch`` each, drawn ahead.
 
-    ``value`` and ``noise`` are what :func:`_declared` returns.  The caller
-    has checked that ``counter`` has room for every probe, so all of them
-    are counted before the first.  Returns None, with ``rng`` rewound to
-    where the batch began and nothing counted, when a direction must be
-    redrawn.
+    ``noise`` is what :func:`_declared` returns and ``taus[j]`` is
+    iteration j's tau.  Phase 1 and the half of phase 2 that does not
+    depend on x: ``chunk`` holds, per sample, the step ``(tau r) e``, the
+    direction e, the kernel weight K(r) and its two probes' noise terms,
+    as :func:`_estimate` takes them.  ``ready`` counts the samples of the
+    iterations before the first whose samples hold a direction that
+    :func:`unit_rows` does not keep; the stream is left after all of
+    them.
     """
-    d = x.shape[0]
-    start = rng.state
-    u, raw = _raw_samples(rng.generator, batch, d if noise is None else d + 2)
-    dirs, kept = unit_rows(raw[:, :d])
-    if not kept.all():
-        rng.state = start
-        return None
+    n = batch * len(taus)
+    u, raw = _raw_samples(rng.generator, n, dim if noise is None else dim + 2)
+    dirs, kept = unit_rows(raw[:, :dim])
+    ready = n if kept.all() else int(kept.argmin()) // batch * batch
     r = uniform_of(u)
-    counter.calls += 2 * batch
-    return _weigh(value, x, ((tau * r)[:, None] * dirs)[:, None] * _SIGNS, dirs, kernel(r),
-                  None if noise is None else noise.terms(raw[:, d:]), scale)
+    steps, weights = (np.array(taus).repeat(batch) * r)[:, None] * dirs, kernel(r)
+    xi = None if noise is None else noise.terms(raw[:, dim:])  # two per sample
+    if batch >= WEIGH_BATCH:
+        return ready, (steps[:, None] * _SIGNS, dirs, weights, xi)
+    return ready, (list(steps), list(dirs), weights.tolist(), [0.0, 0.0] * n if xi is None else xi.ravel().tolist())
+
+
+def _estimate(value, x, chunk, i: int, batch: int, scale: float) -> np.ndarray:
+    """The estimate at ``x`` from samples ``i`` to ``i + batch - 1`` of a :func:`_draw` chunk.
+
+    ``value`` is the entry's rng-free part and ``scale`` the iteration's
+    :func:`estimator_scale`.  From :data:`WEIGH_BATCH` samples on they are
+    weighed as arrays (:func:`_weigh`), below it on scalars, one at a
+    time.  Without noise a probe value gets ``+ 0.0``: that only turns a
+    -0.0 value into +0.0, which no estimate shows, as the sum gets
+    ``+ 0.0`` too.
+    """
+    steps, dirs, weights, xi = chunk
+    end = i + batch
+    if batch >= WEIGH_BATCH:
+        total = _weigh(value, x, steps[i:end], dirs[i:end], weights[i:end], None if xi is None else xi[i:end], scale)
+    else:
+        total = None
+        for j in range(i, end):
+            s, e = steps[j], dirs[j]
+            w = scale * ((float(value(x + s)) + xi[2 * j]) - (float(value(x - s)) + xi[2 * j + 1])) * weights[j]
+            total = w * e if total is None else total + w * e
+    return (total + 0.0) / batch
 
 
 def _weigh(value, x, signed, dirs, kernel_weights, xi, scale):
@@ -377,19 +394,18 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
     """Projected SGD on the kernel gradient estimate (2*batch calls/iter).
 
     Iteration k's gradient has the bits of ``kernel_grad_estimate`` at
-    ``tau_schedule.at(k)``.  Below :data:`BLOCK_BATCH`, where
-    :func:`_declared` finds the suite's zeroth-order draws, the samples of
-    many iterations are drawn as one chunk (:func:`_sample_chunks`); the
-    run's ``Rng`` ends, by any exit, where estimating one iteration at a
-    time leaves it.
+    ``tau_schedule.at(k)``.  Where :func:`_declared` finds the suite's
+    zeroth-order draws, the samples of many iterations are drawn as one
+    chunk (:func:`_sample_chunks`); the run's ``Rng`` ends, by any exit,
+    where estimating one iteration at a time leaves it.
     """
     tau, kernel, batch = cfg.tau_schedule, cfg.kernel, cfg.batch
 
     def estimate(ctr, k, x):  # the module attribute, looked up per call: a traced run rebinds it
         return kernel_grad_estimate(ctr, x, tau.at(k), kernel, rng, batch)
 
-    # From BLOCK_BATCH on, and for a suite the estimator refuses (dim 0), each iteration is one estimate.
-    declared = _declared(oracle) if batch < BLOCK_BATCH and oracle.dim >= 1 else None
+    # A suite the estimator refuses (dim 0) has each iteration estimated, and so refused.
+    declared = _declared(oracle) if oracle.dim >= 1 else None
     if declared is None:
         gradient, rewind = estimate, (lambda: None)
     else:
@@ -405,31 +421,24 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
     """``(gradient, rewind)``: :func:`run_zo_sgd`'s gradients, their samples drawn a chunk of iterations ahead.
 
     ``value`` and ``noise`` are what :func:`_declared` returns, ``dim`` is
-    at least 1, the batch is below :data:`BLOCK_BATCH`, and
-    ``estimate(ctr, k, x)`` is iteration k's ``kernel_grad_estimate``.  A
-    chunk is one :func:`_raw_samples` draw for the next
+    at least 1, and ``estimate(ctr, k, x)`` is iteration k's
+    ``kernel_grad_estimate``.  A chunk is one :func:`_draw` for the next
     ``max(1, BLOCK_VALUES // (batch * width))`` iterations, or the ones
-    left, with ``width`` raw values per sample.  Its directions, radii,
-    kernel weights and steps ``(tau_k r) e`` are computed once, ``tau_k``
-    being the sample's iteration's.  An iteration checks that the budget
+    left, with ``width`` raw values per sample, each sample's step taking
+    its own iteration's ``tau_k``.  An iteration checks that the budget
     has room for its ``2 * batch`` probes, counts them and weighs its
-    samples: from :data:`WEIGH_BATCH` on as arrays with :func:`_weigh`,
-    for which the chunk keeps its steps as ``(s, -s)`` pairs, below it on
-    scalars, one at a time.  ``estimate`` serves an iteration without
-    that room, one that would start a chunk at an ``x`` or a ``tau_k``
-    that ``kernel_grad_estimate`` refuses, and one whose samples hold a
-    direction that :func:`unit_rows` does not keep.  Before it does, and
-    when ``rewind()`` ends the run, the stream is set back to the chunk's
-    start and the samples weighed are drawn again.  Without noise a probe
-    value gets ``+ 0.0``: that only turns a -0.0 value into +0.0, which no
-    estimate shows, as ``kernel_grad_estimate`` adds 0.0 to the sum.
+    samples with :func:`_estimate`.  ``estimate`` serves an iteration
+    without that room, one that would start a chunk at an ``x`` or a
+    ``tau_k`` that ``kernel_grad_estimate`` refuses, and one whose samples
+    hold a direction that :func:`unit_rows` does not keep.  Before it
+    does, and when ``rewind()`` ends the run, the stream is set back to the
+    chunk's start and the samples weighed are drawn again.
     """
     tau, kernel, batch, N = cfg.tau_schedule, cfg.kernel, cfg.batch, cfg.N
     width = dim if noise is None else dim + 2
     per_chunk = max(1, BLOCK_VALUES // (batch * width))
-    arrays = batch >= WEIGH_BATCH
     start, drawn, ready, used = None, 0, 0, 0  # the state before the chunk; its samples drawn, servable, weighed
-    scales = steps = dirs = weights = xi = None
+    scales = chunk = None
 
     def rewind():
         """Set the stream to just after the samples weighed, and drop the chunk."""
@@ -441,7 +450,7 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
 
     def draw(k, x) -> bool:
         """Draw the chunk that starts at iteration k; False when ``estimate`` must serve iteration k."""
-        nonlocal start, drawn, ready, scales, steps, dirs, weights, xi
+        nonlocal start, drawn, ready, scales, chunk
         if x.shape != (dim,):
             return False
         taus, scales = [], []
@@ -455,20 +464,10 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
         if not taus:
             return False
         start, drawn = rng.state, batch * len(taus)
-        u, raw = _raw_samples(rng.generator, drawn, width)
-        units, kept = unit_rows(raw[:, :dim])
-        ready = drawn if kept.all() else int(kept.argmin()) // batch * batch  # up to the iteration to redraw
+        ready, chunk = _draw(rng, noise, dim, taus, batch, kernel)
         if ready == 0:
             rewind()
             return False
-        r = uniform_of(u)
-        steps, dirs, weights = (np.repeat(taus, batch) * r)[:, None] * units, units, kernel(r)
-        xi = None if noise is None else noise.terms(raw[:, dim:])  # two per sample
-        if arrays:
-            steps = steps[:, None] * _SIGNS
-        else:
-            steps, dirs, weights = list(steps), list(dirs), weights.tolist()
-            xi = [0.0, 0.0] * drawn if xi is None else xi.ravel().tolist()
         return True
 
     def gradient(ctr, k, x):
@@ -482,16 +481,6 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfi
                 return estimate(ctr, k, x)
         ctr.calls += 2 * batch
         i, used = used, used + batch
-        scale = scales[i // batch]
-        if arrays:
-            total = _weigh(value, x, steps[i:used], dirs[i:used], weights[i:used],
-                           None if xi is None else xi[i:used], scale)
-        else:
-            total = None
-            for j in range(i, used):
-                s, e = steps[j], dirs[j]
-                w = scale * ((float(value(x + s)) + xi[2 * j]) - (float(value(x - s)) + xi[2 * j + 1])) * weights[j]
-                total = w * e if total is None else total + w * e
-        return (total + 0.0) / batch
+        return _estimate(value, x, chunk, i, batch, scales[i // batch])
 
     return gradient, rewind

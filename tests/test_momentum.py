@@ -171,7 +171,7 @@ def test_cg_parallel_directions_fall_back_to_the_line_search_step():
 
 def test_cg_refuses_non_positive_curvature_along_the_gradient():
     concave = OracleSuite(value=lambda x: -0.5 * float(x.dot(x)), subgrad=lambda x: -x, grad=lambda x: -x, dim=2,
-                          quadratic=QuadraticForm(matvec=lambda v: -v, b=np.zeros(2)))
+                          quadratic=QuadraticForm(matvec=lambda v: -v))
     with pytest.raises(UnsupportedProblemError, match="not positive along the gradient"):
         run_cg_quadratic(concave, np.ones(2), N=5)
 

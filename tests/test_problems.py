@@ -54,7 +54,7 @@ def test_quad_diag_shift():
     oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0], "shift": a.tolist()})
     assert oracle.value(a) == 0.0
     np.testing.assert_allclose(oracle.xstar, a)
-    np.testing.assert_allclose(oracle.quadratic.b, [2.0, -1.0])
+    np.testing.assert_allclose(oracle.grad(a), [0.0, 0.0])
 
 
 def test_slp_instance():

@@ -24,7 +24,6 @@ from optbench.core.rng import BLOCK_VALUES
 from optbench import zeroorder
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
-    BLOCK_BATCH,
     WEIGH_BATCH,
     ConstTau,
     PowerDecayTau,
@@ -139,7 +138,7 @@ def _drawing_entry():
 
 
 def _declared_entry(**declaration):
-    """The linear d=3 suite under declared value noise that the block path does not draw: the per-sample loop's."""
+    """The linear d=3 suite under declared value noise that no chunk draws: the per-sample loop's."""
     oracle, x = linear_oracle([1.0, -2.0, 0.5]), np.array([0.3, -0.1, 2.0])
     noisy = AdditiveNoise(oracle.value, 0.01, **declaration).entry()
     if noisy.noise.shape == ():
@@ -165,8 +164,8 @@ BIT_CASES = {
     "linear-d3-declared-student_t3": lambda: _declared_entry(distribution="student_t3"),
     "linear-d3-declared-vector": lambda: _declared_entry(shape=(1,)),
 }
-# both sides of the batch from which the estimator draws ahead and probes as arrays
-BIT_BATCHES = sorted({1, 2, 3, 4, 8, BLOCK_BATCH - 1, BLOCK_BATCH, BLOCK_BATCH + 1, 1000})
+# both sides of WEIGH_BATCH (arrays from 4 samples on) and of 8 rows, from which sum(axis=0) may sum pairwise
+BIT_BATCHES = [1, 2, 3, 4, 6, 7, 8, 1000]
 
 
 @pytest.mark.parametrize("batch", BIT_BATCHES)
@@ -196,7 +195,7 @@ def test_estimator_budget_cut_matches_the_per_sample_loop():
     assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
 
 
-@pytest.mark.parametrize("batch", [BLOCK_BATCH, 64])
+@pytest.mark.parametrize("batch", [1, 3, 7, 64])
 @pytest.mark.parametrize("case", ["linear-d3", "quad50-zo_stoch"])
 def test_estimator_at_the_budget_boundary_matches_the_per_sample_loop(case, batch):
     oracle, x = BIT_CASES[case]()
@@ -231,19 +230,19 @@ class SphereCountingRng(Rng):
         return super().sphere(d)
 
 
+@pytest.mark.parametrize("batch", [1, 3, 4, 6, 7, 64])
 @pytest.mark.parametrize("case", ["linear-d3", "quad50-zo_stoch", "quad50-zo_bounded-worst", "linear-d3-drawing",
                                   "linear-d3-declared-student_t3", "linear-d3-declared-vector"])
-def test_estimator_draws_ahead_from_the_block_batch(case):
+def test_estimator_draws_ahead_at_every_batch_with_room(case, batch):
     oracle, x = BIT_CASES[case]()
     kernel = build_kernel(2)
     # only the exact value and the zo_stoch entry are drawn ahead; any other entry keeps the per-sample loop
     ahead = case in ("linear-d3", "quad50-zo_stoch")
-    for batch, room, loop in ((BLOCK_BATCH - 1, None, True), (BLOCK_BATCH, None, not ahead),
-                              (BLOCK_BATCH, 2 * BLOCK_BATCH, not ahead), (BLOCK_BATCH, 2 * BLOCK_BATCH - 1, True)):
+    for room, loop in ((None, not ahead), (2 * batch, not ahead), (2 * batch - 1, True)):
         rng = SphereCountingRng(5)
         with contextlib.suppress(OracleBudgetError):
             kernel_grad_estimate(CountingOracle(oracle, room), x, 0.05, kernel, rng, batch)
-        # the per-sample loop draws each direction with Rng.sphere; the block path does not
+        # the per-sample loop draws each direction with Rng.sphere; a chunk does not
         assert (rng.spheres > 0) == loop
 
 
@@ -273,7 +272,7 @@ class TinyNormals:
         return getattr(self.gen, name)
 
 
-@pytest.mark.parametrize("batch, call", [(1, 0), (BLOCK_BATCH, 0), (BLOCK_BATCH, 3), (1000, 0), (1000, 3)])
+@pytest.mark.parametrize("batch, call", [(1, 0), (7, 0), (7, 3), (1000, 0), (1000, 3)])
 def test_estimator_redraws_a_tiny_direction_where_the_per_sample_loop_does(batch, call):
     oracle, x = BIT_CASES["linear-d3"]()  # draws nothing but the directions' normals
     kernel = build_kernel(2)
@@ -283,13 +282,12 @@ def test_estimator_redraws_a_tiny_direction_where_the_per_sample_loop_does(batch
     est = kernel_grad_estimate(oracle, x, 0.05, kernel, rng, batch)
     assert est.tobytes() == ref.tobytes()
     assert ref_rng._gen.calls == batch + 1 and ref_rng._gen.tiny == 1  # one redraw
-    # the block path fills the batch's rows once, finds the tiny norm, rewinds and replays the loop's draws
-    replayed = batch >= BLOCK_BATCH
-    assert rng._gen.calls == batch + 1 + replayed * batch and rng._gen.tiny == 1 + replayed
+    # the chunk fills the batch's rows once, finds the tiny norm, rewinds and replays the loop's draws
+    assert rng._gen.calls == 2 * batch + 1 and rng._gen.tiny == 2
     assert rng.gaussian(3).tobytes() == ref_rng.gaussian(3).tobytes()
 
 
-@pytest.mark.parametrize("batch", [1, BLOCK_BATCH, 1000])
+@pytest.mark.parametrize("batch", [1, 7, 1000])
 @pytest.mark.parametrize("case", list(BIT_CASES))
 def test_bare_suite_is_estimated_as_an_unbudgeted_counter(case, batch):
     oracle, x = BIT_CASES[case]()
@@ -301,7 +299,7 @@ def test_bare_suite_is_estimated_as_an_unbudgeted_counter(case, batch):
 
 
 @pytest.mark.parametrize("noisy", [False, True])
-@pytest.mark.parametrize("batch", [1, BLOCK_BATCH])
+@pytest.mark.parametrize("batch", [1, 7])
 def test_estimator_refuses_a_zero_dimensional_suite_before_any_draw(batch, noisy):
     oracle = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: np.zeros(0), dim=0)
     if noisy:
@@ -327,7 +325,7 @@ class CountingValue:
         return self.fn(x)
 
 
-@pytest.mark.parametrize("batch", [BLOCK_BATCH, 64])
+@pytest.mark.parametrize("batch", [7, 64])
 @pytest.mark.parametrize("noisy", [False, True])
 def test_replacing_value_drops_its_rows(noisy, batch):
     lam = np.linspace(1.0, 10.0, 50)
@@ -465,7 +463,7 @@ def test_tau_must_be_positive_and_finite(tau):
 def test_tau_whose_scale_overflows_is_refused_before_any_draw(d):
     oracle, _ = make_problem("quad_diag", {"lambdas": [1.0] * d})
     for tau in (1e-320, d * 1e-309):  # d / (2 tau) is inf, and 5e308 overflows
-        for batch in (1, BLOCK_BATCH):
+        for batch in (1, 7):
             rng = Rng(0)
             with pytest.raises(ValueError, match=re.escape(f"tau = {tau!r} is too small")):
                 kernel_grad_estimate(oracle, np.ones(d), tau, build_kernel(2), rng, batch=batch)
@@ -553,7 +551,7 @@ def _zo_quad(d):
 
 
 @pytest.mark.parametrize("every", [1, 7])
-@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, BLOCK_BATCH - 1), (3, BLOCK_BATCH)])
+@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, 6), (3, 7)])
 def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
     suite, x0 = _zo_quad(d)
     chunk = chunk_iterations(batch, d + 2)
@@ -571,7 +569,7 @@ def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
 
 
 @pytest.mark.parametrize("exponent", [0.5, 3.0])
-@pytest.mark.parametrize("d, batch", [(1, 1), (2, 4), (10, BLOCK_BATCH - 1)])
+@pytest.mark.parametrize("d, batch", [(1, 1), (2, 4), (10, 6)])
 def test_run_takes_each_iterations_tau_of_power_decay(d, batch, exponent):
     suite, x0 = _zo_quad(d)
     cfg = ZoConfig(N=3 * chunk_iterations(batch, d + 2) + 2, step_rule=Const(0.01), kernel=build_kernel(2),
@@ -579,7 +577,7 @@ def test_run_takes_each_iterations_tau_of_power_decay(d, batch, exponent):
     assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(8), Rng(8), record_every=3)
 
 
-@pytest.mark.parametrize("batch", [1, BLOCK_BATCH - 1])
+@pytest.mark.parametrize("batch", [1, 6])
 def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
     suite, x0 = _zo_quad(2)
     cfg = ZoConfig(N=20, step_rule=Const(0.01), kernel=build_kernel(2), tau_schedule=PowerDecayTau(0.2, 400.0),
@@ -597,7 +595,7 @@ def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
 
 
 @pytest.mark.parametrize("offset", [0, 1, 5])
-@pytest.mark.parametrize("batch", [1, 4, BLOCK_BATCH - 1])
+@pytest.mark.parametrize("batch", [1, 4, 6])
 def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
     oracle, x = BIT_CASES["linear-d3"]()  # exact values: each sample's one normal fill is its direction's
     chunk = chunk_iterations(batch, 3)
@@ -611,8 +609,8 @@ def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
 
 @pytest.mark.parametrize("case", ["quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1",
                                   "quad50-zo_bounded-random", "linear-d3-drawing", "linear-d3-declared-student_t3"])
-@pytest.mark.parametrize("batch", [1, 3, BLOCK_BATCH - 1, BLOCK_BATCH])
-def test_run_draws_ahead_only_for_a_declared_entry_below_block_batch(monkeypatch, case, batch):
+@pytest.mark.parametrize("batch", [1, 3, 6, 7, 64])
+def test_run_draws_ahead_for_a_declared_entry_at_every_batch(monkeypatch, case, batch):
     oracle, x = BIT_CASES[case]()
     cfg = ZoConfig(N=12, step_rule=Const(0.01), kernel=build_kernel(4), batch=batch)
     estimates = []
@@ -625,9 +623,9 @@ def test_run_draws_ahead_only_for_a_declared_entry_below_block_batch(monkeypatch
     rng = SphereCountingRng(2)
     assert_run_matches_the_per_sample_loop(oracle, x, cfg, rng, Rng(2), record_every=5)
     declared = case in ("quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1")
-    assert (rng.spheres == 0) == declared  # neither a chunk nor the estimator's block path calls Rng.sphere
+    assert (rng.spheres == 0) == declared  # a chunk does not call Rng.sphere
     # the reference estimates all 12 iterations; a run that draws ahead estimates none
-    assert len(estimates) == (12 if declared and batch < BLOCK_BATCH else 24)
+    assert len(estimates) == (12 if declared else 24)
 
 
 def _zo_rosenbrock():
@@ -642,9 +640,9 @@ WEIGH_CASES = {
     "rosenbrock-zo_stoch": _zo_rosenbrock,           # no rows: one value call per probe
     "linear-d3": BIT_CASES["linear-d3"],             # exact values: no noise terms
 }
-# BLOCK_BATCH + 1: each iteration is one estimate, through the same weigher; numpy sums the first 7 rows
-# of a column in order, so only from 8 rows on would sum(axis=0) differ from the in-order cumsum at d = 1
-WEIGH_BATCHES = [WEIGH_BATCH - 1, WEIGH_BATCH, BLOCK_BATCH - 1, BLOCK_BATCH + 1]
+# 8: numpy sums the first 7 rows of a column in order, so only from 8 rows on would sum(axis=0) differ from
+# the in-order cumsum at d = 1; 64: a chunk of one iteration (fewer than 2 at every case's width)
+WEIGH_BATCHES = [WEIGH_BATCH - 1, WEIGH_BATCH, 6, 8, 64]
 
 
 def count_weighs(monkeypatch):
