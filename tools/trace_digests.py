@@ -186,7 +186,9 @@ Grids:
   inf (``rinf``: the iterates grow until the gradient's norm is not
   finite, except the linear suite's, whose gradient stays finite),
   ``record_every`` in {1, 7} and ``max_oracle_calls`` in {none, 40}
-  (144 runs);
+  (144 runs); and ``diverge/cg_quadratic/nan-gradient``,
+  ``run_cg_quadratic`` for 10 iterations on a diagonal quadratic whose
+  third gradient call returns ``[nan, 0, 0]``;
 * ``rec/...``: ``record_every`` 1 runs with ``record_x`` on and off, whose
   row counts (511, 512, 513 and 1025) sit around a block of 512 rows.
   ``gd`` (L = 8, tol 0) on ``quad_diag`` at d 1 and 2 (whose rows take
@@ -203,6 +205,12 @@ Grids:
   and second.  ``rec/diverge/blowup`` is ``gd`` on a suite whose row 1
   sits at (-inf, inf), where f is NaN, before a NaN iterate ends the run
   (128 runs).
+* ``matrix/<method>/<problem>``: every registered method with the
+  parameters and noise of its small config (``MATRIX_METHODS``) on each
+  catalog problem at its defaults, for at most 300 iterations, through
+  ``parse_config`` and ``run_experiment``.  A pair that fails maps to its
+  error text prefixed with the phase it failed in, ``parse`` or ``run``
+  (187 keys).
 """
 
 from __future__ import annotations
@@ -266,6 +274,25 @@ STOP_CONFIGS = {
     "taylor_drori": (_QUAD_50_1, None, {"tol": 1e-6}, 2000),
     "gd_abs": ({"name": "quad_diag", "params": {"lambdas": [10, 1]}},
                {"kind": "absolute_grad", "delta": 0.1}, {}, 500),
+}
+
+
+# method -> (noise, params, iterations) of the matrix grid: each method's small config, run on every problem
+MATRIX_METHODS = {
+    "polyak_subgrad": (None, {}, 300),
+    "const_subgrad": (None, {"R": 1.7, "averaging": True}, 300),
+    "switching": (None, {"delta": 0.035, "theta0": 1.0}, 300),
+    "restarted_switching": (None, {"eps": 0.05, "theta0": 1.0, "alpha": 0.5}, 300),
+    "gd": (None, {}, 300),
+    "gd_abs": ({"kind": "absolute_grad", "delta": 0.1}, {}, 300),
+    "gd_rel": ({"kind": "relative_grad", "alpha": 0.25}, {}, 300),
+    "gd_rel_adaptive": ({"kind": "relative_grad", "alpha": 0.25, "mode": "random_direction"}, {"L0": 1.0}, 300),
+    **{name: (None, {}, 300) for name in ("heavy_ball", "chebyshev", "nesterov_sc", "nesterov_cvx", "taylor_drori")},
+    "cg_quadratic": (None, {}, 5),
+    "frank_wolfe": (None, {}, 300),
+    "sgd": ({"kind": "additive_stoch_grad", "sigma": 1.0},
+            {"step_rule": "decay", "gamma0": 0.5, "averaging": "uniform"}, 300),
+    "zo_sgd": ({"kind": "zo_stoch", "delta_tilde": 0.01}, {"gamma": 0.005, "tau": 0.01}, 300),
 }
 
 
@@ -676,7 +703,7 @@ def diverge_grid(tmp: str) -> dict:
     from optbench import momentum as mo
     from optbench import smooth as sm
     from optbench.bench.tracefile import write_trace
-    from optbench.core import AbsoluteGrad, OracleSuite, RelativeGrad, Rng, make_problem, wrap_noise
+    from optbench.core import AbsoluteGrad, OracleSuite, QuadraticForm, RelativeGrad, Rng, make_problem, wrap_noise
 
     quad, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
     cubic = OracleSuite(value=lambda x: -float((x * x * x).sum()) / 3.0, subgrad=lambda x: -(x * x),
@@ -718,6 +745,49 @@ def diverge_grid(tmp: str) -> dict:
                 return _digest(path, trace.final.oracle_calls)
 
             out[f"diverge/{name}/{sname}/{rname}/every{every}/budget{budget}"] = _guarded(run)
+
+    lam, calls = np.array([1.0, 2.0, 3.0]), itertools.count()
+    nan_third = OracleSuite(value=lambda x: 0.5 * float(x.dot(lam * x)), subgrad=lambda x: lam * x,
+                            grad=lambda x: np.array([math.nan, 0.0, 0.0]) if next(calls) == 2 else lam * x,
+                            dim=3, quadratic=QuadraticForm(matvec=lambda v: lam * v))
+
+    def cg_run():
+        with np.errstate(all="ignore"):
+            trace = mo.run_cg_quadratic(nan_third, np.ones(3), 10, record_x=True)
+        write_trace(trace, path, "json")
+        return _digest(path, trace.final.oracle_calls) | {"status": trace.status.value, "iter": trace.final.iter}
+
+    out["diverge/cg_quadratic/nan-gradient"] = _guarded(cg_run)
+    return out
+
+
+def matrix_grid(tmp: str) -> dict:
+    import numpy as np
+
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+    from optbench.core import problem_names
+
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+    for (method, (noise, params, N)), problem in itertools.product(MATRIX_METHODS.items(), problem_names()):
+        doc = {"problem": problem, "method": {"name": method, "params": params}, "iterations": N,
+               "output": {"record_x": True}}
+        if noise is not None:
+            doc["noise"] = noise
+
+        def run(doc=doc):
+            phase = "parse"
+            try:
+                spec = parse_config(json.dumps(doc))
+                phase = "run"
+                with np.errstate(all="ignore"):
+                    _, summary = run_experiment(spec, trace_path=path)
+            except Exception as e:  # the phase and the error text are part of the compared behaviour
+                return {"error": f"{phase}: {type(e).__name__}: {e}"}
+            return _digest(path, summary["oracle_calls"])
+
+        out[f"matrix/{method}/{problem}"] = run()
     return out
 
 
@@ -1363,7 +1433,7 @@ def main(argv: list[str]) -> int:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
                    **estimator_grid(), **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
                    **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
-                   **diverge_grid(tmp), **rec_grid(tmp)}
+                   **diverge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
