@@ -3,7 +3,9 @@
 Each entry's builder ``build(spec, oracle)`` reads the method's
 parameters, resolves the defaults that come from the problem or the
 noise model, builds the method's config and returns
-``run(fset, x0, rng) -> Trace``.  Building calls no oracle, so
+``run(fset, x0, rng) -> Trace``; a problem constant the parameters leave
+out is read with :meth:`~optbench.core.oracles.OracleSuite.constant`, so
+a problem that lacks it is refused at parse.  Building calls no oracle, so
 :func:`optbench.bench.config.parse_config` builds against the bare
 problem to check a config, and the runner builds against the
 noise-wrapped oracle and runs the result.
@@ -69,12 +71,10 @@ def _float(params: dict, key: str, default=None) -> Optional[float]:
     return None if value is None and default is None else number(value, key)
 
 
-def _constant(params: dict, key: str, oracle: OracleSuite) -> float:
-    """``params[key]``, else the problem's constant of that name, as a float."""
-    value = _float(params, key, getattr(oracle, key))
-    if value is None:
-        raise ValueError(f"{key} not given and unknown for this problem")
-    return value
+def _problem_constant(params: dict, key: str, oracle: OracleSuite, null_fills: bool = True) -> float:
+    """``params[key]``, else the problem's constant; a null the problem fills is refused unless ``null_fills``."""
+    value = oracle.constant(key, _float(params, key))
+    return value if null_fills or params.get(key, value) is not None else number(None, key)
 
 
 def _step_rule(table: dict, params: dict, oracle: OracleSuite):
@@ -83,9 +83,10 @@ def _step_rule(table: dict, params: dict, oracle: OracleSuite):
     cls = table.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown step_rule {kind!r} ({' | '.join(table)})")
-    # A missing field takes its default; a required M, mu or L, the problem's constant.
-    return cls(**{f.name: _float(params, f.name, f.default) if f.default is not MISSING
-                  else _constant(params, f.name, oracle) if f.name in ("M", "mu", "L")
+    # A missing M, mu or L is the problem's constant (a null one refused for a required field); another, its default.
+    return cls(**{f.name: _problem_constant(params, f.name, oracle, null_fills=f.default is not MISSING)
+                  if f.name in ("M", "mu", "L")
+                  else _float(params, f.name, f.default) if f.default is not MISSING
                   else _need(params, f.name) for f in fields(cls)})
 
 
@@ -97,7 +98,7 @@ def _rule_keys(table: dict) -> set:
 
 def _build_polyak_subgrad(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
-    cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(_float(p, "fstar")),
+    cfg = subgrad.SubgradConfig(step_rule=subgrad.PolyakStep(_problem_constant(p, "fstar", oracle)),
                                 N=spec.iterations, tol=_float(p, "tol", subgrad.SubgradConfig.tol))
     return lambda fset, x0, rng: subgrad.run_polyak_subgrad(oracle, fset, x0, cfg, **kw)
 
@@ -109,7 +110,7 @@ def _build_const_subgrad(subgrad, spec, oracle) -> Run:
     elif p.get("R") is None:
         raise ValueError("give either a step 'h' or a radius 'R' (with optional 'M')")
     else:
-        rule = subgrad.BudgetStep(M=_constant(p, "M", oracle), R=_float(p, "R"))
+        rule = subgrad.BudgetStep(M=_problem_constant(p, "M", oracle, null_fills=False), R=_float(p, "R"))
     cfg = subgrad.SubgradConfig(step_rule=rule, N=max(spec.iterations, 1),
                                 averaging=flag(p.get("averaging"), "averaging"))
     return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
@@ -139,7 +140,7 @@ def _build_restarted_switching(subgrad, spec, oracle) -> Run:
         max_iters=number(p.get("stage_cap", spec.iterations), "stage_cap", whole=True),
         total_iters=spec.iterations,
         eps_target=_need(p, "eps"),
-        alpha_sharp=_float(p, "alpha"),
+        alpha_sharp=oracle.constant("alpha_sharp", _float(p, "alpha")),
     )
     return lambda fset, x0, rng: subgrad.run_restarted_switching(oracle, fset, x0, cfg, **kw)
 
@@ -153,16 +154,17 @@ def _relative_alpha(spec: ExperimentSpec) -> float:
     return alpha
 
 
-def _smooth_run(smooth, spec: ExperimentSpec, oracle, mode, entry: str, L: Optional[float] = None) -> Run:
-    """The run of ``smooth.<entry>`` under ``mode`` with the fixed-step constant ``L``."""
+def _smooth_run(smooth, spec: ExperimentSpec, oracle, mode, entry: str) -> Run:
+    """The run of ``smooth.<entry>`` under ``mode``; a fixed-step mode's ``L`` is the problem's when not given."""
     p, kw = spec.method_params, _common_kwargs(spec)
+    L = None if isinstance(mode, smooth.RelNoiseAdaptive) else _problem_constant(p, "L", oracle)
     cfg = smooth.SmoothRunConfig(N=spec.iterations, L=L, mode=mode,
                                  tol=_float(p, "tol", smooth.SmoothRunConfig.tol))
     return lambda fset, x0, rng: getattr(smooth, entry)(oracle, x0, cfg, **kw)
 
 
 def _build_gd(smooth, spec, oracle) -> Run:
-    return _smooth_run(smooth, spec, oracle, smooth.Exact(), "run_gd", _float(spec.method_params, "L"))
+    return _smooth_run(smooth, spec, oracle, smooth.Exact(), "run_gd")
 
 
 def _build_gd_abs(smooth, spec, oracle) -> Run:
@@ -171,12 +173,12 @@ def _build_gd_abs(smooth, spec, oracle) -> Run:
     if delta is None:
         raise ValueError("delta not given and no absolute_grad noise configured")
     mode = smooth.AbsNoise(delta=delta, stop_multiplier=_float(p, "c", smooth.AbsNoise.stop_multiplier))
-    return _smooth_run(smooth, spec, oracle, mode, "run_gd_abs", _float(p, "L"))
+    return _smooth_run(smooth, spec, oracle, mode, "run_gd_abs")
 
 
 def _build_gd_rel(smooth, spec, oracle) -> Run:
     mode = smooth.RelNoise(alpha=_relative_alpha(spec))
-    return _smooth_run(smooth, spec, oracle, mode, "run_gd_rel", _float(spec.method_params, "L"))
+    return _smooth_run(smooth, spec, oracle, mode, "run_gd_rel")
 
 
 def _build_gd_rel_adaptive(smooth, spec, oracle) -> Run:
@@ -191,8 +193,10 @@ def _build_gd_rel_adaptive(smooth, spec, oracle) -> Run:
 
 def _build_momentum(variant: str, momentum, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
-    cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations,
-                                  L=_float(p, "L"), mu=_float(p, "mu"),
+    # mu is optional, filled when the run starts, unless the variant needs it
+    cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations, L=_problem_constant(p, "L", oracle),
+                                  mu=_problem_constant(p, "mu", oracle) if momentum.VARIANTS[variant].needs_mu
+                                  else _float(p, "mu"),
                                   tol=_float(p, "tol", momentum.MomentumConfig.tol))
     return lambda fset, x0, rng: momentum.run_momentum(oracle, x0, cfg, **kw)
 

@@ -44,12 +44,11 @@ def run_experiment(spec: ExperimentSpec, trace_path: Optional[str] = None) -> tu
         raise ConfigError(f"{spec.method_name} on {spec.problem_name}: {e}") from e
     wall = time.perf_counter() - t0
 
-    f_out = trace.f_out if trace.f_out is not None else trace.final.f_value
     summary = {
-        "final_gap": None if oracle.fstar is None else f_out - oracle.fstar,
-        "final_dist": None if trace.x_out is None else oracle.dist_to_opt(trace.x_out),
+        "final_gap": None if oracle.fstar is None else trace.f_out - oracle.fstar,
+        "final_dist": oracle.dist_to_opt(trace.x_out),
         "oracle_calls": trace.final.oracle_calls,
-        "status": None if trace.status is None else trace.status.value,
+        "status": trace.status.value,
         "wall_time": wall,
     }
     path = trace_path or spec.trace_path

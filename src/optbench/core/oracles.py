@@ -91,6 +91,18 @@ class OracleSuite:
             return norm(x - self.xstar)
         return None
 
+    def constant(self, name: str, given: Optional[float] = None) -> float:
+        """``given``, else this problem's ``name`` (``L``, ``mu``, ``M``, ``fstar`` or ``alpha_sharp``), as a float.
+
+        The one reader of a constant a method's config leaves out: the
+        registry's builders call it when a config is parsed, the entry
+        points once more for configs built by hand.
+        """
+        value = getattr(self, name) if given is None else given
+        if value is None:
+            raise ValueError(f"{name} not given and unknown for this problem")
+        return float(value)
+
 
 class CountingOracle:
     """Per-run view of a suite that counts oracle calls and enforces a budget.
@@ -258,8 +270,6 @@ class Trace:
 
 ROW_BLOCK = 512
 """The trace rows a :class:`TraceRecorder` keeps raw before it derives their columns in one pass."""
-ARRAY_ROWS = 8
-"""The fewest pending rows whose norms are computed as arrays; fewer cost less row by row."""
 
 
 def _row_norms(V) -> np.ndarray:
@@ -280,10 +290,9 @@ class TraceRecorder:
     recorded: the f evaluation, ``counter.calls`` and a suite's
     ``dist_fn(x)``.  A row's other parts are kept raw, the iterate and the
     step's gradient by reference, and its derived columns are computed
-    for up to :data:`ROW_BLOCK` rows at once (row by row when fewer than
-    :data:`ARRAY_ROWS` are pending), with the bits of the row's own
-    arithmetic: ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as
-    the norm of ``x - xstar`` or, over a minimizer set, the first least of
+    for up to :data:`ROW_BLOCK` rows at once, as arrays, with the bits of
+    the row's own arithmetic: ``grad_norm`` as ``norm(g)``, and
+    ``dist_to_opt`` as the norm of ``x - xstar`` or, over a minimizer set, the first least of
     the norms of ``x - m`` in the set's order (a NaN first stays, a later
     one is passed over, as Python's ``min`` does); ``f_gap`` is
     ``float(f) - fstar``, as before.  A block is
@@ -340,7 +349,7 @@ class TraceRecorder:
             self._derive()
 
     def _derive(self):
-        """Append the pending rows to :attr:`columns`, their norms computed as arrays from :data:`ARRAY_ROWS` rows on."""
+        """Append the pending rows to :attr:`columns`, their norms computed as arrays."""
         pending = self._pending
         if not pending:
             return
@@ -349,27 +358,21 @@ class TraceRecorder:
         its, xs, fs, gs, grad_norms, steps, calls, tags, dists = zip(*pending)
         suite, derive_dist = self.suite, self._dist_fn is None
         with np.errstate(over="ignore", invalid="ignore"):
-            if n < ARRAY_ROWS:  # the per-row code itself
-                grad_norms = [gn if g is None else norm(g) for g, gn in zip(gs, grad_norms)]
-                if derive_dist:
-                    dists = list(map(suite.dist_to_opt, xs))
-                X = [np.array(x, dtype=float) for x in xs] if self.record_x else None
-            else:
-                rows = [i for i, g in enumerate(gs) if g is not None]
-                if rows:
-                    grad_norms = list(grad_norms)
-                    G = np.array(gs if len(rows) == n else [gs[i] for i in rows], dtype=float)
-                    for i, v in zip(rows, _row_norms(G).tolist()):
-                        grad_norms[i] = v
-                X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
-                if derive_dist and suite.minimizers is not None:
-                    best = None
-                    for m in suite.minimizers:
-                        dist = _row_norms(X - m)
-                        best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
-                    dists = best.tolist()
-                elif derive_dist and suite.xstar is not None:
-                    dists = _row_norms(X - suite.xstar).tolist()
+            rows = [i for i, g in enumerate(gs) if g is not None]
+            if rows:
+                grad_norms = list(grad_norms)
+                G = np.array(gs if len(rows) == n else [gs[i] for i in rows], dtype=float)
+                for i, v in zip(rows, _row_norms(G).tolist()):
+                    grad_norms[i] = v
+            X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
+            if derive_dist and suite.minimizers is not None:
+                best = None
+                for m in suite.minimizers:
+                    dist = _row_norms(X - m)
+                    best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
+                dists = best.tolist()
+            elif derive_dist and suite.xstar is not None:
+                dists = _row_norms(X - suite.xstar).tolist()
         f_values, fstar = list(map(float, fs)), suite.fstar
         c = self._columns
         c["iter"].extend(its)

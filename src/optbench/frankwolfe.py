@@ -40,7 +40,7 @@ class Classic:
 @dataclass(frozen=True)
 class ShortStep:
     kind: ClassVar[str] = "short"
-    L: Optional[float] = None  # resolved from the oracle when omitted
+    L: Optional[float] = None  # the problem's when omitted
 
 
 FW_STEP_RULES: dict[str, type] = {cls.kind: cls for cls in (Classic, ShortStep)}  # a class's fields are its keys
@@ -71,8 +71,8 @@ def run_fw(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: FwConfig, *,
 
     L = None
     if isinstance(cfg.step_rule, ShortStep):
-        L = cfg.step_rule.L if cfg.step_rule.L is not None else oracle.L
-        if L is None or not L > 0:
+        L = oracle.constant("L", cfg.step_rule.L)
+        if not L > 0:
             raise ValueError("ShortStep requires a positive L (config or oracle)")
 
     def step(ctr, k, x):

@@ -21,7 +21,8 @@ finite or the iterate leaves the distance monitor's radius.
 :func:`run_cg_quadratic` performs the two-parameter subspace
 minimization ``x+ = x - a g + b (x - x_prev)`` with (a, b) solved in
 closed form, valid for quadratic catalog problems; it reaches the exact
-minimizer in at most d iterations.
+minimizer in at most d iterations, and ends as diverged, as the variants
+do, when a gradient norm is not finite.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core.linalg import norm
-from .core.oracles import OracleSuite, RunStatus, Stop, Trace, UnsupportedProblemError, grad_or_stop, run_steps
+from .core.oracles import OracleSuite, RunStatus, Trace, UnsupportedProblemError, grad_or_stop, run_steps
 
 
 def _chebyshev_deltas(L: float, mu: float):
@@ -141,19 +141,20 @@ class MomentumConfig:
 
 
 def _resolve(oracle: OracleSuite, cfg: MomentumConfig) -> tuple[float, float]:
-    L = cfg.L if cfg.L is not None else oracle.L
-    if L is None or not L > 0:  # also true for NaN
+    L = oracle.constant("L", cfg.L)
+    if not L > 0:  # also true for NaN
         raise ValueError("a positive L is required (config or oracle)")
-    mu = cfg.mu if cfg.mu is not None else oracle.mu
     if VARIANTS[cfg.variant].needs_mu:
-        if mu is None or not mu > 0:
+        mu = oracle.constant("mu", cfg.mu)
+        if not mu > 0:
             raise ValueError(f"variant {cfg.variant!r} requires mu > 0")
         if mu > L:
             raise ValueError("mu must not exceed L")
-    mu = 0.0 if mu is None else mu
+    else:  # an optional mu: the problem's when known, else 0
+        mu = float(cfg.mu if cfg.mu is not None else oracle.mu or 0.0)
     if VARIANTS[cfg.variant].needs_mu_below_L and not mu < L:
         raise ValueError(f"{cfg.variant} requires mu < L strictly")
-    return float(L), float(mu)
+    return L, mu
 
 
 def chebyshev_delta_limit(L: float, mu: float) -> float:
@@ -206,10 +207,7 @@ def run_cg_quadratic(oracle: OracleSuite, x0, N: int, *, tol: float = 0.0,
 
     def step(ctr, k, x):
         nonlocal x_prev
-        g = ctr.grad(x)
-        gn = norm(g)
-        if gn <= tol:
-            raise Stop(RunStatus.CONVERGED, grad_norm=gn)
+        g = grad_or_stop(ctr, x, tol, RunStatus.CONVERGED)
         d = x - x_prev
         ctr.count_extra()  # each A-product is one oracle call
         Ag = quad.matvec(g)

@@ -81,7 +81,7 @@ class RelNoiseAdaptive:
 @dataclass(frozen=True)
 class SmoothRunConfig:
     N: int
-    L: Optional[float] = None  # resolved from the oracle when omitted
+    L: Optional[float] = None  # the problem's when omitted
     mode: Exact | AbsNoise | RelNoise | RelNoiseAdaptive = field(default_factory=Exact)
     tol: float = 1e-10
 
@@ -104,8 +104,8 @@ def run_gd(oracle: OracleSuite, x0, cfg: SmoothRunConfig, *,
     """
     if isinstance(cfg.mode, RelNoiseAdaptive):
         raise ValueError("mode RelNoiseAdaptive runs through run_gd_rel_adaptive")
-    L = cfg.L if cfg.L is not None else oracle.L
-    if L is None or L <= 0:
+    L = oracle.constant("L", cfg.L)
+    if L <= 0:
         raise ValueError("a positive smoothness constant L is required (config or oracle)")
     h, stop_threshold, stop_status = cfg.mode.regime(L, cfg.tol)
 

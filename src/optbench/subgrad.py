@@ -95,9 +95,7 @@ def run_polyak_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradC
     """
     if not isinstance(cfg.step_rule, PolyakStep):
         raise ValueError("run_polyak_subgrad requires a PolyakStep rule")
-    fstar = cfg.step_rule.fstar if cfg.step_rule.fstar is not None else oracle.fstar
-    if fstar is None:
-        raise ValueError("the Polyak step needs the optimal value f*")
+    fstar = oracle.constant("fstar", cfg.step_rule.fstar)
 
     def step(ctr, k, x):
         fx = ctr.value(x)
@@ -324,8 +322,8 @@ def run_restarted_switching(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: Swi
     point when it has none.
     """
     Mg = _constraint_bound(oracle, cfg, "run_restarted_switching")
-    alpha = cfg.alpha_sharp if cfg.alpha_sharp is not None else oracle.alpha_sharp
-    if alpha is None or alpha <= 0:
+    alpha = oracle.constant("alpha_sharp", cfg.alpha_sharp)
+    if alpha <= 0:
         raise ValueError("a positive sharp-minimum constant is required")
     if cfg.eps_target is None:
         raise ValueError("eps_target is required for the restarted scheme")

@@ -1,8 +1,11 @@
+import collections
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from optbench.bench import (
 )
 from optbench.bench.cli import main
 from optbench.bench.registry import method_entry, method_names
-from optbench.core import AdditiveStochGrad, Rng, RunStatus, Trace, TraceRecorder, TraceRow, make_problem, wrap_noise
+from optbench.core import (AdditiveStochGrad, Rng, RunStatus, Trace, TraceRecorder, TraceRow, make_problem, problem_names,
+                           wrap_noise)
 from optbench.core import oracles
 from optbench.zeroorder import PowerDecayTau
 
@@ -437,7 +441,7 @@ def test_parsed_step_rule_equals_direct_construction(monkeypatch, method, kind):
     ("sgd", "budget_const", {"R": 1.0}, stochastic.BudgetConst(M=make_problem("fw_box")[0].M, R=1.0)),
     ("sgd", "inv_k", {}, stochastic.InvK(mu=2.0)),
     ("sgd", "decay", {"gamma0": 0.3}, stochastic.Decay(gamma0=0.3, eta=0.6)),
-    ("frank_wolfe", "short", {}, frankwolfe.ShortStep(L=None)),
+    ("frank_wolfe", "short", {}, frankwolfe.ShortStep(L=2.0)),
     ("frank_wolfe", None, {}, frankwolfe.Classic()),
     ("sgd", None, {"gamma": 0.1}, stochastic.Const(gamma=0.1)),
 ], ids=["M-from-problem", "mu-from-problem", "eta-default", "L-default", "fw-default-kind", "sgd-default-kind"])
@@ -797,6 +801,44 @@ EVERY_METHOD = {
     "zo_sgd": ({"name": "quad_diag", "params": {"lambdas": [1, 1]}}, {"kind": "zo_stoch", "delta_tilde": 0.01},
                {"gamma": 0.005, "tau": 0.01}, None, 500),
 }
+
+
+_NO_L = ("abs1d", "l1_system", "norm2", "phase_retrieval", "rosenbrock", "slp")
+# (method, problem) -> the constant the method's config omits and the problem lacks
+MISSING_CONSTANT = {
+    **{(name, problem): "L" for name in (*momentum.VARIANTS, "gd") for problem in _NO_L},
+    **{(name, problem): "L" for name in ("gd_abs", "gd_rel") for problem in ("rosenbrock", "slp")},
+    **{(name, problem): "mu" for name in ("heavy_ball", "chebyshev", "nesterov_sc")
+       for problem in ("logistic_small", "nesterov_skokov_toy")},
+    ("polyak_subgrad", "logistic_small"): "fstar",
+}
+
+
+def test_every_method_on_every_problem_is_refused_at_parse_fails_at_run_or_runs():
+    """A pair whose config omits a constant the problem lacks is refused at parse, with the reader's text."""
+    assert len(MISSING_CONSTANT) == 47
+    outcomes = collections.Counter()
+    for (name, (_, noise, params, _, N)), problem in itertools.product(EVERY_METHOD.items(), problem_names()):
+        doc = {"problem": problem, "method": {"name": name, "params": params}, "iterations": min(N, 300)}
+        if noise is not None:
+            doc["noise"] = noise
+        missing = MISSING_CONSTANT.get((name, problem))
+        try:
+            spec = parse_config(json.dumps(doc))
+        except ConfigError as e:
+            assert missing is None or str(e) == f"method {name!r}: {missing} not given and unknown for this problem"
+            outcomes["parse"] += 1
+            continue
+        assert missing is None, (name, problem)
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # switching's understated-Mg warning
+                run_experiment(spec)
+        except ConfigError:
+            outcomes["run"] += 1
+        else:
+            outcomes["ran"] += 1
+    assert outcomes == {"parse": 68, "run": 41, "ran": 78}
 
 
 def test_every_method_trace_iters_strictly_increase():

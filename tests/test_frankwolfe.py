@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,12 @@ def test_fw_input_validation():
         run_fw(oracle, fset, np.array([2.0, 2.0]), FwConfig(N=10))
     with pytest.raises(UnboundedSetError):
         run_fw(oracle, FullSpace(2), np.zeros(2), FwConfig(N=10))
+
+
+def test_fw_short_step_without_L_refuses_with_the_problem_readers_text():
+    oracle, box = make_problem("fw_box")
+    with pytest.raises(ValueError, match="^L not given and unknown for this problem$"):
+        run_fw(dataclasses.replace(oracle, L=None), box, np.ones(2), FwConfig(N=5, step_rule=ShortStep()))
 
 
 def test_fw_gap_stopping():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -174,6 +175,24 @@ def test_cg_refuses_non_positive_curvature_along_the_gradient():
                           quadratic=QuadraticForm(matvec=lambda v: -v))
     with pytest.raises(UnsupportedProblemError, match="not positive along the gradient"):
         run_cg_quadratic(concave, np.ones(2), N=5)
+
+
+def test_cg_ends_diverged_at_a_non_finite_gradient():
+    lam, calls = np.array([1.0, 2.0, 3.0]), iter(range(100))
+    suite = OracleSuite(value=lambda x: 0.5 * float(x.dot(lam * x)), subgrad=lambda x: lam * x, dim=3,
+                        grad=lambda x: np.array([math.nan, 0.0, 0.0]) if next(calls) == 2 else lam * x,
+                        quadratic=QuadraticForm(matvec=lambda v: lam * v))
+    tr = run_cg_quadratic(suite, np.ones(3), N=10)
+    assert tr.status is RunStatus.DIVERGED and tr.final.iter == 2 and math.isfinite(tr.f_out)
+
+
+@pytest.mark.parametrize("variant, cfg_L, drop, name", [
+    ("nesterov_cvx", None, "L", "L"), ("heavy_ball", None, "L", "L"), ("heavy_ball", 2.0, "mu", "mu")])
+def test_momentum_without_a_constant_refuses_with_the_problem_readers_text(variant, cfg_L, drop, name):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    suite = dataclasses.replace(oracle, **{drop: None})
+    with pytest.raises(ValueError, match=f"^{name} not given and unknown for this problem$"):
+        run_momentum(suite, np.ones(2), MomentumConfig(variant, N=5, L=cfg_L))
 
 
 def test_cg_rejects_non_quadratic():

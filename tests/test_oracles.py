@@ -9,7 +9,7 @@ import pytest
 from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
                            TraceRecorder, UnsupportedProblemError, make_problem)
 from optbench.core.linalg import norm
-from optbench.core.oracles import ARRAY_ROWS, ROW_BLOCK, Stop, run_steps
+from optbench.core.oracles import ROW_BLOCK, Stop, run_steps
 
 X = np.array([1.0, -1.0])
 
@@ -18,6 +18,14 @@ def recorder(record_every=1, max_calls=None):
     oracle, _ = make_problem("quad_diag", {"lambdas": [2, 1]})
     ctr = CountingOracle(oracle, max_calls)
     return oracle, ctr, TraceRecorder(oracle, ctr, record_every)
+
+
+def test_constant_is_the_given_value_else_the_problems():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2, 1]})  # L = 2, mu = 1, no M
+    assert (oracle.constant("L"), oracle.constant("L", 3), oracle.constant("M", 0.5)) == (2.0, 3.0, 0.5)
+    assert type(oracle.constant("mu", np.float64(0.25))) is float
+    with pytest.raises(ValueError, match="^M not given and unknown for this problem$"):
+        oracle.constant("M")
 
 
 def test_record_evaluates_due_rows_only():
@@ -200,7 +208,7 @@ def test_columns_read_between_rows_hold_every_row_once():
     assert trace.columns["f_value"] == [oracle.value(x) for x in xs + [X]]
 
 
-@pytest.mark.parametrize("repeats", [1, ARRAY_ROWS])  # row by row, and as arrays
+@pytest.mark.parametrize("repeats", [1, 8])  # blocks of 5 and of 33 rows
 def test_given_norms_and_step_gradients_share_a_block(repeats):
     _, ctr, rec = recorder()
     for k in range(0, 4 * repeats, 4):
@@ -213,7 +221,7 @@ def test_given_norms_and_step_gradients_share_a_block(repeats):
     assert list(map(bits, trace.columns["grad_norm"])) == list(map(bits, expected))
 
 
-@pytest.mark.parametrize("rows", [ARRAY_ROWS - 1, ARRAY_ROWS])  # row by row, and as arrays
+@pytest.mark.parametrize("rows", [7, 8])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_a_block_with_overflowing_norms_is_derived_without_warnings(dim, rows):
     oracle, _ = make_problem("quad_diag", {"lambdas": [1.0] * dim})

@@ -32,6 +32,12 @@ def test_gd_hand_trace_quad():
     assert tr.rows[1].f_gap <= (1 - 0.1) * 5.5
 
 
+def test_gd_without_L_refuses_with_the_problem_readers_text():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    with pytest.raises(ValueError, match="^L not given and unknown for this problem$"):
+        run_gd(dataclasses.replace(oracle, L=None), np.ones(2), SmoothRunConfig(N=5))
+
+
 def test_gd_stays_at_minimizer():
     oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
     tr = run_gd(oracle, np.zeros(2), SmoothRunConfig(N=50))

@@ -43,6 +43,12 @@ def test_abs1d_one_step():
     assert tr.x_out[0] == 0.0
 
 
+def test_polyak_without_fstar_refuses_with_the_problem_readers_text():
+    oracle, fset = make_problem("abs1d")
+    with pytest.raises(ValueError, match="^fstar not given and unknown for this problem$"):
+        run_polyak_subgrad(dataclasses.replace(oracle, fstar=None), fset, np.array([0.25]), polyak_cfg())
+
+
 def test_abs1d_already_optimal():
     oracle, fset = make_problem("abs1d")
     tr = run_polyak_subgrad(oracle, fset, np.array([0.0]), polyak_cfg())
@@ -367,6 +373,13 @@ def test_restart_count_formula():
     tr = run_restarted_switching(oracle, fset, np.zeros(2), cfg)
     stages = {r.tag.split(":")[0] for r in tr.rows if r.tag}
     assert stages == {f"p{i}" for i in range(1, 5)}  # ceil(2 log2 4) = 4 restarts
+
+
+def test_restart_without_alpha_refuses_with_the_problem_readers_text():
+    oracle, fset = make_problem("slp", {"rho": 1.0})
+    cfg = SwitchingConfig(theta0=1.0, eps_target=0.25)
+    with pytest.raises(ValueError, match="^alpha_sharp not given and unknown for this problem$"):
+        run_restarted_switching(dataclasses.replace(oracle, alpha_sharp=None), fset, np.zeros(2), cfg)
 
 
 def test_restart_degenerate_eps_above_theta0():
