@@ -186,11 +186,11 @@ def test_cg_ends_diverged_at_a_non_finite_gradient():
     assert tr.status is RunStatus.DIVERGED and tr.final.iter == 2 and math.isfinite(tr.f_out)
 
 
-@pytest.mark.parametrize("variant, cfg_L, drop, name", [
-    ("nesterov_cvx", None, "L", "L"), ("heavy_ball", None, "L", "L"), ("heavy_ball", 2.0, "mu", "mu")])
-def test_momentum_without_a_constant_refuses_with_the_problem_readers_text(variant, cfg_L, drop, name):
+@pytest.mark.parametrize("variant, cfg_L, name", [("nesterov_cvx", None, "L"), ("heavy_ball", None, "L"),
+                                                 ("heavy_ball", 2.0, "mu")])
+def test_momentum_without_a_constant_refuses_with_the_problem_readers_text(variant, cfg_L, name):
     oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
-    suite = dataclasses.replace(oracle, **{drop: None})
+    suite = dataclasses.replace(oracle, **{name: None})
     with pytest.raises(ValueError, match=f"^{name} not given and unknown for this problem$"):
         run_momentum(suite, np.ones(2), MomentumConfig(variant, N=5, L=cfg_L))
 
