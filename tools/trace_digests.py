@@ -194,17 +194,19 @@ Grids:
   ``gd`` (L = 8, tol 0) on ``quad_diag`` at d 1 and 2 (whose rows take
   ``dist_to_opt`` from ``xstar``), from the default start and, at d 2,
   from (-0.0, 1); on ``nesterov_skokov_toy`` (from ``minimizers``) from
-  (1, 0.5) and from (1, 0), where both minimizers are equally far; and
-  ``const_subgrad`` on ``slp`` (from ``dist_fn``), through
-  ``run_experiment``; at 1025 rows also with budgets that cut at a row's
-  f, at a step's call and at a block's end (``quad_diag`` d 2,
-  ``nesterov_skokov_toy`` and ``slp``).  ``rec/scripted/...`` calls
+  (1, 0.5) and from (1, 0), where both minimizers are equally far; on
+  ``degenerate3`` (from ``dist_fn``) from (1, -0.5, 2); and
+  ``const_subgrad`` on ``slp`` (from ``dist_fn``) and on ``norm2`` with
+  ``a = (0.5, -1, 2)``, through ``run_experiment``; at 1025 rows also
+  with budgets that cut at a row's f, at a step's call and at a block's
+  end (all of them but ``quad_diag`` d 1 and the two other starts).
+  ``rec/scripted/...`` calls
   ``run_steps`` with a step whose iterates, values and gradients cycle
   through +-0.0, a subnormal, +-1e200, +-inf and NaN, on those suites and
   on ``nesterov_skokov_toy`` with a minimizer at (inf, 1) listed first
   and second.  ``rec/diverge/blowup`` is ``gd`` on a suite whose row 1
   sits at (-inf, inf), where f is NaN, before a NaN iterate ends the run
-  (128 runs).
+  (180 runs).
 * ``matrix/<method>/<problem>``: every registered method with the
   parameters and noise of its small config (``MATRIX_METHODS``) on each
   catalog problem at its defaults, for at most 300 iterations, through
@@ -252,12 +254,14 @@ REC_RUNS = {
     "nesterov_skokov_toy": ({"name": "nesterov_skokov_toy"}, "gd", _GD_SLOW, [1.0, 0.5], 1),
     "nesterov_skokov_toy-tie": ({"name": "nesterov_skokov_toy"}, "gd", _GD_SLOW, [1.0, 0.0], 1),
     "slp": ({"name": "slp"}, "const_subgrad", {"h": 0.01}, None, 0),  # its last iterate takes no step
+    "degenerate3": ({"name": "degenerate3"}, "gd", _GD_SLOW, [1.0, -0.5, 2.0], 1),
+    "norm2": ({"name": "norm2", "params": {"a": [0.5, -1.0, 2.0]}}, "const_subgrad", {"h": 0.01}, None, 0),
 }
 # two calls an iteration (the step's, then the row's f): 701 cuts at row 350's f; 1024 at iteration 512's
 # first call, after a block of 512 rows; 1025 at row 512's f; 1026 at iteration 513's first call; 1500 at
 # row 749's f, inside the second block
 REC_BUDGETS = (701, 1024, 1025, 1026, 1500)
-REC_BUDGET_RUNS = ("quad_diag-d2", "nesterov_skokov_toy", "slp")
+REC_BUDGET_RUNS = ("quad_diag-d2", "nesterov_skokov_toy", "slp", "degenerate3", "norm2")
 REC_SPECIALS = (1.5, -0.0, 0.0, -2.25, 5e-324, 1e200, -3e200, float("inf"), float("-inf"), float("nan"), 0.125)
 _QUAD_50_1 = {"name": "quad_diag", "params": {"lambdas": [50, 1]}}
 # name -> (problem, noise, method params, iterations); each reaches its stop test.
@@ -809,8 +813,11 @@ def _rec_suites() -> dict:
     quad2, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
     toy, _ = make_problem("nesterov_skokov_toy", {})
     slp, _ = make_problem("slp", {})
+    deg3, _ = make_problem("degenerate3", {})
+    norm2, _ = make_problem("norm2", {"a": [0.5, -1.0, 2.0]})
     inf_first = (np.array([np.inf, 1.0]), np.array([0.0, -1.0]))
     return {"quad_diag-d1": quad1, "quad_diag-d2": quad2, "nesterov_skokov_toy": toy, "slp": slp,
+            "degenerate3": deg3, "norm2": norm2,
             "minimizers-inf-first": dataclasses.replace(toy, minimizers=inf_first),
             "minimizers-inf-second": dataclasses.replace(toy, minimizers=inf_first[::-1])}
 
