@@ -71,10 +71,9 @@ def _float(params: dict, key: str, default=None) -> Optional[float]:
     return None if value is None and default is None else number(value, key)
 
 
-def _problem_constant(params: dict, key: str, oracle: OracleSuite, null_fills: bool = True) -> float:
-    """``params[key]``, else the problem's constant; a null the problem fills is refused unless ``null_fills``."""
-    value = oracle.constant(key, _float(params, key))
-    return value if null_fills or params.get(key, value) is not None else number(None, key)
+def _problem_constant(params: dict, key: str, oracle: OracleSuite, name: Optional[str] = None) -> float:
+    """``params[key]``, else the problem's constant ``name`` (by default ``key``); a null ``key`` reads as omitted."""
+    return oracle.constant(name or key, _float(params, key), key)
 
 
 def _step_rule(table: dict, params: dict, oracle: OracleSuite):
@@ -83,9 +82,8 @@ def _step_rule(table: dict, params: dict, oracle: OracleSuite):
     cls = table.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown step_rule {kind!r} ({' | '.join(table)})")
-    # A missing M, mu or L is the problem's constant (a null one refused for a required field); another, its default.
-    return cls(**{f.name: _problem_constant(params, f.name, oracle, null_fills=f.default is not MISSING)
-                  if f.name in ("M", "mu", "L")
+    # A missing or null M, mu or L is the problem's constant; another field, its default.
+    return cls(**{f.name: _problem_constant(params, f.name, oracle) if f.name in ("M", "mu", "L")
                   else _float(params, f.name, f.default) if f.default is not MISSING
                   else _need(params, f.name) for f in fields(cls)})
 
@@ -110,7 +108,7 @@ def _build_const_subgrad(subgrad, spec, oracle) -> Run:
     elif p.get("R") is None:
         raise ValueError("give either a step 'h' or a radius 'R' (with optional 'M')")
     else:
-        rule = subgrad.BudgetStep(M=_problem_constant(p, "M", oracle, null_fills=False), R=_float(p, "R"))
+        rule = subgrad.BudgetStep(M=_problem_constant(p, "M", oracle), R=_float(p, "R"))
     cfg = subgrad.SubgradConfig(step_rule=rule, N=max(spec.iterations, 1),
                                 averaging=flag(p.get("averaging"), "averaging"))
     return lambda fset, x0, rng: subgrad.run_const_subgrad(oracle, fset, x0, cfg, **kw)
@@ -140,7 +138,7 @@ def _build_restarted_switching(subgrad, spec, oracle) -> Run:
         max_iters=number(p.get("stage_cap", spec.iterations), "stage_cap", whole=True),
         total_iters=spec.iterations,
         eps_target=_need(p, "eps"),
-        alpha_sharp=oracle.constant("alpha_sharp", _float(p, "alpha")),
+        alpha_sharp=_problem_constant(p, "alpha", oracle, "alpha_sharp"),
     )
     return lambda fset, x0, rng: subgrad.run_restarted_switching(oracle, fset, x0, cfg, **kw)
 

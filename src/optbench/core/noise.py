@@ -141,8 +141,9 @@ class RelativeGrad:
                 g = base(x)
                 gn = norm(g)
                 out = g + alpha * gn * direction()
-                # Compared relative to ||g||: the squares of a tiny g underflow.
-                if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12):
+                # Compared relative to ||g||: the squares of a tiny g underflow.  Rounding g + alpha ||g|| e
+                # moves out by about an ulp of ||g|| whatever alpha is, so 4 ulp are allowed beside alpha's share.
+                if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12) + 4 * math.ulp(gn) / gn:
                     raise AssertionError("relative noise exceeds its bound alpha ||g||")
                 return out
         return replace(oracle, grad=noisy, subgrad=noisy)

@@ -91,16 +91,18 @@ class OracleSuite:
             return norm(x - self.xstar)
         return None
 
-    def constant(self, name: str, given: Optional[float] = None) -> float:
+    def constant(self, name: str, given: Optional[float] = None, key: Optional[str] = None) -> float:
         """``given``, else this problem's ``name`` (``L``, ``mu``, ``M``, ``fstar`` or ``alpha_sharp``), as a float.
 
         The one reader of a constant a method's config leaves out: the
         registry's builders call it when a config is parsed, the entry
-        points once more for configs built by hand.
+        points once more for configs built by hand.  When neither is
+        known, the error names ``key``, the config key that gives the
+        constant (by default ``name``).
         """
         value = getattr(self, name) if given is None else given
         if value is None:
-            raise ValueError(f"{name} not given and unknown for this problem")
+            raise ValueError(f"{key or name} not given and unknown for this problem")
         return float(value)
 
 
@@ -145,7 +147,7 @@ class CountingOracle:
         return self.calls + n <= self._cap
 
     def count_extra(self):
-        """Count one oracle access made outside the suite's entries (e.g. an A-product)."""
+        """Count one oracle access made outside the suite's entries (an A-product, a row's f made with its block)."""
         if self.calls >= self._cap:
             self._exhausted()
         self.calls += 1
@@ -282,22 +284,30 @@ class TraceRecorder:
 
     Rows are kept every ``record_every`` iterations; the first and the
     terminal row are always kept.  A due row without a given ``f_value``
-    is evaluated through the run's counter and charged to its budget,
+    is charged to the run's counter and its budget when it is recorded,
     like any other call.  :meth:`close` writes the terminal row and ends
     the run.
 
-    What calls user code or reads the counter happens when a row is
-    recorded: the f evaluation, ``counter.calls`` and a suite's
-    ``dist_fn(x)``.  A row's other parts are kept raw, the iterate and the
-    step's gradient by reference, and its derived columns are computed
-    for up to :data:`ROW_BLOCK` rows at once, as arrays, with the bits of
-    the row's own arithmetic: ``grad_norm`` as ``norm(g)``, and
-    ``dist_to_opt`` as the norm of ``x - xstar`` or, over a minimizer set, the first least of
-    the norms of ``x - m`` in the set's order (a NaN first stays, a later
-    one is passed over, as Python's ``min`` does); ``f_gap`` is
-    ``float(f) - fstar``, as before.  A block is
-    derived when it fills, at :meth:`close` and when :attr:`columns` is
-    read, under ``np.errstate(over="ignore", invalid="ignore")``: an
+    When a row is recorded, the recorder reads ``counter.calls``, calls
+    a suite's ``dist_fn(x)`` and evaluates f through the counter, unless
+    the suite's ``value`` has a row-batched ``rows`` entry (see
+    :mod:`~optbench.core.problems`).  Then f runs with the row's block:
+    one ``value.rows`` call for every row of the block that needs it,
+    outside the block's ``errstate``, so an overflow in f warns (or
+    raises under a warnings filter) as a per-row call would, when the
+    block is derived.  A ``rows`` entry states that f is a pure function
+    of x; a suite without one (a hand-built suite, a wrapper that
+    replaces ``value``) keeps the per-row call.  A row's other parts are
+    kept raw, the iterate and the step's gradient by reference, and its
+    derived columns are computed for up to :data:`ROW_BLOCK` rows at
+    once, as arrays, with the bits of the row's own arithmetic:
+    ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as the norm of
+    ``x - xstar`` or, over a minimizer set, the first least of the norms
+    of ``x - m`` in the set's order (a NaN first stays, a later one is
+    passed over, as Python's ``min`` does); ``f_gap`` is
+    ``float(f) - fstar``, as before.  A block is derived when it fills,
+    at :meth:`close` and when :attr:`columns` is read, its norms and
+    distances under ``np.errstate(over="ignore", invalid="ignore")``: an
     overflowing norm or distance shows in its column as inf, with no
     warning from the block (nor an exception from a warnings filter set to
     ``"error"``).  ``columns`` maps each name of :data:`TRACE_FIELDS` to a
@@ -314,8 +324,9 @@ class TraceRecorder:
         self.record_x = record_x
         self._columns: dict[str, list] = {name: [] for name in TRACE_FIELDS}
         self._dist_fn = suite.dist_fn
+        self._value_rows = getattr(suite.value, "rows", None)
         # one (it, x, f, g, grad_norm, step_size, calls, tag, dist_fn(x) or None) per row not yet derived;
-        # g is None on a row whose grad_norm is given (or None)
+        # f is None on a row whose f is evaluated with its block, g on a row whose grad_norm is given (or None)
         self._pending: list[tuple] = []
 
     @property
@@ -340,7 +351,10 @@ class TraceRecorder:
         :func:`run_steps` writes its rows with the step's ``g``.
         """
         if f_value is None:
-            f_value = self.counter.value(x)
+            if self._value_rows is None:
+                f_value = self.counter.value(x)
+            else:
+                self.counter.count_extra()  # the budget test and count of counter.value(x)
         dist_fn = self._dist_fn
         pending = self._pending
         pending.append((it, x, f_value, g, grad_norm if grad_norm is None else float(grad_norm), step_size,
@@ -349,7 +363,7 @@ class TraceRecorder:
             self._derive()
 
     def _derive(self):
-        """Append the pending rows to :attr:`columns`, their norms computed as arrays."""
+        """Append the pending rows to :attr:`columns`, their f values, norms and distances computed as arrays."""
         pending = self._pending
         if not pending:
             return
@@ -357,6 +371,13 @@ class TraceRecorder:
         n = len(pending)
         its, xs, fs, gs, grad_norms, steps, calls, tags, dists = zip(*pending)
         suite, derive_dist = self.suite, self._dist_fn is None
+        X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
+        deferred = [] if self._value_rows is None else [i for i, f in enumerate(fs) if f is None]
+        if deferred:  # outside the errstate below: an overflow in f warns as a per-row call does
+            F = self._value_rows(np.array([xs[i] for i in deferred], dtype=float) if X is None else X[deferred])
+            fs = list(fs)
+            for i, f in zip(deferred, F.tolist()):
+                fs[i] = f
         with np.errstate(over="ignore", invalid="ignore"):
             rows = [i for i, g in enumerate(gs) if g is not None]
             if rows:
@@ -364,7 +385,6 @@ class TraceRecorder:
                 G = np.array(gs if len(rows) == n else [gs[i] for i in rows], dtype=float)
                 for i, v in zip(rows, _row_norms(G).tolist()):
                     grad_norms[i] = v
-            X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
             if derive_dist and suite.minimizers is not None:
                 best = None
                 for m in suite.minimizers:
@@ -437,8 +457,9 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     point before projection, ``f(x)`` if the step computed it (else None),
     the vector whose norm row k records as ``grad_norm``, the step size,
     and the row's tag (or None).  Row k is recorded at ``x`` when due,
-    after the step's calls: its f evaluation, call count and ``dist_fn``
-    happen then, and its norms and gap when the recorder derives its block
+    after the step's calls: its f evaluation is charged then, and its call
+    count and ``dist_fn`` happen then; its norms and gap, and its f where
+    the suite's ``value`` has ``rows``, when the recorder derives its block
     (see :class:`TraceRecorder`).  Until then the recorder holds ``x`` and
     ``g`` themselves, so a step must not change an iterate or a gradient
     in place once it has returned it; none does (the only in-place add in

@@ -16,6 +16,14 @@ compute on the Python floats of ``x.tolist()``, through :func:`_on_floats`
 where they take powers.  Powers stay ``**``, which is libm's ``pow`` as in
 numpy (``v * v`` rounds differently on about one input in a thousand), and
 an overflow gives ``inf`` as numpy does.
+
+The ``value`` of ``quad_diag``, ``degenerate3``, ``norm2`` and ``slp``
+carries a ``rows`` attribute: ``value.rows(X)`` gives the values of the
+rows of a float64 ``(n, d)`` array as one array, with the bits of n
+calls.  It states that f is a pure function of x, so a caller may
+evaluate many points in one call (the kernel estimator's probes, a trace
+block's rows).  The problems whose f takes a power keep per-point calls:
+nothing shows that numpy's array ``**`` gives libm ``pow``'s bits.
 """
 
 from __future__ import annotations
@@ -139,6 +147,13 @@ def _norm2(params: dict, seed: int):
     def value(x):
         return norm(x - a)
 
+    def rows(X):
+        """``value`` of each row of a ``(n, d)`` array, with the bits of n calls."""
+        Z = X - a
+        return np.sqrt(row_dots(Z, Z))
+
+    value.rows = rows
+
     def subgrad(x):
         z = x - a
         n = norm(z)
@@ -210,6 +225,12 @@ def _degenerate3(params: dict, seed: int):
 
     def value(x):
         return float((lam * x).dot(x))  # BLAS's dot may fuse multiply-adds, which Python floats cannot
+
+    def rows(X):
+        """``value`` of each row of a ``(n, 3)`` array, with the bits of n calls."""
+        return row_dots(lam * X, X)
+
+    value.rows = rows
 
     def grad(x):
         x = x.tolist()
@@ -295,6 +316,12 @@ def _slp(params: dict, seed: int):
 
     def value(x):
         return -float(x[0])
+
+    def rows(X):
+        """``value`` of each row of a ``(n, 2)`` array, with the bits of n calls."""
+        return -X[:, 0]
+
+    value.rows = rows
 
     def subgrad(x):
         return np.array([-1.0, 0.0])

@@ -492,6 +492,42 @@ def test_null_or_omitted_flags_read_false():
     assert parse_config(json.dumps(dict(NORM2_SUBGRAD, output={"record_x": True}))).record_x is True
 
 
+# case -> (method, noise, params without the constant, its key, a problem that has it, one that lacks it)
+PROBLEM_CONSTANTS = {
+    "sgd-budget_const-M": ("sgd", STOCH, {"step_rule": "budget_const", "R": 1.0}, "M", "fw_box", QUAD),
+    "sgd-inv_k-mu": ("sgd", STOCH, {"step_rule": "inv_k"}, "mu", "fw_box", "rosenbrock"),
+    "zo_sgd-budget_const-M": ("zo_sgd", ZO, {"step_rule": "budget_const", "R": 1.0}, "M", "fw_box", QUAD),
+    "const_subgrad-M": ("const_subgrad", None, {"R": 1.0}, "M", "norm2", QUAD),
+    "gd-L": ("gd", None, {}, "L", QUAD, "rosenbrock"),
+    "heavy_ball-mu": ("heavy_ball", None, {}, "mu", QUAD, "nesterov_skokov_toy"),
+    "frank_wolfe-short-L": ("frank_wolfe", None, {"step_rule": "short"}, "L", "fw_box", "rosenbrock"),
+    "polyak_subgrad-fstar": ("polyak_subgrad", None, {}, "fstar", QUAD, "logistic_small"),
+    "restarted_switching-alpha": ("restarted_switching", None, {"eps": 0.05, "theta0": 1.0}, "alpha", "slp", QUAD),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBLEM_CONSTANTS))
+def test_a_null_problem_constant_reads_as_omitted(case):
+    """Null fills from the problem where it has the constant, and is refused with the omitted key's text where not."""
+    method, noise, params, key, has, lacks = PROBLEM_CONSTANTS[case]
+
+    def outcome(problem, null):
+        doc = {"problem": problem, "method": {"name": method, "params": dict(params, **{key: None} if null else {})},
+               "iterations": 20, "output": {"record_x": True, "record_every": 1}}
+        if noise is not None:
+            doc["noise"] = noise
+        try:
+            trace, summary = run_experiment(parse_config(json.dumps(doc)))
+        except ConfigError as e:
+            return str(e)
+        return [row_bits(r) for r in trace.rows], summary["oracle_calls"], summary["status"]
+
+    ran = outcome(has, null=False)
+    assert not isinstance(ran, str) and outcome(has, null=True) == ran
+    assert outcome(lacks, null=True) == outcome(lacks, null=False) == \
+        f"method {method!r}: {key} not given and unknown for this problem"
+
+
 @pytest.mark.parametrize("method, params, run", [
     ("const_subgrad", {"h": 0.05, "averaging": True},
      lambda oracle, fset, x0, rng, **kw: subgrad.run_const_subgrad(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -128,6 +129,12 @@ def scripted_run(suite, rows, max_calls=None, seed=0):
 
 def bits(v):
     return None if v is None else (type(v), struct.pack("<d", v))
+
+
+def column_bits(trace):
+    """Each column of ``trace``, its floats as :func:`bits` and its arrays as bytes."""
+    return {name: [v.tobytes() if isinstance(v, np.ndarray) else bits(v) if isinstance(v, float) else v
+                   for v in column] for name, column in trace.columns.items()}
 
 
 def assert_columns_match_per_row_arithmetic(suite, trace, gs, fs):
@@ -408,6 +415,63 @@ def test_run_steps_takes_the_step_point_as_it_is_without_a_set_or_on_full_space(
         drive(step, N=3, fset=fset)
         assert given[0].tolist() == X.tolist() and given[0] is not X
         assert given[1] is out[0] and given[2] is out[1]
+
+
+# -- f evaluated with its block -------------------------------------------------------
+
+# problem -> params of each catalog problem whose value has a row-batched ``rows``
+ROW_BATCHED = {"quad_diag": {"lambdas": [2, 1], "shift": [0.5, -1.0]}, "degenerate3": {},
+               "norm2": {"a": [0.5, -1.0, 2.0]}, "slp": {}}
+
+
+def subgrad_step(ctr, k, x):
+    """One subgradient call; on every third iteration also a value call, whose f the row takes."""
+    g = ctr.subgrad(x)
+    return x - 0.05 * g, ctr.value(x) if k % 3 == 1 else None, g, 0.05, None
+
+
+def row_charge(k, every):
+    """The call number of row k's f charge under :func:`subgrad_step`; row k is due and takes no step f."""
+    calls = 0
+    for j in range(k + 1):
+        calls += 1 + (j % 3 == 1) + (j % every == 0 and j % 3 != 1)
+    return calls
+
+
+@pytest.mark.parametrize("every, k", [(1, 512), (1, 600), (7, 560)])  # row 512 opens the second block
+@pytest.mark.parametrize("problem", ROW_BATCHED)
+def test_rows_evaluated_with_their_block_equal_rows_evaluated_one_by_one(problem, every, k):
+    suite, _ = make_problem(problem, ROW_BATCHED[problem])
+    value = suite.value
+    per_row = dataclasses.replace(suite, value=lambda x: value(x))  # no rows: f is evaluated when a row is recorded
+    x0 = np.linspace(1.0, -2.0, suite.dim) + 0.3
+    charge = row_charge(k, every)
+    for budget in (None, charge - 1, charge):  # the cut refuses row k's charge, or the next call after it
+        traces = [run_steps(s, x0, 1100, subgrad_step, record_every=every, record_x=True, max_oracle_calls=budget)
+                  for s in (suite, per_row)]
+        got, want = ((t.status, t.x_out.tobytes(), bits(t.f_out), column_bits(t)) for t in traces)
+        assert got == want, budget
+        if budget is not None:  # the run ends at row k when its charge is refused, else at the next iteration
+            assert traces[0].columns["iter"][-1] == (k if budget < charge else k + 1)
+
+
+@pytest.mark.parametrize("every, N, blocks", [(1, 1024, [512, 512]), (1, 1030, [512, 512, 6]), (7, 1024, [147])])
+def test_value_rows_is_called_once_per_block_of_due_rows(every, N, blocks):
+    base, _ = make_problem("quad_diag", {"lambdas": [2, 1]})
+    values, sizes = [], []
+
+    def value(x):
+        values.append(1)
+        return base.value(x)
+
+    def rows(X):
+        sizes.append(len(X))
+        return base.value.rows(X)
+    value.rows = rows
+    trace = run_steps(dataclasses.replace(base, value=value), X, N, halving()[0], record_every=every,
+                      record_x=True, max_oracle_calls=None)
+    assert sizes == blocks and values == [1]  # the terminal row alone is evaluated by itself
+    assert trace.columns["f_value"] == [base.value(x) for x in trace.columns["x"]]
 
 
 # -- CountingOracle's counted entries --------------------------------------------------

@@ -364,7 +364,36 @@ def test_quad_diag_rows_give_the_bits_of_value(d, shift):
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case, kind", [(case, kind) for case, (name, params) in NUMPY_FORM_CASES.items()
+# case -> (problem, params) of every catalog problem whose value has a row-batched ``rows``
+ROW_BATCHED = {
+    "quad_diag": ("quad_diag", {"lambdas": [10.0, 1.0]}),
+    "degenerate3": ("degenerate3", {}),
+    "degenerate3-l1-3-l2-0.7": ("degenerate3", {"l1": 3.0, "l2": 0.7}),
+    "norm2-d1": ("norm2", {"d": 1}),
+    "norm2": ("norm2", {}),
+    "norm2-a": ("norm2", {"a": [0.5, -1.0, 2.0, 1e-310, -0.0]}),
+    "slp": ("slp", {}),
+    "slp-rho2.5": ("slp", {"rho": 2.5}),
+}
+
+
+def test_row_batched_problems_are_the_ones_listed():
+    assert {name for name in problem_names() if hasattr(make_problem(name)[0].value, "rows")} == \
+        {name for name, _ in ROW_BATCHED.values()}
+
+
+@pytest.mark.parametrize("case", ROW_BATCHED)
+def test_row_batched_values_give_the_bits_of_value(case):
+    name, params = ROW_BATCHED[case]
+    oracle, _ = make_problem(name, params)
+    X = np.array(_probe_points(oracle.dim, [oracle.xstar]))
+    with np.errstate(all="ignore"):
+        got = oracle.value.rows(X)
+        want = np.array([oracle.value(x) for x in X])
+    assert got.dtype == np.float64 and got.shape == (len(X),) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, kind",[(case, kind) for case, (name, params) in NUMPY_FORM_CASES.items()
                                         for kind in _numpy_forms(name, params, 0)])
 def test_catalog_callables_give_the_bits_of_their_numpy_forms(case, kind):
     name, params = NUMPY_FORM_CASES[case]
@@ -487,6 +516,31 @@ def test_relative_noise_tiny_gradient_stays_in_bound():
     }))
     _, summary = run_experiment(spec)
     assert summary["status"] == "converged"
+
+
+@pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1e-6])
+def test_relative_noise_at_small_alpha_passes_its_check(alpha):
+    # g + alpha ||g|| e rounds by about an ulp of ||g||, more than alpha * 1e-12 at these alphas
+    oracle, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    noisy, rng = wrap_noise(oracle, RelativeGrad(alpha, mode="random_direction"), Rng(5)), Rng(2)
+    for _ in range(10_000):
+        noisy.grad(rng.gaussian(2))
+
+
+def test_relative_noise_at_small_alpha_runs_gd_rel():
+    spec = parse_config(json.dumps({
+        "problem": {"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+        "noise": {"kind": "relative_grad", "alpha": 1e-9, "mode": "random_direction"},
+        "method": {"name": "gd_rel", "params": {"alpha": 1e-9}}, "iterations": 50}))
+    assert run_experiment(spec)[1]["oracle_calls"] == 101
+
+
+def test_relative_noise_check_refuses_a_direction_just_past_the_unit_sphere(monkeypatch):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
+    monkeypatch.setattr(Rng, "spheres", lambda self, d: itertools.repeat(np.full(d, (1 + 1e-9) / math.sqrt(d))))
+    noisy = wrap_noise(oracle, RelativeGrad(0.25, mode="random_direction"), Rng(0))
+    with pytest.raises(AssertionError, match="relative noise exceeds its bound"):
+        noisy.grad(np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("noise", [AbsoluteGrad(0.3), RelativeGrad(0.4, mode="random_direction")],
