@@ -13,6 +13,7 @@ Writes are atomic: the file is written next to the target and renamed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Optional
@@ -26,16 +27,71 @@ CSV_FIELDS = tuple(CSV_HEADER.split(","))
 FORMATS = ("csv", "json")
 
 
-def _csv_column(values: list) -> tuple[str, list]:
+MEMO_SHARE = 0.6
+"""A float column whose distinct values number fewer than this share of its cells is formatted through a memo.
+
+Below it, :func:`_csv_texts` formats each distinct value once and looks
+each cell's text up; at or above it, each cell is formatted, in the row
+template or (for a column with a None) in one list.  Timed against each
+other on 2000-cell columns of random doubles (40 runs of each, 2-vCPU
+x86-64 host), the memo took 0.78-0.81 of the template's time at a
+distinct share of 0.4, 0.80-0.92 at 0.55, 0.99 at 0.6, 1.05-1.06 at 0.65
+and 1.20-1.37 at 1: it wins below about 0.6.
+"""
+
+
+def _zero_cells(values: list) -> list:
+    """The indices of the cells of ``values`` equal to zero, +0.0 and -0.0 alike."""
+    found, i = [], -1
+    for _ in range(values.count(0.0)):
+        i = values.index(0.0, i + 1)
+        found.append(i)
+    return found
+
+
+def _csv_texts(values: list, distinct: set) -> list:
+    """The text of each cell of a float column whose distinct cells are ``distinct``, None as an empty cell.
+
+    Each distinct value is formatted once.  +0.0 and -0.0 are one key
+    but print as ``0`` and ``-0``, so where two or more cells are zero
+    each zero cell is formatted on its own; a single zero cell is the key
+    itself.  A NaN equals no other value, so each NaN object is its own
+    key and is found again by identity.
+    """
+    memo = {v: "" if v is None else "%.17g" % v for v in distinct}
+    texts = list(map(memo.__getitem__, values))
+    if 0.0 in memo and values.count(0.0) > 1:
+        for i in _zero_cells(values):
+            texts[i] = "%.17g" % values[i]
+    return texts
+
+
+def _csv_column(values: list, as_text: bool = False) -> tuple[str, list]:
     """The row-template piece of a float column, and the values it takes.
 
-    A column without None is formatted by ``%.17g`` in the template; a
-    column with None is formatted cell by cell, None as an empty cell.
-    ``'%.17g' % v`` gives the same text as ``format(v, ".17g")``.
+    A column with few distinct values (see :data:`MEMO_SHARE`) takes
+    ``%s`` and the texts of :func:`_csv_texts`.  Another is formatted
+    cell by cell: by ``%.17g`` in the template, or, when it holds a None
+    or ``as_text`` asks for its texts (another column shares them), as
+    ``%s`` and a list of texts, None as an empty cell.  ``'%.17g' % v``
+    gives the same text as ``format(v, ".17g")``.
     """
-    if None not in values:
-        return "%.17g", values
-    return "%s", ["" if v is None else "%.17g" % v for v in values]
+    distinct = set(values)
+    if len(distinct) < MEMO_SHARE * len(values):
+        return "%s", _csv_texts(values, distinct)
+    if as_text or None in distinct:
+        return "%s", ["" if v is None else "%.17g" % v for v in values]
+    return "%.17g", values
+
+
+def _print_alike(a: list, b: list) -> bool:
+    """Whether each cell of ``a`` prints as the cell of ``b`` in its row.
+
+    ``a == b`` compares cell by cell, so a NaN passes only against the
+    same object; +0.0 equals -0.0, so the signs of the zero cells are
+    compared too.
+    """
+    return a == b and all(math.copysign(1.0, a[i]) == math.copysign(1.0, b[i]) for i in _zero_cells(a))
 
 
 def _csv_floats(cells: tuple, empty: Optional[float]) -> list:
@@ -68,7 +124,11 @@ def write_trace(trace: Trace, path: str, format: Optional[str] = None):
         raise ValueError(f"unknown trace format {format!r}; choose from {FORMATS}")
     if format == "csv":
         columns = trace.columns
-        floats = [_csv_column(columns[name]) for name in CSV_FIELDS[1:-1]]
+        f_value, f_gap = columns["f_value"], columns["f_gap"]
+        shared = _print_alike(f_gap, f_value)  # f_gap = f_value - fstar: alike on every problem with fstar = 0
+        floats = [_csv_column(f_value, shared)]
+        floats.append(floats[0] if shared else _csv_column(f_gap))
+        floats += [_csv_column(columns[name]) for name in CSV_FIELDS[3:-1]]
         row = ",".join(["%d", *(piece for piece, _ in floats), "%d"])
         cells = zip(columns["iter"], *(values for _, values in floats), columns["oracle_calls"])
         _atomic_write(path, "\n".join([CSV_HEADER, *map(row.__mod__, cells)]) + "\n")

@@ -140,10 +140,14 @@ class RelativeGrad:
             def noisy(x):
                 g = base(x)
                 gn = norm(g)
+                if gn == math.inf and np.isfinite(g).all():  # the squares overflow from ||g|| of about 1.3e154
+                    gn = math.hypot(*g.tolist())
                 out = g + alpha * gn * direction()
                 # Compared relative to ||g||: the squares of a tiny g underflow.  Rounding g + alpha ||g|| e
                 # moves out by about an ulp of ||g|| whatever alpha is, so 4 ulp are allowed beside alpha's share.
-                if gn > 0 and norm((out - g) / gn) > alpha * (1 + 1e-12) + 4 * math.ulp(gn) / gn:
+                # A NaN ratio fails the test: a finite g must not come out inf (a NaN or inf g passes as it is).
+                if (gn > 0 and not norm((out - g) / gn) <= alpha * (1 + 1e-12) + 4 * math.ulp(gn) / gn
+                        and np.isfinite(g).all()):
                     raise AssertionError("relative noise exceeds its bound alpha ||g||")
                 return out
         return replace(oracle, grad=noisy, subgrad=noisy)

@@ -273,6 +273,19 @@ class Trace:
 ROW_BLOCK = 512
 """The trace rows a :class:`TraceRecorder` keeps raw before it derives their columns in one pass."""
 
+ROWS_CALL_MIN = 6
+"""The fewest deferred rows of a block whose f a :class:`TraceRecorder` evaluates with one ``value.rows`` call.
+
+Below it each such row takes one ``value`` call: stacking the rows and
+the array's fixed cost outweigh that many calls.  Timed against each other
+(40 runs of each, 2-vCPU x86-64 host), per-row calls took 0.23-0.27 of
+the block call's time at 1 row, 0.40-0.46 at 2, 0.56-0.64 at 3,
+0.69-0.77 at 4, 0.78-1.03 at 5, 0.85-1.07 at 6, 1.14-1.24 at 8 and
+1.31-1.51 at 12 on ``quad_diag`` (d = 2), ``degenerate3`` and ``norm2``
+(d = 3), about even at 6; on ``slp`` they stayed faster up to 16 rows
+(0.16-0.44).  Both give the bits of a per-row ``value`` call.
+"""
+
 
 def _row_norms(V) -> np.ndarray:
     """``||V[i]||`` of each row of a float64 ``(n, d)`` array, with the bits of :func:`norm` on the row."""
@@ -292,7 +305,8 @@ class TraceRecorder:
     a suite's ``dist_fn(x)`` and evaluates f through the counter, unless
     the suite's ``value`` has a row-batched ``rows`` entry (see
     :mod:`~optbench.core.problems`).  Then f runs with the row's block:
-    one ``value.rows`` call for every row of the block that needs it,
+    one ``value.rows`` call for every row of the block that needs it (a
+    ``value`` call each below :data:`ROWS_CALL_MIN` such rows),
     outside the block's ``errstate``, so an overflow in f warns (or
     raises under a warnings filter) as a per-row call would, when the
     block is derived.  A ``rows`` entry states that f is a pure function
@@ -374,10 +388,15 @@ class TraceRecorder:
         X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
         deferred = [] if self._value_rows is None else [i for i, f in enumerate(fs) if f is None]
         if deferred:  # outside the errstate below: an overflow in f warns as a per-row call does
-            F = self._value_rows(np.array([xs[i] for i in deferred], dtype=float) if X is None else X[deferred])
             fs = list(fs)
-            for i, f in zip(deferred, F.tolist()):
-                fs[i] = f
+            if len(deferred) < ROWS_CALL_MIN:
+                value = suite.value
+                for i in deferred:
+                    fs[i] = value(xs[i])
+            else:
+                F = self._value_rows(np.array([xs[i] for i in deferred], dtype=float) if X is None else X[deferred])
+                for i, f in zip(deferred, F.tolist()):
+                    fs[i] = f
         with np.errstate(over="ignore", invalid="ignore"):
             rows = [i for i, g in enumerate(gs) if g is not None]
             if rows:

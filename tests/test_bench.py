@@ -683,6 +683,26 @@ def csv_case_trace(case):
             columns["f_value"][5 * i] = v
             columns["f_gap"][5 * i + 1] = v
             columns["step_size"][5 * i + 2] = v
+    elif case == "repeated_signed_zeros":  # +0.0 and -0.0 are one memo key
+        columns["dist_to_opt"] = [(0.0, -0.0, 0.5)[i % 3] for i in range(n)]
+        columns["step_size"] = [-0.0] * (n - 1) + [0.0]
+    elif case == "repeated_nans":  # one NaN object in many cells, and a new NaN object in each cell
+        nan = float("nan")
+        columns["dist_to_opt"] = [nan if i % 2 else 0.5 for i in range(n)]
+        columns["grad_norm"] = [float("nan") if i % 3 else 0.25 for i in range(n)]
+    elif case == "constant_step":
+        columns["step_size"] = [0.1] * (n - 1) + [0.0]
+    elif case.startswith("f_gap_is_f_value"):
+        if case != "f_gap_is_f_value":  # repeated values: f_value takes the memo
+            cells = {"with_zeros": (1.5, 0.0, -0.0, 2.5), "with_nan": (1.5, float("nan"), 2.5)}[case.split("-")[1]]
+            columns["f_value"] = [cells[i % len(cells)] for i in range(n)]
+        # what the recorder writes for fstar 0; for fstar -0.0, -0.0 - -0.0 is +0.0: equal cells, other text
+        fstar = -0.0 if case.endswith("fstar_neg_zero") else 0.0
+        columns["f_gap"] = [f - fstar for f in columns["f_value"]]
+        if case.endswith("same_objects"):
+            columns["f_gap"] = list(columns["f_value"])
+    elif case == "repeated_with_none":
+        columns["grad_norm"] = [None if i % 4 == 0 else 0.25 for i in range(n)]
     return Trace(columns=columns)
 
 
@@ -693,7 +713,11 @@ def fit_or_error(trace, model):
         return f"{type(e).__name__}: {e}"
 
 
-@pytest.mark.parametrize("case", ["grad_norm_on_some_rows", "no_gap_no_dist", "special_f_values", "rows_1e5"])
+@pytest.mark.parametrize("case", [
+    "grad_norm_on_some_rows", "no_gap_no_dist", "special_f_values", "rows_1e5", "repeated_signed_zeros",
+    "repeated_nans", "constant_step", "f_gap_is_f_value", "f_gap_is_f_value-with_zeros",
+    "f_gap_is_f_value-with_zeros-fstar_neg_zero", "f_gap_is_f_value-with_nan", "f_gap_is_f_value-with_nan-same_objects",
+    "repeated_with_none"])
 def test_csv_bytes_match_the_per_row_writer(tmp_path, case):
     trace = csv_case_trace(case)
     path, again = str(tmp_path / "t.csv"), str(tmp_path / "again.csv")

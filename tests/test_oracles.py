@@ -438,25 +438,31 @@ def row_charge(k, every):
     return calls
 
 
-@pytest.mark.parametrize("every, k", [(1, 512), (1, 600), (7, 560)])  # row 512 opens the second block
+# (record_every, row k, iterations, start): row 512 opens the second block; 1, 3 and 4 iterations leave 1, 2
+# and 3 rows whose f is evaluated with the block, below ROWS_CALL_MIN, from starts whose f or steps overflow
+@pytest.mark.parametrize("every, k, N, start", [
+    (1, 512, 1100, None), (1, 600, 1100, None), (7, 560, 1100, None), (1, 0, 1, [-0.0, 1e200, 5e-324]),
+    (1, 2, 3, [math.inf, -0.0, 1.0]), (1, 3, 4, [1e155, -1e155, 0.0]), (1, 3, 4, [-0.0, 0.0, -0.0])])
 @pytest.mark.parametrize("problem", ROW_BATCHED)
-def test_rows_evaluated_with_their_block_equal_rows_evaluated_one_by_one(problem, every, k):
+def test_rows_evaluated_with_their_block_equal_rows_evaluated_one_by_one(problem, every, k, N, start):
     suite, _ = make_problem(problem, ROW_BATCHED[problem])
     value = suite.value
     per_row = dataclasses.replace(suite, value=lambda x: value(x))  # no rows: f is evaluated when a row is recorded
-    x0 = np.linspace(1.0, -2.0, suite.dim) + 0.3
+    x0 = np.linspace(1.0, -2.0, suite.dim) + 0.3 if start is None else np.resize(np.array(start), suite.dim)
     charge = row_charge(k, every)
     for budget in (None, charge - 1, charge):  # the cut refuses row k's charge, or the next call after it
-        traces = [run_steps(s, x0, 1100, subgrad_step, record_every=every, record_x=True, max_oracle_calls=budget)
-                  for s in (suite, per_row)]
+        with np.errstate(all="ignore"):
+            traces = [run_steps(s, x0, N, subgrad_step, record_every=every, record_x=True, max_oracle_calls=budget)
+                      for s in (suite, per_row)]
         got, want = ((t.status, t.x_out.tobytes(), bits(t.f_out), column_bits(t)) for t in traces)
         assert got == want, budget
         if budget is not None:  # the run ends at row k when its charge is refused, else at the next iteration
             assert traces[0].columns["iter"][-1] == (k if budget < charge else k + 1)
 
 
-@pytest.mark.parametrize("every, N, blocks", [(1, 1024, [512, 512]), (1, 1030, [512, 512, 6]), (7, 1024, [147])])
-def test_value_rows_is_called_once_per_block_of_due_rows(every, N, blocks):
+@pytest.mark.parametrize("every, N, blocks, calls", [
+    (1, 1024, [512, 512], 1), (1, 1029, [512, 512], 6), (1, 1030, [512, 512, 6], 1), (7, 1024, [147], 1)])
+def test_value_rows_is_called_once_per_block_of_due_rows(every, N, blocks, calls):
     base, _ = make_problem("quad_diag", {"lambdas": [2, 1]})
     values, sizes = [], []
 
@@ -470,7 +476,8 @@ def test_value_rows_is_called_once_per_block_of_due_rows(every, N, blocks):
     value.rows = rows
     trace = run_steps(dataclasses.replace(base, value=value), X, N, halving()[0], record_every=every,
                       record_x=True, max_oracle_calls=None)
-    assert sizes == blocks and values == [1]  # the terminal row alone is evaluated by itself
+    # a last block of 5 rows is evaluated row by row (ROWS_CALL_MIN); else the terminal row alone is
+    assert sizes == blocks and len(values) == calls
     assert trace.columns["f_value"] == [base.value(x) for x in trace.columns["x"]]
 
 

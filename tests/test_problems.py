@@ -535,6 +535,20 @@ def test_relative_noise_at_small_alpha_runs_gd_rel():
     assert run_experiment(spec)[1]["oracle_calls"] == 101
 
 
+def test_relative_noise_keeps_a_finite_gradient_whose_squares_overflow_finite():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    noisy = wrap_noise(oracle, RelativeGrad(0.25, mode="random_direction"), Rng(0))
+    x = np.array([1e154, 1e154])
+    g = oracle.grad(x)  # (1e155, 1e154): g.dot(g) overflows
+    with np.errstate(all="ignore"):
+        out = noisy.grad(x)
+        assert np.isfinite(out).all() and norm((out - g) / math.hypot(*g)) <= 0.25 * (1 + 1e-12)
+        with pytest.raises(AssertionError, match="relative noise exceeds its bound"):
+            noisy.grad(np.array([1.5e307, 1.5e308]))  # a finite g, but g + alpha ||g|| e overflows
+        for bad in ([math.nan, 1.0], [math.inf, 1.0]):  # a gradient that is not finite passes, not finite
+            assert not np.isfinite(noisy.grad(np.array(bad))).all()
+
+
 def test_relative_noise_check_refuses_a_direction_just_past_the_unit_sphere(monkeypatch):
     oracle, _ = make_problem("quad_diag", {"lambdas": [2.0, 1.0]})
     monkeypatch.setattr(Rng, "spheres", lambda self, d: itertools.repeat(np.full(d, (1 + 1e-9) / math.sqrt(d))))

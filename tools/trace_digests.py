@@ -77,12 +77,12 @@ Grids:
   generator, so the estimator redraws it (523 keys).
   The hash also covers the next draws of the run's ``Rng``, so a change
   in the number of draws consumed shows;
-* ``csv/...``: the 17 canonical configs for seeds 1-2 with
-  ``record_every`` in {1, 7}, run through ``run_experiment`` with a CSV
-  trace, whose bytes the hash covers (68 runs); and for each of those
-  files a ``rates/...`` key holding the ``repr`` of ``fit_rate`` on the
-  trace read back from it, for both models with window 0.5, or the
-  fit's error text (68 keys);
+* ``csv/...``: the 17 canonical configs for seeds 1-4 with
+  ``record_every`` in {1, 7, N+1}, run through ``run_experiment`` with a
+  CSV trace, whose bytes the hash covers (204 runs); and for each of
+  those files a ``rates/...`` key holding the ``repr`` of ``fit_rate`` on
+  the trace read back from it, for both models with window 0.5, or the
+  fit's error text (204 keys);
 * ``cli/...``: the 17 canonical configs for seeds 1-2 through the
   command line, in one process: ``run --trace`` (``record_every`` 1),
   ``compare`` (recording off) and, for the configs that name a rate,
@@ -235,7 +235,6 @@ LONG_N = 2500
 LONG_BUDGETS = (None, 1300)
 DISTRIBUTIONS = ("gaussian", "student_t3")
 STOP_SEEDS = (1, 2)
-CSV_SEEDS = (1, 2)
 CLI_SEEDS = (1, 2)
 EST_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000)
 ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
@@ -368,9 +367,9 @@ def csv_grid(tmp: str) -> dict:
 
     out = {}
     path = os.path.join(tmp, "trace.csv")
-    for seed in CSV_SEEDS:
+    for seed in SEEDS:
         for canon in make_configs(seed, make_problem):
-            for every in (1, 7):
+            for every in (1, 7, canon.iterations + 1):
                 doc = dict(canon.doc, budget={"iterations": canon.iterations}, output={"record_every": every})
                 key = f"{canon.key}/seed{seed}/every{every}"
 
