@@ -180,11 +180,8 @@ def _build_gd_rel(smooth, spec, oracle) -> Run:
 
 
 def _build_gd_rel_adaptive(smooth, spec, oracle) -> Run:
-    alpha = _relative_alpha(spec)
-    L0 = _float(spec.method_params, "L0", oracle.L)
-    if L0 is None:
-        raise ValueError("L0 not given and L unknown for this problem")
-    return _smooth_run(smooth, spec, oracle, smooth.RelNoiseAdaptive(alpha=alpha, L0=L0), "run_gd_rel_adaptive")
+    mode = smooth.RelNoiseAdaptive(_relative_alpha(spec), _problem_constant(spec.method_params, "L0", oracle, "L"))
+    return _smooth_run(smooth, spec, oracle, mode, "run_gd_rel_adaptive")
 
 
 # -- momentum methods ----------------------------------------------------------

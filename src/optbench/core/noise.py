@@ -139,7 +139,7 @@ class RelativeGrad:
 
             def noisy(x):
                 g = base(x)
-                gn = norm(g)
+                gn = math.sqrt(np.vdot(g, g))  # norm(g)'s bits; unlike dot, vdot does not warn when the squares overflow
                 if gn == math.inf and np.isfinite(g).all():  # the squares overflow from ||g|| of about 1.3e154
                     gn = math.hypot(*g.tolist())
                 out = g + alpha * gn * direction()

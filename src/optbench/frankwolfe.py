@@ -5,7 +5,7 @@ gradient, ``y = argmin_{v in Q} <grad f(x), v>``, and moves to the
 convex combination ``x <- (1 - gamma) x + gamma y``.  Two step rules:
 
 * ``Classic``   -- the open-loop schedule ``gamma_k = 2/(k+1)`` (k >= 1),
-  with the guarantee ``f(x^N) - f* <= 2 L R^2 / (N+2)``;
+  with the guarantee :func:`optbench.claims.frank_wolfe_gap`;
 * ``ShortStep`` -- ``gamma_k = min{ -<g, y-x> / (L ||y-x||^2), 1 }``,
   the minimizer of the quadratic upper model along the segment.  When
   it saturates at 1 the optimality gap at least halves.

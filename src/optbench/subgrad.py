@@ -120,8 +120,8 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     """Constant-step subgradient descent over iterates x^0 .. x^{N-1}.
 
     With ``averaging`` on, the reported point is the uniform average of
-    those N iterates (the budget-step tuning then guarantees
-    ``f(avg) - f* <= M R / sqrt(N)``).
+    those N iterates (the budget-step tuning then meets
+    :func:`optbench.claims.budget_step_gap`).
     """
     if isinstance(cfg.step_rule, FixedStep):
         h = cfg.step_rule.h

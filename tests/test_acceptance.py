@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from optbench import claims
 from optbench.bench import fit_rate, parse_config, run_experiment
 from optbench.core import (
     AbsoluteGrad,
@@ -75,11 +76,11 @@ def test_criterion_01_polyak_sharp_geometric_rate():
         x0 = oracle.xstar + Rng(100).gaussian(5)
         tr = run_polyak_subgrad(oracle, fset, x0,
                                 SubgradConfig(step_rule=PolyakStep(), N=300))
-        factor = 1.0 - (oracle.alpha_sharp / oracle.M) ** 2
         d0 = tr.rows[0].dist_to_opt
         assert len(tr.rows) > 10
         for r in tr.rows:
-            assert r.dist_to_opt ** 2 <= factor ** r.iter * d0 ** 2 * (1 + 1e-9) + 1e-300
+            bound = claims.polyak_sharp_dist2(oracle.alpha_sharp, oracle.M, r.iter, d0)
+            assert r.dist_to_opt ** 2 <= bound * (1 + 1e-9) + 1e-300
 
 
 def test_criterion_02_constant_step_cycle_and_averaging():
@@ -117,7 +118,7 @@ def test_criterion_04_pl_rate_exact():
         gap0 = tr.rows[0].f_gap
         assert tr.rows[-1].iter == 200
         for r in tr.rows:
-            assert r.f_gap <= 0.9 ** r.iter * gap0 * (1 + 1e-12)
+            assert r.f_gap <= claims.pl_gap(oracle.mu, oracle.L, r.iter, gap0) * (1 + 1e-12)
             closed = np.array([0.0 ** r.iter if r.iter else 1.0, 0.9 ** r.iter])
             np.testing.assert_allclose(r.x, closed, atol=1e-12)
 
@@ -140,7 +141,7 @@ def test_criterion_05_absolute_noise_divergence_early_stop_plateau():
         assert np.array_equal(tr.x_out, np.zeros(3))
         # plateau bound under random-direction noise: no violations in 100 seeds
         quad, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
-        delta, mu, L = 0.1, 1.0, 10.0
+        delta = 0.1
         violations = 0
         for seed in range(100):
             noisy = wrap_noise(quad, AbsoluteGrad(delta), Rng(seed))
@@ -149,8 +150,7 @@ def test_criterion_05_absolute_noise_divergence_early_stop_plateau():
             tr = run_gd_abs(noisy, np.array([1.0, 1.0]), cfg)
             gap0 = tr.rows[0].f_gap
             for r in tr.rows:
-                bound = (1 - mu / L) ** r.iter * gap0 + delta ** 2 / (2 * mu)
-                if r.f_gap > bound * (1 + 1e-12):
+                if r.f_gap > claims.pl_gap(quad.mu, quad.L, r.iter, gap0, delta) * (1 + 1e-12):
                     violations += 1
         assert violations == 0
 
@@ -159,23 +159,21 @@ def test_criterion_06_relative_noise_rate_bounds():
     with criterion(6, "relative-noise fixed and adaptive rate factors are upper "
                       "bounds on quad_diag under the shrink adversary"):
         oracle, _ = make_problem("quad_diag", {"lambdas": [4.0, 1.0]})
-        L, mu, x0 = 4.0, 1.0, np.array([1.0, 1.0])
+        L, mu, x0 = oracle.L, oracle.mu, np.array([1.0, 1.0])
         for alpha in (0.0, 0.1, 0.25, 0.4):
             noisy = wrap_noise(oracle, RelativeGrad(alpha, mode="shrink"), Rng(0))
             cfg = SmoothRunConfig(N=60, mode=RelNoise(alpha=alpha), tol=0.0)
             tr = run_gd_rel(noisy, x0, cfg)
             gap0 = tr.rows[0].f_gap
-            factor = 1 - (mu / L) * (1 - alpha) ** 2 / (1 + alpha) ** 2
             for r in tr.rows:
-                assert r.f_gap <= factor ** r.iter * gap0 * (1 + 1e-9)
+                assert r.f_gap <= claims.rel_noise_gap(mu, L, alpha, r.iter, gap0) * (1 + 1e-9)
         for alpha in (0.0, 0.1, 0.25):
             noisy = wrap_noise(oracle, RelativeGrad(alpha, mode="shrink"), Rng(0))
             cfg = SmoothRunConfig(N=60, mode=RelNoiseAdaptive(alpha=alpha, L0=L), tol=0.0)
             tr = run_gd_rel_adaptive(noisy, x0, cfg)
             gap0 = tr.rows[0].f_gap
-            factor = 1 - (mu / (2 * L)) * (1 - 2 * alpha) ** 2
             for r in tr.rows:
-                assert r.f_gap <= factor ** r.iter * gap0 * (1 + 1e-9)
+                assert r.f_gap <= claims.rel_noise_adaptive_gap(mu, L, alpha, r.iter, gap0) * (1 + 1e-9)
 
 
 def test_criterion_07_fw_4_over_n_example():
@@ -243,21 +241,21 @@ def test_criterion_09_sgd_stationary_variance_and_bound():
     with criterion(9, "constant-step SGD stationary variance matches the closed "
                       "form within 10% and the mean-square bound holds"):
         oracle, fset = make_problem("quad_diag", {"lambdas": [1.0]})
-        noisy = wrap_noise(oracle, AdditiveStochGrad(1.0), Rng(0))
-        gamma = 0.25
-        tr = run_sgd(noisy, fset, np.array([1.0]),
+        gamma, sigma, x0 = 0.25, 1.0, np.array([1.0])
+        noisy = wrap_noise(oracle, AdditiveStochGrad(sigma), Rng(0))
+        tr = run_sgd(noisy, fset, x0,
                      SgdConfig(N=100_000, step_rule=Const(gamma)), Rng(1))
         dist2 = np.array([r.dist_to_opt ** 2 for r in tr.rows[5000:]])
-        target = gamma * 1.0 / (1.0 * (2 - gamma * 1.0))  # = 1/7
+        target = claims.sgd_stationary_variance(gamma, sigma, oracle.mu)  # = 1/7
         assert float(np.mean(dist2)) == pytest.approx(target, rel=0.10)
 
         finals = []
         for seed in range(100):
-            t = run_sgd(noisy, fset, np.array([1.0]),
+            t = run_sgd(noisy, fset, x0,
                         SgdConfig(N=200, step_rule=Const(gamma)), Rng(500 + seed),
                         record_every=200)
             finals.append(t.final.dist_to_opt ** 2)
-        bound = 1.0 * (1 - gamma) ** 200 + 2 * gamma * 1.0 / 1.0
+        bound = claims.sgd_mean_square(gamma, sigma, oracle.mu, 200, tr.rows[0].dist_to_opt)
         assert float(np.mean(finals)) <= bound
 
 

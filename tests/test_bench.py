@@ -499,6 +499,7 @@ PROBLEM_CONSTANTS = {
     "zo_sgd-budget_const-M": ("zo_sgd", ZO, {"step_rule": "budget_const", "R": 1.0}, "M", "fw_box", QUAD),
     "const_subgrad-M": ("const_subgrad", None, {"R": 1.0}, "M", "norm2", QUAD),
     "gd-L": ("gd", None, {}, "L", QUAD, "rosenbrock"),
+    "gd_rel_adaptive-L0": ("gd_rel_adaptive", None, {"alpha": 0.1}, "L0", QUAD, "rosenbrock"),
     "heavy_ball-mu": ("heavy_ball", None, {}, "mu", QUAD, "nesterov_skokov_toy"),
     "frank_wolfe-short-L": ("frank_wolfe", None, {"step_rule": "short"}, "L", "fw_box", "rosenbrock"),
     "polyak_subgrad-fstar": ("polyak_subgrad", None, {}, "fstar", QUAD, "logistic_small"),
@@ -1202,8 +1203,8 @@ def test_cli_calls_in_one_process_are_independent(tmp_path, capsys, monkeypatch)
 # -- import graph and registry -------------------------------------------------------
 
 METHOD_MODULE_NAMES = ("frankwolfe", "momentum", "smooth", "stochastic", "subgrad", "zeroorder")
-# the modules a run loads only when it needs them: the method modules, and numpy.random for a draw
-LAZY_MODULES = tuple("optbench." + n for n in METHOD_MODULE_NAMES) + ("numpy.random",)
+# the modules a run loads only when it needs them: the method modules, the claims (never) and numpy.random for a draw
+LAZY_MODULES = tuple("optbench." + n for n in METHOD_MODULE_NAMES) + ("optbench.claims", "numpy.random")
 
 
 def _lazy_modules_loaded_by(code):
@@ -1242,7 +1243,7 @@ def test_method_modules_resolve_as_package_attributes():
             "from optbench import smooth\n"
             "assert smooth is optbench.smooth\n"
             "assert not hasattr(optbench, 'nope')")
-    assert _lazy_modules_loaded_by(code) == list(LAZY_MODULES[:-1])
+    assert _lazy_modules_loaded_by(code) == ["optbench." + n for n in METHOD_MODULE_NAMES]
 
 
 LIST_METHODS = """\

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from optbench import claims
 from optbench.core import Box, FullSpace, Rng, RunStatus, Simplex, UnboundedSetError, make_problem
 from optbench.frankwolfe import FwConfig, ShortStep, fw_gap, run_fw
 from optbench.bench import fit_rate
@@ -17,11 +18,10 @@ def test_iterates_stay_feasible():
 
 def test_classic_rate_bound_fw_box():
     oracle, fset = make_problem("fw_box")
-    L, R = oracle.L, fset.diameter
     tr = run_fw(oracle, fset, np.array([1.0, 1.0]), FwConfig(N=500))
     for r in tr.rows:
         if 2 <= r.iter <= 500:
-            assert r.f_gap <= 2 * L * R * R / (r.iter + 2) + 1e-12
+            assert r.f_gap <= claims.frank_wolfe_gap(oracle.L, fset.diameter, r.iter) + 1e-12
 
 
 def test_classic_rate_bound_quad_on_simplex():
@@ -29,10 +29,9 @@ def test_classic_rate_bound_quad_on_simplex():
     oracle, _ = make_problem("quad_diag", {"lambdas": [1.0, 1.0, 1.0], "shift": a.tolist()})
     fset = Simplex(3)
     tr = run_fw(oracle, fset, np.array([1 / 3, 1 / 3, 1 / 3]), FwConfig(N=500))
-    L, R = 1.0, fset.diameter
     for r in tr.rows:
         if 2 <= r.iter <= 500:
-            assert r.f_gap <= 2 * L * R * R / (r.iter + 2) + 1e-12
+            assert r.f_gap <= claims.frank_wolfe_gap(oracle.L, fset.diameter, r.iter) + 1e-12
 
 
 def test_linear_objective_hits_vertex_after_first_step():

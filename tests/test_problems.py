@@ -540,9 +540,11 @@ def test_relative_noise_keeps_a_finite_gradient_whose_squares_overflow_finite():
     noisy = wrap_noise(oracle, RelativeGrad(0.25, mode="random_direction"), Rng(0))
     x = np.array([1e154, 1e154])
     g = oracle.grad(x)  # (1e155, 1e154): g.dot(g) overflows
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow-free norm comes with no overflow warning
         out = noisy.grad(x)
-        assert np.isfinite(out).all() and norm((out - g) / math.hypot(*g)) <= 0.25 * (1 + 1e-12)
+    assert np.isfinite(out).all() and norm((out - g) / math.hypot(*g)) <= 0.25 * (1 + 1e-12)
+    with np.errstate(all="ignore"):
         with pytest.raises(AssertionError, match="relative noise exceeds its bound"):
             noisy.grad(np.array([1.5e307, 1.5e308]))  # a finite g, but g + alpha ||g|| e overflows
         for bad in ([math.nan, 1.0], [math.inf, 1.0]):  # a gradient that is not finite passes, not finite

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from optbench import claims
 from optbench.bench import write_trace
 from optbench.core import AdditiveStochGrad, Rng, make_problem, wrap_noise
 from optbench.core.noise import AdditiveNoise
@@ -50,25 +51,24 @@ def test_zero_noise_matches_gd_bitwise():
 
 
 def test_stationary_variance_constant_step():
-    # x_{k+1} = (1 - gamma) x_k - gamma xi has Var = gamma sigma^2 / (mu (2 - gamma mu))
-    noisy, fset = quad1d(sigma=1.0)
-    gamma, n = 0.25, 30_000
+    gamma, n, sigma = 0.25, 30_000, 1.0
+    noisy, fset = quad1d(sigma)
     tr = run_sgd(noisy, fset, np.array([1.0]), SgdConfig(N=n, step_rule=Const(gamma)),
                  Rng(7), record_every=1, record_x=False)
     dists = np.array([r.dist_to_opt for r in tr.rows[2000:]])
-    target = gamma / (2 - gamma)  # 1/7
+    target = claims.sgd_stationary_variance(gamma, sigma, noisy.mu)  # 1/7
     assert np.mean(dists ** 2) == pytest.approx(target, rel=0.10)
 
 
 def test_constant_step_mean_bound_over_seeds():
-    noisy, fset = quad1d(sigma=1.0)
-    gamma, n, d0 = 0.25, 200, 1.0
+    gamma, n, d0, sigma = 0.25, 200, 1.0, 1.0
+    noisy, fset = quad1d(sigma)
     finals = []
     for seed in range(100):
         tr = run_sgd(noisy, fset, np.array([d0]), SgdConfig(N=n, step_rule=Const(gamma)),
                      Rng(1000 + seed), record_every=n)
         finals.append(tr.final.dist_to_opt ** 2)
-    bound = d0 ** 2 * (1 - gamma) ** n + 2 * gamma * 1.0 / 1.0
+    bound = claims.sgd_mean_square(gamma, sigma, noisy.mu, n, d0)
     assert np.mean(finals) <= bound
 
 

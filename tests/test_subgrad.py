@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from optbench import claims
 from optbench.core import (
     Box,
     ConstraintOracle,
@@ -101,9 +102,9 @@ def test_sharp_minimum_geometric_rate(name, params):
     x0 = oracle.xstar + Rng(4).gaussian(oracle.dim)
     tr = run_polyak_subgrad(oracle, fset, x0, polyak_cfg(n=200))
     d0 = tr.rows[0].dist_to_opt
-    factor = 1.0 - (oracle.alpha_sharp / oracle.M) ** 2
     for r in tr.rows:
-        assert r.dist_to_opt ** 2 <= factor ** r.iter * d0 ** 2 * (1 + 1e-9) + 1e-300
+        bound = claims.polyak_sharp_dist2(oracle.alpha_sharp, oracle.M, r.iter, d0)
+        assert r.dist_to_opt ** 2 <= bound * (1 + 1e-9) + 1e-300
 
 
 def test_sqrt_k_gap_trend():
@@ -136,21 +137,13 @@ def test_phase_retrieval_local_geometric_rate():
 
 # -- constant step ----------------------------------------------------------------
 
-def test_two_point_oscillation():
-    oracle, fset = make_problem("abs1d")
-    cfg = SubgradConfig(step_rule=FixedStep(0.02), N=6)
-    tr = run_const_subgrad(oracle, fset, np.array([-0.01]), cfg, record_x=True)
-    xs = [r.x[0] for r in tr.rows]
-    assert xs == [-0.01, 0.01, -0.01, 0.01, -0.01, 0.01]
-
-
 def test_budget_step_trace_and_average():
     oracle, fset = make_problem("abs1d")
     cfg = SubgradConfig(step_rule=BudgetStep(M=1.0, R=1.0), N=4, averaging=True)
     tr = run_const_subgrad(oracle, fset, np.array([1.0]), cfg, record_x=True)
     assert [r.x[0] for r in tr.rows] == [1.0, 0.5, 0.0, 0.0]  # 0 picks the kink's 0 subgradient
     assert tr.x_out[0] == pytest.approx(0.375)
-    assert tr.f_out <= 1.0 * 1.0 / math.sqrt(4)  # M R / sqrt(N)
+    assert tr.f_out <= claims.budget_step_gap(oracle.M, 1.0, 4)
 
 
 def test_single_iterate_average_is_x0():
@@ -167,7 +160,7 @@ def test_budget_step_mr_sqrt_n_bound_on_l1_system():
     for N in (16, 64, 256):
         cfg = SubgradConfig(step_rule=BudgetStep(M=oracle.M, R=R), N=N, averaging=True)
         tr = run_const_subgrad(oracle, fset, x0, cfg, record_every=N)
-        assert tr.f_out - oracle.fstar <= oracle.M * R / math.sqrt(N) + 1e-12
+        assert tr.f_out - oracle.fstar <= claims.budget_step_gap(oracle.M, R, N) + 1e-12
 
 
 # -- switching scheme ---------------------------------------------------------------
