@@ -14,6 +14,14 @@ from optbench.momentum import (
     run_cg_quadratic,
     run_momentum,
 )
+from optbench.smooth import SmoothRunConfig, run_gd
+
+
+def iters_to_gap(trace, thresh):
+    for r in trace.rows:
+        if r.f_gap is not None and r.f_gap <= thresh:
+            return r.iter
+    return None
 
 
 def test_heavy_ball_mu_equals_L_single_step():
@@ -65,6 +73,19 @@ def test_first_iteration_is_gradient_type():
         tr = run_momentum(oracle, x0, MomentumConfig(variant, N=1, L=4.0, mu=1.0),
                           record_x=True)
         np.testing.assert_allclose(tr.x_out, x0 - oracle.grad(x0) / 4.0, atol=1e-15)
+
+
+def test_acceleration_factor_on_kappa_400():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [400.0, 1.0]})
+    x0 = np.array([1.0, 1.0])
+    gd = run_gd(oracle, x0, SmoothRunConfig(N=20000, tol=0.0))
+    k_gd = iters_to_gap(gd, 1e-9)
+    assert k_gd is not None
+    for variant in ("chebyshev", "nesterov_sc"):
+        tr = run_momentum(oracle, x0, MomentumConfig(variant, N=5000, tol=0.0))
+        k_acc = iters_to_gap(tr, 1e-9)
+        assert k_acc is not None
+        assert k_gd / k_acc >= 5.0
 
 
 def test_nesterov_cvx_rate_constant():

@@ -70,6 +70,17 @@ def test_descent_lemma_every_step(name, params, x0):
                 + 1e-12 * max(1.0, abs(prev.f_value)))
 
 
+def test_pl_rate_matches_closed_form():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    tr = run_gd(oracle, np.array([1.0, 1.0]), SmoothRunConfig(N=200, tol=0.0), record_x=True)
+    gap0 = tr.rows[0].f_gap
+    for r in tr.rows:
+        assert r.f_gap <= claims.pl_gap(oracle.mu, oracle.L, r.iter, gap0) * (1 + 1e-12)
+        # closed form: each coordinate contracts by (1 - lam_i / L)
+        expect = np.array([(1 - 1.0) ** r.iter * 1.0, 0.9 ** r.iter * 1.0])
+        np.testing.assert_allclose(r.x, expect, atol=1e-12)
+
+
 # -- absolute gradient error ----------------------------------------------------------
 
 def degenerate3_with_fixed_noise():
@@ -106,6 +117,19 @@ def test_abs_noise_zero_delta_bit_identical_to_gd():
         assert np.array_equal(ra.x, rb.x) and ra.f_value == rb.f_value
 
 
+def test_abs_noise_plateau_bound_random_direction():
+    oracle, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    delta = 0.1
+    for seed in range(10):
+        noisy = wrap_noise(oracle, AbsoluteGrad(delta), Rng(seed))
+        cfg = SmoothRunConfig(N=150, mode=AbsNoise(delta=delta, stop_multiplier=0.0), tol=0.0)
+        tr = run_gd_abs(noisy, np.array([1.0, 1.0]), cfg)
+        gap0 = tr.rows[0].f_gap
+        for r in tr.rows:
+            bound = claims.pl_gap(oracle.mu, oracle.L, r.iter, gap0, delta)
+            assert r.f_gap <= bound * (1 + 1e-12)
+
+
 # -- relative gradient error -----------------------------------------------------------
 
 def test_rel_noise_alpha_zero_identical_to_gd():
@@ -127,6 +151,17 @@ def test_rel_noise_1d_hand_trace():
     assert tr.x_out[0] == pytest.approx(8.0 / 9.0)
     ratio = tr.rows[1].f_gap / tr.rows[0].f_gap
     assert ratio == pytest.approx((8 / 9) ** 2) and ratio <= 8 / 9
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25, 0.4])
+def test_rel_noise_rate_bound_shrink(alpha):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [4.0, 1.0]})
+    noisy = wrap_noise(oracle, RelativeGrad(alpha, mode="shrink"), Rng(0))
+    cfg = SmoothRunConfig(N=50, mode=RelNoise(alpha=alpha), tol=0.0)
+    tr = run_gd_rel(noisy, np.array([1.0, 1.0]), cfg)
+    gap0 = tr.rows[0].f_gap
+    for r in tr.rows:
+        assert r.f_gap <= claims.rel_noise_gap(oracle.mu, oracle.L, alpha, r.iter, gap0) * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("mode", ["shrink", "grow", "random_direction"])
@@ -174,6 +209,18 @@ def test_adaptive_doubling_count_amortized():
         prev = Lk
         assert Lk <= 2 * L * (1 + 1e-12)  # guaranteed once L0 <= 2L
     assert doublings <= N + math.log2(L / L0) + 1
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1, 0.25])
+def test_adaptive_rate_bound(alpha):
+    oracle, _ = make_problem("quad_diag", {"lambdas": [4.0, 1.0]})
+    noisy = wrap_noise(oracle, RelativeGrad(alpha, mode="shrink"), Rng(0))
+    cfg = SmoothRunConfig(N=60, mode=RelNoiseAdaptive(alpha=alpha, L0=oracle.L), tol=0.0)
+    tr = run_gd_rel_adaptive(noisy, np.array([1.0, 1.0]), cfg)
+    gap0 = tr.rows[0].f_gap
+    for r in tr.rows:
+        bound = claims.rel_noise_adaptive_gap(oracle.mu, oracle.L, alpha, r.iter, gap0)
+        assert r.f_gap <= bound * (1 + 1e-9)
 
 
 def test_adaptive_exit_unreachable_for_lying_alpha():

@@ -137,6 +137,14 @@ def test_phase_retrieval_local_geometric_rate():
 
 # -- constant step ----------------------------------------------------------------
 
+def test_two_point_oscillation():
+    oracle, fset = make_problem("abs1d")
+    cfg = SubgradConfig(step_rule=FixedStep(0.02), N=6)
+    tr = run_const_subgrad(oracle, fset, np.array([-0.01]), cfg, record_x=True)
+    xs = [r.x[0] for r in tr.rows]
+    assert xs == [-0.01, 0.01, -0.01, 0.01, -0.01, 0.01]
+
+
 def test_budget_step_trace_and_average():
     oracle, fset = make_problem("abs1d")
     cfg = SubgradConfig(step_rule=BudgetStep(M=1.0, R=1.0), N=4, averaging=True)
