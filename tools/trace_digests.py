@@ -91,8 +91,11 @@ Grids:
   bytes ``run`` writes; a few error paths (an unknown subcommand, a
   missing config file, a bad JSON config, ``rates`` on a too-short
   trace, an unknown problem name, ``rates`` with a ``--window`` of 0,
-  nan or 1.5) hash their exit code and stderr instead; and
-  ``list-methods`` hashes its exit code and stdout (115 keys);
+  nan or 1.5) hash their exit code and stderr instead; two runs whose
+  iterates overflow to NaN (``cli/nan/...``: ``sgd`` with ``gamma`` 1.0
+  on ``quad_diag [10, 1]`` under ``additive_stoch_grad`` noise, and
+  ``const_subgrad`` with ``h`` 1e308) hash what ``run --trace`` does;
+  and ``list-methods`` hashes its exit code and stdout (117 keys);
 * ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
   config, the config without each of its fields, an unknown key, a bad
   mode, ints where floats are meant, and ``v`` without ``mode``.  For
@@ -108,9 +111,10 @@ Grids:
   ``const_subgrad`` a ``tol`` and ``gd_rel_adaptive`` an ``L``.
   ``parse/type/...`` gives ``absolute_grad`` a ``v`` that is too short,
   too long or 2-d for the 2-d problem, or one in ``random_direction``
-  mode, and ``output.trace_path`` a number, a list and a boolean.  The
+  mode, ``output.trace_path`` a number, a list and a boolean, and
+  ``x0`` a length the problem does not have.  The
   hash covers the ``repr`` of the parsed spec; a config that fails maps
-  to its error text (115 keys).  ``parse/variant/...`` parses
+  to its error text (116 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -1213,8 +1217,21 @@ def cli_grid(tmp: str) -> dict:
         out[f"cli/error/{name}"] = call(argv, stream="stderr")
     write({"problem": "nope", "method": "gd", "iterations": 3})
     out["cli/error/unknown-problem"] = call(["run", "--config", config], stream="stderr")
+    for name, doc in CLI_NAN_RUNS.items():
+        write(doc)
+        out[f"cli/nan/{name}"] = call(["run", "--config", config, "--trace", trace], with_trace=True)
     out["cli/list-methods"] = call(["list-methods"])
     return out
+
+
+# name -> a config whose iterates overflow to inf and then NaN before the run's last iteration
+CLI_NAN_RUNS = {
+    "sgd-gamma-1": {"problem": {"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+                    "noise": {"kind": "additive_stoch_grad", "sigma": 0.1},
+                    "method": {"name": "sgd", "params": {"gamma": 1.0}}, "iterations": 1000},
+    "const_subgrad-h-1e308": {"problem": "quad_diag", "method": {"name": "const_subgrad", "params": {"h": 1e308}},
+                              "iterations": 50},
+}
 
 
 _PARSE_QUAD = {"name": "quad_diag", "params": {"lambdas": [2, 1]}}
@@ -1292,6 +1309,7 @@ PARSE_TYPES = {
     "trace_path-int": {"output": {"trace_path": 5}},
     "trace_path-list": {"output": {"trace_path": ["a.csv"]}},
     "trace_path-bool": {"output": {"trace_path": True}},
+    "x0-long": {"x0": [1.0, 2.0, 3.0]},
 }
 # name -> config changes that give a method a key its run does not read
 PARSE_KEYS = {
