@@ -13,10 +13,11 @@ A config document is a single JSON object:
 
 ``problem`` and ``method`` may also be bare name strings, and
 ``iterations`` may be given at the top level.  Unknown keys are rejected
-at every level to catch typos.  Parsing builds the problem, wraps it in
-the noise model and, against that, builds the method's config, so bad
-names, noise models the problem cannot carry and bad parameters fail at
-parse time.
+at every level to catch typos.  Parsing then builds the spec with
+:func:`optbench.bench.runner.assemble`, as the run will: the problem,
+its noise wrapper and, against the noisy problem, the method, so bad
+names, noise models the problem cannot carry, an ``x0`` of the wrong
+length and bad parameters fail at parse time.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from typing import Optional
 import numpy as np
 
 from ..core.linalg import flag, number
-from ..core.noise import NOISE_KINDS, NoNoise, NoiseCompatibilityError, NoiseSpec, wrap_noise
+from ..core.noise import NOISE_KINDS, NoNoise, NoiseSpec
+# unused here (parsing builds through runner.assemble), but benchmarks/tracing.py rebinds config.make_problem
 from ..core.problems import make_problem
-from ..core.rng import Rng
 
 _MAX_TRACE_ROWS = 100_000
 
@@ -112,7 +113,7 @@ def _noise_field(f, value):
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate a JSON experiment document."""
-    from .registry import build_method  # deferred: registry imports this module
+    from .runner import assemble  # deferred: runner imports this module
 
     try:
         doc = json.loads(text)
@@ -182,17 +183,6 @@ def parse_config(text: str) -> ExperimentSpec:
         if not np.isfinite(x0).all():
             raise ConfigError(f"x0 must hold finite numbers only, got {doc['x0']!r}")
 
-    # Resolve names, wrap the noise and build the method against the noisy
-    # problem now, as the run will, so typos and bad parameters fail at parse time.
-    try:
-        oracle, _ = make_problem(problem["name"], problem_params, seed)
-    except ValueError as e:  # an UnknownProblemError among them
-        raise ConfigError(str(e)) from None
-    try:
-        oracle = wrap_noise(oracle, noise, Rng(seed))
-    except NoiseCompatibilityError as e:
-        raise ConfigError(f"noise: {e}") from None
-
     spec = ExperimentSpec(
         problem_name=problem["name"],
         problem_params=problem_params,
@@ -207,5 +197,5 @@ def parse_config(text: str) -> ExperimentSpec:
         record_x=record_x,
         x0=x0,
     )
-    build_method(spec, oracle)
+    assemble(spec)
     return spec

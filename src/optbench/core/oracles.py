@@ -64,6 +64,15 @@ class ConstraintOracle:
 
 @dataclass(frozen=True)
 class OracleSuite:
+    """An objective's oracle entries and known constants.
+
+    ``value`` is a pure function of x: a caller may evaluate it at any
+    time after x is made, and a trace row's f is evaluated with the row's
+    block (see :class:`TraceRecorder`).  A ``rows`` attribute on ``value``
+    declares only that ``value.rows(X)`` gives the values of the rows of a
+    float64 ``(n, d)`` array in one call, with the bits of a per-row call.
+    """
+
     value: Callable[[np.ndarray], float]
     subgrad: Callable[[np.ndarray], np.ndarray]
     dim: int
@@ -301,18 +310,14 @@ class TraceRecorder:
     like any other call.  :meth:`close` writes the terminal row and ends
     the run.
 
-    When a row is recorded, the recorder reads ``counter.calls``, calls
-    a suite's ``dist_fn(x)`` and evaluates f through the counter, unless
-    the suite's ``value`` has a row-batched ``rows`` entry (see
-    :mod:`~optbench.core.problems`).  Then f runs with the row's block:
-    one ``value.rows`` call for every row of the block that needs it (a
-    ``value`` call each below :data:`ROWS_CALL_MIN` such rows),
-    outside the block's ``errstate``, so an overflow in f warns (or
-    raises under a warnings filter) as a per-row call would, when the
-    block is derived.  A ``rows`` entry states that f is a pure function
-    of x; a suite without one (a hand-built suite, a wrapper that
-    replaces ``value``) keeps the per-row call.  A row's other parts are
-    kept raw, the iterate and the step's gradient by reference, and its
+    When a row is recorded, the recorder reads ``counter.calls`` and
+    calls a suite's ``dist_fn(x)``.  A due row's f runs with the row's
+    block, when the block is derived: one ``value.rows`` call for every
+    row of the block that needs it, or a ``value`` call each where the
+    suite's ``value`` has no ``rows`` or below :data:`ROWS_CALL_MIN` such
+    rows, outside the block's ``errstate``, so an overflow in f warns (or
+    raises under a warnings filter) as a per-row call would.  A row's
+    other parts are kept raw, the iterate and the step's gradient by reference, and its
     derived columns are computed for up to :data:`ROW_BLOCK` rows at
     once, as arrays, with the bits of the row's own arithmetic:
     ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as the norm of
@@ -365,10 +370,7 @@ class TraceRecorder:
         :func:`run_steps` writes its rows with the step's ``g``.
         """
         if f_value is None:
-            if self._value_rows is None:
-                f_value = self.counter.value(x)
-            else:
-                self.counter.count_extra()  # the budget test and count of counter.value(x)
+            self.counter.count_extra()  # the budget test and count of counter.value(x); f comes with the block
         dist_fn = self._dist_fn
         pending = self._pending
         pending.append((it, x, f_value, g, grad_norm if grad_norm is None else float(grad_norm), step_size,
@@ -386,10 +388,10 @@ class TraceRecorder:
         its, xs, fs, gs, grad_norms, steps, calls, tags, dists = zip(*pending)
         suite, derive_dist = self.suite, self._dist_fn is None
         X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
-        deferred = [] if self._value_rows is None else [i for i, f in enumerate(fs) if f is None]
+        deferred = [i for i, f in enumerate(fs) if f is None]
         if deferred:  # outside the errstate below: an overflow in f warns as a per-row call does
             fs = list(fs)
-            if len(deferred) < ROWS_CALL_MIN:
+            if self._value_rows is None or len(deferred) < ROWS_CALL_MIN:
                 value = suite.value
                 for i in deferred:
                     fs[i] = value(xs[i])

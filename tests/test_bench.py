@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import importlib.util
 import itertools
 import json
 import os
@@ -819,10 +820,12 @@ def test_end_to_end_determinism_byte_identical(tmp_path):
     assert open(p3, "rb").read() == open(p4, "rb").read()
 
 
-def test_runner_x0_dimension_check():
-    spec = parse_config('{"problem": "fw_box", "method": "gd", "iterations": 5, "x0": [1, 2, 3]}')
+def test_runner_x0_dimension_check(tmp_path, capsys):
+    doc = {"problem": "fw_box", "method": "gd", "iterations": 5, "x0": [1, 2, 3]}
     with pytest.raises(ConfigError, match="dimension"):
-        run_experiment(spec)
+        parse_config(json.dumps(doc))
+    assert main(["run", "--config", write_cfg(tmp_path, "x0.json", doc)]) == 2
+    assert "x0 has dimension 3, problem has 2" in capsys.readouterr().err
 
 
 def test_trace_row_monotonicity_invariants():
@@ -1244,6 +1247,24 @@ def test_method_modules_resolve_as_package_attributes():
             "assert smooth is optbench.smooth\n"
             "assert not hasattr(optbench, 'nope')")
     assert _lazy_modules_loaded_by(code) == ["optbench." + n for n in METHOD_MODULE_NAMES]
+
+
+def test_the_benchmark_tracer_rebinds_and_restores_every_name():
+    """``benchmarks/tracing.py`` rebinds names of optbench's modules by ``getattr``: each must exist."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks", "tracing.py")
+    module_spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(optbench)
+        patched = list(tracer._patches)
+        assert all(getattr(module, name) is not original for module, name, original in patched)
+    finally:
+        tracer.uninstall()
+    assert len(patched) == 30
+    assert [(module.__name__, name) for module, name, original in patched
+            if getattr(module, name) is not original] == []
 
 
 LIST_METHODS = """\

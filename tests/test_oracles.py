@@ -447,7 +447,7 @@ def row_charge(k, every):
 def test_rows_evaluated_with_their_block_equal_rows_evaluated_one_by_one(problem, every, k, N, start):
     suite, _ = make_problem(problem, ROW_BATCHED[problem])
     value = suite.value
-    per_row = dataclasses.replace(suite, value=lambda x: value(x))  # no rows: f is evaluated when a row is recorded
+    per_row = dataclasses.replace(suite, value=lambda x: value(x))  # no rows: one value call per row
     x0 = np.linspace(1.0, -2.0, suite.dim) + 0.3 if start is None else np.resize(np.array(start), suite.dim)
     charge = row_charge(k, every)
     for budget in (None, charge - 1, charge):  # the cut refuses row k's charge, or the next call after it
@@ -458,6 +458,23 @@ def test_rows_evaluated_with_their_block_equal_rows_evaluated_one_by_one(problem
         assert got == want, budget
         if budget is not None:  # the run ends at row k when its charge is refused, else at the next iteration
             assert traces[0].columns["iter"][-1] == (k if budget < charge else k + 1)
+
+
+def test_a_suite_without_rows_is_charged_per_row_and_evaluated_with_the_block():
+    seen = []
+
+    def value(x):
+        seen.append(x)
+        return float(x.sum())
+    suite = OracleSuite(value=value, subgrad=lambda x: x, dim=2)
+    ctr = CountingOracle(suite)
+    rec = TraceRecorder(suite, ctr)
+    xs = [np.array([k, 0.5]) for k in range(3)]
+    for k in range(3):
+        rec.record(k, xs[k])
+    assert ctr.calls == 3 and seen == []  # charged when recorded, not yet evaluated
+    assert rec.columns["f_value"] == [0.5, 1.5, 2.5] and rec.columns["oracle_calls"] == [1, 2, 3]
+    assert len(seen) == 3 and all(x is y for x, y in zip(seen, xs))
 
 
 @pytest.mark.parametrize("every, N, blocks, calls", [
