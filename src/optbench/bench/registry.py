@@ -6,9 +6,9 @@ noise model, builds the method's config and returns
 ``run(fset, x0, rng) -> Trace``; a problem constant the parameters leave
 out is read with :meth:`~optbench.core.oracles.OracleSuite.constant`, so
 a problem that lacks it is refused at parse.  Building calls no oracle, so
-:func:`optbench.bench.config.parse_config` builds against the bare
-problem to check a config, and the runner builds against the
-noise-wrapped oracle and runs the result.
+:func:`optbench.bench.runner.assemble` builds against the noise-wrapped
+problem both when :func:`~optbench.bench.config.parse_config` checks a
+config and when the runner runs it.
 
 The registry imports no method module at its own import.  Each entry
 names its module, and :func:`method_entry` imports it with

@@ -44,8 +44,8 @@ def assemble(spec: ExperimentSpec) -> tuple[OracleSuite, FeasibleSet, Run]:
         noisy = wrap_noise(oracle, spec.noise, Rng((int(spec.seed), _NOISE_STREAM)))
     except NoiseCompatibilityError as e:
         raise ConfigError(f"noise: {e}") from None
-    if spec.x0 is not None and np.asarray(spec.x0).shape[0] != oracle.dim:
-        raise ConfigError(f"x0 has dimension {np.asarray(spec.x0).shape[0]}, problem has {oracle.dim}")
+    if spec.x0 is not None and len(spec.x0) != oracle.dim:
+        raise ConfigError(f"x0 has dimension {len(spec.x0)}, problem has {oracle.dim}")
     return oracle, fset, build_method(spec, noisy)
 
 

@@ -317,10 +317,10 @@ class TraceRecorder:
     suite's ``value`` has no ``rows`` or below :data:`ROWS_CALL_MIN` such
     rows, outside the block's ``errstate``, so an overflow in f warns (or
     raises under a warnings filter) as a per-row call would.  A row's
-    other parts are kept raw, the iterate and the step's gradient by reference, and its
-    derived columns are computed for up to :data:`ROW_BLOCK` rows at
-    once, as arrays, with the bits of the row's own arithmetic:
-    ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as the norm of
+    other parts are kept raw, the iterate and the step's gradient by
+    reference, and its derived columns are computed for up to
+    :data:`ROW_BLOCK` rows at once, as arrays, with the bits of the row's
+    own arithmetic: ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as the norm of
     ``x - xstar`` or, over a minimizer set, the first least of the norms
     of ``x - m`` in the set's order (a NaN first stays, a later one is
     passed over, as Python's ``min`` does); ``f_gap`` is
@@ -491,8 +491,9 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     ``||x_next - x0||`` is not ``<= divergence_radius`` (NaN and inf
     iterates fail the test too); and as ``budget_exhausted`` when a call
     would exceed ``max_oracle_calls`` (at ``x``) or after iteration
-    ``N-1``.  The reported point is ``reported()`` when that is given and
-    not None, else the last iterate.
+    ``N-1``, and as ``diverged`` instead when that ``x`` is not finite.
+    The reported point is ``reported()`` when that is given and not None,
+    else the last iterate.
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
@@ -515,5 +516,7 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
         status, f_value, grad_norm = stop.status, stop.f_value, stop.grad_norm
     except OracleBudgetError:
         pass
+    if status is RunStatus.BUDGET_EXHAUSTED and not np.isfinite(x).all():
+        status = RunStatus.DIVERGED
     return rec.close(k, x, status, None if reported is None else reported(),
                      f_value=f_value, grad_norm=grad_norm)

@@ -21,8 +21,9 @@ The ``value`` of ``quad_diag``, ``degenerate3``, ``norm2`` and ``slp``
 carries a ``rows`` attribute: ``value.rows(X)`` gives the values of the
 rows of a float64 ``(n, d)`` array as one array, with the bits of n
 calls, so a caller may evaluate many points in one call (the kernel
-estimator's probes, a trace block's rows).  The problems whose f takes a power keep per-point calls:
-nothing shows that numpy's array ``**`` gives libm ``pow``'s bits.
+estimator's probes, a trace block's rows).  The problems whose f takes
+a power keep per-point calls: nothing shows that numpy's array ``**``
+gives libm ``pow``'s bits.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -826,6 +827,19 @@ def test_runner_x0_dimension_check(tmp_path, capsys):
         parse_config(json.dumps(doc))
     assert main(["run", "--config", write_cfg(tmp_path, "x0.json", doc)]) == 2
     assert "x0 has dimension 3, problem has 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, calls", [
+    ({"problem": {"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+      "noise": {"kind": "additive_stoch_grad", "sigma": 0.1}, "method": {"name": "sgd", "params": {"gamma": 1.0}},
+      "iterations": 1000}, 2001),
+    ({"problem": "quad_diag", "method": {"name": "const_subgrad", "params": {"h": 1e308}}, "iterations": 50}, 99),
+], ids=["sgd-gamma-1", "const_subgrad-h-1e308"])
+def test_a_run_that_ends_on_a_non_finite_iterate_is_diverged(doc, calls):
+    with np.errstate(all="ignore"):
+        _, summary = run_experiment(parse_config(json.dumps(doc)))
+    assert summary["status"] == "diverged" and math.isnan(summary["final_gap"])
+    assert summary["oracle_calls"] == calls  # every iteration still runs: the status is read after the loop
 
 
 def test_trace_row_monotonicity_invariants():
