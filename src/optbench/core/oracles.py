@@ -370,7 +370,7 @@ class TraceRecorder:
         :func:`run_steps` writes its rows with the step's ``g``.
         """
         if f_value is None:
-            self.counter.count_extra()  # the budget test and count of counter.value(x); f comes with the block
+            self.counter.count_extra()  # charged now, as a value call would be; f is evaluated with the block
         dist_fn = self._dist_fn
         pending = self._pending
         pending.append((it, x, f_value, g, grad_norm if grad_norm is None else float(grad_norm), step_size,
