@@ -124,8 +124,12 @@ Grids:
   ``classic`` and ``short`` with and without ``L``; and each momentum
   variant with L and mu from the problem, mu null, missing L, missing mu,
   mu = 0, mu = L and mu > L; and ``restarted_switching`` on ``slp``
-  without a ``stage_cap`` and with one of 2 and of 100.  A failure at
-  parse or run time maps to its error text (115 keys);
+  without a ``stage_cap`` and with one of 2 and of 100; and keys of an
+  alternative the config did not pick: ``sgd`` ``uniform`` averaging with
+  a ``tail_fraction``, ``zo_sgd`` with ``tau0`` and ``tau``, with ``tau``
+  and ``tau_exponent`` and with another rule kind's key, and
+  ``const_subgrad``'s ``h`` with ``R`` and with ``M``.  A failure at
+  parse or run time maps to its error text (121 keys);
 * ``oracle/...``: every catalog callable called directly: ``value``,
   ``subgrad``, ``grad``, the constraint's ``value`` and ``subgrad`` and
   ``dist_to_opt``, for each problem at its defaults and a few parameter
@@ -1374,6 +1378,13 @@ VARIANT_CASES = {
     "sgd/const/other-kinds-keys": (_PARSE_QUAD, "sgd", {"gamma": 0.1, "R": 5.0, "eta": 0.9}),
     "sgd/const/bad-value": (_PARSE_QUAD, "sgd", {"gamma": -1.0}),
     "sgd/decay/bad-value": (_PARSE_QUAD, "sgd", {"step_rule": "decay", "gamma0": 0.3, "eta": 0.4}),
+    "sgd/uniform/with-tail_fraction": (_PARSE_QUAD, "sgd", {"gamma": 0.1, "averaging": "uniform",
+                                                            "tail_fraction": 0.25}),
+    "zo_sgd/tau0/with-tau": (_PARSE_QUAD, "zo_sgd", {"gamma": 0.01, "tau0": 0.2, "tau": 0.01}),
+    "zo_sgd/tau/with-tau_exponent": (_PARSE_QUAD, "zo_sgd", {"gamma": 0.01, "tau": 0.01, "tau_exponent": 0.5}),
+    "zo_sgd/const/other-kinds-keys": (_PARSE_QUAD, "zo_sgd", {"gamma": 0.01, "tau": 0.01, "gamma0": 0.3}),
+    "const_subgrad/h/with-R": (_PARSE_QUAD, "const_subgrad", {"h": 0.1, "R": 1.0}),
+    "const_subgrad/h/with-M": (_PARSE_QUAD, "const_subgrad", {"h": 0.1, "M": 2.0}),
     "sgd/budget_const/missing-R-and-M": (_PARSE_QUAD, "sgd", {"step_rule": "budget_const"}),
     "sgd/budget_const/fw_box-fills-M": ("fw_box", "sgd", {"step_rule": "budget_const", "R": 1.0}),
     "sgd/budget_const/fw_box-null-M": ("fw_box", "sgd", {"step_rule": "budget_const", "R": 1.0, "M": None}),
