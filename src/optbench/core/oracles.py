@@ -66,11 +66,13 @@ class ConstraintOracle:
 class OracleSuite:
     """An objective's oracle entries and known constants.
 
-    ``value`` is a pure function of x: a caller may evaluate it at any
-    time after x is made, and a trace row's f is evaluated with the row's
-    block (see :class:`TraceRecorder`).  A ``rows`` attribute on ``value``
-    declares only that ``value.rows(X)`` gives the values of the rows of a
-    float64 ``(n, d)`` array in one call, with the bits of a per-row call.
+    ``value`` and ``dist_fn`` are pure functions of x: a caller may
+    evaluate them at any time after x is made, and a trace row's f and
+    distance are evaluated with the row's block (see
+    :class:`TraceRecorder`).  A ``rows`` attribute on ``value`` declares
+    only that ``value.rows(X)`` gives the values of the rows of a float64
+    ``(n, d)`` array in one call, with the bits of a per-row call;
+    :func:`values_at` is its one reader.
     """
 
     value: Callable[[np.ndarray], float]
@@ -124,11 +126,6 @@ class CountingOracle:
     it counts, and a call that finds ``calls >= max_calls`` raises
     :class:`OracleBudgetError` without calling the suite.
 
-    ``value_final`` is exempt from the budget.  Only :class:`TraceRecorder`
-    calls it, to evaluate a run's terminal row and a reported point other
-    than the terminal row's, so a run's total never exceeds the budget by
-    more than those two evaluations.
-
     An array entry's result is returned as the suite's entry gave it when
     that is already a float64 array, not copied.  A run's recorder holds
     the iterates and gradients of its pending trace rows until it derives
@@ -164,10 +161,6 @@ class CountingOracle:
     def value(self, x) -> float:
         if self.calls >= self._cap:
             self._exhausted()
-        self.calls += 1
-        return float(self._value(x))
-
-    def value_final(self, x) -> float:
         self.calls += 1
         return float(self._value(x))
 
@@ -282,18 +275,19 @@ class Trace:
 ROW_BLOCK = 512
 """The trace rows a :class:`TraceRecorder` keeps raw before it derives their columns in one pass."""
 
-ROWS_CALL_MIN = 6
-"""The fewest deferred rows of a block whose f a :class:`TraceRecorder` evaluates with one ``value.rows`` call.
 
-Below it each such row takes one ``value`` call: stacking the rows and
-the array's fixed cost outweigh that many calls.  Timed against each other
-(40 runs of each, 2-vCPU x86-64 host), per-row calls took 0.23-0.27 of
-the block call's time at 1 row, 0.40-0.46 at 2, 0.56-0.64 at 3,
-0.69-0.77 at 4, 0.78-1.03 at 5, 0.85-1.07 at 6, 1.14-1.24 at 8 and
-1.31-1.51 at 12 on ``quad_diag`` (d = 2), ``degenerate3`` and ``norm2``
-(d = 3), about even at 6; on ``slp`` they stayed faster up to 16 rows
-(0.16-0.44).  Both give the bits of a per-row ``value`` call.
-"""
+
+def values_at(value: Callable[[np.ndarray], float], X) -> np.ndarray:
+    """``value`` at each of the points ``X`` (a float64 ``(n, d)`` array or a sequence of them), as a float64 array.
+
+    One ``value.rows`` call where ``value`` has that attribute, else one
+    ``value`` call per point, in order, on the points as given; either way
+    with the bits of per-point calls (see :class:`OracleSuite`).
+    """
+    rows = getattr(value, "rows", None)
+    if rows is None:
+        return np.array([float(value(x)) for x in X])
+    return rows(np.asarray(X, dtype=float))
 
 
 def _row_norms(V) -> np.ndarray:
@@ -305,32 +299,31 @@ class TraceRecorder:
     """Accumulates trace rows for one run; the only code that evaluates f for a row.
 
     Rows are kept every ``record_every`` iterations; the first and the
-    terminal row are always kept.  A due row without a given ``f_value``
-    is charged to the run's counter and its budget when it is recorded,
-    like any other call.  :meth:`close` writes the terminal row and ends
-    the run.
+    terminal row are always kept.  When a row is recorded, the recorder
+    charges a due row without a given ``f_value`` to the run's counter and
+    its budget, like any other call, reads ``counter.calls``, and keeps
+    the row's parts raw, the iterate and the step's gradient by
+    reference.  :meth:`close` writes the terminal row and ends the run.
 
-    When a row is recorded, the recorder reads ``counter.calls`` and
-    calls a suite's ``dist_fn(x)``.  A due row's f runs with the row's
-    block, when the block is derived: one ``value.rows`` call for every
-    row of the block that needs it, or a ``value`` call each where the
-    suite's ``value`` has no ``rows`` or below :data:`ROWS_CALL_MIN` such
-    rows, outside the block's ``errstate``, so an overflow in f warns (or
-    raises under a warnings filter) as a per-row call would.  A row's
-    other parts are kept raw, the iterate and the step's gradient by
-    reference, and its derived columns are computed for up to
-    :data:`ROW_BLOCK` rows at once, as arrays, with the bits of the row's
-    own arithmetic: ``grad_norm`` as ``norm(g)``, and ``dist_to_opt`` as the norm of
-    ``x - xstar`` or, over a minimizer set, the first least of the norms
-    of ``x - m`` in the set's order (a NaN first stays, a later one is
-    passed over, as Python's ``min`` does); ``f_gap`` is
-    ``float(f) - fstar``, as before.  A block is derived when it fills,
-    at :meth:`close` and when :attr:`columns` is read, its norms and
-    distances under ``np.errstate(over="ignore", invalid="ignore")``: an
-    overflowing norm or distance shows in its column as inf, with no
-    warning from the block (nor an exception from a warnings filter set to
-    ``"error"``).  ``columns`` maps each name of :data:`TRACE_FIELDS` to a
-    list with one entry per row.
+    Everything computed from x is computed with the row's block, when the
+    block is derived: up to :data:`ROW_BLOCK` rows at once, when the block
+    fills, at :meth:`close` and when :attr:`columns` is read.  The f of
+    every row that needs it comes from one :func:`values_at` call, and a
+    suite's ``dist_fn`` is called once per row; both run outside the
+    block's ``errstate``, so an overflow in either warns (or raises under
+    a warnings filter) as a per-row call would.  The other columns are
+    computed as arrays with the bits of the row's own arithmetic:
+    ``grad_norm`` as ``norm(g)``, and ``dist_to_opt``, without a
+    ``dist_fn``, as the first least of the norms of ``x - m`` over the
+    minimizer set in its order, or ``{xstar}`` (a NaN first stays, a later
+    one is passed over, as Python's ``min`` does); ``f_gap`` is
+    ``float(f) - fstar``.  The iterates are stacked at most once per block,
+    where ``record_x``, the distances or ``values_at`` need them.  The norms and
+    distances are computed under ``np.errstate(over="ignore",
+    invalid="ignore")``: an overflowing norm or distance shows in its
+    column as inf, with no warning from the block (nor an exception from a
+    warnings filter set to ``"error"``).  ``columns`` maps each name of
+    :data:`TRACE_FIELDS` to a list with one entry per row.
     """
 
     def __init__(self, suite: OracleSuite, counter: CountingOracle,
@@ -342,10 +335,8 @@ class TraceRecorder:
         self.record_every = record_every
         self.record_x = record_x
         self._columns: dict[str, list] = {name: [] for name in TRACE_FIELDS}
-        self._dist_fn = suite.dist_fn
-        self._value_rows = getattr(suite.value, "rows", None)
-        # one (it, x, f, g, grad_norm, step_size, calls, tag, dist_fn(x) or None) per row not yet derived;
-        # f is None on a row whose f is evaluated with its block, g on a row whose grad_norm is given (or None)
+        # one (it, x, f, g, grad_norm, step_size, calls, tag) per row not yet derived; f is None
+        # on a row whose f is evaluated with its block, g on a row whose grad_norm is given (or None)
         self._pending: list[tuple] = []
 
     @property
@@ -371,34 +362,33 @@ class TraceRecorder:
         """
         if f_value is None:
             self.counter.count_extra()  # charged now, as a value call would be; f is evaluated with the block
-        dist_fn = self._dist_fn
         pending = self._pending
         pending.append((it, x, f_value, g, grad_norm if grad_norm is None else float(grad_norm), step_size,
-                        self.counter.calls, tag, None if dist_fn is None else float(dist_fn(x))))
+                        self.counter.calls, tag))
         if len(pending) == ROW_BLOCK:
             self._derive()
 
     def _derive(self):
-        """Append the pending rows to :attr:`columns`, their f values, norms and distances computed as arrays."""
+        """Append the pending rows to :attr:`columns`, with everything computed from their iterates."""
         pending = self._pending
         if not pending:
             return
         self._pending = []
         n = len(pending)
-        its, xs, fs, gs, grad_norms, steps, calls, tags, dists = zip(*pending)
-        suite, derive_dist = self.suite, self._dist_fn is None
-        X = np.array(xs, dtype=float) if self.record_x or derive_dist else None
+        its, xs, fs, gs, grad_norms, steps, calls, tags = zip(*pending)
+        suite = self.suite
+        dist_fn, minimizers = suite.dist_fn, suite.minimizers
+        if minimizers is None and suite.xstar is not None:
+            minimizers = (suite.xstar,)
+        X = np.array(xs, dtype=float) if self.record_x or (dist_fn is None and minimizers is not None) else None
+        # f and dist_fn run outside the errstate below: an overflow in either warns as a per-row call does
         deferred = [i for i, f in enumerate(fs) if f is None]
-        if deferred:  # outside the errstate below: an overflow in f warns as a per-row call does
+        if deferred:
             fs = list(fs)
-            if self._value_rows is None or len(deferred) < ROWS_CALL_MIN:
-                value = suite.value
-                for i in deferred:
-                    fs[i] = value(xs[i])
-            else:
-                F = self._value_rows(np.array([xs[i] for i in deferred], dtype=float) if X is None else X[deferred])
-                for i, f in zip(deferred, F.tolist()):
-                    fs[i] = f
+            points = [xs[i] for i in deferred] if X is None else X[deferred]
+            for i, f in zip(deferred, values_at(suite.value, points).tolist()):
+                fs[i] = f
+        dists = [None] * n if dist_fn is None else [float(dist_fn(x)) for x in xs]
         with np.errstate(over="ignore", invalid="ignore"):
             rows = [i for i, g in enumerate(gs) if g is not None]
             if rows:
@@ -406,14 +396,12 @@ class TraceRecorder:
                 G = np.array(gs if len(rows) == n else [gs[i] for i in rows], dtype=float)
                 for i, v in zip(rows, _row_norms(G).tolist()):
                     grad_norms[i] = v
-            if derive_dist and suite.minimizers is not None:
+            if dist_fn is None and minimizers is not None:
                 best = None
-                for m in suite.minimizers:
+                for m in minimizers:
                     dist = _row_norms(X - m)
                     best = dist if best is None else np.where(dist < best, dist, best)  # NaN < v is False
                 dists = best.tolist()
-            elif derive_dist and suite.xstar is not None:
-                dists = _row_norms(X - suite.xstar).tolist()
         f_values, fstar = list(map(float, fs)), suite.fstar
         c = self._columns
         c["iter"].extend(its)
@@ -432,19 +420,25 @@ class TraceRecorder:
         """Record the terminal row at iteration ``it``, derive the pending rows and return the trace.
 
         The row carries ``f_value`` and ``grad_norm`` when the run knows
-        them, and ``f(x)`` is evaluated with ``value_final`` when it does
-        not.  The reported point is ``x``, or ``x_out`` (an average, an
-        auxiliary sequence, a best iterate).  An ``x_out`` with the bytes of
-        ``x`` reuses the row's f; another is evaluated with ``value_final``
-        after the row.  Bytes, not values: ``-0.0 == 0.0``, but f may tell
-        the two apart.
+        them; when it does not know f, the row is charged outside the budget
+        (so a run's total exceeds its budget by at most this charge and the
+        reported point's) and its f is evaluated with its block.  The
+        reported point is ``x``, or ``x_out`` (an average, an auxiliary
+        sequence, a best iterate).  An ``x_out`` with the bytes of ``x``
+        reuses the row's f; another is charged outside the budget too and
+        evaluated after the row.  Bytes, not values: ``-0.0 == 0.0``, but f
+        may tell the two apart.
         """
-        f_end = self.counter.value_final(x) if f_value is None else f_value
-        self.record_step(it, x, f_end, None, 0.0, None, grad_norm)
+        if f_value is None:
+            self.counter.calls += 1
+        self._pending.append((it, x, f_value, None, grad_norm if grad_norm is None else float(grad_norm), 0.0,
+                              self.counter.calls, None))
+        columns = self.columns
+        f_out = columns["f_value"][-1]
         if x_out is not None and x_out.tobytes() != x.tobytes():
-            x, f_end = x_out, self.counter.value_final(x_out)
-        return Trace(status=status, x_out=np.array(x, dtype=float), f_out=float(f_end),
-                     columns=self.columns)
+            self.counter.calls += 1
+            x, f_out = x_out, float(self.suite.value(x_out))
+        return Trace(status=status, x_out=np.array(x, dtype=float), f_out=f_out, columns=columns)
 
 
 class Stop(Exception):
@@ -478,10 +472,9 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     point before projection, ``f(x)`` if the step computed it (else None),
     the vector whose norm row k records as ``grad_norm``, the step size,
     and the row's tag (or None).  Row k is recorded at ``x`` when due,
-    after the step's calls: its f evaluation is charged then, and its call
-    count and ``dist_fn`` happen then; its norms and gap, and its f where
-    the suite's ``value`` has ``rows``, when the recorder derives its block
-    (see :class:`TraceRecorder`).  Until then the recorder holds ``x`` and
+    after the step's calls: its f evaluation is charged and its call count
+    read then, and everything computed from ``x`` when the recorder
+    derives its block (see :class:`TraceRecorder`).  Until then the recorder holds ``x`` and
     ``g`` themselves, so a step must not change an iterate or a gradient
     in place once it has returned it; none does (the only in-place add in
     a step, ``run_const_subgrad``'s, is to its own running sum).  The next

@@ -43,8 +43,9 @@ adds the noise, computes the weights ``d/(2 tau) * (f~+ - f~-) * K(r)``
 and sums the weighted directions in the order drawn.  From
 ``WEIGH_BATCH`` samples on it works on arrays (:func:`_weigh`): the
 probes as one ``(2 batch, d)`` array in call order, their values from
-one call of ``value``'s ``rows`` attribute where it has one, as
-``quad_diag``'s does (else one call per probe), and the in-order
+one :func:`~optbench.core.oracles.values_at` call (one ``value.rows``
+call where ``value`` has one, as ``quad_diag``'s does, else one call per
+probe), and the in-order
 ``cumsum`` of the weighted directions.  Below it, it works on scalars,
 one sample at a time.  Timed against each other on ``quad_diag`` under
 ``zo_stoch`` at d = 2, 10 and 50 (20 interleaved runs per cell, 2-vCPU
@@ -93,7 +94,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core.noise import AdditiveNoise
-from .core.oracles import CountingOracle, OracleSuite, Trace
+from .core.oracles import CountingOracle, OracleSuite, Trace, values_at
 from .core.rng import BLOCK_VALUES, Rng, uniform_of, unit_rows
 from .core.sets import FeasibleSet
 from .stochastic import NoAveraging, StepRule, _projected_sgd
@@ -306,19 +307,14 @@ def _weigh(value, x, signed, dirs, kernel_weights, xi, scale):
     ``s_i = (tau r_i) e_i`` (an ``(n, 2, d)`` array), the direction
     ``dirs[i] = e_i``, the kernel weight ``kernel_weights[i] = K(r_i)`` and
     the noise terms ``xi[i]`` of its two probes (None: no noise).  ``value``
-    is evaluated at every probe: one call of its ``rows`` attribute where
-    it has one, else one call per probe in call order.  Every step is
-    elementwise or has the bits of the per-sample loop's (``x + (-s)`` is
-    ``x - s``), so the sum equals that loop's running sum bit for bit.
+    is evaluated at every probe by one :func:`values_at` call, in call
+    order.  Every step is elementwise or has the bits of the per-sample
+    loop's (``x + (-s)`` is ``x - s``), so the sum equals that loop's
+    running sum bit for bit.
     """
     n, _, d = signed.shape
     probes = (x + signed).reshape(2 * n, d)  # each sample's x + s, then its x - s: the order of the calls
-    rows = getattr(value, "rows", None)
-    if rows is not None:
-        f = rows(probes)
-    else:
-        f = np.array([float(value(p)) for p in probes])
-    f = f.reshape(n, 2)
+    f = values_at(value, probes).reshape(n, 2)
     if xi is not None:
         f = f + xi
     weights = scale * (f[:, 0] - f[:, 1]) * kernel_weights

@@ -1017,10 +1017,14 @@ class RowRecorder(TraceRecorder):
         if self.rows and self.rows[-1].iter == it:
             f_end = self.rows[-1].f_value
         else:
-            f_end = self.counter.value_final(x) if f_value is None else f_value
+            f_end = f_value
+            if f_value is None:  # outside the budget
+                self.counter.calls += 1
+                f_end = float(self.suite.value(x))
             self.record(it, x, f_end, grad_norm=grad_norm, force=True)
         if x_out is not None:
-            x, f_end = x_out, self.counter.value_final(x_out)
+            self.counter.calls += 1
+            x, f_end = x_out, float(self.suite.value(x_out))
         return Trace(rows=self.rows, status=status, x_out=np.array(x, dtype=float), f_out=float(f_end))
 
 

@@ -10,7 +10,7 @@ import pytest
 from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
                            TraceRecorder, UnsupportedProblemError, make_problem)
 from optbench.core.linalg import norm
-from optbench.core.oracles import ROW_BLOCK, Stop, run_steps
+from optbench.core.oracles import ROW_BLOCK, Stop, run_steps, values_at
 
 X = np.array([1.0, -1.0])
 
@@ -441,8 +441,8 @@ def row_charge(k, every):
     return calls
 
 
-# (record_every, row k, iterations, start): row 512 opens the second block; 1, 3 and 4 iterations leave 1, 2
-# and 3 rows whose f is evaluated with the block, below ROWS_CALL_MIN, from starts whose f or steps overflow
+# (record_every, row k, iterations, start): row 512 opens the second block; 1, 3 and 4 iterations leave blocks
+# of 2, 4 and 5 rows, the terminal row's among them, from starts whose f or steps overflow
 @pytest.mark.parametrize("every, k, N, start", [
     (1, 512, 1100, None), (1, 600, 1100, None), (7, 560, 1100, None), (1, 0, 1, [-0.0, 1e200, 5e-324]),
     (1, 2, 3, [math.inf, -0.0, 1.0]), (1, 3, 4, [1e155, -1e155, 0.0]), (1, 3, 4, [-0.0, 0.0, -0.0])])
@@ -480,8 +480,45 @@ def test_a_suite_without_rows_is_charged_per_row_and_evaluated_with_the_block():
     assert len(seen) == 3 and all(x is y for x, y in zip(seen, xs))
 
 
+def test_dist_fn_is_called_per_row_with_the_block_not_when_a_row_is_recorded():
+    seen = []
+
+    def dist_fn(x):
+        seen.append(x)
+        return float(abs(x).max())
+    suite = OracleSuite(value=lambda x: float(x.sum()), subgrad=lambda x: x, dim=2, dist_fn=dist_fn)
+    rec = TraceRecorder(suite, CountingOracle(suite))
+    xs = [np.array([k, -0.5]) for k in range(3)]
+    for k in range(3):
+        rec.record_step(k, xs[k], 1.0, None, 0.1, None)
+    assert seen == []
+    assert rec.columns["dist_to_opt"] == [0.5, 1.0, 2.0]
+    assert len(seen) == 3 and all(x is y for x, y in zip(seen, xs))
+    assert rec.columns["dist_to_opt"] == [0.5, 1.0, 2.0] and len(seen) == 3  # a derived block stays derived
+
+
+# rows holding +-0.0, a subnormal, +-inf, NaN and 1e200 (whose square overflows), at 2 and 3 entries
+VALUES_AT_ROWS = [[0.0, -0.0, 5e-324], [-0.0, 1e200, -1.0], [math.inf, 0.5, -0.0], [-math.inf, 2.0, 1e200],
+                  [math.nan, -0.0, 1.0], [1e200, -1e200, 5e-324], [0.3, -2.0, 0.7]]
+
+
+@pytest.mark.parametrize("problem", ROW_BATCHED)
+def test_values_at_has_the_bits_of_per_row_calls(problem):
+    suite, _ = make_problem(problem, ROW_BATCHED[problem])
+    X = np.array([row[:suite.dim] for row in VALUES_AT_ROWS])
+    with np.errstate(all="ignore"):
+        got = values_at(suite.value, X)
+        want = [float(suite.value(x)) for x in X]
+    assert got.dtype == np.float64 and got.shape == (len(X),)
+    assert [bits(v) for v in got.tolist()] == [bits(v) for v in want]
+    def per_row(x):  # no rows: one call per row
+        return suite.value(x)
+    with np.errstate(all="ignore"):
+        assert values_at(per_row, list(X)).tobytes() == got.tobytes()
+
+
 @pytest.mark.parametrize("every, N, blocks, calls", [
-    (1, 1024, [512, 512], 1), (1, 1029, [512, 512], 6), (1, 1030, [512, 512, 6], 1), (7, 1024, [147], 1)])
+    (1, 1024, [512, 512, 1], 0), (1, 1029, [512, 512, 6], 0), (1, 1030, [512, 512, 7], 0), (7, 1024, [148], 0)])
 def test_value_rows_is_called_once_per_block_of_due_rows(every, N, blocks, calls):
     base, _ = make_problem("quad_diag", {"lambdas": [2, 1]})
     values, sizes = [], []
@@ -496,7 +533,7 @@ def test_value_rows_is_called_once_per_block_of_due_rows(every, N, blocks, calls
     value.rows = rows
     trace = run_steps(dataclasses.replace(base, value=value), X, N, halving()[0], record_every=every,
                       record_x=True, max_oracle_calls=None)
-    # a last block of 5 rows is evaluated row by row (ROWS_CALL_MIN); else the terminal row alone is
+    # the terminal row is evaluated with the last block, or alone in a block of its own
     assert sizes == blocks and len(values) == calls
     assert trace.columns["f_value"] == [base.value(x) for x in trace.columns["x"]]
 
@@ -552,7 +589,6 @@ def test_each_counted_entry_counts_once_and_stops_at_the_cap(name):
     with pytest.raises(OracleBudgetError, match="budget of 2 calls"):
         counted_call(ctr, name)
     assert ctr.calls == 2 and len(seen) == (2 if reached else 0)  # the suite was not called at the cap
-    assert ctr.value_final(X) == 2.0 and ctr.calls == 3  # exempt from the budget
 
 
 @pytest.mark.parametrize("name", [name for name, (_, _, flag) in COUNTED.items() if flag])
