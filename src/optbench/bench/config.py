@@ -17,7 +17,8 @@ at every level to catch typos.  Parsing then builds the spec with
 :func:`optbench.bench.runner.assemble`, as the run will: the problem,
 its noise wrapper and, against the noisy problem, the method, so bad
 names, noise models the problem cannot carry, an ``x0`` of the wrong
-length and bad parameters fail at parse time.
+length and bad parameters fail at parse time, the keys of an alternative
+the config did not pick (another step rule kind's, say) among them.
 """
 
 from __future__ import annotations

@@ -76,12 +76,23 @@ def _problem_constant(params: dict, key: str, oracle: OracleSuite, name: Optiona
     return oracle.constant(name or key, _float(params, key), key)
 
 
+def _refuse(params: dict, keys, choice: str):
+    """Refuse those of ``keys`` that ``params`` gives (a null reads as omitted): they do not apply to ``choice``."""
+    stray = sorted(key for key in keys if params.get(key) is not None)
+    if stray:
+        raise ValueError(f"params {stray} do not apply to {choice}")
+
+
 def _step_rule(table: dict, params: dict, oracle: OracleSuite):
-    """The rule of kind ``params["step_rule"]`` (default: ``table``'s first), read from its fields' keys."""
+    """The rule of kind ``params["step_rule"]`` (default: ``table``'s first), read from its fields' keys.
+
+    The keys of the table's other kinds are refused.
+    """
     kind = params.get("step_rule", next(iter(table)))
     cls = table.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown step_rule {kind!r} ({' | '.join(table)})")
+    _refuse(params, _rule_keys(table) - {"step_rule"} - {f.name for f in fields(cls)}, f"step_rule {kind!r}")
     # A missing or null M, mu or L is the problem's constant; another field, its default.
     return cls(**{f.name: _problem_constant(params, f.name, oracle) if f.name in ("M", "mu", "L")
                   else _float(params, f.name, f.default) if f.default is not MISSING
@@ -104,6 +115,7 @@ def _build_polyak_subgrad(subgrad, spec, oracle) -> Run:
 def _build_const_subgrad(subgrad, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if p.get("h") is not None:
+        _refuse(p, ("R", "M"), "step 'h'")
         rule = subgrad.FixedStep(_float(p, "h"))
     elif p.get("R") is None:
         raise ValueError("give either a step 'h' or a radius 'R' (with optional 'M')")
@@ -216,13 +228,12 @@ def _build_frank_wolfe(frankwolfe, spec, oracle) -> Run:
 
 def _sgd_averaging(stochastic, p: dict):
     mode = p.get("averaging", "none")
-    if mode == "none":
-        return stochastic.NoAveraging()
-    if mode == "uniform":
-        return stochastic.UniformAvg()
     if mode == "tail":
         return stochastic.TailAvg(fraction=_float(p, "tail_fraction", stochastic.TailAvg.fraction))
-    raise ValueError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
+    if mode not in ("none", "uniform"):
+        raise ValueError(f"unknown averaging mode {mode!r} (none | uniform | tail)")
+    _refuse(p, ("tail_fraction",), f"averaging {mode!r}")
+    return stochastic.NoAveraging() if mode == "none" else stochastic.UniformAvg()
 
 
 def _build_sgd(stochastic, spec, oracle) -> Run:
@@ -240,8 +251,10 @@ def _build_sgd(stochastic, spec, oracle) -> Run:
 def _build_zo_sgd(zeroorder, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if "tau0" in p:
+        _refuse(p, ("tau",), "a decaying tau ('tau0')")
         tau = zeroorder.PowerDecayTau(tau0=_need(p, "tau0"), exponent=_float(p, "tau_exponent", 0.0))
     else:
+        _refuse(p, ("tau_exponent",), "a constant tau (no 'tau0')")
         tau = zeroorder.ConstTau(_float(p, "tau", zeroorder.ConstTau.tau))
     if spec.iterations > 0:  # tau_k does not grow with k: the last iteration's is the least
         last = spec.iterations - 1

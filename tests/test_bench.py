@@ -137,6 +137,41 @@ def test_parse_rejects_params_that_fail_to_build(noise, method, params):
         parse_config(json.dumps(doc))
 
 
+# case -> (problem, noise, method, params, the keys of an alternative not picked, the alternative picked)
+STRAY_KEYS = {
+    "sgd-const-other-kinds-keys": (QUAD, STOCH, "sgd", {"gamma": 0.1, "R": 2, "eta": 0.9}, ["R", "eta"],
+                                   "step_rule 'const'"),
+    "zo_sgd-const-other-kinds-keys": (QUAD, ZO, "zo_sgd", {"gamma": 0.01, "gamma0": 0.3}, ["gamma0"],
+                                      "step_rule 'const'"),
+    "frank_wolfe-classic-L": ("fw_box", None, "frank_wolfe", {"step_rule": "classic", "L": -5}, ["L"],
+                              "step_rule 'classic'"),
+    "const_subgrad-h-R": (QUAD, None, "const_subgrad", {"h": 0.1, "R": 1.0}, ["R"], "step 'h'"),
+    "const_subgrad-h-M": (QUAD, None, "const_subgrad", {"h": 0.1, "M": 2.0}, ["M"], "step 'h'"),
+    "sgd-uniform-tail_fraction": (QUAD, STOCH, "sgd", {"gamma": 0.1, "averaging": "uniform", "tail_fraction": 0.3},
+                                  ["tail_fraction"], "averaging 'uniform'"),
+    "zo_sgd-tau0-tau": (QUAD, ZO, "zo_sgd", {"gamma": 0.01, "tau0": 0.2, "tau": 0.01}, ["tau"],
+                        "a decaying tau ('tau0')"),
+    "zo_sgd-tau-tau_exponent": (QUAD, ZO, "zo_sgd", {"gamma": 0.01, "tau": 0.01, "tau_exponent": 0.5},
+                                ["tau_exponent"], "a constant tau (no 'tau0')"),
+}
+
+
+@pytest.mark.parametrize("case", STRAY_KEYS)
+def test_keys_of_an_alternative_not_picked_are_refused(tmp_path, capsys, case):
+    problem, noise, method, params, stray, choice = STRAY_KEYS[case]
+    doc = {"problem": problem, "method": {"name": method, "params": params}, "iterations": 10}
+    if noise is not None:
+        doc["noise"] = noise
+    message = f"method '{method}': params {stray} do not apply to {choice}"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(doc))
+    assert str(err.value) == message
+    assert main(["run", "--config", write_cfg(tmp_path, "stray.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    doc["method"]["params"] = dict(params, **dict.fromkeys(stray))  # a null reads as omitted
+    parse_config(json.dumps(doc))
+
+
 NAN, INF = float("nan"), float("inf")
 
 
