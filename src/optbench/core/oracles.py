@@ -384,18 +384,15 @@ class TraceRecorder:
         # f and dist_fn run outside the errstate below: an overflow in either warns as a per-row call does
         deferred = [i for i, f in enumerate(fs) if f is None]
         if deferred:
-            fs = list(fs)
             points = [xs[i] for i in deferred] if X is None else X[deferred]
-            for i, f in zip(deferred, values_at(suite.value, points).tolist()):
-                fs[i] = f
+            F = iter(values_at(suite.value, points).tolist())
+            fs = [next(F) if f is None else f for f in fs]
         dists = [None] * n if dist_fn is None else [float(dist_fn(x)) for x in xs]
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = [i for i, g in enumerate(gs) if g is not None]
-            if rows:
-                grad_norms = list(grad_norms)
-                G = np.array(gs if len(rows) == n else [gs[i] for i in rows], dtype=float)
-                for i, v in zip(rows, _row_norms(G).tolist()):
-                    grad_norms[i] = v
+            given = [g for g in gs if g is not None]
+            if given:
+                V = iter(_row_norms(np.array(given, dtype=float)).tolist())
+                grad_norms = [v if g is None else next(V) for g, v in zip(gs, grad_norms)]
             if dist_fn is None and minimizers is not None:
                 best = None
                 for m in minimizers:
