@@ -276,9 +276,8 @@ ROW_BLOCK = 512
 """The trace rows a :class:`TraceRecorder` keeps raw before it derives their columns in one pass."""
 
 
-
 def values_at(value: Callable[[np.ndarray], float], X) -> np.ndarray:
-    """``value`` at each of the points ``X`` (a float64 ``(n, d)`` array or a sequence of them), as a float64 array.
+    """``value`` at each point of ``X`` (a float64 ``(n, d)`` array, or a sequence of points), as a float64 array.
 
     One ``value.rows`` call where ``value`` has that attribute, else one
     ``value`` call per point, in order, on the points as given; either way
@@ -317,12 +316,12 @@ class TraceRecorder:
     ``dist_fn``, as the first least of the norms of ``x - m`` over the
     minimizer set in its order, or ``{xstar}`` (a NaN first stays, a later
     one is passed over, as Python's ``min`` does); ``f_gap`` is
-    ``float(f) - fstar``.  The iterates are stacked at most once per block,
-    where ``record_x``, the distances or ``values_at`` need them.  The norms and
-    distances are computed under ``np.errstate(over="ignore",
-    invalid="ignore")``: an overflowing norm or distance shows in its
-    column as inf, with no warning from the block (nor an exception from a
-    warnings filter set to ``"error"``).  ``columns`` maps each name of
+    ``float(f) - fstar``.  The iterates are stacked at most once per
+    block, where ``record_x``, the distances or ``values_at`` need them.
+    The norms and distances are computed under
+    ``np.errstate(over="ignore", invalid="ignore")``: an overflowing norm
+    or distance shows in its column as inf, with no warning from the block
+    (nor an exception from a warnings filter set to ``"error"``).  ``columns`` maps each name of
     :data:`TRACE_FIELDS` to a list with one entry per row.
     """
 
@@ -471,11 +470,11 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     and the row's tag (or None).  Row k is recorded at ``x`` when due,
     after the step's calls: its f evaluation is charged and its call count
     read then, and everything computed from ``x`` when the recorder
-    derives its block (see :class:`TraceRecorder`).  Until then the recorder holds ``x`` and
-    ``g`` themselves, so a step must not change an iterate or a gradient
-    in place once it has returned it; none does (the only in-place add in
-    a step, ``run_const_subgrad``'s, is to its own running sum).  The next
-    iterate is ``fset.project(x_next)``, or
+    derives its block (see :class:`TraceRecorder`).  Until then the
+    recorder holds ``x`` and ``g`` themselves, so a step must not change
+    an iterate or a gradient in place once it has returned it; none does
+    (the only in-place add in a step, ``run_const_subgrad``'s, is to its
+    own running sum).  The next iterate is ``fset.project(x_next)``, or
     ``x_next`` itself without a set or on ``FullSpace``.  The run ends as
     a :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
     ``||x_next - x0||`` is not ``<= divergence_radius`` (NaN and inf

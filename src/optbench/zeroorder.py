@@ -45,9 +45,8 @@ and sums the weighted directions in the order drawn.  From
 probes as one ``(2 batch, d)`` array in call order, their values from
 one :func:`~optbench.core.oracles.values_at` call (one ``value.rows``
 call where ``value`` has one, as ``quad_diag``'s does, else one call per
-probe), and the in-order
-``cumsum`` of the weighted directions.  Below it, it works on scalars,
-one sample at a time.  Timed against each other on ``quad_diag`` under
+probe), and the in-order ``cumsum`` of the weighted directions.  Below
+it, it works on scalars, one sample at a time.  Timed against each other on ``quad_diag`` under
 ``zo_stoch`` at d = 2, 10 and 50 (20 interleaved runs per cell, 2-vCPU
 x86-64 host), the arrays took 1.21-1.23 times the scalars' time per
 sample at batch 2, 0.96-1.06 at 3, 0.82-0.94 at 4, 0.75-0.91 at 5 and
