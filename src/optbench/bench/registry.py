@@ -251,8 +251,8 @@ def _build_sgd(stochastic, spec, oracle) -> Run:
 def _build_zo_sgd(zeroorder, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
     if "tau0" in p:
-        _refuse(p, ("tau",), "a decaying tau ('tau0')")
         tau = zeroorder.PowerDecayTau(tau0=_need(p, "tau0"), exponent=_float(p, "tau_exponent", 0.0))
+        _refuse(p, ("tau",), "a decaying tau ('tau0')")  # after tau0 is read: a null tau0 is refused as missing
     else:
         _refuse(p, ("tau_exponent",), "a constant tau (no 'tau0')")
         tau = zeroorder.ConstTau(_float(p, "tau", zeroorder.ConstTau.tau))
