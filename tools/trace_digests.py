@@ -47,9 +47,12 @@ Grids:
   direction of the second chunk's first sample, or of the last sample of
   its second iteration, scaled below 1e-12 by a stubbed generator
   (``tiny/...``); and a ``PowerDecayTau`` whose tau underflows to 0 at
-  iteration 6, at batch {1, 9} (its error text).  A chunk holds
-  ``max(1, BLOCK_VALUES // (batch * width))`` iterations, ``width``
-  being d + 2 raw values per sample under noise and d without (560 runs);
+  iteration 6, at batch {1, 9} (its error text); and (``wrong-dim/...``)
+  a 3-d ``x0`` over ``FullSpace(3)`` on a 2-d ``zo_stoch`` quadratic and
+  on a copy whose entry carries no declaration, each hashing its error
+  text, its ``value`` calls and the next draws of its ``Rng``.  A chunk
+  holds ``max(1, BLOCK_VALUES // (batch * width))`` iterations, ``width``
+  being d + 2 raw values per sample under noise and d without (562 runs);
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -91,11 +94,13 @@ Grids:
   bytes ``run`` writes; a few error paths (an unknown subcommand, a
   missing config file, a bad JSON config, ``rates`` on a too-short
   trace, an unknown problem name, ``rates`` with a ``--window`` of 0,
-  nan or 1.5) hash their exit code and stderr instead; two runs whose
+  nan or 1.5, ``rates`` on a JSON file that is not a trace: a config, a
+  list and a row without its fields) hash their exit code and stderr
+  instead; two runs whose
   iterates overflow to NaN (``cli/nan/...``: ``sgd`` with ``gamma`` 1.0
   on ``quad_diag [10, 1]`` under ``additive_stoch_grad`` noise, and
   ``const_subgrad`` with ``h`` 1e308) hash what ``run --trace`` does;
-  and ``list-methods`` hashes its exit code and stdout (117 keys);
+  and ``list-methods`` hashes its exit code and stdout (120 keys);
 * ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
   config, the config without each of its fields, an unknown key, a bad
   mode, ints where floats are meant, and ``v`` without ``mode``.  For
@@ -551,6 +556,27 @@ def zo_chunk_grid(tmp: str) -> dict:
     for batch in (1, 9):
         suite, x0 = quad(2)
         run(f"zo/chunk/tau-underflow/batch{batch}", suite, x0, batch, zo.PowerDecayTau(0.2, 400.0))
+
+    calls = []
+    exact, _ = make_problem("quad_diag", {"lambdas": [1.0, 3.0]})
+
+    def value(x):  # counts every value call, the probes' among them
+        calls.append(x)
+        return exact.value(x)
+
+    suite = wrap_noise(dataclasses.replace(exact, value=value), ZOStochValue(0.01), Rng(21))
+    entry = suite.zo_value
+    for name, s in {"declared": suite, "undeclared": dataclasses.replace(suite, zo_value=lambda x, r: entry(x, r))}.items():
+        calls.clear()
+        rng = Rng(23)
+        cfg = zo.ZoConfig(N=20, step_rule=st.Const(0.01), kernel=zo.build_kernel(2), batch=3)
+        try:
+            zo.run_zo_sgd(s, FullSpace(3), np.ones(3), cfg, rng, record_every=7, record_x=True)
+            text = "no error"
+        except ValueError as e:
+            text = f"{type(e).__name__}: {e}"
+        out[f"zo/chunk/wrong-dim/{name}"] = {"error": text, "oracle_calls": len(calls),
+                                             "sha256": hashlib.sha256(rng.gaussian(3).tobytes()).hexdigest()}
     return out
 
 
@@ -1221,6 +1247,12 @@ def cli_grid(tmp: str) -> dict:
         out[f"cli/error/{name}"] = call(argv, stream="stderr")
     write({"problem": "nope", "method": "gd", "iterations": 3})
     out["cli/error/unknown-problem"] = call(["run", "--config", config], stream="stderr")
+    not_traces = {"config": {"problem": "quad_diag", "method": "gd", "iterations": 3}, "list": [1, 2],
+                  "row": {"rows": [{"iter": 1}]}}
+    for name, doc in not_traces.items():
+        write(doc)
+        out[f"cli/error/rates-json-{name}"] = call(["rates", "--trace", config, "--model", "sublinear"],
+                                                   stream="stderr")
     for name, doc in CLI_NAN_RUNS.items():
         write(doc)
         out[f"cli/nan/{name}"] = call(["run", "--config", config, "--trace", trace], with_trace=True)
