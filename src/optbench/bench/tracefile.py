@@ -161,7 +161,10 @@ def _row_to_json(r: TraceRow) -> dict:
 
 
 def read_trace(path: str, format: Optional[str] = None) -> Trace:
-    """Read a trace written by :func:`write_trace`."""
+    """Read a trace written by :func:`write_trace`.
+
+    A ValueError names a file that is not a trace, or its first malformed row.
+    """
     format = format or format_for_path(path)
     if format == "csv":
         with open(path, "r", newline="") as fh:
@@ -188,17 +191,26 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
 
     with open(path, "r") as fh:
         doc = json.load(fh)
-    rows = [TraceRow(
-        iter=int(rd["iter"]),
-        f_value=float(rd["f_value"]),
-        f_gap=rd.get("f_gap"),
-        dist_to_opt=rd.get("dist_to_opt"),
-        grad_norm=rd.get("grad_norm"),
-        step_size=float(rd["step_size"]),
-        oracle_calls=int(rd["oracle_calls"]),
-        x=None if rd.get("x") is None else np.array(rd["x"], dtype=float),
-        tag=rd.get("tag"),
-    ) for rd in doc["rows"]]
+    if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)):
+        raise ValueError(f"{path}: not a trace JSON (no rows list)")
+    rows = [_row_from_json(path, rd) for rd in doc["rows"]]
     status = None if doc.get("status") is None else RunStatus(doc["status"])
     x_out = None if doc.get("x_out") is None else np.array(doc["x_out"], dtype=float)
     return Trace(rows=rows, status=status, x_out=x_out, f_out=doc.get("f_out"))
+
+
+def _row_from_json(path: str, rd) -> TraceRow:
+    try:
+        return TraceRow(
+            iter=int(rd["iter"]),
+            f_value=float(rd["f_value"]),
+            f_gap=rd.get("f_gap"),
+            dist_to_opt=rd.get("dist_to_opt"),
+            grad_norm=rd.get("grad_norm"),
+            step_size=float(rd["step_size"]),
+            oracle_calls=int(rd["oracle_calls"]),
+            x=None if rd.get("x") is None else np.array(rd["x"], dtype=float),
+            tag=rd.get("tag"),
+        )
+    except (KeyError, TypeError, ValueError):  # not an object, or a field missing or not a number
+        raise ValueError(f"{path}: malformed row {rd!r}") from None

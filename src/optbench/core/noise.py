@@ -177,12 +177,12 @@ class AdditiveNoise:
     """The declared draws of an entry ``base(x) + scale * xi``, built by :meth:`entry`.
 
     A call ``entry(x, rng)`` evaluates the rng-free ``base(x)`` and then
-    draws one ``xi`` of ``shape`` from ``rng``: standard gaussian, or
-    Student-t with 3 degrees of freedom for ``"student_t3"``; ``shape=()``
-    draws a Python float.  The entry is a plain closure, so a call costs
-    what a hand-written one does, and it carries this declaration as its
-    ``noise`` attribute.  ``rows(rng, n)`` draws the scaled ``xi`` of n
-    successive calls in one ``(n, *shape)`` fill; numpy fills it in call
+    draws one ``xi`` of ``shape`` from ``rng`` through ``draw(rng, size)``:
+    standard gaussian, or Student-t with 3 degrees of freedom for
+    ``"student_t3"``; ``shape=()`` draws a Python float.  The entry carries
+    this declaration as its ``noise`` attribute.  ``rows(rng, n)`` draws
+    the scaled ``xi`` of n successive calls in one ``(n, *shape)`` fill
+    through the same ``draw``; numpy fills it in call
     order, so the rows equal those calls' draws bit for bit and leave
     ``rng`` in the same state.  ``terms(xi)`` gives the terms ``scale * xi``
     that calls with the raw draws ``xi`` add to their base values, with
@@ -197,21 +197,18 @@ class AdditiveNoise:
     distribution: str = "gaussian"
 
     def entry(self) -> Callable[[np.ndarray, Rng], object]:
-        base, scale, size = self.base, self.scale, self.shape or None
-        if self.distribution == "gaussian":
-            def noisy(x, rng):
-                return base(x) + scale * rng.gaussian(size)
-        else:
-            def noisy(x, rng):
-                return base(x) + scale * rng.student_t(3, size)
+        base, scale, size, draw = self.base, self.scale, self.shape or None, self.draw
+
+        def noisy(x, rng):
+            return base(x) + scale * draw(rng, size)
         noisy.noise = self
         return noisy
 
+    def draw(self, rng: Rng, size):
+        return rng.gaussian(size) if self.distribution == "gaussian" else rng.student_t(3, size)
+
     def rows(self, rng: Rng, n: int) -> np.ndarray:
-        size = (n, *self.shape)
-        if self.distribution == "gaussian":
-            return self.scale * rng.gaussian(size)
-        return self.scale * rng.student_t(3, size)
+        return self.scale * self.draw(rng, (n, *self.shape))
 
     def terms(self, xi: np.ndarray) -> np.ndarray:
         return self.scale * xi

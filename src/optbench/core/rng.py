@@ -112,10 +112,6 @@ class Rng:
         return Rng(self._entropy + (int(key),))
 
     def uniform(self, low: float = -1.0, high: float = 1.0, size=None):
-        # numpy's own random_uniform formula, so the bits of Generator.uniform;
-        # a negative or non-finite span falls through to its error below
-        if size is None and type(low) is type(high) is float and 0.0 <= high - low < math.inf:
-            return uniform_of(self._gen.random(), low, high)
         return self._gen.uniform(low, high, size)
 
     def gaussian(self, size=None):

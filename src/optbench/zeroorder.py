@@ -54,31 +54,36 @@ sample at batch 2, 0.96-1.06 at 3, 0.82-0.94 at 4, 0.75-0.91 at 5 and
 or has the bits of the scalar call it replaces, so each estimate and the
 stream's final state equal the per-sample loop's bit for bit.
 
-:func:`kernel_grad_estimate` is a chunk of one iteration wherever the
-entry is declared and the budget has room for the batch's ``2 * batch``
-calls.  Should ``unit_rows`` not keep a direction, which
-:meth:`Rng.sphere` would redraw, the stream is rewound to where the
-batch began and the batch replayed by the per-sample loop
-(:func:`_loop_samples`), which redraws that direction where it always
-has; with gaussian draws that almost never happens.  The per-sample loop
+One cursor, :func:`_sample_chunks`, draws samples ahead, checks that the
+budget has room for an iteration's ``2 * batch`` calls, counts them and
+rewinds the stream, for :func:`kernel_grad_estimate` and
+:func:`run_zo_sgd` alike; it is the only code that reads or sets
+``rng.state``.  :func:`kernel_grad_estimate` is a chunk of one iteration
+wherever the entry is declared, with the per-sample loop
+(:func:`_loop_samples`) as the cursor's fallback.  The per-sample loop
 also serves any other entry (a hand-built one may draw anything from the
-stream) and a budget with fewer than ``2 * batch`` calls left, so that a
-budget cut leaves the stream where the loop leaves it.
+stream).
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
 sample's draws do not depend on x, so where the entry is declared the
-run draws them ahead in chunks of about
+cursor draws them in chunks of about
 :data:`~optbench.core.rng.BLOCK_VALUES` raw values, each serving several
-iterations (one where a batch alone holds more values).  An iteration
-counts its calls and weighs its samples with :func:`_estimate`, as the
-estimator does.  Where the estimator would take its per-sample loop (too
-few calls left, a direction to redraw) or refuse (a ``tau_k`` that is
-not positive and finite, or so small that the scale ``d/(2 tau_k)``
-overflows), the iteration calls :func:`kernel_grad_estimate` itself,
-after the stream is rewound to the chunk's start and the samples already
-used are drawn again; every exit of the run rewinds the same way.  So a
+iterations (one where a batch alone holds more values), with
+:func:`kernel_grad_estimate` as its fallback.  The fallback serves an
+iteration with too few calls left, so that a budget cut leaves the
+stream where the loop leaves it; one at a ``tau_k`` that is not positive
+and finite, or so small that the scale ``d/(2 tau_k)`` overflows, or at
+an x of another shape, so that the estimator refuses it; and one whose
+samples hold a direction that ``unit_rows`` does not keep, which
+:meth:`Rng.sphere` would redraw.  Such a chunk is cut before that
+iteration as soon as it is drawn: the stream is rewound to the chunk's
+start and the samples before the cut are drawn again, and the iteration
+then starts a chunk cut to nothing, so the per-sample loop redraws the
+direction where it always has; with gaussian draws that almost never
+happens.  Before the fallback serves an iteration, and at every exit of
+the run, the chunk is cut after the samples weighed the same way.  So a
 run leaves its trace, its reported point and its ``Rng`` where
 estimating one iteration at a time leaves them.
 """
@@ -178,7 +183,11 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
     and at x - tau r_i e_i (the module docstring's draw order).  ``x``
     must have shape ``(dim,)`` of the suite, ``dim`` must be >= 1, and
-    ``tau`` must pass :func:`estimator_scale`.
+    ``tau`` must pass :func:`estimator_scale`.  Where :func:`_declared`
+    finds the entry's draws, the batch is a chunk of one iteration of
+    :func:`_sample_chunks`, whose fallback, the per-sample loop, serves a
+    budget with fewer than ``2 * batch`` calls left and a batch that holds
+    a direction to redraw; any other entry takes the per-sample loop.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
@@ -190,17 +199,16 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     if suite.dim < 1:
         raise ValueError("the estimator needs a suite of dim >= 1")
     scale = estimator_scale(x.shape[0], tau)
-    declared = _declared(suite) if counter.has_room(2 * batch) else None
-    if declared is not None:
-        value, noise = declared
-        start = rng.state
-        ready, chunk = _draw(rng, noise, x.shape[0], [tau], batch, kernel)
-        if ready:
-            counter.calls += 2 * batch
-            return _estimate(value, x, chunk, 0, batch, scale)
-        rng.state = start
-    # Adding 0.0 turns a -0.0 total into the +0.0 that a running sum from a zero start gives.
-    return (_loop_samples(counter.zo_value, x, tau, scale, kernel, rng, batch) + 0.0) / batch
+
+    def loop(ctr, k, x):
+        # Adding 0.0 turns a -0.0 total into the +0.0 that a running sum from a zero start gives.
+        return (_loop_samples(ctr.zo_value, x, tau, scale, kernel, rng, batch) + 0.0) / batch
+
+    declared = _declared(suite)
+    if declared is None:
+        return loop(counter, 0, x)
+    gradient, _ = _sample_chunks(*declared, suite.dim, lambda k: tau, 1, batch, kernel, rng, loop)
+    return gradient(counter, 0, x)
 
 
 def estimator_scale(dim: int, tau: float) -> float:
@@ -239,7 +247,6 @@ def _declared(suite: OracleSuite):
 def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
     """The sum of the weighted directions, one sample at a time through the ``zo_value`` entry."""
     d = x.shape[0]
-    weigh = kernel.__call__  # the bound method: calling the instance looks __call__ up per sample
     total = None
     for _ in range(batch):
         r = rng.uniform(-1.0, 1.0)
@@ -247,33 +254,33 @@ def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
         s = (tau * r) * e
         fp = zo(x + s, rng)
         fm = zo(x - s, rng)
-        w = scale * (fp - fm) * weigh(r)
+        w = scale * (fp - fm) * kernel(r)
         total = w * e if total is None else total + w * e
     return total
 
 
 def _draw(rng: Rng, noise: Optional[AdditiveNoise], dim: int, taus, batch: int, kernel: Kernel):
-    """``(ready, chunk)``: the samples of ``len(taus)`` iterations of ``batch`` each, drawn ahead.
+    """``(servable, chunk)``: the samples of ``len(taus)`` iterations of ``batch`` each, drawn ahead.
 
     ``noise`` is what :func:`_declared` returns and ``taus[j]`` is
     iteration j's tau.  Phase 1 and the half of phase 2 that does not
     depend on x: ``chunk`` holds, per sample, the step ``(tau r) e``, the
     direction e, the kernel weight K(r) and its two probes' noise terms,
-    as :func:`_estimate` takes them.  ``ready`` counts the samples of the
-    iterations before the first whose samples hold a direction that
+    as :func:`_estimate` takes them.  ``servable`` counts the samples of
+    the iterations before the first whose samples hold a direction that
     :func:`unit_rows` does not keep; the stream is left after all of
     them.
     """
     n = batch * len(taus)
     u, raw = _raw_samples(rng.generator, n, dim if noise is None else dim + 2)
     dirs, kept = unit_rows(raw[:, :dim])
-    ready = n if kept.all() else int(kept.argmin()) // batch * batch
+    servable = n if kept.all() else int(kept.argmin()) // batch * batch
     r = uniform_of(u)
     steps, weights = (np.array(taus).repeat(batch) * r)[:, None] * dirs, kernel(r)
     xi = None if noise is None else noise.terms(raw[:, dim:])  # two per sample
     if batch >= WEIGH_BATCH:
-        return ready, (steps[:, None] * _SIGNS, dirs, weights, xi)
-    return ready, (list(steps), list(dirs), weights.tolist(), [0.0, 0.0] * n if xi is None else xi.ravel().tolist())
+        return servable, (steps[:, None] * _SIGNS, dirs, weights, xi)
+    return servable, (list(steps), list(dirs), weights.tolist(), [0.0, 0.0] * n if xi is None else xi.ravel().tolist())
 
 
 def _estimate(value, x, chunk, i: int, batch: int, scale: float) -> np.ndarray:
@@ -404,7 +411,7 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
     if declared is None:
         gradient, rewind = estimate, (lambda: None)
     else:
-        gradient, rewind = _sample_chunks(*declared, oracle.dim, cfg, rng, estimate)
+        gradient, rewind = _sample_chunks(*declared, oracle.dim, tau.at, cfg.N, batch, kernel, rng, estimate)
     try:
         return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, NoAveraging(), gradient,
                               record_every, record_x, max_oracle_calls)
@@ -412,70 +419,66 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
         rewind()
 
 
-def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, cfg: ZoConfig, rng: Rng, estimate):
-    """``(gradient, rewind)``: :func:`run_zo_sgd`'s gradients, their samples drawn a chunk of iterations ahead.
+def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: int, batch: int, kernel: Kernel,
+                   rng: Rng, fallback):
+    """``(gradient, rewind)``: the gradients of N iterations, their samples drawn a chunk of iterations ahead.
 
-    ``value`` and ``noise`` are what :func:`_declared` returns, ``dim`` is
-    at least 1, and ``estimate(ctr, k, x)`` is iteration k's
-    ``kernel_grad_estimate``.  A chunk is one :func:`_draw` for the next
-    ``max(1, BLOCK_VALUES // (batch * width))`` iterations, or the ones
-    left, with ``width`` raw values per sample, each sample's step taking
-    its own iteration's ``tau_k``.  An iteration checks that the budget
-    has room for its ``2 * batch`` probes, counts them and weighs its
-    samples with :func:`_estimate`.  ``estimate`` serves an iteration
-    without that room, one that would start a chunk at an ``x`` or a
-    ``tau_k`` that ``kernel_grad_estimate`` refuses, and one whose samples
-    hold a direction that :func:`unit_rows` does not keep.  Before it
-    does, and when ``rewind()`` ends the run, the stream is set back to the
-    chunk's start and the samples weighed are drawn again.
+    The one code that draws zeroth-order samples ahead, for
+    :func:`kernel_grad_estimate` (a chunk of one iteration) and
+    :func:`run_zo_sgd`.  ``value`` and ``noise`` are what :func:`_declared`
+    returns, ``dim`` is at least 1, ``tau_at(k)`` is iteration k's tau and
+    ``fallback(ctr, k, x)`` estimates iteration k without drawing ahead.
+    ``gradient(ctr, k, x)`` is iteration k's estimate; a chunk is one
+    :func:`_draw` for the next ``max(1, BLOCK_VALUES // (batch * width))``
+    iterations, or the ones left, with ``width`` raw values per sample, each
+    sample's step taking its own iteration's tau.  An iteration checks that
+    the budget has room for its ``2 * batch`` probes, counts them and weighs
+    its samples with :func:`_estimate`.  Where a chunk's samples hold a
+    direction that :func:`unit_rows` does not keep, the chunk is cut before
+    that direction's iteration: the stream is set back to the chunk's start
+    and the samples before the cut are drawn again.  ``fallback`` serves an
+    iteration without budget room, one that would start a chunk at an ``x``
+    of another shape or at a tau that :func:`estimator_scale` refuses, and
+    one that starts a chunk cut before its own samples.  Before it does, and
+    when ``rewind()`` ends the run, the chunk is cut after the samples
+    weighed.
     """
-    tau, kernel, batch, N = cfg.tau_schedule, cfg.kernel, cfg.batch, cfg.N
     width = dim if noise is None else dim + 2
     per_chunk = max(1, BLOCK_VALUES // (batch * width))
-    start, drawn, ready, used = None, 0, 0, 0  # the state before the chunk; its samples drawn, servable, weighed
+    start, drawn, used = None, 0, 0  # the state before the chunk; its samples drawn and weighed
     scales = chunk = None
 
-    def rewind():
-        """Set the stream to just after the samples weighed, and drop the chunk."""
-        nonlocal start, drawn, ready, used
-        if used < drawn:
+    def cut(n):
+        """Keep the chunk's first n samples, with the stream set to just after them."""
+        nonlocal drawn
+        if n < drawn:
             rng.state = start
-            _raw_samples(rng.generator, used, width)
-        start, drawn, ready, used = None, 0, 0, 0
-
-    def draw(k, x) -> bool:
-        """Draw the chunk that starts at iteration k; False when ``estimate`` must serve iteration k."""
-        nonlocal start, drawn, ready, scales, chunk
-        if x.shape != (dim,):
-            return False
-        taus, scales = [], []
-        for j in range(k, min(N, k + per_chunk)):
-            t = tau.at(j)
-            try:
-                scales.append(estimator_scale(dim, t))
-            except ValueError:  # the estimator refuses iteration j's tau
-                break
-            taus.append(t)
-        if not taus:
-            return False
-        start, drawn = rng.state, batch * len(taus)
-        ready, chunk = _draw(rng, noise, dim, taus, batch, kernel)
-        if ready == 0:
-            rewind()
-            return False
-        return True
+            _raw_samples(rng.generator, n, width)
+        drawn = n
 
     def gradient(ctr, k, x):
-        nonlocal used
+        nonlocal start, drawn, used, scales, chunk
         if not ctr.has_room(2 * batch):
-            rewind()
-            return estimate(ctr, k, x)
-        if used == ready:
-            rewind()
-            if not draw(k, x):
-                return estimate(ctr, k, x)
+            cut(used)
+            return fallback(ctr, k, x)
+        if used == drawn:
+            taus, scales = [], []
+            for j in range(k, min(N, k + per_chunk)):
+                t = tau_at(j)
+                try:
+                    scales.append(estimator_scale(dim, t))
+                except ValueError:  # the estimator refuses iteration j's tau
+                    break
+                taus.append(t)
+            if not taus or x.shape != (dim,):
+                return fallback(ctr, k, x)
+            start, drawn, used = rng.state, batch * len(taus), 0
+            servable, chunk = _draw(rng, noise, dim, taus, batch, kernel)
+            cut(servable)
+            if not servable:
+                return fallback(ctr, k, x)
         ctr.calls += 2 * batch
         i, used = used, used + batch
         return _estimate(value, x, chunk, i, batch, scales[i // batch])
 
-    return gradient, rewind
+    return gradient, lambda: cut(used)

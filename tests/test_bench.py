@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,6 +27,7 @@ from optbench.bench import (
 )
 from optbench.bench.cli import main
 from optbench.bench.registry import method_entry, method_names
+from optbench.bench.tracefile import FORMATS
 from optbench.core import (AdditiveStochGrad, Rng, RunStatus, Trace, TraceRecorder, TraceRow, make_problem, problem_names,
                            wrap_noise)
 from optbench.core import oracles
@@ -615,6 +617,12 @@ def test_fit_geometric_synthetic():
     assert fit.r_squared >= 0.999999
 
 
+@pytest.mark.parametrize("gap", [1.0, 0.25])
+@pytest.mark.parametrize("model", ["sublinear", "geometric"])
+def test_fit_on_equal_gaps_is_exact(model, gap):
+    assert fit_rate(synthetic_trace([gap] * 40), model, window=0.5).r_squared == 1.0
+
+
 def test_fit_scale_invariance():
     gaps = [3.0 / k ** 1.5 for k in range(1, 101)]
     p1 = fit_rate(synthetic_trace(gaps), "sublinear", 0.5).estimate
@@ -775,6 +783,28 @@ def test_csv_malformed_row_is_named(tmp_path):
                     "0,1,,,,0.5,1\n3,0.5,,,0.25,2\n")
     with pytest.raises(ValueError, match="malformed row '3,0.5,,,0.25,2'"):
         read_trace(str(path))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"problem": "quad_diag", "method": "gd", "iterations": 3}, "not a trace JSON (no rows list)"),
+    ([1, 2], "not a trace JSON (no rows list)"),
+    ({"rows": [{"iter": 1}]}, "malformed row {'iter': 1}"),
+], ids=["config", "list", "row"])
+def test_json_that_is_not_a_trace_is_named(tmp_path, capsys, doc, message):
+    path = write_cfg(tmp_path, "c.json", doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        read_trace(path)
+    assert main(["rates", "--trace", path, "--model", "sublinear"]) == 1
+    assert capsys.readouterr().err == f"runtime error: ValueError: {path}: {message}\n"
+
+
+def test_write_trace_to_a_directory_raises_and_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "traces"
+    target.mkdir()
+    for format in FORMATS:
+        with pytest.raises(IsADirectoryError):
+            write_trace(synthetic_trace([1.0, 0.5]), str(target), format)
+    assert os.listdir(tmp_path) == ["traces"] and os.listdir(target) == []
 
 
 def test_json_round_trip_field_for_field(tmp_path):
@@ -1006,6 +1036,24 @@ def test_recording_does_not_change_a_run(name):
         trace, _ = run_experiment(parse_config(json.dumps(doc)))
         outcomes.append((trace.x_out.tobytes(), trace.f_out, trace.status, trace.final.iter))
     assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a due row's f is charged to the budget, so under a "
+                   "budget record_every decides where the run stops")
+def test_recording_does_not_change_a_budgeted_run():
+    differ = []
+    for name, (problem, noise, params, x0, N) in EVERY_METHOD.items():
+        outcomes = []
+        for every in (1, 7, N + 1):
+            doc = {"problem": problem, "method": {"name": name, "params": params},
+                   "budget": {"iterations": N, "max_oracle_calls": max(3, N // 2)},
+                   "output": {"record_every": every}}
+            doc.update({k: v for k, v in (("noise", noise), ("x0", x0)) if v is not None})
+            trace, _ = run_experiment(parse_config(json.dumps(doc)))
+            outcomes.append((trace.x_out.tobytes(), trace.final.iter))
+        if outcomes[1] != outcomes[0] or outcomes[2] != outcomes[0]:
+            differ.append((name, [it for _, it in outcomes]))
+    assert differ == []
 
 
 class RowRecorder(TraceRecorder):

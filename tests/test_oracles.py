@@ -245,6 +245,12 @@ def test_a_block_with_overflowing_norms_is_derived_without_warnings(dim, rows):
     assert columns["grad_norm"] == [math.inf] * rows and columns["dist_to_opt"] == [math.inf] * rows
 
 
+def test_the_recorder_refuses_a_record_every_below_one():
+    oracle, ctr, _ = recorder()
+    with pytest.raises(ValueError, match="^record_every must be >= 1$"):
+        TraceRecorder(oracle, ctr, record_every=0)
+
+
 def test_the_recorder_lets_go_of_a_block_once_it_is_derived():
     _, _, rec = recorder()
     refs = []

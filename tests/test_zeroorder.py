@@ -594,6 +594,18 @@ def test_run_refuses_an_underflowing_tau_where_the_per_sample_loop_does(batch):
     assert_run_matches_the_per_sample_loop(suite, x0, short, Rng(3), Rng(3), record_every=1)
 
 
+def test_run_refuses_an_x_of_another_shape_where_the_per_sample_loop_does():
+    suite, _ = _zo_quad(2)
+    cfg = ZoConfig(N=20, step_rule=Const(0.01), kernel=build_kernel(2), batch=3)
+    rng, ref_rng = Rng(23), Rng(23)
+    wrong = re.escape("x has shape (3,), the suite takes (2,)")
+    with pytest.raises(ValueError, match=wrong):
+        run_zo_sgd(undeclared(suite), FullSpace(3), np.ones(3), cfg, ref_rng)
+    with pytest.raises(ValueError, match=wrong):
+        run_zo_sgd(suite, FullSpace(3), np.ones(3), cfg, rng)
+    assert rng.state == ref_rng.state
+
+
 @pytest.mark.parametrize("offset", [0, 1, 5])
 @pytest.mark.parametrize("batch", [1, 4, 6])
 def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
