@@ -182,9 +182,9 @@ class AdditiveNoise:
     ``"student_t3"``; ``shape=()`` draws a Python float.  The entry carries
     this declaration as its ``noise`` attribute.  ``rows(rng, n)`` draws
     the scaled ``xi`` of n successive calls in one ``(n, *shape)`` fill
-    through the same ``draw``; numpy fills it in call
-    order, so the rows equal those calls' draws bit for bit and leave
-    ``rng`` in the same state.  ``terms(xi)`` gives the terms ``scale * xi``
+    through the same ``draw``; numpy fills it in call order, so the rows
+    equal those calls' draws bit for bit and leave ``rng`` in the same
+    state.  ``terms(xi)`` gives the terms ``scale * xi``
     that calls with the raw draws ``xi`` add to their base values, with
     those calls' bits.  :class:`AdditiveStochGrad` builds a gradient entry
     (``shape=(dim,)``), :class:`ZOStochValue` a value entry.  Neither holds
