@@ -37,11 +37,16 @@ class RateFit:
 
 
 def _r_squared(xs: np.ndarray, ys: np.ndarray, slope: float, intercept: float) -> float:
+    """r² of the line through ``(xs, ys)``; 1.0 where every y is equal, which the line fits exactly.
+
+    The equal case is told by the ys themselves: their rounded mean need
+    not equal them, so ``ss_tot`` may be a tiny positive number there.
+    """
+    if ys.min() == ys.max():
+        return 1.0
     resid = ys - (slope * xs + intercept)
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.dot(ys - ys.mean(), ys - ys.mean()))
-    if ss_tot == 0.0:
-        return 1.0
     return max(0.0, 1.0 - ss_res / ss_tot)
 
 

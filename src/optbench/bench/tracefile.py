@@ -163,7 +163,10 @@ def _row_to_json(r: TraceRow) -> dict:
 def read_trace(path: str, format: Optional[str] = None) -> Trace:
     """Read a trace written by :func:`write_trace`.
 
-    A ValueError names a file that is not a trace, or its first malformed row.
+    A ValueError names a file that is not a trace, or its first malformed
+    row: in JSON, a row that is not an object, lacks a field, or holds
+    anything but a number where one is meant (``f_gap``, ``dist_to_opt``
+    and ``grad_norm`` take a number or null, not a bool or a string).
     """
     format = format or format_for_path(path)
     if format == "csv":
@@ -199,18 +202,27 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
     return Trace(rows=rows, status=status, x_out=x_out, f_out=doc.get("f_out"))
 
 
+def _optional_float(value) -> Optional[float]:
+    """A JSON number as a float, null as None; a TypeError for anything else (a bool or a string among them)."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _row_from_json(path: str, rd) -> TraceRow:
     try:
         return TraceRow(
             iter=int(rd["iter"]),
             f_value=float(rd["f_value"]),
-            f_gap=rd.get("f_gap"),
-            dist_to_opt=rd.get("dist_to_opt"),
-            grad_norm=rd.get("grad_norm"),
+            f_gap=_optional_float(rd.get("f_gap")),
+            dist_to_opt=_optional_float(rd.get("dist_to_opt")),
+            grad_norm=_optional_float(rd.get("grad_norm")),
             step_size=float(rd["step_size"]),
             oracle_calls=int(rd["oracle_calls"]),
             x=None if rd.get("x") is None else np.array(rd["x"], dtype=float),
             tag=rd.get("tag"),
         )
-    except (KeyError, TypeError, ValueError):  # not an object, or a field missing or not a number
+    except (KeyError, TypeError, ValueError, OverflowError):  # not an object, or a field missing or not a number
         raise ValueError(f"{path}: malformed row {rd!r}") from None

@@ -446,8 +446,22 @@ class Stop(Exception):
 
 
 def grad_or_stop(ctr: CountingOracle, x: np.ndarray, tol: float, status: RunStatus) -> np.ndarray:
-    """The gradient at ``x``; its norm stops the run as diverged when not finite, as ``status`` when ``<= tol``."""
+    """The gradient at ``x``; its norm stops the run as diverged when not finite, as ``status`` when ``<= tol``.
+
+    The norm judged is ``norm(g)``, and a :class:`Stop` carries its bits.
+    A screen on Python floats passes ``g`` on without it: when
+    ``math.hypot`` of its entries lies strictly inside
+    ``(max(tol * (1 + 1e-9), 1e-150), 1e150)``.  In that window the sum
+    of squares ``norm`` takes neither overflows nor underflows, and its
+    rounding (under ``(d/2 + 2) * 2**-53`` relative, for any d below
+    about 10**7) stays far inside the 1e-9 margin, so ``norm(g)`` is
+    finite and ``> tol`` there too.  Every other norm (near ``tol``,
+    tiny, huge, NaN or inf) goes to the exact test.
+    """
     g = ctr.grad(x)
+    screened = math.hypot(*g.tolist())
+    if 1e-150 < screened < 1e150 and screened > tol * (1 + 1e-9):
+        return g
     gn = norm(g)
     if not math.isfinite(gn):
         raise Stop(RunStatus.DIVERGED)
@@ -477,12 +491,22 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     own running sum).  The next iterate is ``fset.project(x_next)``, or
     ``x_next`` itself without a set or on ``FullSpace``.  The run ends as
     a :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
-    ``||x_next - x0||`` is not ``<= divergence_radius`` (NaN and inf
+    ``norm(x - x0)`` is not ``<= divergence_radius`` (NaN and inf
     iterates fail the test too); and as ``budget_exhausted`` when a call
     would exceed ``max_oracle_calls`` (at ``x``) or after iteration
     ``N-1``, and as ``diverged`` instead when that ``x`` is not finite.
     The reported point is ``reported()`` when that is given and not None,
     else the last iterate.
+
+    The distance test is screened on Python floats: an iterate passes
+    without ``norm(x - x0)`` when ``math.dist`` of it and the start lies
+    inside ``(1e-150, min(divergence_radius * (1 - 1e-9), 1e150)]``.  Both
+    take the same rounded differences; in that window their sum of squares
+    neither overflows nor underflows, and ``norm``'s rounding (under
+    ``(d/2 + 2) * 2**-53`` relative, for any d below about 10**7) stays far
+    inside the 1e-9 margin, so ``norm(x - x0) <= divergence_radius`` holds
+    there too.  Every other distance (near the radius, tiny, huge, NaN or
+    inf) goes to the exact test.
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
@@ -490,6 +514,9 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     x0 = np.array(x0, dtype=float) if fset is None else fset.project(x0)
     project = None if fset is None or isinstance(fset, FullSpace) else fset.project
     x, k = x0, first
+    start = x0.tolist()
+    # the screen's upper end: see the docstring
+    screen = None if divergence_radius is None else min(divergence_radius * (1 - 1e-9), 1e150)
     status, f_value, grad_norm = RunStatus.BUDGET_EXHAUSTED, None, None
     try:
         while k < N:
@@ -498,7 +525,8 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
                 record(k, x, f, g, h, tag)
             x = x_next if project is None else project(x_next)
             k += 1
-            if divergence_radius is not None and not norm(x - x0) <= divergence_radius:
+            if divergence_radius is not None and not (1e-150 < math.dist(x.tolist(), start) <= screen
+                                                      or norm(x - x0) <= divergence_radius):
                 status = RunStatus.DIVERGED
                 break
     except Stop as stop:

@@ -617,10 +617,12 @@ def test_fit_geometric_synthetic():
     assert fit.r_squared >= 0.999999
 
 
-@pytest.mark.parametrize("gap", [1.0, 0.25])
+@pytest.mark.parametrize("window", [0.5, 1.0])
+@pytest.mark.parametrize("rows", [20, 40, 80, 333, 1000])
+@pytest.mark.parametrize("gap", [1.0, 0.1, 0.25, 0.3, 1e-5])  # the mean of the logs need not round back to them
 @pytest.mark.parametrize("model", ["sublinear", "geometric"])
-def test_fit_on_equal_gaps_is_exact(model, gap):
-    assert fit_rate(synthetic_trace([gap] * 40), model, window=0.5).r_squared == 1.0
+def test_fit_on_equal_gaps_is_exact(model, gap, rows, window):
+    assert fit_rate(synthetic_trace([gap] * rows), model, window=window).r_squared == 1.0
 
 
 def test_fit_scale_invariance():
@@ -785,17 +787,29 @@ def test_csv_malformed_row_is_named(tmp_path):
         read_trace(str(path))
 
 
+JSON_ROW = {"iter": 1, "f_value": 2.0, "f_gap": 1, "dist_to_opt": None, "grad_norm": 0.5, "step_size": 0.1,
+            "oracle_calls": 1}
+
+
 @pytest.mark.parametrize("doc, message", [
     ({"problem": "quad_diag", "method": "gd", "iterations": 3}, "not a trace JSON (no rows list)"),
     ([1, 2], "not a trace JSON (no rows list)"),
     ({"rows": [{"iter": 1}]}, "malformed row {'iter': 1}"),
-], ids=["config", "list", "row"])
+    *(({"rows": [row]}, f"malformed row {row!r}") for row in (
+        dict(JSON_ROW, f_gap="x"), dict(JSON_ROW, dist_to_opt=True), dict(JSON_ROW, grad_norm="0.5"),
+        dict(JSON_ROW, f_gap=[0.5]))),
+], ids=["config", "list", "row", "text-gap", "bool-distance", "quoted-norm", "list-gap"])
 def test_json_that_is_not_a_trace_is_named(tmp_path, capsys, doc, message):
     path = write_cfg(tmp_path, "c.json", doc)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
         read_trace(path)
     assert main(["rates", "--trace", path, "--model", "sublinear"]) == 1
     assert capsys.readouterr().err == f"runtime error: ValueError: {path}: {message}\n"
+
+
+def test_a_json_row_takes_numbers_and_nulls_in_its_optional_columns_as_floats_and_none(tmp_path):
+    row = read_trace(write_cfg(tmp_path, "t.json", {"rows": [JSON_ROW]})).rows[0]
+    assert (row.f_gap, row.dist_to_opt, row.grad_norm) == (1.0, None, 0.5) and type(row.f_gap) is float
 
 
 def test_write_trace_to_a_directory_raises_and_leaves_no_temporary_file(tmp_path):

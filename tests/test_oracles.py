@@ -10,7 +10,7 @@ import pytest
 from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
                            TraceRecorder, UnsupportedProblemError, make_problem)
 from optbench.core.linalg import norm
-from optbench.core.oracles import ROW_BLOCK, Stop, run_steps, values_at
+from optbench.core.oracles import ROW_BLOCK, Stop, grad_or_stop, run_steps, values_at
 
 X = np.array([1.0, -1.0])
 
@@ -398,6 +398,57 @@ def test_run_steps_radius_is_inclusive_and_optional():
     assert trace.status is RunStatus.DIVERGED and trace.final.iter == 1
     _, trace = drive(halving(to=np.array([np.nan, 0.0]))[0])  # no radius: a last iterate not finite ends it diverged
     assert trace.status is RunStatus.DIVERGED and trace.final.iter == 4
+
+
+EDGE = X + np.array([0.58, 0.58])  # math.dist puts it one ulp nearer the start than norm does
+EDGE_DIST = norm(EDGE - X)
+
+
+@pytest.mark.parametrize("radius, status, last", [
+    (EDGE_DIST, RunStatus.BUDGET_EXHAUSTED, 4),
+    (EDGE_DIST / (1 - 1e-12), RunStatus.BUDGET_EXHAUSTED, 4),  # the iterate at R * (1 - 1e-12)
+    (EDGE_DIST / (1 + 1e-12), RunStatus.DIVERGED, 1),
+    (math.dist(EDGE.tolist(), X.tolist()), RunStatus.DIVERGED, 1),  # between the two roundings
+], ids=["at", "inside-1e-12", "outside-1e-12", "float-distance"])
+def test_run_steps_radius_inside_the_screens_margin_is_judged_by_norm(radius, status, last):
+    assert math.dist(EDGE.tolist(), X.tolist()) < EDGE_DIST
+    _, trace = drive(halving(to=EDGE)[0], divergence_radius=radius)
+    assert trace.status is status and trace.final.iter == last
+
+
+def stop_on(g, tol, N=3):
+    """run_steps over a step that stays at x and stops through grad_or_stop on the constant gradient ``g``."""
+    g = np.array(g)
+    suite = OracleSuite(value=lambda x: 0.0, subgrad=lambda x: g, grad=lambda x: g, dim=2)
+
+    def step(ctr, k, x):
+        return x, None, grad_or_stop(ctr, x, tol, RunStatus.CONVERGED), 0.25, None
+    return run_steps(suite, X, N, step, record_every=1, record_x=False, max_oracle_calls=None)
+
+
+G_UP = np.array([0.226, -0.353])  # math.hypot rounds its norm one ulp above norm's
+
+
+@pytest.mark.parametrize("g, tol, status, last, grad_norm", [
+    (G_UP, norm(G_UP), RunStatus.CONVERGED, 0, norm(G_UP)),  # the norm is exactly tol
+    (G_UP, np.nextafter(norm(G_UP), 0.0), RunStatus.BUDGET_EXHAUSTED, 3, None),
+    (G_UP, norm(G_UP) / (1 + 1e-12), RunStatus.BUDGET_EXHAUSTED, 3, None),  # the norm at tol * (1 + 1e-12)
+    (G_UP, norm(G_UP) / (1 - 1e-12), RunStatus.CONVERGED, 0, norm(G_UP)),
+    ([1e-170, 0.0], 0.0, RunStatus.CONVERGED, 0, 0.0),  # its square underflows: norm 0
+    ([1e155, 0.0], 1.0, RunStatus.DIVERGED, 0, None),  # finite, but its square overflows: norm inf
+    ([math.nan, 0.0], 1.0, RunStatus.DIVERGED, 0, None),
+    ([math.inf, 0.0], 1.0, RunStatus.DIVERGED, 0, None),
+    ([0.6, -0.8], 0.5, RunStatus.BUDGET_EXHAUSTED, 3, None),
+], ids=["at-tol", "above-tol-by-an-ulp", "above-tol-1e-12", "below-tol-1e-12", "underflow", "overflow", "nan",
+        "inf", "far-above-tol"])
+def test_grad_or_stop_inside_the_screens_margin_is_judged_by_norm(g, tol, status, last, grad_norm):
+    assert math.hypot(*G_UP.tolist()) > norm(G_UP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = stop_on(g, tol)
+    assert trace.status is status and trace.final.iter == last
+    assert bits(trace.final.grad_norm) == bits(grad_norm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert [bits(v) for v in trace.columns["grad_norm"][:last]] == [bits(norm(np.array(g)))] * last
 
 
 def test_run_steps_reports_the_last_iterate_when_reported_gives_none():

@@ -202,6 +202,20 @@ Grids:
   (144 runs); and ``diverge/cg_quadratic/nan-gradient``,
   ``run_cg_quadratic`` for 10 iterations on a diagonal quadratic whose
   third gradient call returns ``[nan, 0, 0]``;
+* ``driver/edge/...``: the stop decisions at their thresholds, called
+  directly.  ``gd``, ``heavy_ball``, ``nesterov_cvx`` and
+  ``gd_rel_adaptive`` (``relative_grad`` ``random_direction`` noise,
+  alpha 0.25, L0 = 1) for 60 iterations on ``quad_diag [10, 1]`` from
+  (1, 1), from (1e-149, 3e-150) and from (1e149, 3e148), whose gradients
+  and distances cross 1e-150 and 1e150.  A first run (``first``, tol 0,
+  radius inf) gives, at rows 3 and 40, the recorded ``grad_norm`` and the
+  iterate's ``norm(x - x0)``; the runs then take that norm as ``tol``
+  and its neighbouring doubles below and above (``tol-at``,
+  ``tol-below``, ``tol-above``), and that distance and the double below
+  it as ``divergence_radius`` (``radius-at``, ``radius-below``).  Both
+  thresholds are read in the checkout run, so a checkout that decides a
+  stop otherwise shows as a differing key; the hash also covers the next
+  draws of ``gd_rel_adaptive``'s ``Rng`` (132 runs);
 * ``rec/...``: ``record_every`` 1 runs with ``record_x`` on and off, whose
   row counts (511, 512, 513 and 1025) sit around a block of 512 rows.
   ``gd`` (L = 8, tol 0) on ``quad_diag`` at d 1 and 2 (whose rows take
@@ -795,6 +809,73 @@ def diverge_grid(tmp: str) -> dict:
         return _digest(path, trace.final.oracle_calls) | {"status": trace.status.value, "iter": trace.final.iter}
 
     out["diverge/cg_quadratic/nan-gradient"] = _guarded(cg_run)
+    return out
+
+
+EDGE_N = 60
+EDGE_ROWS = (3, 40)
+# start name -> x0 on quad_diag [10, 1]: gradients and distances near 1, and across the ends of the screens'
+# window, 1e-150 (the squares of ``tiny`` underflow within the run) and 1e150 (``huge`` starts above it)
+EDGE_STARTS = {"unit": (1.0, 1.0), "tiny": (1e-149, 3e-150), "huge": (1e149, 3e148)}
+
+
+def edge_grid(tmp: str) -> dict:
+    """``driver/edge/...``: stop tests at a gradient norm and a distance that the run itself reaches."""
+    import math
+
+    import numpy as np
+
+    from optbench import momentum as mo
+    from optbench import smooth as sm
+    from optbench.bench.tracefile import write_trace
+    from optbench.core import RelativeGrad, Rng, make_problem, wrap_noise
+    from optbench.core.linalg import norm
+
+    quad, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+
+    def smooth(entry, mode, noisy=False):
+        def run(x0, tol, radius):
+            rng = Rng(1)
+            suite = wrap_noise(quad, RelativeGrad(0.25, mode="random_direction"), rng) if noisy else quad
+            trace = entry(suite, x0, sm.SmoothRunConfig(N=EDGE_N, mode=mode, tol=tol), record_x=True,
+                          divergence_radius=radius)
+            return trace, rng
+        return run
+
+    def momentum(variant):
+        def run(x0, tol, radius):
+            trace = mo.run_momentum(quad, x0, mo.MomentumConfig(variant, N=EDGE_N, tol=tol), record_x=True,
+                                    divergence_radius=radius)
+            return trace, None
+        return run
+
+    runs = {"gd": smooth(sm.run_gd, sm.Exact()), "heavy_ball": momentum("heavy_ball"),
+            "nesterov_cvx": momentum("nesterov_cvx"),
+            "gd_rel_adaptive": smooth(sm.run_gd_rel_adaptive, sm.RelNoiseAdaptive(0.25, L0=1.0), noisy=True)}
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+
+    def digest(run_fn, x0, tol, radius):
+        with np.errstate(all="ignore"):
+            trace, rng = run_fn(x0, tol, radius)
+        write_trace(trace, path, "json")
+        return _digest(path, trace.final.oracle_calls, rng) | {"status": trace.status.value, "iter": trace.final.iter}
+
+    for (name, run_fn), (start, x0) in itertools.product(runs.items(), EDGE_STARTS.items()):
+        x0 = np.array(x0)
+        key = f"driver/edge/{name}/{start}"
+        out[f"{key}/first"] = _guarded(lambda: digest(run_fn, x0, 0.0, math.inf))
+        with np.errstate(all="ignore"):
+            columns = run_fn(x0, 0.0, math.inf)[0].columns
+        xs, norms = columns["x"], columns["grad_norm"]
+        for k in EDGE_ROWS:
+            k = min(k, len(xs) - 2)  # the terminal row records no gradient
+            gn, dist = norms[k], norm(xs[k] - xs[0])
+            cases = {"tol-at": (gn, math.inf), "tol-below": (np.nextafter(gn, 0.0), math.inf),
+                     "tol-above": (np.nextafter(gn, math.inf), math.inf), "radius-at": (0.0, dist),
+                     "radius-below": (0.0, np.nextafter(dist, 0.0))}
+            for case, (tol, radius) in cases.items():
+                out[f"{key}/row{k}/{case}"] = _guarded(lambda: digest(run_fn, x0, float(tol), float(radius)))
     return out
 
 
@@ -1500,7 +1581,7 @@ def main(argv: list[str]) -> int:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
                    **estimator_grid(), **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
                    **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
-                   **diverge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
+                   **diverge_grid(tmp), **edge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
