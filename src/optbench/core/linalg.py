@@ -5,6 +5,12 @@ from __future__ import annotations
 import math
 import numbers
 
+# The longest vector that a screen on Python floats (``math.hypot``, ``math.dist``) takes before a numpy
+# norm: such a screen converts every entry, so its cost grows with the length.  The gradient screens
+# break even with ``norm`` near 20 entries, the distance screen near 40, and the relative noise screen far
+# above; a longer vector goes straight to the exact test.
+SCREEN_MAX_DIM = 32
+
 
 def norm(v) -> float:
     """``||v||_2`` of a contiguous 1-d float64 vector, as a Python float.

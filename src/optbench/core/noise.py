@@ -22,6 +22,15 @@ the one that per-call :meth:`Rng.sphere` draws would give.  One
 ``zo_stoch``'s value, and each entry carries it as ``noise`` so that a
 caller may draw the noise in blocks.
 
+The random-direction wrappers check their bound on every call, and an
+``AssertionError`` ends the call that breaks it.  For a gradient of at
+most :data:`~optbench.core.linalg.SCREEN_MAX_DIM` entries (decided once
+per wrapper) a screen on Python floats (``math.hypot``, ``math.dist``)
+passes the ordinary call first, with a margin of 1e-13 where the exact
+test allows 1e-12; every other call (near the bound, NaN or inf, or of
+a longer gradient) is judged by the exact test, so the screen changes
+no outcome, no gradient and no stream.
+
 Each spec class names its config ``kind`` and wraps a suite itself.
 :data:`NOISE_KINDS` maps a kind to its class; the class's fields are its config keys.
 """
@@ -34,7 +43,7 @@ from typing import Callable, ClassVar, Optional, get_args
 
 import numpy as np
 
-from .linalg import norm
+from .linalg import SCREEN_MAX_DIM, norm
 from .oracles import OracleSuite
 from .rng import Rng
 
@@ -63,7 +72,18 @@ def _require_grad(oracle: OracleSuite, what: str):
 
 @dataclass(frozen=True)
 class AbsoluteGrad:
-    """Additive gradient perturbation with ||v(x)||_2 <= delta."""
+    """Additive gradient perturbation with ||v(x)||_2 <= delta.
+
+    ``fixed`` mode adds ``v``.  ``random_direction`` mode adds ``delta * e``
+    for the next unit direction ``e`` of the wrapper's stream, once
+    ``norm(e) <= 1 + 1e-12`` holds (else an ``AssertionError``).  The
+    screen passes an ``e`` whose ``math.hypot`` is at most ``1 + 1e-13``:
+    that is within an ulp of the true norm at every scale, and ``norm``
+    rounds (under ``(d/2 + 2) * 2**-53`` relative; a square that underflows
+    only lowers it) far inside the gap to 1e-12, so ``norm(e)`` passes
+    too.  A longer, NaN or inf direction, and one near the bound, is
+    judged by ``norm``.
+    """
 
     kind: ClassVar[str] = "absolute_grad"
     delta: float
@@ -101,10 +121,11 @@ class AbsoluteGrad:
                 return base(x) + v
         else:
             direction = rng.spheres(d).__next__
+            screened = d <= SCREEN_MAX_DIM
 
             def noisy(x):
                 e = direction()
-                if norm(e) > 1 + 1e-12:
+                if not (screened and math.hypot(*e.tolist()) <= 1 + 1e-13) and norm(e) > 1 + 1e-12:
                     raise AssertionError("absolute noise exceeds its bound delta")
                 return base(x) + delta * e
         return replace(oracle, grad=noisy, subgrad=noisy)
@@ -112,7 +133,26 @@ class AbsoluteGrad:
 
 @dataclass(frozen=True)
 class RelativeGrad:
-    """Multiplicative gradient perturbation with ||g~ - g|| <= alpha ||g||."""
+    """Multiplicative gradient perturbation with ||g~ - g|| <= alpha ||g||.
+
+    ``shrink`` and ``grow`` scale g by ``1 - alpha`` and ``1 + alpha``.
+    ``random_direction`` returns ``out = g + alpha ||g|| e`` for the next
+    unit direction ``e`` of the wrapper's stream and tests the bound
+    relative to ||g||: ``norm((out - g) / ||g||)`` must be at most
+    ``alpha (1 + 1e-12)`` plus 4 ulp of ||g|| over ||g||, unless g holds a
+    NaN or inf (else an ``AssertionError``).  The screen returns ``out``
+    at once when ||g|| is finite and ``math.dist(out, g)`` is at most
+    ``alpha (1 + 1e-13) ||g||``.  Both tests take the same rounded
+    differences ``out - g``; ``math.dist`` is within an ulp of their true
+    norm at every scale, and the exact test's quotients and sum of squares
+    (of entries at most about 1) round far inside the gap to 1e-12.  Where
+    ``alpha ||g||`` is subnormal, the screen's bound and distance each
+    round by at most half of the smallest subnormal, less than the exact
+    test's 4 ulp of ||g||.  So the screen needs no window on ||g||; an inf
+    ||g|| (a finite g whose norm overflows) would pass it with an inf
+    ``out``, so it goes to the exact test, as do NaN, near-bound and
+    longer gradients.
+    """
 
     kind: ClassVar[str] = "relative_grad"
     alpha: float
@@ -136,6 +176,7 @@ class RelativeGrad:
                 return (1.0 + alpha) * base(x)
         else:
             direction = rng.spheres(d).__next__
+            screened, bound = d <= SCREEN_MAX_DIM, alpha * (1 + 1e-13)
 
             def noisy(x):
                 g = base(x)
@@ -143,6 +184,8 @@ class RelativeGrad:
                 if gn == math.inf and np.isfinite(g).all():  # the squares overflow from ||g|| of about 1.3e154
                     gn = math.hypot(*g.tolist())
                 out = g + alpha * gn * direction()
+                if screened and gn < math.inf and math.dist(out.tolist(), g.tolist()) <= bound * gn:
+                    return out
                 # Compared relative to ||g||: the squares of a tiny g underflow.  Rounding g + alpha ||g|| e
                 # moves out by about an ulp of ||g|| whatever alpha is, so 4 ulp are allowed beside alpha's share.
                 # A NaN ratio fails the test: a finite g must not come out inf (a NaN or inf g passes as it is).

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import norm, row_dots
+from .linalg import SCREEN_MAX_DIM, norm, row_dots
 from .sets import FeasibleSet, FullSpace
 
 
@@ -449,19 +449,21 @@ def grad_or_stop(ctr: CountingOracle, x: np.ndarray, tol: float, status: RunStat
     """The gradient at ``x``; its norm stops the run as diverged when not finite, as ``status`` when ``<= tol``.
 
     The norm judged is ``norm(g)``, and a :class:`Stop` carries its bits.
-    A screen on Python floats passes ``g`` on without it: when
-    ``math.hypot`` of its entries lies strictly inside
+    A screen on Python floats passes a ``g`` of at most
+    :data:`~optbench.core.linalg.SCREEN_MAX_DIM` entries on without it:
+    when ``math.hypot`` of its entries lies strictly inside
     ``(max(tol * (1 + 1e-9), 1e-150), 1e150)``.  In that window the sum
     of squares ``norm`` takes neither overflows nor underflows, and its
-    rounding (under ``(d/2 + 2) * 2**-53`` relative, for any d below
-    about 10**7) stays far inside the 1e-9 margin, so ``norm(g)`` is
-    finite and ``> tol`` there too.  Every other norm (near ``tol``,
-    tiny, huge, NaN or inf) goes to the exact test.
+    rounding (under ``(d/2 + 2) * 2**-53`` relative) stays far inside the
+    1e-9 margin, so ``norm(g)`` is finite and ``> tol`` there too.  Every
+    other norm (near ``tol``, tiny, huge, NaN or inf), and every longer
+    ``g``, goes to the exact test.
     """
     g = ctr.grad(x)
-    screened = math.hypot(*g.tolist())
-    if 1e-150 < screened < 1e150 and screened > tol * (1 + 1e-9):
-        return g
+    if len(g) <= SCREEN_MAX_DIM:
+        screened = math.hypot(*g.tolist())
+        if 1e-150 < screened < 1e150 and screened > tol * (1 + 1e-9):
+            return g
     gn = norm(g)
     if not math.isfinite(gn):
         raise Stop(RunStatus.DIVERGED)
@@ -498,15 +500,17 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     The reported point is ``reported()`` when that is given and not None,
     else the last iterate.
 
-    The distance test is screened on Python floats: an iterate passes
-    without ``norm(x - x0)`` when ``math.dist`` of it and the start lies
-    inside ``(1e-150, min(divergence_radius * (1 - 1e-9), 1e150)]``.  Both
-    take the same rounded differences; in that window their sum of squares
+    The distance test is screened on Python floats when the start has at
+    most :data:`~optbench.core.linalg.SCREEN_MAX_DIM` entries (decided once
+    per run): an iterate passes without ``norm(x - x0)`` when
+    ``math.dist`` of it and the start lies inside
+    ``(1e-150, min(divergence_radius * (1 - 1e-9), 1e150)]``.  Both take
+    the same rounded differences; in that window their sum of squares
     neither overflows nor underflows, and ``norm``'s rounding (under
-    ``(d/2 + 2) * 2**-53`` relative, for any d below about 10**7) stays far
-    inside the 1e-9 margin, so ``norm(x - x0) <= divergence_radius`` holds
-    there too.  Every other distance (near the radius, tiny, huge, NaN or
-    inf) goes to the exact test.
+    ``(d/2 + 2) * 2**-53`` relative) stays far inside the 1e-9 margin, so
+    ``norm(x - x0) <= divergence_radius`` holds there too.  Every other
+    distance (near the radius, tiny, huge, NaN or inf) goes to the exact
+    test, and so does every distance of a longer run.
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)
@@ -514,8 +518,8 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     x0 = np.array(x0, dtype=float) if fset is None else fset.project(x0)
     project = None if fset is None or isinstance(fset, FullSpace) else fset.project
     x, k = x0, first
-    start = x0.tolist()
-    # the screen's upper end: see the docstring
+    # the screen and its upper end: see the docstring
+    screened, start = x0.size <= SCREEN_MAX_DIM, x0.tolist()
     screen = None if divergence_radius is None else min(divergence_radius * (1 - 1e-9), 1e150)
     status, f_value, grad_norm = RunStatus.BUDGET_EXHAUSTED, None, None
     try:
@@ -525,7 +529,7 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
                 record(k, x, f, g, h, tag)
             x = x_next if project is None else project(x_next)
             k += 1
-            if divergence_radius is not None and not (1e-150 < math.dist(x.tolist(), start) <= screen
+            if divergence_radius is not None and not (screened and 1e-150 < math.dist(x.tolist(), start) <= screen
                                                       or norm(x - x0) <= divergence_radius):
                 status = RunStatus.DIVERGED
                 break

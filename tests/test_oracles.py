@@ -9,8 +9,10 @@ import pytest
 
 from optbench.core import (Box, ConstraintOracle, CountingOracle, FullSpace, OracleBudgetError, OracleSuite, RunStatus,
                            TraceRecorder, UnsupportedProblemError, make_problem)
-from optbench.core.linalg import norm
+from optbench.core import oracles
+from optbench.core.linalg import SCREEN_MAX_DIM, norm
 from optbench.core.oracles import ROW_BLOCK, Stop, grad_or_stop, run_steps, values_at
+from optbench.smooth import Exact, SmoothRunConfig, run_gd
 
 X = np.array([1.0, -1.0])
 
@@ -449,6 +451,17 @@ def test_grad_or_stop_inside_the_screens_margin_is_judged_by_norm(g, tol, status
     assert bits(trace.final.grad_norm) == bits(grad_norm)
     with np.errstate(over="ignore", invalid="ignore"):
         assert [bits(v) for v in trace.columns["grad_norm"][:last]] == [bits(norm(np.array(g)))] * last
+
+
+@pytest.mark.parametrize("d, exact_calls", [(2, 0), (3, 0), (SCREEN_MAX_DIM, 0), (SCREEN_MAX_DIM + 1, 100)])
+def test_the_driver_screens_decide_ordinary_iterations_up_to_the_cutoff(d, exact_calls, monkeypatch):
+    """A gd run's stop and distance tests take the exact norm only above ``SCREEN_MAX_DIM`` entries, then on every step."""
+    calls = []
+    monkeypatch.setattr(oracles, "norm", lambda v: calls.append(1) or norm(v))
+    oracle, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 4.0, d).tolist()})
+    trace = run_gd(oracle, np.ones(d), SmoothRunConfig(N=50, mode=Exact()), divergence_radius=1e6)
+    assert trace.status is RunStatus.BUDGET_EXHAUSTED and trace.final.iter == 50
+    assert len(calls) == exact_calls
 
 
 def test_run_steps_reports_the_last_iterate_when_reported_gives_none():

@@ -26,7 +26,10 @@ from optbench.core import (
     problem_names,
     wrap_noise,
 )
+from optbench.core import noise as noise_module
+from optbench.core.linalg import SCREEN_MAX_DIM
 from optbench.core.noise import NOISE_KINDS
+from optbench.core.oracles import OracleSuite
 from optbench.core.problems import _CATALOG
 
 
@@ -582,6 +585,100 @@ def test_random_direction_noise_gives_the_gradients_of_per_call_sphere_draws(noi
         g = oracle.grad(x)
         want = g + scale * ref.sphere(d) if scale is not None else g + noise.alpha * norm(g) * ref.sphere(d)
         assert noisy(x).tobytes() == want.tobytes()
+
+
+class _Directions:
+    """An ``Rng`` stand-in whose ``spheres`` yields the given rows, for the random-direction wrappers."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def spheres(self, d):
+        return iter(self.rows)
+
+
+def _constant_gradient(g):
+    return OracleSuite(value=lambda x: 0.0, subgrad=lambda x: g, grad=lambda x: g, dim=len(g))
+
+
+def _exact_noise_check(noise, g, e):
+    """``(passes, out)``: the bound check a random-direction wrapper makes with its exact norm, and its gradient."""
+    if isinstance(noise, AbsoluteGrad):
+        return not norm(e) > 1 + 1e-12, g + noise.delta * e
+    alpha = noise.alpha
+    gn = math.sqrt(np.vdot(g, g))
+    if gn == math.inf and np.isfinite(g).all():
+        gn = math.hypot(*g.tolist())
+    out = g + alpha * gn * e
+    fails = (gn > 0 and not norm((out - g) / gn) <= alpha * (1 + 1e-12) + 4 * math.ulp(gn) / gn
+             and np.isfinite(g).all())
+    return not fails, out
+
+
+# a direction's norm over 1, around the screens' margin (1e-13) and the exact tests' (1e-12)
+NORM_OFFSETS = (-1e-13, -1e-15, 0.0, 1e-15, 5e-14, 9e-14, 1e-13, 1.2e-13, 3e-13, 8e-13, 1e-12, 1.2e-12, 1e-11)
+
+
+def _noise_screen_cases():
+    """(g, e): gradients of 1 to 300 entries at norms from 1e-200 to 1e200, some with a zero, NaN or inf entry,
+    and directions of norm 1 + each of NORM_OFFSETS; then gradients whose norm overflows or is subnormal."""
+    r = np.random.default_rng(36)
+    for i in range(1500):
+        d = (1, 2, 3, SCREEN_MAX_DIM - 1, SCREEN_MAX_DIM, SCREEN_MAX_DIM + 1, 64, 300)[i % 8] if i < 400 else int(r.integers(1, 301))
+        g = r.standard_normal(d) * 10.0 ** r.uniform(-200, 200)
+        special = r.integers(8)
+        if special < 3:
+            g[r.integers(d)] = (0.0, math.nan, math.inf)[special]
+        e = r.standard_normal(d)
+        yield g, e / norm(e) * (1 + NORM_OFFSETS[i % len(NORM_OFFSETS)])
+    for d, scale in itertools.product((1, 2, 3, SCREEN_MAX_DIM + 1), (1.5e308, 1e-310, 1e-320)):
+        e = r.standard_normal(d)
+        yield np.full(d, scale), e / norm(e)
+
+
+@pytest.mark.parametrize("noise", [AbsoluteGrad(0.3), *(RelativeGrad(a, mode="random_direction")
+                                                      for a in (0.0, 0.25, 0.999))],
+                         ids=["absolute", "relative-0", "relative-0.25", "relative-0.999"])
+def test_random_direction_noise_screens_agree_with_their_exact_checks(noise):
+    with np.errstate(all="ignore"):
+        for g, e in _noise_screen_cases():
+            passes, want = _exact_noise_check(noise, g, e)
+            noisy = wrap_noise(_constant_gradient(g), noise, _Directions([e]))
+            try:
+                out = noisy.grad(np.zeros(len(g)))
+            except AssertionError:
+                out = None
+            assert (out is not None) == passes, (g, e)
+            assert out is None or out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise", [AbsoluteGrad(0.3), RelativeGrad(0.25, mode="random_direction")],
+                         ids=["absolute", "relative"])
+@pytest.mark.parametrize("d", [2, SCREEN_MAX_DIM + 1])
+def test_a_direction_past_the_bound_raises_at_the_call_that_takes_it(noise, d):
+    units = [row / norm(row) for row in np.random.default_rng(d).standard_normal((8, d))]
+    units[4] = units[4] * (1 + 1e-11)
+    oracle, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 4.0, d).tolist()})
+    noisy = wrap_noise(oracle, noise, _Directions(units))
+    for _ in range(4):
+        noisy.grad(np.ones(d))
+    with pytest.raises(AssertionError, match="exceeds its bound"):
+        noisy.grad(np.ones(d))
+
+
+@pytest.mark.parametrize("noise", [AbsoluteGrad(0.3), RelativeGrad(0.25, mode="random_direction"),
+                                   RelativeGrad(0.999, mode="random_direction")],
+                         ids=["absolute", "relative-0.25", "relative-0.999"])
+@pytest.mark.parametrize("d, exact_calls", [(1, 0), (2, 0), (3, 0), (SCREEN_MAX_DIM, 0), (SCREEN_MAX_DIM + 1, 300)])
+def test_the_noise_screens_decide_ordinary_calls_up_to_the_cutoff(noise, d, exact_calls, monkeypatch):
+    """Up to ``SCREEN_MAX_DIM`` entries no ordinary call reaches the exact norm; above it every call does."""
+    calls = []
+    monkeypatch.setattr(noise_module, "norm", lambda v: calls.append(1) or norm(v))
+    oracle, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 4.0, d).tolist()})
+    noisy, rng = wrap_noise(oracle, noise, Rng(d)), Rng(1)
+    for _ in range(300):
+        noisy.grad(rng.gaussian(d))
+    assert len(calls) == exact_calls
 
 
 def test_gradient_noise_requires_grad():

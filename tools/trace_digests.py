@@ -215,7 +215,10 @@ Grids:
   it as ``divergence_radius`` (``radius-at``, ``radius-below``).  Both
   thresholds are read in the checkout run, so a checkout that decides a
   stop otherwise shows as a differing key; the hash also covers the next
-  draws of ``gd_rel_adaptive``'s ``Rng`` (132 runs);
+  draws of ``gd_rel_adaptive``'s ``Rng``.  ``gd`` and ``gd_rel_adaptive``
+  run again (``-d40``) on a 40-d ``quad_diag`` (eigenvalues 10 down to 1),
+  above the float screens' cutoff, from the three starts' entries
+  repeated (198 runs);
 * ``rec/...``: ``record_every`` 1 runs with ``record_x`` on and off, whose
   row counts (511, 512, 513 and 1025) sit around a block of 512 rows.
   ``gd`` (L = 8, tol 0) on ``quad_diag`` at d 1 and 2 (whose rows take
@@ -817,6 +820,9 @@ EDGE_ROWS = (3, 40)
 # start name -> x0 on quad_diag [10, 1]: gradients and distances near 1, and across the ends of the screens'
 # window, 1e-150 (the squares of ``tiny`` underflow within the run) and 1e150 (``huge`` starts above it)
 EDGE_STARTS = {"unit": (1.0, 1.0), "tiny": (1e-149, 3e-150), "huge": (1e149, 3e148)}
+# a quad_diag length above the float screens' cutoff (core.linalg.SCREEN_MAX_DIM, 32): its runs take the exact
+# tests only; its eigenvalues run from 10 down to 1 and its starts repeat the 2-d starts' entries
+EDGE_WIDE = 40
 
 
 def edge_grid(tmp: str) -> dict:
@@ -832,8 +838,9 @@ def edge_grid(tmp: str) -> dict:
     from optbench.core.linalg import norm
 
     quad, _ = make_problem("quad_diag", {"lambdas": [10.0, 1.0]})
+    wide, _ = make_problem("quad_diag", {"lambdas": np.linspace(10.0, 1.0, EDGE_WIDE).tolist()})
 
-    def smooth(entry, mode, noisy=False):
+    def smooth(entry, mode, noisy=False, quad=quad):
         def run(x0, tol, radius):
             rng = Rng(1)
             suite = wrap_noise(quad, RelativeGrad(0.25, mode="random_direction"), rng) if noisy else quad
@@ -851,7 +858,10 @@ def edge_grid(tmp: str) -> dict:
 
     runs = {"gd": smooth(sm.run_gd, sm.Exact()), "heavy_ball": momentum("heavy_ball"),
             "nesterov_cvx": momentum("nesterov_cvx"),
-            "gd_rel_adaptive": smooth(sm.run_gd_rel_adaptive, sm.RelNoiseAdaptive(0.25, L0=1.0), noisy=True)}
+            "gd_rel_adaptive": smooth(sm.run_gd_rel_adaptive, sm.RelNoiseAdaptive(0.25, L0=1.0), noisy=True),
+            f"gd-d{EDGE_WIDE}": smooth(sm.run_gd, sm.Exact(), quad=wide),
+            f"gd_rel_adaptive-d{EDGE_WIDE}": smooth(sm.run_gd_rel_adaptive, sm.RelNoiseAdaptive(0.25, L0=1.0),
+                                                    noisy=True, quad=wide)}
     path = os.path.join(tmp, "trace.json")
     out = {}
 
@@ -862,7 +872,7 @@ def edge_grid(tmp: str) -> dict:
         return _digest(path, trace.final.oracle_calls, rng) | {"status": trace.status.value, "iter": trace.final.iter}
 
     for (name, run_fn), (start, x0) in itertools.product(runs.items(), EDGE_STARTS.items()):
-        x0 = np.array(x0)
+        x0 = np.resize(x0, EDGE_WIDE) if name.endswith(f"-d{EDGE_WIDE}") else np.array(x0)
         key = f"driver/edge/{name}/{start}"
         out[f"{key}/first"] = _guarded(lambda: digest(run_fn, x0, 0.0, math.inf))
         with np.errstate(all="ignore"):
