@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation error, 1 runtime failure.  The
 ``OPT_SEED`` environment variable overrides the config seed when set; it
-is read on every call.
+is read on every call, before the config is parsed, so that parsing
+builds the spec at the seed it runs with and the run takes that build.
 
 The parser is built on the first :func:`main` call and reused by every
 later call in the process.  It holds no per-call state: each call parses
@@ -38,13 +39,14 @@ from .tracefile import read_trace
 
 
 def _load_spec(path: str):
+    """The config at ``path``, parsed and built at its seed or ``OPT_SEED``'s."""
     try:
         with open(path, "r") as fh:
             text = fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    spec = parse_config(text)
     env_seed = os.environ.get("OPT_SEED")
+    seed = None
     if env_seed is not None:
         try:
             seed = int(env_seed)
@@ -52,8 +54,7 @@ def _load_spec(path: str):
             raise ConfigError(f"OPT_SEED must be an integer, got {env_seed!r}") from None
         if seed < 0:
             raise ConfigError(f"OPT_SEED must be >= 0, got {env_seed!r}")
-        spec = spec.with_seed(seed)
-    return spec
+    return parse_config(text, seed)
 
 
 def _fmt_opt(v, spec="{:.6g}"):

@@ -14,11 +14,12 @@ A config document is a single JSON object:
 ``problem`` and ``method`` may also be bare name strings, and
 ``iterations`` may be given at the top level.  Unknown keys are rejected
 at every level to catch typos.  Parsing then builds the spec with
-:func:`optbench.bench.runner.assemble`, as the run will: the problem,
-its noise wrapper and, against the noisy problem, the method, so bad
-names, noise models the problem cannot carry, an ``x0`` of the wrong
-length and bad parameters fail at parse time, the keys of an alternative
-the config did not pick (another step rule kind's, say) among them.
+:func:`optbench.bench.runner.assemble`: the problem, its noise wrapper
+and, against the noisy problem, the method, so bad names, noise models
+the problem cannot carry, an ``x0`` of the wrong length and bad
+parameters fail at parse time, the keys of an alternative the config did
+not pick (another step rule kind's, say) among them.  The spec keeps
+that build for its first run.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class ExperimentSpec:
     record_every: int = 1
     record_x: bool = False
     x0: Optional[np.ndarray] = None
+    # parse_config's build of this spec, (oracle, fset, run), until run_experiment takes it for the first run;
+    # not an init field, so a spec made with replace() (with_seed among them) holds none and builds its own
+    built: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def with_seed(self, seed: int) -> "ExperimentSpec":
         return replace(self, seed=int(seed))
@@ -112,8 +116,12 @@ def _noise_field(f, value):
     return value
 
 
-def parse_config(text: str) -> ExperimentSpec:
-    """Parse and validate a JSON experiment document."""
+def parse_config(text: str, seed: Optional[int] = None) -> ExperimentSpec:
+    """Parse and validate a JSON experiment document, and build it for its first run.
+
+    ``seed``, when given, replaces the document's seed (the CLI passes
+    ``OPT_SEED``), so the spec is built at the seed it runs with.
+    """
     from .runner import assemble  # deferred: runner imports this module
 
     try:
@@ -134,7 +142,7 @@ def parse_config(text: str) -> ExperimentSpec:
     if "name" not in problem:
         raise ConfigError("problem: missing required field 'name'")
     problem_params = dict(_object(problem.get("params"), "problem: params"))
-    seed = _count(problem.get("seed", 0), "seed", 0)
+    config_seed = _count(problem.get("seed", 0), "seed", 0)  # checked even where ``seed`` replaces it
 
     method = doc.get("method")
     if method is None:
@@ -187,7 +195,7 @@ def parse_config(text: str) -> ExperimentSpec:
     spec = ExperimentSpec(
         problem_name=problem["name"],
         problem_params=problem_params,
-        seed=seed,
+        seed=config_seed if seed is None else int(seed),
         noise=noise,
         method_name=method["name"],
         method_params=method_params,
@@ -198,5 +206,5 @@ def parse_config(text: str) -> ExperimentSpec:
         record_x=record_x,
         x0=x0,
     )
-    assemble(spec)
+    spec.built.append(assemble(spec))
     return spec

@@ -2,7 +2,9 @@
 
 :func:`assemble` is the one place a spec is built into a problem, its
 noise and its method: :func:`~optbench.bench.config.parse_config` calls it
-to check a config and :func:`run_experiment` to run one.  Seeding is
+to check a config, and the spec keeps that build for its first
+:func:`run_experiment`; a later run of the spec builds it again, since a
+noise wrapper's stream moves as it runs.  Seeding is
 derived from the spec's single seed: problem data use the seed itself,
 noise wrappers use child stream (seed, 101) and method randomness child
 stream (seed, 202), so identical spec text yields byte-identical traces.
@@ -52,11 +54,14 @@ def assemble(spec: ExperimentSpec) -> tuple[OracleSuite, FeasibleSet, Run]:
 def run_experiment(spec: ExperimentSpec, trace_path: Optional[str] = None) -> tuple[Trace, dict]:
     """Run one experiment; returns (trace, summary) and writes the trace file.
 
-    The summary reports the gap and distance at the run's output point,
-    the oracle-call total, the terminal status and the wall time.
+    The run takes the build that :func:`~optbench.bench.config.parse_config`
+    left on ``spec``, if no run has taken it yet, else builds the spec
+    with :func:`assemble`.  The summary reports the gap and distance at
+    the run's output point, the oracle-call total, the terminal status and
+    the wall time.
     """
     t0 = time.perf_counter()
-    oracle, fset, run = assemble(spec)
+    oracle, fset, run = spec.built.pop() if spec.built else assemble(spec)
     x0 = spec.x0 if spec.x0 is not None else default_x0(spec.problem_name, spec.problem_params, spec.seed)
     try:
         trace = run(fset, np.asarray(x0, dtype=float), Rng((int(spec.seed), _METHOD_STREAM)))

@@ -30,6 +30,7 @@ from optbench.bench.registry import method_entry, method_names
 from optbench.bench.tracefile import FORMATS
 from optbench.core import (AdditiveStochGrad, Rng, RunStatus, Trace, TraceRecorder, TraceRow, make_problem, problem_names,
                            wrap_noise)
+from optbench.bench import runner
 from optbench.core import oracles
 from optbench.zeroorder import PowerDecayTau
 
@@ -1247,6 +1248,37 @@ def test_cli_opt_seed_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OPT_SEED", "-1")
     assert main(["run", "--config", cfg]) == 2
     assert capsys.readouterr().err == "error: OPT_SEED must be >= 0, got '-1'\n"
+
+
+def test_a_cli_op_builds_its_spec_once_at_the_seed_it_runs(tmp_path, capsys, monkeypatch):
+    built, assemble = [], runner.assemble
+    monkeypatch.setattr(runner, "assemble", lambda spec: built.append(spec.seed) or assemble(spec))
+    monkeypatch.delenv("OPT_SEED", raising=False)
+    cfg = write_cfg(tmp_path, "l1.json", {
+        "problem": {"name": "l1_system", "params": {"d": 4, "m": 6}, "seed": 1},
+        "method": "polyak_subgrad", "iterations": 3})
+    assert main(["run", "--config", cfg]) == 0
+    assert main(["compare", "--configs", cfg, cfg]) == 0
+    monkeypatch.setenv("OPT_SEED", "7")
+    assert main(["run", "--config", cfg]) == 0
+    assert built == [1, 1, 1, 7]
+    bad = write_cfg(tmp_path, "bad.json", {"problem": "quad_diag", "method": "gd", "iterations": 3, "x0": [1.0]})
+    assert main(["run", "--config", bad]) == 2  # refused at parse, before any run
+    assert built == [1, 1, 1, 7, 7] and "x0 has dimension 1, problem has 2" in capsys.readouterr().err
+
+
+def test_a_parsed_spec_run_twice_writes_the_same_trace(tmp_path):
+    """The first run takes the spec's build from parsing, a later one builds afresh: the noise stream starts over."""
+    spec = parse_config(json.dumps({
+        "problem": {"name": "quad_diag", "params": {"lambdas": [10, 1]}},
+        "noise": {"kind": "relative_grad", "alpha": 0.25, "mode": "random_direction"},
+        "method": {"name": "gd_rel", "params": {"alpha": 0.25}}, "iterations": 40}))
+    paths = [str(tmp_path / f"{name}.json") for name in ("first", "second", "reseeded")]
+    run_experiment(spec, paths[0])
+    run_experiment(spec, paths[1])
+    run_experiment(spec.with_seed(0), paths[2])
+    first, *others = (open(path, "rb").read() for path in paths)
+    assert others == [first, first]
 
 
 def _mask_times(command: str, text: str) -> str:
