@@ -165,8 +165,10 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
 
     A ValueError names a file that is not a trace, or its first malformed
     row: in JSON, a row that is not an object, lacks a field, or holds
-    anything but a number where one is meant (``f_gap``, ``dist_to_opt``
-    and ``grad_norm`` take a number or null, not a bool or a string).
+    anything else where a number is meant.  ``iter`` and ``oracle_calls``
+    take a JSON integer (not ``1.0``), ``f_value`` and ``step_size`` a
+    number, and ``f_gap``, ``dist_to_opt`` and ``grad_norm`` a number or
+    null; a bool or a string is never a number.
     """
     format = format or format_for_path(path)
     if format == "csv":
@@ -202,25 +204,35 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
     return Trace(rows=rows, status=status, x_out=x_out, f_out=doc.get("f_out"))
 
 
-def _optional_float(value) -> Optional[float]:
-    """A JSON number as a float, null as None; a TypeError for anything else (a bool or a string among them)."""
-    if value is None:
-        return None
+def _json_float(value) -> float:
+    """A JSON number as a float; a TypeError for anything else (a bool, a string or null among them)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
 
 
+def _optional_float(value) -> Optional[float]:
+    """A JSON number as a float, null as None; a TypeError for anything else."""
+    return None if value is None else _json_float(value)
+
+
+def _json_int(value) -> int:
+    """A JSON integer as an int; a TypeError for anything else (``1.0``, ``true`` and ``"1"`` among them)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
 def _row_from_json(path: str, rd) -> TraceRow:
     try:
         return TraceRow(
-            iter=int(rd["iter"]),
-            f_value=float(rd["f_value"]),
+            iter=_json_int(rd["iter"]),
+            f_value=_json_float(rd["f_value"]),
             f_gap=_optional_float(rd.get("f_gap")),
             dist_to_opt=_optional_float(rd.get("dist_to_opt")),
             grad_norm=_optional_float(rd.get("grad_norm")),
-            step_size=float(rd["step_size"]),
-            oracle_calls=int(rd["oracle_calls"]),
+            step_size=_json_float(rd["step_size"]),
+            oracle_calls=_json_int(rd["oracle_calls"]),
             x=None if rd.get("x") is None else np.array(rd["x"], dtype=float),
             tag=rd.get("tag"),
         )

@@ -798,8 +798,11 @@ JSON_ROW = {"iter": 1, "f_value": 2.0, "f_gap": 1, "dist_to_opt": None, "grad_no
     ({"rows": [{"iter": 1}]}, "malformed row {'iter': 1}"),
     *(({"rows": [row]}, f"malformed row {row!r}") for row in (
         dict(JSON_ROW, f_gap="x"), dict(JSON_ROW, dist_to_opt=True), dict(JSON_ROW, grad_norm="0.5"),
-        dict(JSON_ROW, f_gap=[0.5]))),
-], ids=["config", "list", "row", "text-gap", "bool-distance", "quoted-norm", "list-gap"])
+        dict(JSON_ROW, f_gap=[0.5]), dict(JSON_ROW, iter=True), dict(JSON_ROW, iter=1.0),
+        dict(JSON_ROW, f_value="2.5"), dict(JSON_ROW, f_value=None), dict(JSON_ROW, step_size="0.1"),
+        dict(JSON_ROW, step_size=False), dict(JSON_ROW, oracle_calls="7"), dict(JSON_ROW, oracle_calls=7.0))),
+], ids=["config", "list", "row", "text-gap", "bool-distance", "quoted-norm", "list-gap", "bool-iter", "float-iter",
+        "quoted-f", "null-f", "quoted-step", "bool-step", "quoted-calls", "float-calls"])
 def test_json_that_is_not_a_trace_is_named(tmp_path, capsys, doc, message):
     path = write_cfg(tmp_path, "c.json", doc)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
