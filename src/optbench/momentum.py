@@ -39,9 +39,15 @@ from .core.oracles import OracleSuite, RunStatus, Trace, UnsupportedProblemError
 
 
 def _chebyshev_deltas(L: float, mu: float):
-    """delta_1, delta_2, ... of the Chebyshev recurrence ``delta <- 1 / (2(L+mu)/(L-mu) - delta)``."""
+    """delta_1, delta_2, ... of the Chebyshev recurrence ``delta <- 1 / (2(L+mu)/(L-mu) - delta)``.
+
+    The recurrence starts from ``delta_0 = 1/t0``, ``t0 = (L+mu)/(L-mu)``
+    (Golub and Varga, Numer. Math. 3, 1961; Saad, *Iterative Methods for
+    Sparse Linear Systems*, 2003, ch. 12), so that iteration k's error is
+    ``T_k(t(lambda)) / T_k(t0)`` of the eigenvalue, ``t(lambda) = (L+mu-2 lambda)/(L-mu)``.
+    """
     ratio = 2.0 * (L + mu) / (L - mu)
-    delta = 1.0 / (ratio + 1.0)
+    delta = 1.0 / (ratio - 2.0 / ratio)
     while True:
         yield delta
         delta = 1.0 / (ratio - delta)
