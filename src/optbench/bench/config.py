@@ -25,7 +25,7 @@ that build for its first run.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -57,11 +57,8 @@ class ExperimentSpec:
     record_x: bool = False
     x0: Optional[np.ndarray] = None
     # parse_config's build of this spec, (oracle, fset, run), until run_experiment takes it for the first run;
-    # not an init field, so a spec made with replace() (with_seed among them) holds none and builds its own
+    # not an init field, so a spec made with dataclasses.replace() holds none and builds its own
     built: list = field(default_factory=list, init=False, repr=False, compare=False)
-
-    def with_seed(self, seed: int) -> "ExperimentSpec":
-        return replace(self, seed=int(seed))
 
 
 def _object(obj, where: str) -> dict:

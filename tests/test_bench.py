@@ -1279,7 +1279,7 @@ def test_a_parsed_spec_run_twice_writes_the_same_trace(tmp_path):
     paths = [str(tmp_path / f"{name}.json") for name in ("first", "second", "reseeded")]
     run_experiment(spec, paths[0])
     run_experiment(spec, paths[1])
-    run_experiment(spec.with_seed(0), paths[2])
+    run_experiment(dataclasses.replace(spec, seed=0), paths[2])
     first, *others = (open(path, "rb").read() for path in paths)
     assert others == [first, first]
 
