@@ -623,8 +623,9 @@ def _noise_screen_cases():
     """(g, e): gradients of 1 to 300 entries at norms from 1e-200 to 1e200, some with a zero, NaN or inf entry,
     and directions of norm 1 + each of NORM_OFFSETS; then gradients whose norm overflows or is subnormal."""
     r = np.random.default_rng(36)
+    sizes = (1, 2, 3, SCREEN_MAX_DIM - 1, SCREEN_MAX_DIM, SCREEN_MAX_DIM + 1, 64, 300)
     for i in range(1500):
-        d = (1, 2, 3, SCREEN_MAX_DIM - 1, SCREEN_MAX_DIM, SCREEN_MAX_DIM + 1, 64, 300)[i % 8] if i < 400 else int(r.integers(1, 301))
+        d = sizes[i % len(sizes)] if i < 400 else int(r.integers(1, 301))
         g = r.standard_normal(d) * 10.0 ** r.uniform(-200, 200)
         special = r.integers(8)
         if special < 3:
