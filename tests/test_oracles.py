@@ -454,7 +454,7 @@ def test_grad_or_stop_inside_the_screens_margin_is_judged_by_norm(g, tol, status
 
 
 @pytest.mark.parametrize("d, exact_calls", [(2, 0), (3, 0), (SCREEN_MAX_DIM, 0), (SCREEN_MAX_DIM + 1, 100)])
-def test_the_driver_screens_decide_ordinary_iterations_up_to_the_cutoff(d, exact_calls, monkeypatch):
+def test_the_stop_and_distance_screens_decide_ordinary_iterations_up_to_the_cutoff(d, exact_calls, monkeypatch):
     """A gd run's stop and distance tests take the exact norm only above ``SCREEN_MAX_DIM`` entries, and then always."""
     calls = []
     monkeypatch.setattr(oracles, "norm", lambda v: calls.append(1) or norm(v))
