@@ -86,6 +86,12 @@ Grids:
   those files a ``rates/...`` key holding the ``repr`` of ``fit_rate`` on
   the trace read back from it, for both models with window 0.5, or the
   fit's error text (204 keys);
+* ``json/...``: the 17 canonical configs for seeds 1-2 with
+  ``record_every`` in {1, 7} and ``record_x`` on, run through
+  ``run_experiment`` with a JSON trace that is read back and written
+  again; the hash covers the bytes written again and the ``repr`` of the
+  types each column read back holds, so a reader that returns ``1.0``
+  for ``1`` shows (68 keys);
 * ``cli/...``: the 17 canonical configs for seeds 1-2 through the
   command line, in one process: ``run --trace`` (``record_every`` 1),
   ``compare`` (recording off) and, for the configs that name a rate,
@@ -266,6 +272,7 @@ LONG_BUDGETS = (None, 1300)
 DISTRIBUTIONS = ("gaussian", "student_t3")
 STOP_SEEDS = (1, 2)
 CLI_SEEDS = (1, 2)
+JSON_SEEDS = (1, 2)
 EST_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000)
 ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
 ZO_BUDGETS = (None, 36, 53, 54, 55)
@@ -417,6 +424,34 @@ def csv_grid(tmp: str) -> dict:
                             for model in MODELS}
 
                 out[f"rates/{key}"] = _guarded(rates)
+    return out
+
+
+def json_grid(tmp: str) -> dict:
+    from catalog import make_configs
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+    from optbench.bench.tracefile import read_trace, write_trace
+    from optbench.core import make_problem
+
+    out = {}
+    path, again = os.path.join(tmp, "trace.json"), os.path.join(tmp, "again.json")
+    for seed in JSON_SEEDS:
+        for canon in make_configs(seed, make_problem):
+            for every in (1, 7):
+                doc = dict(canon.doc, budget={"iterations": canon.iterations},
+                           output={"record_every": every, "record_x": True})
+
+                def run(doc=doc):
+                    _, summary = run_experiment(parse_config(json.dumps(doc)), trace_path=path)
+                    trace = read_trace(path)
+                    write_trace(trace, again, "json")
+                    types = {name: sorted({type(v).__name__ for v in cells}) for name, cells in trace.columns.items()}
+                    with open(again, "rb") as fh:
+                        data = fh.read() + repr(types).encode()
+                    return {"sha256": hashlib.sha256(data).hexdigest(), "oracle_calls": summary["oracle_calls"]}
+
+                out[f"json/{canon.key}/seed{seed}/every{every}"] = _guarded(run)
     return out
 
 
@@ -1589,8 +1624,8 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
-                   **estimator_grid(), **csv_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp), **oracle_grid(),
-                   **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
+                   **estimator_grid(), **csv_grid(tmp), **json_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp),
+                   **oracle_grid(), **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
                    **diverge_grid(tmp), **edge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
