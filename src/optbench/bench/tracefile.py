@@ -12,6 +12,7 @@ Writes are atomic: the file is written next to the target and renamed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.oracles import RunStatus, Trace, TraceRow
+from ..core.oracles import TRACE_FIELDS, RunStatus, Trace
 
 CSV_HEADER = "iter,f_value,f_gap,dist_to_opt,grad_norm,step_size,oracle_calls"
 CSV_FIELDS = tuple(CSV_HEADER.split(","))
@@ -134,30 +135,20 @@ def write_trace(trace: Trace, path: str, format: Optional[str] = None):
         _atomic_write(path, "\n".join([CSV_HEADER, *map(row.__mod__, cells)]) + "\n")
         return
 
+    columns = trace.columns
+    rows = [dict(zip(CSV_FIELDS, cells)) for cells in zip(*(columns[name] for name in CSV_FIELDS))]
+    for row, x, tag in zip(rows, columns["x"], columns["tag"]):
+        if x is not None:
+            row["x"] = [float(v) for v in x]
+        if tag is not None:
+            row["tag"] = tag
     doc = {
         "status": None if trace.status is None else trace.status.value,
         "x_out": None if trace.x_out is None else [float(v) for v in trace.x_out],
         "f_out": trace.f_out,
-        "rows": [_row_to_json(r) for r in trace.rows],
+        "rows": rows,
     }
     _atomic_write(path, json.dumps(doc, indent=1) + "\n")
-
-
-def _row_to_json(r: TraceRow) -> dict:
-    d = {
-        "iter": r.iter,
-        "f_value": r.f_value,
-        "f_gap": r.f_gap,
-        "dist_to_opt": r.dist_to_opt,
-        "grad_norm": r.grad_norm,
-        "step_size": r.step_size,
-        "oracle_calls": r.oracle_calls,
-    }
-    if r.x is not None:
-        d["x"] = [float(v) for v in r.x]
-    if r.tag is not None:
-        d["tag"] = r.tag
-    return d
 
 
 def read_trace(path: str, format: Optional[str] = None) -> Trace:
@@ -198,10 +189,12 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
         doc = json.load(fh)
     if not (isinstance(doc, dict) and isinstance(doc.get("rows"), list)):
         raise ValueError(f"{path}: not a trace JSON (no rows list)")
-    rows = [_row_from_json(path, rd) for rd in doc["rows"]]
+    cells = [_json_cells(path, rd) for rd in doc["rows"]]
+    columns = zip(*cells) if cells else [()] * len(TRACE_FIELDS)
     status = None if doc.get("status") is None else RunStatus(doc["status"])
     x_out = None if doc.get("x_out") is None else np.array(doc["x_out"], dtype=float)
-    return Trace(rows=rows, status=status, x_out=x_out, f_out=doc.get("f_out"))
+    return Trace(status=status, x_out=x_out, f_out=doc.get("f_out"),
+                 columns={name: list(column) for name, column in zip(TRACE_FIELDS, columns)})
 
 
 def _json_float(value) -> float:
@@ -211,11 +204,6 @@ def _json_float(value) -> float:
     return float(value)
 
 
-def _optional_float(value) -> Optional[float]:
-    """A JSON number as a float, null as None; a TypeError for anything else."""
-    return None if value is None else _json_float(value)
-
-
 def _json_int(value) -> int:
     """A JSON integer as an int; a TypeError for anything else (``1.0``, ``true`` and ``"1"`` among them)."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -223,18 +211,25 @@ def _json_int(value) -> int:
     return value
 
 
-def _row_from_json(path: str, rd) -> TraceRow:
+# Each trace field's reader of its value in a JSON row, in TRACE_FIELDS order, and whether the field may be
+# null or missing (reading as None); a required field that is null or missing reaches its reader, which refuses it.
+_JSON_READERS = {
+    "iter": (_json_int, False),
+    "f_value": (_json_float, False),
+    "f_gap": (_json_float, True),
+    "dist_to_opt": (_json_float, True),
+    "grad_norm": (_json_float, True),
+    "step_size": (_json_float, False),
+    "oracle_calls": (_json_int, False),
+    "x": (functools.partial(np.array, dtype=float), True),
+    "tag": (lambda tag: tag, True),  # any JSON value, as written
+}
+
+
+def _json_cells(path: str, rd) -> list:
+    """The cells of the JSON trace row ``rd``, in TRACE_FIELDS order; a ValueError names a malformed row."""
     try:
-        return TraceRow(
-            iter=_json_int(rd["iter"]),
-            f_value=_json_float(rd["f_value"]),
-            f_gap=_optional_float(rd.get("f_gap")),
-            dist_to_opt=_optional_float(rd.get("dist_to_opt")),
-            grad_norm=_optional_float(rd.get("grad_norm")),
-            step_size=_json_float(rd["step_size"]),
-            oracle_calls=_json_int(rd["oracle_calls"]),
-            x=None if rd.get("x") is None else np.array(rd["x"], dtype=float),
-            tag=rd.get("tag"),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError):  # not an object, or a field missing or not a number
+        return [None if (value := rd.get(name)) is None and optional else read(value)
+                for name, (read, optional) in _JSON_READERS.items()]
+    except (AttributeError, TypeError, ValueError, OverflowError):  # not an object, or a field not a number
         raise ValueError(f"{path}: malformed row {rd!r}") from None

@@ -23,6 +23,7 @@ and momentum methods share.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -253,19 +254,16 @@ class Trace:
                  x_out: Optional[np.ndarray] = None, f_out: Optional[float] = None, *,
                  columns: Optional[dict[str, list]] = None):
         if columns is None:
-            rows = list(rows or ())
-            columns = {name: [getattr(r, name) for r in rows] for name in TRACE_FIELDS}
+            self.rows = list(rows or ())
+            columns = {name: [getattr(r, name) for r in self.rows] for name in TRACE_FIELDS}
         self.columns = columns
         self.status = status
         self.x_out = x_out
         self.f_out = f_out
-        self._rows = rows
 
-    @property
+    @functools.cached_property
     def rows(self) -> list[TraceRow]:
-        if self._rows is None:
-            self._rows = [TraceRow(*values) for values in zip(*(self.columns[n] for n in TRACE_FIELDS))]
-        return self._rows
+        return [TraceRow(*values) for values in zip(*(self.columns[n] for n in TRACE_FIELDS))]
 
     @property
     def final(self) -> TraceRow:
@@ -510,7 +508,10 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     ``(d/2 + 2) * 2**-53`` relative) stays far inside the 1e-9 margin, so
     ``norm(x - x0) <= divergence_radius`` holds there too.  Every other
     distance (near the radius, tiny, huge, NaN or inf) goes to the exact
-    test, and so does every distance of a longer run.
+    test, and so does every distance of a longer run.  The floor guards a
+    tiny radius: below it a square can be subnormal, and a subnormal
+    square can round up, so ``norm`` of a difference ``(1.99e-162, 0)``
+    is ``2.22e-162`` and a radius between the two must end the run.
     """
     ctr = CountingOracle(oracle, max_oracle_calls)
     rec = TraceRecorder(oracle, ctr, record_every, record_x)

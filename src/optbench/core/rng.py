@@ -4,7 +4,10 @@ A thin wrapper around numpy's PCG64 generator that fixes the draw
 conventions used throughout the library: uniform on [-1, 1], standard
 gaussians, and uniform points on the unit Euclidean sphere (normalized
 gaussian vectors), one at a time or a block of draws at a time.
-Identical seeds always yield identical streams.
+Identical seeds always yield identical streams.  An :class:`Rng` builds
+its generator on its first draw (or read of its state), so a run that
+draws nothing never imports ``numpy.random``; a test may assign
+``rng._gen`` to stand a stub in for the generator.
 
 Every block that the library draws ahead of its calls holds :data:`BLOCK_VALUES`
 values, and :func:`unit_rows` turns gaussian rows into sphere points, for
@@ -19,6 +22,7 @@ code are reproducible regardless of execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -53,30 +57,6 @@ def uniform_of(u, low: float = -1.0, high: float = 1.0):
     return low + (high - low) * u
 
 
-class _UnbuiltGenerator:
-    """An :class:`Rng`'s generator until its first use, which builds it and puts it in its place.
-
-    So a run that never draws does not import ``numpy.random``, and later
-    draws reach the generator as a plain instance attribute (a ``__getattr__``
-    on :class:`Rng` itself would slow every attribute read of it).  A
-    wrapper that took this object in keeps drawing through it.
-    """
-
-    __slots__ = ("rng", "gen")
-
-    def __init__(self, rng: "Rng"):
-        self.rng, self.gen = rng, None
-
-    def __getattr__(self, name):
-        if name.startswith("__"):  # copy and pickle protocol lookups build nothing
-            raise AttributeError(name)
-        if self.gen is None:
-            self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.rng.entropy)))
-            if self.rng._gen is self:
-                self.rng._gen = self.gen
-        return getattr(self.gen, name)
-
-
 class Rng:
     """Deterministic random source backed by ``numpy.random.PCG64``."""
 
@@ -87,7 +67,16 @@ class Rng:
             self._entropy = (int(seed),)
         if any(operator.index(e) < 0 for e in self._entropy):  # what SeedSequence refuses
             raise ValueError(f"seed entropy must be non-negative integers, got {self._entropy}")
-        self._gen = _UnbuiltGenerator(self)
+
+    @functools.cached_property
+    def _gen(self):
+        """The PCG64 generator of the stream, built on first use and then read as a plain instance attribute.
+
+        So an ``Rng`` that never draws builds nothing and does not import
+        ``numpy.random``.  Assigning ``rng._gen`` puts another generator
+        (a test's stub, say) in its place, built or not.
+        """
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self._entropy)))
 
     @property
     def entropy(self) -> tuple:

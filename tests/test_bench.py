@@ -849,6 +849,80 @@ def test_json_round_trip_field_for_field(tmp_path):
             np.testing.assert_array_equal(a.x, b.x)
 
 
+def reference_json_text(trace: Trace) -> str:
+    """The JSON text of ``trace`` written row object by row object: the reference for ``write_trace``."""
+    def row_doc(r):
+        d = {"iter": r.iter, "f_value": r.f_value, "f_gap": r.f_gap, "dist_to_opt": r.dist_to_opt,
+             "grad_norm": r.grad_norm, "step_size": r.step_size, "oracle_calls": r.oracle_calls}
+        if r.x is not None:
+            d["x"] = [float(v) for v in r.x]
+        if r.tag is not None:
+            d["tag"] = r.tag
+        return d
+    doc = {"status": None if trace.status is None else trace.status.value,
+           "x_out": None if trace.x_out is None else [float(v) for v in trace.x_out],
+           "f_out": trace.f_out, "rows": [row_doc(r) for r in trace.rows]}
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def reference_json_rows(path) -> list:
+    """The rows of a valid JSON trace read one row object at a time: the reference for ``read_trace``."""
+    def optional(value):
+        return None if value is None else float(value)
+    with open(path) as fh:
+        rows = json.load(fh)["rows"]
+    return [TraceRow(iter=rd["iter"], f_value=float(rd["f_value"]), f_gap=optional(rd.get("f_gap")),
+                     dist_to_opt=optional(rd.get("dist_to_opt")), grad_norm=optional(rd.get("grad_norm")),
+                     step_size=float(rd["step_size"]), oracle_calls=rd["oracle_calls"],
+                     x=None if rd.get("x") is None else np.array(rd["x"], dtype=float), tag=rd.get("tag"))
+            for rd in rows]
+
+
+def cell_bits(value):
+    """A cell's type and bits: equal for two cells only when they are the same value, NaN and -0.0 included."""
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return "float", np.float64(value).tobytes()
+    return type(value).__name__, value
+
+
+SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1 / 3)
+
+
+def special_json_traces() -> dict:
+    rows = [TraceRow(iter=k, f_value=SPECIAL[k % 7], f_gap=None if k % 3 == 0 else SPECIAL[(k + 1) % 7],
+                     dist_to_opt=None if k % 2 else SPECIAL[(k + 2) % 7], grad_norm=None if k % 4 == 1 else SPECIAL[k % 7],
+                     step_size=SPECIAL[(k + 3) % 7], oracle_calls=2 * k,
+                     x=None if k % 5 == 4 else np.array([SPECIAL[k % 7], SPECIAL[(k + 4) % 7]]),
+                     tag=None if k % 2 else ("productive", "nonproductive")[k % 4 // 2])
+            for k in range(15)]
+    plain = [TraceRow(iter=k, f_value=2 - k, f_gap=1, dist_to_opt=None, grad_norm=None, step_size=0.5,
+                      oracle_calls=k) for k in range(3)]
+    return {
+        "special-rows": Trace(rows=rows, status=RunStatus.DIVERGED, x_out=np.array([-0.0, math.nan]), f_out=math.inf),
+        "special-columns": Trace(columns={name: [getattr(r, name) for r in rows] for name in oracles.TRACE_FIELDS},
+                                 status=RunStatus.CONVERGED, x_out=np.array([1.0, -0.0]), f_out=-0.0),
+        "int-cells": Trace(rows=plain, status=None),
+        "empty": Trace(rows=[], status=RunStatus.BUDGET_EXHAUSTED, x_out=np.array([0.5]), f_out=0.25),
+    }
+
+
+@pytest.mark.parametrize("name", ["special-rows", "special-columns", "int-cells", "empty"])
+def test_json_trace_io_matches_the_row_by_row_reference(tmp_path, name):
+    trace, path = special_json_traces()[name], str(tmp_path / "t.json")
+    write_trace(trace, path, "json")
+    with open(path) as fh:
+        assert fh.read() == reference_json_text(trace)
+    back = read_trace(path)
+    reference = Trace(rows=reference_json_rows(path))
+    for field in oracles.TRACE_FIELDS:
+        assert list(map(cell_bits, back.columns[field])) == list(map(cell_bits, reference.columns[field])), field
+    assert (back.status, cell_bits(back.f_out), cell_bits(back.x_out)) == (trace.status, cell_bits(trace.f_out),
+                                                                           cell_bits(trace.x_out))
+    assert back.rows is back.rows and len(back.rows) == len(trace.rows)
+
+
 # -- runner --------------------------------------------------------------------------
 
 def test_run_experiment_zero_iterations_is_initial_state():

@@ -418,6 +418,15 @@ def test_run_steps_radius_inside_the_screens_margin_is_judged_by_norm(radius, st
     assert trace.status is status and trace.final.iter == last
 
 
+def test_run_steps_tiny_radius_below_the_screens_floor_is_judged_by_norm():
+    tiny = np.array([1.9896196208960125e-162, 0.0])  # its square is subnormal and rounds up
+    assert math.dist(tiny.tolist(), [0.0, 0.0]) < 2e-162 * (1 - 1e-9) and norm(tiny) > 2e-162
+    oracle, _ = make_problem("quad_diag", {"lambdas": [2, 1]})
+    trace = run_steps(oracle, np.zeros(2), 4, halving(to=tiny)[0], record_every=1, record_x=False,
+                      max_oracle_calls=None, divergence_radius=2e-162)
+    assert trace.status is RunStatus.DIVERGED and trace.final.iter == 1
+
+
 def stop_on(g, tol, N=3):
     """run_steps over a step that stays at x and stops through grad_or_stop on the constant gradient ``g``."""
     g = np.array(g)

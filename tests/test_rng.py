@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -15,14 +18,27 @@ def test_same_seed_same_stream():
 def test_generator_is_built_on_first_use_with_the_seed_stream():
     rng, twin = Rng((5, 2)), np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 2))))
     child = rng.spawn(1)
-    built = [isinstance(r._gen, np.random.Generator) for r in (rng, child)]
+    built = ["_gen" in vars(r) for r in (rng, child)]
     assert built == [False, False]  # spawning draws nothing
     assert rng.state == twin.bit_generator.state
-    assert isinstance(rng._gen, np.random.Generator)  # the first use put the generator in place
+    assert isinstance(vars(rng)["_gen"], np.random.Generator)  # the first use put the generator in place
     assert rng.gaussian(4).tobytes() == twin.standard_normal(4).tobytes()
     fresh = Rng((5, 2))
     fresh.state = rng.state  # assigning a state builds the generator too
     assert fresh.gaussian(3).tobytes() == rng.gaussian(3).tobytes()
+
+
+def test_copies_of_an_unbuilt_rng_build_nothing_and_each_draw_the_seed_stream():
+    rng = Rng(7)
+    copies = [copy.copy(rng), pickle.loads(pickle.dumps(rng))]
+    assert ["_gen" in vars(r) for r in (rng, *copies)] == [False, False, False]
+    view = object.__new__(Rng)  # a view that takes the attributes of an unbuilt Rng, as a timing wrapper does
+    view.__dict__.update(rng.__dict__)
+    stream = _twin(7).standard_normal(6).tobytes()
+    assert [r.gaussian(6).tobytes() for r in (view, rng, *copies)] == [stream] * 4
+    built = object.__new__(Rng)  # a view of a built Rng shares its generator, so its state
+    built.__dict__.update(rng.__dict__)
+    assert built.gaussian(2).tobytes() + rng.gaussian(2).tobytes() == _twin(7).standard_normal(10)[6:].tobytes()
 
 
 @pytest.mark.parametrize("seed", [-1, (3, -2)])
