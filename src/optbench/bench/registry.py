@@ -200,11 +200,9 @@ def _build_gd_rel_adaptive(smooth, spec, oracle) -> Run:
 
 def _build_momentum(variant: str, momentum, spec, oracle) -> Run:
     p, kw = spec.method_params, _common_kwargs(spec)
-    # mu is optional, filled when the run starts, unless the variant needs it
-    cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations, L=_problem_constant(p, "L", oracle),
-                                  mu=_problem_constant(p, "mu", oracle) if momentum.VARIANTS[variant].needs_mu
-                                  else _float(p, "mu"),
+    cfg = momentum.MomentumConfig(variant=variant, N=spec.iterations, L=_float(p, "L"), mu=_float(p, "mu"),
                                   tol=_float(p, "tol", momentum.MomentumConfig.tol))
+    momentum._resolve(oracle, cfg)  # the run's own check of L and mu, made at parse
     return lambda fset, x0, rng: momentum.run_momentum(oracle, x0, cfg, **kw)
 
 

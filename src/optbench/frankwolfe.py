@@ -42,6 +42,10 @@ class ShortStep:
     kind: ClassVar[str] = "short"
     L: Optional[float] = None  # the problem's when omitted
 
+    def __post_init__(self):
+        if self.L is not None and not self.L > 0:  # also true for NaN
+            raise ValueError("ShortStep requires a positive L (config or oracle)")
+
 
 FW_STEP_RULES: dict[str, type] = {cls.kind: cls for cls in (Classic, ShortStep)}  # a class's fields are its keys
 

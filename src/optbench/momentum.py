@@ -154,10 +154,10 @@ def _resolve(oracle: OracleSuite, cfg: MomentumConfig) -> tuple[float, float]:
         mu = oracle.constant("mu", cfg.mu)
         if not mu > 0:
             raise ValueError(f"variant {cfg.variant!r} requires mu > 0")
-        if mu > L:
-            raise ValueError("mu must not exceed L")
     else:  # an optional mu: the problem's when known, else 0
         mu = float(cfg.mu if cfg.mu is not None else oracle.mu or 0.0)
+    if mu > L:
+        raise ValueError("mu must not exceed L")
     if VARIANTS[cfg.variant].needs_mu_below_L and not mu < L:
         raise ValueError(f"{cfg.variant} requires mu < L strictly")
     return L, mu

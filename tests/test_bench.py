@@ -1073,7 +1073,26 @@ def test_every_method_on_every_problem_is_refused_at_parse_fails_at_run_or_runs(
             outcomes["run"] += 1
         else:
             outcomes["ran"] += 1
-    assert outcomes == {"parse": 68, "run": 41, "ran": 78}
+    assert outcomes == {"parse": 70, "run": 39, "ran": 78}
+
+
+@pytest.mark.parametrize("method, params, message", [
+    ("heavy_ball", {"mu": 0.0}, "variant 'heavy_ball' requires mu > 0"),
+    ("heavy_ball", {"mu": -1.0}, "variant 'heavy_ball' requires mu > 0"),
+    ("heavy_ball", {"L": -1.0}, "a positive L is required (config or oracle)"),
+    ("nesterov_cvx", {"L": 0.0}, "a positive L is required (config or oracle)"),
+    ("nesterov_cvx", {"mu": 20.0}, "mu must not exceed L"),  # the problem's L is 10
+    ("chebyshev", {"L": 2.0, "mu": 2.0}, "chebyshev requires mu < L strictly"),
+    ("taylor_drori", {"L": 2.0, "mu": 2.0}, "taylor_drori requires mu < L strictly"),
+    ("frank_wolfe", {"step_rule": "short", "L": -1.0}, "ShortStep requires a positive L (config or oracle)"),
+    ("frank_wolfe", {"step_rule": "short", "L": 0.0}, "ShortStep requires a positive L (config or oracle)"),
+], ids=["heavy_ball-mu0", "heavy_ball-mu-1", "heavy_ball-L-1", "nesterov_cvx-L0", "nesterov_cvx-mu-above-L",
+        "chebyshev-mu-equals-L", "taylor_drori-mu-equals-L", "frank_wolfe-short-L-1", "frank_wolfe-short-L0"])
+def test_momentum_and_short_step_constants_are_refused_at_parse(method, params, message):
+    problem = "fw_box" if method == "frank_wolfe" else {"name": "quad_diag", "params": {"lambdas": [10, 1]}}
+    doc = {"problem": problem, "method": {"name": method, "params": params}, "iterations": 3}
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'method {method!r}: {message}')}$"):
+        parse_config(json.dumps(doc))
 
 
 def test_every_method_trace_iters_strictly_increase():
