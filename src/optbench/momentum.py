@@ -140,8 +140,6 @@ class MomentumConfig:
             raise ValueError(f"unknown momentum variant {self.variant!r}; choose from {tuple(VARIANTS)}")
         if self.N < 0:
             raise ValueError("budget N must be >= 0")
-        if self.L is not None and self.mu is not None and self.mu > self.L:
-            raise ValueError("mu must not exceed L")
         if not 0 <= self.tol < math.inf:  # also true for NaN
             raise ValueError(f"tol must be >= 0 and finite, got {self.tol}")
 

@@ -1080,13 +1080,14 @@ def test_every_method_on_every_problem_is_refused_at_parse_fails_at_run_or_runs(
     ("heavy_ball", {"mu": 0.0}, "variant 'heavy_ball' requires mu > 0"),
     ("heavy_ball", {"mu": -1.0}, "variant 'heavy_ball' requires mu > 0"),
     ("heavy_ball", {"L": -1.0}, "a positive L is required (config or oracle)"),
+    ("heavy_ball", {"L": -1.0, "mu": 0.5}, "a positive L is required (config or oracle)"),
     ("nesterov_cvx", {"L": 0.0}, "a positive L is required (config or oracle)"),
     ("nesterov_cvx", {"mu": 20.0}, "mu must not exceed L"),  # the problem's L is 10
     ("chebyshev", {"L": 2.0, "mu": 2.0}, "chebyshev requires mu < L strictly"),
     ("taylor_drori", {"L": 2.0, "mu": 2.0}, "taylor_drori requires mu < L strictly"),
     ("frank_wolfe", {"step_rule": "short", "L": -1.0}, "ShortStep requires a positive L (config or oracle)"),
     ("frank_wolfe", {"step_rule": "short", "L": 0.0}, "ShortStep requires a positive L (config or oracle)"),
-], ids=["heavy_ball-mu0", "heavy_ball-mu-1", "heavy_ball-L-1", "nesterov_cvx-L0", "nesterov_cvx-mu-above-L",
+], ids=["heavy_ball-mu0", "heavy_ball-mu-1", "heavy_ball-L-1", "heavy_ball-L-1-mu", "nesterov_cvx-L0", "nesterov_cvx-mu-above-L",
         "chebyshev-mu-equals-L", "taylor_drori-mu-equals-L", "frank_wolfe-short-L-1", "frank_wolfe-short-L0"])
 def test_momentum_and_short_step_constants_are_refused_at_parse(method, params, message):
     problem = "fw_box" if method == "frank_wolfe" else {"name": "quad_diag", "params": {"lambdas": [10, 1]}}
