@@ -123,8 +123,8 @@ def write_trace(trace: Trace, path: str, format: Optional[str] = None):
     format = format or format_for_path(path)
     if format not in FORMATS:
         raise ValueError(f"unknown trace format {format!r}; choose from {FORMATS}")
+    columns = trace.columns
     if format == "csv":
-        columns = trace.columns
         f_value, f_gap = columns["f_value"], columns["f_gap"]
         shared = _print_alike(f_gap, f_value)  # f_gap = f_value - fstar: alike on every problem with fstar = 0
         floats = [_csv_column(f_value, shared)]
@@ -135,7 +135,6 @@ def write_trace(trace: Trace, path: str, format: Optional[str] = None):
         _atomic_write(path, "\n".join([CSV_HEADER, *map(row.__mod__, cells)]) + "\n")
         return
 
-    columns = trace.columns
     rows = [dict(zip(CSV_FIELDS, cells)) for cells in zip(*(columns[name] for name in CSV_FIELDS))]
     for row, x, tag in zip(rows, columns["x"], columns["tag"]):
         if x is not None:
