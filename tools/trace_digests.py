@@ -101,17 +101,19 @@ Grids:
   missing config file, a bad JSON config, ``rates`` on a too-short
   trace, an unknown problem name, ``rates`` with a ``--window`` of 0,
   nan or 1.5, ``rates`` on a JSON file that is not a trace: a config, a
-  list and a row without its fields) hash their exit code and stderr
+  list and a row without its fields, and ``rates`` on a CSV trace with
+  ``abc`` in a row's ``f_value``) hash their exit code and stderr
   instead; two runs whose
   iterates overflow to NaN (``cli/nan/...``: ``sgd`` with ``gamma`` 1.0
   on ``quad_diag [10, 1]`` under ``additive_stoch_grad`` noise, and
   ``const_subgrad`` with ``h`` 1e308) hash what ``run --trace`` does;
-  and ``list-methods`` hashes its exit code and stdout (120 keys);
+  and ``list-methods`` hashes its exit code and stdout (121 keys);
 * ``parse/...``: ``parse_config`` alone.  For each noise kind: a valid
   config, the config without each of its fields, an unknown key, a bad
   mode, ints where floats are meant, and ``v`` without ``mode``.  For
   each catalog problem: its defaults, an unknown parameter, a non-finite
-  parameter and a bad value.  And (``parse/number/...``) numbers that are
+  parameter and a bad value, and ``norm2`` with both ``a`` and ``d``
+  (``parse/problem/norm2/d-beside-a``).  And (``parse/number/...``) numbers that are
   not JSON numbers or not whole where a whole number is meant, at every
   layer, quoted numbers and booleans in ``x0``, in catalog parameters
   and in ``absolute_grad``'s ``v`` among them, a number and a
@@ -125,7 +127,7 @@ Grids:
   mode, ``output.trace_path`` a number, a list and a boolean, and
   ``x0`` a length the problem does not have.  The
   hash covers the ``repr`` of the parsed spec; a config that fails maps
-  to its error text (116 keys).  ``parse/variant/...`` parses
+  to its error text (117 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -243,6 +245,9 @@ Grids:
   and second.  ``rec/diverge/blowup`` is ``gd`` on a suite whose row 1
   sits at (-inf, inf), where f is NaN, before a NaN iterate ends the run
   (180 runs).
+* ``x0/<problem>/seed{1,2}``: ``default_x0`` of each catalog problem at
+  its defaults; the hash covers the dtype, shape and bytes of the start
+  (22 keys);
 * ``matrix/<method>/<problem>``: every registered method with the
   parameters and noise of its small config (``MATRIX_METHODS``) on each
   catalog problem at its defaults, for at most 300 iterations, through
@@ -273,6 +278,7 @@ DISTRIBUTIONS = ("gaussian", "student_t3")
 STOP_SEEDS = (1, 2)
 CLI_SEEDS = (1, 2)
 JSON_SEEDS = (1, 2)
+X0_SEEDS = (1, 2)
 EST_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64, 1000)
 ROOM_BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 16, 64)
 ZO_BUDGETS = (None, 36, 53, 54, 55)
@@ -1232,6 +1238,18 @@ def oracle_points(d: int, known=()) -> list:
     return points
 
 
+def x0_grid() -> dict:
+    from optbench.core import default_x0, problem_names
+
+    out = {}
+    for name in problem_names():
+        for seed in X0_SEEDS:
+            x0 = default_x0(name, {}, seed)
+            data = f"{type(x0).__name__} {x0.dtype.str} {x0.shape};".encode() + x0.tobytes()
+            out[f"x0/{name}/seed{seed}"] = {"sha256": hashlib.sha256(data).hexdigest()}
+    return out
+
+
 def oracle_grid() -> dict:
     import warnings
 
@@ -1379,6 +1397,10 @@ def cli_grid(tmp: str) -> dict:
         write(doc)
         out[f"cli/error/rates-json-{name}"] = call(["rates", "--trace", config, "--model", "sublinear"],
                                                    stream="stderr")
+    with open(trace, "w") as fh:
+        fh.write("iter,f_value,f_gap,dist_to_opt,grad_norm,step_size,oracle_calls\n"
+                 "0,1,1,,,0,1\n1,abc,0.5,,,0.5,2\n2,0.25,0.25,,,0.5,3\n")
+    out["cli/error/rates-csv-bad-cell"] = call(["rates", "--trace", trace, "--model", "sublinear"], stream="stderr")
     for name, doc in CLI_NAN_RUNS.items():
         write(doc)
         out[f"cli/nan/{name}"] = call(["run", "--config", config, "--trace", trace], with_trace=True)
@@ -1509,6 +1531,7 @@ def parse_grid() -> dict:
             cases.update({"non-finite": {bad[0]: float("nan")}, "bad-value": bad[1]})
         for case, params in cases.items():
             parse(f"problem/{name}/{case}", dict(base, problem={"name": name, "params": params}))
+    parse("problem/norm2/d-beside-a", dict(base, problem={"name": "norm2", "params": {"a": [1, 2], "d": 7}}))
     for case, changes in PARSE_NUMBERS.items():
         parse(f"number/{case}", {**base, "problem": _PARSE_QUAD, **changes})
     for case, changes in PARSE_KEYS.items():
@@ -1625,8 +1648,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
                    **estimator_grid(), **csv_grid(tmp), **json_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp),
-                   **oracle_grid(), **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp), **set_grid(tmp),
-                   **diverge_grid(tmp), **edge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
+                   **x0_grid(), **oracle_grid(), **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp),
+                   **set_grid(tmp), **diverge_grid(tmp), **edge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
     return 0
