@@ -56,7 +56,7 @@ class ExperimentSpec:
     record_every: int = 1
     record_x: bool = False
     x0: Optional[np.ndarray] = None
-    # parse_config's build of this spec, (oracle, fset, run), until run_experiment takes it for the first run;
+    # parse_config's build of this spec, (oracle, fset, x0, run), until run_experiment takes it for the first run;
     # not an init field, so a spec made with dataclasses.replace() holds none and builds its own
     built: list = field(default_factory=list, init=False, repr=False, compare=False)
 

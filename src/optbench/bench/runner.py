@@ -1,8 +1,8 @@
 """Experiment assembly and execution.
 
 :func:`assemble` is the one place a spec is built into a problem, its
-noise and its method: :func:`~optbench.bench.config.parse_config` calls it
-to check a config, and the spec keeps that build for its first
+start, its noise and its method: :func:`~optbench.bench.config.parse_config`
+calls it to check a config, and the spec keeps that build for its first
 :func:`run_experiment`; a later run of the spec builds it again, since a
 noise wrapper's stream moves as it runs.  Seeding is
 derived from the spec's single seed: problem data use the seed itself,
@@ -19,6 +19,7 @@ import numpy as np
 
 from ..core.noise import NoiseCompatibilityError, wrap_noise
 from ..core.oracles import OracleSuite, Trace
+# unused here (assemble takes the default start from the build), but benchmarks/tracing.py rebinds runner.default_x0
 from ..core.problems import default_x0, make_problem
 from ..core.rng import Rng
 from ..core.sets import FeasibleSet
@@ -30,11 +31,12 @@ _NOISE_STREAM = 101
 _METHOD_STREAM = 202
 
 
-def assemble(spec: ExperimentSpec) -> tuple[OracleSuite, FeasibleSet, Run]:
-    """Build ``spec``'s problem, its noise and its method: ``(oracle, fset, run)``.
+def assemble(spec: ExperimentSpec) -> tuple[OracleSuite, FeasibleSet, np.ndarray, Run]:
+    """Build ``spec``'s problem, its noise, its start and its method: ``(oracle, fset, x0, run)``.
 
-    ``oracle`` is the bare problem and ``run`` the method built against
-    the noise-wrapped one.  A bad problem, a noise model the problem
+    ``oracle`` is the bare problem, ``x0`` the given start or else the
+    problem's own (``oracle.x0``), and ``run`` the method built against
+    the noise-wrapped problem.  A bad problem, a noise model the problem
     cannot carry, a given ``x0`` of the wrong length and a bad method
     name or parameter each raise :class:`ConfigError`.  No oracle is called.
     """
@@ -46,9 +48,10 @@ def assemble(spec: ExperimentSpec) -> tuple[OracleSuite, FeasibleSet, Run]:
         noisy = wrap_noise(oracle, spec.noise, Rng((int(spec.seed), _NOISE_STREAM)))
     except NoiseCompatibilityError as e:
         raise ConfigError(f"noise: {e}") from None
-    if spec.x0 is not None and len(spec.x0) != oracle.dim:
-        raise ConfigError(f"x0 has dimension {len(spec.x0)}, problem has {oracle.dim}")
-    return oracle, fset, build_method(spec, noisy)
+    x0 = oracle.x0 if spec.x0 is None else spec.x0
+    if len(x0) != oracle.dim:
+        raise ConfigError(f"x0 has dimension {len(x0)}, problem has {oracle.dim}")
+    return oracle, fset, x0, build_method(spec, noisy)
 
 
 def run_experiment(spec: ExperimentSpec, trace_path: Optional[str] = None) -> tuple[Trace, dict]:
@@ -61,8 +64,7 @@ def run_experiment(spec: ExperimentSpec, trace_path: Optional[str] = None) -> tu
     the wall time.
     """
     t0 = time.perf_counter()
-    oracle, fset, run = spec.built.pop() if spec.built else assemble(spec)
-    x0 = spec.x0 if spec.x0 is not None else default_x0(spec.problem_name, spec.problem_params, spec.seed)
+    oracle, fset, x0, run = spec.built.pop() if spec.built else assemble(spec)
     try:
         trace = run(fset, np.asarray(x0, dtype=float), Rng((int(spec.seed), _METHOD_STREAM)))
     except (TypeError, ValueError) as e:

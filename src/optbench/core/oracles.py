@@ -92,6 +92,7 @@ class OracleSuite:
     alpha_sharp: Optional[float] = None
     constraint: Optional[ConstraintOracle] = None
     quadratic: Optional[QuadraticForm] = None
+    x0: Optional[np.ndarray] = None  # a catalog instance's documented start
 
     def dist_to_opt(self, x: np.ndarray) -> Optional[float]:
         """Distance to the known minimizer set, None when unknown."""

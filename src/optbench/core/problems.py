@@ -1,10 +1,10 @@
 """Built-in problem catalog.
 
 ``make_problem(name, params, seed)`` returns an oracle suite with every
-analytically known constant filled in, together with the problem's
-feasible set.  Instances that need data (random linear systems, phase
-retrieval, logistic regression) generate it deterministically from the
-seed.
+analytically known constant and the documented start ``x0`` filled in,
+together with the problem's feasible set; each builder returns that
+pair.  Instances that need data (random linear systems, phase retrieval,
+logistic regression) generate it deterministically from the seed.
 
 Subgradient selections at kinks are deterministic: the minimal-norm
 element where it is cheap (``sign(0) = 0`` for absolute values), and the
@@ -98,9 +98,9 @@ def _abs1d(params: dict, seed: int):
 
     oracle = OracleSuite(
         value=value, subgrad=subgrad, dim=1,
-        fstar=0.0, xstar=np.zeros(1), M=1.0, alpha_sharp=1.0,
+        fstar=0.0, xstar=np.zeros(1), M=1.0, alpha_sharp=1.0, x0=np.array([1.0]),
     )
-    return oracle, FullSpace(1), np.array([1.0])
+    return oracle, FullSpace(1)
 
 
 def _l1_system(params: dict, seed: int):
@@ -129,9 +129,9 @@ def _l1_system(params: dict, seed: int):
         fstar=0.0, xstar=x_true,
         # ||A u||_1 >= ||A u||_2 >= sigma_min ||u||_2 gives a valid (possibly
         # loose) sharp-minimum constant; row-norm sum bounds every subgradient.
-        M=row_norm_sum, alpha_sharp=sigma_min,
+        M=row_norm_sum, alpha_sharp=sigma_min, x0=np.zeros(d),
     )
-    return oracle, FullSpace(d), np.zeros(d)
+    return oracle, FullSpace(d)
 
 
 def _norm2(params: dict, seed: int):
@@ -161,9 +161,9 @@ def _norm2(params: dict, seed: int):
 
     oracle = OracleSuite(
         value=value, subgrad=subgrad, dim=d,
-        fstar=0.0, xstar=a.copy(), M=1.0, alpha_sharp=1.0,
+        fstar=0.0, xstar=a.copy(), M=1.0, alpha_sharp=1.0, x0=a + np.ones(d),
     )
-    return oracle, FullSpace(d), a + np.ones(d)
+    return oracle, FullSpace(d)
 
 
 def _quad_diag(params: dict, seed: int):
@@ -194,9 +194,9 @@ def _quad_diag(params: dict, seed: int):
         value=value, subgrad=grad, grad=grad, dim=d,
         fstar=0.0, xstar=a.copy(),
         L=float(np.max(lam)), mu=float(np.min(lam)),
-        quadratic=QuadraticForm(matvec=lambda v: lam * v),
+        quadratic=QuadraticForm(matvec=lambda v: lam * v), x0=a + np.ones(d),
     )
-    return oracle, FullSpace(d), a + np.ones(d)
+    return oracle, FullSpace(d)
 
 
 def _fw_box(params: dict, seed: int):
@@ -211,9 +211,9 @@ def _fw_box(params: dict, seed: int):
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=2,
         fstar=1.0, xstar=np.zeros(2),
-        L=2.0, mu=2.0, M=float(math.sqrt(20.0)),
+        L=2.0, mu=2.0, M=float(math.sqrt(20.0)), x0=np.array([1.0, 1.0]),
     )
-    return oracle, Box(np.array([-1.0, 0.0]), np.array([1.0, 1.0])), np.array([1.0, 1.0])
+    return oracle, Box(np.array([-1.0, 0.0]), np.array([1.0, 1.0]))
 
 
 def _degenerate3(params: dict, seed: int):
@@ -242,8 +242,9 @@ def _degenerate3(params: dict, seed: int):
         # f = l1 x1^2 + l2 x2^2 has Hessian 2 diag(l1,l2,0).
         L=2.0 * l1, mu=2.0 * l2,
         dist_fn=lambda x: math.hypot(x[0], x[1]),  # X* is the x3 axis
+        x0=np.zeros(3),
     )
-    return oracle, FullSpace(3), np.zeros(3)
+    return oracle, FullSpace(3)
 
 
 def _rosenbrock(params: dict, seed: int):
@@ -258,9 +259,9 @@ def _rosenbrock(params: dict, seed: int):
 
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=2,
-        fstar=0.0, xstar=np.array([1.0, 1.0]),
+        fstar=0.0, xstar=np.array([1.0, 1.0]), x0=np.array([-1.2, 1.0]),
     )
-    return oracle, FullSpace(2), np.array([-1.2, 1.0])
+    return oracle, FullSpace(2)
 
 
 def _nesterov_skokov_toy(params: dict, seed: int):
@@ -277,8 +278,9 @@ def _nesterov_skokov_toy(params: dict, seed: int):
         fstar=-0.25, xstar=np.array([0.0, 1.0]),
         minimizers=(np.array([0.0, 1.0]), np.array([0.0, -1.0])),
         L=2.0,  # |d^2f/dx2^2| = |3 x2^2 - 1| <= 2 on the GD-invariant band |x2| <= 1
+        x0=np.array([1.0, 0.0]),
     )
-    return oracle, FullSpace(2), np.array([1.0, 0.0])
+    return oracle, FullSpace(2)
 
 
 def _phase_retrieval(params: dict, seed: int):
@@ -302,9 +304,9 @@ def _phase_retrieval(params: dict, seed: int):
         value=value, subgrad=subgrad, dim=n,
         fstar=0.0, xstar=xs, minimizers=(xs, -xs),
         mu=weak_mu,  # weak-convexity modulus, 2 max_i ||a_i||^2
+        x0=xs + 0.1 * rng.sphere(n),  # drawn after A and xs
     )
-    x0 = xs + 0.1 * rng.sphere(n)
-    return oracle, FullSpace(n), x0
+    return oracle, FullSpace(n)
 
 
 def _slp(params: dict, seed: int):
@@ -354,9 +356,9 @@ def _slp(params: dict, seed: int):
         value=value, subgrad=subgrad, grad=subgrad, dim=2,
         fstar=-1.0, xstar=np.array([1.0, 0.0]), dist_fn=dist_fn,
         M=1.0, alpha_sharp=rho / 2.0,
-        constraint=ConstraintOracle(value=g_value, subgrad=g_subgrad, lipschitz=rho),
+        constraint=ConstraintOracle(value=g_value, subgrad=g_subgrad, lipschitz=rho), x0=np.zeros(2),
     )
-    return oracle, FullSpace(2), np.zeros(2)
+    return oracle, FullSpace(2)
 
 
 def _logistic_small(params: dict, seed: int):
@@ -379,9 +381,9 @@ def _logistic_small(params: dict, seed: int):
     oracle = OracleSuite(
         value=value, subgrad=grad, grad=grad, dim=d,
         L=0.25 * float(np.linalg.norm(A, 2)) ** 2,
-        M=float(np.sum(np.linalg.norm(A, axis=1))),
+        M=float(np.sum(np.linalg.norm(A, axis=1))), x0=np.zeros(d),
     )
-    return oracle, Box(-r * np.ones(d), r * np.ones(d)), np.zeros(d)
+    return oracle, Box(-r * np.ones(d), r * np.ones(d))
 
 
 _WHOLE_PARAMS = ("d", "m", "n")  # dimensions and sample counts (>= 1), in every problem that takes them
@@ -415,17 +417,6 @@ def problem_doc(name: str) -> str:
 
 def make_problem(name: str, params: Optional[dict] = None, seed: int = 0) -> tuple[OracleSuite, FeasibleSet]:
     """Instantiate a catalog problem. Raises UnknownProblemError for bad names."""
-    oracle, fset, _ = _build(name, params, seed)
-    return oracle, fset
-
-
-def default_x0(name: str, params: Optional[dict] = None, seed: int = 0) -> np.ndarray:
-    """The documented default starting point of a catalog problem."""
-    _, _, x0 = _build(name, params, seed)
-    return x0
-
-
-def _build(name: str, params: Optional[dict], seed: int):
     if not isinstance(name, str) or name not in _CATALOG:
         raise UnknownProblemError(f"unknown problem {name!r}; available: {', '.join(problem_names())}")
     builder, _, allowed = _CATALOG[name]
@@ -435,3 +426,8 @@ def _build(name: str, params: Optional[dict], seed: int):
         return builder(params, int(seed))
     except (TypeError, ValueError) as e:  # a JSON value of the wrong type raises TypeError in numpy
         raise ValueError(f"problem {name!r}: {e}") from None
+
+
+def default_x0(name: str, params: Optional[dict] = None, seed: int = 0) -> np.ndarray:
+    """The documented default starting point of a catalog problem."""
+    return make_problem(name, params, seed)[0].x0

@@ -216,6 +216,28 @@ def test_catalog_errors_and_determinism():
     assert default_x0("fw_box").tolist() == [1.0, 1.0]
 
 
+def test_a_config_builds_its_problem_once_with_and_without_x0(monkeypatch):
+    builder, doc, allowed = _CATALOG["l1_system"]
+    builds = []
+    monkeypatch.setitem(_CATALOG, "l1_system", (lambda params, seed: builds.append(seed) or builder(params, seed),
+                                                doc, allowed))
+    config = {"problem": {"name": "l1_system", "seed": 3}, "method": "polyak_subgrad", "iterations": 5,
+              "output": {"record_x": True}}
+    for x0 in (None, [0.5] * 5):
+        builds.clear()
+        trace, _ = run_experiment(parse_config(json.dumps(config if x0 is None else dict(config, x0=x0))))
+        assert builds == [3]
+        assert trace.columns["x"][0].tolist() == (x0 or [0.0] * 5)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_default_x0_is_the_start_the_suite_carries_and_a_new_array_on_each_call(name):
+    for seed in range(3):
+        first, again = default_x0(name, {}, seed), default_x0(name, {}, seed)
+        assert first.tobytes() == make_problem(name, {}, seed)[0].x0.tobytes() == again.tobytes()
+        assert first.dtype == np.float64 and not np.shares_memory(first, again)
+
+
 # Every catalog parameter that JSON can carry as a float, with a value that builds.
 NUMERIC_PARAMS = [
     ("l1_system", "d", 5), ("l1_system", "m", 8),
