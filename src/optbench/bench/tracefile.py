@@ -101,6 +101,21 @@ def _csv_floats(cells: tuple, empty: Optional[float]) -> list:
     return [float(c) if c else empty for c in cells]
 
 
+def _csv_trace(iters, f_values, f_gaps, dists, grad_norms, steps, calls) -> Trace:
+    """The trace whose CSV columns of cell texts these are; a ValueError where a cell is not a number."""
+    return Trace(status=None, columns={
+        "iter": list(map(int, iters)),
+        "f_value": list(map(float, f_values)),
+        "f_gap": _csv_floats(f_gaps, None),
+        "dist_to_opt": _csv_floats(dists, None),
+        "grad_norm": _csv_floats(grad_norms, None),
+        "step_size": _csv_floats(steps, 0.0),
+        "oracle_calls": list(map(int, calls)),
+        "x": [None] * len(iters),
+        "tag": [None] * len(iters),
+    })
+
+
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trace-")
@@ -154,11 +169,13 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
     """Read a trace written by :func:`write_trace`.
 
     A ValueError names a file that is not a trace, or its first malformed
-    row: in JSON, a row that is not an object, lacks a field, or holds
-    anything else where a number is meant.  ``iter`` and ``oracle_calls``
-    take a JSON integer (not ``1.0``), ``f_value`` and ``step_size`` a
-    number, and ``f_gap``, ``dist_to_opt`` and ``grad_norm`` a number or
-    null; a bool or a string is never a number.
+    row: in CSV, a row with the wrong number of cells or a cell that is
+    not a number where one is meant; in JSON, a row that is not an
+    object, lacks a field, or holds anything else where a number is
+    meant.  ``iter`` and ``oracle_calls`` take a JSON integer (not
+    ``1.0``), ``f_value`` and ``step_size`` a number, and ``f_gap``,
+    ``dist_to_opt`` and ``grad_norm`` a number or null; a bool or a
+    string is never a number.
     """
     format = format or format_for_path(path)
     if format == "csv":
@@ -171,18 +188,15 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
             bad = next(ln for ln, c in zip(lines[1:], cells) if len(c) != len(CSV_FIELDS))
             raise ValueError(f"{path}: malformed row {bad!r}")
         columns = zip(*cells) if cells else [()] * len(CSV_FIELDS)
-        iters, f_values, f_gaps, dists, grad_norms, steps, calls = columns
-        return Trace(status=None, columns={
-            "iter": list(map(int, iters)),
-            "f_value": list(map(float, f_values)),
-            "f_gap": _csv_floats(f_gaps, None),
-            "dist_to_opt": _csv_floats(dists, None),
-            "grad_norm": _csv_floats(grad_norms, None),
-            "step_size": _csv_floats(steps, 0.0),
-            "oracle_calls": list(map(int, calls)),
-            "x": [None] * len(cells),
-            "tag": [None] * len(cells),
-        })
+        try:
+            return _csv_trace(*columns)
+        except ValueError:  # a cell that is not a number: name the first row that holds one
+            for ln, c in zip(lines[1:], cells):
+                try:
+                    _csv_trace(*([v] for v in c))
+                except ValueError:
+                    raise ValueError(f"{path}: malformed row {ln!r}") from None
+            raise
 
     with open(path, "r") as fh:
         doc = json.load(fh)

@@ -136,6 +136,8 @@ def _l1_system(params: dict, seed: int):
 
 def _norm2(params: dict, seed: int):
     if "a" in params:
+        if "d" in params:
+            raise ValueError("params ['d'] do not apply beside 'a'")
         a = np.asarray(params["a"], dtype=float)
         if a.ndim != 1:
             raise ValueError(f"a must be a list of numbers, got {params['a']!r}")

@@ -422,8 +422,9 @@ def test_whole_numbers_given_as_floats_are_accepted():
 
 
 @pytest.mark.parametrize("name, params", [("quad_diag", {"lambdas": [NAN, 1]}), ("quad_diag", {"bogus": 1}),
-                                          ("l1_system", {"d": 6, "m": 4}), ("degenerate3", {"l1": 0.1})],
-                         ids=["non-finite", "unknown", "l1_system-m-below-d", "degenerate3-order"])
+                                          ("l1_system", {"d": 6, "m": 4}), ("degenerate3", {"l1": 0.1}),
+                                          ("norm2", {"a": [1, 2], "d": 7})],
+                         ids=["non-finite", "unknown", "l1_system-m-below-d", "degenerate3-order", "norm2-d-beside-a"])
 def test_problem_errors_name_the_problem_once(tmp_path, capsys, name, params):
     with pytest.raises(ValueError) as raised:
         make_problem(name, params)
@@ -786,6 +787,21 @@ def test_csv_malformed_row_is_named(tmp_path):
                     "0,1,,,,0.5,1\n3,0.5,,,0.25,2\n")
     with pytest.raises(ValueError, match="malformed row '3,0.5,,,0.25,2'"):
         read_trace(str(path))
+
+
+@pytest.mark.parametrize("row", ["1.5,0.5,,,,0.5,2", "1,abc,,,,0.5,2", "1,,,,,0.5,2", "1,0.5,,x,,0.5,2",
+                                 "1,0.5,,,,0.5,2.0"],
+                         ids=["float-iter", "text-f", "empty-f", "text-distance", "float-calls"])
+def test_csv_cell_that_is_not_a_number_names_the_file_and_its_first_row(tmp_path, capsys, row):
+    path = str(tmp_path / "t.csv")
+    with open(path, "w") as fh:
+        fh.write(f"iter,f_value,f_gap,dist_to_opt,grad_norm,step_size,oracle_calls\n0,1,,,,0.5,1\n{row}\n"
+                 "2,zzz,,,,0.5,3\n")
+    message = f"{path}: malformed row {row!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read_trace(path)
+    assert main(["rates", "--trace", path, "--model", "sublinear"]) == 1
+    assert capsys.readouterr().err == f"runtime error: ValueError: {message}\n"
 
 
 JSON_ROW = {"iter": 1, "f_value": 2.0, "f_gap": 1, "dist_to_opt": None, "grad_norm": 0.5, "step_size": 0.1,

@@ -263,9 +263,11 @@ def test_catalog_refuses_non_finite_params(name, key, good, bad):
 def test_catalog_builds_with_every_allowed_param_and_refuses_an_unknown_one(name):
     params = {key: good for n, key, good in NUMERIC_PARAMS if n == name}
     assert sorted(params) == sorted(_CATALOG[name][2])  # NUMERIC_PARAMS covers every allowed param
-    make_problem(name, params)
-    with pytest.raises(ValueError, match=f"^problem '{name}': unknown params \\['bogus'\\]"):
-        make_problem(name, dict(params, bogus=1.0))
+    # norm2's d and a are alternatives: each is built alone
+    for built in ([{"d": params["d"]}, {"a": params["a"]}] if name == "norm2" else [params]):
+        make_problem(name, built)
+        with pytest.raises(ValueError, match=f"^problem '{name}': unknown params \\['bogus'\\]"):
+            make_problem(name, dict(built, bogus=1.0))
 
 
 @pytest.mark.parametrize("name, key", [("phase_retrieval", "n"), ("phase_retrieval", "m"), ("l1_system", "d"),
