@@ -50,9 +50,13 @@ Grids:
   iteration 6, at batch {1, 9} (its error text); and (``wrong-dim/...``)
   a 3-d ``x0`` over ``FullSpace(3)`` on a 2-d ``zo_stoch`` quadratic and
   on a copy whose entry carries no declaration, each hashing its error
-  text, its ``value`` calls and the next draws of its ``Rng``.  A chunk
-  holds ``max(1, BLOCK_VALUES // (batch * width))`` iterations, ``width``
-  being d + 2 raw values per sample under noise and d without (562 runs);
+  text, its ``value`` calls and the next draws of its ``Rng``.  While the
+  grid runs, ``zeroorder.ZO_CHUNK_VALUES`` is set to ``BLOCK_VALUES``, so
+  its runs, budgets and keys are those of chunks of ``BLOCK_VALUES`` raw
+  values: a chunk holds ``zeroorder.chunk_iterations(batch, width)``
+  iterations, ``width`` being d + 2 raw values per sample under noise and
+  d without (on a checkout without ``chunk_iterations``, its rule
+  ``max(1, BLOCK_VALUES // (batch * width))``) (562 runs);
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -543,9 +547,15 @@ def sgd_zo_grid(tmp: str) -> dict:
 
 
 def _chunk(batch: int, width: int) -> int:
-    """The iterations in one ``BLOCK_VALUES``-sized chunk of ``batch`` samples of ``width`` raw values each."""
+    """The iterations in one chunk of ``batch`` samples of ``width`` raw values each: ``zeroorder.chunk_iterations``.
+
+    A checkout from before ``chunk_iterations`` sized every chunk from ``BLOCK_VALUES`` by the same rule.
+    """
+    from optbench import zeroorder as zo
     from optbench.core.rng import BLOCK_VALUES
 
+    if hasattr(zo, "chunk_iterations"):
+        return zo.chunk_iterations(batch, width)
     return max(1, BLOCK_VALUES // (batch * width))
 
 
@@ -555,7 +565,24 @@ def _calls_after(j: int, batch: int, every: int) -> int:
 
 
 def zo_chunk_grid(tmp: str) -> dict:
-    """``zo/chunk/...``: ``run_zo_sgd`` runs sized around the chunks in which it may draw samples ahead."""
+    """``zo/chunk/...``: ``run_zo_sgd`` runs sized around the chunks in which it may draw samples ahead.
+
+    The chunks hold ``BLOCK_VALUES`` raw values while the grid runs, whatever the checkout's own budget.
+    """
+    from optbench import zeroorder as zo
+    from optbench.core.rng import BLOCK_VALUES
+
+    budget = getattr(zo, "ZO_CHUNK_VALUES", None)  # None: the checkout sizes its chunks from BLOCK_VALUES
+    if budget is not None:
+        zo.ZO_CHUNK_VALUES = BLOCK_VALUES
+    try:
+        return _zo_chunk_runs(tmp)
+    finally:
+        if budget is not None:
+            zo.ZO_CHUNK_VALUES = budget
+
+
+def _zo_chunk_runs(tmp: str) -> dict:
     import numpy as np
 
     from optbench import stochastic as st
