@@ -7,11 +7,18 @@ gaussian vectors), one at a time or a block of draws at a time.
 Identical seeds always yield identical streams.  An :class:`Rng` builds
 its generator on its first draw (or read of its state), so a run that
 draws nothing never imports ``numpy.random``; a test may assign
-``rng._gen`` to stand a stub in for the generator.
+``rng._gen`` to stand a stub in for the generator.  A stub must pass
+``bit_generator`` through to the generator it stands in for: the state
+is read and set there, and the kernel estimator draws its radii there as
+raw words.
 
-Every block that the library draws ahead of its calls holds :data:`BLOCK_VALUES`
-values, and :func:`unit_rows` turns gaussian rows into sphere points, for
-:meth:`Rng.spheres` and for the kernel estimator's directions.
+The library draws ahead of its calls in blocks of :data:`BLOCK_VALUES`
+values (:meth:`Rng.spheres`, ``run_sgd``'s noise rows), except the kernel
+estimator's draw-ahead cursor, whose chunks hold up to
+:data:`ZO_CHUNK_VALUES` raw values.  :func:`unit_rows` turns gaussian rows
+into sphere points, for :meth:`Rng.spheres` and for the estimator's
+directions, and :func:`random_of` turns raw words into
+``Generator.random()`` draws.
 
 Derived streams are produced with :meth:`Rng.spawn`, which appends an
 integer key to the entropy sequence of the parent.  Two spawns with
@@ -34,6 +41,9 @@ from .linalg import row_dots
 SPHERE_MIN_NORM = 1e-12
 # The values of one block draw (Rng.spheres, run_sgd's noise rows): 4 KB of float64.
 BLOCK_VALUES = 512
+# The raw values of one chunk of the kernel estimator's draw-ahead cursor: 32 KB of float64.  Rng.spheres and
+# run_sgd keep BLOCK_VALUES: each short run rewinds its last block, and at 4096 averaged-SGD replicas ran no faster.
+ZO_CHUNK_VALUES = 4096
 
 
 def unit_rows(raw):
@@ -47,6 +57,17 @@ def unit_rows(raw):
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero row is not kept
         units = raw / norms[:, None]
     return units, norms > SPHERE_MIN_NORM
+
+
+def random_of(words):
+    """The ``Generator.random()`` draws that consume the raw 64-bit words ``words`` (a uint64 array).
+
+    numpy's ``next_double`` for PCG64, ``(w >> 11) * 2**-53``: the shift
+    keeps 53 bits, which convert to float64 exactly, and the scaling by a
+    power of two is exact too, so each draw has the bits of the
+    ``random()`` call that would have consumed its word.
+    """
+    return (words >> 11) * 2.0 ** -53
 
 
 def uniform_of(u, low: float = -1.0, high: float = 1.0):

@@ -29,11 +29,13 @@ the exact ``value`` or declares one gaussian per call (the
 :class:`~optbench.core.noise.AdditiveNoise` that ``zo_stoch`` hangs on
 it), samples are drawn ahead, a chunk at a time, by :func:`_draw`.
 Phase 1 (:func:`_raw_samples`) draws only raw values, per sample and in
-that order: one ``random()`` for the radius, then one
-``standard_normal`` fill of a preallocated row with the direction's d
-normals followed by the two probes' noise.  The half of phase 2 that
-does not depend on x follows on the chunk's arrays: it maps the raw
-radii to [-1, 1] (:func:`~optbench.core.rng.uniform_of`), normalizes
+that order: one raw 64-bit word for the radius (the word that
+``random()`` would consume), then one ``standard_normal`` fill of a
+preallocated row with the direction's d normals followed by the two
+probes' noise.  The half of phase 2 that does not depend on x follows on
+the chunk's arrays: it turns the words into ``random()``'s draws
+(:func:`~optbench.core.rng.random_of`) and maps them to [-1, 1]
+(:func:`~optbench.core.rng.uniform_of`), normalizes
 the directions (:func:`~optbench.core.rng.unit_rows`), and computes the
 kernel weights K(r), the steps ``(tau r) e`` (as ``(s, -s)`` pairs from
 :data:`WEIGH_BATCH` samples on) and the noise terms.  The other half,
@@ -68,9 +70,10 @@ stream).
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
 sample's draws do not depend on x, so where the entry is declared the
-cursor draws them in chunks of about
-:data:`~optbench.core.rng.BLOCK_VALUES` raw values, each serving several
-iterations (one where a batch alone holds more values), with
+cursor draws them in chunks of up to
+:data:`~optbench.core.rng.ZO_CHUNK_VALUES` raw values
+(:func:`chunk_iterations`), each serving several iterations (one where a
+batch alone holds more values), with
 :func:`kernel_grad_estimate` as its fallback.  The fallback serves an
 iteration with too few calls left, so that a budget cut leaves the
 stream where the loop leaves it; one at a ``tau_k`` that is not positive
@@ -99,7 +102,7 @@ import numpy as np
 
 from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace, values_at
-from .core.rng import BLOCK_VALUES, Rng, uniform_of, unit_rows
+from .core.rng import ZO_CHUNK_VALUES, Rng, random_of, uniform_of, unit_rows
 from .core.sets import FeasibleSet
 from .stochastic import NoAveraging, StepRule, _projected_sgd
 
@@ -272,10 +275,10 @@ def _draw(rng: Rng, noise: Optional[AdditiveNoise], dim: int, taus, batch: int, 
     them.
     """
     n = batch * len(taus)
-    u, raw = _raw_samples(rng.generator, n, dim if noise is None else dim + 2)
+    words, raw = _raw_samples(rng.generator, n, dim if noise is None else dim + 2)
     dirs, kept = unit_rows(raw[:, :dim])
     servable = n if kept.all() else int(kept.argmin()) // batch * batch
-    r = uniform_of(u)
+    r = uniform_of(random_of(words))
     steps, weights = (np.array(taus).repeat(batch) * r)[:, None] * dirs, kernel(r)
     xi = None if noise is None else noise.terms(raw[:, dim:])  # two per sample
     if batch >= WEIGH_BATCH:
@@ -330,19 +333,22 @@ def _weigh(value, x, signed, dirs, kernel_weights, xi, scale):
 
 
 def _raw_samples(gen, n: int, width: int):
-    """Phase 1: the raw draws of ``n`` samples, ``(u, raw)``, in the per-sample loop's stream order.
+    """Phase 1: the raw draws of ``n`` samples, ``(words, raw)``, in the per-sample loop's stream order.
 
-    Per sample: one ``random()`` (its radius before :func:`uniform_of`),
-    then one ``standard_normal`` fill of a ``width`` row of ``raw``: the
+    Per sample: one ``bit_generator.random_raw()`` word (its radius before
+    :func:`random_of` and :func:`uniform_of`; the word that ``random()``
+    would consume, so the stream is the loop's), then one
+    ``standard_normal`` fill of a ``width`` row of ``raw``: the
     direction's d normals, then the two probes' noise where there is any.
+    ``words`` is a uint64 array.
     """
-    random, normal = gen.random, gen.standard_normal
+    word, normal = gen.bit_generator.random_raw, gen.standard_normal
     raw = np.empty((n, width))
-    u = []
+    words = []
     for row in raw:
-        u.append(random())
+        words.append(word())
         normal(out=row)
-    return np.array(u), raw
+    return np.array(words, dtype=np.uint64), raw
 
 
 @dataclass(frozen=True)
@@ -419,6 +425,16 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
         rewind()
 
 
+def chunk_iterations(batch: int, width: int) -> int:
+    """The iterations whose samples one chunk of :func:`_sample_chunks` draws: ``batch`` samples each.
+
+    As many as :data:`~optbench.core.rng.ZO_CHUNK_VALUES` raw values hold at
+    ``width`` values per sample, and at least one.  The budget is the
+    module's ``ZO_CHUNK_VALUES``, read at each call, so a test may set it.
+    """
+    return max(1, ZO_CHUNK_VALUES // (batch * width))
+
+
 def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: int, batch: int, kernel: Kernel,
                    rng: Rng, fallback):
     """``(gradient, rewind)``: the gradients of N iterations, their samples drawn a chunk of iterations ahead.
@@ -429,7 +445,7 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: i
     returns, ``dim`` is at least 1, ``tau_at(k)`` is iteration k's tau and
     ``fallback(ctr, k, x)`` estimates iteration k without drawing ahead.
     ``gradient(ctr, k, x)`` is iteration k's estimate; a chunk is one
-    :func:`_draw` for the next ``max(1, BLOCK_VALUES // (batch * width))``
+    :func:`_draw` for the next :func:`chunk_iterations` ``(batch, width)``
     iterations, or the ones left, with ``width`` raw values per sample, each
     sample's step taking its own iteration's tau.  An iteration checks that
     the budget has room for its ``2 * batch`` probes, counts them and weighs
@@ -444,7 +460,7 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: i
     weighed.
     """
     width = dim if noise is None else dim + 2
-    per_chunk = max(1, BLOCK_VALUES // (batch * width))
+    per_chunk = chunk_iterations(batch, width)
     start, drawn, used = None, 0, 0  # the state before the chunk; its samples drawn and weighed
     scales = chunk = None
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from optbench.core import Rng
-from optbench.core.rng import BLOCK_VALUES
+from optbench.core.rng import BLOCK_VALUES, random_of
 
 
 def test_same_seed_same_stream():
@@ -86,6 +86,16 @@ def test_scalar_uniform_matches_generator_uniform():
         got += [rng.uniform(low, high) for _ in range(2000)]
         want += [twin.uniform(low, high) for _ in range(2000)]
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_random_of_raw_words_has_the_bits_of_random_on_the_same_stream():
+    words_gen, random_gen = _twin(11), _twin(11)
+    words = np.array([words_gen.bit_generator.random_raw() for _ in range(5000)], dtype=np.uint64)
+    want = np.array([random_gen.random() for _ in range(5000)])
+    assert random_of(words).tobytes() == want.tobytes()
+    assert words_gen.bit_generator.state == random_gen.bit_generator.state  # one word per random() call
+    edges = np.array([0, 2 ** 11 - 1, 2 ** 11, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64)
+    assert random_of(edges).tolist() == [0.0, 0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 50])

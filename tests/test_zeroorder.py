@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import json
 import math
 import re
 import struct
@@ -20,7 +21,9 @@ from optbench.core import (
     wrap_noise,
 )
 from optbench.core.noise import AdditiveNoise
-from optbench.core.rng import BLOCK_VALUES
+from optbench.bench.config import parse_config
+from optbench.bench.runner import run_experiment
+from optbench.core.rng import BLOCK_VALUES, ZO_CHUNK_VALUES
 from optbench import zeroorder
 from optbench.stochastic import AdaGradNorm, BudgetConst, Const, Decay, InvK
 from optbench.zeroorder import (
@@ -29,6 +32,7 @@ from optbench.zeroorder import (
     PowerDecayTau,
     ZoConfig,
     build_kernel,
+    chunk_iterations,
     estimator_scale,
     kernel_grad_estimate,
     run_zo_sgd,
@@ -530,9 +534,13 @@ def trace_bits(trace):
     return bits
 
 
-def chunk_iterations(batch, width):
-    """The iterations whose samples one chunk of run_zo_sgd draws: BLOCK_VALUES values of ``width`` per sample."""
-    return max(1, BLOCK_VALUES // (batch * width))
+@pytest.fixture
+def block_chunks(monkeypatch):
+    """Chunks of ``BLOCK_VALUES`` raw values, not ``ZO_CHUNK_VALUES``: runs that cross several chunks stay short.
+
+    :func:`chunk_iterations`, which the tests below size their runs by, reads the same budget.
+    """
+    monkeypatch.setattr(zeroorder, "ZO_CHUNK_VALUES", BLOCK_VALUES)
 
 
 def assert_run_matches_the_per_sample_loop(suite, x0, cfg, rng, ref_rng, **kw):
@@ -550,9 +558,7 @@ def _zo_quad(d):
     return wrap_noise(suite, ZOStochValue(0.01), Rng(21)), np.linspace(1.5, -1.0, d)
 
 
-@pytest.mark.parametrize("every", [1, 7])
-@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, 6), (3, 7)])
-def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
+def check_every_budget_across_the_first_chunk_boundary(d, batch, every):
     suite, x0 = _zo_quad(d)
     chunk = chunk_iterations(batch, d + 2)
     cfg = ZoConfig(N=chunk + 3, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
@@ -568,6 +574,35 @@ def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
         assert rng.spheres <= batch  # no iteration but the one the budget cuts draws a direction with Rng.sphere
 
 
+@pytest.mark.usefixtures("block_chunks")
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("d, batch", [(2, 1), (10, 4), (2, 6), (3, 7)])
+def test_run_budget_at_every_offset_across_a_chunk_boundary(d, batch, every):
+    check_every_budget_across_the_first_chunk_boundary(d, batch, every)
+
+
+def test_run_budget_at_every_offset_across_a_chunk_boundary_of_the_real_budget():
+    assert chunk_iterations(4, 12) == ZO_CHUNK_VALUES // 48 == 85
+    check_every_budget_across_the_first_chunk_boundary(10, 4, 7)
+
+
+@pytest.mark.parametrize("N, chunks", [(85, 1), (100, 2)])
+def test_run_draws_the_samples_of_a_chunk_budget_at_once(monkeypatch, N, chunks):
+    # d = 10 under zo_stoch: 12 raw values per sample, so ZO_CHUNK_VALUES (4096) holds 85 iterations of batch 4
+    suite, x0 = _zo_quad(10)
+    cfg = ZoConfig(N=N, step_rule=Const(0.01), kernel=build_kernel(2), batch=4)
+    draws, draw = [], zeroorder._draw
+
+    def counted(*args):
+        draws.append(len(args[3]))  # the chunk's iterations
+        return draw(*args)
+
+    monkeypatch.setattr(zeroorder, "_draw", counted)
+    assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(12), Rng(12), record_every=N + 1)
+    assert len(draws) == chunks and sum(draws) == N
+
+
+@pytest.mark.usefixtures("block_chunks")
 @pytest.mark.parametrize("exponent", [0.5, 3.0])
 @pytest.mark.parametrize("d, batch", [(1, 1), (2, 4), (10, 6)])
 def test_run_takes_each_iterations_tau_of_power_decay(d, batch, exponent):
@@ -606,6 +641,7 @@ def test_run_refuses_an_x_of_another_shape_where_the_per_sample_loop_does():
     assert rng.state == ref_rng.state
 
 
+@pytest.mark.usefixtures("block_chunks")
 @pytest.mark.parametrize("offset", [0, 1, 5])
 @pytest.mark.parametrize("batch", [1, 4, 6])
 def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
@@ -669,6 +705,7 @@ def count_weighs(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("block_chunks")
 @pytest.mark.parametrize("batch", WEIGH_BATCHES)
 @pytest.mark.parametrize("case", list(WEIGH_CASES))
 def test_run_weighs_a_batch_as_arrays_from_weigh_batch_with_the_per_sample_loops_bits(monkeypatch, case, batch):
@@ -683,6 +720,7 @@ def test_run_weighs_a_batch_as_arrays_from_weigh_batch_with_the_per_sample_loops
     assert weighs == ([batch] * N if batch >= WEIGH_BATCH else [])
 
 
+@pytest.mark.usefixtures("block_chunks")
 @pytest.mark.parametrize("batch", WEIGH_BATCHES)
 @pytest.mark.parametrize("case", list(WEIGH_CASES))
 def test_run_budget_inside_an_iteration_weighed_as_arrays(monkeypatch, case, batch):
@@ -699,3 +737,16 @@ def test_run_budget_inside_an_iteration_weighed_as_arrays(monkeypatch, case, bat
         assert got.final.iter == j and got.final.oracle_calls == budget + 1  # the call past the budget counts
         # iterations before j are weighed as arrays; j itself, without room for its probes, by the estimator's loop
         assert weighs == ([batch] * j if batch >= WEIGH_BATCH else [])
+
+
+@pytest.mark.xfail(strict=True, reason="PowerDecayTau lets tau fall below the resolution of x while d/(2 tau) stays "
+                   "finite; both probes then land on x and the estimate is the value noise times d/(2 tau_k)")
+def test_a_decaying_tau_below_the_resolution_of_x_does_not_blow_the_run_up():
+    spec = parse_config(json.dumps({
+        "problem": {"name": "quad_diag", "params": {"lambdas": [2, 1]}},
+        "noise": {"kind": "zo_stoch", "delta_tilde": 0.01},
+        "method": {"name": "zo_sgd", "params": {"gamma": 0.01, "tau0": 0.2, "tau_exponent": 40}},
+        "iterations": 200}))
+    trace, summary = run_experiment(spec)
+    # today: budget_exhausted with a final gap of about 8.87e17
+    assert summary["status"] != "budget_exhausted" or summary["final_gap"] <= trace.rows[0].f_gap
