@@ -9,13 +9,15 @@ its generator on its first draw (or read of its state), so a run that
 draws nothing never imports ``numpy.random``; a test may assign
 ``rng._gen`` to stand a stub in for the generator.  A stub must pass
 ``bit_generator`` through to the generator it stands in for: the state
-is read and set there, and the kernel estimator draws its radii there as
-raw words.
+is read and set there, and :meth:`Rng.raw_samples` draws its raw words
+there.
 
-The library draws ahead of its calls in blocks of :data:`BLOCK_VALUES`
-values (:meth:`Rng.spheres`, ``run_sgd``'s noise rows), except the kernel
-estimator's draw-ahead cursor, whose chunks hold up to
-:data:`ZO_CHUNK_VALUES` raw values.  :func:`unit_rows` turns gaussian rows
+This module owns drawing ahead.  :class:`Cursor` draws a stream ahead
+of its uses, a chunk at a time, and puts back what a chunk's uses leave;
+:func:`chunk_uses` sizes a chunk from a budget of values:
+:data:`BLOCK_VALUES` for :meth:`Rng.spheres` and ``run_sgd``'s noise
+rows, :data:`ZO_CHUNK_VALUES` for the kernel estimator's samples, which
+:meth:`Rng.raw_samples` draws.  :func:`unit_rows` turns gaussian rows
 into sphere points, for :meth:`Rng.spheres` and for the estimator's
 directions, and :func:`random_of` turns raw words into
 ``Generator.random()`` draws.
@@ -41,8 +43,8 @@ from .linalg import row_dots
 SPHERE_MIN_NORM = 1e-12
 # The values of one block draw (Rng.spheres, run_sgd's noise rows): 4 KB of float64.
 BLOCK_VALUES = 512
-# The raw values of one chunk of the kernel estimator's draw-ahead cursor: 32 KB of float64.  Rng.spheres and
-# run_sgd keep BLOCK_VALUES: each short run rewinds its last block, and at 4096 averaged-SGD replicas ran no faster.
+# The raw values of one chunk of the kernel estimator's samples: 32 KB of float64.  Rng.spheres and run_sgd keep
+# BLOCK_VALUES: at 4096 averaged-SGD replicas ran no faster.
 ZO_CHUNK_VALUES = 4096
 
 
@@ -70,12 +72,51 @@ def random_of(words):
     return (words >> 11) * 2.0 ** -53
 
 
-def uniform_of(u, low: float = -1.0, high: float = 1.0):
-    """numpy's uniform formula ``low + (high - low) * u`` on a ``Generator.random()`` draw ``u``.
+def uniform_of(u):
+    """numpy's uniform formula ``low + (high - low) * u`` on [-1, 1] for a ``Generator.random()`` draw ``u``.
 
-    Elementwise on an array of draws, with the bits of one scalar call per draw.
+    Elementwise on an array of draws, with the bits of one scalar
+    ``uniform(-1.0, 1.0)`` call per draw (``high - low`` is 2.0 exactly).
     """
-    return low + (high - low) * u
+    return -1.0 + 2.0 * u
+
+
+def chunk_uses(budget: int, width: int) -> int:
+    """The uses of ``width`` values each that one chunk of ``budget`` values holds, and at least one."""
+    return max(1, budget // width)
+
+
+class Cursor:
+    """A stream drawn ahead of its uses, a chunk at a time, with what a chunk's uses leave put back.
+
+    ``fill(n)`` draws the values of n uses from ``rng`` in the order n
+    separate uses would draw them (numpy fills a block in call order).
+    :meth:`take` draws the next chunk.  :meth:`keep` ends the chunk after
+    its first n uses: it sets ``rng`` back to the chunk's start and draws
+    those n again, which leaves the stream where n separate uses leave it,
+    or does nothing when n is the whole chunk.  So a caller that sizes its
+    last chunk to the uses it has left, and keeps the uses made whenever
+    it stops early, leaves ``rng`` where drawing per use does.  Between a
+    chunk's :meth:`take` and :meth:`keep` nothing else may draw from
+    ``rng``.
+    """
+
+    __slots__ = ("_rng", "_fill", "_start", "_size")
+
+    def __init__(self, rng: Rng, fill):
+        self._rng, self._fill, self._start, self._size = rng, fill, None, 0
+
+    def take(self, n: int):
+        """``fill(n)``: the next chunk, of n uses."""
+        self._start, self._size = self._rng.state, n
+        return self._fill(n)
+
+    def keep(self, n: int):
+        """End the chunk after its first n uses, n at most the chunk's."""
+        if n < self._size:
+            self._rng.state = self._start
+            self._fill(n)
+        self._size = n
 
 
 class Rng:
@@ -112,11 +153,6 @@ class Rng:
     def state(self, value: dict):
         self._gen.bit_generator.state = value
 
-    @property
-    def generator(self):
-        """The numpy ``Generator`` behind the stream, for a caller that draws raw values in its order."""
-        return self._gen
-
     def spawn(self, key: int) -> "Rng":
         """Independent child stream; deterministic in (parent entropy, key)."""
         return Rng(self._entropy + (int(key),))
@@ -150,7 +186,7 @@ class Rng:
         """An iterator over the points of successive :meth:`sphere` calls, bit for bit, drawn a block at a time.
 
         A block is one ``standard_normal((n, d))`` fill,
-        ``n = max(1, BLOCK_VALUES // d)``, which numpy fills in the order of
+        ``n = chunk_uses(BLOCK_VALUES, d)``, which numpy fills in the order of
         n ``sphere(d)`` draws.  A row that :func:`unit_rows` does not keep
         is skipped, where :meth:`sphere` would redraw.  The stream runs
         ahead of the points taken by at most one block, so only a caller
@@ -158,7 +194,24 @@ class Rng:
         """
         if d < 1:
             raise ValueError(f"the unit sphere needs d >= 1, got {d}")
-        return self._sphere_rows(d, max(1, BLOCK_VALUES // d))
+        return self._sphere_rows(d, chunk_uses(BLOCK_VALUES, d))
+
+    def raw_samples(self, n: int, width: int):
+        """``(words, raw)``: the raw draws of n samples, each one raw 64-bit word and then one gaussian row.
+
+        Per sample: one ``bit_generator.random_raw()`` word, the word that a
+        ``random()`` call would consume (:func:`random_of` turns it into
+        that call's draw), then one ``standard_normal`` fill of a ``width``
+        row of ``raw``.  ``words`` is a uint64 array.
+        """
+        gen = self._gen
+        word, normal = gen.bit_generator.random_raw, gen.standard_normal
+        raw = np.empty((n, width))
+        words = []
+        for row in raw:
+            words.append(word())
+            normal(out=row)
+        return np.array(words, dtype=np.uint64), raw
 
     def _sphere_rows(self, d: int, n: int):
         while True:

@@ -25,15 +25,13 @@ Noise stream.  :func:`run_sgd` takes one noise row per ``stoch_grad``
 call, in call order, from the run's ``Rng``.  When the suite's
 ``stoch_grad`` declares its draws (its ``noise`` attribute, the
 :class:`~optbench.core.noise.AdditiveNoise` that ``wrap_noise`` hangs
-on it), the rows are drawn in chunks of
-:data:`~optbench.core.rng.BLOCK_VALUES` values, ``base(x)`` is still
-evaluated once per draw, and each draw is still charged to the budget
-before its row is used.  numpy fills a chunk in call order, so
-chunking changes no value, and when the run ends by any exit the
-``Rng`` is rewound to where one draw per call would have left it.  That
-holds as long as ``base`` draws nothing from the run's ``Rng``, so a noise
-wrapper stacked under it needs a stream of its own.  A hand-built
-``stoch_grad`` is called once per draw.
+on it), the rows come a chunk of :data:`~optbench.core.rng.BLOCK_VALUES`
+values at a time through a :class:`~optbench.core.rng.Cursor`, with the
+bits and the stream of one draw per call; ``base(x)`` is still evaluated
+and charged to the budget once per draw.  That holds as long as ``base``
+draws nothing from the run's ``Rng``, so a noise wrapper stacked under
+it needs a stream of its own.  A hand-built ``stoch_grad`` is called
+once per draw.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import numpy as np
 from .core.linalg import norm
 from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace, run_steps
-from .core.rng import BLOCK_VALUES, Rng
+from .core.rng import BLOCK_VALUES, Cursor, Rng, chunk_uses
 from .core.sets import FeasibleSet
 
 
@@ -195,7 +193,7 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
     b, lam = cfg.batch, cfg.clip_lambda
     noise = getattr(oracle.stoch_grad, "noise", None)
     if noise is not None:
-        draw, rewind = _noise_blocks(noise, rng)
+        draw, rewind = _noise_blocks(noise, rng, cfg.N * b)
     else:
         draw, rewind = (lambda ctr, k, x: ctr.stoch_grad(x, rng)), (lambda: None)
 
@@ -215,33 +213,28 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
         rewind()
 
 
-def _noise_blocks(noise: AdditiveNoise, rng: Rng):
-    """``draw(ctr, k, x)``, the bits of ``ctr.stoch_grad(x, rng)`` with the noise drawn in chunks.
+def _noise_blocks(noise: AdditiveNoise, rng: Rng, draws: int):
+    """``(draw, rewind)``: ``draw(ctr, k, x)`` has the bits of ``ctr.stoch_grad(x, rng)``, for ``draws`` calls.
 
-    Each draw charges one call to ``ctr``, then evaluates ``noise.base(x)``
-    and adds the next row of the current chunk.  The chunk runs ahead of
-    the draws, so ``rewind()`` ends the run: it restores ``rng``'s state
-    from before the current chunk and redraws only the rows used, which
-    leaves ``rng`` where one draw per call would have left it.
+    Each draw charges one call to ``ctr``, evaluates ``noise.base(x)`` and
+    adds the next row of a cursor chunk of ``BLOCK_VALUES`` values, the
+    last one cut to the draws left; ``rewind()`` keeps the rows used.
     """
-    grad, n = noise.base, max(1, BLOCK_VALUES // math.prod(noise.shape))
-    state, chunk, used = None, None, n
+    grad, n = noise.base, chunk_uses(BLOCK_VALUES, math.prod(noise.shape))
+    cursor = Cursor(rng, lambda m: noise.rows(rng, m))
+    chunk, used, size = None, 0, 0
 
     def draw(ctr, k, x):  # k unused: the signature of a _projected_sgd gradient
-        nonlocal state, chunk, used
+        nonlocal chunk, used, size, draws
         ctr.count_extra()
-        if used == n:
-            state, chunk, used = rng.state, noise.rows(rng, n), 0
+        if used == size:
+            size = min(n, draws)
+            chunk, used, draws = cursor.take(size), 0, draws - size
         g = grad(x) + chunk[used]
         used += 1
         return g
 
-    def rewind():
-        if state is not None:
-            rng.state = state
-            noise.rows(rng, used)
-
-    return draw, rewind
+    return draw, lambda: cursor.keep(used)
 
 
 def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule: StepRule,

@@ -27,16 +27,16 @@ changes it.  A bare suite is counted by an unbudgeted
 ``value`` where the suite has no zeroth-order entry.  When that entry is
 the exact ``value`` or declares one gaussian per call (the
 :class:`~optbench.core.noise.AdditiveNoise` that ``zo_stoch`` hangs on
-it), samples are drawn ahead, a chunk at a time, by :func:`_draw`.
-Phase 1 (:func:`_raw_samples`) draws only raw values, per sample and in
-that order: one raw 64-bit word for the radius (the word that
-``random()`` would consume), then one ``standard_normal`` fill of a
-preallocated row with the direction's d normals followed by the two
-probes' noise.  The half of phase 2 that does not depend on x follows on
-the chunk's arrays: it turns the words into ``random()``'s draws
-(:func:`~optbench.core.rng.random_of`) and maps them to [-1, 1]
-(:func:`~optbench.core.rng.uniform_of`), normalizes
-the directions (:func:`~optbench.core.rng.unit_rows`), and computes the
+it), samples are drawn ahead, a chunk at a time.  Phase 1
+(:meth:`Rng.raw_samples <optbench.core.rng.Rng.raw_samples>`) draws only
+raw values, per sample and in that order: one raw 64-bit word for the
+radius (the word that ``random()`` would consume), then one
+``standard_normal`` fill of a row with the direction's d normals
+followed by the two probes' noise.  The half of phase 2 that does not
+depend on x follows on the chunk's arrays (:func:`_draw`): it turns
+the words into ``random()``'s draws (:func:`~optbench.core.rng.random_of`)
+and maps them to [-1, 1] (:func:`~optbench.core.rng.uniform_of`),
+normalizes the directions (:func:`~optbench.core.rng.unit_rows`), and computes the
 kernel weights K(r), the steps ``(tau r) e`` (as ``(s, -s)`` pairs from
 :data:`WEIGH_BATCH` samples on) and the noise terms.  The other half,
 :func:`_estimate`, serves one iteration once its ``2 * batch`` calls are
@@ -56,21 +56,21 @@ sample at batch 2, 0.96-1.06 at 3, 0.82-0.94 at 4, 0.75-0.91 at 5 and
 or has the bits of the scalar call it replaces, so each estimate and the
 stream's final state equal the per-sample loop's bit for bit.
 
-One cursor, :func:`_sample_chunks`, draws samples ahead, checks that the
-budget has room for an iteration's ``2 * batch`` calls, counts them and
-rewinds the stream, for :func:`kernel_grad_estimate` and
-:func:`run_zo_sgd` alike; it is the only code that reads or sets
-``rng.state``.  :func:`kernel_grad_estimate` is a chunk of one iteration
-wherever the entry is declared, with the per-sample loop
-(:func:`_loop_samples`) as the cursor's fallback.  The per-sample loop
-also serves any other entry (a hand-built one may draw anything from the
-stream).
+One drawer, :func:`_sample_chunks`, draws samples ahead through a
+:class:`~optbench.core.rng.Cursor`, which puts back what a chunk's
+iterations leave, checks that the budget has room for an iteration's
+``2 * batch`` calls and counts them, for :func:`kernel_grad_estimate`
+and :func:`run_zo_sgd` alike.  :func:`kernel_grad_estimate` is a chunk
+of one iteration wherever the entry is declared, with the per-sample
+loop (:func:`_loop_samples`) as the drawer's fallback.  The per-sample
+loop also serves any other entry (a hand-built one may draw anything
+from the stream).
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
 sample's draws do not depend on x, so where the entry is declared the
-cursor draws them in chunks of up to
+drawer draws them in chunks of up to
 :data:`~optbench.core.rng.ZO_CHUNK_VALUES` raw values
 (:func:`chunk_iterations`), each serving several iterations (one where a
 batch alone holds more values), with
@@ -80,15 +80,14 @@ stream where the loop leaves it; one at a ``tau_k`` that is not positive
 and finite, or so small that the scale ``d/(2 tau_k)`` overflows, or at
 an x of another shape, so that the estimator refuses it; and one whose
 samples hold a direction that ``unit_rows`` does not keep, which
-:meth:`Rng.sphere` would redraw.  Such a chunk is cut before that
-iteration as soon as it is drawn: the stream is rewound to the chunk's
-start and the samples before the cut are drawn again, and the iteration
-then starts a chunk cut to nothing, so the per-sample loop redraws the
-direction where it always has; with gaussian draws that almost never
-happens.  Before the fallback serves an iteration, and at every exit of
-the run, the chunk is cut after the samples weighed the same way.  So a
-run leaves its trace, its reported point and its ``Rng`` where
-estimating one iteration at a time leaves them.
+:meth:`Rng.sphere` would redraw.  Such a chunk keeps only the iterations
+before that one as soon as it is drawn, and the iteration then starts a
+chunk that keeps nothing, so the per-sample loop redraws the direction
+where it always has; with gaussian draws that almost never happens.
+Before the fallback serves an iteration, and at every exit of the run,
+the chunk keeps the samples weighed.  So a run leaves its trace, its
+reported point and its ``Rng`` where estimating one iteration at a time
+leaves them.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ import numpy as np
 
 from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace, values_at
-from .core.rng import ZO_CHUNK_VALUES, Rng, random_of, uniform_of, unit_rows
+from .core.rng import ZO_CHUNK_VALUES, Cursor, Rng, chunk_uses, random_of, uniform_of, unit_rows
 from .core.sets import FeasibleSet
 from .stochastic import NoAveraging, StepRule, _projected_sgd
 
@@ -262,20 +261,20 @@ def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
     return total
 
 
-def _draw(rng: Rng, noise: Optional[AdditiveNoise], dim: int, taus, batch: int, kernel: Kernel):
-    """``(servable, chunk)``: the samples of ``len(taus)`` iterations of ``batch`` each, drawn ahead.
+def _draw(drawn, noise: Optional[AdditiveNoise], dim: int, taus, batch: int, kernel: Kernel):
+    """``(servable, chunk)``: the samples of ``len(taus)`` iterations of ``batch`` each, from their raw draws.
 
-    ``noise`` is what :func:`_declared` returns and ``taus[j]`` is
-    iteration j's tau.  Phase 1 and the half of phase 2 that does not
-    depend on x: ``chunk`` holds, per sample, the step ``(tau r) e``, the
-    direction e, the kernel weight K(r) and its two probes' noise terms,
-    as :func:`_estimate` takes them.  ``servable`` counts the samples of
-    the iterations before the first whose samples hold a direction that
-    :func:`unit_rows` does not keep; the stream is left after all of
-    them.
+    ``drawn`` is :meth:`Rng.raw_samples`'s ``(words, raw)`` for those
+    samples, ``noise`` is what :func:`_declared` returns and ``taus[j]`` is
+    iteration j's tau.  The half of phase 2 that does not depend on x:
+    ``chunk`` holds, per sample, the step ``(tau r) e``, the direction e,
+    the kernel weight K(r) and its two probes' noise terms, as
+    :func:`_estimate` takes them.  ``servable`` counts the samples of the
+    iterations before the first whose samples hold a direction that
+    :func:`unit_rows` does not keep.
     """
+    words, raw = drawn
     n = batch * len(taus)
-    words, raw = _raw_samples(rng.generator, n, dim if noise is None else dim + 2)
     dirs, kept = unit_rows(raw[:, :dim])
     servable = n if kept.all() else int(kept.argmin()) // batch * batch
     r = uniform_of(random_of(words))
@@ -332,25 +331,6 @@ def _weigh(value, x, signed, dirs, kernel_weights, xi, scale):
     return (weights[:, None] * dirs).cumsum(axis=0)[-1]
 
 
-def _raw_samples(gen, n: int, width: int):
-    """Phase 1: the raw draws of ``n`` samples, ``(words, raw)``, in the per-sample loop's stream order.
-
-    Per sample: one ``bit_generator.random_raw()`` word (its radius before
-    :func:`random_of` and :func:`uniform_of`; the word that ``random()``
-    would consume, so the stream is the loop's), then one
-    ``standard_normal`` fill of a ``width`` row of ``raw``: the
-    direction's d normals, then the two probes' noise where there is any.
-    ``words`` is a uint64 array.
-    """
-    word, normal = gen.bit_generator.random_raw, gen.standard_normal
-    raw = np.empty((n, width))
-    words = []
-    for row in raw:
-        words.append(word())
-        normal(out=row)
-    return np.array(words, dtype=np.uint64), raw
-
-
 @dataclass(frozen=True)
 class ConstTau:
     tau: float = 1e-3
@@ -371,7 +351,7 @@ class PowerDecayTau:
     def __post_init__(self):
         if not 0 < self.tau0 < math.inf:
             raise ValueError("tau0 must be positive and finite")
-        if self.exponent < 0:
+        if not self.exponent >= 0:  # also true for NaN
             raise ValueError("exponent must be >= 0")
 
     def at(self, k: int) -> float:
@@ -432,7 +412,7 @@ def chunk_iterations(batch: int, width: int) -> int:
     ``width`` values per sample, and at least one.  The budget is the
     module's ``ZO_CHUNK_VALUES``, read at each call, so a test may set it.
     """
-    return max(1, ZO_CHUNK_VALUES // (batch * width))
+    return chunk_uses(ZO_CHUNK_VALUES, batch * width)
 
 
 def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: int, batch: int, kernel: Kernel,
@@ -445,39 +425,33 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: i
     returns, ``dim`` is at least 1, ``tau_at(k)`` is iteration k's tau and
     ``fallback(ctr, k, x)`` estimates iteration k without drawing ahead.
     ``gradient(ctr, k, x)`` is iteration k's estimate; a chunk is one
-    :func:`_draw` for the next :func:`chunk_iterations` ``(batch, width)``
-    iterations, or the ones left, with ``width`` raw values per sample, each
-    sample's step taking its own iteration's tau.  An iteration checks that
-    the budget has room for its ``2 * batch`` probes, counts them and weighs
-    its samples with :func:`_estimate`.  Where a chunk's samples hold a
-    direction that :func:`unit_rows` does not keep, the chunk is cut before
-    that direction's iteration: the stream is set back to the chunk's start
-    and the samples before the cut are drawn again.  ``fallback`` serves an
+    :class:`~optbench.core.rng.Cursor` take of :meth:`Rng.raw_samples`,
+    ``width`` raw values per sample, turned into samples by :func:`_draw`,
+    for the next :func:`chunk_iterations` ``(batch, width)`` iterations, or
+    the ones left, each sample's step taking its own iteration's tau.  An
+    iteration checks that the budget has room for its ``2 * batch`` probes,
+    counts them and weighs its samples with :func:`_estimate`.  A chunk
+    keeps only the iterations before the first whose samples hold a
+    direction that :func:`unit_rows` does not keep.  ``fallback`` serves an
     iteration without budget room, one that would start a chunk at an ``x``
     of another shape or at a tau that :func:`estimator_scale` refuses, and
-    one that starts a chunk cut before its own samples.  Before it does, and
-    when ``rewind()`` ends the run, the chunk is cut after the samples
+    one that starts a chunk that keeps none of its samples.  Before it
+    does, and when ``rewind()`` ends the run, the chunk keeps the samples
     weighed.
     """
     width = dim if noise is None else dim + 2
     per_chunk = chunk_iterations(batch, width)
-    start, drawn, used = None, 0, 0  # the state before the chunk; its samples drawn and weighed
+    cursor = Cursor(rng, lambda n: rng.raw_samples(n, width))
+    used = kept = 0  # the chunk's samples weighed and kept
     scales = chunk = None
 
-    def cut(n):
-        """Keep the chunk's first n samples, with the stream set to just after them."""
-        nonlocal drawn
-        if n < drawn:
-            rng.state = start
-            _raw_samples(rng.generator, n, width)
-        drawn = n
-
     def gradient(ctr, k, x):
-        nonlocal start, drawn, used, scales, chunk
+        nonlocal used, kept, scales, chunk
         if not ctr.has_room(2 * batch):
-            cut(used)
+            cursor.keep(used)
+            kept = used
             return fallback(ctr, k, x)
-        if used == drawn:
+        if used == kept:
             taus, scales = [], []
             for j in range(k, min(N, k + per_chunk)):
                 t = tau_at(j)
@@ -488,13 +462,13 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: i
                 taus.append(t)
             if not taus or x.shape != (dim,):
                 return fallback(ctr, k, x)
-            start, drawn, used = rng.state, batch * len(taus), 0
-            servable, chunk = _draw(rng, noise, dim, taus, batch, kernel)
-            cut(servable)
-            if not servable:
+            used = 0
+            kept, chunk = _draw(cursor.take(batch * len(taus)), noise, dim, taus, batch, kernel)
+            cursor.keep(kept)
+            if not kept:
                 return fallback(ctr, k, x)
         ctr.calls += 2 * batch
         i, used = used, used + batch
         return _estimate(value, x, chunk, i, batch, scales[i // batch])
 
-    return gradient, lambda: cut(used)
+    return gradient, lambda: cursor.keep(used)

@@ -392,8 +392,10 @@ def test_names_that_are_not_strings_exit_2(tmp_path, capsys, doc, message):
      " at dim 2 (tau at iteration 5)"),
     ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}, 200,  # tau_199 underflows to 0
      "tau must be positive and finite (tau at iteration 199)"),
+    ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": NAN}, 1, "exponent must be >= 0"),  # tau_0 = 0.2 * 1^-NaN = 0.2
+    ({"gamma": 0.01, "tau0": 0.2, "tau_exponent": NAN}, 5, "exponent must be >= 0"),
 ], ids=["tau-inf", "tau-nan", "tau0-inf", "tau0-nan", "tau-1e-320", "tau_exponent-400-subnormal",
-        "tau_exponent-400-zero"])
+        "tau_exponent-400-zero", "tau_exponent-nan-1", "tau_exponent-nan-5"])
 def test_non_finite_tau_exits_2(tmp_path, capsys, params, iterations, message):
     doc = {"problem": QUAD, "noise": ZO, "method": {"name": "zo_sgd", "params": params}, "iterations": iterations}
     assert main(["run", "--config", write_cfg(tmp_path, "tau.json", doc)]) == 2

@@ -1,11 +1,13 @@
 import copy
+import itertools
 import pickle
 
 import numpy as np
 import pytest
 
 from optbench.core import Rng
-from optbench.core.rng import BLOCK_VALUES, random_of
+from optbench.core.noise import AdditiveNoise
+from optbench.core.rng import BLOCK_VALUES, Cursor, chunk_uses, random_of
 
 
 def test_same_seed_same_stream():
@@ -139,7 +141,7 @@ class TinyRow:
 @pytest.mark.parametrize("tiny", ["none", "first-block", "later-block"])
 @pytest.mark.parametrize("d", [1, 2, 3, 50])
 def test_spheres_give_the_bits_of_successive_sphere_calls(d, tiny):
-    n = max(1, BLOCK_VALUES // d)  # rows per block
+    n = chunk_uses(BLOCK_VALUES, d)  # rows per block
     row = {"none": -1, "first-block": 1, "later-block": n + 2}[tiny]
     ref, rng = Rng(9), Rng(9)
     ref._gen, rng._gen = TinyRow(_twin(9), d, row), TinyRow(_twin(9), d, row)
@@ -160,3 +162,69 @@ def test_uniform_keeps_generator_argument_checks():
     with pytest.raises(ValueError):
         rng.uniform(1.0, -1.0)
     assert rng.uniform(np.zeros(3), 1.0).shape == (3,)  # array bounds broadcast
+
+
+@pytest.mark.parametrize("n, width", [(0, 3), (1, 1), (37, 5)])
+def test_raw_samples_have_the_bits_of_a_loop_of_raw_words_and_normal_fills(n, width):
+    gen, raw, words = _twin(13), np.empty((n, width)), []
+    for row in raw:
+        words.append(gen.bit_generator.random_raw())
+        gen.standard_normal(out=row)
+    rng = Rng(13)
+    got_words, got_raw = rng.raw_samples(n, width)
+    assert got_words.dtype == np.uint64 and got_words.tolist() == words
+    assert got_raw.tobytes() == raw.tobytes()
+    assert rng.state == gen.bit_generator.state
+
+
+def _noise_fill(distribution, shape):
+    """``(fill, use)``: ``AdditiveNoise.rows`` as a cursor's fill, and one call of its entry."""
+    noise = AdditiveNoise(lambda x: 0.0, 0.7, shape, distribution)
+    entry = noise.entry()
+    return (lambda rng: lambda n: noise.rows(rng, n)), (lambda rng: entry(None, rng))
+
+
+CURSOR_FILLS = {f"{dist}{shape}": _noise_fill(dist, shape)
+                for dist, shape in itertools.product(("gaussian", "student_t3"), ((), (3,)))}
+CURSOR_FILLS["raw_samples"] = (lambda rng: lambda n: rng.raw_samples(n, 4)), (lambda rng: rng.raw_samples(1, 4))
+
+
+@pytest.mark.parametrize("keeps", [(0,), (5,), (12,), (9, 4), (12, 12), (7, 7)], ids=str)
+@pytest.mark.parametrize("fill", list(CURSOR_FILLS))
+def test_cursor_keep_leaves_the_stream_where_separate_uses_leave_it(fill, keeps):
+    make_fill, use = CURSOR_FILLS[fill]
+    rng, ref = Rng(21), Rng(21)
+    for r in (rng, ref):
+        r.gaussian(2)  # a chunk that does not start the stream
+    fills, inner = [], make_fill(rng)
+
+    def counted(n):
+        fills.append(n)
+        return inner(n)
+
+    cursor = Cursor(rng, counted)
+    cursor.take(12)
+    for k in keeps:
+        cursor.keep(k)
+    # a keep redraws only when it keeps fewer uses than the chunk holds; the whole chunk is kept as drawn
+    assert fills == [12] + [k for k, held in zip(keeps, (12, *keeps)) if k < held]
+    for _ in range(keeps[-1]):
+        use(ref)
+    assert rng.state == ref.state
+    assert rng.gaussian(4).tobytes() == ref.gaussian(4).tobytes()
+
+
+@pytest.mark.parametrize("fill", list(CURSOR_FILLS))
+def test_cursor_chunks_and_keeps_in_turn_give_the_uses_in_order(fill):
+    make_fill, use = CURSOR_FILLS[fill]
+    rng, ref = Rng(8), Rng(8)
+    cursor = Cursor(rng, make_fill(rng))
+    taken = []
+    for size, kept in ((6, 6), (5, 2), (4, 0), (3, 3), (7, 1)):
+        chunk = cursor.take(size)
+        taken += list(chunk[1] if fill == "raw_samples" else chunk)[:kept]
+        cursor.keep(kept)
+    uses = [use(ref) for _ in range(12)]
+    want = [u[1][0] for u in uses] if fill == "raw_samples" else uses
+    assert np.array(taken).tobytes() == np.array(want).tobytes()
+    assert rng.gaussian(4).tobytes() == ref.gaussian(4).tobytes()

@@ -8,7 +8,7 @@ from optbench import claims
 from optbench.bench import write_trace
 from optbench.core import AdditiveStochGrad, Rng, make_problem, wrap_noise
 from optbench.core.noise import AdditiveNoise
-from optbench.core.rng import BLOCK_VALUES
+from optbench.core.rng import BLOCK_VALUES, chunk_uses
 from optbench.smooth import SmoothRunConfig, run_gd
 from optbench.stochastic import (
     AdaGradNorm,
@@ -202,7 +202,7 @@ def per_call(suite):
 
 def crossing_n(d, batch):
     """An iteration count whose draws cross at least two chunk boundaries of the block path."""
-    return 2 * max(1, BLOCK_VALUES // d) // batch + 7
+    return 2 * chunk_uses(BLOCK_VALUES, d) // batch + 7
 
 
 def sgd_outcome(tmp_path, suite, fset, x0, cfg, **kw):
@@ -252,6 +252,27 @@ def test_block_path_is_bit_identical_to_per_call(tmp_path, rule, distribution):
         block = sgd_outcome(tmp_path, suite, fset, x0, cfg, record_every=7)
         assert block == sgd_outcome(tmp_path, per_call(suite), fset, x0, cfg, record_every=7), \
             (d, batch, clip_lambda, averaging)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_unbudgeted_block_path_draws_each_noise_row_once(monkeypatch, batch):
+    noisy, fset = quad1d(1.0)
+    rows, sets = [], []
+    gaussian, state = Rng.gaussian, Rng.state
+
+    def counted(rng, size=None):
+        rows.append(size[0])  # a block of (n, 1) rows
+        return gaussian(rng, size)
+
+    def set_state(rng, value):
+        sets.append(value)
+        state.fset(rng, value)
+
+    monkeypatch.setattr(Rng, "gaussian", counted)
+    monkeypatch.setattr(Rng, "state", property(state.fget, set_state))
+    cfg = SgdConfig(N=1000, step_rule=Decay(gamma0=0.3), batch=batch, averaging=UniformAvg())
+    run_sgd(noisy, fset, np.array([1.0]), cfg, Rng(3), record_every=1001)
+    assert sum(rows) == 1000 * batch and max(rows) == BLOCK_VALUES and sets == []
 
 
 @pytest.mark.parametrize("case", ["budget_mid_chunk", "budget_at_record_row", "grad_raises"])

@@ -55,8 +55,7 @@ Grids:
   its runs, budgets and keys are those of chunks of ``BLOCK_VALUES`` raw
   values: a chunk holds ``zeroorder.chunk_iterations(batch, width)``
   iterations, ``width`` being d + 2 raw values per sample under noise and
-  d without (on a checkout without ``chunk_iterations``, its rule
-  ``max(1, BLOCK_VALUES // (batch * width))``) (562 runs);
+  d without (562 runs);
 * ``stop/...``: eight configs tuned to reach their method's own stop
   test (``cg_quadratic``, ``frank_wolfe`` with either step rule,
   ``gd_rel_adaptive``, ``polyak_subgrad``, ``heavy_ball`` and
@@ -546,19 +545,6 @@ def sgd_zo_grid(tmp: str) -> dict:
     return out
 
 
-def _chunk(batch: int, width: int) -> int:
-    """The iterations in one chunk of ``batch`` samples of ``width`` raw values each: ``zeroorder.chunk_iterations``.
-
-    A checkout from before ``chunk_iterations`` sized every chunk from ``BLOCK_VALUES`` by the same rule.
-    """
-    from optbench import zeroorder as zo
-    from optbench.core.rng import BLOCK_VALUES
-
-    if hasattr(zo, "chunk_iterations"):
-        return zo.chunk_iterations(batch, width)
-    return max(1, BLOCK_VALUES // (batch * width))
-
-
 def _calls_after(j: int, batch: int, every: int) -> int:
     """The calls of a ``run_zo_sgd`` run once iterations 0..j-1 and their due rows are done."""
     return 2 * batch * j + (j - 1) // every + 1 if j else 0
@@ -572,14 +558,11 @@ def zo_chunk_grid(tmp: str) -> dict:
     from optbench import zeroorder as zo
     from optbench.core.rng import BLOCK_VALUES
 
-    budget = getattr(zo, "ZO_CHUNK_VALUES", None)  # None: the checkout sizes its chunks from BLOCK_VALUES
-    if budget is not None:
-        zo.ZO_CHUNK_VALUES = BLOCK_VALUES
+    budget, zo.ZO_CHUNK_VALUES = zo.ZO_CHUNK_VALUES, BLOCK_VALUES
     try:
         return _zo_chunk_runs(tmp)
     finally:
-        if budget is not None:
-            zo.ZO_CHUNK_VALUES = budget
+        zo.ZO_CHUNK_VALUES = budget
 
 
 def _zo_chunk_runs(tmp: str) -> dict:
@@ -613,7 +596,7 @@ def _zo_chunk_runs(tmp: str) -> dict:
     taus = {"const": zo.ConstTau(0.05), "power": zo.PowerDecayTau(0.2, 0.5)}
     sizes = [*itertools.product(CHUNK_DIMS, CHUNK_BATCHES), (10, 64)]
     for (d, batch), (tname, tau), every in itertools.product(sizes, taus.items(), (1, 7)):
-        c = _chunk(batch, d + 2)
+        c = zo.chunk_iterations(batch, d + 2)
         after = _calls_after(c, batch, every)
         budgets = {"none": None, "boundary": after, "mid-chunk": _calls_after(c + c // 2, batch, every),
                    "mid-iter": after + batch, "last-probe": after + 2 * batch - 1, "row": after + 2 * batch}
@@ -623,16 +606,16 @@ def _zo_chunk_runs(tmp: str) -> dict:
                 tau, every, budget)
     for d, batch in itertools.product((2, 10), (1, 4, 9)):
         suite, x0 = quad(d, noisy=False)
-        for bname, budget in {"none": None, "boundary": _calls_after(_chunk(batch, d), batch, 1)}.items():
+        for bname, budget in {"none": None, "boundary": _calls_after(zo.chunk_iterations(batch, d), batch, 1)}.items():
             run(f"zo/chunk/exact/d{d}/batch{batch}/budget-{bname}", suite, x0, batch, every=1, budget=budget)
     for batch in (1, 4, 9):
         suite, x0 = quad(2, name="rosenbrock")
-        after = _calls_after(_chunk(batch, 4), batch, 7)
+        after = _calls_after(zo.chunk_iterations(batch, 4), batch, 7)
         for bname, budget in {"none": None, "mid-iter": after + batch}.items():
             run(f"zo/chunk/rosenbrock/batch{batch}/budget-{bname}", suite, x0, batch, budget=budget)
     for d, batch in itertools.product((2, 10), (1, 4, 9)):
         suite, x0 = quad(d)
-        first = _chunk(batch, d + 2) * batch  # the first sample of the second chunk
+        first = zo.chunk_iterations(batch, d + 2) * batch  # the first sample of the second chunk
         for sample in sorted({first, first + 2 * batch - 1}):
             rng = Rng(23)
             rng._gen = _TinyDirection(np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng.entropy))),
