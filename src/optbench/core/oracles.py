@@ -120,7 +120,7 @@ class OracleSuite:
 
 
 class CountingOracle:
-    """Per-run view of a suite that counts oracle calls and enforces a budget.
+    """Per-run view of a suite that counts oracle calls and enforces a budget; the only code that changes ``calls``.
 
     Each counted call is one Python frame: the suite's entries are looked
     up once, at construction, and the budget test is inlined.  A call
@@ -155,9 +155,19 @@ class CountingOracle:
         return self.calls + n <= self._cap
 
     def count_extra(self):
-        """Count one oracle access made outside the suite's entries (an A-product, a row's f made with its block)."""
+        """Count one access outside the suite's entries (an A-product, a row's f made with its block, an SGD draw)."""
         if self.calls >= self._cap:
             self._exhausted()
+        self.calls += 1
+
+    def charge(self, n: int):
+        """Count ``n`` accesses outside the suite's entries, all or none (a zeroth-order batch drawn ahead)."""
+        if self.calls + n > self._cap:
+            self._exhausted()
+        self.calls += n
+
+    def count_unbudgeted(self):
+        """Count one access outside the budget: a value :meth:`TraceRecorder.close` needs after the run."""
         self.calls += 1
 
     def value(self, x) -> float:
@@ -425,13 +435,13 @@ class TraceRecorder:
         may tell the two apart.
         """
         if f_value is None:
-            self.counter.calls += 1
+            self.counter.count_unbudgeted()
         self._pending.append((it, x, f_value, None, grad_norm if grad_norm is None else float(grad_norm), 0.0,
                               self.counter.calls, None))
         columns = self.columns
         f_out = columns["f_value"][-1]
         if x_out is not None and x_out.tobytes() != x.tobytes():
-            self.counter.calls += 1
+            self.counter.count_unbudgeted()
             x, f_out = x_out, float(self.suite.value(x_out))
         return Trace(status=status, x_out=np.array(x, dtype=float), f_out=f_out, columns=columns)
 
@@ -474,7 +484,7 @@ def grad_or_stop(ctr: CountingOracle, x: np.ndarray, tol: float, status: RunStat
 def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: int,
               record_x: bool, max_oracle_calls: Optional[int], first: int = 0,
               divergence_radius: Optional[float] = None, reported: Optional[Callable] = None,
-              fset: Optional[FeasibleSet] = None) -> Trace:
+              average_from: Optional[int] = None, fset: Optional[FeasibleSet] = None) -> Trace:
     """Run iterations ``first .. N-1`` of ``step`` from ``x0`` and return the trace.
 
     The run starts at ``fset.project(x0)``, or at ``x0`` as a float array
@@ -487,17 +497,19 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     read then, and everything computed from ``x`` when the recorder
     derives its block (see :class:`TraceRecorder`).  Until then the
     recorder holds ``x`` and ``g`` themselves, so a step must not change
-    an iterate or a gradient in place once it has returned it; none does
-    (the only in-place add in a step, ``run_const_subgrad``'s, is to its
-    own running sum).  The next iterate is ``fset.project(x_next)``, or
-    ``x_next`` itself without a set or on ``FullSpace``.  The run ends as
-    a :class:`Stop` the step raises says, at ``x``; as ``diverged`` once
-    ``norm(x - x0)`` is not ``<= divergence_radius`` (NaN and inf
-    iterates fail the test too); and as ``budget_exhausted`` when a call
-    would exceed ``max_oracle_calls`` (at ``x``) or after iteration
-    ``N-1``, and as ``diverged`` instead when that ``x`` is not finite.
-    The reported point is ``reported()`` when that is given and not None,
-    else the last iterate.
+    an iterate or a gradient in place once it has returned it; none does.
+    The next iterate is ``fset.project(x_next)``, or ``x_next`` itself
+    without a set or on ``FullSpace``.  The run ends as a :class:`Stop`
+    the step raises says, at ``x``; as ``diverged`` once ``norm(x - x0)``
+    is not ``<= divergence_radius`` (NaN and inf iterates fail the test
+    too); and as ``budget_exhausted`` when a call would exceed
+    ``max_oracle_calls`` (at ``x``) or after iteration ``N-1``, and as
+    ``diverged`` instead when that ``x`` is not finite.
+    From iteration ``average_from`` on (None: none) the run adds ``x`` to a
+    running sum from zeros before each step, a fresh add (numpy's in-place
+    add of a 1-element array is about 2x slower), and reports the mean of
+    the iterates added; else ``reported()`` when given and not None, else
+    the last iterate.
 
     The distance test is screened on Python floats when the start has at
     most :data:`~optbench.core.linalg.SCREEN_MAX_DIM` entries (decided once
@@ -524,8 +536,13 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
     screened, start = x0.size <= SCREEN_MAX_DIM, x0.tolist()
     screen = None if divergence_radius is None else min(divergence_radius * (1 - 1e-9), 1e150)
     status, f_value, grad_norm = RunStatus.BUDGET_EXHAUSTED, None, None
+    avg_from = N if average_from is None else average_from
+    avg_sum, avg_n = np.zeros(oracle.dim), 0
     try:
         while k < N:
+            if k >= avg_from:
+                avg_sum = avg_sum + x
+                avg_n += 1
             x_next, f, g, h, tag = step(ctr, k, x)
             if k % record_every == 0:  # rec.due(k), inlined: it is tested on every iteration
                 record(k, x, f, g, h, tag)
@@ -541,5 +558,5 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
         pass
     if status is RunStatus.BUDGET_EXHAUSTED and not np.isfinite(x).all():
         status = RunStatus.DIVERGED
-    return rec.close(k, x, status, None if reported is None else reported(),
-                     f_value=f_value, grad_norm=grad_norm)
+    x_out = avg_sum / avg_n if avg_n else None if reported is None else reported()
+    return rec.close(k, x, status, x_out, f_value=f_value, grad_norm=grad_norm)

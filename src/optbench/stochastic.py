@@ -11,8 +11,9 @@ iteration k with applied gradient g):
   the slow decay used together with iterate averaging, whose averaged
   output attains the limit covariance H^{-1} Sigma H^{-1} of the CLT.
 
-Averaging modes return the uniform mean of x^0..x^{N-1} or the mean of
-the tail fraction.  Mini-batching averages ``batch`` independent draws;
+Averaging modes name the first iterate of the Polyak-Juditsky mean, of
+x^0..x^{N-1} or of the tail fraction, that ``run_steps`` keeps and
+reports.  Mini-batching averages ``batch`` independent draws;
 ``clip_lambda`` rescales the batched gradient to norm at most lambda
 before the step (heavy-tail robustness).
 
@@ -28,10 +29,10 @@ call, in call order, from the run's ``Rng``.  When the suite's
 on it), the rows come a chunk of :data:`~optbench.core.rng.BLOCK_VALUES`
 values at a time through a :class:`~optbench.core.rng.Cursor`, with the
 bits and the stream of one draw per call; ``base(x)`` is still evaluated
-and charged to the budget once per draw.  That holds as long as ``base``
-draws nothing from the run's ``Rng``, so a noise wrapper stacked under
-it needs a stream of its own.  A hand-built ``stoch_grad`` is called
-once per draw.
+and charged to the budget (``count_extra``) once per draw.  That holds
+as long as ``base`` draws nothing from the run's ``Rng``, so a noise
+wrapper stacked under it needs a stream of its own.  A hand-built
+``stoch_grad`` is called once per draw.
 """
 
 from __future__ import annotations
@@ -130,12 +131,14 @@ class Decay:
 
 @dataclass(frozen=True)
 class NoAveraging:
-    pass
+    def average_from(self, N: int) -> Optional[int]:
+        return None
 
 
 @dataclass(frozen=True)
 class UniformAvg:
-    pass
+    def average_from(self, N: int) -> Optional[int]:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -146,10 +149,13 @@ class TailAvg:
         if not 0 < self.fraction <= 1:
             raise ValueError("tail fraction must lie in (0, 1]")
 
+    def average_from(self, N: int) -> Optional[int]:
+        return N - math.ceil(self.fraction * N)
+
 
 StepRule = Const | BudgetConst | InvK | AdaGradNorm | Decay
 STEP_RULES: dict[str, type] = {cls.kind: cls for cls in get_args(StepRule)}  # a class's fields are its config keys
-Averaging = NoAveraging | UniformAvg | TailAvg
+Averaging = NoAveraging | UniformAvg | TailAvg  # average_from(N): the first of N iterates averaged, None: none
 
 
 @dataclass(frozen=True)
@@ -205,12 +211,9 @@ def run_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SgdConfig, rng: Rng
             g = g / b
         return g if lam is None else clip(g, lam)
 
-    try:
-        return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging,
-                              draw if b == 1 and lam is None else gradient,
-                              record_every, record_x, max_oracle_calls)
-    finally:
-        rewind()
+    return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, cfg.averaging.average_from(cfg.N),
+                          draw if b == 1 and lam is None else gradient, rewind, record_every, record_x,
+                          max_oracle_calls)
 
 
 def _noise_blocks(noise: AdditiveNoise, rng: Rng, draws: int):
@@ -238,36 +241,29 @@ def _noise_blocks(noise: AdditiveNoise, rng: Rng, draws: int):
 
 
 def _projected_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, N: int, step_rule: StepRule,
-                   averaging: Averaging, gradient: Callable[[CountingOracle, int, np.ndarray], np.ndarray],
-                   record_every: int, record_x: bool, max_oracle_calls: Optional[int]) -> Trace:
+                   average_from: Optional[int], gradient: Callable[[CountingOracle, int, np.ndarray], np.ndarray],
+                   rewind: Callable[[], None], record_every: int, record_x: bool, max_oracle_calls: Optional[int],
+                   divergence_radius: Optional[float] = None) -> Trace:
     """The step behind :func:`run_sgd` and :func:`optbench.zeroorder.run_zo_sgd`, run by ``run_steps``.
 
     ``gradient(ctr, k, x)`` returns iteration k's gradient, drawn through
-    the run's counting oracle.  The reported point is the average of the
-    averaged iterates, or the last iterate without averaging.
+    the run's counting oracle, and ``rewind()`` puts back, by any exit, the
+    draws made ahead and not used.  ``run_steps`` keeps and reports the
+    average from ``average_from`` and runs the distance monitor.
     """
     gamma_k = step_rule.schedule(N)
 
-    if isinstance(averaging, UniformAvg):
-        avg_start = 0
-    elif isinstance(averaging, TailAvg):
-        avg_start = N - math.ceil(averaging.fraction * N)
-    else:
-        avg_start = N  # no iterate is averaged
-    avg_sum, avg_n = np.zeros(oracle.dim), 0
-
     def step(ctr, k, x):
-        nonlocal avg_sum, avg_n
-        if k >= avg_start:
-            avg_sum = avg_sum + x  # a fresh add: numpy's in-place add of a 1-element array is about 2x slower
-            avg_n += 1
         g = gradient(ctr, k, x)
         gamma = gamma_k(k, g)
         return x - gamma * g, None, g, gamma, None
 
-    return run_steps(oracle, x0, N, step, record_every=record_every, record_x=record_x,
-                     max_oracle_calls=max_oracle_calls, reported=lambda: avg_sum / avg_n if avg_n else None,
-                     fset=fset)
+    try:
+        return run_steps(oracle, x0, N, step, record_every=record_every, record_x=record_x,
+                         max_oracle_calls=max_oracle_calls, divergence_radius=divergence_radius,
+                         average_from=average_from, fset=fset)
+    finally:
+        rewind()
 
 
 @dataclass(frozen=True)

@@ -120,8 +120,8 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     """Constant-step subgradient descent over iterates x^0 .. x^{N-1}.
 
     With ``averaging`` on, the reported point is the uniform average of
-    those N iterates (the budget-step tuning then meets
-    :func:`optbench.claims.budget_step_gap`).
+    those N iterates, which ``run_steps`` keeps (the budget-step tuning
+    then meets :func:`optbench.claims.budget_step_gap`).
     """
     if isinstance(cfg.step_rule, FixedStep):
         h = cfg.step_rule.h
@@ -130,20 +130,14 @@ def run_const_subgrad(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: SubgradCo
     else:
         raise ValueError("run_const_subgrad requires FixedStep or BudgetStep")
 
-    sum_x, n = np.zeros(oracle.dim), 0
-
     def step(ctr, k, x):
-        nonlocal sum_x, n
-        sum_x += x  # in place costs what a fresh add does from d = 2 on; d = 1: see stochastic._projected_sgd
-        n += 1
         if k == cfg.N - 1:
             raise Stop(RunStatus.BUDGET_EXHAUSTED)  # x^{N-1} takes no step
         g = ctr.subgrad(x)
         return x - h * g, None, g, h, None
 
     return run_steps(oracle, x0, cfg.N, step, record_every=record_every, record_x=record_x,
-                     max_oracle_calls=max_oracle_calls, reported=lambda: sum_x / n if cfg.averaging else None,
-                     fset=fset)
+                     max_oracle_calls=max_oracle_calls, average_from=0 if cfg.averaging else None, fset=fset)
 
 
 @dataclass(frozen=True)

@@ -59,12 +59,12 @@ stream's final state equal the per-sample loop's bit for bit.
 One drawer, :func:`_sample_chunks`, draws samples ahead through a
 :class:`~optbench.core.rng.Cursor`, which puts back what a chunk's
 iterations leave, checks that the budget has room for an iteration's
-``2 * batch`` calls and counts them, for :func:`kernel_grad_estimate`
-and :func:`run_zo_sgd` alike.  :func:`kernel_grad_estimate` is a chunk
-of one iteration wherever the entry is declared, with the per-sample
-loop (:func:`_loop_samples`) as the drawer's fallback.  The per-sample
-loop also serves any other entry (a hand-built one may draw anything
-from the stream).
+``2 * batch`` calls and charges them to the run's
+:class:`CountingOracle`, for :func:`kernel_grad_estimate` (a chunk of
+one iteration wherever the entry is declared) and :func:`run_zo_sgd`
+alike.  Any other entry takes the per-sample loop
+(:func:`_loop_samples`): a hand-built one may draw anything from the
+stream.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
@@ -73,21 +73,15 @@ sample's draws do not depend on x, so where the entry is declared the
 drawer draws them in chunks of up to
 :data:`~optbench.core.rng.ZO_CHUNK_VALUES` raw values
 (:func:`chunk_iterations`), each serving several iterations (one where a
-batch alone holds more values), with
-:func:`kernel_grad_estimate` as its fallback.  The fallback serves an
-iteration with too few calls left, so that a budget cut leaves the
-stream where the loop leaves it; one at a ``tau_k`` that is not positive
-and finite, or so small that the scale ``d/(2 tau_k)`` overflows, or at
-an x of another shape, so that the estimator refuses it; and one whose
-samples hold a direction that ``unit_rows`` does not keep, which
-:meth:`Rng.sphere` would redraw.  Such a chunk keeps only the iterations
-before that one as soon as it is drawn, and the iteration then starts a
-chunk that keeps nothing, so the per-sample loop redraws the direction
-where it always has; with gaussian draws that almost never happens.
-Before the fallback serves an iteration, and at every exit of the run,
-the chunk keeps the samples weighed.  So a run leaves its trace, its
-reported point and its ``Rng`` where estimating one iteration at a time
-leaves them.
+batch alone holds more values).  Its fallback, :func:`kernel_grad_estimate`
+and through it the per-sample loop, serves the iterations
+:func:`_sample_chunks` names: one with too few calls left, so that a
+budget cut leaves the stream where the loop leaves it; one the estimator
+refuses, so that it refuses it; and one whose samples hold a direction
+that ``unit_rows`` does not keep, so that the loop redraws it where
+:meth:`Rng.sphere` always has (with gaussian draws that almost never
+happens).  So a run leaves its trace, its reported point and its ``Rng``
+where estimating one iteration at a time leaves them.
 """
 
 from __future__ import annotations
@@ -103,7 +97,7 @@ from .core.noise import AdditiveNoise
 from .core.oracles import CountingOracle, OracleSuite, Trace, values_at
 from .core.rng import ZO_CHUNK_VALUES, Cursor, Rng, chunk_uses, random_of, uniform_of, unit_rows
 from .core.sets import FeasibleSet
-from .stochastic import NoAveraging, StepRule, _projected_sgd
+from .stochastic import StepRule, _projected_sgd
 
 _SUPPORTED_BETA = (2, 3, 4, 5)
 _QUAD_NODES = 64
@@ -385,7 +379,8 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
     ``tau_schedule.at(k)``.  Where :func:`_declared` finds the suite's
     zeroth-order draws, the samples of many iterations are drawn as one
     chunk (:func:`_sample_chunks`); the run's ``Rng`` ends, by any exit,
-    where estimating one iteration at a time leaves it.
+    where estimating one iteration at a time leaves it.  It ends ``diverged``
+    1e6 from the start, as gd does: a tau below x's resolution blows it up.
     """
     tau, kernel, batch = cfg.tau_schedule, cfg.kernel, cfg.batch
 
@@ -398,11 +393,8 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
         gradient, rewind = estimate, (lambda: None)
     else:
         gradient, rewind = _sample_chunks(*declared, oracle.dim, tau.at, cfg.N, batch, kernel, rng, estimate)
-    try:
-        return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, NoAveraging(), gradient,
-                              record_every, record_x, max_oracle_calls)
-    finally:
-        rewind()
+    return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, None, gradient, rewind, record_every, record_x,
+                          max_oracle_calls, divergence_radius=1e6)
 
 
 def chunk_iterations(batch: int, width: int) -> int:
@@ -467,7 +459,7 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: i
             cursor.keep(kept)
             if not kept:
                 return fallback(ctr, k, x)
-        ctr.calls += 2 * batch
+        ctr.charge(2 * batch)
         i, used = used, used + batch
         return _estimate(value, x, chunk, i, batch, scales[i // batch])
 

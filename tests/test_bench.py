@@ -1591,3 +1591,21 @@ def test_registry_listing_messages_and_keys_are_pinned(tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bad.json", {"problem": "quad_diag", "method": method, "iterations": 5})
         assert main(["run", "--config", cfg]) == 2
         assert capsys.readouterr() == ("", err)
+
+
+def test_checked_in_bench_files_name_only_declared_workloads_and_metrics_and_read_no_failed_op():
+    """Each ``BENCH_*.json`` that ``tools/bench_pairs.py --out`` wrote names what ``BENCHMARK.json`` declares."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        declared = json.load(fh)
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    for name in sorted(n for n in os.listdir(root) if re.fullmatch(r"BENCH_.+\.json", n)):
+        with open(os.path.join(root, name)) as fh:
+            doc = json.load(fh)
+        assert doc["workloads"] and set(doc["workloads"]) <= workloads, name
+        assert len(doc["seeds"]) == doc["pairs"] > 0 and set(doc["commits"]) == {"parent", "change"}, name
+        for workload, got in doc["workloads"].items():
+            assert got["metrics"] and set(got["metrics"]) <= metrics, (name, workload)
+            assert got["failed"] == {"parent": 0, "change": 0}, (name, workload)
+            assert all(m["pairs"] == doc["pairs"] for m in got["metrics"].values()), (name, workload)

@@ -318,6 +318,17 @@ def test_run_steps_records_due_rows_and_ends_at_n():
     assert np.array_equal(trace.x_out, OUT) and trace.f_out == oracle.value(OUT)
 
 
+@pytest.mark.parametrize("max_calls, averaged", [(None, [2, 3, 4]), (7, [2, 3])])
+def test_run_steps_reports_the_mean_of_the_iterates_from_average_from(max_calls, averaged):
+    _, trace = drive(halving()[0], N=5, max_calls=max_calls, average_from=2)
+    total = np.zeros(2)
+    for k in averaged:  # a budget cut inside iteration k has added x^k
+        total = total + X / 2 ** k
+    assert trace.x_out.tobytes() == (total / len(averaged)).tobytes()
+    _, trace = drive(halving()[0], N=5, average_from=5)  # no iterate averaged: the last one is reported
+    assert np.array_equal(trace.x_out, X / 2 ** 5)
+
+
 def test_run_steps_rows_take_the_value_the_step_computed():
     _, trace = drive(halving(f=7.0)[0], N=3)
     assert trace.columns["f_value"][:3] == [7.0, 7.0, 7.0]
@@ -677,6 +688,18 @@ def test_a_missing_entry_is_refused_before_it_is_counted(name):
     with pytest.raises(UnsupportedProblemError):
         counted_call(ctr, name)
     assert ctr.calls == 0 and seen == []
+
+
+def test_a_charge_counts_all_of_its_accesses_or_none_and_an_unbudgeted_count_passes_the_cap():
+    ctr = CountingOracle(make_problem("quad_diag")[0], max_calls=4)
+    ctr.charge(3)
+    with pytest.raises(OracleBudgetError, match="budget of 4 calls"):
+        ctr.charge(2)
+    assert ctr.calls == 3
+    ctr.charge(1)
+    ctr.count_unbudgeted()
+    ctr.count_unbudgeted()
+    assert ctr.calls == 6
 
 
 def test_a_catalog_suite_without_a_constraint_refuses_its_calls_uncounted():
