@@ -130,7 +130,12 @@ Grids:
   mode, ``output.trace_path`` a number, a list and a boolean, and
   ``x0`` a length the problem does not have.  The
   hash covers the ``repr`` of the parsed spec; a config that fails maps
-  to its error text (117 keys).  ``parse/variant/...`` parses
+  to its error text (117 keys).  ``run/number/<case>`` runs each
+  ``parse/number/`` config that parses (``RUN_NUMBERS``: the whole
+  numbers written as floats and the finite ``zo_sgd`` taus, the
+  ``PowerDecayTau`` whose tau underflows among them) through
+  ``run_experiment`` as the command line does, hashing its JSON trace,
+  status and call count (5 keys).  ``parse/variant/...`` parses
   each method variant's keys and runs the result for 3 iterations through
   ``run_experiment``, hashing the spec's ``repr`` and the trace: for
   ``sgd`` and ``zo_sgd``, each step-rule kind valid, without each of its
@@ -1493,6 +1498,10 @@ PARSE_NUMBERS = {
     "zo_sgd-tau_exponent-400": {"noise": _ZO, "iterations": 200, "method": {
         "name": "zo_sgd", "params": {"gamma": 0.01, "tau0": 0.2, "tau_exponent": 400}}},
 }
+# the config each PARSE_NUMBERS case changes
+_NUMBER_BASE = {"method": "polyak_subgrad", "iterations": 5, "problem": _PARSE_QUAD}
+# the PARSE_NUMBERS cases that parse, each run by run_number_grid
+RUN_NUMBERS = ("iterations-5.0", "phase_retrieval-n-5.0", "sgd-batch-2.0", "zo_sgd-tau-1e-308", "zo_sgd-tau_exponent-40")
 # name -> config changes: a value of the wrong shape or type that is not a number case
 PARSE_TYPES = {
     "absolute_grad-v-short": {"noise": {"kind": "absolute_grad", "delta": 0.1, "v": [0.1]}},
@@ -1543,11 +1552,31 @@ def parse_grid() -> dict:
             parse(f"problem/{name}/{case}", dict(base, problem={"name": name, "params": params}))
     parse("problem/norm2/d-beside-a", dict(base, problem={"name": "norm2", "params": {"a": [1, 2], "d": 7}}))
     for case, changes in PARSE_NUMBERS.items():
-        parse(f"number/{case}", {**base, "problem": _PARSE_QUAD, **changes})
+        parse(f"number/{case}", {**_NUMBER_BASE, **changes})
     for case, changes in PARSE_KEYS.items():
         parse(f"key/{case}", {**base, "problem": _PARSE_QUAD, **changes})
     for case, changes in PARSE_TYPES.items():
         parse(f"type/{case}", {**base, "problem": _PARSE_QUAD, **changes})
+    return out
+
+
+def run_number_grid(tmp: str) -> dict:
+    """``run/number/...``: the ``RUN_NUMBERS`` configs run, hashing the JSON trace, the status and the call count."""
+    from optbench.bench.config import parse_config
+    from optbench.bench.runner import run_experiment
+
+    path = os.path.join(tmp, "trace.json")
+    out = {}
+    for case in RUN_NUMBERS:
+        doc = {**_NUMBER_BASE, **PARSE_NUMBERS[case]}
+
+        def run(doc=doc):
+            _, summary = run_experiment(parse_config(json.dumps(doc)), trace_path=path)
+            with open(path, "rb") as fh:
+                data = fh.read() + summary["status"].encode()
+            return {"sha256": hashlib.sha256(data).hexdigest(), "oracle_calls": summary["oracle_calls"]}
+
+        out[f"run/number/{case}"] = _guarded(run)
     return out
 
 
@@ -1657,8 +1686,8 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "benchmarks")]
     with tempfile.TemporaryDirectory() as tmp:
         digests = {**catalog_grid(tmp), **zero_grid(tmp), **sgd_zo_grid(tmp), **zo_chunk_grid(tmp), **stop_grid(tmp),
-                   **estimator_grid(), **csv_grid(tmp), **json_grid(tmp), **cli_grid(tmp), **parse_grid(), **variant_grid(tmp),
-                   **x0_grid(), **oracle_grid(), **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp),
+                   **estimator_grid(), **csv_grid(tmp), **json_grid(tmp), **cli_grid(tmp), **parse_grid(),
+                   **run_number_grid(tmp), **variant_grid(tmp), **x0_grid(), **oracle_grid(), **sets_grid(), **subgrad_grid(tmp), **switch_grid(tmp),
                    **set_grid(tmp), **diverge_grid(tmp), **edge_grid(tmp), **rec_grid(tmp), **matrix_grid(tmp)}
     json.dump(digests, sys.stdout, indent=0, sort_keys=True)
     print()
