@@ -8,7 +8,8 @@ Two models over the positive-gap rows of a tail window:
   consecutive gaps), i.e. gap ~ C q^iter.
 
 Both are invariant to positive rescaling of the gaps.  A window that
-holds a non-finite gap (a diverged run's rows) is refused with
+holds a non-finite gap (a diverged run's rows), or whose iterations do
+not increase strictly (a run's always do), is refused with
 :class:`InsufficientDataError`, which names the first such row.
 """
 
@@ -59,9 +60,14 @@ def fit_rate(trace: Trace, model: str, window: float = 0.5) -> RateFit:
     cols = trace.columns
     start = len(cols["iter"]) - max(1, math.ceil(window * len(cols["iter"])))
     window_rows = list(zip(cols["iter"][start:], cols["f_gap"][start:]))
-    for k, g in window_rows:
+    before = None
+    for row, (k, g) in enumerate(window_rows, start):
         if g is not None and not math.isfinite(g):
             raise InsufficientDataError(f"f_gap is {g} at iter {k}; a rate needs finite gaps")
+        if before is not None and k <= before:
+            raise InsufficientDataError(f"row {row} has iter {k} after iter {before}; "
+                                        "a rate needs strictly increasing iterations")
+        before = k
     pts = [(k, g) for k, g in window_rows if g is not None and g > 0 and k >= 1]
     if len(pts) < 10:
         raise InsufficientDataError(

@@ -12,7 +12,6 @@ Writes are atomic: the file is written next to the target and renamed.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -173,9 +172,12 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
     not a number where one is meant; in JSON, a row that is not an
     object, lacks a field, or holds anything else where a number is
     meant.  ``iter`` and ``oracle_calls`` take a JSON integer (not
-    ``1.0``), ``f_value`` and ``step_size`` a number, and ``f_gap``,
-    ``dist_to_opt`` and ``grad_norm`` a number or null; a bool or a
-    string is never a number.
+    ``1.0``), ``f_value`` and ``step_size`` a number, ``f_gap``,
+    ``dist_to_opt`` and ``grad_norm`` a number or null, and ``x`` a flat
+    list of numbers or null; a bool or a string is never a number.  A JSON
+    header field is null or else ``status`` a :class:`RunStatus` value,
+    ``x_out`` a flat list of numbers and ``f_out`` a number; a ValueError
+    names the file and the first that is not.
     """
     format = format or format_for_path(path)
     if format == "csv":
@@ -204,10 +206,14 @@ def read_trace(path: str, format: Optional[str] = None) -> Trace:
         raise ValueError(f"{path}: not a trace JSON (no rows list)")
     cells = [_json_cells(path, rd) for rd in doc["rows"]]
     columns = zip(*cells) if cells else [()] * len(TRACE_FIELDS)
-    status = None if doc.get("status") is None else RunStatus(doc["status"])
-    x_out = None if doc.get("x_out") is None else np.array(doc["x_out"], dtype=float)
-    return Trace(status=status, x_out=x_out, f_out=doc.get("f_out"),
-                 columns={name: list(column) for name, column in zip(TRACE_FIELDS, columns)})
+    header = {}
+    for name, read in (("status", RunStatus), ("x_out", _json_vector), ("f_out", _json_float)):
+        value = doc.get(name)
+        try:
+            header[name] = None if value is None else read(value)
+        except (TypeError, ValueError, OverflowError):  # not a status, or not a number where one is meant
+            raise ValueError(f"{path}: malformed {name} {value!r}") from None
+    return Trace(**header, columns={name: list(column) for name, column in zip(TRACE_FIELDS, columns)})
 
 
 def _json_float(value) -> float:
@@ -215,6 +221,13 @@ def _json_float(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"not a number: {value!r}")
     return float(value)
+
+
+def _json_vector(value) -> np.ndarray:
+    """A flat JSON list of numbers as a float array; a TypeError for anything else."""
+    if not isinstance(value, list):
+        raise TypeError(f"not a list: {value!r}")
+    return np.array([_json_float(v) for v in value], dtype=float)
 
 
 def _json_int(value) -> int:
@@ -234,7 +247,7 @@ _JSON_READERS = {
     "grad_norm": (_json_float, True),
     "step_size": (_json_float, False),
     "oracle_calls": (_json_int, False),
-    "x": (functools.partial(np.array, dtype=float), True),
+    "x": (_json_vector, True),
     "tag": (lambda tag: tag, True),  # any JSON value, as written
 }
 

@@ -56,31 +56,30 @@ sample at batch 2, 0.96-1.06 at 3, 0.82-0.94 at 4, 0.75-0.91 at 5 and
 or has the bits of the scalar call it replaces, so each estimate and the
 stream's final state equal the per-sample loop's bit for bit.
 
-One drawer, :func:`_sample_chunks`, draws samples ahead through a
+One sampler, :func:`_sampler`, draws every zeroth-order sample, for
+:func:`kernel_grad_estimate` (one iteration) and :func:`run_zo_sgd`
+alike.  Where the entry is declared it draws ahead through a
 :class:`~optbench.core.rng.Cursor`, which puts back what a chunk's
 iterations leave, checks that the budget has room for an iteration's
 ``2 * batch`` calls and charges them to the run's
-:class:`CountingOracle`, for :func:`kernel_grad_estimate` (a chunk of
-one iteration wherever the entry is declared) and :func:`run_zo_sgd`
-alike.  Any other entry takes the per-sample loop
-(:func:`_loop_samples`): a hand-built one may draw anything from the
-stream.
+:class:`CountingOracle`.  Any other entry takes its per-sample loop: a
+hand-built one may draw anything from the stream.
 
 :func:`run_zo_sgd` is :func:`optbench.stochastic.run_sgd`'s loop driven
 by the batched estimator at ``tau_k`` in place of a stochastic gradient;
 each iteration consumes exactly ``2 * batch`` zeroth-order calls.  A
 sample's draws do not depend on x, so where the entry is declared the
-drawer draws them in chunks of up to
+sampler draws them in chunks of up to
 :data:`~optbench.core.rng.ZO_CHUNK_VALUES` raw values
 (:func:`chunk_iterations`), each serving several iterations (one where a
-batch alone holds more values).  Its fallback, :func:`kernel_grad_estimate`
-and through it the per-sample loop, serves the iterations
-:func:`_sample_chunks` names: one with too few calls left, so that a
-budget cut leaves the stream where the loop leaves it; one the estimator
-refuses, so that it refuses it; and one whose samples hold a direction
-that ``unit_rows`` does not keep, so that the loop redraws it where
-:meth:`Rng.sphere` always has (with gaussian draws that almost never
-happens).  So a run leaves its trace, its reported point and its ``Rng``
+batch alone holds more values).  Its one fallback is its own per-sample
+loop, which serves an iteration with too few calls left, so that a
+budget cut leaves the stream where the loop leaves it, and one whose
+samples hold a direction that ``unit_rows`` does not keep, so that the
+loop redraws it where :meth:`Rng.sphere` always has (with gaussian draws
+that almost never happens).  The loop and each chunk start raise the
+estimator's refusals of the iteration they serve (:func:`_scale`).  So a
+run leaves its trace, its reported point, its errors and its ``Rng``
 where estimating one iteration at a time leaves them.
 """
 
@@ -179,32 +178,15 @@ def kernel_grad_estimate(oracle: Union[OracleSuite, CountingOracle], x, tau: flo
     Sample i draws r_i, then e_i, then calls the oracle at x + tau r_i e_i
     and at x - tau r_i e_i (the module docstring's draw order).  ``x``
     must have shape ``(dim,)`` of the suite, ``dim`` must be >= 1, and
-    ``tau`` must pass :func:`estimator_scale`.  Where :func:`_declared`
-    finds the entry's draws, the batch is a chunk of one iteration of
-    :func:`_sample_chunks`, whose fallback, the per-sample loop, serves a
-    budget with fewer than ``2 * batch`` calls left and a batch that holds
-    a direction to redraw; any other entry takes the per-sample loop.
+    ``tau`` must pass :func:`estimator_scale`.  The estimate is iteration
+    0 of a one-iteration :func:`_sampler`: a chunk of one iteration where
+    :func:`_declared` finds the entry's draws, else the per-sample loop.
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
     counter = oracle if isinstance(oracle, CountingOracle) else CountingOracle(oracle)
-    suite = counter.suite
-    x = np.asarray(x, dtype=float)
-    if x.shape != (suite.dim,):
-        raise ValueError(f"x has shape {x.shape}, the suite takes ({suite.dim},)")
-    if suite.dim < 1:
-        raise ValueError("the estimator needs a suite of dim >= 1")
-    scale = estimator_scale(x.shape[0], tau)
-
-    def loop(ctr, k, x):
-        # Adding 0.0 turns a -0.0 total into the +0.0 that a running sum from a zero start gives.
-        return (_loop_samples(ctr.zo_value, x, tau, scale, kernel, rng, batch) + 0.0) / batch
-
-    declared = _declared(suite)
-    if declared is None:
-        return loop(counter, 0, x)
-    gradient, _ = _sample_chunks(*declared, suite.dim, lambda k: tau, 1, batch, kernel, rng, loop)
-    return gradient(counter, 0, x)
+    gradient, _ = _sampler(counter.suite, lambda k: tau, 1, batch, kernel, rng)
+    return gradient(counter, 0, np.asarray(x, dtype=float))
 
 
 def estimator_scale(dim: int, tau: float) -> float:
@@ -228,9 +210,12 @@ def _declared(suite: OracleSuite):
     ``value`` is the entry's rng-free part and ``noise`` the
     :class:`AdditiveNoise` whose draws the entry adds; a suite without an
     entry gives its exact ``value`` and no noise.  An entry without a
-    declaration (a hand-built one) and a declaration of other than one
-    gaussian per call take the per-sample loop.
+    declaration (a hand-built one), a declaration of other than one
+    gaussian per call and a suite the estimator refuses (dim 0) take the
+    per-sample loop.
     """
+    if suite.dim < 1:
+        return None
     entry = suite.zo_value
     if entry is None:
         return suite.value, None
@@ -240,19 +225,16 @@ def _declared(suite: OracleSuite):
     return noise.base, noise
 
 
-def _loop_samples(zo, x, tau, scale, kernel, rng, batch):
-    """The sum of the weighted directions, one sample at a time through the ``zo_value`` entry."""
-    d = x.shape[0]
-    total = None
-    for _ in range(batch):
-        r = rng.uniform(-1.0, 1.0)
-        e = rng.sphere(d)
-        s = (tau * r) * e
-        fp = zo(x + s, rng)
-        fm = zo(x - s, rng)
-        w = scale * (fp - fm) * kernel(r)
-        total = w * e if total is None else total + w * e
-    return total
+def _scale(x, dim: int, tau: float) -> float:
+    """The estimator's refusals of an iteration at ``x`` and ``tau``, then its :func:`estimator_scale`.
+
+    A ValueError unless ``x`` has shape ``(dim,)`` and ``dim`` is at least 1.
+    """
+    if x.shape != (dim,):
+        raise ValueError(f"x has shape {x.shape}, the suite takes ({dim},)")
+    if dim < 1:
+        raise ValueError("the estimator needs a suite of dim >= 1")
+    return estimator_scale(dim, tau)
 
 
 def _draw(drawn, noise: Optional[AdditiveNoise], dim: int, taus, batch: int, kernel: Kernel):
@@ -377,28 +359,28 @@ def run_zo_sgd(oracle: OracleSuite, fset: FeasibleSet, x0, cfg: ZoConfig, rng: R
 
     Iteration k's gradient has the bits of ``kernel_grad_estimate`` at
     ``tau_schedule.at(k)``.  Where :func:`_declared` finds the suite's
-    zeroth-order draws, the samples of many iterations are drawn as one
-    chunk (:func:`_sample_chunks`); the run's ``Rng`` ends, by any exit,
-    where estimating one iteration at a time leaves it.  It ends ``diverged``
-    1e6 from the start, as gd does: a tau below x's resolution blows it up.
+    zeroth-order draws, :func:`_sampler` draws the samples of many
+    iterations as one chunk; the run's ``Rng`` ends, by any exit, where
+    estimating one iteration at a time leaves it.  Any other suite has
+    each iteration estimated by ``kernel_grad_estimate``.  It ends
+    ``diverged`` 1e6 from the start, as gd does: a tau below x's
+    resolution blows it up.
     """
     tau, kernel, batch = cfg.tau_schedule, cfg.kernel, cfg.batch
 
     def estimate(ctr, k, x):  # the module attribute, looked up per call: a traced run rebinds it
         return kernel_grad_estimate(ctr, x, tau.at(k), kernel, rng, batch)
 
-    # A suite the estimator refuses (dim 0) has each iteration estimated, and so refused.
-    declared = _declared(oracle) if oracle.dim >= 1 else None
-    if declared is None:
+    if _declared(oracle) is None:
         gradient, rewind = estimate, (lambda: None)
     else:
-        gradient, rewind = _sample_chunks(*declared, oracle.dim, tau.at, cfg.N, batch, kernel, rng, estimate)
+        gradient, rewind = _sampler(oracle, tau.at, cfg.N, batch, kernel, rng)
     return _projected_sgd(oracle, fset, x0, cfg.N, cfg.step_rule, None, gradient, rewind, record_every, record_x,
                           max_oracle_calls, divergence_radius=1e6)
 
 
 def chunk_iterations(batch: int, width: int) -> int:
-    """The iterations whose samples one chunk of :func:`_sample_chunks` draws: ``batch`` samples each.
+    """The iterations whose samples one chunk of :func:`_sampler` draws: ``batch`` samples each.
 
     As many as :data:`~optbench.core.rng.ZO_CHUNK_VALUES` raw values hold at
     ``width`` values per sample, and at least one.  The budget is the
@@ -407,30 +389,45 @@ def chunk_iterations(batch: int, width: int) -> int:
     return chunk_uses(ZO_CHUNK_VALUES, batch * width)
 
 
-def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: int, batch: int, kernel: Kernel,
-                   rng: Rng, fallback):
-    """``(gradient, rewind)``: the gradients of N iterations, their samples drawn a chunk of iterations ahead.
+def _sampler(suite: OracleSuite, tau_at, N: int, batch: int, kernel: Kernel, rng: Rng):
+    """``(gradient, rewind)``: the estimates of N iterations of ``batch`` samples each, at ``tau_at(k)``.
 
-    The one code that draws zeroth-order samples ahead, for
-    :func:`kernel_grad_estimate` (a chunk of one iteration) and
-    :func:`run_zo_sgd`.  ``value`` and ``noise`` are what :func:`_declared`
-    returns, ``dim`` is at least 1, ``tau_at(k)`` is iteration k's tau and
-    ``fallback(ctr, k, x)`` estimates iteration k without drawing ahead.
-    ``gradient(ctr, k, x)`` is iteration k's estimate; a chunk is one
+    ``gradient(ctr, k, x)`` is iteration k's estimate through the counting
+    oracle ``ctr``, and ``rewind()`` puts back, by any exit, the samples
+    drawn ahead and not weighed.  Where :func:`_declared` finds no draws,
+    every iteration takes the per-sample loop.  Otherwise a chunk is one
     :class:`~optbench.core.rng.Cursor` take of :meth:`Rng.raw_samples`,
     ``width`` raw values per sample, turned into samples by :func:`_draw`,
     for the next :func:`chunk_iterations` ``(batch, width)`` iterations, or
-    the ones left, each sample's step taking its own iteration's tau.  An
-    iteration checks that the budget has room for its ``2 * batch`` probes,
-    counts them and weighs its samples with :func:`_estimate`.  A chunk
-    keeps only the iterations before the first whose samples hold a
-    direction that :func:`unit_rows` does not keep.  ``fallback`` serves an
-    iteration without budget room, one that would start a chunk at an ``x``
-    of another shape or at a tau that :func:`estimator_scale` refuses, and
-    one that starts a chunk that keeps none of its samples.  Before it
-    does, and when ``rewind()`` ends the run, the chunk keeps the samples
-    weighed.
+    the ones left, each sample's step taking its own iteration's tau.  A
+    chunk starts with iteration k's refusals (:func:`_scale`) and ends
+    before the first iteration whose tau :func:`estimator_scale` refuses
+    or whose samples hold a direction that :func:`unit_rows` does not
+    keep.  An iteration checks that the budget has room for its
+    ``2 * batch`` probes, counts them and weighs its samples with
+    :func:`_estimate`.  The per-sample loop serves an iteration without
+    room and one that starts a chunk that keeps none of its samples;
+    before it does, the chunk keeps the samples weighed.
     """
+    dim = suite.dim
+
+    def loop(ctr, k, x):
+        tau = tau_at(k)
+        scale = _scale(x, dim, tau)
+        zo, total = ctr.zo_value, None
+        for _ in range(batch):
+            r = rng.uniform(-1.0, 1.0)
+            e = rng.sphere(dim)
+            s = (tau * r) * e
+            w = scale * (zo(x + s, rng) - zo(x - s, rng)) * kernel(r)
+            total = w * e if total is None else total + w * e
+        # Adding 0.0 turns a -0.0 total into the +0.0 that a running sum from a zero start gives.
+        return (total + 0.0) / batch
+
+    declared = _declared(suite)
+    if declared is None:
+        return loop, lambda: None
+    value, noise = declared
     width = dim if noise is None else dim + 2
     per_chunk = chunk_iterations(batch, width)
     cursor = Cursor(rng, lambda n: rng.raw_samples(n, width))
@@ -442,23 +439,22 @@ def _sample_chunks(value, noise: Optional[AdditiveNoise], dim: int, tau_at, N: i
         if not ctr.has_room(2 * batch):
             cursor.keep(used)
             kept = used
-            return fallback(ctr, k, x)
+            return loop(ctr, k, x)
         if used == kept:
-            taus, scales = [], []
-            for j in range(k, min(N, k + per_chunk)):
+            t = tau_at(k)
+            taus, scales = [t], [_scale(x, dim, t)]
+            for j in range(k + 1, min(N, k + per_chunk)):
                 t = tau_at(j)
                 try:
                     scales.append(estimator_scale(dim, t))
-                except ValueError:  # the estimator refuses iteration j's tau
+                except ValueError:  # iteration j's refusal, raised where j starts the next chunk
                     break
                 taus.append(t)
-            if not taus or x.shape != (dim,):
-                return fallback(ctr, k, x)
             used = 0
             kept, chunk = _draw(cursor.take(batch * len(taus)), noise, dim, taus, batch, kernel)
             cursor.keep(kept)
             if not kept:
-                return fallback(ctr, k, x)
+                return loop(ctr, k, x)
         ctr.charge(2 * batch)
         i, used = used, used + batch
         return _estimate(value, x, chunk, i, batch, scales[i // batch])

@@ -658,6 +658,25 @@ def test_cli_rates_refuses_non_finite_gaps(tmp_path, capsys, gap, row, model):
     assert f"f_gap is {gap} at iter {row}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iters, row, k, before", [
+    ([5] * 24, 13, 5, 5),
+    ([*range(1, 16), 15, *range(16, 24)], 15, 15, 15),
+    ([*range(1, 20), 3, *range(20, 24)], 19, 3, 19),
+], ids=["all-equal", "repeated", "decreasing"])
+@pytest.mark.parametrize("model", ["sublinear", "geometric"])
+def test_cli_rates_refuses_iterations_that_do_not_increase_strictly(tmp_path, capsys, iters, row, k, before, model):
+    # 24 rows at window 0.5: the window starts at row 12
+    gaps = [1.0 / (i + 1) for i in range(len(iters))]
+    rows = [dataclasses.replace(r, iter=i) for r, i in zip(synthetic_trace(gaps).rows, iters)]
+    path = str(tmp_path / "gaps.csv")
+    write_trace(Trace(rows=rows, status=RunStatus.BUDGET_EXHAUSTED), path, "csv")
+    message = f"row {row} has iter {k} after iter {before}; a rate needs strictly increasing iterations"
+    with pytest.raises(InsufficientDataError, match=f"^{re.escape(message)}$"):
+        fit_rate(read_trace(path), model)
+    assert main(["rates", "--trace", path, "--model", model]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # -- trace files ------------------------------------------------------------------
 
 def test_csv_round_trip(tmp_path):
@@ -818,9 +837,18 @@ JSON_ROW = {"iter": 1, "f_value": 2.0, "f_gap": 1, "dist_to_opt": None, "grad_no
         dict(JSON_ROW, f_gap="x"), dict(JSON_ROW, dist_to_opt=True), dict(JSON_ROW, grad_norm="0.5"),
         dict(JSON_ROW, f_gap=[0.5]), dict(JSON_ROW, iter=True), dict(JSON_ROW, iter=1.0),
         dict(JSON_ROW, f_value="2.5"), dict(JSON_ROW, f_value=None), dict(JSON_ROW, step_size="0.1"),
-        dict(JSON_ROW, step_size=False), dict(JSON_ROW, oracle_calls="7"), dict(JSON_ROW, oracle_calls=7.0))),
+        dict(JSON_ROW, step_size=False), dict(JSON_ROW, oracle_calls="7"), dict(JSON_ROW, oracle_calls=7.0),
+        dict(JSON_ROW, x=["1"]), dict(JSON_ROW, x=[1, [2]]))),
+    ({"rows": [JSON_ROW], "status": "bogus"}, "malformed status 'bogus'"),
+    ({"rows": [JSON_ROW], "status": 1}, "malformed status 1"),
+    ({"rows": [JSON_ROW], "x_out": ["a"]}, "malformed x_out ['a']"),
+    ({"rows": [JSON_ROW], "x_out": [1, [2]]}, "malformed x_out [1, [2]]"),
+    ({"rows": [JSON_ROW], "x_out": "12"}, "malformed x_out '12'"),
+    ({"rows": [JSON_ROW], "f_out": "abc"}, "malformed f_out 'abc'"),
+    ({"rows": [JSON_ROW], "f_out": True}, "malformed f_out True"),
 ], ids=["config", "list", "row", "text-gap", "bool-distance", "quoted-norm", "list-gap", "bool-iter", "float-iter",
-        "quoted-f", "null-f", "quoted-step", "bool-step", "quoted-calls", "float-calls"])
+        "quoted-f", "null-f", "quoted-step", "bool-step", "quoted-calls", "float-calls", "quoted-x", "nested-x",
+        "bogus-status", "number-status", "quoted-x_out", "nested-x_out", "text-x_out", "text-f_out", "bool-f_out"])
 def test_json_that_is_not_a_trace_is_named(tmp_path, capsys, doc, message):
     path = write_cfg(tmp_path, "c.json", doc)
     with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
@@ -832,6 +860,13 @@ def test_json_that_is_not_a_trace_is_named(tmp_path, capsys, doc, message):
 def test_a_json_row_takes_numbers_and_nulls_in_its_optional_columns_as_floats_and_none(tmp_path):
     row = read_trace(write_cfg(tmp_path, "t.json", {"rows": [JSON_ROW]})).rows[0]
     assert (row.f_gap, row.dist_to_opt, row.grad_norm) == (1.0, None, 0.5) and type(row.f_gap) is float
+
+
+def test_a_json_header_reads_a_status_value_a_list_of_numbers_and_a_number(tmp_path):
+    doc = {"rows": [JSON_ROW], "status": "converged", "x_out": [1, 2.5], "f_out": 3}
+    tr = read_trace(write_cfg(tmp_path, "t.json", doc))
+    assert tr.status is RunStatus.CONVERGED and tr.x_out.tolist() == [1.0, 2.5] and tr.x_out.dtype == float
+    assert tr.f_out == 3.0 and type(tr.f_out) is float
 
 
 def test_write_trace_to_a_directory_raises_and_leaves_no_temporary_file(tmp_path):

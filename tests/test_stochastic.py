@@ -143,6 +143,22 @@ def test_tail_averaging_window():
     np.testing.assert_allclose(tr.x_out[0], np.mean(xs[n - 20:]), atol=1e-12)
 
 
+@pytest.mark.parametrize("averaging, first", [(UniformAvg(), 0), (TailAvg(0.5), 18), (TailAvg(0.3), 25),
+                                               (TailAvg(1.0), 0)], ids=["uniform", "tail-0.5", "tail-0.3", "tail-1"])
+def test_averages_are_the_in_order_mean_of_the_recorded_iterates(averaging, first):
+    # N = 37: the tail of fraction f starts at x^{N - ceil(f N)}, x^18 for 0.5 and x^25 for 0.3
+    oracle, fset = make_problem("quad_diag", {"lambdas": [4.0, 1.0]})
+    noisy = wrap_noise(oracle, AdditiveStochGrad(1.0), Rng(0))
+    n = 37
+    cfg = SgdConfig(N=n, step_rule=Const(0.1), averaging=averaging)
+    tr = run_sgd(noisy, fset, np.array([1.0, -2.0]), cfg, Rng(3), record_x=True)
+    assert [r.iter for r in tr.rows] == list(range(n + 1))
+    total = np.zeros(2)
+    for r in tr.rows[first:n]:  # x^first .. x^{N-1}, added in order from zeros
+        total = total + r.x
+    assert tr.x_out.tobytes() == (total / (n - first)).tobytes()
+
+
 def test_seed_determinism():
     noisy, fset = quad1d(sigma=1.0)
     cfg = SgdConfig(N=50, step_rule=Const(0.1), averaging=UniformAvg())

@@ -657,6 +657,27 @@ def test_run_redraws_a_tiny_direction_in_a_later_chunk(batch, offset):
     assert ref_rng._gen.tiny == 1 and rng._gen.tiny >= 1  # the chunk redraws it after a rewind
 
 
+@pytest.mark.usefixtures("block_chunks")
+@pytest.mark.parametrize("batch", [1, 4, 6])
+def test_run_draws_a_chunk_that_keeps_no_sample_once(monkeypatch, batch):
+    # the second chunk's first direction is not kept, so that chunk keeps no sample: its first iteration takes
+    # the per-sample loop at once, and the next chunk starts at the iteration after it
+    oracle, x = BIT_CASES["linear-d3"]()
+    chunk = chunk_iterations(batch, 3)
+    cfg = ZoConfig(N=3 * chunk, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
+    ref_rng, rng = Rng(5), Rng(5)
+    ref_rng._gen, rng._gen = TinyNormals(ref_rng._gen, chunk * batch), TinyNormals(rng._gen, chunk * batch)
+    draws, draw = [], zeroorder._draw
+
+    def counted(*args):
+        draws.append(len(args[3]))  # the chunk's iterations
+        return draw(*args)
+
+    monkeypatch.setattr(zeroorder, "_draw", counted)
+    assert_run_matches_the_per_sample_loop(oracle, x, cfg, rng, ref_rng, record_every=4)
+    assert draws == [chunk, chunk, chunk, chunk - 1]
+
+
 @pytest.mark.parametrize("case", ["quad50-zo_stoch", "linear-d3", "quad-minimizer", "quad-d1",
                                   "quad50-zo_bounded-random", "linear-d3-drawing", "linear-d3-declared-student_t3"])
 @pytest.mark.parametrize("batch", [1, 3, 6, 7, 64])
