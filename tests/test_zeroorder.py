@@ -586,18 +586,24 @@ def test_run_budget_at_every_offset_across_a_chunk_boundary_of_the_real_budget()
     check_every_budget_across_the_first_chunk_boundary(10, 4, 7)
 
 
+def count_draws(monkeypatch):
+    """A list that gets, per call of the chunk drawer ``zeroorder._draw``, the chunk's iterations."""
+    draws, draw = [], zeroorder._draw
+
+    def counted(*args):
+        draws.append(len(args[3]))
+        return draw(*args)
+
+    monkeypatch.setattr(zeroorder, "_draw", counted)
+    return draws
+
+
 @pytest.mark.parametrize("N, chunks", [(85, 1), (100, 2)])
 def test_run_draws_the_samples_of_a_chunk_budget_at_once(monkeypatch, N, chunks):
     # d = 10 under zo_stoch: 12 raw values per sample, so ZO_CHUNK_VALUES (4096) holds 85 iterations of batch 4
     suite, x0 = _zo_quad(10)
     cfg = ZoConfig(N=N, step_rule=Const(0.01), kernel=build_kernel(2), batch=4)
-    draws, draw = [], zeroorder._draw
-
-    def counted(*args):
-        draws.append(len(args[3]))  # the chunk's iterations
-        return draw(*args)
-
-    monkeypatch.setattr(zeroorder, "_draw", counted)
+    draws = count_draws(monkeypatch)
     assert_run_matches_the_per_sample_loop(suite, x0, cfg, Rng(12), Rng(12), record_every=N + 1)
     assert len(draws) == chunks and sum(draws) == N
 
@@ -667,13 +673,7 @@ def test_run_draws_a_chunk_that_keeps_no_sample_once(monkeypatch, batch):
     cfg = ZoConfig(N=3 * chunk, step_rule=Const(0.01), kernel=build_kernel(2), batch=batch)
     ref_rng, rng = Rng(5), Rng(5)
     ref_rng._gen, rng._gen = TinyNormals(ref_rng._gen, chunk * batch), TinyNormals(rng._gen, chunk * batch)
-    draws, draw = [], zeroorder._draw
-
-    def counted(*args):
-        draws.append(len(args[3]))  # the chunk's iterations
-        return draw(*args)
-
-    monkeypatch.setattr(zeroorder, "_draw", counted)
+    draws = count_draws(monkeypatch)
     assert_run_matches_the_per_sample_loop(oracle, x, cfg, rng, ref_rng, record_every=4)
     assert draws == [chunk, chunk, chunk, chunk - 1]
 
