@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -116,8 +115,14 @@ def _csv_trace(iters, f_values, f_gaps, dists, grad_norms, steps, calls) -> Trac
 
 
 def _atomic_write(path: str, text: str):
+    """Write ``text`` to a new file beside ``path``, then rename it onto ``path``; remove it if either fails.
+
+    The new file is created with mode 0o666 less the umask, as ``open(path, "w")`` creates a file
+    (``tempfile.mkstemp`` would give 0o600), under a random name that ``O_EXCL`` keeps from any other file.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".trace-")
+    tmp = os.path.join(directory, ".trace-" + os.urandom(8).hex())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write(text)

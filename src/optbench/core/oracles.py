@@ -47,6 +47,11 @@ class UnsupportedProblemError(TypeError):
     """The oracle lacks a structure required by the method."""
 
 
+def _quiet_norm(v) -> float:
+    """``norm(v)``'s bits; unlike ``dot``, ``vdot`` does not warn when the squares overflow (a diverged iterate)."""
+    return math.sqrt(np.vdot(v, v))
+
+
 @dataclass(frozen=True)
 class QuadraticForm:
     """Structure access for f(x) = 0.5 x'Ax - b'x (+ const): A-products."""
@@ -99,9 +104,9 @@ class OracleSuite:
         if self.dist_fn is not None:
             return float(self.dist_fn(x))
         if self.minimizers is not None:
-            return min(norm(x - m) for m in self.minimizers)
+            return min(_quiet_norm(x - m) for m in self.minimizers)
         if self.xstar is not None:
-            return norm(x - self.xstar)
+            return _quiet_norm(x - self.xstar)
         return None
 
     def constant(self, name: str, given: Optional[float] = None, key: Optional[str] = None) -> float:
@@ -132,7 +137,8 @@ class CountingOracle:
     that is already a float64 array, not copied.  A run's recorder holds
     the iterates and gradients of its pending trace rows until it derives
     their columns, so an entry must not change an array it returned
-    afterwards (the catalog's entries return a fresh array on every call).
+    afterwards: the catalog's entries return a fresh array on every call,
+    or a read-only one (``slp``'s constant gradient and constraint rows).
     """
 
     def __init__(self, suite: OracleSuite, max_calls: Optional[int] = None):
@@ -549,7 +555,7 @@ def run_steps(oracle: OracleSuite, x0, N: int, step: Callable, *, record_every: 
             x = x_next if project is None else project(x_next)
             k += 1
             if divergence_radius is not None and not (screened and 1e-150 < math.dist(x.tolist(), start) <= screen
-                                                      or norm(x - x0) <= divergence_radius):
+                                                      or _quiet_norm(x - x0) <= divergence_radius):
                 status = RunStatus.DIVERGED
                 break
     except Stop as stop:

@@ -317,6 +317,10 @@ def _slp(params: dict, seed: int):
         raise ValueError("rho must be positive")
     angles = np.pi * np.arange(20) / 10.0
     C = rho * np.stack([np.cos(angles), np.sin(angles)], axis=1)  # rows: constraint gradients
+    # f's gradient and the rows of C are served read-only, not copied on every call
+    C.flags.writeable = False
+    df = np.array([-1.0, 0.0])
+    df.flags.writeable = False
 
     def value(x):
         return -float(x[0])
@@ -328,7 +332,7 @@ def _slp(params: dict, seed: int):
     value.rows = rows
 
     def subgrad(x):
-        return np.array([-1.0, 0.0])
+        return df
 
     def g_value(x):
         # Shifting after the max gives the same bits: rounding t - rho is monotone in t,
@@ -344,7 +348,7 @@ def _slp(params: dict, seed: int):
     def g_subgrad(x):
         # The argmax stays on the shifted vector: rounding can merge two distinct rows
         # into a tie, which goes to the lowest index.
-        return C[(C.dot(x) - rho).argmax()].copy()
+        return C[(C.dot(x) - rho).argmax()]
 
     # The optimal face is the segment {1} x [-tan(pi/20), tan(pi/20)].
     half_edge = math.tan(math.pi / 20.0)

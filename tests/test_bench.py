@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -878,6 +879,28 @@ def test_write_trace_to_a_directory_raises_and_leaves_no_temporary_file(tmp_path
     assert os.listdir(tmp_path) == ["traces"] and os.listdir(target) == []
 
 
+def test_a_trace_file_takes_the_umask_mode_and_a_failed_rename_keeps_the_old_file(tmp_path, monkeypatch):
+    names = ["t.csv", "t.json"]
+    umask = os.umask(0o022)
+    try:
+        for name in names:
+            write_trace(synthetic_trace([1.0, 0.5]), str(tmp_path / name))
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644  # as open(path, "w") gives
+    finally:
+        os.umask(umask)
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for name in names:
+        before = (tmp_path / name).read_bytes()
+        with pytest.raises(OSError, match="rename refused"):
+            write_trace(synthetic_trace([2.0, 1.0, 0.25]), str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == names  # no .trace-* file left
+
+
 def test_json_round_trip_field_for_field(tmp_path):
     rows = [
         TraceRow(iter=0, f_value=1.0, f_gap=0.5, dist_to_opt=0.25, grad_norm=2.0,
@@ -1050,6 +1073,19 @@ def test_a_run_that_ends_on_a_non_finite_iterate_is_diverged(doc, calls):
         _, summary = run_experiment(parse_config(json.dumps(doc)))
     assert summary["status"] == "diverged" and math.isnan(summary["final_gap"])
     assert summary["oracle_calls"] == calls  # every iteration still runs: the status is read after the loop
+
+
+def test_a_diverging_run_warns_only_for_its_f():
+    # a constant tau of 1e-308 makes the estimator's scale overflow: the run ends diverged at iteration 1
+    doc = {"problem": {"name": "quad_diag", "params": {"lambdas": [2, 1]}},
+           "noise": {"kind": "zo_stoch", "delta_tilde": 0.01},
+           "method": {"name": "zo_sgd", "params": {"gamma": 0.01, "tau": 1e-308}}, "iterations": 5}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, summary = run_experiment(parse_config(json.dumps(doc)))
+    # the divergence test and final_dist take their norms without a warning; the trace rows' f still warns
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "overflow encountered in matmul")]
+    assert summary["status"] == "diverged" and summary["final_dist"] == math.inf
 
 
 def test_trace_row_monotonicity_invariants():

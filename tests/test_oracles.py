@@ -477,7 +477,8 @@ def test_grad_or_stop_inside_the_screens_margin_is_judged_by_norm(g, tol, status
 def test_the_stop_and_distance_screens_decide_ordinary_iterations_up_to_the_cutoff(d, exact_calls, monkeypatch):
     """A gd run's stop and distance tests take the exact norm only above ``SCREEN_MAX_DIM`` entries, and then always."""
     calls = []
-    monkeypatch.setattr(oracles, "norm", lambda v: calls.append(1) or norm(v))
+    monkeypatch.setattr(oracles, "norm", lambda v: calls.append(1) or norm(v))  # the stop test's
+    monkeypatch.setattr(oracles, "_quiet_norm", lambda v: calls.append(1) or norm(v))  # the distance test's
     oracle, _ = make_problem("quad_diag", {"lambdas": np.linspace(1.0, 4.0, d).tolist()})
     trace = run_gd(oracle, np.ones(d), SmoothRunConfig(N=50, mode=Exact()), divergence_radius=1e6)
     assert trace.status is RunStatus.BUDGET_EXHAUSTED and trace.final.iter == 50

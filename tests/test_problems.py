@@ -238,6 +238,64 @@ def test_default_x0_is_the_start_the_suite_carries_and_a_new_array_on_each_call(
         assert first.dtype == np.float64 and not np.shares_memory(first, again)
 
 
+def instance_arrays(suite) -> list:
+    """The arrays an instance holds: its suite's array fields and every array its entries close over."""
+    found, seen = [], set()
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
+        elif dataclasses.is_dataclass(obj):
+            for field in dataclasses.fields(obj):
+                visit(getattr(obj, field.name))
+        elif callable(obj) and id(obj) not in seen:
+            seen.add(id(obj))
+            for cell in getattr(obj, "__closure__", None) or ():
+                visit(cell.cell_contents)
+            for attr in getattr(obj, "__dict__", {}).values():  # value.rows
+                visit(attr)
+
+    visit(suite)
+    return found
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_array_entries_return_a_fresh_array_or_a_read_only_one(name):
+    for seed in range(2):
+        suite, _ = make_problem(name, {}, seed)
+        entries = {"subgrad": suite.subgrad, "grad": suite.grad}
+        if suite.constraint is not None:
+            entries["constraint.subgrad"] = suite.constraint.subgrad
+        held = instance_arrays(suite)
+        rng = np.random.default_rng(seed)
+        points = [suite.x0] + [scale * rng.standard_normal(suite.dim) for scale in (1e-3, 1.0, 10.0)]
+        for x in points:
+            for label, entry in entries.items():
+                if entry is None:
+                    continue
+                first, again = entry(x.copy()), entry(x.copy())
+                for out, other in ((first, again), (again, first)):
+                    assert out.dtype == np.float64
+                    if out.flags.writeable:
+                        assert not any(np.shares_memory(out, a) for a in (other, *held)), label
+
+
+def test_slp_serves_its_gradient_and_constraint_rows_read_only():
+    suite, _ = make_problem("slp")
+    for entry, x in [(suite.subgrad, np.zeros(2)), (suite.grad, np.ones(2)),
+                     (suite.constraint.subgrad, np.array([2.0, 0.0])), (suite.constraint.subgrad, np.array([-1.0, 3.0]))]:
+        out = entry(x)
+        before = out.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            out[0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            out *= 2.0
+        assert entry(x).tobytes() == before
+
+
 # Every catalog parameter that JSON can carry as a float, with a value that builds.
 NUMERIC_PARAMS = [
     ("l1_system", "d", 5), ("l1_system", "m", 8),
