@@ -317,10 +317,10 @@ def _slp(params: dict, seed: int):
         raise ValueError("rho must be positive")
     angles = np.pi * np.arange(20) / 10.0
     C = rho * np.stack([np.cos(angles), np.sin(angles)], axis=1)  # rows: constraint gradients
-    # f's gradient and the rows of C are served read-only, not copied on every call
+    # read-only, so subgrad and g_subgrad return f's gradient and C's rows uncopied and no caller can change them
     C.flags.writeable = False
-    df = np.array([-1.0, 0.0])
-    df.flags.writeable = False
+    grad_f = np.array([-1.0, 0.0])
+    grad_f.flags.writeable = False
 
     def value(x):
         return -float(x[0])
@@ -332,7 +332,7 @@ def _slp(params: dict, seed: int):
     value.rows = rows
 
     def subgrad(x):
-        return df
+        return grad_f
 
     def g_value(x):
         # Shifting after the max gives the same bits: rounding t - rho is monotone in t,
